@@ -3,10 +3,13 @@
 ``expand`` produces the first ``depth`` quotients of an oracle's value. For
 oracles defined directly by their quotients the generator is consulted (the
 output is bit-exact by definition); for exactly rational oracles the Euclidean
-algorithm runs and the expansion is flagged terminated; otherwise quotients
-are extracted by the floor-and-invert recurrence in integer Mobius form
-applied to a base enclosure, restarting at doubled precision whenever a floor
-is not yet determined by the interval.
+algorithm runs and the expansion is flagged terminated. Otherwise quotients
+are read off a canonical enclosure [lo, hi] of the value by running the
+Euclidean algorithm in lockstep on the integer numerator/denominator pairs of
+lo and hi: a quotient is certified when both floors agree, since every point
+between the endpoints then shares it. The certified quotients and the level
+that produced them are cached on the oracle, so a later request is answered
+from the cache or resumes at the next level up instead of starting over.
 """
 
 from __future__ import annotations
@@ -56,13 +59,36 @@ def _expand_rational(value: Fraction, depth: int) -> CFExpansion:
     return CFExpansion(tuple(quots), certified=True, terminated=(q == 0))
 
 
+def _certified_prefix(enc: Enclosure) -> list:
+    """CF quotients common to every point of ``enc``.
+
+    Euclid runs on both endpoints at once and stops at the first quotient
+    they disagree on, or once either endpoint's expansion has ended.
+    """
+    p, q = enc.lo.numerator, enc.lo.denominator
+    r, s = enc.hi.numerator, enc.hi.denominator
+    quots = []
+    while True:
+        a, x = divmod(p, q)
+        b, y = divmod(r, s)
+        if a != b:
+            return quots
+        quots.append(a)
+        if x == 0 or y == 0:
+            return quots
+        p, q, r, s = q, x, s, y
+
+
 def expand(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> CFExpansion:
     """Quotients a_0 .. a_depth of the value of ``oracle``.
 
     Depth counts quotients after a_0, so the result holds depth + 1 values.
     Rational values yield their full (possibly shorter) expansion with
-    ``terminated`` set. Raises INCONCLUSIVE if the precision cap is hit and
-    UNREPRESENTABLE if a quotient generator runs out.
+    ``terminated`` set. Other values are served from the oracle's quotient
+    cache when it is deep enough; otherwise extraction resumes one level above
+    the cached level and doubles until depth + 1 quotients are certified.
+    Raises INCONCLUSIVE if the precision cap is hit and UNREPRESENTABLE if a
+    quotient generator runs out.
     """
     if depth < 0:
         raise Degenerate(f"depth {depth} must be >= 0")
@@ -81,25 +107,18 @@ def expand(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> CFExpan
     if v is not None:
         return _expand_rational(v, count)
     cap = resolve_cap(cap)
-    k = _MIN_LEVEL
-    while k <= cap:
-        enc = oracle.enclose(k)
-        quots = []
-        A, B, C, D = 1, 0, 0, 1
-        while len(quots) < count:
-            den = enc * C + D
-            if den.contains_zero():
-                break
-            y = (enc * A + B) / den
-            a = y.floor_unique()
-            if a is None:
-                break
-            quots.append(a)
-            A, B, C, D = C, D, A - a * C, B - a * D
-        if len(quots) == count:
-            return CFExpansion(tuple(quots), certified=True, terminated=False)
+    k = 2 * oracle._cf_level if oracle._cf_level else _MIN_LEVEL
+    while len(oracle._cf_quotients) < count:
+        if k > cap:
+            raise Inconclusive(
+                f"CF expansion of {oracle.spec} stalled at depth {depth}", cap
+            )
+        oracle._cf_quotients = _certified_prefix(oracle.enclose(k))
+        oracle._cf_level = k
         k *= 2
-    raise Inconclusive(f"CF expansion of {oracle.spec} stalled at depth {depth}", cap)
+    return CFExpansion(
+        tuple(oracle._cf_quotients[:count]), certified=True, terminated=False
+    )
 
 
 def convergents(cf: CFExpansion) -> list:

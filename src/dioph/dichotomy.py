@@ -37,7 +37,6 @@ from .errors import (
 )
 from .oracle import CFOracle, RealOracle, _MIN_LEVEL, resolve_cap
 
-DIRECT_THRESHOLD = 4096
 DEFAULT_BUDGET = 10**6
 
 
@@ -197,17 +196,10 @@ def _merge_ascending(*iters):
 
 
 def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
-    """(hit, p) deciding whether frac(q xi) lies in [t_lo, t_hi].
-
-    Irrational membership is certified strictly inside the open window;
-    endpoint cases exist only for rational oracles and are decided exactly.
+    """(hit, p) deciding whether frac(q xi) lies in [t_lo, t_hi] for
+    irrational xi, whose membership is certified strictly inside the window.
     """
     stats.candidates += 1
-    v = oracle.exact_value()
-    if v is not None:
-        t = q * v
-        p = t.__floor__()
-        return t_lo <= t - p <= t_hi, p
     k = _MIN_LEVEL
     while k <= cap:
         stats.bump_bits(k)
@@ -242,8 +234,6 @@ def _surrogate(oracle: RealOracle, accuracy_den: int):
         for i in range(1, len(cons)):
             if cons[i - 1].q * cons[i].q >= accuracy_den:
                 return cons[i - 1]
-        if cf.terminated:
-            return cons[-1]
         if len(cf.quotients) < depth:
             raise Unrepresentable(
                 f"{oracle.spec}: quotient supply too small for a surrogate of "
@@ -302,8 +292,6 @@ def _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, structured, budget, cap, stats):
                 f"range of {span + 1} exceeds budget {budget} with structured "
                 "search disabled"
             )
-        return _direct_scan(oracle, n_lo, n_hi, t_lo, t_hi, cap, stats)
-    if span <= DIRECT_THRESHOLD:
         return _direct_scan(oracle, n_lo, n_hi, t_lo, t_hi, cap, stats)
     width = t_hi - t_lo
     delta = width / 8

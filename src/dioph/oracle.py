@@ -52,12 +52,20 @@ def level_for(k: int) -> int:
 
 
 class RealOracle:
-    """Base class. Subclasses implement ``_raw(k)`` with width <= 2**-k."""
+    """Base class. Subclasses implement ``_raw(k)`` with width <= 2**-k.
+
+    Each instance caches its canonical enclosures per level and the
+    continued-fraction quotients :func:`dioph.contfrac.expand` certified from
+    them, so the caches live and die with the oracle.
+    """
 
     spec: str = "?"
 
     def __init__(self):
         self._canon: dict[int, Enclosure] = {}
+        # certified CF quotients of the value, and the level that produced them
+        self._cf_quotients: list[int] = []
+        self._cf_level = 0
 
     def _raw(self, k: int) -> Enclosure:
         raise NotImplementedError

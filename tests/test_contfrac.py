@@ -6,6 +6,7 @@ from dioph.contfrac import Convergent, convergents, expand, mu_estimate
 from dioph.errors import Degenerate, Inconclusive, Unrepresentable
 from dioph.oracle import (
     CATALOG,
+    AffineOracle,
     CFOracle,
     GoldenOracle,
     RationalOracle,
@@ -33,6 +34,35 @@ def test_known_catalog_prefixes():
     assert expand(CATALOG["e"](), 10).quotients == (2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1)
     assert expand(CATALOG["log2"](), 10).quotients == (0, 1, 2, 3, 1, 6, 3, 1, 1, 2, 1)
     assert expand(GoldenOracle(), 6).quotients == (1,) * 7
+
+
+def _e_quotients(n):
+    # e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]: 1, 2k, 1 repeating after a_0
+    tail = [2 * (j // 3 + 1) if j % 3 == 1 else 1 for j in range(n - 1)]
+    return (2, *tail)
+
+
+DEEP = 320
+KNOWN_PATTERNS = [
+    ("const:e", _e_quotients(DEEP + 1)),
+    ("const:sqrt2", (1,) + (2,) * DEEP),
+    ("const:sqrt3", (1,) + (1, 2) * (DEEP // 2)),
+    ("const:sqrt5", (2,) + (4,) * DEEP),
+    ("const:golden", (1,) * (DEEP + 1)),
+]
+
+
+@pytest.mark.parametrize("spec,quotients", KNOWN_PATTERNS)
+def test_deep_known_patterns(spec, quotients):
+    assert expand(parse_oracle(spec), DEEP).quotients == quotients
+
+
+def test_short_lived_oracles_get_their_own_quotients():
+    # each oracle is freed before the next is built, so an allocator that
+    # reuses addresses would expose any cache keyed by object identity
+    for s in range(-20, 20):
+        cf = expand(AffineOracle(1, -s, SQRT2), 30)
+        assert cf.quotients == (1 - s,) + (2,) * 30
 
 
 def test_rational_expansion_terminates():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.contfrac import expand
+from dioph.contfrac import _certified_prefix, expand
 from dioph.dichotomy import find_fractional_hit
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
 from dioph.certlog import ln_frac
@@ -99,6 +99,32 @@ def test_canonical_cf_round_trip(quots):
     cf = expand(RationalOracle(value), len(quots) + 2)
     assert cf.terminated
     assert cf.quotients == quots
+
+
+def _mobius_ladder(enc):
+    """Reference: floor of the enclosure's image under the running Mobius map."""
+    quots = []
+    A, B, C, D = 1, 0, 0, 1
+    while True:
+        den = enc * C + D
+        if den.contains_zero():
+            return quots
+        a = ((enc * A + B) / den).floor_unique()
+        if a is None:
+            return quots
+        quots.append(a)
+        A, B, C, D = C, D, A - a * C, B - a * D
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**30),
+    st.integers(min_value=0, max_value=120),
+    units,
+)
+def test_lockstep_euclid_matches_mobius_ladder(x, k, t):
+    enc = Enclosure(x, x + t / 2**k)
+    assert _certified_prefix(enc) == _mobius_ladder(enc)
 
 
 @settings(deadline=None, max_examples=20)
