@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -37,7 +36,7 @@ from .multiform import (
     omega0_search,
     tau_empirical,
 )
-from .oracle import parse_oracle
+from .oracle import PRECISION_CAP, parse_oracle
 from .seqbuild import EtaSchedule, RateSpec, build_sequence, density_data
 
 DEC_PLACES = 12
@@ -518,11 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision_cap is not None:
-        if args.precision_cap < 64:
-            print("error: --precision-cap must be >= 64", file=sys.stderr)
-            return 2
-        os.environ["DIOPH_PRECISION_CAP"] = str(args.precision_cap)
+    if args.precision_cap is not None and args.precision_cap < 64:
+        print("error: --precision-cap must be >= 64", file=sys.stderr)
+        return 2
     if args.command == "multi":
         if args.action == "dirichlet" and args.big_q is None:
             parser.error("multi dirichlet needs --Q")
@@ -530,11 +527,14 @@ def main(argv=None) -> int:
             parser.error("multi omega0 needs --q-bound")
         if args.action in ("dirichlet", "omega0") and not args.point:
             parser.error(f"multi {args.action} needs --point")
+    token = PRECISION_CAP.set(args.precision_cap or PRECISION_CAP.get())
     try:
         return args.func(args)
     except DiophError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        PRECISION_CAP.reset(token)
 
 
 if __name__ == "__main__":

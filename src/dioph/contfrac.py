@@ -20,8 +20,8 @@ from typing import Optional
 
 from .certlog import ln_frac
 from .enclosure import Enclosure
-from .errors import Degenerate, Inconclusive
-from .oracle import CFOracle, RealOracle, _MIN_LEVEL, resolve_cap
+from .errors import Degenerate
+from .oracle import CFOracle, RealOracle, refine
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,17 @@ def expand(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> CFExpan
     v = oracle.exact_value()
     if v is not None:
         return _expand_rational(v, count)
-    cap = resolve_cap(cap)
-    k = 2 * oracle._cf_level if oracle._cf_level else _MIN_LEVEL
-    while len(oracle._cf_quotients) < count:
-        if k > cap:
-            raise Inconclusive(
-                f"CF expansion of {oracle.spec} stalled at depth {depth}", cap
-            )
+
+    def step(k):
         oracle._cf_quotients = _certified_prefix(oracle.enclose(k))
         oracle._cf_level = k
-        k *= 2
+        return True if len(oracle._cf_quotients) >= count else None
+
+    if len(oracle._cf_quotients) < count:
+        refine(
+            step, f"CF expansion of {oracle.spec} stalled at depth {depth}", cap,
+            start=2 * oracle._cf_level,
+        )
     return CFExpansion(
         tuple(oracle._cf_quotients[:count]), certified=True, terminated=False
     )

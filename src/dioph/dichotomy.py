@@ -29,13 +29,12 @@ from typing import Optional, Union
 from .contfrac import convergents, expand
 from .enclosure import Enclosure, Rat, _frac
 from .errors import (
-    Inconclusive,
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
     Unrepresentable,
 )
-from .oracle import CFOracle, RealOracle, _MIN_LEVEL, resolve_cap
+from .oracle import CFOracle, RealOracle, refine
 
 DEFAULT_BUDGET = 10**6
 
@@ -200,9 +199,8 @@ def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
     irrational xi, whose membership is certified strictly inside the window.
     """
     stats.candidates += 1
-    k = _MIN_LEVEL
-    while k <= cap:
-        stats.bump_bits(k)
+
+    def step(k):
         enc = oracle.enclose(k) * q
         p = enc.floor_unique()
         if p is not None:
@@ -211,35 +209,36 @@ def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
                 return True, p
             if f.hi < t_lo or f.lo > t_hi:
                 return False, p
-        k *= 2
-    raise Inconclusive(f"window membership for q={q} undecided", cap)
+        return None
+
+    return refine(step, f"window membership for q={q} undecided", cap, stats)
 
 
-def _safe_expand(oracle: RealOracle, total: int):
-    """expand() for ``total`` quotients, clamped to the supply of truncated
-    CF generators. Callers here count quotients including a_0."""
-    if isinstance(oracle, CFOracle):
-        n = oracle.quotient_count()
-        if n is not None:
-            total = min(total, n)
-    return expand(oracle, total - 1)
+def _convergents_until(oracle: RealOracle, enough, short: str):
+    """First non-None ``enough(cf, convergents)`` over expansions of 16, 32,
+    ... quotients (a_0 counted, clamped to a truncated generator's supply).
+    Raises UNREPRESENTABLE, saying what fell ``short``, once the supply ends."""
+    supply = oracle.quotient_count() if isinstance(oracle, CFOracle) else None
+    depth = 16
+    while True:
+        cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
+        got = enough(cf, convergents(cf))
+        if got is not None:
+            return got
+        if len(cf.quotients) < depth:
+            raise Unrepresentable(f"{oracle.spec}: {short}")
+        depth *= 2
 
 
 def _surrogate(oracle: RealOracle, accuracy_den: int):
     """A convergent p_K/q_K of xi with q_K q_{K+1} >= accuracy_den."""
-    depth = 16
-    while True:
-        cf = _safe_expand(oracle, depth)
-        cons = convergents(cf)
-        for i in range(1, len(cons)):
-            if cons[i - 1].q * cons[i].q >= accuracy_den:
-                return cons[i - 1]
-        if len(cf.quotients) < depth:
-            raise Unrepresentable(
-                f"{oracle.spec}: quotient supply too small for a surrogate of "
-                f"accuracy 1/{accuracy_den}"
-            )
-        depth *= 2
+    return _convergents_until(
+        oracle,
+        lambda cf, cons: next(
+            (a for a, b in zip(cons, cons[1:]) if a.q * b.q >= accuracy_den), None
+        ),
+        f"quotient supply too small for a surrogate of accuracy 1/{accuracy_den}",
+    )
 
 
 def find_fractional_hit(
@@ -265,8 +264,8 @@ def find_fractional_hit(
         )
     stats = _Stats()
     return _find_hit(
-        oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, structured, budget,
-        resolve_cap(cap), stats,
+        oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, structured, budget, cap,
+        stats,
     )
 
 
@@ -326,18 +325,13 @@ def _direct_scan(oracle, n_lo, n_hi, t_lo, t_hi, cap, stats):
 
 def _approx_fractions(oracle: RealOracle, u_limit: Fraction):
     """Convergents and semiconvergents (u, v) in increasing denominator order."""
-    depth = 16
-    while True:
-        cf = _safe_expand(oracle, depth)
-        cons = convergents(cf)
-        if cf.terminated or cons[-1].q >= u_limit:
-            break
-        if len(cf.quotients) < depth:
-            raise Unrepresentable(
-                f"{oracle.spec}: quotient supply ends below denominator bound "
-                f"{u_limit}"
-            )
-        depth *= 2
+    cf, cons = _convergents_until(
+        oracle,
+        lambda cf, cons: (
+            (cf, cons) if cf.terminated or cons[-1].q >= u_limit else None
+        ),
+        f"quotient supply ends below denominator bound {u_limit}",
+    )
     out = []
     p_prev, q_prev = 1, 0
     for i, c in enumerate(cons):
@@ -361,16 +355,16 @@ def _certify_le(oracle, u, v, bound: Fraction, cap, stats) -> bool:
     val = oracle.exact_value()
     if val is not None:
         return abs(u * val - v) <= bound
-    k = _MIN_LEVEL
-    while k <= cap:
-        stats.bump_bits(k)
+
+    def step(k):
         d = (oracle.enclose(k) * u - v).abs()
         if d.hi <= bound:
             return True
         if d.lo > bound:
             return False
-        k *= 2
-    raise Inconclusive(f"distance certificate for {v}/{u} undecided", cap)
+        return None
+
+    return refine(step, f"distance certificate for {v}/{u} undecided", cap, stats)
 
 
 def _band_side_hit(
@@ -410,17 +404,17 @@ def _residual_signed(oracle, q, p, eps, cpe, cap, stats):
     if v is not None:
         r = q * v - p
         return Enclosure.point(r), eps <= abs(r) < cpe
-    k = _MIN_LEVEL
-    while k <= cap:
-        stats.bump_bits(k)
+
+    def step(k):
         enc = oracle.enclose(k) * q - p
         a = enc.abs()
         if a.lo >= eps and a.hi < cpe:
             return enc, True
         if a.hi < eps or a.lo >= cpe:
             return enc, False
-        k *= 2
-    raise Inconclusive(f"residual certificate for q={q} undecided", cap)
+        return None
+
+    return refine(step, f"residual certificate for q={q} undecided", cap, stats)
 
 
 def solve_disjunction(
@@ -438,7 +432,6 @@ def solve_disjunction(
     kind; that situation raises NEITHER_CASE_CERTIFIED rather than
     returning a weakened claim.
     """
-    cap = resolve_cap(cap)
     stats = _Stats()
     c, cp, eps, Q = params.c, params.c_prime, params.eps, params.Q
     half = Fraction(1, 2)

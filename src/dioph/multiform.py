@@ -27,12 +27,10 @@ from .enclosure import Enclosure
 from .errors import (
     CertificateError,
     Degenerate,
-    Inconclusive,
     PreconditionError,
     ZeroFormValue,
 )
 from .oracle import (
-    _MIN_LEVEL,
     AffineOracle,
     EOracle,
     RationalOracle,
@@ -40,7 +38,8 @@ from .oracle import (
     Zeta2Oracle,
     Zeta3Oracle,
     nearest_int,
-    resolve_cap,
+    refine,
+    separated,
 )
 from .seqbuild import RateEstimate, _measure_core
 
@@ -113,19 +112,18 @@ def evaluate_form(
             where = "" if index is None else f" at index {index}"
             raise ZeroFormValue(f"form {form.coeffs} vanishes exactly{where}", index)
         return Enclosure.point(val)
-    cap = resolve_cap(cap)
     pad = sum(abs(c) for c in form.coeffs).bit_length() + 2
-    k = _MIN_LEVEL
-    while k <= cap:
+
+    def enclose_at(k):
         enc = Enclosure.point(0)
         for l, c in zip(form.coeffs, point.coords):
             if l:
                 enc = enc + c.enclose(k + pad) * l
-        a = enc.abs()
-        if a.lo > 0 and a.width <= a.lo / (1 << rel_bits):
-            return enc
-        k *= 2
-    raise Inconclusive(f"form value {form.coeffs} not separated from zero", cap)
+        return enc
+
+    return separated(
+        enclose_at, f"form value {form.coeffs} not separated from zero", cap, rel_bits
+    )
 
 
 @dataclass(frozen=True)
@@ -159,31 +157,29 @@ def _approx_score(q: int, fixed) -> int:
     return worst
 
 
-def _max_dist(ratios, q: int, cap) -> tuple:
-    """(enclosure of max_j ||q * ratio_j||, nearest integers)."""
-    encs = []
-    qs = []
-    for r in ratios:
-        v, d = nearest_int(r, q, cap)
-        qs.append(v)
-        encs.append(d)
-    lo = max(e.lo for e in encs)
-    hi = max(e.hi for e in encs)
-    return Enclosure(lo, hi), tuple(qs)
+def _max_enclosure(encs) -> Enclosure:
+    return Enclosure(max(e.lo for e in encs), max(e.hi for e in encs))
 
 
-def _refined_max_dist(ratios, q: int, cap: int, width_bits: int = 80):
-    enc, qs = _max_dist(ratios, q, cap)
-    if enc.is_point():
+def _refined_max_dist(ratios, q: int, cap, width_bits: int = 80):
+    """(enclosure of max_j ||q * ratio_j|| of width <= 2**-width_bits,
+    nearest integers); INFINITE_WITNESS when that maximum is exactly 0."""
+    near = [nearest_int(r, q, cap) for r in ratios]
+    qs = tuple(v for v, _ in near)
+    enc = _max_enclosure([d for _, d in near])
+    if enc.is_point() and enc.lo == 0:
+        raise PreconditionError(
+            "INFINITE_WITNESS", f"q0={q} matches every coordinate exactly"
+        )
+    tol = Fraction(1, 1 << width_bits)
+    if enc.width <= tol:
         return enc, qs
-    k = _MIN_LEVEL
-    while enc.width > Fraction(1, 1 << width_bits):
-        if k > cap:
-            raise Inconclusive(f"max distance at q={q} will not tighten", cap)
-        encs = [(r.enclose(k) * q - v).abs() for r, v in zip(ratios, qs)]
-        enc = Enclosure(max(e.lo for e in encs), max(e.hi for e in encs))
-        k *= 2
-    return enc, qs
+
+    def step(k):
+        enc = _max_enclosure([(r.enclose(k) * q - v).abs() for r, v in zip(ratios, qs)])
+        return enc if enc.width <= tol else None
+
+    return refine(step, f"max distance at q={q} will not tighten", cap), qs
 
 
 def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
@@ -215,7 +211,6 @@ def dirichlet_witness(
     ratios = point.ratio_oracles()
     m = len(ratios)
     bound = Q**m
-    rcap = resolve_cap(cap)
     fixed = _fixed_points(ratios, bound.bit_length())
     M = 1 << _PREFILTER_BITS
     err_scaled = bound + 2
@@ -226,11 +221,7 @@ def dirichlet_witness(
         for q in range(1, bound + 1):
             if _approx_score(q, fixed) > thr:
                 continue
-            enc, qs = _refined_max_dist(ratios, q, rcap)
-            if enc.is_point() and enc.lo == 0:
-                raise PreconditionError(
-                    "INFINITE_WITNESS", f"q0={q} matches every coordinate exactly"
-                )
+            enc, qs = _refined_max_dist(ratios, q, cap)
             if enc.hi <= target:
                 return SimultaneousWitness(
                     q, qs, enc, _omega_point(enc.hi, q) if q > 1 else Fraction(0),
@@ -250,11 +241,7 @@ def dirichlet_witness(
     ]
     scored = []
     for q in candidates:
-        enc, qs = _refined_max_dist(ratios, q, rcap)
-        if enc.is_point() and enc.lo == 0:
-            raise PreconditionError(
-                "INFINITE_WITNESS", f"q0={q} matches every coordinate exactly"
-            )
+        enc, qs = _refined_max_dist(ratios, q, cap)
         scored.append((enc.hi, q, enc, qs))
     scored.sort(key=lambda t: (t[0], t[1]))
     _, q, enc, qs = scored[0]
@@ -286,7 +273,6 @@ def omega0_search(
     if q_bound < 2:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
     ratios = point.ratio_oracles()
-    rcap = resolve_cap(cap)
     fixed = _fixed_points(ratios, q_bound.bit_length())
     M = 1 << _PREFILTER_BITS
     half = q_bound // 2
@@ -302,11 +288,7 @@ def omega0_search(
         verified = []
         for _, negq in top:
             q = -negq
-            enc, _ = _refined_max_dist(ratios, q, rcap)
-            if enc.is_point() and enc.lo == 0:
-                raise PreconditionError(
-                    "INFINITE_WITNESS", f"q0={q} matches every coordinate exactly"
-                )
+            enc, _ = _refined_max_dist(ratios, q, cap)
             verified.append((_omega_point(enc.hi, q), -q, enc))
         verified.sort(reverse=True)
         w, negq, enc = verified[0]
@@ -365,10 +347,9 @@ def tau_empirical(
     estimation, regularity gate and diagnostics as the two-term case."""
     if len(seq) < 3:
         raise PreconditionError("BAD_FORM", "need at least 3 forms")
-    rcap = resolve_cap(cap)
     raw_res = []
     for n, form in zip(seq.ns, seq.forms):
-        enc = evaluate_form(form, seq.point, rcap, index=n)
+        enc = evaluate_form(form, seq.point, cap, index=n)
         raw_res.append(enc.abs())
     raw_h = [Fraction(f.height) for f in seq.forms]
     growth = _scale_growth(seq)

@@ -6,6 +6,11 @@ precision levels (64, 128, 256, ...) and the published enclosure at a level is
 the intersection of the raw enclosures at every level up to it, so refinement
 is monotone: higher-precision answers always nest inside lower-precision ones.
 
+Every certified decision on those enclosures climbs that level ladder
+through :func:`refine`, up to the precision cap (the call's ``cap=``, else
+:data:`PRECISION_CAP`, which the CLI's ``--precision-cap`` sets for one
+command). Exactly rational values are decided exactly, without the ladder.
+
 The string grammar accepted by :func:`parse_oracle`:
 
     rat:<p>/<q>
@@ -20,8 +25,8 @@ Rationals may be written p/q, as plain integers, or as exact decimal strings.
 
 from __future__ import annotations
 
-import os
 import re
+from contextvars import ContextVar
 from fractions import Fraction
 from math import factorial
 from typing import Optional
@@ -31,17 +36,49 @@ from .certlog import _ln2_fixed
 from .errors import HalfInteger, Inconclusive, PreconditionError, Unrepresentable
 
 DEFAULT_PRECISION_CAP = 1 << 20
+PRECISION_CAP = ContextVar("dioph_precision_cap", default=DEFAULT_PRECISION_CAP)
 _MIN_LEVEL = 64
 
 
 def resolve_cap(cap: Optional[int] = None) -> int:
-    """Effective precision cap: explicit argument, else env, else default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("DIOPH_PRECISION_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_PRECISION_CAP
+    """Effective precision cap: explicit argument, else the context's cap."""
+    return PRECISION_CAP.get() if cap is None else cap
+
+
+def refine(step, what: str, cap: Optional[int] = None, stats=None, start: int = 0):
+    """First decision ``step(k)`` that is not None, climbing the level ladder.
+
+    Levels max(start, 64), then doubling, while they stay within the resolved
+    cap; each one is reported to ``stats.bump_bits`` when ``stats`` is given.
+    ``False`` and ``0`` are decisions. Raises INCONCLUSIVE naming ``what``
+    once the next level would pass the cap.
+    """
+    cap = resolve_cap(cap)
+    k = max(start, _MIN_LEVEL)
+    while k <= cap:
+        if stats is not None:
+            stats.bump_bits(k)
+        got = step(k)
+        if got is not None:
+            return got
+        k *= 2
+    raise Inconclusive(what, cap)
+
+
+def separated(
+    enclose_at, what: str, cap: Optional[int] = None, rel_bits: int = 48
+) -> Enclosure:
+    """First ``enclose_at(k)`` whose distance from zero exceeds its width
+    by a factor of 2**rel_bits."""
+
+    def step(k):
+        enc = enclose_at(k)
+        a = enc.abs()
+        if a.lo > 0 and a.width <= a.lo / (1 << rel_bits):
+            return enc
+        return None
+
+    return refine(step, what, cap)
 
 
 def level_for(k: int) -> int:
@@ -435,15 +472,10 @@ def sign_of_form(oracle: RealOracle, q: Rat, p: Rat, cap: Optional[int] = None) 
     if v is not None:
         t = q * v - p
         return (t > 0) - (t < 0)
-    cap = resolve_cap(cap)
-    k = _MIN_LEVEL
-    while k <= cap:
-        enc = oracle.enclose(k) * q - p
-        s = enc.sign()
-        if s is not None:
-            return s
-        k *= 2
-    raise Inconclusive(f"sign of {q}*({oracle.spec}) - {p} undecided", cap)
+    return refine(
+        lambda k: (oracle.enclose(k) * q - p).sign(),
+        f"sign of {q}*({oracle.spec}) - {p} undecided", cap,
+    )
 
 
 def nearest_int(oracle: RealOracle, u: Rat, cap: Optional[int] = None):
@@ -454,34 +486,29 @@ def nearest_int(oracle: RealOracle, u: Rat, cap: Optional[int] = None):
     integer is then ill-defined.
     """
     u = _frac(u)
+    half = Fraction(1, 2)
     v = oracle.exact_value()
     if v is not None:
         t = u * v
         twice = 2 * t
         if twice.denominator == 1 and twice.numerator % 2 != 0:
             raise HalfInteger(f"{u}*{oracle.spec} is exactly half-integral")
-        m = (t + Fraction(1, 2)).__floor__()
+        m = (t + half).__floor__()
         return m, Enclosure.point(abs(t - m))
-    cap = resolve_cap(cap)
-    k = _MIN_LEVEL
-    while k <= cap:
+
+    def step(k):
         enc = oracle.enclose(k) * u
-        m = (enc.lo + Fraction(1, 2)).__floor__()
-        if enc.hi < m + Fraction(1, 2):
-            return m, (enc - m).abs()
-        k *= 2
-    raise Inconclusive(f"nearest integer to {u}*({oracle.spec}) undecided", cap)
+        m = (enc.lo + half).__floor__()
+        return (m, (enc - m).abs()) if enc.hi < m + half else None
+
+    return refine(step, f"nearest integer to {u}*({oracle.spec}) undecided", cap)
 
 
 def floor_certified(oracle: RealOracle, cap: Optional[int] = None) -> int:
     v = oracle.exact_value()
     if v is not None:
         return v.__floor__()
-    cap = resolve_cap(cap)
-    k = _MIN_LEVEL
-    while k <= cap:
-        m = oracle.enclose(k).floor_unique()
-        if m is not None:
-            return m
-        k *= 2
-    raise Inconclusive(f"floor of {oracle.spec} undecided", cap)
+    return refine(
+        lambda k: oracle.enclose(k).floor_unique(),
+        f"floor of {oracle.spec} undecided", cap,
+    )

@@ -35,19 +35,11 @@ from .enclosure import (
 from .errors import (
     CaseIPersists,
     CertificateError,
-    Inconclusive,
     PreconditionError,
     RateViolation,
     ZeroResidual,
 )
-from .oracle import (
-    AffineOracle,
-    RealOracle,
-    _MIN_LEVEL,
-    floor_certified,
-    nearest_int,
-    resolve_cap,
-)
+from .oracle import AffineOracle, RealOracle, floor_certified, nearest_int, separated
 
 ETA_GRID_BITS = 40
 ETA_MAX = Fraction(9, 20)
@@ -255,7 +247,7 @@ def build_sequence(
             )
         else:
             w = res.witness
-            r = _form_enclosure(inner, w.u, w.v, resolve_cap(cap))
+            r = _form_enclosure(inner, w.u, w.v, cap)
             a = r.abs()
             entries.append(
                 ApproxSequenceEntry(
@@ -281,7 +273,7 @@ def build_sequence(
 
 
 def _form_enclosure(
-    oracle: RealOracle, u: int, v: int, cap: int, rel_bits: int = 48
+    oracle: RealOracle, u: int, v: int, cap: Optional[int], rel_bits: int = 48
 ) -> Enclosure:
     """Signed enclosure of u xi - v, separated from zero to 2**-rel_bits."""
     exact = oracle.exact_value()
@@ -290,14 +282,10 @@ def _form_enclosure(
         if r == 0:
             raise ZeroResidual(f"u={u}, v={v} annihilates the rational value")
         return Enclosure.point(r)
-    k = _MIN_LEVEL
-    while k <= cap:
-        enc = oracle.enclose(k) * u - v
-        a = enc.abs()
-        if a.lo > 0 and a.width <= a.lo / (1 << rel_bits):
-            return enc
-        k *= 2
-    raise Inconclusive(f"residual |{u} xi - {v}| not separated from 0", cap)
+    return separated(
+        lambda k: oracle.enclose(k) * u - v,
+        f"residual |{u} xi - {v}| not separated from 0", cap, rel_bits,
+    )
 
 
 def lemma1_bound(alpha_hat: Rat, beta_hat: Rat, bits: int = 96) -> Fraction:
@@ -391,7 +379,6 @@ def measure_rates(
     rows = _normalize_entries(entries)
     if len(rows) < 3:
         raise PreconditionError("BAD_PARAMS", "need at least 3 entries")
-    cap = resolve_cap(cap)
     ns = [r[0] for r in rows]
     raw_res = [_form_enclosure(oracle, u, v, cap).abs() for _, u, v in rows]
     raw_h = [Fraction(abs(u)) for _, u, _ in rows]
@@ -516,7 +503,7 @@ def density_data(u_seq, oracle: RealOracle, cap: Optional[int] = None) -> Densit
     dists = []
     for u in us:
         v, d = nearest_int(oracle, u, cap)
-        d = _tighten_positive(oracle, u, v, d, resolve_cap(cap))
+        d = _tighten_positive(oracle, u, v, d, cap)
         dists.append(d)
     alpha = max((b / a).hi for a, b in zip(dists, dists[1:]))
     beta = max(Fraction(b, a) for a, b in zip(us, us[1:]))
@@ -525,16 +512,13 @@ def density_data(u_seq, oracle: RealOracle, cap: Optional[int] = None) -> Densit
     return DensityData(alpha, beta, nu, tuple(dists))
 
 
-def _tighten_positive(oracle, u, v: int, d: Enclosure, cap: int) -> Enclosure:
-    if d.is_point():
-        if d.lo == 0:
-            raise ZeroResidual(f"u={u} lands exactly on an integer")
+def _tighten_positive(oracle, u, v: int, d: Enclosure, cap) -> Enclosure:
+    """The distance ``d`` of u xi from v, refined until separated from 0."""
+    if d.lo > 0 and d.width <= d.lo / (1 << 48):
         return d
-    k = _MIN_LEVEL
-    while True:
-        if d.lo > 0 and d.width <= d.lo / (1 << 48):
-            return d
-        if k > cap:
-            raise Inconclusive(f"distance for u={u} not separated from 0", cap)
-        d = (oracle.enclose(k) * u - v).abs()
-        k *= 2
+    if d.is_point():
+        raise ZeroResidual(f"u={u} lands exactly on an integer")
+    return separated(
+        lambda k: (oracle.enclose(k) * u - v).abs(),
+        f"distance for u={u} not separated from 0", cap,
+    )

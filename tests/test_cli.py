@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 from dioph.cli import main
+from dioph.oracle import resolve_cap
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +130,27 @@ def test_resource_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "cf", "--oracle", "cf:liouville:10", "--depth", "20")
     assert code == 3
     assert "error:" in err
+
+
+SQRT2_LEMMA_Q1E400 = ("lemma", "--oracle", "const:sqrt2", "--c", "3/2",
+                      "--c-prime", "19/10", "--eps", "1/1000", "--Q", str(10**400))
+
+
+def test_precision_cap_is_scoped_to_one_command(capsys):
+    env, cap = dict(os.environ), resolve_cap()
+    code, out, err = run_cli(capsys, "--precision-cap", "64", *SQRT2_LEMMA_Q1E400)
+    assert code == 3 and out == ""
+    assert "INCONCLUSIVE" in err and "precision cap 64 bits" in err
+    assert dict(os.environ) == env
+    assert resolve_cap() == cap
+    code, out, _ = run_cli(capsys, *SQRT2_LEMMA_Q1E400)
+    assert code == 0 and json.loads(out)["outcome"] == "II"
+
+
+def test_precision_cap_below_first_level_rejected(capsys):
+    code, out, err = run_cli(capsys, "--precision-cap", "63", *SQRT2_LEMMA_Q1E400)
+    assert code == 2 and out == ""
+    assert "--precision-cap must be >= 64" in err
 
 
 def test_certificate_exit_code(capsys):

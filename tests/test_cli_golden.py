@@ -1,11 +1,12 @@
 """Byte-for-byte CLI output against recorded golden files.
 
-The files in ``tests/golden/`` were recorded before quotient caching and the
-removal of the short-span direct scan. Both changes keep every witness,
-enclosure and quotient, so stdout must match byte for byte. The one
-recorded difference is ``stats.candidates`` of ``lemma``: the direct scan
-checked every integer of a short range, the residue-class search checks
-only surrogate candidates. That key is asserted on its own.
+Each file in ``tests/golden/`` was recorded before a refactor that keeps
+every witness, enclosure and quotient (the cf, build and sqrt2 lemma files
+before quotient caching and the removal of the short-span direct scan, the
+rest before the shared refinement ladder), so stdout must match byte for
+byte. The one recorded difference is ``stats.candidates`` of ``lemma``: the
+direct scan checked every integer of a short range, the residue-class search
+checks only surrogate candidates. That key is asserted on its own.
 """
 
 import re
@@ -18,6 +19,7 @@ from dioph.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 LEMMA = ("lemma", "--oracle", "const:sqrt2", "--c", "3/2", "--c-prime", "19/10",
          "--eps", "1/1000", "--Q")
+POINT = "rat:1,const:sqrt2,const:sqrt3"
 CANDIDATES = re.compile(r'"candidates":(\d+)')
 
 
@@ -31,6 +33,31 @@ def _stdout(capsys, argv):
     ("build_sqrt2_n50_100.json",
      ("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--alpha", "1/2",
       "--beta", "3", "--n", "50:100")),
+    ("lemma_liouville3_case_i.json",
+     ("lemma", "--oracle", "cf:liouville:3", "--c", "3/2", "--c-prime", "19/10",
+      "--eps", "1e-6", "--Q", "531441")),
+    ("lemma_affine_e_q1e30.json",
+     ("lemma", "--oracle", "affine:3/7:const:e", "--c", "3/2", "--c-prime",
+      "19/10", "--eps", "1/1000", "--Q", str(10**30))),
+    ("lemma_rat_355_113.json",
+     ("lemma", "--oracle", "rat:355/113", "--c", "3/2", "--c-prime", "19/10",
+      "--eps", "1/100", "--Q", "50")),
+    ("density_golden_fib.json",
+     ("density", "--oracle", "const:golden", "--u", "1,2,3,5,8,13,21,34,55,89")),
+    ("dirichlet_1_sqrt2_sqrt3_q50.json",
+     ("multi", "dirichlet", "--point", POINT, "--Q", "50")),
+    ("dirichlet_1_sqrt2_sqrt3_q20_best.json",
+     ("multi", "dirichlet", "--point", POINT, "--Q", "20", "--mode", "best")),
+    ("omega0_1_sqrt2_sqrt3_q2000.json",
+     ("multi", "omega0", "--point", POINT, "--q-bound", "2000")),
+    ("tau_apery3_n80.json", ("multi", "tau", "--apery", "3", "--n-max", "80")),
+    ("mu_e_depth200.json", ("mu", "--oracle", "const:e", "--depth", "200")),
+    ("build_sqrt2_rates_csv.json",
+     ("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--rates-csv",
+      str(GOLDEN / "rates.csv"), "--n", "4:8")),
+    ("build_sqrt2_eta_csv.json",
+     ("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--alpha", "1/2",
+      "--beta", "3", "--eta-csv", str(GOLDEN / "eta.csv"), "--n", "20:25")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

@@ -3,11 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from dioph.dichotomy import LemmaParams, find_fractional_hit, solve_disjunction
+from dioph.dichotomy import (
+    LemmaParams,
+    _approx_fractions,
+    _surrogate,
+    find_fractional_hit,
+    solve_disjunction,
+)
 from dioph.errors import (
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
+    Unrepresentable,
 )
 from dioph.oracle import (
     AffineOracle,
@@ -201,3 +208,28 @@ def test_brute_force_agreement():
             outcomes["i"] += 1
     # the draw should exercise both branches
     assert outcomes["ii"] > 50 and outcomes["i"] >= 3
+
+
+def test_surrogate_is_the_first_convergent_accurate_enough():
+    # sqrt2 convergents 1/1, 3/2, 7/5, 17/12, 41/29, 99/70: 29 * 70 >= 1000
+    sur = _surrogate(SqrtOracle(2, "sqrt2"), 1000)
+    assert (sur.p, sur.q) == (41, 29)
+    # past the first 16 quotients: the expansion depth has to double twice
+    sur = _surrogate(SqrtOracle(2, "sqrt2"), 10**30)
+    assert sur.index == 39 and sur.q == 723573111879672
+
+
+def test_approx_fractions_in_denominator_order():
+    got = _approx_fractions(SqrtOracle(2, "sqrt2"), 100)
+    assert got[:6] == [(1, 1), (1, 2), (2, 3), (3, 4), (5, 7), (7, 10)]
+    assert got[-1] == (99, 140)
+    assert len(_approx_fractions(SqrtOracle(2, "sqrt2"), 10**20)) == 106
+
+
+def test_short_quotient_supply_is_unrepresentable():
+    # quotients 0, 2, 2**2, 2**6 and no more: denominators 1, 2, 9, 578
+    short = CFOracle(None, liouville_base=2, liouville_cap=3)
+    with pytest.raises(Unrepresentable, match="surrogate of accuracy 1/1000000"):
+        _surrogate(short, 10**6)
+    with pytest.raises(Unrepresentable, match="below denominator bound 1000000"):
+        _approx_fractions(short, 10**6)

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -21,6 +23,7 @@ from dioph.oracle import (
     nearest_int,
     parse_oracle,
     parse_rational,
+    refine,
     resolve_cap,
     sign_of_form,
 )
@@ -189,10 +192,7 @@ def test_floor_certified():
     assert floor_certified(RationalOracle(F(4))) == 4
 
 
-def test_precision_cap_env(monkeypatch):
-    monkeypatch.setenv("DIOPH_PRECISION_CAP", "256")
-    assert resolve_cap() == 256
-    monkeypatch.delenv("DIOPH_PRECISION_CAP")
+def test_resolve_cap():
     assert resolve_cap() == 1 << 20
     assert resolve_cap(512) == 512
 
@@ -203,3 +203,74 @@ def test_cap_exhaustion_raises():
     p = 27182818284590452353602875
     with pytest.raises(Inconclusive):
         sign_of_form(CATALOG["e"](), q, p, cap=64)
+    with pytest.raises(Inconclusive):
+        nearest_int(CATALOG["e"](), q, cap=64)
+
+
+class _Bits:
+    def __init__(self):
+        self.seen = []
+
+    def bump_bits(self, k):
+        self.seen.append(k)
+
+
+def test_refine_climbs_the_ladder_in_order():
+    visited = []
+    stats = _Bits()
+
+    def step(k):
+        visited.append(k)
+        return k if k == 512 else None
+
+    assert refine(step, "ladder", stats=stats) == 512
+    assert visited == [64, 128, 256, 512]
+    assert stats.seen == visited
+
+
+def test_refine_start_level():
+    visited = []
+
+    def step(k):
+        visited.append(k)
+        return k if k == 1024 else None
+
+    assert refine(step, "x", cap=1024, start=256) == 1024
+    assert visited == [256, 512, 1024]
+    assert refine(lambda k: k, "x", start=8) == 64
+
+
+def test_refine_returns_false_and_zero():
+    assert refine(lambda k: False, "f") is False
+    assert refine(lambda k: 0, "z") == 0
+
+
+def test_refine_raises_at_the_cap():
+    visited = []
+    with pytest.raises(Inconclusive) as info:
+        refine(lambda k: visited.append(k), "never decided", cap=300)
+    assert info.value.k_cap == 300
+    assert visited == [64, 128, 256]
+    assert "never decided" in str(info.value)
+
+
+def test_refine_below_the_first_level_never_steps():
+    calls = []
+    with pytest.raises(Inconclusive) as info:
+        refine(lambda k: calls.append(k) or True, "x", cap=63)
+    assert calls == [] and info.value.k_cap == 63
+
+
+def test_ladder_lives_only_in_oracle():
+    """Only oracle.py names the first level or resolves the cap, and the
+    level doubling is written once, in refine."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name != "oracle.py":
+            assert not re.search(r"_MIN_LEVEL|resolve_cap", text), path.name
+            assert "k *= 2" not in text, path.name
+    oracle_src = (src / "oracle.py").read_text()
+    assert oracle_src.count("k *= 2") == 1
+    body = oracle_src[oracle_src.index("def refine("):]
+    assert "k *= 2" in body[:body.index("\ndef ", 1)]
