@@ -157,7 +157,7 @@ def _cmd_lemma(args) -> int:
         _parse_rational(args.eps),
         _parse_rational(args.big_q),
     )
-    res = solve_disjunction(oracle, params, structured=not args.no_structured)
+    res = solve_disjunction(oracle, params)
     payload = {
         "Q": _rat(params.Q),
         "c": _rat(params.c),
@@ -219,7 +219,6 @@ def _cmd_build(args) -> int:
         range(lo, hi + 1),
         eta=_load_eta(args.eta_csv),
         rate_slack=_parse_rational(args.rate_slack),
-        structured=not args.no_structured,
     )
     if args.output == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
@@ -466,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-prime", required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--Q", dest="big_q", required=True)
-    p.add_argument("--no-structured", action="store_true")
     p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("build", help="rate-prescribed sequence construction")
@@ -478,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="index span a:b, inclusive")
     p.add_argument("--eta-csv", default=None, help="custom bands, header n,eta")
     p.add_argument("--rate-slack", default="1/20")
-    p.add_argument("--no-structured", action="store_true")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("density", help="density data for a denominator sequence")
@@ -528,6 +525,9 @@ def main(argv=None) -> int:
         if args.action in ("dirichlet", "omega0") and not args.point:
             parser.error(f"multi {args.action} needs --point")
     token = PRECISION_CAP.set(args.precision_cap or PRECISION_CAP.get())
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)  # big quotients print in full
     try:
         return args.func(args)
     except DiophError as exc:
@@ -535,6 +535,8 @@ def main(argv=None) -> int:
         return exc.exit_code
     finally:
         PRECISION_CAP.reset(token)
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,10 @@
 """Certified continued-fraction expansion and convergents.
 
-``expand`` produces the first ``depth`` quotients of an oracle's value. For
-oracles defined directly by their quotients the generator is consulted (the
-output is bit-exact by definition); for exactly rational oracles the Euclidean
-algorithm runs and the expansion is flagged terminated. Otherwise quotients
-are read off a canonical enclosure [lo, hi] of the value by running the
-Euclidean algorithm in lockstep on the integer numerator/denominator pairs of
-lo and hi: a quotient is certified when both floors agree, since every point
-between the endpoints then shares it. The certified quotients and the level
-that produced them are cached on the oracle, so a later request is answered
-from the cache or resumes at the next level up instead of starting over.
+``expand`` is a view of the oracle's own quotient cache. The quotient sources
+live in the oracle subclasses (``RealOracle._more_quotients``): a generator
+for values defined by their quotients, Euclid on the point value for exact
+rationals (the expansion terminates), and otherwise Euclid run in lockstep on
+both ends of a canonical enclosure, resumed one level above the cached one.
 """
 
 from __future__ import annotations
@@ -19,15 +14,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .certlog import ln_frac
-from .enclosure import Enclosure
 from .errors import Degenerate
-from .oracle import CFOracle, RealOracle, refine
+from .oracle import RealOracle
 
 
 @dataclass(frozen=True)
 class CFExpansion:
     quotients: tuple
-    certified: bool
     terminated: bool
 
 
@@ -49,77 +42,19 @@ class MuEstimate:
     witness_index: Optional[int]
 
 
-def _expand_rational(value: Fraction, depth: int) -> CFExpansion:
-    p, q = value.numerator, value.denominator
-    quots = []
-    while q and len(quots) < depth:
-        a, r = divmod(p, q)
-        quots.append(a)
-        p, q = q, r
-    return CFExpansion(tuple(quots), certified=True, terminated=(q == 0))
-
-
-def _certified_prefix(enc: Enclosure) -> list:
-    """CF quotients common to every point of ``enc``.
-
-    Euclid runs on both endpoints at once and stops at the first quotient
-    they disagree on, or once either endpoint's expansion has ended.
-    """
-    p, q = enc.lo.numerator, enc.lo.denominator
-    r, s = enc.hi.numerator, enc.hi.denominator
-    quots = []
-    while True:
-        a, x = divmod(p, q)
-        b, y = divmod(r, s)
-        if a != b:
-            return quots
-        quots.append(a)
-        if x == 0 or y == 0:
-            return quots
-        p, q, r, s = q, x, s, y
-
-
 def expand(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> CFExpansion:
     """Quotients a_0 .. a_depth of the value of ``oracle``.
 
     Depth counts quotients after a_0, so the result holds depth + 1 values.
     Rational values yield their full (possibly shorter) expansion with
-    ``terminated`` set. Other values are served from the oracle's quotient
-    cache when it is deep enough; otherwise extraction resumes one level above
-    the cached level and doubles until depth + 1 quotients are certified.
-    Raises INCONCLUSIVE if the precision cap is hit and UNREPRESENTABLE if a
-    quotient generator runs out.
+    ``terminated`` set. Raises INCONCLUSIVE if the precision cap is hit and
+    UNREPRESENTABLE if a quotient generator runs out.
     """
     if depth < 0:
         raise Degenerate(f"depth {depth} must be >= 0")
     count = depth + 1
-    if isinstance(oracle, CFOracle):
-        if oracle.is_finite():
-            n = min(count, len(oracle.prefix))
-            return CFExpansion(
-                tuple(oracle.prefix[:n]),
-                certified=True,
-                terminated=(n == len(oracle.prefix)),
-            )
-        quots = tuple(oracle.quotient(j) for j in range(count))
-        return CFExpansion(quots, certified=True, terminated=False)
-    v = oracle.exact_value()
-    if v is not None:
-        return _expand_rational(v, count)
-
-    def step(k):
-        oracle._cf_quotients = _certified_prefix(oracle.enclose(k))
-        oracle._cf_level = k
-        return True if len(oracle._cf_quotients) >= count else None
-
-    if len(oracle._cf_quotients) < count:
-        refine(
-            step, f"CF expansion of {oracle.spec} stalled at depth {depth}", cap,
-            start=2 * oracle._cf_level,
-        )
-    return CFExpansion(
-        tuple(oracle._cf_quotients[:count]), certified=True, terminated=False
-    )
+    quots, ended = oracle.cf_quotients(count, cap)
+    return CFExpansion(tuple(quots[:count]), terminated=ended and len(quots) <= count)
 
 
 def convergents(cf: CFExpansion) -> list:

@@ -7,8 +7,9 @@ real value xi, one of two certificates is produced:
   to q xi, and eps <= |q xi - p| < c' eps; searched first and returned with
   the smallest such q;
 - case (i): a reduced fraction v/u with u below an explicit bound and
-  |u xi - v| within an explicit distance bound, found by scanning the
-  convergents and semiconvergents of xi in increasing denominator order.
+  |u xi - v| within an explicit distance bound, the first such among the
+  convergents and semiconvergents of xi in increasing denominator order;
+  that is always a convergent, so only convergents are checked.
 
 The distance band of case (ii) translates into at most two windows for the
 fractional part of q xi, one on each side of 1/2. The window search is exact
@@ -17,16 +18,18 @@ Euclidean descent in O(log) steps; irrational xi is replaced by a convergent
 surrogate whose error is below one eighth of the window, candidate q are
 enumerated in increasing order on the enlarged surrogate window, and each
 candidate is verified against the true value with certified enclosures, so
-the first verified hit is the true minimum.
+the first verified hit is the true minimum. The surrogate and case (i) read
+the oracle's one cached convergent list.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .contfrac import convergents, expand
+from .contfrac import Convergent, expand
 from .enclosure import Enclosure, Rat, _frac
 from .errors import (
     NeitherCaseCertified,
@@ -34,7 +37,7 @@ from .errors import (
     RangeTooLarge,
     Unrepresentable,
 )
-from .oracle import CFOracle, RealOracle, refine
+from .oracle import RealOracle, refine
 
 DEFAULT_BUDGET = 10**6
 
@@ -175,25 +178,6 @@ def _residue_hits(a: int, b: int, m: int, lo: int, hi: int, t_max: int):
         t = None if step is None else t + 1 + step
 
 
-def _merge_ascending(*iters):
-    heads = []
-    its = []
-    for it in iters:
-        it = iter(it)
-        nxt = next(it, None)
-        if nxt is not None:
-            heads.append(nxt)
-            its.append(it)
-    while heads:
-        i = min(range(len(heads)), key=lambda j: heads[j])
-        yield heads[i]
-        nxt = next(its[i], None)
-        if nxt is None:
-            del heads[i], its[i]
-        else:
-            heads[i] = nxt
-
-
 def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
     """(hit, p) deciding whether frac(q xi) lies in [t_lo, t_hi] for
     irrational xi, whose membership is certified strictly inside the window.
@@ -214,31 +198,38 @@ def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
     return refine(step, f"window membership for q={q} undecided", cap, stats)
 
 
-def _convergents_until(oracle: RealOracle, enough, short: str):
-    """First non-None ``enough(cf, convergents)`` over expansions of 16, 32,
-    ... quotients (a_0 counted, clamped to a truncated generator's supply).
-    Raises UNREPRESENTABLE, saying what fell ``short``, once the supply ends."""
-    supply = oracle.quotient_count() if isinstance(oracle, CFOracle) else None
+def _walk(oracle: RealOracle, reached, short: str):
+    """(cons, j): the oracle's cached convergents (p, q) and the first j with
+    ``reached(cons, j)``, expanding over 16, 32, ... quotients (a_0 counted,
+    clamped to a truncated generator's supply); j is one past the end of a
+    terminating expansion. Raises UNREPRESENTABLE, saying what fell
+    ``short``, once the supply ends."""
+    supply = oracle.quotient_count()
     depth = 16
+    j = 0
     while True:
         cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
-        got = enough(cf, convergents(cf))
-        if got is not None:
-            return got
-        if len(cf.quotients) < depth:
+        n = len(cf.quotients)
+        cons = oracle.cf_convergents(n)
+        while j < n:
+            if reached(cons, j):
+                return cons, j
+            j += 1
+        if cf.terminated:
+            return cons, n
+        if n < depth:
             raise Unrepresentable(f"{oracle.spec}: {short}")
         depth *= 2
 
 
-def _surrogate(oracle: RealOracle, accuracy_den: int):
+def _surrogate(oracle: RealOracle, accuracy_den: int) -> Convergent:
     """A convergent p_K/q_K of xi with q_K q_{K+1} >= accuracy_den."""
-    return _convergents_until(
+    cons, j = _walk(
         oracle,
-        lambda cf, cons: next(
-            (a for a, b in zip(cons, cons[1:]) if a.q * b.q >= accuracy_den), None
-        ),
+        lambda cons, j: j > 0 and cons[j - 1][1] * cons[j][1] >= accuracy_den,
         f"quotient supply too small for a surrogate of accuracy 1/{accuracy_den}",
     )
+    return Convergent(*cons[j - 1], j - 1)
 
 
 def find_fractional_hit(
@@ -262,14 +253,23 @@ def find_fractional_hit(
         raise PreconditionError(
             "BAD_WINDOW", f"need 0 < t_lo < t_hi < 1, got [{t_lo}, {t_hi}]"
         )
-    stats = _Stats()
-    return _find_hit(
-        oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, structured, budget, cap,
-        stats,
-    )
+    q_lo, q_hi, stats = _frac(q_lo), _frac(q_hi), _Stats()
+    if structured or oracle.exact_value() is not None:
+        return _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, cap, stats)
+    n_lo, n_hi = max(1, q_lo.__ceil__()), q_hi.__floor__()
+    if n_hi - n_lo + 1 > budget:
+        raise RangeTooLarge(
+            f"range of {n_hi - n_lo + 1} exceeds budget {budget} with structured "
+            "search disabled"
+        )
+    for q in range(n_lo, n_hi + 1):
+        hit, p = _frac_window_check(oracle, q, t_lo, t_hi, cap, stats)
+        if hit:
+            return q, p
+    return None
 
 
-def _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, structured, budget, cap, stats):
+def _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, cap, stats):
     n_lo = max(1, q_lo.__ceil__())
     n_hi = q_hi.__floor__()
     if n_lo > n_hi or t_lo > t_hi:
@@ -285,13 +285,6 @@ def _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, structured, budget, cap, stats):
             return q, (q * v).__floor__()
         return None
     span = n_hi - n_lo
-    if not structured:
-        if span + 1 > budget:
-            raise RangeTooLarge(
-                f"range of {span + 1} exceeds budget {budget} with structured "
-                "search disabled"
-            )
-        return _direct_scan(oracle, n_lo, n_hi, t_lo, t_hi, cap, stats)
     width = t_hi - t_lo
     delta = width / 8
     need = (8 * n_hi / width).__ceil__()
@@ -304,50 +297,13 @@ def _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, structured, budget, cap, stats):
         streams.append(_residue_hits(a, n_lo * a, m, m + lo_i, m - 1, span))
     if hi_i >= m:
         streams.append(_residue_hits(a, n_lo * a, m, 0, hi_i - m, span))
-    seen = 0
-    for t in _merge_ascending(*streams):
-        seen += 1
-        if seen > budget:
-            raise RangeTooLarge(f"candidate stream exceeded budget {budget}")
+    for seen, t in enumerate(heapq.merge(*streams), 1):
+        if seen > DEFAULT_BUDGET:
+            raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
         hit, p = _frac_window_check(oracle, n_lo + t, t_lo, t_hi, cap, stats)
         if hit:
             return n_lo + t, p
     return None
-
-
-def _direct_scan(oracle, n_lo, n_hi, t_lo, t_hi, cap, stats):
-    for q in range(n_lo, n_hi + 1):
-        hit, p = _frac_window_check(oracle, q, t_lo, t_hi, cap, stats)
-        if hit:
-            return q, p
-    return None
-
-
-def _approx_fractions(oracle: RealOracle, u_limit: Fraction):
-    """Convergents and semiconvergents (u, v) in increasing denominator order."""
-    cf, cons = _convergents_until(
-        oracle,
-        lambda cf, cons: (
-            (cf, cons) if cf.terminated or cons[-1].q >= u_limit else None
-        ),
-        f"quotient supply ends below denominator bound {u_limit}",
-    )
-    out = []
-    p_prev, q_prev = 1, 0
-    for i, c in enumerate(cons):
-        if i >= 1:
-            a = cf.quotients[i]
-            p0, q0 = cons[i - 1].p, cons[i - 1].q
-            for j in range(1, a):
-                u = q_prev + j * q0
-                if u >= u_limit:
-                    return out
-                out.append((u, p_prev + j * p0))
-            p_prev, q_prev = p0, q0
-        if c.q >= u_limit:
-            return out
-        out.append((c.q, c.p))
-    return out
 
 
 def _certify_le(oracle, u, v, bound: Fraction, cap, stats) -> bool:
@@ -367,10 +323,27 @@ def _certify_le(oracle, u, v, bound: Fraction, cap, stats) -> bool:
     return refine(step, f"distance certificate for {v}/{u} undecided", cap, stats)
 
 
-def _band_side_hit(
-    oracle, q_from, q_to, lo, hi, lo_strict, hi_strict,
-    structured, budget, cap, stats,
-):
+def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, cap, stats):
+    """First convergent (q, p) with q < u_limit and certified |q xi - p| <=
+    bound, or None; also the first such among all semiconvergents.
+
+    Along the run u_j = q_{i-2} + j q_{i-1}, j = 1 .. a_i, that ends at
+    convergent i, |u_j xi - v_j| = |q_i xi - p_i| + (a_i - j) |q_{i-1} xi -
+    p_{i-1}|: each semiconvergent is farther than the convergent before it.
+    A short quotient supply raises before any check.
+    """
+    cons, end = _walk(
+        oracle,
+        lambda cons, j: cons[j][1] >= u_limit,
+        f"quotient supply ends below denominator bound {u_limit}",
+    )
+    for p, q in cons[:end]:
+        if _certify_le(oracle, q, p, bound, cap, stats):
+            return q, p
+    return None
+
+
+def _band_side_hit(oracle, q_from, q_to, lo, hi, lo_strict, hi_strict, cap, stats):
     """Minimal q with frac(q xi) in the window, honouring endpoint strictness.
 
     Strict endpoints only matter for rational values, where hits landing
@@ -385,7 +358,7 @@ def _band_side_hit(
         return None
     cur = _frac(q_from)
     while True:
-        hit = _find_hit(oracle, cur, q_to, lo, hi, structured, budget, cap, stats)
+        hit = _find_hit(oracle, cur, q_to, lo, hi, cap, stats)
         if hit is None:
             return None
         q, p = hit
@@ -420,8 +393,6 @@ def _residual_signed(oracle, q, p, eps, cpe, cap, stats):
 def solve_disjunction(
     oracle: RealOracle,
     params: LemmaParams,
-    structured: bool = True,
-    budget: int = DEFAULT_BUDGET,
     cap: Optional[int] = None,
 ) -> DisjunctionResult:
     """Produce a case (ii) witness if one exists, else a case (i) witness.
@@ -439,15 +410,13 @@ def solve_disjunction(
     best = None  # (q, nearest p)
     if eps <= half:
         plus = _band_side_hit(
-            oracle, Q, c * Q, eps, min(cpe, half), False, cpe <= half,
-            structured, budget, cap, stats,
+            oracle, Q, c * Q, eps, min(cpe, half), False, cpe <= half, cap, stats,
         )
         if plus is not None:
             best = plus
         top = c * Q if best is None else Fraction(best[0] - 1)
         minus = _band_side_hit(
-            oracle, Q, top, max(1 - cpe, half), 1 - eps, True, False,
-            structured, budget, cap, stats,
+            oracle, Q, top, max(1 - cpe, half), 1 - eps, True, False, cap, stats,
         )
         if minus is not None:
             q, floor_p = minus
@@ -464,10 +433,11 @@ def solve_disjunction(
         )
     bound_u = params.bound_u
     factor = params.dist_factor
-    for u, v in _approx_fractions(oracle, bound_u):
-        if _certify_le(oracle, u, v, factor / Q, cap, stats):
-            witness = CaseIWitness(u, v, bound_u, factor / (u * Q))
-            return DisjunctionResult("case_i", witness, None, stats.frozen())
+    hit = _case_i_hit(oracle, bound_u, factor / Q, cap, stats)
+    if hit is not None:
+        u, v = hit
+        witness = CaseIWitness(u, v, bound_u, factor / (u * Q))
+        return DisjunctionResult("case_i", witness, None, stats.frozen())
     raise NeitherCaseCertified(
         f"no witness for either case at c={c}, c'={cp}, eps={eps}, Q={Q}"
     )

@@ -91,18 +91,22 @@ def level_for(k: int) -> int:
 class RealOracle:
     """Base class. Subclasses implement ``_raw(k)`` with width <= 2**-k.
 
-    Each instance caches its canonical enclosures per level and the
-    continued-fraction quotients :func:`dioph.contfrac.expand` certified from
-    them, so the caches live and die with the oracle.
+    Each instance caches its canonical enclosures per level, the certified
+    continued-fraction quotients of its value and their convergents, so the
+    caches live and die with the oracle. Where the quotients come from is
+    :meth:`_more_quotients`, which subclasses with another source override.
     """
 
     spec: str = "?"
 
     def __init__(self):
         self._canon: dict[int, Enclosure] = {}
-        # certified CF quotients of the value, and the level that produced them
+        # certified CF quotients, whether they are the whole expansion, the
+        # level that certified them, and their convergents (p, q)
         self._cf_quotients: list[int] = []
+        self._cf_ended = False
         self._cf_level = 0
+        self._conv: list[tuple[int, int]] = []
 
     def _raw(self, k: int) -> Enclosure:
         raise NotImplementedError
@@ -133,8 +137,72 @@ class RealOracle:
         """The exact rational value when the oracle is rational, else None."""
         return None
 
+    def quotient_count(self) -> Optional[int]:
+        """Number of quotients a truncated quotient generator supplies, else None."""
+        return None
+
+    def cf_quotients(self, count: int, cap: Optional[int] = None):
+        """(quotients, ended): the cached certified CF quotients, first
+        extended to ``count`` of them unless the expansion ends sooner, and
+        whether they are the whole (finite) expansion."""
+        if len(self._cf_quotients) < count and not self._cf_ended:
+            self._more_quotients(count, cap)
+        return self._cf_quotients, self._cf_ended
+
+    def cf_convergents(self, count: int) -> list:
+        """The cached convergents (p_j, q_j) of the quotients, first extended
+        to ``count`` of them unless the expansion ends sooner."""
+        conv = self._conv
+        if len(conv) < count:
+            quots, _ = self.cf_quotients(count)
+            (p0, q0), (p1, q1) = ([(0, 1), (1, 0)] + conv[-2:])[-2:]
+            for a in quots[len(conv):count]:
+                p1, q1, p0, q0 = a * p1 + p0, a * q1 + q0, p1, q1
+                conv.append((p1, q1))
+        return conv
+
+    def _more_quotients(self, count: int, cap: Optional[int]):
+        """Extend the quotient cache to ``count`` quotients or to its end:
+        Euclid on a rational point value, else on canonical enclosures from
+        one level above the cached one (INCONCLUSIVE at the precision cap)."""
+        v = self.exact_value()
+        if v is not None:
+            self._cf_quotients = _certified_prefix(Enclosure.point(v))
+            self._cf_ended = True
+            return
+
+        def step(k):
+            self._cf_quotients = _certified_prefix(self.enclose(k))
+            self._cf_level = k
+            return True if len(self._cf_quotients) >= count else None
+
+        refine(
+            step, f"CF expansion of {self.spec} stalled at depth {count - 1}", cap,
+            start=2 * self._cf_level,
+        )
+
     def __repr__(self):
         return f"<oracle {self.spec}>"
+
+
+def _certified_prefix(enc: Enclosure) -> list:
+    """CF quotients common to every point of ``enc``.
+
+    Euclid runs on both endpoints at once and stops at the first quotient
+    they disagree on, or once either endpoint's expansion has ended.
+    """
+    p, q = enc.lo.numerator, enc.lo.denominator
+    r, s = enc.hi.numerator, enc.hi.denominator
+    quots = []
+    while True:
+        a, x = divmod(p, q)
+        b, y = divmod(r, s)
+        if a != b:
+            return quots
+        quots.append(a)
+        if x == 0 or y == 0:
+            return quots
+        p, q, r, s = q, x, s, y
 
 
 class RationalOracle(RealOracle):
@@ -291,7 +359,11 @@ class CFOracle(RealOracle):
                 if any(a < 1 for a in self.periodic):
                     raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
                 self.spec += "+periodic:[" + ",".join(map(str, self.periodic)) + "]"
-        self._conv: list[tuple[int, int]] = []
+        self._value = None
+        if self.is_finite():
+            # the whole expansion at once: quotients, convergents and value
+            self._cf_quotients, self._cf_ended = self.prefix, True
+            self._value = Fraction(*self.cf_convergents(len(self.prefix))[-1])
 
     def is_finite(self) -> bool:
         return self.periodic is None and self.liouville_base is None
@@ -313,50 +385,37 @@ class CFOracle(RealOracle):
         raise IndexError(j)
 
     def quotient_count(self) -> Optional[int]:
-        """Number of quotients when finite, else None."""
+        """Number of quotients when finite or truncated, else None."""
         if self.is_finite():
             return len(self.prefix)
         if self.liouville_base is not None:
             return self.liouville_cap + 1
         return None
 
-    def _convergent(self, j: int) -> tuple[int, int]:
-        while len(self._conv) <= j:
-            i = len(self._conv)
-            a = self.quotient(i)
-            if i == 0:
-                self._conv.append((a, 1))
-            elif i == 1:
-                self._conv.append((a * self._conv[0][0] + 1, a))
-            else:
-                p1, q1 = self._conv[i - 1]
-                p2, q2 = self._conv[i - 2]
-                self._conv.append((a * p1 + p2, a * q1 + q2))
-        return self._conv[j]
+    def _more_quotients(self, count: int, cap: Optional[int]):
+        # the generator is exact; a finite CF is complete from construction
+        quots = self._cf_quotients
+        for j in range(len(quots), count):
+            quots.append(self.quotient(j))
 
     def _raw(self, k: int) -> Enclosure:
+        if self._value is not None:
+            return Enclosure.point(self._value)
         n = self.quotient_count()
-        if self.is_finite():
-            p, q = self._convergent(n - 1)
-            return Enclosure.point(Fraction(p, q))
         j = 1
         while True:
             if n is not None and j >= n:
                 raise Unrepresentable(
                     f"{self.spec}: available quotients give width above 2**-{k}"
                 )
-            p0, q0 = self._convergent(j - 1)
-            p1, q1 = self._convergent(j)
+            (p0, q0), (p1, q1) = self.cf_convergents(j + 1)[j - 1:j + 1]
             if q0 * q1 >= 1 << k:
                 a, b = Fraction(p0, q0), Fraction(p1, q1)
                 return Enclosure(min(a, b), max(a, b))
             j += 1
 
     def exact_value(self) -> Optional[Fraction]:
-        if self.is_finite():
-            p, q = self._convergent(len(self.prefix) - 1)
-            return Fraction(p, q)
-        return None
+        return self._value
 
 
 class AffineOracle(RealOracle):

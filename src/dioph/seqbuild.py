@@ -185,7 +185,6 @@ def build_sequence(
     eta: Optional[EtaSchedule] = None,
     case1_fraction: Fraction = Fraction(1, 5),
     rate_slack: Fraction = Fraction(1, 20),
-    structured: bool = True,
     cap: Optional[int] = None,
 ) -> BuildResult:
     """Run the banded construction for each n in ``n_range``.
@@ -222,7 +221,7 @@ def build_sequence(
             eps / sqrt_lower(mu, 64),
             Q / sqrt_lower(lam, 64),
         )
-        res = solve_disjunction(inner, params, structured=structured, cap=cap)
+        res = solve_disjunction(inner, params, cap=cap)
         if res.outcome == "case_ii":
             q, p = res.witness.q, res.witness.p
             if not (q * q <= lam * Q * Q and Q * Q <= lam * q * q):

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -179,3 +180,12 @@ def test_suite_single_criterion(capsys):
     assert doc["all_passed"] is True
     assert doc["criteria"][0]["index"] == 4
     assert "ACCEPTANCE 4" in err and "PASS" in err
+
+
+def test_big_quotients_print_in_full(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "cf", "--oracle", "cf:liouville:3", "--depth", "8")
+    assert code == 0, err
+    # a_8 = 3**(8!) has 19238 digits, past the default int/str limit
+    assert len(json.loads(out)["quotients"][8]) == 19238
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -20,7 +20,7 @@ SQRT2 = SqrtOracle(2, "sqrt2")
 def test_sqrt2_prefix():
     cf = expand(SQRT2, 5)
     assert cf.quotients == (1, 2, 2, 2, 2, 2)
-    assert cf.certified and not cf.terminated
+    assert not cf.terminated
 
 
 def test_depth_counts_quotients_after_a0():

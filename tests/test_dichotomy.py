@@ -1,11 +1,17 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from dioph import dichotomy
+from dioph.cli import main
+from dioph.contfrac import convergents, expand
 from dioph.dichotomy import (
     LemmaParams,
-    _approx_fractions,
+    _case_i_hit,
+    _certify_le,
+    _Stats,
     _surrogate,
     find_fractional_hit,
     solve_disjunction,
@@ -23,6 +29,7 @@ from dioph.oracle import (
     RationalOracle,
     SqrtOracle,
     nearest_int,
+    parse_oracle,
 )
 
 SQRT2 = SqrtOracle(2, "sqrt2")
@@ -219,6 +226,37 @@ def test_surrogate_is_the_first_convergent_accurate_enough():
     assert sur.index == 39 and sur.q == 723573111879672
 
 
+def _approx_fractions(oracle, u_limit):
+    """Reference: every convergent and semiconvergent (u, v) with u below
+    ``u_limit``, listed one at a time in increasing denominator order."""
+    supply = oracle.quotient_count()
+    depth = 16
+    while True:
+        cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
+        cons = convergents(cf)
+        if cf.terminated or cons[-1].q >= u_limit:
+            break
+        if len(cf.quotients) < depth:
+            raise Unrepresentable(f"quotient supply ends below denominator bound {u_limit}")
+        depth *= 2
+    out = []
+    p_prev, q_prev = 1, 0
+    for i, c in enumerate(cons):
+        if i >= 1:
+            a = cf.quotients[i]
+            p0, q0 = cons[i - 1].p, cons[i - 1].q
+            for j in range(1, a):
+                u = q_prev + j * q0
+                if u >= u_limit:
+                    return out
+                out.append((u, p_prev + j * p0))
+            p_prev, q_prev = p0, q0
+        if c.q >= u_limit:
+            return out
+        out.append((c.q, c.p))
+    return out
+
+
 def test_approx_fractions_in_denominator_order():
     got = _approx_fractions(SqrtOracle(2, "sqrt2"), 100)
     assert got[:6] == [(1, 1), (1, 2), (2, 3), (3, 4), (5, 7), (7, 10)]
@@ -226,10 +264,83 @@ def test_approx_fractions_in_denominator_order():
     assert len(_approx_fractions(SqrtOracle(2, "sqrt2"), 10**20)) == 106
 
 
-def test_short_quotient_supply_is_unrepresentable():
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """Counts the case (i) distance checks the dichotomy makes."""
+    calls = []
+
+    def counting(oracle, u, v, bound, cap, stats):
+        calls.append((u, v))
+        return _certify_le(oracle, u, v, bound, cap, stats)
+
+    monkeypatch.setattr(dichotomy, "_certify_le", counting)
+    return calls
+
+
+def test_short_quotient_supply_is_unrepresentable(certify_calls):
     # quotients 0, 2, 2**2, 2**6 and no more: denominators 1, 2, 9, 578
     short = CFOracle(None, liouville_base=2, liouville_cap=3)
     with pytest.raises(Unrepresentable, match="surrogate of accuracy 1/1000000"):
         _surrogate(short, 10**6)
+    # |1 xi - 0| < 1 would pass; the supply runs out before any check
     with pytest.raises(Unrepresentable, match="below denominator bound 1000000"):
-        _approx_fractions(short, 10**6)
+        _case_i_hit(short, F(10**6), F(1), None, _Stats())
+    assert certify_calls == []
+
+
+CASE_I_SPECS = [
+    "const:sqrt2", "const:e", "const:zeta3", "cf:liouville:3",
+    "cf:[0;3,1000]+periodic:[1]", "rat:355/113", "cf:[0;2,1]",
+]
+
+
+@pytest.mark.parametrize("spec", CASE_I_SPECS)
+def test_case_i_scan_matches_linear_scan(spec):
+    rng = random.Random(spec)
+    oracle = parse_oracle(spec)
+    for _ in range(40):
+        u_limit = F(rng.randint(2, 10**rng.randint(1, 9)), rng.randint(1, 7))
+        if u_limit <= 1:
+            continue
+        bound = F(1, rng.randint(1, 10**rng.randint(1, 12)))
+        expected = next(
+            (
+                (u, v) for u, v in _approx_fractions(oracle, u_limit)
+                if _certify_le(oracle, u, v, bound, None, _Stats())
+            ),
+            None,
+        )
+        assert _case_i_hit(oracle, u_limit, bound, None, _Stats()) == expected
+
+
+def test_case_i_denominator_bound_is_strict():
+    # sqrt2: |2 xi - 3| = 0.17..., |5 xi - 7| = 0.07...; u = 5 is not below 5
+    assert _case_i_hit(SQRT2, F(5), F(1, 10), None, _Stats()) is None
+    assert _case_i_hit(SQRT2, F(6), F(1, 10), None, _Stats()) == (5, 7)
+
+
+def _lemma_cli(capsys, spec, eps, big_q):
+    code = main([
+        "lemma", "--oracle", spec, "--c", "3/2", "--c-prime", "19/10",
+        "--eps", eps, "--Q", big_q,
+    ])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    return json.loads(out)
+
+
+def test_long_semiconvergent_run_is_skipped(capsys, certify_calls):
+    # a_2 = 10**8: the linear scan listed 10**8 semiconvergents and hung
+    doc = _lemma_cli(capsys, "cf:[0;3,100000000]+periodic:[1]", "1/10000000", "1000")
+    assert doc["outcome"] == "I"
+    assert (doc["witness"]["u"], doc["witness"]["v"]) == ("3", "1")
+    assert certify_calls == [(1, 0), (3, 1)]
+
+
+def test_liouville_case_i_checks_convergents_only(capsys, certify_calls):
+    # a_4 = 2**24 semiconvergents lie below the denominator bound 2.25e13;
+    # one check each ran for minutes
+    doc = _lemma_cli(capsys, "cf:liouville:2", "1e-12", "1e12")
+    assert doc["outcome"] == "I"
+    assert (doc["witness"]["u"], doc["witness"]["v"]) == ("9697230857", "4311744516")
+    assert [u for u, _ in certify_calls] == [1, 2, 9, 578, 9697230857]

@@ -274,3 +274,14 @@ def test_ladder_lives_only_in_oracle():
     assert oracle_src.count("k *= 2") == 1
     body = oracle_src[oracle_src.index("def refine("):]
     assert "k *= 2" in body[:body.index("\ndef ", 1)]
+
+
+def test_quotient_caches_live_only_in_oracle():
+    """Only oracle.py touches the quotient and convergent caches, and neither
+    contfrac.py nor dichotomy.py picks a quotient source by oracle type."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    for path in sorted(src.glob("*.py")):
+        if path.name != "oracle.py":
+            assert not re.search(r"_cf_quotients|_cf_level|_conv\b", path.read_text()), path.name
+    for name in ("contfrac.py", "dichotomy.py"):
+        assert "CFOracle" not in (src / name).read_text(), name

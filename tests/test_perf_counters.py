@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from dioph.contfrac import expand
-from dioph.dichotomy import LemmaParams, solve_disjunction
+from dioph.dichotomy import LemmaParams, _surrogate, solve_disjunction
 from dioph.oracle import SqrtOracle, parse_oracle
 
 
@@ -60,3 +60,12 @@ def test_deeper_expand_resumes_above_cached_level():
     new_levels = (o._cf_level // level).bit_length() - 1
     assert o.enclose_calls == new_levels
     assert o.raw_calls == new_levels
+
+
+def test_repeated_surrogate_reads_the_cache():
+    o = CountingSqrt2()
+    first = _surrogate(o, 10**300)
+    o.raw_calls = o.enclose_calls = 0
+    assert _surrogate(o, 10**300) == first
+    assert o.raw_calls == 0
+    assert o.enclose_calls == 0

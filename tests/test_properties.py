@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.contfrac import _certified_prefix, expand
+from dioph.contfrac import expand
 from dioph.dichotomy import find_fractional_hit
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
 from dioph.certlog import ln_frac
@@ -13,6 +13,7 @@ from dioph.oracle import (
     GoldenOracle,
     RationalOracle,
     SqrtOracle,
+    _certified_prefix,
     parse_oracle,
     parse_rational,
 )
