@@ -238,35 +238,18 @@ def find_fractional_hit(
     q_hi: Rat,
     t_lo: Rat,
     t_hi: Rat,
-    structured: bool = True,
-    budget: int = DEFAULT_BUDGET,
     cap: Optional[int] = None,
 ):
     """Smallest integer q in [q_lo, q_hi] with frac(q xi) in [t_lo, t_hi].
 
-    Returns (q, p) with p = floor(q xi), or None when no q qualifies. With
-    ``structured=False`` only direct enumeration is used and ranges longer
-    than ``budget`` raise RANGE_TOO_LARGE.
+    Returns (q, p) with p = floor(q xi), or None when no q qualifies.
     """
     t_lo, t_hi = _frac(t_lo), _frac(t_hi)
     if not (0 < t_lo < t_hi < 1):
         raise PreconditionError(
             "BAD_WINDOW", f"need 0 < t_lo < t_hi < 1, got [{t_lo}, {t_hi}]"
         )
-    q_lo, q_hi, stats = _frac(q_lo), _frac(q_hi), _Stats()
-    if structured or oracle.exact_value() is not None:
-        return _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, cap, stats)
-    n_lo, n_hi = max(1, q_lo.__ceil__()), q_hi.__floor__()
-    if n_hi - n_lo + 1 > budget:
-        raise RangeTooLarge(
-            f"range of {n_hi - n_lo + 1} exceeds budget {budget} with structured "
-            "search disabled"
-        )
-    for q in range(n_lo, n_hi + 1):
-        hit, p = _frac_window_check(oracle, q, t_lo, t_hi, cap, stats)
-        if hit:
-            return q, p
-    return None
+    return _find_hit(oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, cap, _Stats())
 
 
 def _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, cap, stats):

@@ -2,7 +2,7 @@
 
 Each exception carries a short machine-readable ``code`` and the process exit
 status the CLI maps it to: 2 for domain/precondition problems, 3 for resource
-or representation limits, 4 for internal certificate failures.
+or representation limits, 4 when no certificate could be produced.
 """
 
 from __future__ import annotations
@@ -78,7 +78,13 @@ class Unrepresentable(ResourceLimit):
 
 
 class CertificateError(DiophError):
-    """An internal certificate failed to verify; always a bug (exit 4)."""
+    """No certificate could be produced for the request (exit 4).
+
+    NEITHER_CASE_CERTIFIED is an honest answer: the search completed and
+    proved that neither case has a witness. The other codes (BAND_VIOLATION,
+    INTEGRALITY, PIGEONHOLE_FAILED, INTERNAL) mean a certificate that the
+    mathematics guarantees failed to verify, which is a bug.
+    """
 
     exit_code = 4
 

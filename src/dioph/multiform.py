@@ -23,11 +23,13 @@ from math import lcm
 from typing import Optional
 
 from .certlog import ln_frac
+from .dichotomy import DEFAULT_BUDGET
 from .enclosure import Enclosure
 from .errors import (
     CertificateError,
     Degenerate,
     PreconditionError,
+    RangeTooLarge,
     ZeroFormValue,
 )
 from .oracle import (
@@ -44,6 +46,8 @@ from .oracle import (
 from .seqbuild import RateEstimate, _measure_core
 
 _PREFILTER_BITS = 96
+# verified distances are refined to this width
+_DIST_TOL = Fraction(1, 1 << 80)
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,6 @@ def evaluate_form(
     form: LinearForm,
     point: PointVec,
     cap: Optional[int] = None,
-    rel_bits: int = 48,
     index: Optional[int] = None,
 ) -> Enclosure:
     """Signed enclosure of the form value, separated from zero.
@@ -121,9 +124,7 @@ def evaluate_form(
                 enc = enc + c.enclose(k + pad) * l
         return enc
 
-    return separated(
-        enclose_at, f"form value {form.coeffs} not separated from zero", cap, rel_bits
-    )
+    return separated(enclose_at, f"form value {form.coeffs} not separated from zero", cap)
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,9 @@ def _max_enclosure(encs) -> Enclosure:
     return Enclosure(max(e.lo for e in encs), max(e.hi for e in encs))
 
 
-def _refined_max_dist(ratios, q: int, cap, width_bits: int = 80):
-    """(enclosure of max_j ||q * ratio_j|| of width <= 2**-width_bits,
-    nearest integers); INFINITE_WITNESS when that maximum is exactly 0."""
+def _refined_max_dist(ratios, q: int, cap):
+    """(enclosure of max_j ||q * ratio_j|| of width <= 2**-80, nearest
+    integers); INFINITE_WITNESS when that maximum is exactly 0."""
     near = [nearest_int(r, q, cap) for r in ratios]
     qs = tuple(v for v, _ in near)
     enc = _max_enclosure([d for _, d in near])
@@ -171,13 +172,12 @@ def _refined_max_dist(ratios, q: int, cap, width_bits: int = 80):
         raise PreconditionError(
             "INFINITE_WITNESS", f"q0={q} matches every coordinate exactly"
         )
-    tol = Fraction(1, 1 << width_bits)
-    if enc.width <= tol:
+    if enc.width <= _DIST_TOL:
         return enc, qs
 
     def step(k):
         enc = _max_enclosure([(r.enclose(k) * q - v).abs() for r, v in zip(ratios, qs)])
-        return enc if enc.width <= tol else None
+        return enc if enc.width <= _DIST_TOL else None
 
     return refine(step, f"max distance at q={q} will not tighten", cap), qs
 
@@ -202,7 +202,9 @@ def dirichlet_witness(
     ``first`` (default) returns the smallest q0 whose worst-coordinate
     distance is certified <= 1/Q, the pigeonhole guarantee; ``best`` scans
     the whole range and returns the q0 with the smallest certified distance
-    (ties to the smaller q0).
+    (ties to the smaller q0). Both scan at most DEFAULT_BUDGET denominators:
+    ``best`` refuses a larger range up front, ``first`` gives up after that
+    many without a hit; either raises RANGE_TOO_LARGE.
     """
     if Q < 2:
         raise PreconditionError("BAD_PARAMS", f"Q={Q} must be >= 2")
@@ -211,6 +213,8 @@ def dirichlet_witness(
     ratios = point.ratio_oracles()
     m = len(ratios)
     bound = Q**m
+    if mode == "best" and bound > DEFAULT_BUDGET:
+        raise RangeTooLarge(f"best mode range {bound} exceeds budget {DEFAULT_BUDGET}")
     fixed = _fixed_points(ratios, bound.bit_length())
     M = 1 << _PREFILTER_BITS
     err_scaled = bound + 2
@@ -218,7 +222,7 @@ def dirichlet_witness(
     if mode == "first":
         # integer threshold: approx <= 1/Q + err cannot miss a true hit
         thr = (M + Q - 1) // Q + err_scaled
-        for q in range(1, bound + 1):
+        for q in range(1, min(bound, DEFAULT_BUDGET) + 1):
             if _approx_score(q, fixed) > thr:
                 continue
             enc, qs = _refined_max_dist(ratios, q, cap)
@@ -227,6 +231,11 @@ def dirichlet_witness(
                     q, qs, enc, _omega_point(enc.hi, q) if q > 1 else Fraction(0),
                     True, bound,
                 )
+        if bound > DEFAULT_BUDGET:
+            raise RangeTooLarge(
+                f"no q0 <= {DEFAULT_BUDGET} certified below 1/{Q}; "
+                f"range {bound} exceeds budget {DEFAULT_BUDGET}"
+            )
         raise CertificateError(
             "PIGEONHOLE_FAILED", f"no q0 <= {bound} certified below 1/{Q}"
         )
@@ -269,9 +278,12 @@ def omega0_search(
     Candidates are ranked with integer fixed-point arithmetic and the records
     re-verified with exact enclosures, so the reported exponents are certified
     lower bounds at their denominators. omega_best is monotone in q_bound.
+    A range of more than DEFAULT_BUDGET denominators raises RANGE_TOO_LARGE.
     """
     if q_bound < 2:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
+    if q_bound - 1 > DEFAULT_BUDGET:
+        raise RangeTooLarge(f"range [2, {q_bound}] exceeds budget {DEFAULT_BUDGET}")
     ratios = point.ratio_oracles()
     fixed = _fixed_points(ratios, q_bound.bit_length())
     M = 1 << _PREFILTER_BITS
@@ -306,7 +318,6 @@ class FormSequence:
     ns: tuple
     forms: tuple
     point: PointVec
-    provenance: str = "user"
     scales: Optional[tuple] = None
     scale_e_power: Optional[int] = None
 
@@ -320,7 +331,7 @@ class FormSequence:
         return len(self.forms)
 
     @classmethod
-    def from_uv(cls, rows, oracle: RealOracle, provenance: str = "user"):
+    def from_uv(cls, rows, oracle: RealOracle):
         """Rows (n, u, v) for forms u*xi - v against the point (1, xi)."""
         ns = []
         forms = []
@@ -328,7 +339,7 @@ class FormSequence:
             ns.append(int(n))
             forms.append(LinearForm((-int(v), int(u))))
         point = PointVec((RationalOracle(1, spec="rat:1"), oracle))
-        return cls(tuple(ns), tuple(forms), point, provenance)
+        return cls(tuple(ns), tuple(forms), point)
 
 
 def _scale_growth(seq: FormSequence) -> Optional[Enclosure]:
@@ -337,14 +348,10 @@ def _scale_growth(seq: FormSequence) -> Optional[Enclosure]:
     return EOracle().enclose(128).pow_int(seq.scale_e_power)
 
 
-def tau_empirical(
-    seq: FormSequence,
-    window=None,
-    regularity_delta: Fraction = Fraction(1, 4),
-    cap: Optional[int] = None,
-) -> RateEstimate:
+def tau_empirical(seq: FormSequence, window=None, cap: Optional[int] = None) -> RateEstimate:
     """Decay exponent of a form family, with the same adaptive ratio
-    estimation, regularity gate and diagnostics as the two-term case."""
+    estimation and regularity gate as the two-term case; indices must be
+    strictly increasing."""
     if len(seq) < 3:
         raise PreconditionError("BAD_FORM", "need at least 3 forms")
     raw_res = []
@@ -353,9 +360,7 @@ def tau_empirical(
         raw_res.append(enc.abs())
     raw_h = [Fraction(f.height) for f in seq.forms]
     growth = _scale_growth(seq)
-    return _measure_core(
-        list(seq.ns), raw_res, raw_h, window, seq.scales, growth, regularity_delta
-    )
+    return _measure_core(list(seq.ns), raw_res, raw_h, window, seq.scales, growth)
 
 
 @dataclass(frozen=True)
@@ -454,7 +459,6 @@ def apery_forms(s: int, count: int) -> FormSequence:
         tuple(ns),
         tuple(forms),
         point,
-        provenance=f"apery{s}",
         scales=tuple(scales),
         scale_e_power=power,
     )

@@ -38,6 +38,7 @@ from .errors import HalfInteger, Inconclusive, PreconditionError, Unrepresentabl
 DEFAULT_PRECISION_CAP = 1 << 20
 PRECISION_CAP = ContextVar("dioph_precision_cap", default=DEFAULT_PRECISION_CAP)
 _MIN_LEVEL = 64
+SEPARATION_BITS = 48
 
 
 def resolve_cap(cap: Optional[int] = None) -> int:
@@ -65,16 +66,14 @@ def refine(step, what: str, cap: Optional[int] = None, stats=None, start: int = 
     raise Inconclusive(what, cap)
 
 
-def separated(
-    enclose_at, what: str, cap: Optional[int] = None, rel_bits: int = 48
-) -> Enclosure:
+def separated(enclose_at, what: str, cap: Optional[int] = None) -> Enclosure:
     """First ``enclose_at(k)`` whose distance from zero exceeds its width
-    by a factor of 2**rel_bits."""
+    by a factor of 2**SEPARATION_BITS."""
 
     def step(k):
         enc = enclose_at(k)
         a = enc.abs()
-        if a.lo > 0 and a.width <= a.lo / (1 << rel_bits):
+        if a.lo > 0 and a.width <= a.lo / (1 << SEPARATION_BITS):
             return enc
         return None
 

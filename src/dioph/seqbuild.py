@@ -10,17 +10,16 @@ rational squared comparisons.
 ``measure_rates`` estimates the geometric decay alpha and growth beta of a
 given sequence. Headline values come from consecutive ratios at the window
 end, Richardson-extrapolated when the ratio sequence is stable and otherwise
-replaced by the window geometric mean; per-index roots and raw ratios are
-kept as diagnostics. A regularity gate zeroes the decay exponent when
-consecutive log-residual quotients stray far from 1, and a no-decay gate
-covers sequences whose residuals do not shrink.
+replaced by the window geometric mean. A regularity gate zeroes the decay
+exponent when consecutive log-residual quotients stray from 1 by more than
+1/4, and a no-decay gate covers sequences whose residuals do not shrink.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .certlog import ln_enclosure, ln_frac
 from .dichotomy import LemmaParams, solve_disjunction
@@ -39,11 +38,21 @@ from .errors import (
     RateViolation,
     ZeroResidual,
 )
-from .oracle import AffineOracle, RealOracle, floor_certified, nearest_int, separated
+from .oracle import (
+    SEPARATION_BITS,
+    AffineOracle,
+    RealOracle,
+    floor_certified,
+    nearest_int,
+    separated,
+)
 
 ETA_GRID_BITS = 40
 ETA_MAX = Fraction(9, 20)
 SHRINK = 1 - Fraction(1, 1 << 40)
+# build_sequence refuses a range whose top half takes case (i) more often
+CASE_I_FRACTION = Fraction(1, 5)
+REGULARITY_DELTA = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,6 @@ def build_sequence(
     rates: RateSpec,
     n_range,
     eta: Optional[EtaSchedule] = None,
-    case1_fraction: Fraction = Fraction(1, 5),
     rate_slack: Fraction = Fraction(1, 20),
     cap: Optional[int] = None,
 ) -> BuildResult:
@@ -193,7 +201,7 @@ def build_sequence(
     numerators are shifted back so that u*xi - v refers to the original
     value. Raises RATE_VIOLATION if the target rates are too steep for
     mu_upper (slack 1/20 by default) and CASE_I_PERSISTS when case (i) hits
-    more than ``case1_fraction`` of the top half of the range.
+    more than a fifth of the top half of the range.
     """
     mu_upper = _frac(mu_upper)
     if mu_upper <= 1:
@@ -262,7 +270,7 @@ def build_sequence(
     half_start = ns[len(ns) // 2]
     top = [e for e in entries if e.n >= half_start]
     bad = sum(1 for e in top if e.case_taken == "i")
-    if top and Fraction(bad, len(top)) > case1_fraction:
+    if top and Fraction(bad, len(top)) > CASE_I_FRACTION:
         raise CaseIPersists(
             f"case (i) hit {bad}/{len(top)} of the top half; "
             f"mu_upper={mu_upper} likely at or below the true exponent",
@@ -271,10 +279,8 @@ def build_sequence(
     return BuildResult(tuple(entries), shift, eta_used)
 
 
-def _form_enclosure(
-    oracle: RealOracle, u: int, v: int, cap: Optional[int], rel_bits: int = 48
-) -> Enclosure:
-    """Signed enclosure of u xi - v, separated from zero to 2**-rel_bits."""
+def _form_enclosure(oracle: RealOracle, u: int, v: int, cap: Optional[int]) -> Enclosure:
+    """Signed enclosure of u xi - v, separated from zero."""
     exact = oracle.exact_value()
     if exact is not None:
         r = u * exact - v
@@ -283,7 +289,7 @@ def _form_enclosure(
         return Enclosure.point(r)
     return separated(
         lambda k: oracle.enclose(k) * u - v,
-        f"residual |{u} xi - {v}| not separated from 0", cap, rel_bits,
+        f"residual |{u} xi - {v}| not separated from 0", cap,
     )
 
 
@@ -308,20 +314,6 @@ class RateEstimate:
     window: tuple
     alpha_enclosure: Enclosure
     beta_enclosure: Enclosure
-    diagnostics: dict = field(repr=False, default_factory=dict)
-
-
-def _normalize_entries(entries):
-    rows = []
-    for i, e in enumerate(entries):
-        if isinstance(e, ApproxSequenceEntry):
-            rows.append((e.n, e.u, e.v))
-        elif len(e) == 3:
-            rows.append((int(e[0]), int(e[1]), int(e[2])))
-        else:
-            u, v = e
-            rows.append((i + 1, int(u), int(v)))
-    return rows
 
 
 def _window_positions(ns, window):
@@ -344,73 +336,59 @@ def _estimate_limit(values, ns, positions):
     two consecutive ratios when they are stable to 2**-6, else the window
     geometric mean of the total ratio.
     """
-    ratios = []
-    for a, b in zip(positions, positions[1:]):
-        ratios.append((ns[b], values[b] / values[a]))
-    if len(ratios) >= 2:
-        (n0, x0), (n1, x1) = ratios[-2], ratios[-1]
+    if len(positions) >= 3:
+        a, b, c = positions[-3:]
+        x0, x1 = values[b] / values[a], values[c] / values[b]
         m0, m1 = x0.mid, x1.mid
         stable = m1 > 0 and abs(m1 - m0) <= m1 / 64 and x1.width <= m1 / 64
         if stable:
-            return _richardson(x0, x1, n0, n1), "ratio-richardson"
+            return _richardson(x0, x1, ns[b], ns[c]), "ratio-richardson"
     p0, p1 = positions[0], positions[-1]
     span = ns[p1] - ns[p0]
     total = values[p1] / values[p0]
     return root_enclosure(total, span, 64), "ratio-geomean"
 
 
-def measure_rates(
-    entries,
-    oracle: RealOracle,
-    window=None,
-    scales: Optional[Sequence] = None,
-    scale_growth: Optional[Enclosure] = None,
-    regularity_delta: Fraction = Fraction(1, 4),
-    cap: Optional[int] = None,
-) -> RateEstimate:
+def measure_rates(entries, oracle: RealOracle, cap: Optional[int] = None) -> RateEstimate:
     """Estimate decay alpha, growth beta and exponent tau for a sequence.
 
-    ``entries`` are (n, u, v) rows (ApproxSequenceEntry and (u, v) pairs are
-    accepted). When ``scales`` is given the ratios are measured on the
-    descaled data and multiplied back by ``scale_growth``, the certified
-    per-step growth factor of the scale sequence.
+    ``entries`` are (n, u, v) rows or ApproxSequenceEntry objects, with n
+    strictly increasing; the window is the top half of the entries.
     """
-    rows = _normalize_entries(entries)
+    rows = [
+        (e.n, e.u, e.v) if isinstance(e, ApproxSequenceEntry) else tuple(map(int, e))
+        for e in entries
+    ]
     if len(rows) < 3:
         raise PreconditionError("BAD_PARAMS", "need at least 3 entries")
-    ns = [r[0] for r in rows]
+    ns = [n for n, _, _ in rows]
     raw_res = [_form_enclosure(oracle, u, v, cap).abs() for _, u, v in rows]
     raw_h = [Fraction(abs(u)) for _, u, _ in rows]
     if any(h == 0 for h in raw_h):
         raise PreconditionError("BAD_PARAMS", "zero coefficient u in entries")
-    return _measure_core(
-        ns, raw_res, raw_h, window, scales, scale_growth, regularity_delta
-    )
+    return _measure_core(ns, raw_res, raw_h, None, None, None)
 
 
-def _measure_core(
-    ns,
-    raw_res,
-    raw_h,
-    window,
-    scales,
-    scale_growth,
-    regularity_delta: Fraction,
-) -> RateEstimate:
-    """Shared ratio-estimation engine over residual enclosures and heights."""
-    if scales is not None and len(scales) != len(ns):
-        raise PreconditionError("BAD_PARAMS", "scales must align with entries")
+def _measure_core(ns, raw_res, raw_h, window, scales, scale_growth) -> RateEstimate:
+    """Shared ratio-estimation engine over residual enclosures and heights.
+
+    With ``scales`` the ratios are measured on the descaled data and
+    multiplied back by ``scale_growth``, the certified per-step growth factor
+    of the scales (1 when None); without them ``scale_growth`` is ignored.
+    """
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise PreconditionError("BAD_PARAMS", "indices n must be strictly increasing")
     pos = _window_positions(ns, window)
     if len(pos) < 2:
         raise PreconditionError("BAD_PARAMS", "window keeps fewer than 2 entries")
+    # values by position, descaled only inside the window
     if scales is not None:
-        sc = [_frac(s) for s in scales]
-        core_res = [raw_res[i] * (1 / sc[i]) for i in range(len(ns))]
-        core_h = [Enclosure.point(raw_h[i] / sc[i]) for i in range(len(ns))]
+        core_res = {i: raw_res[i] * (1 / _frac(scales[i])) for i in pos}
+        core_h = {i: Enclosure.point(raw_h[i] / _frac(scales[i])) for i in pos}
         growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     else:
         core_res = raw_res
-        core_h = [Enclosure.point(h) for h in raw_h]
+        core_h = {i: Enclosure.point(raw_h[i]) for i in pos}
         growth = Enclosure.point(1)
     alpha_core, method_a = _estimate_limit(core_res, ns, pos)
     beta_core, method_b = _estimate_limit(core_h, ns, pos)
@@ -419,41 +397,18 @@ def _measure_core(
     p0, p1 = pos[0], pos[-1]
     decayed = raw_res[p1].hi < raw_res[p0].lo
     ln_res = [ln_enclosure(raw_res[i], 64).mid for i in pos]
-    pairs = list(zip(ln_res, ln_res[1:]))
-    in_band = 0
-    exponents = []
-    for la, lb in pairs:
-        if la == 0:
-            exponents.append(None)
-            continue
-        e = lb / la
-        exponents.append(e)
-        if 1 - regularity_delta <= e <= 1 + regularity_delta:
-            in_band += 1
-    regular = bool(pairs) and 2 * in_band >= len(pairs)
-    alpha_hat = alpha_enc.hi
-    beta_hat = beta_enc.hi
+    in_band = sum(
+        1 for la, lb in zip(ln_res, ln_res[1:])
+        if la != 0 and abs(lb / la - 1) <= REGULARITY_DELTA
+    )
+    regular = 2 * in_band >= len(pos) - 1
     if decayed and regular and alpha_enc.hi < 1 and beta_enc.lo > 1:
         tau_hat = ln_frac(1 / alpha_enc.hi, 96).lo / ln_frac(beta_enc.hi, 96).hi
     else:
         tau_hat = Fraction(0)
-    diag = {
-        "alpha_roots": [
-            root_enclosure(raw_res[i], max(ns[i], 1), 32).hi for i in pos
-        ],
-        "beta_roots": [
-            root_enclosure(raw_h[i], max(ns[i], 1), 32).hi for i in pos
-        ],
-        "alpha_ratios": [
-            (raw_res[b] / raw_res[a]).mid for a, b in zip(pos, pos[1:])
-        ],
-        "beta_ratios": [raw_h[b] / raw_h[a] for a, b in zip(pos, pos[1:])],
-        "decay_exponents": exponents,
-        "tau_pointwise": _tau_pointwise(raw_res, raw_h, pos),
-    }
     return RateEstimate(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
+        alpha_hat=alpha_enc.hi,
+        beta_hat=beta_enc.hi,
         tau_hat=tau_hat,
         method=f"{method_a}/{method_b}",
         regular=regular,
@@ -461,20 +416,7 @@ def _measure_core(
         window=(ns[p0], ns[p1]),
         alpha_enclosure=alpha_enc,
         beta_enclosure=beta_enc,
-        diagnostics=diag,
     )
-
-
-def _tau_pointwise(raw_res, raw_h, pos):
-    out = []
-    for i in pos:
-        if raw_h[i] < 2 or raw_res[i].hi >= 1:
-            out.append(None)
-            continue
-        num = -ln_enclosure(raw_res[i], 64).mid
-        den = ln_frac(raw_h[i], 64).mid
-        out.append(num / den if den else None)
-    return out
 
 
 @dataclass(frozen=True)
@@ -513,7 +455,7 @@ def density_data(u_seq, oracle: RealOracle, cap: Optional[int] = None) -> Densit
 
 def _tighten_positive(oracle, u, v: int, d: Enclosure, cap) -> Enclosure:
     """The distance ``d`` of u xi from v, refined until separated from 0."""
-    if d.lo > 0 and d.width <= d.lo / (1 << 48):
+    if d.lo > 0 and d.width <= d.lo / (1 << SEPARATION_BITS):
         return d
     if d.is_point():
         raise ZeroResidual(f"u={u} lands exactly on an integer")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dioph import multiform
 from dioph.cli import main
 from dioph.oracle import resolve_cap
 
@@ -103,6 +104,31 @@ def test_build_csv_feeds_multi_tau(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["decayed"] is True
     assert 0 < float(doc["tau_hat"]) < 1
+
+
+@pytest.mark.parametrize("ns", [(3, 2, 1), (1, 2, 3, 3)])
+def test_tau_rejects_indices_out_of_order(capsys, tmp_path, ns):
+    forms = tmp_path / "forms.csv"
+    rows = [(1, 1), (2, 3), (5, 7), (12, 17)]
+    forms.write_text("n,u,v\n" + "".join(f"{n},{u},{v}\n" for n, (u, v) in zip(ns, rows)))
+    code, out, err = run_cli(
+        capsys, "multi", "tau", "--forms-csv", str(forms), "--oracle", "const:sqrt2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: BAD_PARAMS: indices")
+
+
+@pytest.mark.parametrize("argv", [
+    ("dirichlet", "--point", "rat:1,const:sqrt2,const:sqrt3", "--Q", "10000", "--mode", "best"),
+    ("omega0", "--point", "rat:1,const:sqrt2,const:sqrt3", "--q-bound", str(10**7)),
+])
+def test_simultaneous_scans_refuse_ranges_past_the_budget(capsys, monkeypatch, argv):
+    scores = []
+    monkeypatch.setattr(multiform, "_approx_score", lambda q, fixed: scores.append(q))
+    code, out, err = run_cli(capsys, "multi", *argv)
+    assert code == 2 and out == ""
+    assert "RANGE_TOO_LARGE" in err
+    assert scores == []
 
 
 def test_output_is_deterministic(capsys):

@@ -3,10 +3,12 @@
 Each file in ``tests/golden/`` was recorded before a refactor that keeps
 every witness, enclosure and quotient (the cf, build and sqrt2 lemma files
 before quotient caching and the removal of the short-span direct scan, the
-rest before the shared refinement ladder), so stdout must match byte for
-byte. The one recorded difference is ``stats.candidates`` of ``lemma``: the
-direct scan checked every integer of a short range, the residue-class search
-checks only surrogate candidates. That key is asserted on its own.
+nesterenko and u,v tau files before the rate layer dropped its unread
+diagnostics, the rest before the shared refinement ladder), so stdout must
+match byte for byte. The one recorded difference is ``stats.candidates`` of
+``lemma``: the direct scan checked every integer of a short range, the
+residue-class search checks only surrogate candidates. That key is asserted
+on its own.
 """
 
 import re
@@ -58,6 +60,11 @@ def _stdout(capsys, argv):
     ("build_sqrt2_eta_csv.json",
      ("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--alpha", "1/2",
       "--beta", "3", "--eta-csv", str(GOLDEN / "eta.csv"), "--n", "20:25")),
+    ("nesterenko_apery3_n40.json",
+     ("multi", "nesterenko", "--apery", "3", "--n-max", "40", "--omega-bound", "200")),
+    ("tau_sqrt2_uv_csv.json",
+     ("multi", "tau", "--forms-csv", str(GOLDEN / "sqrt2_convergents.csv"),
+      "--oracle", "const:sqrt2")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from dioph.dichotomy import (
     LemmaParams,
     _case_i_hit,
     _certify_le,
+    _frac_window_check,
     _Stats,
     _surrogate,
     find_fractional_hit,
@@ -19,7 +21,6 @@ from dioph.dichotomy import (
 from dioph.errors import (
     NeitherCaseCertified,
     PreconditionError,
-    RangeTooLarge,
     Unrepresentable,
 )
 from dioph.oracle import (
@@ -88,9 +89,20 @@ def test_window_search_preconditions():
         find_fractional_hit(SQRT2, 5, 10, F(1, 2), F(3, 2))
 
 
-def test_window_search_budget():
-    with pytest.raises(RangeTooLarge):
-        find_fractional_hit(SQRT2, 1, 10**8, F(1, 10), F(2, 10), structured=False, budget=10**4)
+def direct_hit(oracle, q_lo, q_hi, t_lo, t_hi):
+    """Reference: check every q in [q_lo, q_hi] in turn, an exact value by
+    its fractional part and any other by the certified window check."""
+    t_lo, t_hi = F(t_lo), F(t_hi)
+    exact = oracle.exact_value()
+    for q in range(max(1, math.ceil(q_lo)), math.floor(q_hi) + 1):
+        if exact is None:
+            hit, p = _frac_window_check(oracle, q, t_lo, t_hi, None, _Stats())
+        else:
+            p = math.floor(q * exact)
+            hit = t_lo <= q * exact - p <= t_hi
+        if hit:
+            return q, p
+    return None
 
 
 STRUCTURED_CASES = [
@@ -104,9 +116,9 @@ STRUCTURED_CASES = [
 
 @pytest.mark.parametrize("oracle,qlo,qhi,tlo,thi", STRUCTURED_CASES)
 def test_structured_matches_direct(oracle, qlo, qhi, tlo, thi):
-    s = find_fractional_hit(oracle, qlo, qhi, tlo, thi, structured=True)
-    d = find_fractional_hit(oracle, qlo, qhi, tlo, thi, structured=False)
-    assert s == d
+    assert find_fractional_hit(oracle, qlo, qhi, tlo, thi) == direct_hit(
+        oracle, qlo, qhi, tlo, thi
+    )
 
 
 def test_disjunction_case_ii_example():

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from dioph import multiform, seqbuild
 from dioph.errors import (
     Degenerate,
     PreconditionError,
+    RangeTooLarge,
     ZeroFormValue,
 )
 from dioph.multiform import (
@@ -115,6 +117,22 @@ class TestTauEmpirical:
         assert float(est.tau_hat) == pytest.approx(0.09220634322294138, abs=1e-12)
         assert est.method == "ratio-richardson/ratio-richardson"
 
+    def test_window_costs_one_log_per_position(self, monkeypatch):
+        calls = {"root": 0, "ln": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(seqbuild, "root_enclosure", counting("root", seqbuild.root_enclosure))
+        monkeypatch.setattr(seqbuild, "ln_enclosure", counting("ln", seqbuild.ln_enclosure))
+        est = tau_empirical(apery_forms(3, 120), window=(60, 120))
+        # Richardson takes no root, and the regularity gate one log per index
+        assert est.method == "ratio-richardson/ratio-richardson"
+        assert calls == {"root": 0, "ln": 61}
+
     def test_needs_three_forms(self):
         f = LinearForm((1, -1))
         point = PointVec((ONE, SQRT2))
@@ -158,6 +176,33 @@ class TestDirichlet:
             dirichlet_witness(PointVec((ONE, GOLDEN)), 1)
         with pytest.raises(PreconditionError):
             dirichlet_witness(PointVec((ONE, GOLDEN)), 3, mode="exhaustive")
+
+    def test_first_mode_gives_up_at_the_budget(self, monkeypatch):
+        # the first hit for Q = 10 is q0 = 41 (test_two_irrationals)
+        point = PointVec((ONE, SQRT2, SQRT3))
+        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 41)
+        assert dirichlet_witness(point, 10).q0 == 41
+        scores = []
+        score = multiform._approx_score
+        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 40)
+        monkeypatch.setattr(
+            multiform, "_approx_score", lambda q, fixed: scores.append(q) or score(q, fixed)
+        )
+        with pytest.raises(RangeTooLarge, match="no q0 <= 40"):
+            dirichlet_witness(point, 10)
+        assert scores == list(range(1, 41))
+
+    @pytest.mark.parametrize("search", [
+        lambda point: dirichlet_witness(point, 10, mode="best"),
+        lambda point: omega0_search(point, 101),
+    ])
+    def test_full_scans_take_a_range_up_to_the_budget(self, monkeypatch, search):
+        point = PointVec((ONE, SQRT2, SQRT3))
+        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 100)
+        search(point)
+        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 99)
+        with pytest.raises(RangeTooLarge):
+            search(point)
 
     def test_rational_point_rejected(self):
         with pytest.raises(PreconditionError, match="INFINITE_WITNESS"):

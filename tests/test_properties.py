@@ -17,6 +17,7 @@ from dioph.oracle import (
     parse_oracle,
     parse_rational,
 )
+from test_dichotomy import direct_hit
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 positives = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
@@ -140,9 +141,8 @@ def test_structured_search_matches_enumeration(oracle, q_lo, span, t_lo, width):
     t_hi = t_lo + width
     if t_hi >= 1:
         return
-    s = find_fractional_hit(oracle, q_lo, q_lo + span, t_lo, t_hi, structured=True)
-    d = find_fractional_hit(oracle, q_lo, q_lo + span, t_lo, t_hi, structured=False)
-    assert s == d
+    s = find_fractional_hit(oracle, q_lo, q_lo + span, t_lo, t_hi)
+    assert s == direct_hit(oracle, q_lo, q_lo + span, t_lo, t_hi)
 
 
 @settings(deadline=None, max_examples=20)

@@ -127,6 +127,9 @@ def test_measure_rates_validation():
         measure_rates([(1, 1, 1), (2, 2, 3)], SQRT2)
     with pytest.raises(PreconditionError):
         measure_rates([(1, 1, 1), (2, 0, 3), (3, 2, 3)], SQRT2)
+    rows = [(1, 1, 1), (2, 2, 3), (3, 5, 7), (3, 12, 17)]
+    with pytest.raises(PreconditionError, match="BAD_PARAMS: indices"):
+        measure_rates(rows, SQRT2)
 
 
 def test_rate_violation():
