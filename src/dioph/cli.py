@@ -8,8 +8,8 @@ CSV instead. Randomized work never has an entropy default: the suite verb
 requires --seed.
 
 Exit codes: 0 success, 2 precondition violations, 3 precision or
-representation limits, 4 certificate failures, 1 for a failed acceptance
-criterion.
+representation limits, 4 no certificate exists, 5 a guaranteed certificate
+failed to verify (a bug), 1 for a failed acceptance criterion.
 """
 
 from __future__ import annotations

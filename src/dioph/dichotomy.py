@@ -12,19 +12,19 @@ real value xi, one of two certificates is produced:
   that is always a convergent, so only convergents are checked.
 
 The distance band of case (ii) translates into at most two windows for the
-fractional part of q xi, one on each side of 1/2. The window search is exact
-at every size: rational xi reduces to a residue-class query solved by
-Euclidean descent in O(log) steps; irrational xi is replaced by a convergent
-surrogate whose error is below one eighth of the window, candidate q are
-enumerated in increasing order on the enlarged surrogate window, and each
-candidate is verified against the true value with certified enclosures, so
-the first verified hit is the true minimum. The surrogate and case (i) read
-the oracle's one cached convergent list.
+fractional part of q xi, one on each side of 1/2, each with its own endpoint
+strictness. The window search is exact at every size: rational xi reduces to
+a residue-class query, strict endpoints included, solved by Euclidean
+descent in O(log) steps; irrational xi is replaced by a convergent surrogate
+p_K/q_K, candidate q are enumerated in increasing order on its window
+enlarged by its own error q/(q_K q_{K+1}), and each candidate is verified
+against the true value with certified enclosures, so the first verified hit
+is the true minimum. The surrogate and case (i) read the oracle's one cached
+convergent list.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -166,7 +166,8 @@ def _first_hit(a: int, b: int, m: int, c: int) -> Optional[int]:
 
 
 def _residue_hits(a: int, b: int, m: int, lo: int, hi: int, t_max: int):
-    """Yield ascending t in [0, t_max] with (a t + b) mod m in [lo, hi]."""
+    """Yield ascending t in [0, t_max] with (a t + b) mod m in [lo, hi]
+    read cyclically: lo may be negative and hi past m - 1."""
     if lo > hi:
         return
     width = hi - lo + 1
@@ -200,26 +201,30 @@ def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
 
 def _walk(oracle: RealOracle, reached, short: str):
     """(cons, j): the oracle's cached convergents (p, q) and the first j with
-    ``reached(cons, j)``, expanding over 16, 32, ... quotients (a_0 counted,
-    clamped to a truncated generator's supply); j is one past the end of a
-    terminating expansion. Raises UNREPRESENTABLE, saying what fell
-    ``short``, once the supply ends."""
+    ``reached(cons, j)``; j is one past the end of a terminating expansion.
+
+    The convergents already cached are walked first, with no oracle call.
+    Only past them does ``expand`` grow the cache, to twice the walked
+    length and at least 16 quotients (a_0 counted), clamped to a truncated
+    generator's supply. Raises UNREPRESENTABLE, saying what fell ``short``,
+    once the supply ends."""
     supply = oracle.quotient_count()
-    depth = 16
-    j = 0
+    cons = oracle.cf_convergents(0)
+    j = depth = 0
+    ended = False
     while True:
-        cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
-        n = len(cf.quotients)
-        cons = oracle.cf_convergents(n)
-        while j < n:
+        while j < len(cons):
             if reached(cons, j):
                 return cons, j
             j += 1
-        if cf.terminated:
-            return cons, n
-        if n < depth:
+        if ended:
+            return cons, j
+        if j < depth:
             raise Unrepresentable(f"{oracle.spec}: {short}")
-        depth *= 2
+        depth = max(16, 2 * j)
+        cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
+        cons = oracle.cf_convergents(len(cf.quotients))
+        ended = cf.terminated
 
 
 def _surrogate(oracle: RealOracle, accuracy_den: int) -> Convergent:
@@ -252,40 +257,46 @@ def find_fractional_hit(
     return _find_hit(oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, cap, _Stats())
 
 
-def _find_hit(oracle, q_lo, q_hi, t_lo, t_hi, cap, stats):
+def _find_hit(
+    oracle, q_lo, q_hi, t_lo, t_hi, cap, stats, lo_strict=False, hi_strict=False
+):
+    """Smallest integer q in [q_lo, q_hi] with frac(q xi) between t_lo and
+    t_hi, an endpoint excluded when its ``*_strict`` flag is set, as
+    (q, floor(q xi)), or None.
+
+    For rational xi = a/m the window is a range of residues r = q a mod m: a
+    strict low end t gives r >= floor(t m) + 1, a strict high end r <=
+    ceil(t m) - 1. Irrational xi takes the surrogate window enlarged on each
+    side by the surrogate's own error n_hi/(q_K q_{K+1}), at most width/8.
+    """
     n_lo = max(1, q_lo.__ceil__())
     n_hi = q_hi.__floor__()
-    if n_lo > n_hi or t_lo > t_hi:
+    if n_lo > n_hi:
         return None
     v = oracle.exact_value()
     if v is not None:
         a, m = v.numerator, v.denominator
-        lo_i = (t_lo * m).__ceil__()
-        hi_i = (t_hi * m).__floor__()
-        for t in _residue_hits(a, n_lo * a, m, lo_i, hi_i, n_hi - n_lo):
-            q = n_lo + t
+        lo_i = (t_lo * m).__floor__() + 1 if lo_strict else (t_lo * m).__ceil__()
+        hi_i = (t_hi * m).__ceil__() - 1 if hi_strict else (t_hi * m).__floor__()
+    elif t_lo >= t_hi:
+        return None
+    else:
+        sur = _surrogate(oracle, (8 * n_hi / (t_hi - t_lo)).__ceil__())
+        a, m = sur.p, sur.q
+        delta = Fraction(n_hi, m * oracle.cf_convergents(0)[sur.index + 1][1])
+        lo_i = ((t_lo - delta) * m).__ceil__()
+        hi_i = ((t_hi + delta) * m).__floor__()
+    hits = _residue_hits(a, n_lo * a, m, lo_i, hi_i, n_hi - n_lo)
+    for seen, t in enumerate(hits, 1):
+        q = n_lo + t
+        if v is not None:
             stats.candidates += 1
             return q, (q * v).__floor__()
-        return None
-    span = n_hi - n_lo
-    width = t_hi - t_lo
-    delta = width / 8
-    need = (8 * n_hi / width).__ceil__()
-    sur = _surrogate(oracle, need)
-    a, m = sur.p, sur.q
-    lo_i = ((t_lo - delta) * m).__ceil__()
-    hi_i = ((t_hi + delta) * m).__floor__()
-    streams = [_residue_hits(a, n_lo * a, m, max(lo_i, 0), min(hi_i, m - 1), span)]
-    if lo_i < 0:
-        streams.append(_residue_hits(a, n_lo * a, m, m + lo_i, m - 1, span))
-    if hi_i >= m:
-        streams.append(_residue_hits(a, n_lo * a, m, 0, hi_i - m, span))
-    for seen, t in enumerate(heapq.merge(*streams), 1):
         if seen > DEFAULT_BUDGET:
             raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
-        hit, p = _frac_window_check(oracle, n_lo + t, t_lo, t_hi, cap, stats)
+        hit, p = _frac_window_check(oracle, q, t_lo, t_hi, cap, stats)
         if hit:
-            return n_lo + t, p
+            return q, p
     return None
 
 
@@ -326,34 +337,6 @@ def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, cap, stats):
     return None
 
 
-def _band_side_hit(oracle, q_from, q_to, lo, hi, lo_strict, hi_strict, cap, stats):
-    """Minimal q with frac(q xi) in the window, honouring endpoint strictness.
-
-    Strict endpoints only matter for rational values, where hits landing
-    exactly on a strict endpoint are skipped and the search resumes at q + 1.
-    Irrational hits are always certified strictly inside the window.
-    """
-    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        return None
-    exact = oracle.exact_value()
-    if lo == hi and exact is None:
-        # an irrational fractional part never equals the rational endpoint
-        return None
-    cur = _frac(q_from)
-    while True:
-        hit = _find_hit(oracle, cur, q_to, lo, hi, cap, stats)
-        if hit is None:
-            return None
-        q, p = hit
-        if exact is None:
-            return q, p
-        f = q * exact - p
-        if (lo_strict and f == lo) or (hi_strict and f == hi):
-            cur = Fraction(q + 1)
-            continue
-        return q, p
-
-
 def _residual_signed(oracle, q, p, eps, cpe, cap, stats):
     """(enclosure of q xi - p, certified eps <= |q xi - p| < c' eps)."""
     v = oracle.exact_value()
@@ -392,14 +375,14 @@ def solve_disjunction(
     cpe = cp * eps
     best = None  # (q, nearest p)
     if eps <= half:
-        plus = _band_side_hit(
-            oracle, Q, c * Q, eps, min(cpe, half), False, cpe <= half, cap, stats,
+        plus = _find_hit(
+            oracle, Q, c * Q, eps, min(cpe, half), cap, stats, False, cpe <= half,
         )
         if plus is not None:
             best = plus
         top = c * Q if best is None else Fraction(best[0] - 1)
-        minus = _band_side_hit(
-            oracle, Q, top, max(1 - cpe, half), 1 - eps, True, False, cap, stats,
+        minus = _find_hit(
+            oracle, Q, top, max(1 - cpe, half), 1 - eps, cap, stats, True, False,
         )
         if minus is not None:
             q, floor_p = minus

@@ -2,7 +2,8 @@
 
 Each exception carries a short machine-readable ``code`` and the process exit
 status the CLI maps it to: 2 for domain/precondition problems, 3 for resource
-or representation limits, 4 when no certificate could be produced.
+or representation limits, 4 when the search proved that no certificate
+exists, 5 when a certificate the mathematics guarantees failed to verify.
 """
 
 from __future__ import annotations
@@ -78,20 +79,18 @@ class Unrepresentable(ResourceLimit):
 
 
 class CertificateError(DiophError):
-    """No certificate could be produced for the request (exit 4).
+    """A certificate that the mathematics guarantees failed to verify, which
+    is a bug (exit 5): BAND_VIOLATION, INTEGRALITY, PIGEONHOLE_FAILED,
+    INTERNAL."""
 
-    NEITHER_CASE_CERTIFIED is an honest answer: the search completed and
-    proved that neither case has a witness. The other codes (BAND_VIOLATION,
-    INTEGRALITY, PIGEONHOLE_FAILED, INTERNAL) mean a certificate that the
-    mathematics guarantees failed to verify, which is a bug.
-    """
-
-    exit_code = 4
-
-    def __init__(self, code: str, message: str):
-        super().__init__(code, message)
+    exit_code = 5
 
 
 class NeitherCaseCertified(CertificateError):
+    """An honest answer (exit 4): the search completed and proved that
+    neither case of the dichotomy has a witness."""
+
+    exit_code = 4
+
     def __init__(self, message: str):
         super().__init__("NEITHER_CASE_CERTIFIED", message)

@@ -239,17 +239,18 @@ def dirichlet_witness(
         raise CertificateError(
             "PIGEONHOLE_FAILED", f"no q0 <= {bound} certified below 1/{Q}"
         )
-    best_scaled = None
+    # one pass: the q scoring within 2 err of the running minimum
+    near = M  # above every score
+    candidates = []
     for q in range(1, bound + 1):
         s = _approx_score(q, fixed)
-        if best_scaled is None or s < best_scaled:
-            best_scaled = s
-    near = best_scaled + 2 * err_scaled
-    candidates = [
-        q for q in range(1, bound + 1) if _approx_score(q, fixed) <= near
-    ]
+        if s + 2 * err_scaled < near:
+            near = s + 2 * err_scaled
+            candidates = [(p, t) for p, t in candidates if t <= near]
+        if s <= near:
+            candidates.append((q, s))
     scored = []
-    for q in candidates:
+    for q, _ in candidates:
         enc, qs = _refined_max_dist(ratios, q, cap)
         scored.append((enc.hi, q, enc, qs))
     scored.sort(key=lambda t: (t[0], t[1]))
@@ -295,19 +296,25 @@ def omega0_search(
             return float("inf")
         return -math.log(s / M) / math.log(q)
 
-    def pick(qs_range):
-        top = heapq.nlargest(8, ((approx_omega(q), -q) for q in qs_range))
-        verified = []
-        for _, negq in top:
-            q = -negq
-            enc, _ = _refined_max_dist(ratios, q, cap)
-            verified.append((_omega_point(enc.hi, q), -q, enc))
-        verified.sort(reverse=True)
-        w, negq, enc = verified[0]
+    def top8(qs):
+        return heapq.nlargest(8, ((approx_omega(q), -q) for q in qs))
+
+    # each q scored once: the whole range's top 8 is among the two halves'
+    head = top8(range(2, half + 1))
+    tail = top8(range(max(2, half + 1), q_bound + 1))
+    top = heapq.nlargest(8, head + tail)
+    verified = {}
+
+    def pick(keys):
+        for _, negq in keys:
+            if negq not in verified:
+                enc, _ = _refined_max_dist(ratios, -negq, cap)
+                verified[negq] = (_omega_point(enc.hi, -negq), negq, enc)
+        w, negq, enc = max(verified[negq] for _, negq in keys)
         return -negq, w, enc
 
-    best_q, omega_best, best_enc = pick(range(2, q_bound + 1))
-    tail_q, omega_tail, tail_enc = pick(range(max(2, half + 1), q_bound + 1))
+    best_q, omega_best, best_enc = pick(top)
+    tail_q, omega_tail, tail_enc = pick(tail)
     return OmegaReport(
         q_bound, best_q, omega_best, best_enc, tail_q, omega_tail, tail_enc
     )
@@ -354,13 +361,13 @@ def tau_empirical(seq: FormSequence, window=None, cap: Optional[int] = None) -> 
     strictly increasing."""
     if len(seq) < 3:
         raise PreconditionError("BAD_FORM", "need at least 3 forms")
-    raw_res = []
-    for n, form in zip(seq.ns, seq.forms):
-        enc = evaluate_form(form, seq.point, cap, index=n)
-        raw_res.append(enc.abs())
+
+    def residual(i):
+        return evaluate_form(seq.forms[i], seq.point, cap, index=seq.ns[i]).abs()
+
     raw_h = [Fraction(f.height) for f in seq.forms]
     growth = _scale_growth(seq)
-    return _measure_core(list(seq.ns), raw_res, raw_h, window, seq.scales, growth)
+    return _measure_core(list(seq.ns), residual, raw_h, window, seq.scales, growth)
 
 
 @dataclass(frozen=True)

@@ -362,25 +362,32 @@ def measure_rates(entries, oracle: RealOracle, cap: Optional[int] = None) -> Rat
     if len(rows) < 3:
         raise PreconditionError("BAD_PARAMS", "need at least 3 entries")
     ns = [n for n, _, _ in rows]
-    raw_res = [_form_enclosure(oracle, u, v, cap).abs() for _, u, v in rows]
     raw_h = [Fraction(abs(u)) for _, u, _ in rows]
     if any(h == 0 for h in raw_h):
         raise PreconditionError("BAD_PARAMS", "zero coefficient u in entries")
-    return _measure_core(ns, raw_res, raw_h, None, None, None)
+
+    def residual(i):
+        _, u, v = rows[i]
+        return _form_enclosure(oracle, u, v, cap).abs()
+
+    return _measure_core(ns, residual, raw_h, None, None, None)
 
 
-def _measure_core(ns, raw_res, raw_h, window, scales, scale_growth) -> RateEstimate:
+def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEstimate:
     """Shared ratio-estimation engine over residual enclosures and heights.
 
-    With ``scales`` the ratios are measured on the descaled data and
-    multiplied back by ``scale_growth``, the certified per-step growth factor
-    of the scales (1 when None); without them ``scale_growth`` is ignored.
+    ``residual(i)`` encloses the absolute residual of entry i; it is called
+    only for the window's entries, once the indices are validated. With
+    ``scales`` the ratios are measured on the descaled data and multiplied
+    back by ``scale_growth``, the certified per-step growth factor of the
+    scales (1 when None); without them ``scale_growth`` is ignored.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionError("BAD_PARAMS", "indices n must be strictly increasing")
     pos = _window_positions(ns, window)
     if len(pos) < 2:
         raise PreconditionError("BAD_PARAMS", "window keeps fewer than 2 entries")
+    raw_res = {i: residual(i) for i in pos}
     # values by position, descaled only inside the window
     if scales is not None:
         core_res = {i: raw_res[i] * (1 / _frac(scales[i])) for i in pos}

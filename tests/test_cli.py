@@ -6,6 +6,7 @@ import pytest
 
 from dioph import multiform
 from dioph.cli import main
+from dioph.enclosure import Enclosure
 from dioph.oracle import resolve_cap
 
 
@@ -189,6 +190,23 @@ def test_certificate_exit_code(capsys):
     )
     assert code == 4
     assert "NEITHER_CASE_CERTIFIED" in err
+
+
+def test_bug_codes_exit_5(capsys, monkeypatch):
+    # a distance that never certifies below 1/Q breaks the pigeonhole
+    # guarantee: a bug, not an answer, so not exit 4
+    refined = multiform._refined_max_dist
+
+    def too_far(ratios, q, cap):
+        _, qs = refined(ratios, q, cap)
+        return Enclosure.point(1), qs
+
+    monkeypatch.setattr(multiform, "_refined_max_dist", too_far)
+    code, _, err = run_cli(
+        capsys, "multi", "dirichlet", "--point", "rat:1,const:sqrt2", "--Q", "10"
+    )
+    assert code == 5
+    assert "PIGEONHOLE_FAILED" in err
 
 
 def test_csv_rejected_where_unsupported(capsys):

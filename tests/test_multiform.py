@@ -133,6 +133,27 @@ class TestTauEmpirical:
         assert est.method == "ratio-richardson/ratio-richardson"
         assert calls == {"root": 0, "ln": 61}
 
+    def test_window_encloses_only_its_forms(self, monkeypatch):
+        indices = []
+        form = multiform.evaluate_form
+
+        def counting(f, point, cap=None, index=None):
+            indices.append(index)
+            return form(f, point, cap, index)
+
+        monkeypatch.setattr(multiform, "evaluate_form", counting)
+        tau_empirical(apery_forms(3, 120), window=(60, 120))
+        assert indices == list(range(60, 121))
+
+    def test_zero_form_outside_the_window_is_not_evaluated(self):
+        # l . (1, 3/2) = 0 for l = (3, -2); the window starts past it
+        zero, f = LinearForm((3, -2)), LinearForm((1, -1))
+        point = PointVec((ONE, RationalOracle(F(3, 2))))
+        seq = FormSequence((0, 1, 2, 3), (zero, f, f, f), point)
+        with pytest.raises(ZeroFormValue):
+            tau_empirical(seq, window=(0, 3))
+        assert tau_empirical(seq, window=(1, 3)).tau_hat == 0
+
     def test_needs_three_forms(self):
         f = LinearForm((1, -1))
         point = PointVec((ONE, SQRT2))
@@ -203,6 +224,20 @@ class TestDirichlet:
         monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 99)
         with pytest.raises(RangeTooLarge):
             search(point)
+
+    @pytest.mark.parametrize("search,scored", [
+        (lambda point: dirichlet_witness(point, 10, mode="best"), range(1, 101)),
+        (lambda point: omega0_search(point, 101), range(2, 102)),
+    ], ids=["dirichlet-best", "omega0"])
+    def test_full_scans_score_each_denominator_once(self, monkeypatch, search, scored):
+        point = PointVec((ONE, SQRT2, SQRT3))
+        scores = []
+        score = multiform._approx_score
+        monkeypatch.setattr(
+            multiform, "_approx_score", lambda q, fixed: scores.append(q) or score(q, fixed)
+        )
+        search(point)
+        assert scores == list(scored)
 
     def test_rational_point_rejected(self):
         with pytest.raises(PreconditionError, match="INFINITE_WITNESS"):

@@ -4,12 +4,21 @@ Wall time on a shared machine is noisy; these counts are exact, so a change
 that brings back per-integer scanning or per-call re-expansion fails here.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from dioph import dichotomy
+from dioph.cli import main
 from dioph.contfrac import expand
-from dioph.dichotomy import LemmaParams, _surrogate, solve_disjunction
+from dioph.dichotomy import (
+    LemmaParams,
+    _case_i_hit,
+    _Stats,
+    _surrogate,
+    solve_disjunction,
+)
 from dioph.oracle import SqrtOracle, parse_oracle
 
 
@@ -69,3 +78,46 @@ def test_repeated_surrogate_reads_the_cache():
     assert _surrogate(o, 10**300) == first
     assert o.raw_calls == 0
     assert o.enclose_calls == 0
+
+
+@pytest.mark.parametrize("spec,eps,big_q", [
+    ("cf:liouville:2", "1/1000", "1e30"),
+    ("cf:liouville:3", "1e-8", str(3**40)),
+])
+def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
+    # the window enlarged by a fixed width/8 admitted residue classes just
+    # outside it, whose members failed their check 10**6 times in a row
+    checks = []
+    check = dichotomy._frac_window_check
+
+    def counting(oracle, q, *args):
+        checks.append(q)
+        return check(oracle, q, *args)
+
+    monkeypatch.setattr(dichotomy, "_frac_window_check", counting)
+    code = main([
+        "lemma", "--oracle", spec, "--c", "3/2", "--c-prime", "19/10",
+        "--eps", eps, "--Q", big_q,
+    ])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["outcome"] == "II"
+    assert len(checks) <= 2
+
+
+@pytest.mark.parametrize("walk", [
+    lambda o: _surrogate(o, 10**300),
+    lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), None, _Stats()),
+], ids=["surrogate", "case_i"])
+def test_warm_walk_makes_no_expand_call(monkeypatch, walk):
+    o = CountingSqrt2()
+    first = walk(o)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(dichotomy, "expand", counting)
+    assert walk(o) == first
+    assert calls == []

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dioph.contfrac import expand
-from dioph.dichotomy import find_fractional_hit
+from dioph.dichotomy import LemmaParams, find_fractional_hit, solve_disjunction
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
+from dioph.errors import NeitherCaseCertified
 from dioph.certlog import ln_frac
 from dioph.oracle import (
     AffineOracle,
@@ -17,7 +18,7 @@ from dioph.oracle import (
     parse_oracle,
     parse_rational,
 )
-from test_dichotomy import direct_hit
+from test_dichotomy import _brute_case_ii, direct_hit
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 positives = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
@@ -143,6 +144,35 @@ def test_structured_search_matches_enumeration(oracle, q_lo, span, t_lo, width):
         return
     s = find_fractional_hit(oracle, q_lo, q_lo + span, t_lo, t_hi)
     assert s == direct_hit(oracle, q_lo, q_lo + span, t_lo, t_hi)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=5, max_value=80),
+    st.integers(min_value=-200, max_value=200),
+    st.data(),
+)
+def test_band_ends_on_the_residue_grid(m, a, data):
+    # eps = k/m and c' eps = l/m put both band ends, strict and not, on
+    # fractional parts that q a/m really takes
+    k = data.draw(st.integers(min_value=2, max_value=(m - 1) // 2))
+    cp = F(data.draw(st.integers(min_value=k + 1, max_value=2 * k - 1)), k)
+    c = 1 + (cp - 1) * data.draw(
+        st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100)
+    )
+    Q = data.draw(st.fractions(min_value=F(8, 7), max_value=300, max_denominator=7))
+    params = LemmaParams(c, cp, F(k, m), Q)
+    oracle = RationalOracle(F(a, m))
+    expect = _brute_case_ii(F(a, m), params)
+    try:
+        res = solve_disjunction(oracle, params)
+    except NeitherCaseCertified:
+        assert expect is None
+        return
+    if res.outcome == "case_ii":
+        assert (res.witness.q, res.witness.p) == expect
+    else:
+        assert expect is None
 
 
 @settings(deadline=None, max_examples=20)

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from dioph import seqbuild
+
 from dioph.contfrac import convergents, expand
 from dioph.errors import (
     CaseIPersists,
@@ -130,6 +132,28 @@ def test_measure_rates_validation():
     rows = [(1, 1, 1), (2, 2, 3), (3, 5, 7), (3, 12, 17)]
     with pytest.raises(PreconditionError, match="BAD_PARAMS: indices"):
         measure_rates(rows, SQRT2)
+
+
+def test_measure_rates_encloses_only_the_window(monkeypatch):
+    us = []
+    enclose = seqbuild._form_enclosure
+
+    def counting(oracle, u, v, cap):
+        us.append(u)
+        return enclose(oracle, u, v, cap)
+
+    monkeypatch.setattr(seqbuild, "_form_enclosure", counting)
+    rows = [(c.index, c.q, c.p) for c in convergents(expand(SQRT2, 12))[2:]]
+    est = measure_rates(rows, SQRT2)
+    assert us == [u for _, u, _ in rows[5:]]
+    assert est.window == (7, 12)
+    # validation runs before any enclosure
+    us.clear()
+    with pytest.raises(PreconditionError, match="zero coefficient"):
+        measure_rates([(1, 1, 1), (2, 0, 3), (3, 2, 3)], SQRT2)
+    with pytest.raises(PreconditionError, match="strictly increasing"):
+        measure_rates([(1, 1, 1), (3, 2, 3), (2, 5, 7)], SQRT2)
+    assert us == []
 
 
 def test_rate_violation():
