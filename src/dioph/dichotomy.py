@@ -32,6 +32,7 @@ from typing import Optional, Union
 from .contfrac import Convergent, expand
 from .enclosure import Enclosure, Rat, _frac
 from .errors import (
+    CertificateError,
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
@@ -391,8 +392,9 @@ def solve_disjunction(
         q, p = best
         residual, certified = _residual_signed(oracle, q, p, eps, cpe, cap, stats)
         if not certified:
-            raise NeitherCaseCertified(
-                f"case (ii) candidate q={q} failed residual certification"
+            # a hit of either window lies in the band by construction
+            raise CertificateError(
+                "INTERNAL", f"case (ii) window hit q={q} failed residual certification"
             )
         return DisjunctionResult(
             "case_ii", CaseIIWitness(q, p), residual, stats.frozen()

@@ -23,7 +23,7 @@ from math import lcm
 from typing import Optional
 
 from .certlog import ln_frac
-from .dichotomy import DEFAULT_BUDGET
+from .dichotomy import DEFAULT_BUDGET, _first_hit
 from .enclosure import Enclosure
 from .errors import (
     CertificateError,
@@ -158,6 +158,27 @@ def _approx_score(q: int, fixed) -> int:
     return worst
 
 
+def _stream(fixed, lo: int, hi: int, bound):
+    """Yield, ascending, the q in [lo, hi] with ||q X_1|| <= bound(q) at the
+    2**96 fixed point, X_1 the first coordinate's.
+
+    A q whose score is at most D has ||q X_1|| <= D, so it is never skipped
+    while D stays at least its score. ``bound`` is read again before each
+    hit, so a caller may shrink it between hits; it must bound the score of
+    every later q the caller still needs. D >= M/2 passes every q.
+    """
+    M = 1 << _PREFILTER_BITS
+    X = fixed[0] % M
+    q = lo
+    while q <= hi:
+        D = bound(q)
+        t = _first_hit(X, (q * X + D) % M, M, 2 * D + 1)
+        if t is None or q + t > hi:
+            return
+        yield q + t
+        q += t + 1
+
+
 def _max_enclosure(encs) -> Enclosure:
     return Enclosure(max(e.lo for e in encs), max(e.hi for e in encs))
 
@@ -200,11 +221,14 @@ def dirichlet_witness(
     """Simultaneous approximation witness with q0 <= Q**dim.
 
     ``first`` (default) returns the smallest q0 whose worst-coordinate
-    distance is certified <= 1/Q, the pigeonhole guarantee; ``best`` scans
-    the whole range and returns the q0 with the smallest certified distance
-    (ties to the smaller q0). Both scan at most DEFAULT_BUDGET denominators:
-    ``best`` refuses a larger range up front, ``first`` gives up after that
-    many without a hit; either raises RANGE_TOO_LARGE.
+    distance is certified <= 1/Q, the pigeonhole guarantee; ``best`` returns
+    the q0 in the whole range with the smallest certified distance (ties to
+    the smaller q0). Both score only the q whose first coordinate is close
+    enough to still qualify: ``first`` those within its threshold, ``best``
+    those within the running minimum's margin. Both cover at most
+    DEFAULT_BUDGET denominators: ``best`` refuses a larger range up front,
+    ``first`` gives up past that many without a hit; either raises
+    RANGE_TOO_LARGE.
     """
     if Q < 2:
         raise PreconditionError("BAD_PARAMS", f"Q={Q} must be >= 2")
@@ -222,7 +246,7 @@ def dirichlet_witness(
     if mode == "first":
         # integer threshold: approx <= 1/Q + err cannot miss a true hit
         thr = (M + Q - 1) // Q + err_scaled
-        for q in range(1, min(bound, DEFAULT_BUDGET) + 1):
+        for q in _stream(fixed, 1, min(bound, DEFAULT_BUDGET), lambda q: thr):
             if _approx_score(q, fixed) > thr:
                 continue
             enc, qs = _refined_max_dist(ratios, q, cap)
@@ -242,7 +266,7 @@ def dirichlet_witness(
     # one pass: the q scoring within 2 err of the running minimum
     near = M  # above every score
     candidates = []
-    for q in range(1, bound + 1):
+    for q in _stream(fixed, 1, bound, lambda q: near):
         s = _approx_score(q, fixed)
         if s + 2 * err_scaled < near:
             near = s + 2 * err_scaled
@@ -279,7 +303,9 @@ def omega0_search(
     Candidates are ranked with integer fixed-point arithmetic and the records
     re-verified with exact enclosures, so the reported exponents are certified
     lower bounds at their denominators. omega_best is monotone in q_bound.
-    A range of more than DEFAULT_BUDGET denominators raises RANGE_TOO_LARGE.
+    Each half scores only the q whose first coordinate is close enough to
+    enter its top 8. A range of more than DEFAULT_BUDGET denominators raises
+    RANGE_TOO_LARGE.
     """
     if q_bound < 2:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
@@ -296,12 +322,27 @@ def omega0_search(
             return float("inf")
         return -math.log(s / M) / math.log(q)
 
-    def top8(qs):
-        return heapq.nlargest(8, ((approx_omega(q), -q) for q in qs))
+    def top8(lo, hi):
+        held = []  # min-heap of the best (omega, -q) keys so far
 
-    # each q scored once: the whole range's top 8 is among the two halves'
-    head = top8(range(2, half + 1))
-    tail = top8(range(max(2, half + 1), q_bound + 1))
+        def bound(q):
+            # a later q enters only with omega > held[0]'s, i.e. a score
+            # below M q**-omega; the factor and the 2 cover float rounding
+            if len(held) < 8:
+                return M
+            return int(M * q ** -held[0][0] * (1 + 2**-30)) + 2
+
+        for q in _stream(fixed, lo, hi, bound):
+            key = (approx_omega(q), -q)
+            if len(held) < 8:
+                heapq.heappush(held, key)
+            elif key > held[0]:
+                heapq.heapreplace(held, key)
+        return sorted(held, reverse=True)
+
+    # no q scored twice: the whole range's top 8 is among the two halves'
+    head = top8(2, half)
+    tail = top8(max(2, half + 1), q_bound)
     top = heapq.nlargest(8, head + tail)
     verified = {}
 

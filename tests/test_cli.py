@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dioph
 from dioph import multiform
 from dioph.cli import main
 from dioph.enclosure import Enclosure
@@ -14,6 +17,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_python_m_dioph_runs_the_cli():
+    src = str(Path(dioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dioph", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: dioph")
 
 
 def test_cf_sqrt2(capsys):

@@ -18,7 +18,9 @@ from dioph.dichotomy import (
     find_fractional_hit,
     solve_disjunction,
 )
+from dioph.enclosure import Enclosure
 from dioph.errors import (
+    CertificateError,
     NeitherCaseCertified,
     PreconditionError,
     Unrepresentable,
@@ -132,6 +134,24 @@ def test_disjunction_case_ii_example():
     assert (14 + r.lo) ** 2 <= 200 <= (14 + r.hi) ** 2
     assert F(1, 10) <= r.lo and r.hi <= F(19, 100)
     assert res.stats.candidates >= 1
+
+
+def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
+    # a window hit always lies in the band, so a failed residual
+    # certificate exits 5 (bug), never 4 (no witness exists)
+    def refuse(oracle, q, p, eps, cpe, cap, stats):
+        return Enclosure.point(0), False
+
+    monkeypatch.setattr(dichotomy, "_residual_signed", refuse)
+    with pytest.raises(CertificateError) as info:
+        solve_disjunction(
+            AffineOracle(1, -1, SQRT2), LemmaParams(F(3, 2), F(19, 10), F(1, 10), 10)
+        )
+    assert info.value.code == "INTERNAL"
+    argv = ["lemma", "--oracle", "const:sqrt2", "--c", "3/2", "--c-prime", "19/10",
+            "--eps", "1/10", "--Q", "10"]
+    assert main(argv) == 5
+    assert "error: INTERNAL" in capsys.readouterr().err
 
 
 def test_disjunction_case_i_example():

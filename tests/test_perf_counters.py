@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dioph import dichotomy
+from dioph import dichotomy, multiform
 from dioph.cli import main
 from dioph.contfrac import expand
 from dioph.dichotomy import (
@@ -19,7 +19,8 @@ from dioph.dichotomy import (
     _surrogate,
     solve_disjunction,
 )
-from dioph.oracle import SqrtOracle, parse_oracle
+from dioph.multiform import PointVec, dirichlet_witness, omega0_search
+from dioph.oracle import RationalOracle, SqrtOracle, parse_oracle
 
 
 @pytest.mark.parametrize("spec", ["const:sqrt2", "const:e", "const:zeta3"])
@@ -121,3 +122,20 @@ def test_warm_walk_makes_no_expand_call(monkeypatch, walk):
     monkeypatch.setattr(dichotomy, "expand", counting)
     assert walk(o) == first
     assert calls == []
+
+
+@pytest.mark.parametrize("search,scores_at_most", [
+    # a full scan scores 326491, 90000 and 99999 denominators
+    (lambda point: dirichlet_witness(point, 1000), 2000),
+    (lambda point: dirichlet_witness(point, 300, mode="best"), 1500),
+    (lambda point: omega0_search(point, 10**5), 15000),
+], ids=["dirichlet-first", "dirichlet-best", "omega0"])
+def test_simultaneous_searches_score_only_stream_hits(monkeypatch, search, scores_at_most):
+    point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    calls = []
+    score = multiform._approx_score
+    monkeypatch.setattr(
+        multiform, "_approx_score", lambda q, fixed: calls.append(q) or score(q, fixed)
+    )
+    search(point)
+    assert len(calls) <= scores_at_most

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dioph import multiform
 from dioph.contfrac import expand
 from dioph.dichotomy import LemmaParams, find_fractional_hit, solve_disjunction
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
 from dioph.errors import NeitherCaseCertified
+from dioph.multiform import PointVec, dirichlet_witness, omega0_search
 from dioph.certlog import ln_frac
 from dioph.oracle import (
+    CATALOG,
     AffineOracle,
     CFOracle,
     GoldenOracle,
@@ -19,6 +22,7 @@ from dioph.oracle import (
     parse_rational,
 )
 from test_dichotomy import _brute_case_ii, direct_hit
+from test_multiform import brute_dirichlet, brute_omega0
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 positives = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
@@ -199,3 +203,37 @@ def test_dyadic_bounds_bracket(x, k):
     assert lo <= x <= hi
     assert hi - lo <= 2 * F(1, 2**k)
     assert (lo * 2**k).denominator == 1 and (hi * 2**k).denominator == 1
+
+
+scales = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+coordinates = st.builds(
+    lambda name, a, b: AffineOracle(a, b, CATALOG[name]()),
+    st.sampled_from(sorted(CATALOG)), scales, st.fractions(-3, 3, max_denominator=7),
+) | st.sampled_from(sorted(CATALOG)).map(lambda name: CATALOG[name]())
+points = st.builds(
+    lambda lead, rest: PointVec((RationalOracle(lead),) + tuple(rest)),
+    scales, st.lists(coordinates, min_size=1, max_size=2),
+)
+
+
+def _verified(search, *args):
+    """The search's result and the denominators it verified with
+    enclosures, in first-seen order: for omega0 these are the float top 8s."""
+    seen = []
+    verify = multiform._refined_max_dist
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            multiform, "_refined_max_dist", lambda r, q, cap: seen.append(q) or verify(r, q, cap)
+        )
+        result = search(*args)
+    return result, list(dict.fromkeys(seen))
+
+
+@settings(deadline=None, max_examples=30)
+@given(points, st.integers(min_value=2, max_value=30), st.integers(min_value=2, max_value=3000))
+def test_simultaneous_searches_match_full_scans(point, Q, q_bound):
+    assert _verified(dirichlet_witness, point, Q) == _verified(brute_dirichlet, point, Q)
+    assert _verified(dirichlet_witness, point, Q, None, "best") == _verified(
+        brute_dirichlet, point, Q, "best"
+    )
+    assert _verified(omega0_search, point, q_bound) == _verified(brute_omega0, point, q_bound)
