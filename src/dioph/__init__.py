@@ -15,6 +15,7 @@ from .errors import (
 )
 from .oracle import (
     CATALOG,
+    PRECISION_CAP,
     AffineOracle,
     CFOracle,
     RationalOracle,
@@ -84,6 +85,7 @@ __all__ = [
     "NeitherCaseCertified",
     "NesterenkoReport",
     "OmegaReport",
+    "PRECISION_CAP",
     "PointVec",
     "PreconditionError",
     "RateEstimate",

@@ -36,7 +36,7 @@ from .multiform import (
     omega0_search,
     tau_empirical,
 )
-from .oracle import PRECISION_CAP, parse_oracle
+from .oracle import DEFAULT_PRECISION_CAP, PRECISION_CAP, parse_oracle, parse_rational
 from .seqbuild import EtaSchedule, RateSpec, build_sequence, density_data
 
 DEC_PLACES = 12
@@ -47,13 +47,13 @@ def _rat(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _dec(x, places: int = DEC_PLACES) -> str:
-    """Decimal string truncated toward zero at ``places``, integer math only."""
+def _dec(x) -> str:
+    """Decimal string truncated toward zero at DEC_PLACES, integer math only."""
     f = Fraction(x)
     sign = "-" if f < 0 else ""
-    n = abs(f.numerator) * 10**places // f.denominator
-    q, r = divmod(n, 10**places)
-    return f"{sign}{q}.{r:0{places}d}"
+    n = abs(f.numerator) * 10**DEC_PLACES // f.denominator
+    q, r = divmod(n, 10**DEC_PLACES)
+    return f"{sign}{q}.{r:0{DEC_PLACES}d}"
 
 
 def _enc(e: Enclosure) -> dict:
@@ -66,11 +66,27 @@ def _emit(payload) -> int:
     return 0
 
 
-def _parse_rational(text: str) -> Fraction:
+def _int(text: str) -> int:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DiophError("BAD_PARAMS", f"not a rational: {text!r}") from exc
+        return int(text)
+    except ValueError as exc:
+        raise DiophError("BAD_PARAMS", f"not an integer: {text!r}") from exc
+
+
+def _read_csv(path: str, *columns) -> tuple:
+    """(header, rows as dicts) of a CSV file; BAD_PARAMS when it cannot be
+    read or its header lacks one of ``columns``. Short rows read ""."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            rows = list(reader)
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise DiophError("BAD_PARAMS", f"cannot read {path}: {exc}") from exc
+    fields = reader.fieldnames or []
+    missing = [c for c in columns if c not in fields]
+    if missing:
+        raise DiophError("BAD_PARAMS", f"{path} has no column {', '.join(missing)}")
+    return fields, rows
 
 
 def _parse_span(text: str) -> tuple:
@@ -152,10 +168,10 @@ def _cmd_lemma(args) -> int:
     oracle = parse_oracle(args.oracle)
     _require_json(args)
     params = LemmaParams(
-        _parse_rational(args.c),
-        _parse_rational(args.c_prime),
-        _parse_rational(args.eps),
-        _parse_rational(args.big_q),
+        parse_rational(args.c),
+        parse_rational(args.c_prime),
+        parse_rational(args.eps),
+        parse_rational(args.big_q),
     )
     res = solve_disjunction(oracle, params)
     payload = {
@@ -185,18 +201,15 @@ def _cmd_lemma(args) -> int:
 def _load_eta(path: Optional[str]) -> Optional[EtaSchedule]:
     if path is None:
         return None
-    with open(path, newline="") as fh:
-        rows = [(r["n"], _parse_rational(r["eta"])) for r in csv.DictReader(fh)]
-    return EtaSchedule.custom(rows)
+    _, rows = _read_csv(path, "n", "eta")
+    return EtaSchedule.custom([(_int(r["n"]), parse_rational(r["eta"])) for r in rows])
 
 
 def _load_rates(path: str) -> RateSpec:
-    with open(path, newline="") as fh:
-        rows = [
-            (int(r["n"]), _parse_rational(r["Q"]), _parse_rational(r["eps"]))
-            for r in csv.DictReader(fh)
-        ]
-    return RateSpec.from_table(rows)
+    _, rows = _read_csv(path, "n", "Q", "eps")
+    return RateSpec.from_table(
+        [(_int(r["n"]), parse_rational(r["Q"]), parse_rational(r["eps"])) for r in rows]
+    )
 
 
 def _cmd_build(args) -> int:
@@ -209,16 +222,16 @@ def _cmd_build(args) -> int:
                 "BAD_PARAMS", "build needs --alpha and --beta, or --rates-csv"
             )
         rates = RateSpec.geometric(
-            _parse_rational(args.alpha), _parse_rational(args.beta)
+            parse_rational(args.alpha), parse_rational(args.beta)
         )
     lo, hi = _parse_span(args.n)
     res = build_sequence(
         oracle,
-        _parse_rational(args.mu),
+        parse_rational(args.mu),
         rates,
         range(lo, hi + 1),
         eta=_load_eta(args.eta_csv),
-        rate_slack=_parse_rational(args.rate_slack),
+        rate_slack=parse_rational(args.rate_slack),
     )
     if args.output == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
@@ -260,10 +273,9 @@ def _cmd_density(args) -> int:
     oracle = parse_oracle(args.oracle)
     _require_json(args)
     if args.u_csv:
-        with open(args.u_csv, newline="") as fh:
-            u_seq = [int(r["u"]) for r in csv.DictReader(fh)]
+        u_seq = [_int(r["u"]) for r in _read_csv(args.u_csv, "u")[1]]
     elif args.u:
-        u_seq = [int(s) for s in args.u.split(",")]
+        u_seq = [_int(s) for s in args.u.split(",")]
     else:
         raise DiophError("BAD_PARAMS", "density needs --u or --u-csv")
     dd = density_data(u_seq, oracle)
@@ -284,16 +296,13 @@ def _load_forms(args):
         return apery_forms(args.apery, args.n_max)
     if not args.forms_csv:
         raise DiophError("BAD_PARAMS", "need --forms-csv or --apery")
-    with open(args.forms_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        rows = list(reader)
+    fields, rows = _read_csv(args.forms_csv, "n")
     if "u" in fields and "v" in fields:
         if not args.oracle:
             raise DiophError("BAD_PARAMS", "u,v ingestion needs --oracle")
         oracle = parse_oracle(args.oracle)
         return FormSequence.from_uv(
-            [(int(r["n"]), int(r["u"]), int(r["v"])) for r in rows], oracle
+            [(_int(r["n"]), _int(r["u"]), _int(r["v"])) for r in rows], oracle
         )
     coeff_cols = sorted(
         (f for f in fields if f.startswith("l") and f[1:].isdigit()),
@@ -304,8 +313,8 @@ def _load_forms(args):
     if not args.point:
         raise DiophError("BAD_PARAMS", "l0..lr ingestion needs --point")
     point = _point_from(args.point)
-    ns = [int(r["n"]) for r in rows]
-    forms = [LinearForm(tuple(int(r[c]) for c in coeff_cols)) for r in rows]
+    ns = [_int(r["n"]) for r in rows]
+    forms = [LinearForm(tuple(_int(r[c]) for c in coeff_cols)) for r in rows]
     return FormSequence(tuple(ns), tuple(forms), point)
 
 
@@ -363,7 +372,7 @@ def _cmd_multi(args) -> int:
         seq,
         args.omega_bound,
         window=window,
-        slack=_parse_rational(args.omega_slack),
+        slack=parse_rational(args.omega_slack),
     )
     return _emit(
         {
@@ -439,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision-cap",
         type=int,
-        default=None,
+        default=DEFAULT_PRECISION_CAP,
         metavar="BITS",
         help="global enclosure refinement cap (default 2**20 bits)",
     )
@@ -514,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision_cap is not None and args.precision_cap < 64:
+    if args.precision_cap < 64:
         print("error: --precision-cap must be >= 64", file=sys.stderr)
         return 2
     if args.command == "multi":
@@ -524,7 +533,7 @@ def main(argv=None) -> int:
             parser.error("multi omega0 needs --q-bound")
         if args.action in ("dirichlet", "omega0") and not args.point:
             parser.error(f"multi {args.action} needs --point")
-    token = PRECISION_CAP.set(args.precision_cap or PRECISION_CAP.get())
+    token = PRECISION_CAP.set(args.precision_cap)
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digits is not None:
         sys.set_int_max_str_digits(0)  # big quotients print in full

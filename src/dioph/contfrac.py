@@ -42,7 +42,7 @@ class MuEstimate:
     witness_index: Optional[int]
 
 
-def expand(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> CFExpansion:
+def expand(oracle: RealOracle, depth: int) -> CFExpansion:
     """Quotients a_0 .. a_depth of the value of ``oracle``.
 
     Depth counts quotients after a_0, so the result holds depth + 1 values.
@@ -53,7 +53,7 @@ def expand(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> CFExpan
     if depth < 0:
         raise Degenerate(f"depth {depth} must be >= 0")
     count = depth + 1
-    quots, ended = oracle.cf_quotients(count, cap)
+    quots, ended = oracle.cf_quotients(count)
     return CFExpansion(tuple(quots[:count]), terminated=ended and len(quots) <= count)
 
 
@@ -68,7 +68,7 @@ def convergents(cf: CFExpansion) -> list:
     return out
 
 
-def mu_estimate(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> MuEstimate:
+def mu_estimate(oracle: RealOracle, depth: int) -> MuEstimate:
     """Finite-depth irrationality-exponent lower estimate.
 
     Pointwise exponents 1 + ln(q_{k+1}) / ln(q_k) are evaluated over the top
@@ -79,7 +79,7 @@ def mu_estimate(oracle: RealOracle, depth: int, cap: Optional[int] = None) -> Mu
     """
     if depth < 2:
         raise Degenerate(f"depth {depth} must be >= 2")
-    cf = expand(oracle, depth, cap=cap)
+    cf = expand(oracle, depth)
     if cf.terminated:
         raise Degenerate(f"{oracle.spec} is rational; exponent ladder undefined")
     cons = convergents(cf)

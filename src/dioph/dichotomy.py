@@ -180,7 +180,7 @@ def _residue_hits(a: int, b: int, m: int, lo: int, hi: int, t_max: int):
         t = None if step is None else t + 1 + step
 
 
-def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
+def _frac_window_check(oracle, q, t_lo, t_hi, stats):
     """(hit, p) deciding whether frac(q xi) lies in [t_lo, t_hi] for
     irrational xi, whose membership is certified strictly inside the window.
     """
@@ -197,7 +197,7 @@ def _frac_window_check(oracle, q, t_lo, t_hi, cap, stats):
                 return False, p
         return None
 
-    return refine(step, f"window membership for q={q} undecided", cap, stats)
+    return refine(step, f"window membership for q={q} undecided", stats)
 
 
 def _walk(oracle: RealOracle, reached, short: str):
@@ -238,14 +238,7 @@ def _surrogate(oracle: RealOracle, accuracy_den: int) -> Convergent:
     return Convergent(*cons[j - 1], j - 1)
 
 
-def find_fractional_hit(
-    oracle: RealOracle,
-    q_lo: Rat,
-    q_hi: Rat,
-    t_lo: Rat,
-    t_hi: Rat,
-    cap: Optional[int] = None,
-):
+def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_hi: Rat):
     """Smallest integer q in [q_lo, q_hi] with frac(q xi) in [t_lo, t_hi].
 
     Returns (q, p) with p = floor(q xi), or None when no q qualifies.
@@ -255,11 +248,11 @@ def find_fractional_hit(
         raise PreconditionError(
             "BAD_WINDOW", f"need 0 < t_lo < t_hi < 1, got [{t_lo}, {t_hi}]"
         )
-    return _find_hit(oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, cap, _Stats())
+    return _find_hit(oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, _Stats())
 
 
 def _find_hit(
-    oracle, q_lo, q_hi, t_lo, t_hi, cap, stats, lo_strict=False, hi_strict=False
+    oracle, q_lo, q_hi, t_lo, t_hi, stats, lo_strict=False, hi_strict=False
 ):
     """Smallest integer q in [q_lo, q_hi] with frac(q xi) between t_lo and
     t_hi, an endpoint excluded when its ``*_strict`` flag is set, as
@@ -295,13 +288,13 @@ def _find_hit(
             return q, (q * v).__floor__()
         if seen > DEFAULT_BUDGET:
             raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
-        hit, p = _frac_window_check(oracle, q, t_lo, t_hi, cap, stats)
+        hit, p = _frac_window_check(oracle, q, t_lo, t_hi, stats)
         if hit:
             return q, p
     return None
 
 
-def _certify_le(oracle, u, v, bound: Fraction, cap, stats) -> bool:
+def _certify_le(oracle, u, v, bound: Fraction, stats) -> bool:
     """Certified |u xi - v| <= bound (inclusive)."""
     val = oracle.exact_value()
     if val is not None:
@@ -315,10 +308,10 @@ def _certify_le(oracle, u, v, bound: Fraction, cap, stats) -> bool:
             return False
         return None
 
-    return refine(step, f"distance certificate for {v}/{u} undecided", cap, stats)
+    return refine(step, f"distance certificate for {v}/{u} undecided", stats)
 
 
-def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, cap, stats):
+def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
     """First convergent (q, p) with q < u_limit and certified |q xi - p| <=
     bound, or None; also the first such among all semiconvergents.
 
@@ -333,12 +326,12 @@ def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, cap, stats):
         f"quotient supply ends below denominator bound {u_limit}",
     )
     for p, q in cons[:end]:
-        if _certify_le(oracle, q, p, bound, cap, stats):
+        if _certify_le(oracle, q, p, bound, stats):
             return q, p
     return None
 
 
-def _residual_signed(oracle, q, p, eps, cpe, cap, stats):
+def _residual_signed(oracle, q, p, eps, cpe, stats):
     """(enclosure of q xi - p, certified eps <= |q xi - p| < c' eps)."""
     v = oracle.exact_value()
     if v is not None:
@@ -354,14 +347,10 @@ def _residual_signed(oracle, q, p, eps, cpe, cap, stats):
             return enc, False
         return None
 
-    return refine(step, f"residual certificate for q={q} undecided", cap, stats)
+    return refine(step, f"residual certificate for q={q} undecided", stats)
 
 
-def solve_disjunction(
-    oracle: RealOracle,
-    params: LemmaParams,
-    cap: Optional[int] = None,
-) -> DisjunctionResult:
+def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionResult:
     """Produce a case (ii) witness if one exists, else a case (i) witness.
 
     Integer shifts of the value drop out of both certificates, so any real
@@ -377,20 +366,20 @@ def solve_disjunction(
     best = None  # (q, nearest p)
     if eps <= half:
         plus = _find_hit(
-            oracle, Q, c * Q, eps, min(cpe, half), cap, stats, False, cpe <= half,
+            oracle, Q, c * Q, eps, min(cpe, half), stats, False, cpe <= half
         )
         if plus is not None:
             best = plus
         top = c * Q if best is None else Fraction(best[0] - 1)
         minus = _find_hit(
-            oracle, Q, top, max(1 - cpe, half), 1 - eps, cap, stats, True, False,
+            oracle, Q, top, max(1 - cpe, half), 1 - eps, stats, True, False
         )
         if minus is not None:
             q, floor_p = minus
             best = (q, floor_p + 1)
     if best is not None:
         q, p = best
-        residual, certified = _residual_signed(oracle, q, p, eps, cpe, cap, stats)
+        residual, certified = _residual_signed(oracle, q, p, eps, cpe, stats)
         if not certified:
             # a hit of either window lies in the band by construction
             raise CertificateError(
@@ -401,7 +390,7 @@ def solve_disjunction(
         )
     bound_u = params.bound_u
     factor = params.dist_factor
-    hit = _case_i_hit(oracle, bound_u, factor / Q, cap, stats)
+    hit = _case_i_hit(oracle, bound_u, factor / Q, stats)
     if hit is not None:
         u, v = hit
         witness = CaseIWitness(u, v, bound_u, factor / (u * Q))

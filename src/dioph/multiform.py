@@ -96,10 +96,7 @@ class PointVec:
 
 
 def evaluate_form(
-    form: LinearForm,
-    point: PointVec,
-    cap: Optional[int] = None,
-    index: Optional[int] = None,
+    form: LinearForm, point: PointVec, index: Optional[int] = None
 ) -> Enclosure:
     """Signed enclosure of the form value, separated from zero.
 
@@ -124,7 +121,7 @@ def evaluate_form(
                 enc = enc + c.enclose(k + pad) * l
         return enc
 
-    return separated(enclose_at, f"form value {form.coeffs} not separated from zero", cap)
+    return separated(enclose_at, f"form value {form.coeffs} not separated from zero")
 
 
 @dataclass(frozen=True)
@@ -183,10 +180,10 @@ def _max_enclosure(encs) -> Enclosure:
     return Enclosure(max(e.lo for e in encs), max(e.hi for e in encs))
 
 
-def _refined_max_dist(ratios, q: int, cap):
+def _refined_max_dist(ratios, q: int):
     """(enclosure of max_j ||q * ratio_j|| of width <= 2**-80, nearest
     integers); INFINITE_WITNESS when that maximum is exactly 0."""
-    near = [nearest_int(r, q, cap) for r in ratios]
+    near = [nearest_int(r, q) for r in ratios]
     qs = tuple(v for v, _ in near)
     enc = _max_enclosure([d for _, d in near])
     if enc.is_point() and enc.lo == 0:
@@ -200,7 +197,7 @@ def _refined_max_dist(ratios, q: int, cap):
         enc = _max_enclosure([(r.enclose(k) * q - v).abs() for r, v in zip(ratios, qs)])
         return enc if enc.width <= _DIST_TOL else None
 
-    return refine(step, f"max distance at q={q} will not tighten", cap), qs
+    return refine(step, f"max distance at q={q} will not tighten"), qs
 
 
 def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
@@ -213,10 +210,7 @@ def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
 
 
 def dirichlet_witness(
-    point: PointVec,
-    Q: int,
-    cap: Optional[int] = None,
-    mode: str = "first",
+    point: PointVec, Q: int, mode: str = "first"
 ) -> SimultaneousWitness:
     """Simultaneous approximation witness with q0 <= Q**dim.
 
@@ -249,7 +243,7 @@ def dirichlet_witness(
         for q in _stream(fixed, 1, min(bound, DEFAULT_BUDGET), lambda q: thr):
             if _approx_score(q, fixed) > thr:
                 continue
-            enc, qs = _refined_max_dist(ratios, q, cap)
+            enc, qs = _refined_max_dist(ratios, q)
             if enc.hi <= target:
                 return SimultaneousWitness(
                     q, qs, enc, _omega_point(enc.hi, q) if q > 1 else Fraction(0),
@@ -275,7 +269,7 @@ def dirichlet_witness(
             candidates.append((q, s))
     scored = []
     for q, _ in candidates:
-        enc, qs = _refined_max_dist(ratios, q, cap)
+        enc, qs = _refined_max_dist(ratios, q)
         scored.append((enc.hi, q, enc, qs))
     scored.sort(key=lambda t: (t[0], t[1]))
     _, q, enc, qs = scored[0]
@@ -294,9 +288,7 @@ class OmegaReport:
     tail_dist: Enclosure
 
 
-def omega0_search(
-    point: PointVec, q_bound: int, cap: Optional[int] = None
-) -> OmegaReport:
+def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     """Largest pointwise exponent over q0 in [2, q_bound], plus the same
     restricted to the top half of the range.
 
@@ -349,7 +341,7 @@ def omega0_search(
     def pick(keys):
         for _, negq in keys:
             if negq not in verified:
-                enc, _ = _refined_max_dist(ratios, -negq, cap)
+                enc, _ = _refined_max_dist(ratios, -negq)
                 verified[negq] = (_omega_point(enc.hi, -negq), negq, enc)
         w, negq, enc = max(verified[negq] for _, negq in keys)
         return -negq, w, enc
@@ -396,7 +388,7 @@ def _scale_growth(seq: FormSequence) -> Optional[Enclosure]:
     return EOracle().enclose(128).pow_int(seq.scale_e_power)
 
 
-def tau_empirical(seq: FormSequence, window=None, cap: Optional[int] = None) -> RateEstimate:
+def tau_empirical(seq: FormSequence, window=None) -> RateEstimate:
     """Decay exponent of a form family, with the same adaptive ratio
     estimation and regularity gate as the two-term case; indices must be
     strictly increasing."""
@@ -404,7 +396,7 @@ def tau_empirical(seq: FormSequence, window=None, cap: Optional[int] = None) -> 
         raise PreconditionError("BAD_FORM", "need at least 3 forms")
 
     def residual(i):
-        return evaluate_form(seq.forms[i], seq.point, cap, index=seq.ns[i]).abs()
+        return evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()
 
     raw_h = [Fraction(f.height) for f in seq.forms]
     growth = _scale_growth(seq)
@@ -426,12 +418,11 @@ def nesterenko_report(
     omega_bound: int,
     window=None,
     slack: Fraction = Fraction(1, 10),
-    cap: Optional[int] = None,
 ) -> NesterenkoReport:
     """Dimension bound tau + 1 implied by a decaying form family, with the
     exponent chain cross-check tau <= 1/omega + slack."""
-    rate = tau_empirical(seq, window=window, cap=cap)
-    omega = omega0_search(seq.point, omega_bound, cap=cap)
+    rate = tau_empirical(seq, window=window)
+    omega = omega0_search(seq.point, omega_bound)
     implied = rate.tau_hat + 1
     if omega.omega_tail > 0:
         consistent = rate.tau_hat <= 1 / omega.omega_tail + slack

@@ -7,9 +7,9 @@ the intersection of the raw enclosures at every level up to it, so refinement
 is monotone: higher-precision answers always nest inside lower-precision ones.
 
 Every certified decision on those enclosures climbs that level ladder
-through :func:`refine`, up to the precision cap (the call's ``cap=``, else
-:data:`PRECISION_CAP`, which the CLI's ``--precision-cap`` sets for one
-command). Exactly rational values are decided exactly, without the ladder.
+through :func:`refine`, up to the precision cap :data:`PRECISION_CAP`, which
+the CLI's ``--precision-cap`` sets for one command. Exactly rational values
+are decided exactly, without the ladder.
 
 The string grammar accepted by :func:`parse_oracle`:
 
@@ -41,20 +41,15 @@ _MIN_LEVEL = 64
 SEPARATION_BITS = 48
 
 
-def resolve_cap(cap: Optional[int] = None) -> int:
-    """Effective precision cap: explicit argument, else the context's cap."""
-    return PRECISION_CAP.get() if cap is None else cap
-
-
-def refine(step, what: str, cap: Optional[int] = None, stats=None, start: int = 0):
+def refine(step, what: str, stats=None, start: int = 0):
     """First decision ``step(k)`` that is not None, climbing the level ladder.
 
-    Levels max(start, 64), then doubling, while they stay within the resolved
-    cap; each one is reported to ``stats.bump_bits`` when ``stats`` is given.
-    ``False`` and ``0`` are decisions. Raises INCONCLUSIVE naming ``what``
-    once the next level would pass the cap.
+    Levels max(start, 64), then doubling, while they stay within the context's
+    :data:`PRECISION_CAP`; each one is reported to ``stats.bump_bits`` when
+    ``stats`` is given. ``False`` and ``0`` are decisions. Raises INCONCLUSIVE
+    naming ``what`` once the next level would pass the cap.
     """
-    cap = resolve_cap(cap)
+    cap = PRECISION_CAP.get()
     k = max(start, _MIN_LEVEL)
     while k <= cap:
         if stats is not None:
@@ -66,7 +61,7 @@ def refine(step, what: str, cap: Optional[int] = None, stats=None, start: int = 
     raise Inconclusive(what, cap)
 
 
-def separated(enclose_at, what: str, cap: Optional[int] = None) -> Enclosure:
+def separated(enclose_at, what: str) -> Enclosure:
     """First ``enclose_at(k)`` whose distance from zero exceeds its width
     by a factor of 2**SEPARATION_BITS."""
 
@@ -77,7 +72,7 @@ def separated(enclose_at, what: str, cap: Optional[int] = None) -> Enclosure:
             return enc
         return None
 
-    return refine(step, what, cap)
+    return refine(step, what)
 
 
 def level_for(k: int) -> int:
@@ -140,12 +135,12 @@ class RealOracle:
         """Number of quotients a truncated quotient generator supplies, else None."""
         return None
 
-    def cf_quotients(self, count: int, cap: Optional[int] = None):
+    def cf_quotients(self, count: int):
         """(quotients, ended): the cached certified CF quotients, first
         extended to ``count`` of them unless the expansion ends sooner, and
         whether they are the whole (finite) expansion."""
         if len(self._cf_quotients) < count and not self._cf_ended:
-            self._more_quotients(count, cap)
+            self._more_quotients(count)
         return self._cf_quotients, self._cf_ended
 
     def cf_convergents(self, count: int) -> list:
@@ -160,7 +155,7 @@ class RealOracle:
                 conv.append((p1, q1))
         return conv
 
-    def _more_quotients(self, count: int, cap: Optional[int]):
+    def _more_quotients(self, count: int):
         """Extend the quotient cache to ``count`` quotients or to its end:
         Euclid on a rational point value, else on canonical enclosures from
         one level above the cached one (INCONCLUSIVE at the precision cap)."""
@@ -176,7 +171,7 @@ class RealOracle:
             return True if len(self._cf_quotients) >= count else None
 
         refine(
-            step, f"CF expansion of {self.spec} stalled at depth {count - 1}", cap,
+            step, f"CF expansion of {self.spec} stalled at depth {count - 1}",
             start=2 * self._cf_level,
         )
 
@@ -391,7 +386,7 @@ class CFOracle(RealOracle):
             return self.liouville_cap + 1
         return None
 
-    def _more_quotients(self, count: int, cap: Optional[int]):
+    def _more_quotients(self, count: int):
         # the generator is exact; a finite CF is complete from construction
         quots = self._cf_quotients
         for j in range(len(quots), count):
@@ -495,7 +490,14 @@ def parse_oracle(spec: str) -> RealOracle:
     if s.startswith("cf:"):
         rest = s[3:]
         if rest.startswith("liouville:"):
-            return CFOracle(None, liouville_base=int(rest[len("liouville:"):]))
+            base = rest[len("liouville:"):]
+            try:
+                base = int(base)
+            except ValueError as exc:
+                raise PreconditionError(
+                    "BAD_CF", f"liouville base {base!r} is not an integer"
+                ) from exc
+            return CFOracle(None, liouville_base=base)
         if "+periodic:" in rest:
             head, tail = rest.split("+periodic:", 1)
             return CFOracle(_parse_cf_body(head), periodic=_parse_int_list(tail))
@@ -510,8 +512,13 @@ def parse_oracle(spec: str) -> RealOracle:
         if len(fields) == 2:
             a, b = parse_rational(fields[0]), parse_rational(fields[1])
         elif len(fields) == 4:
-            a = Fraction(int(fields[0]), int(fields[1]))
-            b = Fraction(int(fields[2]), int(fields[3]))
+            try:
+                a = Fraction(int(fields[0]), int(fields[1]))
+                b = Fraction(int(fields[2]), int(fields[3]))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise PreconditionError(
+                    "BAD_AFFINE", f"{head!r} needs four integers, nonzero denominators"
+                ) from exc
         else:
             raise PreconditionError(
                 "BAD_AFFINE",
@@ -522,7 +529,7 @@ def parse_oracle(spec: str) -> RealOracle:
     raise PreconditionError("BAD_ORACLE", f"cannot parse oracle spec {spec!r}")
 
 
-def sign_of_form(oracle: RealOracle, q: Rat, p: Rat, cap: Optional[int] = None) -> int:
+def sign_of_form(oracle: RealOracle, q: Rat, p: Rat) -> int:
     """Certified sign of q*xi - p; INCONCLUSIVE if the cap is reached first."""
     q = _frac(q)
     p = _frac(p)
@@ -532,11 +539,11 @@ def sign_of_form(oracle: RealOracle, q: Rat, p: Rat, cap: Optional[int] = None) 
         return (t > 0) - (t < 0)
     return refine(
         lambda k: (oracle.enclose(k) * q - p).sign(),
-        f"sign of {q}*({oracle.spec}) - {p} undecided", cap,
+        f"sign of {q}*({oracle.spec}) - {p} undecided",
     )
 
 
-def nearest_int(oracle: RealOracle, u: Rat, cap: Optional[int] = None):
+def nearest_int(oracle: RealOracle, u: Rat):
     """(v, dist) with v the certified nearest integer to u*xi.
 
     ``dist`` is an enclosure of |u*xi - v|. Exactly half-integer products (only
@@ -559,14 +566,14 @@ def nearest_int(oracle: RealOracle, u: Rat, cap: Optional[int] = None):
         m = (enc.lo + half).__floor__()
         return (m, (enc - m).abs()) if enc.hi < m + half else None
 
-    return refine(step, f"nearest integer to {u}*({oracle.spec}) undecided", cap)
+    return refine(step, f"nearest integer to {u}*({oracle.spec}) undecided")
 
 
-def floor_certified(oracle: RealOracle, cap: Optional[int] = None) -> int:
+def floor_certified(oracle: RealOracle) -> int:
     v = oracle.exact_value()
     if v is not None:
         return v.__floor__()
     return refine(
         lambda k: oracle.enclose(k).floor_unique(),
-        f"floor of {oracle.spec} undecided", cap,
+        f"floor of {oracle.spec} undecided",
     )

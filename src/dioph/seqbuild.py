@@ -193,7 +193,6 @@ def build_sequence(
     n_range,
     eta: Optional[EtaSchedule] = None,
     rate_slack: Fraction = Fraction(1, 20),
-    cap: Optional[int] = None,
 ) -> BuildResult:
     """Run the banded construction for each n in ``n_range``.
 
@@ -211,7 +210,7 @@ def build_sequence(
         raise PreconditionError("BAD_PARAMS", "empty index range")
     eta = eta or EtaSchedule.default_rule()
     _rate_precheck(rates, ns, mu_upper, rate_slack)
-    shift = floor_certified(oracle, cap)
+    shift = floor_certified(oracle)
     inner = oracle if shift == 0 else AffineOracle(1, -shift, oracle)
     entries = []
     eta_used = {}
@@ -229,7 +228,7 @@ def build_sequence(
             eps / sqrt_lower(mu, 64),
             Q / sqrt_lower(lam, 64),
         )
-        res = solve_disjunction(inner, params, cap=cap)
+        res = solve_disjunction(inner, params)
         if res.outcome == "case_ii":
             q, p = res.witness.q, res.witness.p
             if not (q * q <= lam * Q * Q and Q * Q <= lam * q * q):
@@ -254,7 +253,7 @@ def build_sequence(
             )
         else:
             w = res.witness
-            r = _form_enclosure(inner, w.u, w.v, cap)
+            r = _form_enclosure(inner, w.u, w.v)
             a = r.abs()
             entries.append(
                 ApproxSequenceEntry(
@@ -279,7 +278,7 @@ def build_sequence(
     return BuildResult(tuple(entries), shift, eta_used)
 
 
-def _form_enclosure(oracle: RealOracle, u: int, v: int, cap: Optional[int]) -> Enclosure:
+def _form_enclosure(oracle: RealOracle, u: int, v: int) -> Enclosure:
     """Signed enclosure of u xi - v, separated from zero."""
     exact = oracle.exact_value()
     if exact is not None:
@@ -289,18 +288,18 @@ def _form_enclosure(oracle: RealOracle, u: int, v: int, cap: Optional[int]) -> E
         return Enclosure.point(r)
     return separated(
         lambda k: oracle.enclose(k) * u - v,
-        f"residual |{u} xi - {v}| not separated from 0", cap,
+        f"residual |{u} xi - {v}| not separated from 0",
     )
 
 
-def lemma1_bound(alpha_hat: Rat, beta_hat: Rat, bits: int = 96) -> Fraction:
+def lemma1_bound(alpha_hat: Rat, beta_hat: Rat) -> Fraction:
     """Certified-rounding upper evaluation of 1 - log(beta)/log(alpha)."""
     a, b = _frac(alpha_hat), _frac(beta_hat)
     if not (0 < a < 1 < b):
         raise PreconditionError(
             "BAD_PARAMS", f"need 0 < alpha_hat < 1 < beta_hat, got {a}, {b}"
         )
-    return 1 + ln_frac(b, bits).hi / ln_frac(1 / a, bits).lo
+    return 1 + ln_frac(b, 96).hi / ln_frac(1 / a, 96).lo
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,7 @@ def _estimate_limit(values, ns, positions):
     return root_enclosure(total, span, 64), "ratio-geomean"
 
 
-def measure_rates(entries, oracle: RealOracle, cap: Optional[int] = None) -> RateEstimate:
+def measure_rates(entries, oracle: RealOracle) -> RateEstimate:
     """Estimate decay alpha, growth beta and exponent tau for a sequence.
 
     ``entries`` are (n, u, v) rows or ApproxSequenceEntry objects, with n
@@ -368,7 +367,7 @@ def measure_rates(entries, oracle: RealOracle, cap: Optional[int] = None) -> Rat
 
     def residual(i):
         _, u, v = rows[i]
-        return _form_enclosure(oracle, u, v, cap).abs()
+        return _form_enclosure(oracle, u, v).abs()
 
     return _measure_core(ns, residual, raw_h, None, None, None)
 
@@ -434,7 +433,7 @@ class DensityData:
     distances: tuple
 
 
-def density_data(u_seq, oracle: RealOracle, cap: Optional[int] = None) -> DensityData:
+def density_data(u_seq, oracle: RealOracle) -> DensityData:
     """Finite-range density quantities for a nondecreasing positive u sequence.
 
     alpha_xi is the largest consecutive ratio of the nearest-integer
@@ -450,8 +449,8 @@ def density_data(u_seq, oracle: RealOracle, cap: Optional[int] = None) -> Densit
         )
     dists = []
     for u in us:
-        v, d = nearest_int(oracle, u, cap)
-        d = _tighten_positive(oracle, u, v, d, cap)
+        v, d = nearest_int(oracle, u)
+        d = _tighten_positive(oracle, u, v, d)
         dists.append(d)
     alpha = max((b / a).hi for a, b in zip(dists, dists[1:]))
     beta = max(Fraction(b, a) for a, b in zip(us, us[1:]))
@@ -460,7 +459,7 @@ def density_data(u_seq, oracle: RealOracle, cap: Optional[int] = None) -> Densit
     return DensityData(alpha, beta, nu, tuple(dists))
 
 
-def _tighten_positive(oracle, u, v: int, d: Enclosure, cap) -> Enclosure:
+def _tighten_positive(oracle, u, v: int, d: Enclosure) -> Enclosure:
     """The distance ``d`` of u xi from v, refined until separated from 0."""
     if d.lo > 0 and d.width <= d.lo / (1 << SEPARATION_BITS):
         return d
@@ -468,5 +467,5 @@ def _tighten_positive(oracle, u, v: int, d: Enclosure, cap) -> Enclosure:
         raise ZeroResidual(f"u={u} lands exactly on an integer")
     return separated(
         lambda k: (oracle.enclose(k) * u - v).abs(),
-        f"distance for u={u} not separated from 0", cap,
+        f"distance for u={u} not separated from 0",
     )

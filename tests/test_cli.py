@@ -10,7 +10,7 @@ import dioph
 from dioph import multiform
 from dioph.cli import main
 from dioph.enclosure import Enclosure
-from dioph.oracle import resolve_cap
+from dioph.oracle import PRECISION_CAP
 
 
 def run_cli(capsys, *argv):
@@ -178,14 +178,36 @@ SQRT2_LEMMA_Q1E400 = ("lemma", "--oracle", "const:sqrt2", "--c", "3/2",
 
 
 def test_precision_cap_is_scoped_to_one_command(capsys):
-    env, cap = dict(os.environ), resolve_cap()
+    env, cap = dict(os.environ), PRECISION_CAP.get()
     code, out, err = run_cli(capsys, "--precision-cap", "64", *SQRT2_LEMMA_Q1E400)
     assert code == 3 and out == ""
     assert "INCONCLUSIVE" in err and "precision cap 64 bits" in err
     assert dict(os.environ) == env
-    assert resolve_cap() == cap
+    assert PRECISION_CAP.get() == cap
     code, out, _ = run_cli(capsys, *SQRT2_LEMMA_Q1E400)
     assert code == 0 and json.loads(out)["outcome"] == "II"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("code,argv", [
+    ("BAD_CF", ("cf", "--oracle", "cf:liouville:x", "--depth", "3")),
+    ("BAD_AFFINE", ("cf", "--oracle", "affine:1/2/3/x:const:e", "--depth", "3")),
+    ("BAD_AFFINE", ("cf", "--oracle", "affine:1/0/0/1:const:e", "--depth", "3")),
+    ("BAD_PARAMS", ("density", "--oracle", "const:sqrt2", "--u", "1,x")),
+    ("BAD_PARAMS", ("density", "--oracle", "const:sqrt2",
+                    "--u-csv", str(GOLDEN / "no-such-file.csv"))),
+    ("BAD_PARAMS", ("build", "--oracle", "const:sqrt2", "--mu", "21/10",
+                    "--rates-csv", str(GOLDEN / "eta.csv"), "--n", "5:6")),
+    ("BAD_RATIONAL", ("build", "--oracle", "const:sqrt2", "--mu", "21/x",
+                      "--alpha", "1/2", "--beta", "2", "--n", "5:6")),
+], ids=["liouville-base", "affine-int", "affine-zero-den", "u-list", "u-csv-missing",
+        "rates-csv-columns", "rational-flag"])
+def test_malformed_input_exits_2(capsys, code, argv):
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert exit_code == 2 and out == ""
+    assert err.startswith(f"error: {code}: ")
 
 
 def test_precision_cap_below_first_level_rejected(capsys):
@@ -210,8 +232,8 @@ def test_bug_codes_exit_5(capsys, monkeypatch):
     # guarantee: a bug, not an answer, so not exit 4
     refined = multiform._refined_max_dist
 
-    def too_far(ratios, q, cap):
-        _, qs = refined(ratios, q, cap)
+    def too_far(ratios, q):
+        _, qs = refined(ratios, q)
         return Enclosure.point(1), qs
 
     monkeypatch.setattr(multiform, "_refined_max_dist", too_far)

@@ -117,9 +117,10 @@ def test_expand_rejects_negative_depth():
         expand(SQRT2, -1)
 
 
-def test_expand_cap_exhaustion():
+def test_expand_cap_exhaustion(precision_cap):
+    precision_cap(64)
     with pytest.raises(Inconclusive):
-        expand(CATALOG["e"](), 40, cap=64)
+        expand(CATALOG["e"](), 40)
 
 
 def test_liouville_expansion_supply():

@@ -98,7 +98,7 @@ def direct_hit(oracle, q_lo, q_hi, t_lo, t_hi):
     exact = oracle.exact_value()
     for q in range(max(1, math.ceil(q_lo)), math.floor(q_hi) + 1):
         if exact is None:
-            hit, p = _frac_window_check(oracle, q, t_lo, t_hi, None, _Stats())
+            hit, p = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
         else:
             p = math.floor(q * exact)
             hit = t_lo <= q * exact - p <= t_hi
@@ -139,7 +139,7 @@ def test_disjunction_case_ii_example():
 def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
     # a window hit always lies in the band, so a failed residual
     # certificate exits 5 (bug), never 4 (no witness exists)
-    def refuse(oracle, q, p, eps, cpe, cap, stats):
+    def refuse(oracle, q, p, eps, cpe, stats):
         return Enclosure.point(0), False
 
     monkeypatch.setattr(dichotomy, "_residual_signed", refuse)
@@ -301,9 +301,9 @@ def certify_calls(monkeypatch):
     """Counts the case (i) distance checks the dichotomy makes."""
     calls = []
 
-    def counting(oracle, u, v, bound, cap, stats):
+    def counting(oracle, u, v, bound, stats):
         calls.append((u, v))
-        return _certify_le(oracle, u, v, bound, cap, stats)
+        return _certify_le(oracle, u, v, bound, stats)
 
     monkeypatch.setattr(dichotomy, "_certify_le", counting)
     return calls
@@ -316,7 +316,7 @@ def test_short_quotient_supply_is_unrepresentable(certify_calls):
         _surrogate(short, 10**6)
     # |1 xi - 0| < 1 would pass; the supply runs out before any check
     with pytest.raises(Unrepresentable, match="below denominator bound 1000000"):
-        _case_i_hit(short, F(10**6), F(1), None, _Stats())
+        _case_i_hit(short, F(10**6), F(1), _Stats())
     assert certify_calls == []
 
 
@@ -338,17 +338,17 @@ def test_case_i_scan_matches_linear_scan(spec):
         expected = next(
             (
                 (u, v) for u, v in _approx_fractions(oracle, u_limit)
-                if _certify_le(oracle, u, v, bound, None, _Stats())
+                if _certify_le(oracle, u, v, bound, _Stats())
             ),
             None,
         )
-        assert _case_i_hit(oracle, u_limit, bound, None, _Stats()) == expected
+        assert _case_i_hit(oracle, u_limit, bound, _Stats()) == expected
 
 
 def test_case_i_denominator_bound_is_strict():
     # sqrt2: |2 xi - 3| = 0.17..., |5 xi - 7| = 0.07...; u = 5 is not below 5
-    assert _case_i_hit(SQRT2, F(5), F(1, 10), None, _Stats()) is None
-    assert _case_i_hit(SQRT2, F(6), F(1, 10), None, _Stats()) == (5, 7)
+    assert _case_i_hit(SQRT2, F(5), F(1, 10), _Stats()) is None
+    assert _case_i_hit(SQRT2, F(6), F(1, 10), _Stats()) == (5, 7)
 
 
 def _lemma_cli(capsys, spec, eps, big_q):

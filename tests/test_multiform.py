@@ -138,9 +138,9 @@ class TestTauEmpirical:
         indices = []
         form = multiform.evaluate_form
 
-        def counting(f, point, cap=None, index=None):
+        def counting(f, point, index=None):
             indices.append(index)
-            return form(f, point, cap, index)
+            return form(f, point, index)
 
         monkeypatch.setattr(multiform, "evaluate_form", counting)
         tau_empirical(apery_forms(3, 120), window=(60, 120))
@@ -186,7 +186,7 @@ def brute_dirichlet(point, Q, mode="first"):
         picked = [q for q, s in scores.items() if s <= near]
     verified = []
     for q in picked:
-        enc, qs = multiform._refined_max_dist(ratios, q, None)
+        enc, qs = multiform._refined_max_dist(ratios, q)
         if mode == "first" and enc.hi <= F(1, Q):
             verified = [(enc.hi, q, enc, qs)]
             break
@@ -214,7 +214,7 @@ def brute_omega0(point, q_bound):
     def pick(keys):
         best = []
         for _, negq in keys:
-            enc, _ = multiform._refined_max_dist(ratios, -negq, None)
+            enc, _ = multiform._refined_max_dist(ratios, -negq)
             best.append((multiform._omega_point(enc.hi, -negq), negq, enc))
         w, negq, enc = max(best)
         return -negq, w, enc

@@ -1,3 +1,4 @@
+import ast
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -23,10 +24,12 @@ from dioph.oracle import (
     nearest_int,
     parse_oracle,
     parse_rational,
+    DEFAULT_PRECISION_CAP,
+    PRECISION_CAP,
     refine,
-    resolve_cap,
     sign_of_form,
 )
+from dioph.dichotomy import LemmaParams, solve_disjunction
 
 mpmath.mp.dps = 60
 
@@ -192,19 +195,32 @@ def test_floor_certified():
     assert floor_certified(RationalOracle(F(4))) == 4
 
 
-def test_resolve_cap():
-    assert resolve_cap() == 1 << 20
-    assert resolve_cap(512) == 512
+def test_default_precision_cap():
+    assert PRECISION_CAP.get() == DEFAULT_PRECISION_CAP == 1 << 20
 
 
-def test_cap_exhaustion_raises():
+def test_cap_exhaustion_raises(precision_cap):
     # q * e sits 0.3 away from p, but at 64 bits the scaled width is ~500
     q = 10**25
     p = 27182818284590452353602875
+    precision_cap(64)
     with pytest.raises(Inconclusive):
-        sign_of_form(CATALOG["e"](), q, p, cap=64)
+        sign_of_form(CATALOG["e"](), q, p)
     with pytest.raises(Inconclusive):
-        nearest_int(CATALOG["e"](), q, cap=64)
+        nearest_int(CATALOG["e"](), q)
+
+
+def test_library_call_reads_the_context_cap():
+    xi = SqrtOracle(2, "sqrt2")
+    params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**400)
+    token = PRECISION_CAP.set(64)
+    try:
+        with pytest.raises(Inconclusive) as info:
+            solve_disjunction(xi, params)
+    finally:
+        PRECISION_CAP.reset(token)
+    assert info.value.k_cap == 64
+    assert solve_disjunction(xi, params).outcome == "case_ii"
 
 
 class _Bits:
@@ -228,14 +244,15 @@ def test_refine_climbs_the_ladder_in_order():
     assert stats.seen == visited
 
 
-def test_refine_start_level():
+def test_refine_start_level(precision_cap):
     visited = []
 
     def step(k):
         visited.append(k)
         return k if k == 1024 else None
 
-    assert refine(step, "x", cap=1024, start=256) == 1024
+    precision_cap(1024)
+    assert refine(step, "x", start=256) == 1024
     assert visited == [256, 512, 1024]
     assert refine(lambda k: k, "x", start=8) == 64
 
@@ -245,35 +262,58 @@ def test_refine_returns_false_and_zero():
     assert refine(lambda k: 0, "z") == 0
 
 
-def test_refine_raises_at_the_cap():
+def test_refine_raises_at_the_cap(precision_cap):
     visited = []
+    precision_cap(300)
     with pytest.raises(Inconclusive) as info:
-        refine(lambda k: visited.append(k), "never decided", cap=300)
+        refine(lambda k: visited.append(k), "never decided")
     assert info.value.k_cap == 300
     assert visited == [64, 128, 256]
     assert "never decided" in str(info.value)
 
 
-def test_refine_below_the_first_level_never_steps():
+def test_refine_below_the_first_level_never_steps(precision_cap):
     calls = []
+    precision_cap(63)
     with pytest.raises(Inconclusive) as info:
-        refine(lambda k: calls.append(k) or True, "x", cap=63)
+        refine(lambda k: calls.append(k) or True, "x")
     assert calls == [] and info.value.k_cap == 63
 
 
 def test_ladder_lives_only_in_oracle():
-    """Only oracle.py names the first level or resolves the cap, and the
-    level doubling is written once, in refine."""
+    """Only oracle.py names the first level, and the level doubling is
+    written once, in refine."""
     src = Path(__file__).resolve().parent.parent / "src" / "dioph"
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         if path.name != "oracle.py":
-            assert not re.search(r"_MIN_LEVEL|resolve_cap", text), path.name
+            assert "_MIN_LEVEL" not in text, path.name
             assert "k *= 2" not in text, path.name
     oracle_src = (src / "oracle.py").read_text()
     assert oracle_src.count("k *= 2") == 1
     body = oracle_src[oracle_src.index("def refine("):]
     assert "k *= 2" in body[:body.index("\ndef ", 1)]
+
+
+def test_precision_cap_has_one_source():
+    """No function takes a ``cap`` parameter, only oracle.py reads
+    PRECISION_CAP, and only cli.py sets and resets it."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    uses = {"get": set(), "set": set(), "reset": set()}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                names = [p.arg for p in params if p is not None]
+                assert "cap" not in names, (path.name, node.lineno)
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "PRECISION_CAP"
+            ):
+                uses.setdefault(node.attr, set()).add(path.name)
+    assert uses == {"get": {"oracle.py"}, "set": {"cli.py"}, "reset": {"cli.py"}}
 
 
 def test_quotient_caches_live_only_in_oracle():

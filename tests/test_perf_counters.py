@@ -108,7 +108,7 @@ def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
 
 @pytest.mark.parametrize("walk", [
     lambda o: _surrogate(o, 10**300),
-    lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), None, _Stats()),
+    lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), _Stats()),
 ], ids=["surrogate", "case_i"])
 def test_warm_walk_makes_no_expand_call(monkeypatch, walk):
     o = CountingSqrt2()

@@ -223,7 +223,7 @@ def _verified(search, *args):
     verify = multiform._refined_max_dist
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
-            multiform, "_refined_max_dist", lambda r, q, cap: seen.append(q) or verify(r, q, cap)
+            multiform, "_refined_max_dist", lambda r, q: seen.append(q) or verify(r, q)
         )
         result = search(*args)
     return result, list(dict.fromkeys(seen))
@@ -233,7 +233,7 @@ def _verified(search, *args):
 @given(points, st.integers(min_value=2, max_value=30), st.integers(min_value=2, max_value=3000))
 def test_simultaneous_searches_match_full_scans(point, Q, q_bound):
     assert _verified(dirichlet_witness, point, Q) == _verified(brute_dirichlet, point, Q)
-    assert _verified(dirichlet_witness, point, Q, None, "best") == _verified(
+    assert _verified(dirichlet_witness, point, Q, "best") == _verified(
         brute_dirichlet, point, Q, "best"
     )
     assert _verified(omega0_search, point, q_bound) == _verified(brute_omega0, point, q_bound)

@@ -138,9 +138,9 @@ def test_measure_rates_encloses_only_the_window(monkeypatch):
     us = []
     enclose = seqbuild._form_enclosure
 
-    def counting(oracle, u, v, cap):
+    def counting(oracle, u, v):
         us.append(u)
-        return enclose(oracle, u, v, cap)
+        return enclose(oracle, u, v)
 
     monkeypatch.setattr(seqbuild, "_form_enclosure", counting)
     rows = [(c.index, c.q, c.p) for c in convergents(expand(SQRT2, 12))[2:]]
