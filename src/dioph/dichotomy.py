@@ -166,18 +166,22 @@ def _first_hit(a: int, b: int, m: int, c: int) -> Optional[int]:
     return t
 
 
-def _residue_hits(a: int, b: int, m: int, lo: int, hi: int, t_max: int):
-    """Yield ascending t in [0, t_max] with (a t + b) mod m in [lo, hi]
-    read cyclically: lo may be negative and hi past m - 1."""
-    if lo > hi:
-        return
-    width = hi - lo + 1
-    base = (b - lo) % m
-    t = _first_hit(a % m, base, m, width)
-    while t is not None and t <= t_max:
-        yield t
-        step = _first_hit(a % m, (base + a * (t + 1)) % m, m, width)
-        t = None if step is None else t + 1 + step
+def _residue_hits(a: int, m: int, q_lo: int, q_hi: int, window):
+    """Yield ascending q in [q_lo, q_hi] with a q mod m in ``window(q)`` =
+    (lo, hi) read cyclically: lo may be negative and hi past m - 1. The
+    window is read again before each hit, so a caller may shrink it; at most
+    DEFAULT_BUDGET hits are yielded, and one more raises RANGE_TOO_LARGE."""
+    q, seen = q_lo, 0
+    while q <= q_hi:
+        lo, hi = window(q)
+        t = _first_hit(a, (a * q - lo) % m, m, hi - lo + 1)
+        if t is None or q + t > q_hi:
+            return
+        if seen == DEFAULT_BUDGET:
+            raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
+        seen += 1
+        yield q + t
+        q += t + 1
 
 
 def _frac_window_check(oracle, q, t_lo, t_hi, stats):
@@ -280,14 +284,10 @@ def _find_hit(
         delta = Fraction(n_hi, m * oracle.cf_convergents(0)[sur.index + 1][1])
         lo_i = ((t_lo - delta) * m).__ceil__()
         hi_i = ((t_hi + delta) * m).__floor__()
-    hits = _residue_hits(a, n_lo * a, m, lo_i, hi_i, n_hi - n_lo)
-    for seen, t in enumerate(hits, 1):
-        q = n_lo + t
+    for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
         if v is not None:
             stats.candidates += 1
             return q, (q * v).__floor__()
-        if seen > DEFAULT_BUDGET:
-            raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
         hit, p = _frac_window_check(oracle, q, t_lo, t_hi, stats)
         if hit:
             return q, p

@@ -23,13 +23,12 @@ from math import lcm
 from typing import Optional
 
 from .certlog import ln_frac
-from .dichotomy import DEFAULT_BUDGET, _first_hit
+from .dichotomy import _residue_hits
 from .enclosure import Enclosure
 from .errors import (
     CertificateError,
     Degenerate,
     PreconditionError,
-    RangeTooLarge,
     ZeroFormValue,
 )
 from .oracle import (
@@ -155,27 +154,6 @@ def _approx_score(q: int, fixed) -> int:
     return worst
 
 
-def _stream(fixed, lo: int, hi: int, bound):
-    """Yield, ascending, the q in [lo, hi] with ||q X_1|| <= bound(q) at the
-    2**96 fixed point, X_1 the first coordinate's.
-
-    A q whose score is at most D has ||q X_1|| <= D, so it is never skipped
-    while D stays at least its score. ``bound`` is read again before each
-    hit, so a caller may shrink it between hits; it must bound the score of
-    every later q the caller still needs. D >= M/2 passes every q.
-    """
-    M = 1 << _PREFILTER_BITS
-    X = fixed[0] % M
-    q = lo
-    while q <= hi:
-        D = bound(q)
-        t = _first_hit(X, (q * X + D) % M, M, 2 * D + 1)
-        if t is None or q + t > hi:
-            return
-        yield q + t
-        q += t + 1
-
-
 def _max_enclosure(encs) -> Enclosure:
     return Enclosure(max(e.lo for e in encs), max(e.hi for e in encs))
 
@@ -217,12 +195,11 @@ def dirichlet_witness(
     ``first`` (default) returns the smallest q0 whose worst-coordinate
     distance is certified <= 1/Q, the pigeonhole guarantee; ``best`` returns
     the q0 in the whole range with the smallest certified distance (ties to
-    the smaller q0). Both score only the q whose first coordinate is close
-    enough to still qualify: ``first`` those within its threshold, ``best``
-    those within the running minimum's margin. Both cover at most
-    DEFAULT_BUDGET denominators: ``best`` refuses a larger range up front,
-    ``first`` gives up past that many without a hit; either raises
-    RANGE_TOO_LARGE.
+    the smaller q0). A score of at most D forces ||q xi_1|| <= D, so both
+    score only the q whose first coordinate is close enough to still
+    qualify, a residue-class stream at the 2**96 fixed point: ``first`` those
+    within its threshold, ``best`` those within the running minimum's margin.
+    A stream of more than DEFAULT_BUDGET such q raises RANGE_TOO_LARGE.
     """
     if Q < 2:
         raise PreconditionError("BAD_PARAMS", f"Q={Q} must be >= 2")
@@ -231,8 +208,6 @@ def dirichlet_witness(
     ratios = point.ratio_oracles()
     m = len(ratios)
     bound = Q**m
-    if mode == "best" and bound > DEFAULT_BUDGET:
-        raise RangeTooLarge(f"best mode range {bound} exceeds budget {DEFAULT_BUDGET}")
     fixed = _fixed_points(ratios, bound.bit_length())
     M = 1 << _PREFILTER_BITS
     err_scaled = bound + 2
@@ -240,7 +215,7 @@ def dirichlet_witness(
     if mode == "first":
         # integer threshold: approx <= 1/Q + err cannot miss a true hit
         thr = (M + Q - 1) // Q + err_scaled
-        for q in _stream(fixed, 1, min(bound, DEFAULT_BUDGET), lambda q: thr):
+        for q in _residue_hits(fixed[0], M, 1, bound, lambda q: (-thr, thr)):
             if _approx_score(q, fixed) > thr:
                 continue
             enc, qs = _refined_max_dist(ratios, q)
@@ -249,18 +224,13 @@ def dirichlet_witness(
                     q, qs, enc, _omega_point(enc.hi, q) if q > 1 else Fraction(0),
                     True, bound,
                 )
-        if bound > DEFAULT_BUDGET:
-            raise RangeTooLarge(
-                f"no q0 <= {DEFAULT_BUDGET} certified below 1/{Q}; "
-                f"range {bound} exceeds budget {DEFAULT_BUDGET}"
-            )
         raise CertificateError(
             "PIGEONHOLE_FAILED", f"no q0 <= {bound} certified below 1/{Q}"
         )
     # one pass: the q scoring within 2 err of the running minimum
     near = M  # above every score
     candidates = []
-    for q in _stream(fixed, 1, bound, lambda q: near):
+    for q in _residue_hits(fixed[0], M, 1, bound, lambda q: (-near, near)):
         s = _approx_score(q, fixed)
         if s + 2 * err_scaled < near:
             near = s + 2 * err_scaled
@@ -296,13 +266,11 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     re-verified with exact enclosures, so the reported exponents are certified
     lower bounds at their denominators. omega_best is monotone in q_bound.
     Each half scores only the q whose first coordinate is close enough to
-    enter its top 8. A range of more than DEFAULT_BUDGET denominators raises
+    enter its top 8; a half with more than DEFAULT_BUDGET such q raises
     RANGE_TOO_LARGE.
     """
     if q_bound < 2:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
-    if q_bound - 1 > DEFAULT_BUDGET:
-        raise RangeTooLarge(f"range [2, {q_bound}] exceeds budget {DEFAULT_BUDGET}")
     ratios = point.ratio_oracles()
     fixed = _fixed_points(ratios, q_bound.bit_length())
     M = 1 << _PREFILTER_BITS
@@ -317,14 +285,13 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     def top8(lo, hi):
         held = []  # min-heap of the best (omega, -q) keys so far
 
-        def bound(q):
+        def window(q):
             # a later q enters only with omega > held[0]'s, i.e. a score
             # below M q**-omega; the factor and the 2 cover float rounding
-            if len(held) < 8:
-                return M
-            return int(M * q ** -held[0][0] * (1 + 2**-30)) + 2
+            D = M if len(held) < 8 else int(M * q ** -held[0][0] * (1 + 2**-30)) + 2
+            return -D, D
 
-        for q in _stream(fixed, lo, hi, bound):
+        for q in _residue_hits(fixed[0], M, lo, hi, window):
             key = (approx_omega(q), -q)
             if len(held) < 8:
                 heapq.heappush(held, key)

@@ -78,6 +78,8 @@ class RateSpec:
     def from_table(cls, rows) -> "RateSpec":
         table = {}
         for n, Q, eps in rows:
+            if int(n) in table:
+                raise PreconditionError("BAD_PARAMS", f"rate table has two rows for n={n}")
             table[int(n)] = (_frac(Q), _frac(eps))
         if not table:
             raise PreconditionError("BAD_PARAMS", "empty rate table")
@@ -121,7 +123,11 @@ class EtaSchedule:
 
     @classmethod
     def custom(cls, pairs) -> "EtaSchedule":
-        table = {int(n): _frac(v) for n, v in pairs}
+        table = {}
+        for n, v in pairs:
+            if int(n) in table:
+                raise PreconditionError("BAD_PARAMS", f"eta table has two rows for n={n}")
+            table[int(n)] = _frac(v)
         ns = sorted(table)
         if not ns:
             raise PreconditionError("BAD_PARAMS", "empty eta table")
@@ -217,8 +223,8 @@ def build_sequence(
     for n in ns:
         Q, eps = rates.targets(n)
         h = eta.value(n)
-        if not (0 < h <= ETA_MAX):
-            raise PreconditionError("BAD_PARAMS", f"eta_{n}={h} outside (0, 9/20]")
+        if not (0 < h < Fraction(1, 2)):
+            raise PreconditionError("BAD_PARAMS", f"eta_{n}={h} outside (0, 1/2)")
         eta_used[n] = h
         lam = 1 + h
         mu = 1 + 2 * h

@@ -133,16 +133,22 @@ def test_tau_rejects_indices_out_of_order(capsys, tmp_path, ns):
 
 
 @pytest.mark.parametrize("argv", [
+    ("dirichlet", "--point", "rat:1,const:sqrt2,const:sqrt3", "--Q", "10000"),
     ("dirichlet", "--point", "rat:1,const:sqrt2,const:sqrt3", "--Q", "10000", "--mode", "best"),
     ("omega0", "--point", "rat:1,const:sqrt2,const:sqrt3", "--q-bound", str(10**7)),
-])
-def test_simultaneous_scans_refuse_ranges_past_the_budget(capsys, monkeypatch, argv):
+], ids=["dirichlet-first", "dirichlet-best", "omega0"])
+def test_simultaneous_scans_answer_ranges_past_a_million(capsys, monkeypatch, argv):
+    # 10**8 and 10**7 denominators; the budget counts the stream's hits
     scores = []
-    monkeypatch.setattr(multiform, "_approx_score", lambda q, fixed: scores.append(q))
+    score = multiform._approx_score
+    monkeypatch.setattr(
+        multiform, "_approx_score", lambda q, fixed: scores.append(q) or score(q, fixed)
+    )
     code, out, err = run_cli(capsys, "multi", *argv)
-    assert code == 2 and out == ""
-    assert "RANGE_TOO_LARGE" in err
-    assert scores == []
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc.get("within_dirichlet", True) is True
+    assert 0 < len(scores) < 10**5
 
 
 def test_output_is_deterministic(capsys):
@@ -208,6 +214,30 @@ def test_malformed_input_exits_2(capsys, code, argv):
     exit_code, out, err = run_cli(capsys, *argv)
     assert exit_code == 2 and out == ""
     assert err.startswith(f"error: {code}: ")
+
+
+@pytest.mark.parametrize("flag,table,csv,extra", [
+    ("--rates-csv", "rate", "n,Q,eps\n20,10000,1/81\n21,100000,1/243\n21,1000000,1/729\n", ()),
+    ("--eta-csv", "eta", "n,eta\n20,2/5\n21,2/5\n21,3/10\n", ("--alpha", "1/2", "--beta", "3")),
+], ids=["rates", "eta"])
+def test_csv_with_a_repeated_index_exits_2(capsys, tmp_path, flag, table, csv, extra):
+    path = tmp_path / "table.csv"
+    path.write_text(csv)
+    code, out, err = run_cli(capsys, "build", "--oracle", "const:sqrt2", "--mu", "21/10",
+                             flag, str(path), *extra, "--n", "20:21")
+    assert code == 2 and out == ""
+    assert err == f"error: BAD_PARAMS: {table} table has two rows for n=21\n"
+
+
+def test_eta_csv_takes_eta_up_to_one_half(capsys, tmp_path):
+    path = tmp_path / "eta.csv"
+    path.write_text("n,eta\n20,49/100\n21,23/50\n22,9/20\n")
+    code, out, err = run_cli(capsys, "build", "--oracle", "const:sqrt2", "--mu", "21/10",
+                             "--alpha", "1/2", "--beta", "3", "--eta-csv", str(path), "--n", "20:22")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["eta"] == {"20": "49/100", "21": "23/50", "22": "9/20"}
+    assert [e["case"] for e in doc["entries"]] == ["II"] * 3
 
 
 def test_precision_cap_below_first_level_rejected(capsys):

@@ -13,6 +13,7 @@ from dioph.dichotomy import (
     _case_i_hit,
     _certify_le,
     _frac_window_check,
+    _residue_hits,
     _Stats,
     _surrogate,
     find_fractional_hit,
@@ -23,6 +24,7 @@ from dioph.errors import (
     CertificateError,
     NeitherCaseCertified,
     PreconditionError,
+    RangeTooLarge,
     Unrepresentable,
 )
 from dioph.oracle import (
@@ -247,6 +249,18 @@ def test_brute_force_agreement():
             outcomes["i"] += 1
     # the draw should exercise both branches
     assert outcomes["ii"] > 50 and outcomes["i"] >= 3
+
+
+def test_residue_stream_budget_counts_hits(monkeypatch):
+    # 3 q mod 7 in [0, 1] for q = 0 or 5 mod 7: 8 hits in [1, 32], 9 in [1, 33]
+    hits = [5, 7, 12, 14, 19, 21, 26, 28]
+    monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", 8)
+    assert list(_residue_hits(3, 7, 1, 32, lambda q: (0, 1))) == hits
+    seen = []
+    with pytest.raises(RangeTooLarge, match="budget 8"):
+        for q in _residue_hits(3, 7, 1, 33, lambda q: (0, 1)):
+            seen.append(q)
+    assert seen == hits
 
 
 def test_surrogate_is_the_first_convergent_accurate_enough():

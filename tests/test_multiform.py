@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dioph import multiform, seqbuild
+from dioph import dichotomy, multiform, seqbuild
 from dioph.errors import (
     Degenerate,
     PreconditionError,
@@ -229,6 +229,23 @@ def _assert_scored_once_in(scores, rng):
     assert rng.start <= scores[0] and scores[-1] < rng.stop
 
 
+def _stream_lengths(monkeypatch, run):
+    """The most hits one residue stream yields while ``run`` runs."""
+    lengths = []
+    hits = multiform._residue_hits
+
+    def counting(*args):
+        lengths.append(0)
+        for q in hits(*args):
+            lengths[-1] += 1
+            yield q
+
+    with monkeypatch.context() as m:
+        m.setattr(multiform, "_residue_hits", counting)
+        run()
+    return max(lengths)
+
+
 class TestDirichlet:
     def test_golden(self):
         w = dirichlet_witness(PointVec((ONE, GOLDEN)), 3)
@@ -261,16 +278,19 @@ class TestDirichlet:
     def test_first_mode_gives_up_at_the_budget(self, monkeypatch):
         # the first hit for Q = 10 is q0 = 41 (test_two_irrationals)
         point = PointVec((ONE, SQRT2, SQRT3))
-        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 41)
+        k = _stream_lengths(monkeypatch, lambda: dirichlet_witness(point, 10))
+        assert k < 41  # the budget counts stream hits, not denominators
+        monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", k)
         assert dirichlet_witness(point, 10).q0 == 41
         scores = []
         score = multiform._approx_score
-        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 40)
+        monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", k - 1)
         monkeypatch.setattr(
             multiform, "_approx_score", lambda q, fixed: scores.append(q) or score(q, fixed)
         )
-        with pytest.raises(RangeTooLarge, match="no q0 <= 40"):
+        with pytest.raises(RangeTooLarge, match=f"budget {k - 1}"):
             dirichlet_witness(point, 10)
+        assert len(scores) == k - 1
         _assert_scored_once_in(scores, range(1, 41))
 
     @pytest.mark.parametrize("search", [
@@ -279,9 +299,10 @@ class TestDirichlet:
     ])
     def test_full_scans_take_a_range_up_to_the_budget(self, monkeypatch, search):
         point = PointVec((ONE, SQRT2, SQRT3))
-        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 100)
+        k = _stream_lengths(monkeypatch, lambda: search(point))
+        monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", k)
         search(point)
-        monkeypatch.setattr(multiform, "DEFAULT_BUDGET", 99)
+        monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", k - 1)
         with pytest.raises(RangeTooLarge):
             search(point)
 

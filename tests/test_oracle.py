@@ -316,6 +316,30 @@ def test_precision_cap_has_one_source():
     assert uses == {"get": {"oracle.py"}, "set": {"cli.py"}, "reset": {"cli.py"}}
 
 
+def test_residue_stream_has_one_budget():
+    """Only ``dichotomy._residue_hits`` calls ``_first_hit``, and only
+    dichotomy.py names DEFAULT_BUDGET."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    callers, budget = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "_first_hit" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
+                        callers.add((path.name, fn.name))
+        for node in ast.walk(tree):
+            if "DEFAULT_BUDGET" in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                node.name if isinstance(node, ast.alias) else None,
+            ):
+                budget.add(path.name)
+    assert callers == {("dichotomy.py", "_residue_hits")}
+    assert budget == {"dichotomy.py"}
+
+
 def test_quotient_caches_live_only_in_oracle():
     """Only oracle.py touches the quotient and convergent caches, and neither
     contfrac.py nor dichotomy.py picks a quotient source by oracle type."""

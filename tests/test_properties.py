@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from dioph import multiform
 from dioph.contfrac import expand
-from dioph.dichotomy import LemmaParams, find_fractional_hit, solve_disjunction
+from dioph.dichotomy import (
+    LemmaParams,
+    _residue_hits,
+    find_fractional_hit,
+    solve_disjunction,
+)
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
 from dioph.errors import NeitherCaseCertified
 from dioph.multiform import PointVec, dirichlet_witness, omega0_search
@@ -177,6 +182,43 @@ def test_band_ends_on_the_residue_grid(m, a, data):
         assert (res.witness.q, res.witness.p) == expect
     else:
         assert expect is None
+
+
+def _brute_residue_hits(a, m, q_lo, q_hi, window):
+    """Every q in [q_lo, q_hi] whose least y >= lo with y = a q mod m is at
+    most hi, (lo, hi) = window(hits so far)."""
+    hits = []
+    for q in range(q_lo, q_hi + 1):
+        lo, hi = window(len(hits))
+        if lo + (a * q - lo) % m <= hi:
+            hits.append(q)
+    return hits
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=250),
+    st.integers(min_value=-80, max_value=80),
+    st.integers(min_value=-20, max_value=150),
+    st.integers(min_value=0, max_value=3),
+    st.data(),
+)
+def test_residue_stream_matches_brute_scan(m, j, q_lo, span, lo, width, shrink, data):
+    # a = j m + r covers a = 0 mod m, 2a > m and negative a; the window
+    # [lo, lo + width] may start below 0, end past m - 1 or be empty, and
+    # the caller narrows it by ``shrink`` at each end after every hit
+    a = j * m + data.draw(st.integers(min_value=0, max_value=m - 1))
+
+    def window(k):
+        return lo + shrink * k, lo + width - shrink * k
+
+    hits = []
+    for q in _residue_hits(a, m, q_lo, q_lo + span, lambda q: window(len(hits))):
+        hits.append(q)
+    assert hits == _brute_residue_hits(a, m, q_lo, q_lo + span, window)
 
 
 @settings(deadline=None, max_examples=20)

@@ -52,6 +52,8 @@ class TestRateSpec:
             RateSpec.from_table([(1, 10, F(1, 4)), (2, 100, F(1, 2))])
         with pytest.raises(PreconditionError):
             RateSpec.from_table([(1, 1, F(1, 2))])
+        with pytest.raises(PreconditionError, match="two rows for n=2"):
+            RateSpec.from_table([(1, 10, F(1, 2)), (2, 100, F(1, 4)), (2, 1000, F(1, 8))])
 
 
 class TestEtaSchedule:
@@ -78,6 +80,8 @@ class TestEtaSchedule:
             EtaSchedule.custom([(1, F(1, 8)), (2, F(1, 4))])
         with pytest.raises(PreconditionError):
             EtaSchedule.custom([(1, F(1, 2))])
+        with pytest.raises(PreconditionError, match="two rows for n=1"):
+            EtaSchedule.custom([(1, F(1, 4)), (1, F(1, 8))])
 
 
 def test_lemma1_bound_roundings():
@@ -87,6 +91,18 @@ def test_lemma1_bound_roundings():
     assert F(3, 2) <= v <= F(3, 2) + F(1, 10**30)
     with pytest.raises(PreconditionError):
         lemma1_bound(2, 3)
+
+
+def test_build_takes_custom_eta_up_to_one_half():
+    # the default rule's 9/20 clamp does not bind a custom table
+    eta = EtaSchedule.custom([(20, F(49, 100)), (21, F(23, 50))])
+    res = build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), 3), range(20, 22), eta)
+    assert res.eta_used == {20: F(49, 100), 21: F(23, 50)}
+    assert all(e.case_taken == "ii" for e in res.entries)
+    # a directly constructed schedule is still held to eta < 1/2
+    with pytest.raises(PreconditionError, match="outside"):
+        build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), 3), range(20, 21),
+                       EtaSchedule({20: F(1, 2)}))
 
 
 @pytest.fixture(scope="module")
