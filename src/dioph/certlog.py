@@ -1,11 +1,12 @@
 """Certified natural logarithm with directed rational bounds.
 
 ``ln_frac(x, k)`` returns an :class:`Enclosure` of ln(x) for rational x > 0
-with width at most about 2**-k. The reduction is x = 2**e * m with m in
-[1, 2), ln m = 2 atanh((m-1)/(m+1)) summed in fixed point with per-term
-directed rounding and an explicit ulp budget, ln 2 from the series
-sum 1/(n 2**n) with a geometric tail bound. No floating point is involved, so
-results are deterministic and safe to use in certificates.
+with width at most about 2**-k. The reduction works on the integer pair,
+x = N/D = 2**e * n/d with n/d in [1, 2), and ln(n/d) = 2 atanh((n-d)/(n+d))
+is summed in fixed point with per-term directed rounding and an explicit ulp
+budget, ln 2 from the series sum 1/(n 2**n) with a geometric tail bound; both
+are added as integers over 2**w, with no Fraction arithmetic. No floating
+point is involved, so results are deterministic and safe for certificates.
 """
 
 from __future__ import annotations
@@ -64,24 +65,20 @@ def ln_frac(x: Rat, k: int) -> Enclosure:
     f = _frac(x)
     if f <= 0:
         raise ValueError("ln of a nonpositive rational")
+    # equal bit lengths put n/d in (1/2, 2)
     e = f.numerator.bit_length() - f.denominator.bit_length()
-    m = f / Fraction(2) ** e
-    if m >= 2:
-        e += 1
-        m /= 2
-    elif m < 1:
+    n, d = f.numerator << max(-e, 0), f.denominator << max(e, 0)
+    if n < d:
         e -= 1
-        m *= 2
+        n *= 2
     w = k + 32 + abs(e).bit_length()
     lo2, hi2 = _ln2_fixed(w)
-    scale = Fraction(1, 1 << w)
-    ln2 = Enclosure(lo2 * scale, hi2 * scale)
-    out = ln2 * e
-    if m != 1:
-        z = (m - 1) / (m + 1)
-        alo, ahi = _atanh_fixed(z.numerator, z.denominator, w)
-        out = out + Enclosure(2 * alo * scale, 2 * ahi * scale)
-    return out
+    lo, hi = (lo2 * e, hi2 * e) if e >= 0 else (hi2 * e, lo2 * e)
+    if n != d:
+        alo, ahi = _atanh_fixed(n - d, n + d, w)
+        lo += 2 * alo
+        hi += 2 * ahi
+    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 def ln_enclosure(x, k: int) -> Enclosure:

@@ -38,6 +38,7 @@ from .oracle import (
     RealOracle,
     Zeta2Oracle,
     Zeta3Oracle,
+    level_for,
     nearest_int,
     refine,
     separated,
@@ -175,7 +176,10 @@ def _refined_max_dist(ratios, q: int):
         enc = _max_enclosure([(r.enclose(k) * q - v).abs() for r, v in zip(ratios, qs)])
         return enc if enc.width <= _DIST_TOL else None
 
-    return refine(step, f"max distance at q={q} will not tighten"), qs
+    # nearest_int's distances come from the first level or finer and
+    # enclosures nest, so the first rung would repeat the width that failed
+    what = f"max distance at q={q} will not tighten"
+    return refine(step, what, start=2 * level_for(1)), qs
 
 
 def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
@@ -333,6 +337,8 @@ class FormSequence:
             raise PreconditionError("BAD_FORM", "index and form counts differ")
         if self.scales is not None and len(self.scales) != len(self.forms):
             raise PreconditionError("BAD_FORM", "scale and form counts differ")
+        if self.scales is not None and any(c <= 0 for c in self.scales):
+            raise PreconditionError("BAD_FORM", "scales must be positive")
 
     def __len__(self):
         return len(self.forms)
@@ -412,15 +418,15 @@ def apery_forms(s: int, count: int) -> FormSequence:
         raise PreconditionError("BAD_PARAMS", f"s={s} must be 2 or 3")
     if count < 2:
         raise PreconditionError("BAD_PARAMS", f"count={count} must be >= 2")
+    # A_n = a_n (n!)**p and B_n = b_n (n!)**p obey integer recurrences
     if s == 3:
-        a = [Fraction(1), Fraction(5)]
-        b = [Fraction(0), Fraction(6)]
+        A, B = [1, 5], [0, 6]
 
         def step(n, y):
             return (
                 (34 * n**3 - 51 * n**2 + 27 * n - 5) * y[n - 1]
-                - (n - 1) ** 3 * y[n - 2]
-            ) / n**3
+                - (n - 1) ** 6 * y[n - 2]
+            )
 
         def scale_of(d):
             return 2 * d**3
@@ -428,13 +434,10 @@ def apery_forms(s: int, count: int) -> FormSequence:
         point = PointVec((RationalOracle(1, spec="rat:1"), Zeta3Oracle()))
         power = 3
     else:
-        a = [Fraction(1), Fraction(3)]
-        b = [Fraction(0), Fraction(5)]
+        A, B = [1, 3], [0, 5]
 
         def step(n, y):
-            return (
-                (11 * n**2 - 11 * n + 3) * y[n - 1] + (n - 1) ** 2 * y[n - 2]
-            ) / n**2
+            return (11 * n**2 - 11 * n + 3) * y[n - 1] + (n - 1) ** 4 * y[n - 2]
 
         def scale_of(d):
             return d**2
@@ -442,24 +445,26 @@ def apery_forms(s: int, count: int) -> FormSequence:
         point = PointVec((RationalOracle(1, spec="rat:1"), Zeta2Oracle()))
         power = 2
     for n in range(2, count + 1):
-        a.append(step(n, a))
-        b.append(step(n, b))
+        A.append(step(n, A))
+        B.append(step(n, B))
     d = 1
+    fact = 1
     ns = []
     forms = []
     scales = []
     for n in range(count + 1):
         if n >= 2:
             d = lcm(d, n)
+            fact *= n**power
         S = scale_of(d)
-        U = S * a[n]
-        V = S * b[n]
-        if U.denominator != 1 or V.denominator != 1:
+        U, u_rem = divmod(S * A[n], fact)
+        V, v_rem = divmod(S * B[n], fact)
+        if u_rem or v_rem:
             raise CertificateError(
                 "INTEGRALITY", f"scaled pair at n={n} is not integral"
             )
         ns.append(n)
-        forms.append(LinearForm((-int(V), int(U))))
+        forms.append(LinearForm((-V, U)))
         scales.append(Fraction(S))
     return FormSequence(
         tuple(ns),

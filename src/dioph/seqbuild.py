@@ -385,7 +385,9 @@ def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEsti
     only for the window's entries, once the indices are validated. With
     ``scales`` the ratios are measured on the descaled data and multiplied
     back by ``scale_growth``, the certified per-step growth factor of the
-    scales (1 when None); without them ``scale_growth`` is ignored.
+    scales (1 when None); without them ``scale_growth`` is ignored. Only the
+    entries :func:`_estimate_limit` reads are descaled: the window's first
+    and its last three.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionError("BAD_PARAMS", "indices n must be strictly increasing")
@@ -393,14 +395,14 @@ def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEsti
     if len(pos) < 2:
         raise PreconditionError("BAD_PARAMS", "window keeps fewer than 2 entries")
     raw_res = {i: residual(i) for i in pos}
-    # values by position, descaled only inside the window
+    read = {pos[0], *pos[-3:]}
     if scales is not None:
-        core_res = {i: raw_res[i] * (1 / _frac(scales[i])) for i in pos}
-        core_h = {i: Enclosure.point(raw_h[i] / _frac(scales[i])) for i in pos}
+        core_res = {i: raw_res[i] * (1 / _frac(scales[i])) for i in read}
+        core_h = {i: Enclosure.point(raw_h[i] / _frac(scales[i])) for i in read}
         growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     else:
         core_res = raw_res
-        core_h = {i: Enclosure.point(raw_h[i]) for i in pos}
+        core_h = {i: Enclosure.point(raw_h[i]) for i in read}
         growth = Enclosure.point(1)
     alpha_core, method_a = _estimate_limit(core_res, ns, pos)
     beta_core, method_b = _estimate_limit(core_h, ns, pos)

@@ -6,6 +6,7 @@ import pytest
 
 from dioph import dichotomy, multiform, seqbuild
 from dioph.errors import (
+    CertificateError,
     Degenerate,
     PreconditionError,
     RangeTooLarge,
@@ -92,6 +93,54 @@ class TestAperyForms:
         a3 = apery_forms(3, 10)
         enc = evaluate_form(a3.forms[2], a3.point, index=2)
         assert 0 < enc.lo and enc.hi < F(1, 100)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_integer_recurrence_matches_fraction_recurrence(self, s):
+        seq = apery_forms(s, 150)
+        coeffs, scales = _fraction_apery(s, 150)
+        assert [f.coeffs for f in seq.forms] == coeffs
+        assert seq.scales == scales
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_too_small_scale_is_not_integral(self, monkeypatch, s):
+        # scales 2 (s=3) and 1 (s=2): a_2 = 19/4 and b_2 = 351/4 are not integers
+        monkeypatch.setattr(multiform, "lcm", lambda *args: 1)
+        with pytest.raises(CertificateError) as info:
+            apery_forms(s, 10)
+        assert info.value.code == "INTEGRALITY"
+
+    @pytest.mark.parametrize("bad", [0, -1, F(-1, 2)])
+    def test_nonpositive_scale_rejected(self, bad):
+        seq = apery_forms(3, 20)
+        scales = list(seq.scales)
+        scales[12] = bad
+        with pytest.raises(PreconditionError) as info:
+            FormSequence(seq.ns, seq.forms, seq.point, tuple(scales), seq.scale_e_power)
+        assert info.value.code == "BAD_FORM"
+
+
+def _fraction_apery(s, count):
+    """Reference: the Apery pairs (a_n, b_n) in Fraction arithmetic, promoted
+    to integer forms by the lcm-power scales; returns (coeffs, scales)."""
+    if s == 3:
+        a, b = [F(1), F(5)], [F(0), F(6)]
+        P = lambda n: 34 * n**3 - 51 * n**2 + 27 * n - 5
+        sign, scale_of = -1, lambda d: 2 * d**3
+    else:
+        a, b = [F(1), F(3)], [F(0), F(5)]
+        P = lambda n: 11 * n**2 - 11 * n + 3
+        sign, scale_of = 1, lambda d: d**2
+    for n in range(2, count + 1):
+        for y in (a, b):
+            y.append((P(n) * y[n - 1] + sign * (n - 1) ** s * y[n - 2]) / n**s)
+    coeffs, scales, d = [], [], 1
+    for n in range(count + 1):
+        d = math.lcm(d, max(n, 1))
+        S = scale_of(d)
+        assert (S * a[n]).denominator == 1 and (S * b[n]).denominator == 1
+        coeffs.append((-int(S * b[n]), int(S * a[n])))
+        scales.append(F(S))
+    return coeffs, tuple(scales)
 
 
 class TestTauEmpirical:

@@ -5,11 +5,12 @@ that brings back per-integer scanning or per-call re-expansion fails here.
 """
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from dioph import dichotomy, multiform
+from dioph import certlog, dichotomy, multiform
 from dioph.cli import main
 from dioph.contfrac import expand
 from dioph.dichotomy import (
@@ -139,3 +140,43 @@ def test_simultaneous_searches_score_only_stream_hits(monkeypatch, search, score
     )
     search(point)
     assert len(calls) <= scores_at_most
+
+
+def test_ln_frac_does_no_fraction_arithmetic(monkeypatch):
+    # a 2000-bit argument: every Fraction operation would pay a 2000-bit gcd
+    rng = random.Random(2000)
+    x = F(rng.getrandbits(2000) | 1 << 1999, rng.getrandbits(1990) | 1)
+    expected = certlog.ln_frac(x, 96)
+    certlog._atanh_fixed.cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in ln_frac")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            monkeypatch.setattr(F, name, forbidden)
+    got = certlog.ln_frac(x, 96)
+    monkeypatch.undo()
+    assert got == expected
+
+
+def test_omega0_verifies_each_q_on_one_rung(monkeypatch):
+    # nearest_int's distances already failed the first level's width, so
+    # the ladder starts one rung above it and its first rung passes
+    rungs = []
+    refine = multiform.refine
+
+    def counting(step, what, **kw):
+        rungs.append(0)
+
+        def counted(k):
+            rungs[-1] += 1
+            return step(k)
+
+        return refine(counted, what, **kw)
+
+    monkeypatch.setattr(multiform, "refine", counting)
+    point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    omega0_search(point, 10**4)
+    assert len(rungs) > 0
+    assert rungs == [1] * len(rungs)

@@ -14,7 +14,7 @@ from dioph.dichotomy import (
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
 from dioph.errors import NeitherCaseCertified
 from dioph.multiform import PointVec, dirichlet_witness, omega0_search
-from dioph.certlog import ln_frac
+from dioph.certlog import _atanh_fixed, _ln2_fixed, ln_frac
 from dioph.oracle import (
     CATALOG,
     AffineOracle,
@@ -137,6 +137,47 @@ def _mobius_ladder(enc):
 def test_lockstep_euclid_matches_mobius_ladder(x, k, t):
     enc = Enclosure(x, x + t / 2**k)
     assert _certified_prefix(enc) == _mobius_ladder(enc)
+
+
+def _fraction_ln_frac(x, k):
+    """Reference: the reduction of ln_frac done in Fraction arithmetic."""
+    f = F(x)
+    e = f.numerator.bit_length() - f.denominator.bit_length()
+    m = f / F(2) ** e
+    if m >= 2:
+        e += 1
+        m /= 2
+    elif m < 1:
+        e -= 1
+        m *= 2
+    w = k + 32 + abs(e).bit_length()
+    lo2, hi2 = _ln2_fixed(w)
+    scale = F(1, 1 << w)
+    out = Enclosure(lo2 * scale, hi2 * scale) * e
+    if m != 1:
+        z = (m - 1) / (m + 1)
+        alo, ahi = _atanh_fixed(z.numerator, z.denominator, w)
+        out = out + Enclosure(2 * alo * scale, 2 * ahi * scale)
+    return out
+
+
+# integers of 1 to 2000 bits, each length about equally likely
+big_ints = st.integers(min_value=1, max_value=2000).flatmap(
+    lambda b: st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1)
+)
+log_args = st.one_of(
+    st.builds(F, big_ints, big_ints),
+    st.builds(lambda a, b: F(min(a, b), max(a, b) + 1), big_ints, big_ints),
+    st.integers(min_value=-300, max_value=300).map(lambda j: F(2) ** j),
+    st.integers(min_value=0, max_value=300).map(lambda j: F(2 ** (j + 1) - 1, 2**j)),
+    st.integers(min_value=0, max_value=300).map(lambda j: F(2**j + 1, 2**j)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(log_args, st.sampled_from([64, 96, 200]))
+def test_integer_ln_frac_matches_fraction_reduction(x, k):
+    assert ln_frac(x, k) == _fraction_ln_frac(x, k)
 
 
 @settings(deadline=None, max_examples=20)
