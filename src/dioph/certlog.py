@@ -34,7 +34,6 @@ def _ln2_fixed(w: int):
     return total, total + w + 2
 
 
-@lru_cache(maxsize=None)
 def _atanh_fixed(num: int, den: int, w: int):
     """(lo, hi) integers bounding atanh(num/den) * 2^w, for 0 <= num/den <= 1/3."""
     if num == 0:

@@ -15,8 +15,6 @@ bound tau + 1 with a cross-check against 1/omega.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -45,7 +43,6 @@ from .oracle import (
 )
 from .seqbuild import RateEstimate, _measure_core
 
-_PREFILTER_BITS = 96
 # verified distances are refined to this width
 _DIST_TOL = Fraction(1, 1 << 80)
 
@@ -134,18 +131,21 @@ class SimultaneousWitness:
     search_bound: int
 
 
-def _fixed_points(ratios, q_scale_bits: int):
-    """Midpoint of each ratio at 2**96 fixed point, for integer prefiltering."""
-    k = max(128, _PREFILTER_BITS + q_scale_bits + 8)
+def _fixed_points(ratios, bound: int):
+    """(M, X): M = 2**w with w = 2 bits(bound) + 40, and X_j the floor of
+    M times a level-(w + bits(bound) + 8) midpoint of ratio j. Then
+    |q X_j - q x_j M| < bound + 1 for every q <= bound, and 2 (bound + 2)
+    stays below M / bound by a factor of 2**38 at every size."""
+    b = bound.bit_length()
+    w = 2 * b + 40
     out = []
     for r in ratios:
-        mid = r.enclose(k).mid
-        out.append((mid.numerator << _PREFILTER_BITS) // mid.denominator)
-    return out
+        mid = r.enclose(w + b + 8).mid
+        out.append((mid.numerator << w) // mid.denominator)
+    return 1 << w, out
 
 
-def _approx_score(q: int, fixed) -> int:
-    M = 1 << _PREFILTER_BITS
+def _approx_score(q: int, fixed, M: int) -> int:
     worst = 0
     for X in fixed:
         r = (q * X) % M
@@ -153,6 +153,27 @@ def _approx_score(q: int, fixed) -> int:
         if d > worst:
             worst = d
     return worst
+
+
+def _records(fixed, M: int, err: int, lo: int, hi: int, near: int):
+    """Yield ascending (q, score) for the q in [lo, hi] scoring at most
+    ``near``, lowering ``near`` to score + 2 err after each.
+
+    A score is within ``err`` of M d(q), where d(q) = max_j ||q x_j||, so
+    every record of the range, a q with d(q) below d at every smaller q of
+    the range, is yielded if it scores at most the initial ``near``. The
+    searches certify only these, because for 2 <= q' < q, d(q') <= d(q)
+    forces omega(q') > omega(q) (as d <= 1/2): the largest omega of a range
+    starting at 2 or above is at a record, and so are the smallest q with
+    d <= 1/Q and the q with the smallest d. A score of at most ``near``
+    forces ||q x_1|| <= near / M, so only the residue-class stream of those
+    q is scored.
+    """
+    for q in _residue_hits(fixed[0], M, lo, hi, lambda q: (-near, near)):
+        s = _approx_score(q, fixed, M)
+        if s <= near:
+            near = min(near, s + 2 * err)
+            yield q, s
 
 
 def _max_enclosure(encs) -> Enclosure:
@@ -199,54 +220,40 @@ def dirichlet_witness(
     ``first`` (default) returns the smallest q0 whose worst-coordinate
     distance is certified <= 1/Q, the pigeonhole guarantee; ``best`` returns
     the q0 in the whole range with the smallest certified distance (ties to
-    the smaller q0). A score of at most D forces ||q xi_1|| <= D, so both
-    score only the q whose first coordinate is close enough to still
-    qualify, a residue-class stream at the 2**96 fixed point: ``first`` those
-    within its threshold, ``best`` those within the running minimum's margin.
-    A stream of more than DEFAULT_BUDGET such q raises RANGE_TOO_LARGE.
+    the smaller q0). Both certify only the records of the range (see
+    :func:`_records`): ``first`` those scoring within 1/Q plus the
+    fixed-point error, in ascending order until one is within 1/Q, ``best``
+    those within the margin of the smallest score. A stream of more than
+    DEFAULT_BUDGET candidates raises RANGE_TOO_LARGE.
     """
     if Q < 2:
         raise PreconditionError("BAD_PARAMS", f"Q={Q} must be >= 2")
     if mode not in ("best", "first"):
         raise PreconditionError("BAD_PARAMS", f"unknown mode {mode!r}")
     ratios = point.ratio_oracles()
-    m = len(ratios)
-    bound = Q**m
-    fixed = _fixed_points(ratios, bound.bit_length())
-    M = 1 << _PREFILTER_BITS
-    err_scaled = bound + 2
+    bound = Q ** len(ratios)
+    M, fixed = _fixed_points(ratios, bound)
+    err = bound + 2
     target = Fraction(1, Q)
     if mode == "first":
-        # integer threshold: approx <= 1/Q + err cannot miss a true hit
-        thr = (M + Q - 1) // Q + err_scaled
-        for q in _residue_hits(fixed[0], M, 1, bound, lambda q: (-thr, thr)):
-            if _approx_score(q, fixed) > thr:
-                continue
+        # a q within 1/Q scores at most M/Q + err
+        for q, _ in _records(fixed, M, err, 1, bound, (M + Q - 1) // Q + err):
             enc, qs = _refined_max_dist(ratios, q)
             if enc.hi <= target:
-                return SimultaneousWitness(
-                    q, qs, enc, _omega_point(enc.hi, q) if q > 1 else Fraction(0),
-                    True, bound,
-                )
-        raise CertificateError(
-            "PIGEONHOLE_FAILED", f"no q0 <= {bound} certified below 1/{Q}"
-        )
-    # one pass: the q scoring within 2 err of the running minimum
-    near = M  # above every score
-    candidates = []
-    for q in _residue_hits(fixed[0], M, 1, bound, lambda q: (-near, near)):
-        s = _approx_score(q, fixed)
-        if s + 2 * err_scaled < near:
-            near = s + 2 * err_scaled
-            candidates = [(p, t) for p, t in candidates if t <= near]
-        if s <= near:
-            candidates.append((q, s))
-    scored = []
-    for q, _ in candidates:
-        enc, qs = _refined_max_dist(ratios, q)
-        scored.append((enc.hi, q, enc, qs))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    _, q, enc, qs = scored[0]
+                break
+        else:
+            raise CertificateError(
+                "PIGEONHOLE_FAILED", f"no q0 <= {bound} certified below 1/{Q}"
+            )
+    else:
+        records = list(_records(fixed, M, err, 1, bound, M))
+        near = min(s for _, s in records) + 2 * err
+        scored = []
+        for q, s in records:
+            if s <= near:
+                enc, qs = _refined_max_dist(ratios, q)
+                scored.append((enc.hi, q, enc, qs))
+        _, q, enc, qs = min(scored)
     omega = _omega_point(enc.hi, q) if q > 1 else Fraction(0)
     return SimultaneousWitness(q, qs, enc, omega, enc.hi <= target, bound)
 
@@ -266,62 +273,30 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     """Largest pointwise exponent over q0 in [2, q_bound], plus the same
     restricted to the top half of the range.
 
-    Candidates are ranked with integer fixed-point arithmetic and the records
-    re-verified with exact enclosures, so the reported exponents are certified
-    lower bounds at their denominators. omega_best is monotone in q_bound.
-    Each half scores only the q whose first coordinate is close enough to
-    enter its top 8; a half with more than DEFAULT_BUDGET such q raises
+    Each half certifies the exponent of every record it holds (see
+    :func:`_records`) with exact enclosures and keeps the largest, ties to
+    the smaller q0; the whole range's answer is the larger of the halves'.
+    The reported exponents are certified lower bounds at their denominators.
+    A half whose stream has more than DEFAULT_BUDGET candidates raises
     RANGE_TOO_LARGE.
     """
     if q_bound < 2:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
     ratios = point.ratio_oracles()
-    fixed = _fixed_points(ratios, q_bound.bit_length())
-    M = 1 << _PREFILTER_BITS
+    M, fixed = _fixed_points(ratios, q_bound)
     half = q_bound // 2
 
-    def approx_omega(q: int) -> float:
-        s = _approx_score(q, fixed)
-        if s == 0:
-            return float("inf")
-        return -math.log(s / M) / math.log(q)
+    def largest(lo, hi):
+        scored = []
+        for q, _ in _records(fixed, M, q_bound + 2, lo, hi, M):
+            enc, _ = _refined_max_dist(ratios, q)
+            scored.append((_omega_point(enc.hi, q), -q, enc))
+        return max(scored)
 
-    def top8(lo, hi):
-        held = []  # min-heap of the best (omega, -q) keys so far
-
-        def window(q):
-            # a later q enters only with omega > held[0]'s, i.e. a score
-            # below M q**-omega; the factor and the 2 cover float rounding
-            D = M if len(held) < 8 else int(M * q ** -held[0][0] * (1 + 2**-30)) + 2
-            return -D, D
-
-        for q in _residue_hits(fixed[0], M, lo, hi, window):
-            key = (approx_omega(q), -q)
-            if len(held) < 8:
-                heapq.heappush(held, key)
-            elif key > held[0]:
-                heapq.heapreplace(held, key)
-        return sorted(held, reverse=True)
-
-    # no q scored twice: the whole range's top 8 is among the two halves'
-    head = top8(2, half)
-    tail = top8(max(2, half + 1), q_bound)
-    top = heapq.nlargest(8, head + tail)
-    verified = {}
-
-    def pick(keys):
-        for _, negq in keys:
-            if negq not in verified:
-                enc, _ = _refined_max_dist(ratios, -negq)
-                verified[negq] = (_omega_point(enc.hi, -negq), negq, enc)
-        w, negq, enc = max(verified[negq] for _, negq in keys)
-        return -negq, w, enc
-
-    best_q, omega_best, best_enc = pick(top)
-    tail_q, omega_tail, tail_enc = pick(tail)
-    return OmegaReport(
-        q_bound, best_q, omega_best, best_enc, tail_q, omega_tail, tail_enc
-    )
+    halves = [(2, half), (max(2, half + 1), q_bound)]
+    found = [largest(lo, hi) for lo, hi in halves if lo <= hi]
+    top, tail = max(found), found[-1]
+    return OmegaReport(q_bound, -top[1], top[0], top[2], -tail[1], tail[0], tail[2])
 
 
 @dataclass(frozen=True)

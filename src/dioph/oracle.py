@@ -61,9 +61,9 @@ def refine(step, what: str, stats=None, start: int = 0):
     raise Inconclusive(what, cap)
 
 
-def separated(enclose_at, what: str) -> Enclosure:
-    """First ``enclose_at(k)`` whose distance from zero exceeds its width
-    by a factor of 2**SEPARATION_BITS."""
+def separated(enclose_at, what: str, start: int = 0) -> Enclosure:
+    """First ``enclose_at(k)``, from level ``start`` up, whose distance from
+    zero exceeds its width by a factor of 2**SEPARATION_BITS."""
 
     def step(k):
         enc = enclose_at(k)
@@ -72,7 +72,7 @@ def separated(enclose_at, what: str) -> Enclosure:
             return enc
         return None
 
-    return refine(step, what)
+    return refine(step, what, start=start)
 
 
 def level_for(k: int) -> int:

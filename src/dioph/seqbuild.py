@@ -43,6 +43,7 @@ from .oracle import (
     AffineOracle,
     RealOracle,
     floor_certified,
+    level_for,
     nearest_int,
     separated,
 )
@@ -473,7 +474,10 @@ def _tighten_positive(oracle, u, v: int, d: Enclosure) -> Enclosure:
         return d
     if d.is_point():
         raise ZeroResidual(f"u={u} lands exactly on an integer")
+    # nearest_int's ``d`` comes from the first level or finer and enclosures
+    # nest, so the first rung would repeat the separation that failed
     return separated(
         lambda k: (oracle.enclose(k) * u - v).abs(),
         f"distance for u={u} not separated from 0",
+        start=2 * level_for(1),
     )

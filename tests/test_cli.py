@@ -142,7 +142,7 @@ def test_simultaneous_scans_answer_ranges_past_a_million(capsys, monkeypatch, ar
     scores = []
     score = multiform._approx_score
     monkeypatch.setattr(
-        multiform, "_approx_score", lambda q, fixed: scores.append(q) or score(q, fixed)
+        multiform, "_approx_score", lambda q, *a: scores.append(q) or score(q, *a)
     )
     code, out, err = run_cli(capsys, "multi", *argv)
     assert code == 0 and err == ""

@@ -1,4 +1,3 @@
-import heapq
 import math
 from fractions import Fraction as F
 
@@ -223,10 +222,9 @@ def brute_dirichlet(point, Q, mode="first"):
     """Reference for dirichlet_witness: scores every q in [1, Q**dim]."""
     ratios = point.ratio_oracles()
     bound = Q ** len(ratios)
-    fixed = multiform._fixed_points(ratios, bound.bit_length())
-    M = 1 << multiform._PREFILTER_BITS
+    M, fixed = multiform._fixed_points(ratios, bound)
     err = bound + 2
-    scores = {q: multiform._approx_score(q, fixed) for q in range(1, bound + 1)}
+    scores = {q: multiform._approx_score(q, fixed, M) for q in range(1, bound + 1)}
     if mode == "first":
         thr = (M + Q - 1) // Q + err
         picked = [q for q, s in scores.items() if s <= thr]
@@ -245,30 +243,52 @@ def brute_dirichlet(point, Q, mode="first"):
     return multiform.SimultaneousWitness(q, qs, enc, omega, enc.hi <= F(1, Q), bound)
 
 
-def brute_omega0(point, q_bound):
-    """Reference for omega0_search: ranks every q in [2, q_bound] by its
-    float exponent, each half's top 8 apart."""
-    ratios = point.ratio_oracles()
-    fixed = multiform._fixed_points(ratios, q_bound.bit_length())
-    M = 1 << multiform._PREFILTER_BITS
+def brute_records(point, lo, hi):
+    """(records, maybe) of [lo, hi]: the q whose d(q) = max_j ||q x_j|| is
+    certified below d at every smaller q of the range, and the q not
+    certified above it. Each d(q) is bounded over 2**K from the integer
+    bounds of one enclosure per ratio, as ||t|| is 1-Lipschitz in t."""
+    K = 128 + hi.bit_length()
+    M = 1 << K
+    bounds = []
+    for r in point.ratio_oracles():
+        enc = r.enclose(K)
+        lo_x = (enc.lo * M).__floor__()
+        bounds.append((lo_x, (enc.hi * M).__ceil__() - lo_x))
+    records, maybe = [], []
+    least_lo = least_hi = M  # bounds on the least d so far, above every d
+    for q in range(lo, hi + 1):
+        d_lo = d_hi = 0
+        for x, width in bounds:
+            t = q * x % M
+            dist, slack = min(t, M - t), q * width
+            d_lo, d_hi = max(d_lo, dist - slack), max(d_hi, dist + slack)
+        if d_hi < least_lo:
+            records.append(q)
+        if d_lo < least_hi:
+            maybe.append(q)
+        least_lo, least_hi = min(least_lo, d_lo), min(least_hi, d_hi)
+    return records, maybe
 
-    def key(q):
-        s = multiform._approx_score(q, fixed)
-        return (-math.log(s / M) / math.log(q) if s else math.inf), -q
+
+def brute_omega0(point, q_bound):
+    """Reference for omega0_search: the largest certified exponent over the
+    q of each half that may be records, where the largest exponent is."""
+    ratios = point.ratio_oracles()
+
+    def pick(lo, hi):
+        best = []
+        for q in brute_records(point, lo, hi)[1]:
+            enc, _ = multiform._refined_max_dist(ratios, q)
+            best.append((multiform._omega_point(enc.hi, q), -q, enc))
+        return max(best)
 
     half = q_bound // 2
-    tail = heapq.nlargest(8, map(key, range(max(2, half + 1), q_bound + 1)))
-    top = heapq.nlargest(8, list(map(key, range(2, half + 1))) + tail)
-
-    def pick(keys):
-        best = []
-        for _, negq in keys:
-            enc, _ = multiform._refined_max_dist(ratios, -negq)
-            best.append((multiform._omega_point(enc.hi, -negq), negq, enc))
-        w, negq, enc = max(best)
-        return -negq, w, enc
-
-    return multiform.OmegaReport(q_bound, *pick(top), *pick(tail))
+    found = [pick(lo, hi) for lo, hi in [(2, half), (max(2, half + 1), q_bound)] if lo <= hi]
+    top, tail = max(found), found[-1]
+    return multiform.OmegaReport(
+        q_bound, -top[1], top[0], top[2], -tail[1], tail[0], tail[2]
+    )
 
 
 def _assert_scored_once_in(scores, rng):
@@ -335,7 +355,7 @@ class TestDirichlet:
         score = multiform._approx_score
         monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", k - 1)
         monkeypatch.setattr(
-            multiform, "_approx_score", lambda q, fixed: scores.append(q) or score(q, fixed)
+            multiform, "_approx_score", lambda q, *a: scores.append(q) or score(q, *a)
         )
         with pytest.raises(RangeTooLarge, match=f"budget {k - 1}"):
             dirichlet_witness(point, 10)
@@ -364,7 +384,7 @@ class TestDirichlet:
         scores = []
         score = multiform._approx_score
         monkeypatch.setattr(
-            multiform, "_approx_score", lambda q, fixed: scores.append(q) or score(q, fixed)
+            multiform, "_approx_score", lambda q, *a: scores.append(q) or score(q, *a)
         )
         search(point)
         _assert_scored_once_in(scores, scored)

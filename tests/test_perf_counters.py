@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dioph import certlog, dichotomy, multiform
+from dioph import certlog, dichotomy, multiform, seqbuild
 from dioph.cli import main
 from dioph.contfrac import expand
 from dioph.dichotomy import (
@@ -20,6 +20,7 @@ from dioph.dichotomy import (
     _surrogate,
     solve_disjunction,
 )
+from dioph.errors import RangeTooLarge
 from dioph.multiform import PointVec, dirichlet_witness, omega0_search
 from dioph.oracle import RationalOracle, SqrtOracle, parse_oracle
 
@@ -136,10 +137,80 @@ def test_simultaneous_searches_score_only_stream_hits(monkeypatch, search, score
     calls = []
     score = multiform._approx_score
     monkeypatch.setattr(
-        multiform, "_approx_score", lambda q, fixed: calls.append(q) or score(q, fixed)
+        multiform, "_approx_score", lambda q, *a: calls.append(q) or score(q, *a)
     )
     search(point)
     assert len(calls) <= scores_at_most
+
+
+def test_omega0_certifies_only_records(monkeypatch):
+    # the record stream scored 788 and certified 42 of the 10**5 denominators
+    point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    scores, certified = [], []
+    score, verify = multiform._approx_score, multiform._refined_max_dist
+    monkeypatch.setattr(
+        multiform, "_approx_score", lambda q, *a: scores.append(q) or score(q, *a)
+    )
+    monkeypatch.setattr(
+        multiform, "_refined_max_dist", lambda r, q: certified.append(q) or verify(r, q)
+    )
+    omega0_search(point, 10**5)
+    assert len(scores) <= 1000
+    assert 0 < len(certified) <= 64
+
+
+def test_first_mode_past_the_fixed_point_certifies_little(monkeypatch):
+    # with the fixed point at 2**96, Q**2 = 10**30 let every q pass the
+    # prefilter, and each stream hit was certified
+    point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    certified = []
+    verify = multiform._refined_max_dist
+    monkeypatch.setattr(
+        multiform, "_refined_max_dist", lambda r, q: certified.append(q) or verify(r, q)
+    )
+    monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", 2000)
+    with pytest.raises(RangeTooLarge, match="budget 2000"):
+        dirichlet_witness(point, 10**15)
+    assert len(certified) <= 8
+
+
+def test_density_separates_each_distance_on_one_rung(monkeypatch):
+    # nearest_int's distances already failed the first level's separation,
+    # so the ladder starts one rung above it and its first rung passes
+    rungs = []
+    separated = seqbuild.separated
+
+    def counting(enclose_at, what, **kw):
+        rungs.append(0)
+
+        def counted(k):
+            rungs[-1] += 1
+            return enclose_at(k)
+
+        return separated(counted, what, **kw)
+
+    monkeypatch.setattr(seqbuild, "separated", counting)
+    qs = [1, 2]
+    while len(qs) < 17:
+        qs.append(2 * qs[-1] + qs[-2])  # sqrt2's convergent denominators
+    seqbuild.density_data(qs, SqrtOracle(2, "sqrt2"))
+    assert len(rungs) > 0
+    assert rungs == [1] * len(rungs)
+
+
+def test_ln_frac_caches_are_keyed_by_width(monkeypatch):
+    # 1000 distinct arguments at one k: only the widths, not the
+    # arguments, may stay in a process-level cache
+    caches = [f for f in vars(certlog).values() if hasattr(f, "cache_info")]
+    for c in caches:
+        c.cache_clear()
+    widths = set()
+    ln2 = certlog._ln2_fixed
+    monkeypatch.setattr(certlog, "_ln2_fixed", lambda w: widths.add(w) or ln2(w))
+    rng = random.Random(1000)
+    for _ in range(1000):
+        certlog.ln_frac(F(rng.getrandbits(64) + 1, rng.getrandbits(64) + 1), 96)
+    assert 0 < sum(c.cache_info().currsize for c in caches) <= len(widths)
 
 
 def test_ln_frac_does_no_fraction_arithmetic(monkeypatch):
@@ -147,7 +218,6 @@ def test_ln_frac_does_no_fraction_arithmetic(monkeypatch):
     rng = random.Random(2000)
     x = F(rng.getrandbits(2000) | 1 << 1999, rng.getrandbits(1990) | 1)
     expected = certlog.ln_frac(x, 96)
-    certlog._atanh_fixed.cache_clear()
 
     def forbidden(*args):
         raise AssertionError("Fraction arithmetic in ln_frac")

@@ -27,7 +27,7 @@ from dioph.oracle import (
     parse_rational,
 )
 from test_dichotomy import _brute_case_ii, direct_hit
-from test_multiform import brute_dirichlet, brute_omega0
+from test_multiform import brute_dirichlet, brute_omega0, brute_records
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 positives = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
@@ -301,7 +301,7 @@ points = st.builds(
 
 def _verified(search, *args):
     """The search's result and the denominators it verified with
-    enclosures, in first-seen order: for omega0 these are the float top 8s."""
+    enclosures, in first-seen order."""
     seen = []
     verify = multiform._refined_max_dist
     with pytest.MonkeyPatch.context() as mp:
@@ -319,4 +319,33 @@ def test_simultaneous_searches_match_full_scans(point, Q, q_bound):
     assert _verified(dirichlet_witness, point, Q, "best") == _verified(
         brute_dirichlet, point, Q, "best"
     )
-    assert _verified(omega0_search, point, q_bound) == _verified(brute_omega0, point, q_bound)
+    report, verified = _verified(omega0_search, point, q_bound)
+    assert report == brute_omega0(point, q_bound)
+    half = q_bound // 2
+    for lo, hi in ((2, half), (max(2, half + 1), q_bound)):
+        assert set(brute_records(point, lo, hi)[0]) <= set(verified)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.fractions(0, 1, max_denominator=10**9), min_size=1, max_size=3),
+    st.integers(min_value=6, max_value=14),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=300),
+    units,
+)
+def test_record_stream_yields_every_record(xs, bits, lo, span, start):
+    # a coarse fixed point, so that the scores' error matters
+    M, hi = 1 << bits, lo + span
+    fixed = [(x * M).__floor__() for x in xs]
+    err = hi + 2  # |q X_j - q x_j M| < q
+    near = (start * M).__floor__()
+    got = list(multiform._records(fixed, M, err, lo, hi, near))
+    assert [q for q, _ in got] == sorted({q for q, _ in got})
+    assert all(s == multiform._approx_score(q, fixed, M) <= near for q, s in got)
+    least = None
+    for q in range(lo, hi + 1):
+        d = max(abs(q * x - round(q * x)) for x in xs)
+        if (least is None or d < least) and M * d + err <= near:
+            assert q in dict(got)
+        least = d if least is None else min(least, d)
