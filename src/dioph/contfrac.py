@@ -1,21 +1,24 @@
 """Certified continued-fraction expansion and convergents.
 
-``expand`` is a view of the oracle's own quotient cache. The quotient sources
-live in the oracle subclasses (``RealOracle._more_quotients``): a generator
-for values defined by their quotients, Euclid on the point value for exact
-rationals (the expansion terminates), and otherwise Euclid run in lockstep on
-both ends of a canonical enclosure, resumed one level above the cached one.
+``expand`` is a view of the oracle's own quotient cache, and ``walk`` searches
+its convergents, growing it through ``expand``. The quotient sources live in
+the oracle subclasses (``RealOracle._more_quotients``): a generator for values
+defined by their quotients, Euclid on the point value for exact rationals (the
+expansion terminates), and otherwise Euclid run in lockstep on both ends of a
+canonical enclosure, resumed one level above the cached one and past the
+cached quotients. ``convergents`` shares the oracle's convergent recurrence.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .certlog import ln_frac
-from .errors import Degenerate
-from .oracle import RealOracle
+from .errors import Degenerate, Unrepresentable
+from .oracle import RealOracle, extend_convergents
 
 
 @dataclass(frozen=True)
@@ -57,15 +60,30 @@ def expand(oracle: RealOracle, depth: int) -> CFExpansion:
     return CFExpansion(tuple(quots[:count]), terminated=ended and len(quots) <= count)
 
 
+def walk(oracle: RealOracle, reached, short: str):
+    """(cons, j): the oracle's cached convergents (p, q) and the first j with
+    ``reached(cons, j)``, which is monotone in j, or one past the end of a
+    terminating expansion; found by bisection from where the last round
+    stopped. Past the cache ``expand`` grows it by a quotient at least (a
+    ladder rung) and to twice the last request (few generator rounds), up to
+    a truncated supply, whose end raises UNREPRESENTABLE with ``short``."""
+    supply, cons = oracle.quotient_count(), oracle.cf_convergents(0)
+    j, depth, ended = 0, 0, False
+    while True:
+        j = bisect_left(range(len(cons)), True, j, key=lambda i: reached(cons, i))
+        if j < len(cons) or ended:
+            return cons, j
+        if j < depth:
+            raise Unrepresentable(f"{oracle.spec}: {short}")
+        depth = max(2 * depth, j + 1)
+        ended = expand(oracle, (depth if supply is None else min(depth, supply)) - 1).terminated
+        cons = oracle.cf_convergents(0)
+
+
 def convergents(cf: CFExpansion) -> list:
     """Convergent list p_k/q_k for the expansion, lowest terms guaranteed."""
-    out = []
-    p1, q1 = 1, 0
-    p0, q0 = 0, 1
-    for i, a in enumerate(cf.quotients):
-        p1, q1, p0, q0 = a * p1 + p0, a * q1 + q0, p1, q1
-        out.append(Convergent(p1, q1, i))
-    return out
+    pairs = extend_convergents([], cf.quotients)
+    return [Convergent(p, q, i) for i, (p, q) in enumerate(pairs)]
 
 
 def mu_estimate(oracle: RealOracle, depth: int) -> MuEstimate:

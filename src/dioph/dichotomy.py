@@ -29,14 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .contfrac import Convergent, expand
+from .contfrac import Convergent, walk
 from .enclosure import Enclosure, Rat, _frac
 from .errors import (
     CertificateError,
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
-    Unrepresentable,
 )
 from .oracle import RealOracle, refine
 
@@ -204,39 +203,10 @@ def _frac_window_check(oracle, q, t_lo, t_hi, stats):
     return refine(step, f"window membership for q={q} undecided", stats)
 
 
-def _walk(oracle: RealOracle, reached, short: str):
-    """(cons, j): the oracle's cached convergents (p, q) and the first j with
-    ``reached(cons, j)``; j is one past the end of a terminating expansion.
-
-    The convergents already cached are walked first, with no oracle call.
-    Only past them does ``expand`` grow the cache, to twice the walked
-    length and at least 16 quotients (a_0 counted), clamped to a truncated
-    generator's supply. Raises UNREPRESENTABLE, saying what fell ``short``,
-    once the supply ends."""
-    supply = oracle.quotient_count()
-    cons = oracle.cf_convergents(0)
-    j = depth = 0
-    ended = False
-    while True:
-        while j < len(cons):
-            if reached(cons, j):
-                return cons, j
-            j += 1
-        if ended:
-            return cons, j
-        if j < depth:
-            raise Unrepresentable(f"{oracle.spec}: {short}")
-        depth = max(16, 2 * j)
-        cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
-        cons = oracle.cf_convergents(len(cf.quotients))
-        ended = cf.terminated
-
-
 def _surrogate(oracle: RealOracle, accuracy_den: int) -> Convergent:
     """A convergent p_K/q_K of xi with q_K q_{K+1} >= accuracy_den."""
-    cons, j = _walk(
-        oracle,
-        lambda cons, j: j > 0 and cons[j - 1][1] * cons[j][1] >= accuracy_den,
+    cons, j = walk(
+        oracle, lambda cons, j: j > 0 and cons[j - 1][1] * cons[j][1] >= accuracy_den,
         f"quotient supply too small for a surrogate of accuracy 1/{accuracy_den}",
     )
     return Convergent(*cons[j - 1], j - 1)
@@ -320,9 +290,8 @@ def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
     p_{i-1}|: each semiconvergent is farther than the convergent before it.
     A short quotient supply raises before any check.
     """
-    cons, end = _walk(
-        oracle,
-        lambda cons, j: cons[j][1] >= u_limit,
+    cons, end = walk(
+        oracle, lambda cons, j: cons[j][1] >= u_limit,
         f"quotient supply ends below denominator bound {u_limit}",
     )
     for p, q in cons[:end]:

@@ -144,29 +144,23 @@ class RealOracle:
         return self._cf_quotients, self._cf_ended
 
     def cf_convergents(self, count: int) -> list:
-        """The cached convergents (p_j, q_j) of the quotients, first extended
-        to ``count`` of them unless the expansion ends sooner."""
-        conv = self._conv
-        if len(conv) < count:
-            quots, _ = self.cf_quotients(count)
-            (p0, q0), (p1, q1) = ([(0, 1), (1, 0)] + conv[-2:])[-2:]
-            for a in quots[len(conv):count]:
-                p1, q1, p0, q0 = a * p1 + p0, a * q1 + q0, p1, q1
-                conv.append((p1, q1))
-        return conv
+        """The cached convergents (p_j, q_j), one per cached quotient, first
+        extended to ``count`` of them unless the expansion ends sooner."""
+        quots, _ = self.cf_quotients(count)
+        return extend_convergents(self._conv, quots[len(self._conv):])
 
     def _more_quotients(self, count: int):
         """Extend the quotient cache to ``count`` quotients or to its end:
-        Euclid on a rational point value, else on canonical enclosures from
-        one level above the cached one (INCONCLUSIVE at the precision cap)."""
+        Euclid on a rational point value, else resumed past the cached
+        quotients on canonical enclosures from one level above the cached one,
+        which nest in it (INCONCLUSIVE at the precision cap)."""
         v = self.exact_value()
         if v is not None:
-            self._cf_quotients = _certified_prefix(Enclosure.point(v))
-            self._cf_ended = True
+            self._cf_quotients, self._cf_ended = _certified_prefix(Enclosure.point(v)), True
             return
 
         def step(k):
-            self._cf_quotients = _certified_prefix(self.enclose(k))
+            self._cf_quotients += _certified_prefix(self.enclose(k), self.cf_convergents(0))
             self._cf_level = k
             return True if len(self._cf_quotients) >= count else None
 
@@ -179,14 +173,37 @@ class RealOracle:
         return f"<oracle {self.spec}>"
 
 
-def _certified_prefix(enc: Enclosure) -> list:
-    """CF quotients common to every point of ``enc``.
+def _last_two(conv) -> list:
+    """The last two convergents (p, q) of ``conv`` after the seeds 0/1, 1/0."""
+    return [(0, 1), (1, 0), *conv[-2:]][-2:]
 
-    Euclid runs on both endpoints at once and stops at the first quotient
-    they disagree on, or once either endpoint's expansion has ended.
+
+def extend_convergents(conv: list, quots) -> list:
+    """Append to the convergents (p, q) in ``conv`` those of ``quots``, the
+    quotients after the ones it covers, from the seeds 0/1, 1/0 when empty."""
+    (p0, q0), (p1, q1) = _last_two(conv)
+    for a in quots:
+        p1, q1, p0, q0 = a * p1 + p0, a * q1 + q0, p1, q1
+        conv.append((p1, q1))
+    return conv
+
+
+def _certified_prefix(enc: Enclosure, conv=()) -> list:
+    """CF quotients common to every point of ``enc`` after those whose
+    convergents are ``conv``, which every point of ``enc`` must share.
+
+    Each endpoint x maps to its complete quotient (p0 - q0 x)/(q1 x - p1)
+    through the last two convergents; one equal to p1/q1 has no quotient
+    after them. Euclid runs on both at once and stops at the first quotient
+    they disagree on, or once either expansion has ended.
     """
-    p, q = enc.lo.numerator, enc.lo.denominator
-    r, s = enc.hi.numerator, enc.hi.denominator
+    (p0, q0), (p1, q1) = _last_two(conv)
+    (p, q), (r, s) = [
+        (p0 * x.denominator - q0 * x.numerator, q1 * x.numerator - p1 * x.denominator)
+        for x in (enc.lo, enc.hi)
+    ]
+    if q == 0 or s == 0:
+        return []
     quots = []
     while True:
         a, x = divmod(p, q)
@@ -357,7 +374,7 @@ class CFOracle(RealOracle):
         if self.is_finite():
             # the whole expansion at once: quotients, convergents and value
             self._cf_quotients, self._cf_ended = self.prefix, True
-            self._value = Fraction(*self.cf_convergents(len(self.prefix))[-1])
+            self._value = Fraction(*self.cf_convergents(0)[-1])
 
     def is_finite(self) -> bool:
         return self.periodic is None and self.liouville_base is None
@@ -395,18 +412,14 @@ class CFOracle(RealOracle):
     def _raw(self, k: int) -> Enclosure:
         if self._value is not None:
             return Enclosure.point(self._value)
-        n = self.quotient_count()
-        j = 1
-        while True:
-            if n is not None and j >= n:
-                raise Unrepresentable(
-                    f"{self.spec}: available quotients give width above 2**-{k}"
-                )
+        n, j = self.quotient_count(), 1
+        while n is None or j < n:
             (p0, q0), (p1, q1) = self.cf_convergents(j + 1)[j - 1:j + 1]
             if q0 * q1 >= 1 << k:
                 a, b = Fraction(p0, q0), Fraction(p1, q1)
                 return Enclosure(min(a, b), max(a, b))
             j += 1
+        raise Unrepresentable(f"{self.spec}: available quotients give width above 2**-{k}")
 
     def exact_value(self) -> Optional[Fraction]:
         return self._value

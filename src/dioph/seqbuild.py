@@ -176,6 +176,10 @@ class BuildResult:
 def _rate_precheck(rates: RateSpec, n_range, mu_upper: Fraction, slack: Fraction):
     bound = 1 / (mu_upper - 1) + slack
     if rates.kind == "geometric":
+        if min(n_range) < 1:
+            raise PreconditionError(
+                "BAD_PARAMS", f"geometric rates need n >= 1, got n={min(n_range)}"
+            )
         ratio_hi = ln_frac(1 / rates.alpha, 96).hi / ln_frac(rates.beta, 96).lo
         if ratio_hi > bound:
             raise RateViolation(
@@ -411,7 +415,8 @@ def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEsti
     beta_enc = beta_core * growth
     p0, p1 = pos[0], pos[-1]
     decayed = raw_res[p1].hi < raw_res[p0].lo
-    ln_res = [ln_enclosure(raw_res[i], 64).mid for i in pos]
+    # residuals are separated from zero, so one log of one end will do
+    ln_res = [ln_enclosure(raw_res[i].hi, 64).mid for i in pos]
     in_band = sum(
         1 for la, lb in zip(ln_res, ln_res[1:])
         if la != 0 and abs(lb / la - 1) <= REGULARITY_DELTA

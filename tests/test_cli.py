@@ -173,6 +173,18 @@ def test_bad_params_exit_code(capsys):
     assert err.startswith("error:")
 
 
+def test_build_with_geometric_rates_rejects_index_zero(capsys):
+    # beta**0 = 1 used to reach LemmaParams as "need Q > 1, got 2**64/..."
+    code, out, err = run_cli(
+        capsys,
+        "build", "--oracle", "const:sqrt2", "--mu", "21/10",
+        "--alpha", "1/2", "--beta", "3", "--n", "0:5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BAD_PARAMS") and "n=0" in err
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "cf", "--oracle", "cf:liouville:10", "--depth", "20")
     assert code == 3

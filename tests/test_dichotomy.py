@@ -390,3 +390,12 @@ def test_liouville_case_i_checks_convergents_only(capsys, certify_calls):
     assert doc["outcome"] == "I"
     assert (doc["witness"]["u"], doc["witness"]["v"]) == ("9697230857", "4311744516")
     assert [u for u, _ in certify_calls] == [1, 2, 9, 578, 9697230857]
+
+
+def test_affine_liouville_surrogate_stops_before_the_supply(capsys):
+    # the walk asked for 16 quotients first, so the affine oracle's ladder
+    # ran past the inner quotient supply and raised UNREPRESENTABLE; a scan
+    # of every q from Q up finds the same first hit
+    doc = _lemma_cli(capsys, "affine:1/1:cf:liouville:3", "1/1000", "3486784401")
+    assert doc["outcome"] == "II"
+    assert (doc["witness"]["q"], doc["witness"]["p"]) == ("3486799276", "4607562286")

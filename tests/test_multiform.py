@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dioph import dichotomy, multiform, seqbuild
+from dioph import certlog, dichotomy, multiform, seqbuild
 from dioph.errors import (
     CertificateError,
     Degenerate,
@@ -167,7 +167,7 @@ class TestTauEmpirical:
         assert est.method == "ratio-richardson/ratio-richardson"
 
     def test_window_costs_one_log_per_position(self, monkeypatch):
-        calls = {"root": 0, "ln": 0}
+        calls = {"root": 0, "ln": 0, "ln_frac": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -177,10 +177,12 @@ class TestTauEmpirical:
 
         monkeypatch.setattr(seqbuild, "root_enclosure", counting("root", seqbuild.root_enclosure))
         monkeypatch.setattr(seqbuild, "ln_enclosure", counting("ln", seqbuild.ln_enclosure))
+        monkeypatch.setattr(certlog, "ln_frac", counting("ln_frac", certlog.ln_frac))
         est = tau_empirical(apery_forms(3, 120), window=(60, 120))
-        # Richardson takes no root, and the regularity gate one log per index
+        # Richardson takes no root, and the regularity gate one log of one
+        # point per index: a log of each end made 122 ln_frac calls
         assert est.method == "ratio-richardson/ratio-richardson"
-        assert calls == {"root": 0, "ln": 61}
+        assert calls == {"root": 0, "ln": 61, "ln_frac": 61}
 
     def test_window_encloses_only_its_forms(self, monkeypatch):
         indices = []

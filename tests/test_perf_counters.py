@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dioph import certlog, dichotomy, multiform, seqbuild
+from dioph import certlog, contfrac, dichotomy, multiform, oracle, seqbuild
 from dioph.cli import main
 from dioph.contfrac import expand
 from dioph.dichotomy import (
@@ -108,22 +108,45 @@ def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
     assert len(checks) <= 2
 
 
-@pytest.mark.parametrize("walk", [
-    lambda o: _surrogate(o, 10**300),
-    lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), _Stats()),
+@pytest.mark.parametrize("walk,encloses", [
+    (lambda o: _surrogate(o, 10**300), False),
+    # case (i)'s distance certificates read the cached enclosures
+    (lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), _Stats()), True),
 ], ids=["surrogate", "case_i"])
-def test_warm_walk_makes_no_expand_call(monkeypatch, walk):
+def test_warm_walk_makes_no_expand_call(monkeypatch, walk, encloses):
+    # a warm walk searches the cached convergents: no quotient is extracted
+    # and no enclosure is computed
     o = CountingSqrt2()
     first = walk(o)
-    calls = []
+    expands, extractions = [], []
+    monkeypatch.setattr(contfrac, "expand", lambda *a: expands.append(a) or expand(*a))
+    prefix = oracle._certified_prefix
+    monkeypatch.setattr(
+        oracle, "_certified_prefix", lambda *a: extractions.append(a) or prefix(*a)
+    )
+    o.raw_calls = o.enclose_calls = 0
+    assert walk(o) == first
+    assert (o.raw_calls, expands, extractions) == (0, [], [])
+    assert (o.enclose_calls > 0) == encloses
+
+
+def test_each_quotient_is_extracted_once(monkeypatch):
+    # every rung resumes past the cached quotients: a fresh solve at
+    # Q = 10**400 re-ran Euclid from a_0 at each of its rungs
+    extracted = []
+    prefix = oracle._certified_prefix
 
     def counting(*args):
-        calls.append(args)
-        return expand(*args)
+        quots = prefix(*args)
+        extracted.append(len(quots))
+        return quots
 
-    monkeypatch.setattr(dichotomy, "expand", counting)
-    assert walk(o) == first
-    assert calls == []
+    monkeypatch.setattr(oracle, "_certified_prefix", counting)
+    o = SqrtOracle(2, "sqrt2")
+    solve_disjunction(o, LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**400))
+    quots, _ = o.cf_quotients(0)
+    assert len(extracted) > 1
+    assert sum(extracted) <= len(quots)
 
 
 @pytest.mark.parametrize("search,scores_at_most", [

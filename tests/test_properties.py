@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from dioph.oracle import (
     RationalOracle,
     SqrtOracle,
     _certified_prefix,
+    extend_convergents,
     parse_oracle,
     parse_rational,
 )
@@ -137,6 +139,25 @@ def _mobius_ladder(enc):
 def test_lockstep_euclid_matches_mobius_ladder(x, k, t):
     enc = Enclosure(x, x + t / 2**k)
     assert _certified_prefix(enc) == _mobius_ladder(enc)
+
+
+non_squares = st.integers(min_value=2, max_value=500).filter(lambda n: isqrt(n) ** 2 != n)
+resumable = st.one_of(
+    non_squares.map(lambda n: SqrtOracle(n, f"sqrt{n}")),
+    st.tuples(st.sampled_from(sorted(CATALOG)), rationals.filter(bool), rationals).map(
+        lambda t: AffineOracle(t[1], t[2], CATALOG[t[0]]())
+    ),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(resumable, st.integers(min_value=1, max_value=1500), st.integers(min_value=1, max_value=3000))
+def test_resumed_extraction_matches_extraction_from_a0(oracle, k1, dk):
+    # the finer enclosure nests in the one that certified the prefix, so
+    # Euclid resumed past the prefix's last two convergents finds the rest
+    head = _certified_prefix(oracle.enclose(k1))
+    tail = _certified_prefix(oracle.enclose(k1 + dk), extend_convergents([], head)[-2:])
+    assert head + tail == _certified_prefix(oracle.enclose(k1 + dk))
 
 
 def _fraction_ln_frac(x, k):
