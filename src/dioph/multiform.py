@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Optional
 
 from .certlog import ln_frac
@@ -203,6 +203,16 @@ def _refined_max_dist(ratios, q: int):
     return refine(step, what, start=2 * level_for(1)), qs
 
 
+def _omega_cap(M: int, excess: int, q: int):
+    """Upper bound on omega(q) = -log d(q) / log q from a score s within err
+    of M d(q), with ``excess`` = s - err: d(q) >= excess / M, so omega(q) <=
+    log(M / excess) / log q; infinite when excess <= 0. A cap only orders and
+    prunes records, so 16-bit logs do."""
+    if excess <= 0:
+        return inf
+    return ln_frac(Fraction(M, excess), 16).hi / ln_frac(q, 16).lo
+
+
 def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
     """Directed-down pointwise exponent -log dist / log q."""
     if dist_hi <= 0:
@@ -273,10 +283,14 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     """Largest pointwise exponent over q0 in [2, q_bound], plus the same
     restricted to the top half of the range.
 
-    Each half certifies the exponent of every record it holds (see
-    :func:`_records`) with exact enclosures and keeps the largest, ties to
-    the smaller q0; the whole range's answer is the larger of the halves'.
-    The reported exponents are certified lower bounds at their denominators.
+    Each half bounds the exponent of every record it holds (see
+    :func:`_records`) from above by its score (:func:`_omega_cap`), then
+    certifies exponents with exact enclosures in descending order of those
+    bounds, until a bound falls below the largest certified exponent, and
+    keeps the largest, ties to the smaller q0; the whole range's answer is
+    the larger of the halves'. A record left out has a certified exponent at
+    most its bound, so it could neither beat nor tie the one kept. The
+    reported exponents are certified lower bounds at their denominators.
     A half whose stream has more than DEFAULT_BUDGET candidates raises
     RANGE_TOO_LARGE.
     """
@@ -284,14 +298,22 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
     ratios = point.ratio_oracles()
     M, fixed = _fixed_points(ratios, q_bound)
+    err = q_bound + 2
     half = q_bound // 2
 
     def largest(lo, hi):
-        scored = []
-        for q, _ in _records(fixed, M, q_bound + 2, lo, hi, M):
-            enc, _ = _refined_max_dist(ratios, q)
-            scored.append((_omega_point(enc.hi, q), -q, enc))
-        return max(scored)
+        # descending caps, ties to the smaller q
+        capped = sorted(
+            ((_omega_cap(M, s - err, q), -q) for q, s in _records(fixed, M, err, lo, hi, M)),
+            reverse=True,
+        )
+        best = ()
+        for cap, neg_q in capped:
+            if best and cap < best[0]:
+                break
+            enc, _ = _refined_max_dist(ratios, -neg_q)
+            best = max(best, (_omega_point(enc.hi, -neg_q), neg_q, enc))
+        return best
 
     halves = [(2, half), (max(2, half + 1), q_bound)]
     found = [largest(lo, hi) for lo, hi in halves if lo <= hi]

@@ -233,12 +233,14 @@ def build_sequence(
         eta_used[n] = h
         lam = 1 + h
         mu = 1 + 2 * h
-        params = LemmaParams(
-            lam * SHRINK,
-            mu * SHRINK,
-            eps / sqrt_lower(mu, 64),
-            Q / sqrt_lower(lam, 64),
-        )
+        band_Q = Q / sqrt_lower(lam, 64)
+        if band_Q <= 1:
+            raise PreconditionError(
+                "BAD_PARAMS",
+                f"row n={n}: Q_n={Q} is too small for its band, "
+                f"need Q_n / sqrt(1 + eta_n) > 1",
+            )
+        params = LemmaParams(lam * SHRINK, mu * SHRINK, eps / sqrt_lower(mu, 64), band_Q)
         res = solve_disjunction(inner, params)
         if res.outcome == "case_ii":
             q, p = res.witness.q, res.witness.p

@@ -185,6 +185,18 @@ def test_build_with_geometric_rates_rejects_index_zero(capsys):
     assert err.startswith("error: BAD_PARAMS") and "n=0" in err
 
 
+def test_build_names_the_row_too_small_for_its_band(capsys):
+    # 11/10 / sqrt(1 + eta_1) < 1 used to reach LemmaParams as "need Q > 1, got ..."
+    code, out, err = run_cli(
+        capsys,
+        "build", "--oracle", "const:sqrt2", "--mu", "21/10",
+        "--alpha", "99/100", "--beta", "11/10", "--n", "1:5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BAD_PARAMS") and "n=1" in err and "Q_n=11/10" in err
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "cf", "--oracle", "cf:liouville:10", "--depth", "20")
     assert code == 3

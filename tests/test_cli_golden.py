@@ -4,11 +4,12 @@ Each file in ``tests/golden/`` was recorded before a refactor that keeps
 every witness, enclosure and quotient (the cf, build and sqrt2 lemma files
 before quotient caching and the removal of the short-span direct scan, the
 nesterenko and u,v tau files before the rate layer dropped its unread
-diagnostics, the rest before the shared refinement ladder), so stdout must
-match byte for byte. The one recorded difference is ``stats.candidates`` of
-``lemma``: the direct scan checked every integer of a short range, the
-residue-class search checks only surrogate candidates. That key is asserted
-on its own.
+diagnostics, the omega0 files at q-bound 100000 and 10000 before the search
+left out the records whose exponent bounds cannot win, the rest before the
+shared refinement ladder), so stdout must match byte for byte. The one
+recorded difference is ``stats.candidates`` of ``lemma``: the direct scan
+checked every integer of a short range, the residue-class search checks only
+surrogate candidates. That key is asserted on its own.
 """
 
 import re
@@ -65,6 +66,10 @@ def _stdout(capsys, argv):
     ("tau_sqrt2_uv_csv.json",
      ("multi", "tau", "--forms-csv", str(GOLDEN / "sqrt2_convergents.csv"),
       "--oracle", "const:sqrt2")),
+    ("omega0_1_sqrt2_sqrt3_q100000.json",
+     ("multi", "omega0", "--point", POINT, "--q-bound", "100000")),
+    ("omega0_1_zeta3_q10000.json",
+     ("multi", "omega0", "--point", "rat:1,const:zeta3", "--q-bound", "10000")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

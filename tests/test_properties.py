@@ -334,17 +334,43 @@ def _verified(search, *args):
 
 
 @settings(deadline=None, max_examples=30)
-@given(points, st.integers(min_value=2, max_value=30), st.integers(min_value=2, max_value=3000))
-def test_simultaneous_searches_match_full_scans(point, Q, q_bound):
+@given(
+    points,
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=2, max_value=3000),
+    st.integers(min_value=1, max_value=96),
+)
+def test_simultaneous_searches_match_full_scans(point, Q, q_bound, loosen):
     assert _verified(dirichlet_witness, point, Q) == _verified(brute_dirichlet, point, Q)
     assert _verified(dirichlet_witness, point, Q, "best") == _verified(
         brute_dirichlet, point, Q, "best"
     )
     report, verified = _verified(omega0_search, point, q_bound)
     assert report == brute_omega0(point, q_bound)
+    ratios = point.ratio_oracles()
+
+    def largest(qs):
+        return max(
+            (multiform._omega_point(multiform._refined_max_dist(ratios, q)[0].hi, q), -q)
+            for q in qs
+        )
+
+    # each half certifies records only, and its winner is the winner of all
+    # of its records
     half = q_bound // 2
     for lo, hi in ((2, half), (max(2, half + 1), q_bound)):
-        assert set(brute_records(point, lo, hi)[0]) <= set(verified)
+        if lo > hi:
+            continue
+        records = brute_records(point, lo, hi)[0]
+        certified = [q for q in verified if lo <= q <= hi]
+        assert set(certified) <= set(records)
+        assert largest(certified) == largest(records)
+
+    # any looser caps, which reorder the records, keep the report
+    cap = multiform._omega_cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiform, "_omega_cap", lambda M, e, q: cap(M, e, q) + q * loosen % 7)
+        assert omega0_search(point, q_bound) == report
 
 
 @settings(deadline=None, max_examples=100)
