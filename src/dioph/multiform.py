@@ -45,6 +45,7 @@ from .seqbuild import RateEstimate, _measure_core
 
 # verified distances are refined to this width
 _DIST_TOL = Fraction(1, 1 << 80)
+FORM_BITS = 128  # significant bits a form value keeps; its readers use about 112
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,10 @@ def evaluate_form(
 ) -> Enclosure:
     """Signed enclosure of the form value, separated from zero.
 
+    Each level sums l_j times the matching ends of the coordinates'
+    enclosures as one integer fraction per end and rounds it outward to a
+    dyadic keeping FORM_BITS bits of the end nearer zero; the separation test
+    then runs on the result, which still contains the value.
     Exact zeros (all-rational points) raise ZERO_FORM_VALUE; values that
     cannot be separated within the precision cap raise INCONCLUSIVE.
     """
@@ -112,11 +117,21 @@ def evaluate_form(
     pad = sum(abs(c) for c in form.coeffs).bit_length() + 2
 
     def enclose_at(k):
-        enc = Enclosure.point(0)
+        lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
         for l, c in zip(form.coeffs, point.coords):
             if l:
-                enc = enc + c.enclose(k + pad) * l
-        return enc
+                enc = c.enclose(k + pad)
+                a, b = (enc.lo, enc.hi) if l > 0 else (enc.hi, enc.lo)
+                lo_n = lo_n * a.denominator + l * a.numerator * lo_d
+                lo_d *= a.denominator
+                hi_n = hi_n * b.denominator + l * b.numerator * hi_d
+                hi_d *= b.denominator
+        # ulps of 2**(down - up) leave 127-128 bits in the end nearer zero
+        e = min(abs(n).bit_length() - d.bit_length() for n, d in ((lo_n, lo_d), (hi_n, hi_d)))
+        up, down = max(FORM_BITS - 1 - e, 0), max(e + 1 - FORM_BITS, 0)
+        lo = Fraction((lo_n << up) // (lo_d << down) << down, 1 << up)
+        hi = Fraction(-((-hi_n << up) // (hi_d << down)) << down, 1 << up)
+        return Enclosure(lo, hi)
 
     return separated(enclose_at, f"form value {form.coeffs} not separated from zero")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .certlog import ln_enclosure, ln_frac
+from .certlog import ln_frac
 from .dichotomy import LemmaParams, solve_disjunction
 from .enclosure import (
     Enclosure,
@@ -147,6 +147,8 @@ class EtaSchedule:
             if n not in self.table:
                 raise PreconditionError("BAD_PARAMS", f"eta table has no row for n={n}")
             return self.table[n]
+        if n < -1:
+            raise PreconditionError("BAD_PARAMS", f"row n={n}: eta rule 1/ln(n+3) needs n >= -1")
         ln_hi = ln_frac(n + 3, 96).hi
         eta = dyadic_below(1 / ln_hi, ETA_GRID_BITS)
         return min(ETA_MAX, eta)
@@ -221,16 +223,16 @@ def build_sequence(
         raise PreconditionError("BAD_PARAMS", "empty index range")
     eta = eta or EtaSchedule.default_rule()
     _rate_precheck(rates, ns, mu_upper, rate_slack)
+    eta_used = {n: eta.value(n) for n in ns}
+    for n, h in eta_used.items():
+        if not (0 < h < Fraction(1, 2)):
+            raise PreconditionError("BAD_PARAMS", f"eta_{n}={h} outside (0, 1/2)")
     shift = floor_certified(oracle)
     inner = oracle if shift == 0 else AffineOracle(1, -shift, oracle)
     entries = []
-    eta_used = {}
     for n in ns:
         Q, eps = rates.targets(n)
-        h = eta.value(n)
-        if not (0 < h < Fraction(1, 2)):
-            raise PreconditionError("BAD_PARAMS", f"eta_{n}={h} outside (0, 1/2)")
-        eta_used[n] = h
+        h = eta_used[n]
         lam = 1 + h
         mu = 1 + 2 * h
         band_Q = Q / sqrt_lower(lam, 64)
@@ -385,6 +387,14 @@ def measure_rates(entries, oracle: RealOracle) -> RateEstimate:
     return _measure_core(ns, residual, raw_h, None, None, None)
 
 
+def _regular_step(a: Fraction, b: Fraction) -> bool:
+    """|ln b / ln a - 1| <= REGULARITY_DELTA = p/q for a, b > 0, decided
+    exactly: a != 1 and b**q lies between a**(q - p) and a**(q + p)."""
+    p, q = REGULARITY_DELTA.numerator, REGULARITY_DELTA.denominator
+    lo, hi = sorted((a ** (q - p), a ** (q + p)))
+    return a != 1 and lo <= b**q <= hi
+
+
 def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEstimate:
     """Shared ratio-estimation engine over residual enclosures and heights.
 
@@ -394,7 +404,8 @@ def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEsti
     back by ``scale_growth``, the certified per-step growth factor of the
     scales (1 when None); without them ``scale_growth`` is ignored. Only the
     entries :func:`_estimate_limit` reads are descaled: the window's first
-    and its last three.
+    and its last three. The regularity gate runs the exact power test
+    :func:`_regular_step`, no logarithm, on consecutive residuals' upper ends.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionError("BAD_PARAMS", "indices n must be strictly increasing")
@@ -417,12 +428,9 @@ def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEsti
     beta_enc = beta_core * growth
     p0, p1 = pos[0], pos[-1]
     decayed = raw_res[p1].hi < raw_res[p0].lo
-    # residuals are separated from zero, so one log of one end will do
-    ln_res = [ln_enclosure(raw_res[i].hi, 64).mid for i in pos]
-    in_band = sum(
-        1 for la, lb in zip(ln_res, ln_res[1:])
-        if la != 0 and abs(lb / la - 1) <= REGULARITY_DELTA
-    )
+    # residuals are separated from zero, so one end of each will do
+    ends = [raw_res[i].hi for i in pos]
+    in_band = sum(1 for a, b in zip(ends, ends[1:]) if _regular_step(a, b))
     regular = 2 * in_band >= len(pos) - 1
     if decayed and regular and alpha_enc.hi < 1 and beta_enc.lo > 1:
         tau_hat = ln_frac(1 / alpha_enc.hi, 96).lo / ln_frac(beta_enc.hi, 96).hi

@@ -197,6 +197,32 @@ def test_build_names_the_row_too_small_for_its_band(capsys):
     assert err.startswith("error: BAD_PARAMS") and "n=1" in err and "Q_n=11/10" in err
 
 
+@pytest.mark.parametrize("n", [-3, -2])
+def test_build_rejects_a_rate_row_below_the_eta_rule(capsys, tmp_path, n):
+    # the default eta rule 1/ln(n+3) has no value at n <= -2
+    rates = tmp_path / "rates.csv"
+    rates.write_text(f"n,Q,eps\n{n},1000000,1/1000\n")
+    code, out, err = run_cli(
+        capsys, "build", "--oracle", "const:sqrt2", "--mu", "21/10",
+        "--rates-csv", str(rates), f"--n={n}:{n}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BAD_PARAMS") and f"row n={n}" in err
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+def test_build_answers_rate_rows_the_eta_rule_covers(capsys, tmp_path, n):
+    rates = tmp_path / "rates.csv"
+    rates.write_text(f"n,Q,eps\n{n},1000000,1/1000\n")
+    code, out, _ = run_cli(
+        capsys, "build", "--oracle", "const:sqrt2", "--mu", "21/10",
+        "--rates-csv", str(rates), f"--n={n}:{n}",
+    )
+    assert code == 0
+    assert [e["n"] for e in json.loads(out)["entries"]] == [n]
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "cf", "--oracle", "cf:liouville:10", "--depth", "20")
     assert code == 3

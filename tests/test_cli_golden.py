@@ -5,8 +5,9 @@ every witness, enclosure and quotient (the cf, build and sqrt2 lemma files
 before quotient caching and the removal of the short-span direct scan, the
 nesterenko and u,v tau files before the rate layer dropped its unread
 diagnostics, the omega0 files at q-bound 100000 and 10000 before the search
-left out the records whose exponent bounds cannot win, the rest before the
-shared refinement ladder), so stdout must match byte for byte. The one
+left out the records whose exponent bounds cannot win, the Apéry tau files
+at n-max 120 before form values were rounded to 128 bits, the rest before
+the shared refinement ladder), so stdout must match byte for byte. The one
 recorded difference is ``stats.candidates`` of ``lemma``: the direct scan
 checked every integer of a short range, the residue-class search checks only
 surrogate candidates. That key is asserted on its own.
@@ -70,6 +71,8 @@ def _stdout(capsys, argv):
      ("multi", "omega0", "--point", POINT, "--q-bound", "100000")),
     ("omega0_1_zeta3_q10000.json",
      ("multi", "omega0", "--point", "rat:1,const:zeta3", "--q-bound", "10000")),
+    ("tau_apery2_n120.json", ("multi", "tau", "--apery", "2", "--n-max", "120")),
+    ("tau_apery3_n120.json", ("multi", "tau", "--apery", "3", "--n-max", "120")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

@@ -166,8 +166,8 @@ class TestTauEmpirical:
         assert float(est.tau_hat) == pytest.approx(0.09220634322294138, abs=1e-12)
         assert est.method == "ratio-richardson/ratio-richardson"
 
-    def test_window_costs_one_log_per_position(self, monkeypatch):
-        calls = {"root": 0, "ln": 0, "ln_frac": 0}
+    def test_window_takes_no_log(self, monkeypatch):
+        calls = {"root": 0, "ln_frac": 0, "tau_ln": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -176,13 +176,13 @@ class TestTauEmpirical:
             return wrapper
 
         monkeypatch.setattr(seqbuild, "root_enclosure", counting("root", seqbuild.root_enclosure))
-        monkeypatch.setattr(seqbuild, "ln_enclosure", counting("ln", seqbuild.ln_enclosure))
         monkeypatch.setattr(certlog, "ln_frac", counting("ln_frac", certlog.ln_frac))
+        monkeypatch.setattr(seqbuild, "ln_frac", counting("tau_ln", seqbuild.ln_frac))
         est = tau_empirical(apery_forms(3, 120), window=(60, 120))
-        # Richardson takes no root, and the regularity gate one log of one
-        # point per index: a log of each end made 122 ln_frac calls
+        # Richardson takes no root and the regularity gate is a power test:
+        # the only logs are the two of tau_hat
         assert est.method == "ratio-richardson/ratio-richardson"
-        assert calls == {"root": 0, "ln": 61, "ln_frac": 61}
+        assert calls == {"root": 0, "ln_frac": 0, "tau_ln": 2}
 
     def test_window_encloses_only_its_forms(self, monkeypatch):
         indices = []

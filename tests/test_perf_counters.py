@@ -255,6 +255,25 @@ def test_ln_frac_does_no_fraction_arithmetic(monkeypatch):
     assert got == expected
 
 
+def test_form_residuals_are_short_dyadics(monkeypatch):
+    # exact sums would carry 2000-3000-bit ends into every later gcd
+    seen = []
+    evaluate = multiform.evaluate_form
+
+    def recording(form, point, index=None):
+        seen.append(evaluate(form, point, index))
+        return seen[-1]
+
+    monkeypatch.setattr(multiform, "evaluate_form", recording)
+    multiform.tau_empirical(multiform.apery_forms(3, 120), window=(60, 120))
+    assert len(seen) == 61
+    for enc in seen:
+        for end in (enc.lo, enc.hi):
+            d = end.denominator
+            assert d & (d - 1) == 0
+            assert end.numerator.bit_length() <= 129
+
+
 def test_omega0_verifies_each_q_on_one_rung(monkeypatch):
     # nearest_int's distances already failed the first level's width, so
     # the ladder starts one rung above it and its first rung passes

@@ -2,9 +2,9 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dioph import multiform
+from dioph import multiform, seqbuild
 from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
@@ -13,11 +13,18 @@ from dioph.dichotomy import (
     solve_disjunction,
 )
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
-from dioph.errors import NeitherCaseCertified
-from dioph.multiform import PointVec, dirichlet_witness, omega0_search
+from dioph.errors import NeitherCaseCertified, ZeroFormValue
+from dioph.multiform import (
+    LinearForm,
+    PointVec,
+    dirichlet_witness,
+    evaluate_form,
+    omega0_search,
+)
 from dioph.certlog import _atanh_fixed, _ln2_fixed, ln_frac
 from dioph.oracle import (
     CATALOG,
+    SEPARATION_BITS,
     AffineOracle,
     CFOracle,
     GoldenOracle,
@@ -27,6 +34,7 @@ from dioph.oracle import (
     extend_convergents,
     parse_oracle,
     parse_rational,
+    separated,
 )
 from test_dichotomy import _brute_case_ii, direct_hit
 from test_multiform import brute_dirichlet, brute_omega0, brute_records
@@ -396,3 +404,120 @@ def test_record_stream_yields_every_record(xs, bits, lo, span, start):
         if (least is None or d < least) and M * d + err <= near:
             assert q in dict(got)
         least = d if least is None else min(least, d)
+
+
+def _summed_form(form, point):
+    """Reference: the form value as a sum of Enclosure products at each
+    level, separated from zero, with no rounding."""
+    pad = sum(abs(c) for c in form.coeffs).bit_length() + 2
+
+    def enclose_at(k):
+        enc = Enclosure.point(0)
+        for l, c in zip(form.coeffs, point.coords):
+            if l:
+                enc = enc + c.enclose(k + pad) * l
+        return enc
+
+    return separated(enclose_at, "reference form value")
+
+
+def _significant_bits(x: F) -> int:
+    n = abs(x.numerator)
+    return (n >> ((n & -n).bit_length() - 1)).bit_length() if n else 0
+
+
+def _assert_rounded_form(got: Enclosure, ref: Enclosure):
+    assert got.lo <= ref.lo and ref.hi <= got.hi
+    a = got.abs()
+    assert a.lo > 0 and a.width <= a.lo / 2**SEPARATION_BITS
+    for end in (got.lo, got.hi):
+        d = end.denominator
+        assert d & (d - 1) == 0
+        assert _significant_bits(end) <= multiform.FORM_BITS + 1
+
+
+def _base(coord):
+    # golden = (1 + sqrt5)/2: one of the two per point keeps the value nonzero
+    return "sqrt5" if coord[0] == "golden" else coord[0]
+
+
+def _coordinate(name, affine, a, b):
+    if not affine:
+        return f"const:{name}"
+    return f"affine:{a.numerator}/{a.denominator}/{b.numerator}/{b.denominator}:const:{name}"
+
+
+coordinate_specs = st.tuples(
+    st.sampled_from(sorted(CATALOG)),
+    st.booleans(),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50),
+)
+heights = st.integers(min_value=-(2**2000), max_value=2**2000)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(coordinate_specs, min_size=1, max_size=3, unique_by=_base), st.data())
+def test_rounded_form_contains_the_summed_form(coords, data):
+    specs = [_coordinate(*c) for c in coords]
+    point = PointVec((RationalOracle(1), *(parse_oracle(s) for s in specs)))
+    coeffs = data.draw(st.lists(heights, min_size=len(specs) + 1, max_size=len(specs) + 1))
+    coeffs[-1] = coeffs[-1] or 1
+    form = LinearForm(coeffs)
+    _assert_rounded_form(evaluate_form(form, point), _summed_form(form, point))
+
+
+@settings(deadline=None, max_examples=30)
+@given(coordinate_specs, st.integers(min_value=1, max_value=400))
+def test_rounded_form_keeps_tiny_values_separated(coord, j):
+    # q x - p at a convergent is about 1/q**2, far below the unit ulp
+    x = parse_oracle(_coordinate(*coord))
+    p, q = x.cf_convergents(j + 1)[j]
+    point = PointVec((RationalOracle(1), x))
+    form = LinearForm((-p, q))
+    got = evaluate_form(form, point)
+    _assert_rounded_form(got, _summed_form(form, point))
+    assert abs(got.hi) < 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(rationals.filter(bool), min_size=2, max_size=4),
+    st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=3, max_size=3),
+)
+def test_vanishing_form_on_rationals_raises(values, draws):
+    # l_0 = -(l_1 r_1 + ...) / r_0, everything scaled to integers
+    rest = [l * r for l, r in zip(draws, values[1:])]
+    lead = -sum(rest, F(0)) / values[0]
+    scale = lead.denominator
+    coeffs = [int(lead * scale)] + [l * scale for l in draws[: len(values) - 1]]
+    if not any(coeffs):
+        coeffs = [values[1].numerator * values[0].denominator,
+                  -values[0].numerator * values[1].denominator] + [0] * (len(values) - 2)
+    point = PointVec(tuple(RationalOracle(v) for v in values))
+    with pytest.raises(ZeroFormValue):
+        evaluate_form(LinearForm(coeffs), point)
+
+
+def _ln_mid_gate(a: F, b: F) -> bool:
+    """Reference: the regularity step as 64-bit log midpoints decided it."""
+    la, lb = ln_frac(a, 64).mid, ln_frac(b, 64).mid
+    return la != 0 and abs(lb / la - 1) <= seqbuild.REGULARITY_DELTA
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(min_value=2**127, max_value=2**128 - 1),
+    st.integers(min_value=2**127, max_value=2**128 - 1),
+    st.integers(min_value=-3000, max_value=3000),
+    st.fractions(min_value=F(1, 2), max_value=F(3, 2), max_denominator=1000),
+)
+def test_exact_gate_agrees_with_the_log_gate(ma, mb, ea, t):
+    # dyadics like the form residuals, with ln b / ln a near t
+    a = F(ma) * F(2) ** (ea - 128)
+    b = F(mb) * F(2) ** (round(ea * t) - 128)
+    la, lb = ln_frac(a, 128), ln_frac(b, 128)
+    assume(not la.contains_zero())
+    edge = abs((lb / la).mid - 1) - seqbuild.REGULARITY_DELTA
+    assume(abs(edge) > F(1, 2**40))
+    assert seqbuild._regular_step(a, b) == _ln_mid_gate(a, b)

@@ -172,6 +172,31 @@ def test_measure_rates_encloses_only_the_window(monkeypatch):
     assert us == []
 
 
+class TestRegularityGate:
+    @pytest.mark.parametrize("e", [4, -4])
+    def test_band_edges_are_in(self, e):
+        # a = 2**e, both sides of 1: b**4 = a**5 and b**4 = a**3 are the
+        # edges ln b / ln a = 5/4 and 3/4; one more ulp of b leaves the band
+        a, ulp = F(2) ** e, F(1, 2**200)
+        for k in (5, 3):
+            b = F(2) ** (e * k // 4)
+            assert seqbuild._regular_step(a, b)
+            outward = b * (1 + ulp) if (e > 0) == (k == 5) else b * (1 - ulp)
+            assert not seqbuild._regular_step(a, outward)
+
+    @pytest.mark.parametrize("b", [F(1, 2), F(1), F(2)])
+    def test_one_is_out(self, b):
+        assert not seqbuild._regular_step(F(1), b)
+
+    def test_reads_the_delta(self, monkeypatch):
+        # ln 8 / ln 4 = 3/2: outside the 1/4 band, inside a 1/2 band
+        assert not seqbuild._regular_step(F(4), F(8))
+        assert not seqbuild._regular_step(F(1, 4), F(1, 8))
+        monkeypatch.setattr(seqbuild, "REGULARITY_DELTA", F(1, 2))
+        assert seqbuild._regular_step(F(4), F(8))
+        assert seqbuild._regular_step(F(1, 4), F(1, 8))
+
+
 def test_rate_violation():
     # -log eps / log Q ~ 1.71 exceeds 1/(mu-1) + slack = 0.55
     with pytest.raises(RateViolation):
