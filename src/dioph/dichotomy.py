@@ -184,8 +184,9 @@ def _residue_hits(a: int, m: int, q_lo: int, q_hi: int, window):
 
 
 def _frac_window_check(oracle, q, t_lo, t_hi, stats):
-    """(hit, p) deciding whether frac(q xi) lies in [t_lo, t_hi] for
-    irrational xi, whose membership is certified strictly inside the window.
+    """(f, p) deciding whether frac(q xi) lies in [t_lo, t_hi] for
+    irrational xi, with p = floor(q xi): f is the enclosure of frac(q xi)
+    that certified it strictly inside the window, or None when it is outside.
     """
     stats.candidates += 1
 
@@ -195,9 +196,9 @@ def _frac_window_check(oracle, q, t_lo, t_hi, stats):
         if p is not None:
             f = enc - p
             if f.lo > t_lo and f.hi < t_hi:
-                return True, p
+                return f, p
             if f.hi < t_lo or f.lo > t_hi:
-                return False, p
+                return None, p
         return None
 
     return refine(step, f"window membership for q={q} undecided", stats)
@@ -222,7 +223,8 @@ def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_h
         raise PreconditionError(
             "BAD_WINDOW", f"need 0 < t_lo < t_hi < 1, got [{t_lo}, {t_hi}]"
         )
-    return _find_hit(oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, _Stats())
+    hit = _find_hit(oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, _Stats())
+    return None if hit is None else hit[:2]
 
 
 def _find_hit(
@@ -230,7 +232,8 @@ def _find_hit(
 ):
     """Smallest integer q in [q_lo, q_hi] with frac(q xi) between t_lo and
     t_hi, an endpoint excluded when its ``*_strict`` flag is set, as
-    (q, floor(q xi)), or None.
+    (q, p, f) with p = floor(q xi) and f the enclosure of frac(q xi) that
+    decided it (a point for rational xi), or None.
 
     For rational xi = a/m the window is a range of residues r = q a mod m: a
     strict low end t gives r >= floor(t m) + 1, a strict high end r <=
@@ -257,10 +260,12 @@ def _find_hit(
     for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
         if v is not None:
             stats.candidates += 1
-            return q, (q * v).__floor__()
-        hit, p = _frac_window_check(oracle, q, t_lo, t_hi, stats)
-        if hit:
-            return q, p
+            x = q * v
+            p = x.__floor__()
+            return q, p, Enclosure.point(x - p)
+        f, p = _frac_window_check(oracle, q, t_lo, t_hi, stats)
+        if f is not None:
+            return q, p, f
     return None
 
 
@@ -300,25 +305,6 @@ def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
     return None
 
 
-def _residual_signed(oracle, q, p, eps, cpe, stats):
-    """(enclosure of q xi - p, certified eps <= |q xi - p| < c' eps)."""
-    v = oracle.exact_value()
-    if v is not None:
-        r = q * v - p
-        return Enclosure.point(r), eps <= abs(r) < cpe
-
-    def step(k):
-        enc = oracle.enclose(k) * q - p
-        a = enc.abs()
-        if a.lo >= eps and a.hi < cpe:
-            return enc, True
-        if a.hi < eps or a.lo >= cpe:
-            return enc, False
-        return None
-
-    return refine(step, f"residual certificate for q={q} undecided", stats)
-
-
 def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionResult:
     """Produce a case (ii) witness if one exists, else a case (i) witness.
 
@@ -332,24 +318,25 @@ def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionRes
     c, cp, eps, Q = params.c, params.c_prime, params.eps, params.Q
     half = Fraction(1, 2)
     cpe = cp * eps
-    best = None  # (q, nearest p)
+    # (q, nearest p, enclosure of q xi - p): the residual is the window
+    # check's frac(q xi) on the plus side, where p = floor(q xi), and
+    # frac(q xi) - 1 on the minus side, where p = floor(q xi) + 1
+    best = None
     if eps <= half:
-        plus = _find_hit(
+        best = _find_hit(
             oracle, Q, c * Q, eps, min(cpe, half), stats, False, cpe <= half
         )
-        if plus is not None:
-            best = plus
         top = c * Q if best is None else Fraction(best[0] - 1)
         minus = _find_hit(
             oracle, Q, top, max(1 - cpe, half), 1 - eps, stats, True, False
         )
         if minus is not None:
-            q, floor_p = minus
-            best = (q, floor_p + 1)
+            q, floor_p, f = minus
+            best = (q, floor_p + 1, f - 1)
     if best is not None:
-        q, p = best
-        residual, certified = _residual_signed(oracle, q, p, eps, cpe, stats)
-        if not certified:
+        q, p, residual = best
+        a = residual.abs()
+        if not (eps <= a.lo and a.hi < cpe):
             # a hit of either window lies in the band by construction
             raise CertificateError(
                 "INTERNAL", f"case (ii) window hit q={q} failed residual certification"

@@ -185,30 +185,6 @@ def dyadic_above(x: Rat, bits: int) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
-def sqrt_lower(x: Rat, bits: int) -> Fraction:
-    """Dyadic lower bound of sqrt(x) with error below 2**-bits."""
-    f = _frac(x)
-    if f < 0:
-        raise ValueError("sqrt of a negative rational")
-    scaled = (f.numerator << (2 * bits)) // f.denominator
-    return Fraction(isqrt(scaled), 1 << bits)
-
-
-def sqrt_upper(x: Rat, bits: int) -> Fraction:
-    f = _frac(x)
-    if f < 0:
-        raise ValueError("sqrt of a negative rational")
-    scaled = -((-f.numerator << (2 * bits)) // f.denominator)
-    r = isqrt(scaled)
-    if r * r < scaled:
-        r += 1
-    return Fraction(r, 1 << bits)
-
-
-def sqrt_enclosure(x: Rat, bits: int) -> Enclosure:
-    return Enclosure(sqrt_lower(x, bits), sqrt_upper(x, bits))
-
-
 def iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 0, k >= 1, exact."""
     if n < 0 or k < 1:
@@ -254,3 +230,15 @@ def root_enclosure(x: "Enclosure | Rat", k: int, bits: int) -> Enclosure:
     if isinstance(x, Enclosure):
         return Enclosure(root_lower(x.lo, k, bits), root_upper(x.hi, k, bits))
     return Enclosure(root_lower(x, k, bits), root_upper(x, k, bits))
+
+
+def sqrt_lower(x: Rat, bits: int) -> Fraction:
+    return root_lower(x, 2, bits)
+
+
+def sqrt_upper(x: Rat, bits: int) -> Fraction:
+    return root_upper(x, 2, bits)
+
+
+def sqrt_enclosure(x: Rat, bits: int) -> Enclosure:
+    return root_enclosure(x, 2, bits)

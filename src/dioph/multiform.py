@@ -36,9 +36,7 @@ from .oracle import (
     RealOracle,
     Zeta2Oracle,
     Zeta3Oracle,
-    level_for,
     nearest_int,
-    refine,
     separated,
 )
 from .seqbuild import RateEstimate, _measure_core
@@ -197,25 +195,19 @@ def _max_enclosure(encs) -> Enclosure:
 
 def _refined_max_dist(ratios, q: int):
     """(enclosure of max_j ||q * ratio_j|| of width <= 2**-80, nearest
-    integers); INFINITE_WITNESS when that maximum is exactly 0."""
-    near = [nearest_int(r, q) for r in ratios]
+    integers); INFINITE_WITNESS when that maximum is exactly 0.
+
+    Each distance is taken on its ladder at width <= 2**-80, so the maximum
+    is as narrow: max hi - max lo is at most the width of the distance with
+    the largest hi."""
+    near = [nearest_int(r, q, lambda d: d.width <= _DIST_TOL) for r in ratios]
     qs = tuple(v for v, _ in near)
     enc = _max_enclosure([d for _, d in near])
-    if enc.is_point() and enc.lo == 0:
+    if enc.hi == 0:
         raise PreconditionError(
             "INFINITE_WITNESS", f"q0={q} matches every coordinate exactly"
         )
-    if enc.width <= _DIST_TOL:
-        return enc, qs
-
-    def step(k):
-        enc = _max_enclosure([(r.enclose(k) * q - v).abs() for r, v in zip(ratios, qs)])
-        return enc if enc.width <= _DIST_TOL else None
-
-    # nearest_int's distances come from the first level or finer and
-    # enclosures nest, so the first rung would repeat the width that failed
-    what = f"max distance at q={q} will not tighten"
-    return refine(step, what, start=2 * level_for(1)), qs
+    return enc, qs
 
 
 def _omega_cap(M: int, excess: int, q: int):

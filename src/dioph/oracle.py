@@ -61,18 +61,21 @@ def refine(step, what: str, stats=None, start: int = 0):
     raise Inconclusive(what, cap)
 
 
-def separated(enclose_at, what: str, start: int = 0) -> Enclosure:
-    """First ``enclose_at(k)``, from level ``start`` up, whose distance from
-    zero exceeds its width by a factor of 2**SEPARATION_BITS."""
+def is_separated(enc: Enclosure) -> bool:
+    """Whether ``enc``'s distance from zero exceeds its width by a factor of
+    2**SEPARATION_BITS."""
+    a = enc.abs()
+    return a.lo > 0 and a.width <= a.lo / (1 << SEPARATION_BITS)
+
+
+def separated(enclose_at, what: str) -> Enclosure:
+    """First ``enclose_at(k)`` on the ladder that :func:`is_separated`."""
 
     def step(k):
         enc = enclose_at(k)
-        a = enc.abs()
-        if a.lo > 0 and a.width <= a.lo / (1 << SEPARATION_BITS):
-            return enc
-        return None
+        return enc if is_separated(enc) else None
 
-    return refine(step, what, start=start)
+    return refine(step, what)
 
 
 def level_for(k: int) -> int:
@@ -556,11 +559,13 @@ def sign_of_form(oracle: RealOracle, q: Rat, p: Rat) -> int:
     )
 
 
-def nearest_int(oracle: RealOracle, u: Rat):
+def nearest_int(oracle: RealOracle, u: Rat, accept=None):
     """(v, dist) with v the certified nearest integer to u*xi.
 
-    ``dist`` is an enclosure of |u*xi - v|. Exactly half-integer products (only
-    possible for rational oracles) raise HALF_INTEGER since the nearest
+    ``dist`` is an enclosure of |u*xi - v| from the first level that decides
+    v and, when ``accept`` is given, passes ``accept(dist)``; a rational
+    value gives the exact distance, untested. Exactly half-integer products
+    (only possible for rational oracles) raise HALF_INTEGER since the nearest
     integer is then ill-defined.
     """
     u = _frac(u)
@@ -577,7 +582,10 @@ def nearest_int(oracle: RealOracle, u: Rat):
     def step(k):
         enc = oracle.enclose(k) * u
         m = (enc.lo + half).__floor__()
-        return (m, (enc - m).abs()) if enc.hi < m + half else None
+        if enc.hi >= m + half:
+            return None
+        dist = (enc - m).abs()
+        return (m, dist) if accept is None or accept(dist) else None
 
     return refine(step, f"nearest integer to {u}*({oracle.spec}) undecided")
 

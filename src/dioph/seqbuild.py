@@ -39,11 +39,10 @@ from .errors import (
     ZeroResidual,
 )
 from .oracle import (
-    SEPARATION_BITS,
     AffineOracle,
     RealOracle,
     floor_certified,
-    level_for,
+    is_separated,
     nearest_int,
     separated,
 )
@@ -461,8 +460,9 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
     """Finite-range density quantities for a nondecreasing positive u sequence.
 
     alpha_xi is the largest consecutive ratio of the nearest-integer
-    distances, beta_u the largest consecutive ratio of the u, and
-    nu_estimate = log sqrt(alpha_xi * beta_u), rounded up.
+    distances, each taken separated from zero on its one ladder, beta_u the
+    largest consecutive ratio of the u, and nu_estimate = log sqrt(alpha_xi
+    * beta_u), rounded up. A distance that is exactly 0 raises ZERO_RESIDUAL.
     """
     us = [int(u) for u in u_seq]
     if len(us) < 2:
@@ -473,26 +473,12 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
         )
     dists = []
     for u in us:
-        v, d = nearest_int(oracle, u)
-        d = _tighten_positive(oracle, u, v, d)
+        _, d = nearest_int(oracle, u, is_separated)
+        if d.hi == 0:
+            raise ZeroResidual(f"u={u} lands exactly on an integer")
         dists.append(d)
     alpha = max((b / a).hi for a, b in zip(dists, dists[1:]))
     beta = max(Fraction(b, a) for a, b in zip(us, us[1:]))
     prod = alpha * beta
     nu = ln_frac(prod, 96).hi / 2 if prod != 1 else Fraction(0)
     return DensityData(alpha, beta, nu, tuple(dists))
-
-
-def _tighten_positive(oracle, u, v: int, d: Enclosure) -> Enclosure:
-    """The distance ``d`` of u xi from v, refined until separated from 0."""
-    if d.lo > 0 and d.width <= d.lo / (1 << SEPARATION_BITS):
-        return d
-    if d.is_point():
-        raise ZeroResidual(f"u={u} lands exactly on an integer")
-    # nearest_int's ``d`` comes from the first level or finer and enclosures
-    # nest, so the first rung would repeat the separation that failed
-    return separated(
-        lambda k: (oracle.enclose(k) * u - v).abs(),
-        f"distance for u={u} not separated from 0",
-        start=2 * level_for(1),
-    )

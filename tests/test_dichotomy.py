@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -138,13 +140,41 @@ def test_disjunction_case_ii_example():
     assert res.stats.candidates >= 1
 
 
-def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
-    # a window hit always lies in the band, so a failed residual
-    # certificate exits 5 (bug), never 4 (no witness exists)
-    def refuse(oracle, q, p, eps, cpe, stats):
-        return Enclosure.point(0), False
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    [example] = [b for b in blocks if "affine:1/-1:const:sqrt2" in b]
+    assert "enclosure of 10*xi - 4," in example
+    scope = {}
+    exec(example, scope)
+    res = scope["res"]
+    assert (res.witness.q, res.witness.p) == (10, 4)
+    assert "CaseIIWitness(q=10, p=4)" in capsys.readouterr().out
+    # xi = sqrt2 - 1, so 10 xi - 4 = 10 sqrt2 - 14
+    r = res.residual
+    assert -14 < r.lo and (14 + r.lo) ** 2 <= 200 <= (14 + r.hi) ** 2
+    a = r.abs()
+    assert F(1, 10) <= a.lo and a.hi < F(19, 10) * F(1, 10)
 
-    monkeypatch.setattr(dichotomy, "_residual_signed", refuse)
+
+def test_case_ii_residual_is_the_window_checks_enclosure():
+    # frac(3 xi) is within 10**-30 of 1/2: the band eps <= |r| < c' eps
+    # holds on the level-64 enclosure, the window [eps, 1/2] only on the
+    # level-128 one, and the residual is the enclosure that decided the window
+    xi = parse_oracle("cf:[0;2,1000000000000000000000000000000]+periodic:[1]")
+    res = solve_disjunction(xi, LemmaParams(F(3, 2), F(19, 10), F(3, 10), 3))
+    assert (res.witness.q, res.witness.p) == (3, 1)
+    assert res.stats.precision_bits == 128
+    assert res.residual == xi.enclose(128) * 3 - 1
+
+
+def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
+    # a window hit always lies in the band, so a hit whose enclosure fails
+    # the band check exits 5 (bug), never 4 (no witness exists)
+    def out_of_band(oracle, q, t_lo, t_hi, stats):
+        return Enclosure.point(0), 0
+
+    monkeypatch.setattr(dichotomy, "_frac_window_check", out_of_band)
     with pytest.raises(CertificateError) as info:
         solve_disjunction(
             AffineOracle(1, -1, SQRT2), LemmaParams(F(3, 2), F(19, 10), F(1, 10), 10)

@@ -181,6 +181,19 @@ def test_nearest_int():
     assert v == 22 and d.is_point() and d.lo == 0
 
 
+def test_nearest_int_climbs_until_accepted():
+    sqrt2 = SqrtOracle(2, "sqrt2")
+    levels = []
+    v, d = nearest_int(sqrt2, 10**30, lambda d: levels.append(d) or d.width <= F(1, 2**100))
+    assert v == 1414213562373095048801688724210
+    # one test per rung that decides v, and the distance is the first passing one
+    assert [e.width <= F(1, 2**100) for e in levels] == [False] * (len(levels) - 1) + [True]
+    assert d is levels[-1] and len(levels) > 1
+    # a rational value gives its exact distance, untested
+    v, d = nearest_int(RationalOracle(F(22, 7)), 7, lambda d: False)
+    assert v == 22 and d == Enclosure.point(0)
+
+
 def test_nearest_int_half_integer():
     with pytest.raises(HalfInteger):
         nearest_int(RationalOracle(F(1, 2)), 3)
@@ -293,6 +306,45 @@ def test_ladder_lives_only_in_oracle():
     assert oracle_src.count("k *= 2") == 1
     body = oracle_src[oracle_src.index("def refine("):]
     assert "k *= 2" in body[:body.index("\ndef ", 1)]
+
+
+def test_separation_lives_only_in_oracle():
+    """Only oracle.py names SEPARATION_BITS; other modules ask is_separated
+    or separated."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    for path in sorted(src.glob("*.py")):
+        if path.name != "oracle.py":
+            assert "SEPARATION_BITS" not in path.read_text(), path.name
+
+
+def _used_names(tree) -> set:
+    """Names a module reads, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            ann = node.annotation if not isinstance(node, ast.FunctionDef) else node.returns
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def test_no_module_imports_an_unused_name():
+    """Every name a module imports is read in it; the package root imports
+    to re-export, so it is left out."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        assert imported - _used_names(tree) == set(), path.name
 
 
 def test_precision_cap_has_one_source():

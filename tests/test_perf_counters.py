@@ -34,6 +34,21 @@ def test_window_checks_per_solve(spec, digits):
     assert res.stats.candidates <= 2
 
 
+def test_case_ii_solve_climbs_one_ladder_per_window_check(monkeypatch):
+    # the residual is the enclosure the window check certified, so no second
+    # ladder climbs for it
+    ladders = []
+    refine = dichotomy.refine
+    monkeypatch.setattr(
+        dichotomy, "refine", lambda *args, **kw: ladders.append(args[1]) or refine(*args, **kw)
+    )
+    params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**400)
+    res = solve_disjunction(SqrtOracle(2, "sqrt2"), params)
+    assert res.outcome == "case_ii"
+    assert res.stats.candidates >= 1
+    assert len(ladders) == res.stats.candidates
+
+
 class CountingSqrt2(SqrtOracle):
     def __init__(self):
         super().__init__(2, "sqrt2")
@@ -199,28 +214,45 @@ def test_first_mode_past_the_fixed_point_certifies_little(monkeypatch):
     assert len(certified) <= 8
 
 
-def test_density_separates_each_distance_on_one_rung(monkeypatch):
-    # nearest_int's distances already failed the first level's separation,
-    # so the ladder starts one rung above it and its first rung passes
-    rungs = []
-    separated = seqbuild.separated
+def _ladders(monkeypatch, oracles):
+    """(ladders, enclosed): the levels each ``oracle.refine`` ladder steps,
+    one list per ladder, and every level the given oracles are enclosed at."""
+    ladders, enclosed = [], []
+    refine = oracle.refine
 
-    def counting(enclose_at, what, **kw):
-        rungs.append(0)
+    def counting(step, what, stats=None, start=0):
+        ladders.append([])
 
         def counted(k):
-            rungs[-1] += 1
-            return enclose_at(k)
+            ladders[-1].append(k)
+            return step(k)
 
-        return separated(counted, what, **kw)
+        return refine(counted, what, stats, start)
 
-    monkeypatch.setattr(seqbuild, "separated", counting)
+    monkeypatch.setattr(oracle, "refine", counting)
+    for o in oracles:
+        monkeypatch.setattr(o, "enclose", lambda k, enc=o.enclose: enclosed.append(k) or enc(k))
+    return ladders, enclosed
+
+
+def _assert_single_ladders(ladders, enclosed):
+    # each ladder climbs from the first level, and the oracles are enclosed
+    # once per rung and nowhere else, so no level is enclosed twice
+    assert ladders and any(len(levels) > 1 for levels in ladders)
+    for levels in ladders:
+        assert levels == [64 << i for i in range(len(levels))]
+    assert enclosed == [k for levels in ladders for k in levels]
+
+
+def test_density_decides_each_distance_on_one_ladder(monkeypatch):
+    xi = SqrtOracle(2, "sqrt2")
+    ladders, enclosed = _ladders(monkeypatch, [xi])
     qs = [1, 2]
     while len(qs) < 17:
         qs.append(2 * qs[-1] + qs[-2])  # sqrt2's convergent denominators
-    seqbuild.density_data(qs, SqrtOracle(2, "sqrt2"))
-    assert len(rungs) > 0
-    assert rungs == [1] * len(rungs)
+    seqbuild.density_data(qs, xi)
+    assert len(ladders) == len(qs)
+    _assert_single_ladders(ladders, enclosed)
 
 
 def test_ln_frac_caches_are_keyed_by_width(monkeypatch):
@@ -274,23 +306,22 @@ def test_form_residuals_are_short_dyadics(monkeypatch):
             assert end.numerator.bit_length() <= 129
 
 
-def test_omega0_verifies_each_q_on_one_rung(monkeypatch):
-    # nearest_int's distances already failed the first level's width, so
-    # the ladder starts one rung above it and its first rung passes
-    rungs = []
-    refine = multiform.refine
-
-    def counting(step, what, **kw):
-        rungs.append(0)
-
-        def counted(k):
-            rungs[-1] += 1
-            return step(k)
-
-        return refine(counted, what, **kw)
-
-    monkeypatch.setattr(multiform, "refine", counting)
+def test_omega0_decides_each_distance_on_one_ladder(monkeypatch):
     point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    ratios = point.ratio_oracles()
+    ladders, enclosed = _ladders(monkeypatch, ratios)
+    spans = []
+    verify = multiform._refined_max_dist
+
+    def recording(rs, q):
+        start = (len(ladders), len(enclosed))
+        got = verify(rs, q)
+        spans.append((*start, len(ladders), len(enclosed)))
+        return got
+
+    monkeypatch.setattr(multiform, "_refined_max_dist", recording)
     omega0_search(point, 10**4)
-    assert len(rungs) > 0
-    assert rungs == [1] * len(rungs)
+    assert spans
+    for l0, e0, l1, e1 in spans:
+        assert l1 - l0 == len(ratios)
+        _assert_single_ladders(ladders[l0:l1], enclosed[e0:e1])
