@@ -34,6 +34,24 @@ def _ln2_fixed(w: int):
     return total, total + w + 2
 
 
+def log2_lo(x: int, b: int) -> int:
+    """An integer r with r / 2**b <= log2 x and 2**(r + 2) > x**(2**b), x >= 1.
+
+    With x = 2**e m, m in [1, 2), start at r = e and y = floor(m 2**P); b
+    times square y with a floor and double r, then halve y and add 1 to r if
+    y >= 2**(P + 1). So y stays in [2**P, 2**(P + 1)) and (r + log2(y/2**P))
+    / 2**i <= log2 x after i squarings, floors only lowering y. One step's
+    floors lose under 3 * 2**-P of that sum, doubled by each later squaring:
+    with P = b + 8, r ends below 2**b log2 x by under 1 + 2**-5."""
+    P, r = b + 8, x.bit_length() - 1
+    y = (x << P) >> r
+    for _ in range(b):
+        y, r = (y * y) >> P, 2 * r
+        if y >> (P + 1):
+            y, r = y >> 1, r + 1
+    return r
+
+
 def _atanh_fixed(num: int, den: int, w: int):
     """(lo, hi) integers bounding atanh(num/den) * 2^w, for 0 <= num/den <= 1/3."""
     if num == 0:

@@ -60,13 +60,13 @@ def expand(oracle: RealOracle, depth: int) -> CFExpansion:
     return CFExpansion(tuple(quots[:count]), terminated=ended and len(quots) <= count)
 
 
-def walk(oracle: RealOracle, reached, short: str):
+def walk(oracle: RealOracle, reached, short):
     """(cons, j): the oracle's cached convergents (p, q) and the first j with
     ``reached(cons, j)``, which is monotone in j, or one past the end of a
     terminating expansion; found by bisection from where the last round
     stopped. Past the cache ``expand`` grows it by a quotient at least (a
     ladder rung) and to twice the last request (few generator rounds), up to
-    a truncated supply, whose end raises UNREPRESENTABLE with ``short``."""
+    a truncated supply, whose end raises UNREPRESENTABLE with ``short()``."""
     supply, cons = oracle.quotient_count(), oracle.cf_convergents(0)
     j, depth, ended = 0, 0, False
     while True:
@@ -74,7 +74,7 @@ def walk(oracle: RealOracle, reached, short: str):
         if j < len(cons) or ended:
             return cons, j
         if j < depth:
-            raise Unrepresentable(f"{oracle.spec}: {short}")
+            raise Unrepresentable(f"{oracle.spec}: {short()}")
         depth = max(2 * depth, j + 1)
         ended = expand(oracle, (depth if supply is None else min(depth, supply)) - 1).terminated
         cons = oracle.cf_convergents(0)

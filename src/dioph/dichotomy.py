@@ -36,6 +36,7 @@ from .errors import (
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
+    brief,
 )
 from .oracle import RealOracle, refine
 
@@ -201,14 +202,14 @@ def _frac_window_check(oracle, q, t_lo, t_hi, stats):
                 return None, p
         return None
 
-    return refine(step, f"window membership for q={q} undecided", stats)
+    return refine(step, lambda: f"window membership for q={brief(q)} undecided", stats)
 
 
 def _surrogate(oracle: RealOracle, accuracy_den: int) -> Convergent:
     """A convergent p_K/q_K of xi with q_K q_{K+1} >= accuracy_den."""
     cons, j = walk(
         oracle, lambda cons, j: j > 0 and cons[j - 1][1] * cons[j][1] >= accuracy_den,
-        f"quotient supply too small for a surrogate of accuracy 1/{accuracy_den}",
+        lambda: f"quotient supply too small for a surrogate of accuracy 1/{brief(accuracy_den)}",
     )
     return Convergent(*cons[j - 1], j - 1)
 
@@ -283,7 +284,7 @@ def _certify_le(oracle, u, v, bound: Fraction, stats) -> bool:
             return False
         return None
 
-    return refine(step, f"distance certificate for {v}/{u} undecided", stats)
+    return refine(step, lambda: f"distance certificate for {brief(v)}/{brief(u)} undecided", stats)
 
 
 def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
@@ -297,7 +298,7 @@ def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
     """
     cons, end = walk(
         oracle, lambda cons, j: cons[j][1] >= u_limit,
-        f"quotient supply ends below denominator bound {u_limit}",
+        lambda: f"quotient supply ends below denominator bound {brief(u_limit)}",
     )
     for p, q in cons[:end]:
         if _certify_le(oracle, q, p, bound, stats):

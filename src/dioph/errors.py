@@ -9,6 +9,14 @@ exists, 5 when a certificate the mathematics guarantees failed to verify.
 from __future__ import annotations
 
 
+def brief(x) -> str:
+    """An int or Fraction as text, or by bit length past int-to-str's limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{max(x.numerator.bit_length(), x.denominator.bit_length())}-bit number>"
+
+
 class DiophError(Exception):
     """Base class; ``code`` is stable across releases, messages are not."""
 

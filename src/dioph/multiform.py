@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import inf, lcm
 from typing import Optional
 
-from .certlog import ln_frac
+from .certlog import ln_frac, log2_lo
 from .dichotomy import _residue_hits
 from .enclosure import Enclosure
 from .errors import (
@@ -131,7 +131,7 @@ def evaluate_form(
         hi = Fraction(-((-hi_n << up) // (hi_d << down)) << down, 1 << up)
         return Enclosure(lo, hi)
 
-    return separated(enclose_at, f"form value {form.coeffs} not separated from zero")
+    return separated(enclose_at, lambda: f"form value {form.coeffs} not separated from zero")
 
 
 @dataclass(frozen=True)
@@ -212,12 +212,12 @@ def _refined_max_dist(ratios, q: int):
 
 def _omega_cap(M: int, excess: int, q: int):
     """Upper bound on omega(q) = -log d(q) / log q from a score s within err
-    of M d(q), with ``excess`` = s - err: d(q) >= excess / M, so omega(q) <=
-    log(M / excess) / log q; infinite when excess <= 0. A cap only orders and
-    prunes records, so 16-bit logs do."""
+    of M = 2**w times d(q), with ``excess`` = s - err: d(q) >= excess / M,
+    so omega(q) <= (w - log2 excess) / log2 q; infinite when excess <= 0. A
+    cap only orders and prunes records, so integer logs to 2**-16 do."""
     if excess <= 0:
         return inf
-    return ln_frac(Fraction(M, excess), 16).hi / ln_frac(q, 16).lo
+    return Fraction(((M.bit_length() - 1) << 16) - log2_lo(excess, 16), log2_lo(q, 16))
 
 
 def _omega_point(dist_hi: Fraction, q: int) -> Fraction:

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .enclosure import Enclosure, Rat, _frac, sqrt_enclosure
 from .certlog import _ln2_fixed
-from .errors import HalfInteger, Inconclusive, PreconditionError, Unrepresentable
+from .errors import HalfInteger, Inconclusive, PreconditionError, Unrepresentable, brief
 
 DEFAULT_PRECISION_CAP = 1 << 20
 PRECISION_CAP = ContextVar("dioph_precision_cap", default=DEFAULT_PRECISION_CAP)
@@ -41,13 +41,13 @@ _MIN_LEVEL = 64
 SEPARATION_BITS = 48
 
 
-def refine(step, what: str, stats=None, start: int = 0):
+def refine(step, what, stats=None, start: int = 0):
     """First decision ``step(k)`` that is not None, climbing the level ladder.
 
     Levels max(start, 64), then doubling, while they stay within the context's
     :data:`PRECISION_CAP`; each one is reported to ``stats.bump_bits`` when
     ``stats`` is given. ``False`` and ``0`` are decisions. Raises INCONCLUSIVE
-    naming ``what`` once the next level would pass the cap.
+    naming ``what``, or ``what()`` if callable, once the next would pass the cap.
     """
     cap = PRECISION_CAP.get()
     k = max(start, _MIN_LEVEL)
@@ -58,7 +58,7 @@ def refine(step, what: str, stats=None, start: int = 0):
         if got is not None:
             return got
         k *= 2
-    raise Inconclusive(what, cap)
+    raise Inconclusive(what() if callable(what) else what, cap)
 
 
 def is_separated(enc: Enclosure) -> bool:
@@ -68,7 +68,7 @@ def is_separated(enc: Enclosure) -> bool:
     return a.lo > 0 and a.width <= a.lo / (1 << SEPARATION_BITS)
 
 
-def separated(enclose_at, what: str) -> Enclosure:
+def separated(enclose_at, what) -> Enclosure:
     """First ``enclose_at(k)`` on the ladder that :func:`is_separated`."""
 
     def step(k):
@@ -79,10 +79,7 @@ def separated(enclose_at, what: str) -> Enclosure:
 
 
 def level_for(k: int) -> int:
-    L = _MIN_LEVEL
-    while L < k:
-        L *= 2
-    return L
+    return max(_MIN_LEVEL, 1 << (k - 1).bit_length())
 
 
 class RealOracle:
@@ -251,12 +248,8 @@ class GoldenOracle(RealOracle):
 
 
 def _series_pad(k: int) -> int:
-    """Working-precision pad absorbing one truncation ulp per series term.
-
-    Term counts grow linearly in the bit budget, so a constant pad stops
-    meeting the width contract once k is large; k.bit_length() extra bits
-    keep (terms * ulp) below 2**-k at every k.
-    """
+    """Working-precision pad: the k.bit_length() extra bits keep the floor
+    ulps of the terms, whose count grows linearly in k, below 2**-k."""
     return 8 + (k + 8).bit_length()
 
 
@@ -270,65 +263,55 @@ class Log2Oracle(RealOracle):
         return Enclosure(lo * sc, hi * sc)
 
 
+def _series_fixed(t1: int, ratio):
+    """(total, N): the sum of the integer terms tau_1 = t1, tau_(n+1) =
+    floor(tau_n p / q) with (p, q) = ratio(n), up to the first zero one tau_N.
+
+    Where |p/q| <= 1/4, e_n = |tau_n - T_n| for the true terms T_n has e_1 = 0
+    and e_(n+1) <= e_n/4 + 1, so e_n < 4/3: |T_N| < 4/3, the tail from T_N is
+    below 4, the summed terms are off by under 4(N - 1)/3, and the true sum is
+    within 2N + 2 of the total, and above it where p, q > 0 (tau_n <= T_n)."""
+    total, term, n = 0, t1, 1
+    while term:
+        total += term
+        p, q = ratio(n)
+        term = term * p // q
+        n += 1
+    return total, n
+
+
 class EOracle(RealOracle):
     spec = "const:e"
 
     def _raw(self, k: int) -> Enclosure:
         w = k + _series_pad(k)
-        term = 1 << w
-        total = term
-        n = 1
-        while term:
-            term //= n
-            total += term
-            n += 1
+        total, n = _series_fixed(1 << w, lambda n: (1, n))
         sc = Fraction(1, 1 << w)
         return Enclosure(total * sc, (total + n + 2) * sc)
 
 
 class Zeta2Oracle(RealOracle):
-    """3 * sum 1/(n^2 C(2n,n)); term ratio < 1/4 gives the tail bound."""
+    """3 * sum 1/(n^2 C(2n,n)), term ratio n^2/(2(n+1)(2n+1))."""
 
     spec = "const:zeta2"
 
     def _raw(self, k: int) -> Enclosure:
         w = k + _series_pad(k)
-        c = 1
-        total = 0
-        n = 1
-        while True:
-            c = c * (2 * (2 * n - 1)) // n
-            t = (1 << w) // (n * n * c)
-            if t == 0:
-                break
-            total += t
-            n += 1
+        total, n = _series_fixed(1 << (w - 1), lambda n: (n * n, 2 * (n + 1) * (2 * n + 1)))
         sc = Fraction(3, 1 << w)
-        return Enclosure(total * sc, (total + n + 2) * sc)
+        return Enclosure(total * sc, (total + 2 * n + 2) * sc)
 
 
 class Zeta3Oracle(RealOracle):
-    """(5/2) * sum (-1)^(n-1)/(n^3 C(2n,n)), alternating."""
+    """(5/2) * sum (-1)^(n-1)/(n^3 C(2n,n)), term ratio -n^3/(2(n+1)^2(2n+1))."""
 
     spec = "const:zeta3"
 
     def _raw(self, k: int) -> Enclosure:
         w = k + _series_pad(k)
-        c = 1
-        total = 0
-        sign = 1
-        n = 1
-        while True:
-            c = c * (2 * (2 * n - 1)) // n
-            t = (1 << w) // (n * n * n * c)
-            if t == 0:
-                break
-            total += sign * t
-            sign = -sign
-            n += 1
-        slack = n + 2
+        total, n = _series_fixed(1 << (w - 1), lambda n: (-n**3, 2 * (n + 1) ** 2 * (2 * n + 1)))
         sc = Fraction(5, 2 << w)
-        return Enclosure((total - slack) * sc, (total + slack) * sc)
+        return Enclosure((total - 2 * n - 2) * sc, (total + 2 * n + 2) * sc)
 
 
 class CFOracle(RealOracle):
@@ -555,7 +538,7 @@ def sign_of_form(oracle: RealOracle, q: Rat, p: Rat) -> int:
         return (t > 0) - (t < 0)
     return refine(
         lambda k: (oracle.enclose(k) * q - p).sign(),
-        f"sign of {q}*({oracle.spec}) - {p} undecided",
+        lambda: f"sign of {brief(q)}*({oracle.spec}) - {brief(p)} undecided",
     )
 
 
@@ -575,7 +558,7 @@ def nearest_int(oracle: RealOracle, u: Rat, accept=None):
         t = u * v
         twice = 2 * t
         if twice.denominator == 1 and twice.numerator % 2 != 0:
-            raise HalfInteger(f"{u}*{oracle.spec} is exactly half-integral")
+            raise HalfInteger(f"{brief(u)}*{oracle.spec} is exactly half-integral")
         m = (t + half).__floor__()
         return m, Enclosure.point(abs(t - m))
 
@@ -587,7 +570,7 @@ def nearest_int(oracle: RealOracle, u: Rat, accept=None):
         dist = (enc - m).abs()
         return (m, dist) if accept is None or accept(dist) else None
 
-    return refine(step, f"nearest integer to {u}*({oracle.spec}) undecided")
+    return refine(step, lambda: f"nearest integer to {brief(u)}*({oracle.spec}) undecided")
 
 
 def floor_certified(oracle: RealOracle) -> int:

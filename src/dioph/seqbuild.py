@@ -302,7 +302,7 @@ def _form_enclosure(oracle: RealOracle, u: int, v: int) -> Enclosure:
         return Enclosure.point(r)
     return separated(
         lambda k: oracle.enclose(k) * u - v,
-        f"residual |{u} xi - {v}| not separated from 0",
+        lambda: f"residual |{u} xi - {v}| not separated from 0",
     )
 
 

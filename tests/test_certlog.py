@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dioph.certlog import ln_enclosure, ln_frac
+from dioph.certlog import ln_enclosure, ln_frac, log2_lo
 from dioph.enclosure import Enclosure
 
 # 50 digits, more than enough to check 96-bit enclosures against
@@ -76,3 +77,19 @@ def test_huge_argument():
     target = ln_frac(2, 64) * 500
     e.intersect(target)
     assert e.width <= F(1, 1 << 55)  # width grows mildly with the exponent
+
+
+sizes = st.integers(min_value=1, max_value=1 << 200) | st.integers(min_value=1, max_value=64)
+
+
+@settings(max_examples=300)
+@given(sizes, st.integers(min_value=0, max_value=6))
+def test_log2_lo_is_a_tight_lower_bound(x, b):
+    # r / 2**b <= log2 x < (r + 2) / 2**b, checked exactly on powers
+    r = log2_lo(x, b)
+    assert 1 << r <= x ** (1 << b) < 1 << (r + 2)
+
+
+def test_log2_lo_is_exact_on_powers_of_two():
+    for e in (0, 1, 5, 64, 1000):
+        assert log2_lo(1 << e, 16) == e << 16

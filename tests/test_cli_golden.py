@@ -10,7 +10,10 @@ at n-max 120 before form values were rounded to 128 bits, the rest before
 the shared refinement ladder), so stdout must match byte for byte. The one
 recorded difference is ``stats.candidates`` of ``lemma``: the direct scan
 checked every integer of a short range, the residue-class search checks only
-surrogate candidates. That key is asserted on its own.
+surrogate candidates. That key is asserted on its own. ``omega0_1_zeta3_q10000``
+was recorded again when zeta(3) came to be summed by its term-ratio
+recurrence: its ``best_dist`` and ``tail_dist`` ends moved with the wider
+series slack, and every q and exponent in it stayed the same.
 """
 
 import re

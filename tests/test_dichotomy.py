@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from dioph.dichotomy import (
 from dioph.enclosure import Enclosure
 from dioph.errors import (
     CertificateError,
+    Inconclusive,
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
@@ -37,6 +39,7 @@ from dioph.oracle import (
     SqrtOracle,
     nearest_int,
     parse_oracle,
+    sign_of_form,
 )
 
 SQRT2 = SqrtOracle(2, "sqrt2")
@@ -429,3 +432,57 @@ def test_affine_liouville_surrogate_stops_before_the_supply(capsys):
     doc = _lemma_cli(capsys, "affine:1/1:cf:liouville:3", "1/1000", "3486784401")
     assert doc["outcome"] == "II"
     assert (doc["witness"]["q"], doc["witness"]["p"]) == ("3486799276", "4607562286")
+
+
+@pytest.fixture
+def default_int_limit():
+    """Python's default limit of 4300 digits on int-to-str conversion, which
+    the CLI lifts around each command but a library caller keeps."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+BIG = 10**5000  # 16610 bits, past the 4300-digit limit
+BIG_SQRT2 = math.isqrt(2 * BIG * BIG)  # floor(BIG sqrt2)
+
+
+def test_lemma_past_4300_digits(default_int_limit):
+    params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), BIG)
+    res = solve_disjunction(SqrtOracle(2, "sqrt2"), params)
+    assert res.outcome == "case_ii"
+    assert BIG <= res.witness.q <= F(3, 2) * BIG
+    assert F(1, 1000) <= res.residual.abs().lo
+
+
+def test_lemma_past_4300_digits_under_a_low_cap_is_inconclusive(
+    default_int_limit, precision_cap
+):
+    precision_cap(4096)
+    params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), BIG)
+    with pytest.raises(Inconclusive):
+        solve_disjunction(SqrtOracle(2, "sqrt2"), params)
+
+
+@pytest.mark.parametrize("ladder", [
+    lambda o: _frac_window_check(o, BIG, F(1, 3), F(2, 3), _Stats()),
+    lambda o: _certify_le(o, BIG, BIG_SQRT2, F(1, 10**6), _Stats()),
+    lambda o: nearest_int(o, BIG),
+    lambda o: sign_of_form(o, BIG, BIG_SQRT2),
+], ids=["window", "distance", "nearest", "sign"])
+def test_failed_ladder_names_huge_numbers_by_bit_length(
+    default_int_limit, precision_cap, ladder
+):
+    precision_cap(4096)
+    with pytest.raises(Inconclusive, match="16610-bit number"):
+        ladder(SqrtOracle(2, "sqrt2"))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda o: _surrogate(o, BIG),
+    lambda o: _case_i_hit(o, F(BIG), F(1, 10), _Stats()),
+], ids=["surrogate", "case_i"])
+def test_short_quotient_supply_names_huge_numbers_by_bit_length(default_int_limit, walk):
+    with pytest.raises(Unrepresentable, match="16610-bit number"):
+        walk(CFOracle(None, liouville_base=2, liouville_cap=3))

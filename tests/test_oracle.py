@@ -5,6 +5,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dioph.enclosure import Enclosure
 from dioph.errors import (
@@ -26,6 +27,10 @@ from dioph.oracle import (
     parse_rational,
     DEFAULT_PRECISION_CAP,
     PRECISION_CAP,
+    EOracle,
+    Zeta2Oracle,
+    Zeta3Oracle,
+    _series_pad,
     refine,
     sign_of_form,
 )
@@ -401,3 +406,99 @@ def test_quotient_caches_live_only_in_oracle():
             assert not re.search(r"_cf_quotients|_cf_level|_conv\b", path.read_text()), path.name
     for name in ("contfrac.py", "dichotomy.py"):
         assert "CFOracle" not in (src / name).read_text(), name
+
+
+# The series as they were summed before the term-ratio recurrence: each term
+# of zeta(2) and zeta(3) a division of 2**w by n**s C(2n, n), and e's loop.
+
+
+def _zeta2_loop(k):
+    w = k + _series_pad(k)
+    c = 1
+    total = 0
+    n = 1
+    while True:
+        c = c * (2 * (2 * n - 1)) // n
+        t = (1 << w) // (n * n * c)
+        if t == 0:
+            break
+        total += t
+        n += 1
+    sc = F(3, 1 << w)
+    return Enclosure(total * sc, (total + n + 2) * sc)
+
+
+def _zeta3_loop(k):
+    w = k + _series_pad(k)
+    c = 1
+    total = 0
+    sign = 1
+    n = 1
+    while True:
+        c = c * (2 * (2 * n - 1)) // n
+        t = (1 << w) // (n * n * n * c)
+        if t == 0:
+            break
+        total += sign * t
+        sign = -sign
+        n += 1
+    slack = n + 2
+    sc = F(5, 2 << w)
+    return Enclosure((total - slack) * sc, (total + slack) * sc)
+
+
+def _e_loop(k):
+    w = k + _series_pad(k)
+    term = 1 << w
+    total = term
+    n = 1
+    while term:
+        term //= n
+        total += term
+        n += 1
+    sc = F(1, 1 << w)
+    return Enclosure(total * sc, (total + n + 2) * sc)
+
+
+SERIES = {
+    "zeta2": (Zeta2Oracle, lambda: mpmath.pi**2 / 6, _zeta2_loop),
+    "zeta3": (Zeta3Oracle, lambda: mpmath.apery, _zeta3_loop),
+    "e": (EOracle, lambda: mpmath.e, _e_loop),
+}
+
+
+def _mp_bracket(value, k):
+    """Rationals within 2**-(k + 96) of ``value`` evaluated at k + 128 bits,
+    so they bracket the true value."""
+    with mpmath.workprec(k + 128):
+        man, exp = mpmath.mpf(value()).man_exp
+    v, err = F(man) * F(2) ** exp, F(1, 1 << (k + 96))
+    return v - err, v + err
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+@settings(deadline=None, max_examples=15)
+@given(k=st.integers(min_value=1, max_value=8192))
+def test_series_contain_the_value_within_width(name, k):
+    cls, value, loop = SERIES[name]
+    enc = cls()._raw(k)
+    lo, hi = _mp_bracket(value, k)
+    assert enc.lo <= lo and hi <= enc.hi
+    assert enc.width <= F(1, 1 << k)
+    if name == "e":
+        assert enc == loop(k)
+
+
+@pytest.mark.parametrize("name", ["zeta2", "zeta3"])
+@pytest.mark.parametrize("k", [1, 64, 100, 1000, 2048])
+def test_series_overlap_the_division_loops(name, k):
+    cls, value, loop = SERIES[name]
+    new, old = cls()._raw(k), loop(k)
+    assert new.lo <= old.hi and old.lo <= new.hi
+    lo, hi = _mp_bracket(value, k)
+    assert old.lo <= lo and hi <= old.hi
+
+
+@pytest.mark.parametrize("k", [1, 8, 64, 65, 127, 1000, 2048, 4096])
+def test_e_series_is_the_old_loop(k):
+    assert EOracle()._raw(k) == _e_loop(k)

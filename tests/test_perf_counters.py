@@ -186,17 +186,39 @@ def test_omega0_certifies_only_records(monkeypatch):
     # only the two halves' winners have exponent caps that reach the best
     # certified exponent
     point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
-    scores, certified = [], []
-    score, verify = multiform._approx_score, multiform._refined_max_dist
+    scores, capped, certified = [], [], []
+    score, cap, verify = multiform._approx_score, multiform._omega_cap, multiform._refined_max_dist
     monkeypatch.setattr(
         multiform, "_approx_score", lambda q, *a: scores.append(q) or score(q, *a)
     )
+    monkeypatch.setattr(multiform, "_omega_cap", lambda *a: capped.append(a) or cap(*a))
     monkeypatch.setattr(
         multiform, "_refined_max_dist", lambda r, q: certified.append(q) or verify(r, q)
     )
     omega0_search(point, 10**5)
     assert len(scores) <= 1000
-    assert 0 < len(certified) <= 4
+    assert len(capped) == 26
+    assert len(certified) == 2
+
+
+def test_omega_cap_takes_no_log_enclosure(monkeypatch):
+    # the caps are integer logs; ln_frac is left to the certified exponents
+    point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    logs, inside = [], []
+    ln, cap = certlog.ln_frac, multiform._omega_cap
+
+    def counted_cap(*a):
+        inside.append(True)
+        try:
+            return cap(*a)
+        finally:
+            inside.pop()
+
+    for module in (certlog, multiform):
+        monkeypatch.setattr(module, "ln_frac", lambda *a: logs.append(bool(inside)) or ln(*a))
+    monkeypatch.setattr(multiform, "_omega_cap", counted_cap)
+    omega0_search(point, 10**5)
+    assert logs and not any(logs)
 
 
 def test_first_mode_past_the_fixed_point_certifies_little(monkeypatch):

@@ -381,6 +381,20 @@ def test_simultaneous_searches_match_full_scans(point, Q, q_bound, loosen):
         assert omega0_search(point, q_bound) == report
 
 
+@settings(deadline=None, max_examples=30)
+@given(points, st.integers(min_value=2, max_value=2000))
+def test_omega_cap_bounds_every_records_certified_exponent(point, q_bound):
+    # omega0 may leave out a record only because its cap is at least the
+    # exponent it would certify there
+    ratios = point.ratio_oracles()
+    M, fixed = multiform._fixed_points(ratios, q_bound)
+    err = q_bound + 2
+    for q in brute_records(point, 2, q_bound)[0]:
+        cap = multiform._omega_cap(M, multiform._approx_score(q, fixed, M) - err, q)
+        enc, _ = multiform._refined_max_dist(ratios, q)
+        assert cap >= multiform._omega_point(enc.hi, q)
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     st.lists(st.fractions(0, 1, max_denominator=10**9), min_size=1, max_size=3),
