@@ -1,12 +1,13 @@
 """Certified continued-fraction expansion and convergents.
 
-``expand`` is a view of the oracle's own quotient cache, and ``walk`` searches
-its convergents, growing it through ``expand``. The quotient sources live in
-the oracle subclasses (``RealOracle._more_quotients``): a generator for values
-defined by their quotients, Euclid on the point value for exact rationals (the
-expansion terminates), and otherwise Euclid run in lockstep on both ends of a
-canonical enclosure, resumed one level above the cached one and past the
-cached quotients. ``convergents`` shares the oracle's convergent recurrence.
+``expand`` is a view of the oracle's own quotient cache, and ``walk``, for
+case (i) of the dichotomy, searches its convergents, growing it through
+``expand``. The quotient sources live in the oracle subclasses
+(``RealOracle._more_quotients``): a generator for values defined by their
+quotients, Euclid on the point value for exact rationals (the expansion
+terminates), and otherwise Euclid run in lockstep on both ends of a canonical
+enclosure, resumed one level above the cached one and past the cached
+quotients. ``convergents`` shares the oracle's convergent recurrence.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certlog import ln_frac
-from .errors import Degenerate, Unrepresentable
+from .errors import Degenerate, Unrepresentable, brief
 from .oracle import RealOracle, extend_convergents
 
 
@@ -60,21 +61,22 @@ def expand(oracle: RealOracle, depth: int) -> CFExpansion:
     return CFExpansion(tuple(quots[:count]), terminated=ended and len(quots) <= count)
 
 
-def walk(oracle: RealOracle, reached, short):
+def walk(oracle: RealOracle, q_bound):
     """(cons, j): the oracle's cached convergents (p, q) and the first j with
-    ``reached(cons, j)``, which is monotone in j, or one past the end of a
-    terminating expansion; found by bisection from where the last round
-    stopped. Past the cache ``expand`` grows it by a quotient at least (a
-    ladder rung) and to twice the last request (few generator rounds), up to
-    a truncated supply, whose end raises UNREPRESENTABLE with ``short()``."""
+    q_j >= ``q_bound``, or one past the end of a terminating expansion; found
+    by bisection from where the last round stopped. Past the cache ``expand``
+    grows it by a quotient at least (a ladder rung) and to twice the last
+    request (few generator rounds), up to a truncated supply, whose end raises
+    UNREPRESENTABLE. Case (i) of the dichotomy is its caller."""
     supply, cons = oracle.quotient_count(), oracle.cf_convergents(0)
     j, depth, ended = 0, 0, False
     while True:
-        j = bisect_left(range(len(cons)), True, j, key=lambda i: reached(cons, i))
+        j = bisect_left(range(len(cons)), True, j, key=lambda i: cons[i][1] >= q_bound)
         if j < len(cons) or ended:
             return cons, j
         if j < depth:
-            raise Unrepresentable(f"{oracle.spec}: {short()}")
+            raise Unrepresentable(f"{oracle.spec}: quotient supply ends below "
+                                  f"denominator bound {brief(q_bound)}")
         depth = max(2 * depth, j + 1)
         ended = expand(oracle, (depth if supply is None else min(depth, supply)) - 1).terminated
         cons = oracle.cf_convergents(0)

@@ -15,12 +15,11 @@ The distance band of case (ii) translates into at most two windows for the
 fractional part of q xi, one on each side of 1/2, each with its own endpoint
 strictness. The window search is exact at every size: rational xi reduces to
 a residue-class query, strict endpoints included, solved by Euclidean
-descent in O(log) steps; irrational xi is replaced by a convergent surrogate
-p_K/q_K, candidate q are enumerated in increasing order on its window
-enlarged by its own error q/(q_K q_{K+1}), and each candidate is verified
-against the true value with certified enclosures, so the first verified hit
-is the true minimum. The surrogate and case (i) read the oracle's one cached
-convergent list.
+descent in O(log) steps; irrational xi is replaced by the end a/m of a
+certified enclosure of width w, candidate q up to n are enumerated in
+increasing order on its window enlarged by n w, and each is verified against
+the true value, so the first verified hit is the true minimum. Only case (i)
+reads the oracle's convergents.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .contfrac import Convergent, walk
+from .contfrac import walk
 from .enclosure import Enclosure, Rat, _frac
 from .errors import (
     CertificateError,
@@ -205,15 +204,6 @@ def _frac_window_check(oracle, q, t_lo, t_hi, stats):
     return refine(step, lambda: f"window membership for q={brief(q)} undecided", stats)
 
 
-def _surrogate(oracle: RealOracle, accuracy_den: int) -> Convergent:
-    """A convergent p_K/q_K of xi with q_K q_{K+1} >= accuracy_den."""
-    cons, j = walk(
-        oracle, lambda cons, j: j > 0 and cons[j - 1][1] * cons[j][1] >= accuracy_den,
-        lambda: f"quotient supply too small for a surrogate of accuracy 1/{brief(accuracy_den)}",
-    )
-    return Convergent(*cons[j - 1], j - 1)
-
-
 def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_hi: Rat):
     """Smallest integer q in [q_lo, q_hi] with frac(q xi) in [t_lo, t_hi].
 
@@ -238,8 +228,8 @@ def _find_hit(
 
     For rational xi = a/m the window is a range of residues r = q a mod m: a
     strict low end t gives r >= floor(t m) + 1, a strict high end r <=
-    ceil(t m) - 1. Irrational xi takes the surrogate window enlarged on each
-    side by the surrogate's own error n_hi/(q_K q_{K+1}), at most width/8.
+    ceil(t m) - 1. Irrational xi takes a/m, the low end of the oracle's first
+    enclosure no wider than w = width/(8 n_hi), and the window enlarged by n_hi w on each side.
     """
     n_lo = max(1, q_lo.__ceil__())
     n_hi = q_hi.__floor__()
@@ -253,9 +243,10 @@ def _find_hit(
     elif t_lo >= t_hi:
         return None
     else:
-        sur = _surrogate(oracle, (8 * n_hi / (t_hi - t_lo)).__ceil__())
-        a, m = sur.p, sur.q
-        delta = Fraction(n_hi, m * oracle.cf_convergents(0)[sur.index + 1][1])
+        enc = oracle.within(
+            (t_hi - t_lo) / (8 * n_hi), lambda: f"window surrogate for q <= {brief(n_hi)} undecided"
+        )
+        a, m, delta = enc.lo.numerator, enc.lo.denominator, n_hi * enc.width
         lo_i = ((t_lo - delta) * m).__ceil__()
         hi_i = ((t_hi + delta) * m).__floor__()
     for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
@@ -296,10 +287,7 @@ def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
     p_{i-1}|: each semiconvergent is farther than the convergent before it.
     A short quotient supply raises before any check.
     """
-    cons, end = walk(
-        oracle, lambda cons, j: cons[j][1] >= u_limit,
-        lambda: f"quotient supply ends below denominator bound {brief(u_limit)}",
-    )
+    cons, end = walk(oracle, u_limit)
     for p, q in cons[:end]:
         if _certify_le(oracle, q, p, bound, stats):
             return q, p

@@ -127,6 +127,10 @@ class RealOracle:
             self._canon[lv] = acc
         return self._canon[L]
 
+    def within(self, width: Fraction, what) -> Enclosure:
+        """The first canonical enclosure on the ladder no wider than ``width``."""
+        return refine(lambda k: e if (e := self.enclose(k)).width <= width else None, what)
+
     def exact_value(self) -> Optional[Fraction]:
         """The exact rational value when the oracle is rational, else None."""
         return None
@@ -285,7 +289,9 @@ class EOracle(RealOracle):
 
     def _raw(self, k: int) -> Enclosure:
         w = k + _series_pad(k)
-        total, n = _series_fixed(1 << w, lambda n: (1, n))
+        term, total, n = 1 << w, 0, 1
+        while term:
+            total, term, n = total + term, term // n, n + 1
         sc = Fraction(1, 1 << w)
         return Enclosure(total * sc, (total + n + 2) * sc)
 
@@ -396,16 +402,20 @@ class CFOracle(RealOracle):
             quots.append(self.quotient(j))
 
     def _raw(self, k: int) -> Enclosure:
-        if self._value is not None:
-            return Enclosure.point(self._value)
+        return self.within(Fraction(1, 1 << k)) if self._value is None else Enclosure.point(self._value)
+
+    def within(self, width: Fraction, what=None) -> Enclosure:
+        """The first two consecutive convergents p/q with q_(j-1) q_j >= 1/width,
+        off the level ladder, so a truncated supply serves every width it reaches."""
         n, j = self.quotient_count(), 1
         while n is None or j < n:
             (p0, q0), (p1, q1) = self.cf_convergents(j + 1)[j - 1:j + 1]
-            if q0 * q1 >= 1 << k:
+            if q0 * q1 * width.numerator >= width.denominator:
                 a, b = Fraction(p0, q0), Fraction(p1, q1)
                 return Enclosure(min(a, b), max(a, b))
             j += 1
-        raise Unrepresentable(f"{self.spec}: available quotients give width above 2**-{k}")
+        bits = ((width.denominator - 1) // width.numerator).bit_length()
+        raise Unrepresentable(f"{self.spec}: available quotients give width above 2**-{bits}")
 
     def exact_value(self) -> Optional[Fraction]:
         return self._value

@@ -10,7 +10,7 @@ import pytest
 
 from dioph import dichotomy
 from dioph.cli import main
-from dioph.contfrac import convergents, expand
+from dioph.contfrac import convergents, expand, walk
 from dioph.dichotomy import (
     LemmaParams,
     _case_i_hit,
@@ -18,7 +18,6 @@ from dioph.dichotomy import (
     _frac_window_check,
     _residue_hits,
     _Stats,
-    _surrogate,
     find_fractional_hit,
     solve_disjunction,
 )
@@ -37,6 +36,7 @@ from dioph.oracle import (
     GoldenOracle,
     RationalOracle,
     SqrtOracle,
+    extend_convergents,
     nearest_int,
     parse_oracle,
     sign_of_form,
@@ -296,13 +296,44 @@ def test_residue_stream_budget_counts_hits(monkeypatch):
     assert seen == hits
 
 
-def test_surrogate_is_the_first_convergent_accurate_enough():
-    # sqrt2 convergents 1/1, 3/2, 7/5, 17/12, 41/29, 99/70: 29 * 70 >= 1000
-    sur = _surrogate(SqrtOracle(2, "sqrt2"), 1000)
-    assert (sur.p, sur.q) == (41, 29)
-    # past the first 16 quotients: the expansion depth has to double twice
-    sur = _surrogate(SqrtOracle(2, "sqrt2"), 10**30)
-    assert sur.index == 39 and sur.q == 723573111879672
+def test_walk_stops_at_the_first_convergent_reached():
+    # sqrt2 denominators 1, 2, 5, 12, 29, 70, 169, 408, 985, 2378
+    cons, j = walk(SqrtOracle(2, "sqrt2"), 1000)
+    assert (j, cons[j]) == (9, (3363, 2378))
+    # a bound met exactly, past the quotients the first rung certifies
+    cons, j = walk(SqrtOracle(2, "sqrt2"), 723573111879672)
+    assert j == 39 and cons[j][1] == 723573111879672
+
+
+def _first_accurate_convergent(oracle, accuracy_den):
+    """((p_K, q_K), q_{K+1}) for the first convergent with q_K q_{K+1} >= accuracy_den."""
+    supply, depth = oracle.quotient_count(), 16
+    while True:
+        cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
+        cons = extend_convergents([], cf.quotients)
+        for K in range(len(cons) - 1):
+            if cons[K][1] * cons[K + 1][1] >= accuracy_den:
+                return cons[K], cons[K + 1][1]
+        if len(cf.quotients) < depth:
+            raise Unrepresentable("quotient supply too small for a surrogate")
+        depth *= 2
+
+
+def convergent_surrogate_hit(oracle, q_lo, q_hi, t_lo, t_hi):
+    """Reference for ``_find_hit`` on an irrational value: the window search
+    on the convergent surrogate p_K/q_K with q_K q_{K+1} >= 8 n_hi/(t_hi -
+    t_lo), its window enlarged by n_hi/(q_K q_{K+1}), as (q, p) or None."""
+    n_lo, n_hi = max(1, q_lo.__ceil__()), q_hi.__floor__()
+    if n_lo > n_hi:
+        return None
+    (a, m), m_next = _first_accurate_convergent(oracle, (8 * n_hi / (t_hi - t_lo)).__ceil__())
+    delta = F(n_hi, m * m_next)
+    lo_i, hi_i = ((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__()
+    for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
+        f, p = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
+        if f is not None:
+            return q, p
+    return None
 
 
 def _approx_fractions(oracle, u_limit):
@@ -359,8 +390,8 @@ def certify_calls(monkeypatch):
 def test_short_quotient_supply_is_unrepresentable(certify_calls):
     # quotients 0, 2, 2**2, 2**6 and no more: denominators 1, 2, 9, 578
     short = CFOracle(None, liouville_base=2, liouville_cap=3)
-    with pytest.raises(Unrepresentable, match="surrogate of accuracy 1/1000000"):
-        _surrogate(short, 10**6)
+    with pytest.raises(Unrepresentable, match=r"quotients give width above 2\*\*-23"):
+        find_fractional_hit(short, 10**5, 2 * 10**5, F(1, 3), F(2, 3))
     # |1 xi - 0| < 1 would pass; the supply runs out before any check
     with pytest.raises(Unrepresentable, match="below denominator bound 1000000"):
         _case_i_hit(short, F(10**6), F(1), _Stats())
@@ -470,7 +501,8 @@ def test_lemma_past_4300_digits_under_a_low_cap_is_inconclusive(
     lambda o: _certify_le(o, BIG, BIG_SQRT2, F(1, 10**6), _Stats()),
     lambda o: nearest_int(o, BIG),
     lambda o: sign_of_form(o, BIG, BIG_SQRT2),
-], ids=["window", "distance", "nearest", "sign"])
+    lambda o: find_fractional_hit(o, BIG, BIG, F(1, 3), F(2, 3)),
+], ids=["window", "distance", "nearest", "sign", "surrogate"])
 def test_failed_ladder_names_huge_numbers_by_bit_length(
     default_int_limit, precision_cap, ladder
 ):
@@ -480,9 +512,8 @@ def test_failed_ladder_names_huge_numbers_by_bit_length(
 
 
 @pytest.mark.parametrize("walk", [
-    lambda o: _surrogate(o, BIG),
     lambda o: _case_i_hit(o, F(BIG), F(1, 10), _Stats()),
-], ids=["surrogate", "case_i"])
+], ids=["case_i"])
 def test_short_quotient_supply_names_huge_numbers_by_bit_length(default_int_limit, walk):
     with pytest.raises(Unrepresentable, match="16610-bit number"):
         walk(CFOracle(None, liouville_base=2, liouville_cap=3))

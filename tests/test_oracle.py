@@ -30,6 +30,7 @@ from dioph.oracle import (
     EOracle,
     Zeta2Oracle,
     Zeta3Oracle,
+    _series_fixed,
     _series_pad,
     refine,
     sign_of_form,
@@ -502,3 +503,12 @@ def test_series_overlap_the_division_loops(name, k):
 @pytest.mark.parametrize("k", [1, 8, 64, 65, 127, 1000, 2048, 4096])
 def test_e_series_is_the_old_loop(k):
     assert EOracle()._raw(k) == _e_loop(k)
+
+
+@pytest.mark.parametrize("k", [1, 8, 64, 65, 127, 1000, 2048, 4096])
+def test_e_loop_matches_the_term_ratio_series(k):
+    # e's terms divide by n alone; its own loop skips the multiply by p = 1
+    w = k + _series_pad(k)
+    total, n = _series_fixed(1 << w, lambda n: (1, n))
+    sc = F(1, 1 << w)
+    assert EOracle()._raw(k) == Enclosure(total * sc, (total + n + 2) * sc)

@@ -5,19 +5,23 @@ that brings back per-integer scanning or per-call re-expansion fails here.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import dioph
 from dioph import certlog, contfrac, dichotomy, multiform, oracle, seqbuild
 from dioph.cli import main
-from dioph.contfrac import expand
+from dioph.contfrac import expand, walk
 from dioph.dichotomy import (
     LemmaParams,
     _case_i_hit,
     _Stats,
-    _surrogate,
     solve_disjunction,
 )
 from dioph.errors import RangeTooLarge
@@ -35,18 +39,49 @@ def test_window_checks_per_solve(spec, digits):
 
 
 def test_case_ii_solve_climbs_one_ladder_per_window_check(monkeypatch):
-    # the residual is the enclosure the window check certified, so no second
-    # ladder climbs for it
+    # one surrogate ladder per window side searched, one ladder per
+    # candidate; the residual is the enclosure the window check certified,
+    # so no further ladder climbs for it
     ladders = []
-    refine = dichotomy.refine
-    monkeypatch.setattr(
-        dichotomy, "refine", lambda *args, **kw: ladders.append(args[1]) or refine(*args, **kw)
-    )
+    refine = oracle.refine
+    for module in (dichotomy, oracle):
+        monkeypatch.setattr(
+            module, "refine",
+            lambda *args, **kw: ladders.append(args[1]().split()[1]) or refine(*args, **kw),
+        )
     params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**400)
     res = solve_disjunction(SqrtOracle(2, "sqrt2"), params)
     assert res.outcome == "case_ii"
     assert res.stats.candidates >= 1
-    assert len(ladders) == res.stats.candidates
+    # the plus side hits, and the minus side is searched below the hit
+    assert ladders.count("surrogate") == 2
+    assert ladders.count("membership") == res.stats.candidates
+    assert len(ladders) == res.stats.candidates + 2
+
+
+DEEP_SOLVE = """
+import resource
+from fractions import Fraction as F
+from dioph.dichotomy import LemmaParams, solve_disjunction
+from dioph.oracle import SqrtOracle
+o = SqrtOracle(2, "sqrt2")
+res = solve_disjunction(o, LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**20000))
+print(res.outcome, len(o._conv), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_deep_case_ii_solve_stores_no_convergents():
+    # the convergent surrogate kept the 51541 convergents up to q ~ 10**20000
+    # in the oracle, 456 MB of peak RSS; the enclosure surrogate keeps none
+    src = str(Path(dioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_SOLVE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcome, stored, peak_kb = proc.stdout.split()
+    assert (outcome, stored) == ("case_ii", "0")
+    assert int(peak_kb) < 64 * 1024
 
 
 class CountingSqrt2(SqrtOracle):
@@ -90,12 +125,14 @@ def test_deeper_expand_resumes_above_cached_level():
 
 
 def test_repeated_surrogate_reads_the_cache():
+    # the surrogate is a canonical enclosure: a repeated solve reads it, and
+    # every level its window checks climb, from the oracle's cache
     o = CountingSqrt2()
-    first = _surrogate(o, 10**300)
-    o.raw_calls = o.enclose_calls = 0
-    assert _surrogate(o, 10**300) == first
+    params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**300)
+    first = solve_disjunction(o, params)
+    o.raw_calls = 0
+    assert solve_disjunction(o, params) == first
     assert o.raw_calls == 0
-    assert o.enclose_calls == 0
 
 
 @pytest.mark.parametrize("spec,eps,big_q", [
@@ -123,16 +160,21 @@ def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
     assert len(checks) <= 2
 
 
-@pytest.mark.parametrize("walk,encloses", [
-    (lambda o: _surrogate(o, 10**300), False),
+def _first_convergent_from(o, q_bound):
+    cons, j = walk(o, q_bound)
+    return cons[j]
+
+
+@pytest.mark.parametrize("search,encloses", [
+    (lambda o: _first_convergent_from(o, 10**300), False),
     # case (i)'s distance certificates read the cached enclosures
     (lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), _Stats()), True),
-], ids=["surrogate", "case_i"])
-def test_warm_walk_makes_no_expand_call(monkeypatch, walk, encloses):
+], ids=["walk", "case_i"])
+def test_warm_walk_makes_no_expand_call(monkeypatch, search, encloses):
     # a warm walk searches the cached convergents: no quotient is extracted
     # and no enclosure is computed
     o = CountingSqrt2()
-    first = walk(o)
+    first = search(o)
     expands, extractions = [], []
     monkeypatch.setattr(contfrac, "expand", lambda *a: expands.append(a) or expand(*a))
     prefix = oracle._certified_prefix
@@ -140,14 +182,14 @@ def test_warm_walk_makes_no_expand_call(monkeypatch, walk, encloses):
         oracle, "_certified_prefix", lambda *a: extractions.append(a) or prefix(*a)
     )
     o.raw_calls = o.enclose_calls = 0
-    assert walk(o) == first
+    assert search(o) == first
     assert (o.raw_calls, expands, extractions) == (0, [], [])
     assert (o.enclose_calls > 0) == encloses
 
 
 def test_each_quotient_is_extracted_once(monkeypatch):
-    # every rung resumes past the cached quotients: a fresh solve at
-    # Q = 10**400 re-ran Euclid from a_0 at each of its rungs
+    # every rung resumes past the cached quotients: a fresh case (i) walk to
+    # 10**400 re-ran Euclid from a_0 at each of its rungs
     extracted = []
     prefix = oracle._certified_prefix
 
@@ -158,7 +200,7 @@ def test_each_quotient_is_extracted_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_certified_prefix", counting)
     o = SqrtOracle(2, "sqrt2")
-    solve_disjunction(o, LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**400))
+    assert _case_i_hit(o, F(10**400), F(1), _Stats()) == (1, 1)
     quots, _ = o.cf_quotients(0)
     assert len(extracted) > 1
     assert sum(extracted) <= len(quots)

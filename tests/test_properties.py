@@ -2,18 +2,20 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dioph import multiform, seqbuild
 from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
+    _find_hit,
     _residue_hits,
+    _Stats,
     find_fractional_hit,
     solve_disjunction,
 )
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
-from dioph.errors import NeitherCaseCertified, ZeroFormValue
+from dioph.errors import DiophError, NeitherCaseCertified, ZeroFormValue
 from dioph.multiform import (
     LinearForm,
     PointVec,
@@ -36,7 +38,7 @@ from dioph.oracle import (
     parse_rational,
     separated,
 )
-from test_dichotomy import _brute_case_ii, direct_hit
+from test_dichotomy import _brute_case_ii, convergent_surrogate_hit, direct_hit
 from test_multiform import brute_dirichlet, brute_omega0, brute_records
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
@@ -223,6 +225,63 @@ def test_structured_search_matches_enumeration(oracle, q_lo, span, t_lo, width):
         return
     s = find_fractional_hit(oracle, q_lo, q_lo + span, t_lo, t_hi)
     assert s == direct_hit(oracle, q_lo, q_lo + span, t_lo, t_hi)
+
+
+constants = st.sampled_from(sorted(CATALOG)).map(lambda name: f"const:{name}")
+scales = st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool)
+surrogate_specs = st.one_of(
+    constants,
+    st.builds(
+        lambda a, b, inner: f"affine:{a.numerator}/{a.denominator}/{b.numerator}/{b.denominator}:{inner}",
+        scales, rationals, constants,
+    ),
+    st.builds(
+        lambda head, block: f"cf:[{head[0]};{','.join(map(str, head[1:]))}]+periodic:[{','.join(map(str, block))}]",
+        st.lists(st.integers(min_value=1, max_value=10**6), min_size=2, max_size=5),
+        st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=4),
+    ),
+    st.tuples(st.integers(min_value=2, max_value=10), st.integers(min_value=3, max_value=8)),
+)
+
+
+def _surrogate_oracle(spec):
+    if isinstance(spec, tuple):
+        base, cap = spec
+        return CFOracle(None, liouville_base=base, liouville_cap=cap)
+    return parse_oracle(spec)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    surrogate_specs,
+    st.one_of(
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=0, max_value=400).flatmap(lambda d: st.integers(1, 10**d + 1)),
+    ),
+    st.fractions(min_value=0, max_value=1, max_denominator=100),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.booleans(),
+    st.booleans(),
+)
+# a supply whose last convergents are 2**-38 apart: no level of the ladder
+# exists, and no candidate either
+@example((9, 3), 2, F(17, 20), F(320991, 500000), F(938959, 1000000), False, False)
+def test_enclosure_surrogate_matches_convergent_surrogate(
+    spec, q_lo, span, t1, t2, lo_strict, hi_strict
+):
+    # wherever the convergent-surrogate search answers, the search on the
+    # first narrow enough enclosure finds the same first hit
+    t_lo, t_hi = min(t1, t2), max(t1, t2)
+    assume(0 < t_lo < t_hi < 1)
+    q_lo = F(q_lo)
+    q_hi = q_lo * (1 + span)
+    try:
+        expected = convergent_surrogate_hit(_surrogate_oracle(spec), q_lo, q_hi, t_lo, t_hi)
+    except DiophError:
+        return
+    got = _find_hit(_surrogate_oracle(spec), q_lo, q_hi, t_lo, t_hi, _Stats(), lo_strict, hi_strict)
+    assert (None if got is None else got[:2]) == expected
 
 
 @settings(deadline=None, max_examples=300)
