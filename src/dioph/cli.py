@@ -79,10 +79,9 @@ def _read_csv(path: str, *columns) -> tuple:
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh, restval="")
-            rows = list(reader)
+            fields, rows = reader.fieldnames or [], list(reader)
     except (OSError, UnicodeError, csv.Error) as exc:
         raise DiophError("BAD_PARAMS", f"cannot read {path}: {exc}") from exc
-    fields = reader.fieldnames or []
     missing = [c for c in columns if c not in fields]
     if missing:
         raise DiophError("BAD_PARAMS", f"{path} has no column {', '.join(missing)}")

@@ -1,25 +1,25 @@
 """Certified continued-fraction expansion and convergents.
 
-``expand`` is a view of the oracle's own quotient cache, and ``walk``, for
-case (i) of the dichotomy, searches its convergents, growing it through
-``expand``. The quotient sources live in the oracle subclasses
-(``RealOracle._more_quotients``): a generator for values defined by their
-quotients, Euclid on the point value for exact rationals (the expansion
-terminates), and otherwise Euclid run in lockstep on both ends of a canonical
-enclosure, resumed one level above the cached one and past the cached
-quotients. ``convergents`` shares the oracle's convergent recurrence.
+``expand`` is a view of the oracle's own quotient cache. The quotient sources
+live in the oracle subclasses (``RealOracle._more_quotients``): a generator
+for values defined by their quotients, Euclid on the point value for exact
+rationals (the expansion terminates), and otherwise Euclid run in lockstep on
+both ends of a canonical enclosure, resumed one level above the cached one
+through the last two convergents it reached. No convergent is stored:
+``convergents`` and ``mu_estimate`` run the oracle's one recurrence,
+``convergent_pairs``, and case (i) of the dichotomy scans a stream of them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Optional
 
 from .certlog import ln_frac
-from .errors import Degenerate, Unrepresentable, brief
-from .oracle import RealOracle, extend_convergents
+from .errors import Degenerate
+from .oracle import RealOracle, convergent_pairs
 
 
 @dataclass(frozen=True)
@@ -61,31 +61,9 @@ def expand(oracle: RealOracle, depth: int) -> CFExpansion:
     return CFExpansion(tuple(quots[:count]), terminated=ended and len(quots) <= count)
 
 
-def walk(oracle: RealOracle, q_bound):
-    """(cons, j): the oracle's cached convergents (p, q) and the first j with
-    q_j >= ``q_bound``, or one past the end of a terminating expansion; found
-    by bisection from where the last round stopped. Past the cache ``expand``
-    grows it by a quotient at least (a ladder rung) and to twice the last
-    request (few generator rounds), up to a truncated supply, whose end raises
-    UNREPRESENTABLE. Case (i) of the dichotomy is its caller."""
-    supply, cons = oracle.quotient_count(), oracle.cf_convergents(0)
-    j, depth, ended = 0, 0, False
-    while True:
-        j = bisect_left(range(len(cons)), True, j, key=lambda i: cons[i][1] >= q_bound)
-        if j < len(cons) or ended:
-            return cons, j
-        if j < depth:
-            raise Unrepresentable(f"{oracle.spec}: quotient supply ends below "
-                                  f"denominator bound {brief(q_bound)}")
-        depth = max(2 * depth, j + 1)
-        ended = expand(oracle, (depth if supply is None else min(depth, supply)) - 1).terminated
-        cons = oracle.cf_convergents(0)
-
-
 def convergents(cf: CFExpansion) -> list:
     """Convergent list p_k/q_k for the expansion, lowest terms guaranteed."""
-    pairs = extend_convergents([], cf.quotients)
-    return [Convergent(p, q, i) for i, (p, q) in enumerate(pairs)]
+    return [Convergent(p, q, i) for i, (p, q) in enumerate(convergent_pairs(cf.quotients))]
 
 
 def mu_estimate(oracle: RealOracle, depth: int) -> MuEstimate:
@@ -102,13 +80,12 @@ def mu_estimate(oracle: RealOracle, depth: int) -> MuEstimate:
     cf = expand(oracle, depth)
     if cf.terminated:
         raise Degenerate(f"{oracle.spec} is rational; exponent ladder undefined")
-    cons = convergents(cf)
-    n = len(cons)
+    n = len(cf.quotients)
     best: Optional[Fraction] = None
     best_k: Optional[int] = None
-    for k in range(n // 2, n - 1):
-        qk, qk1 = cons[k].q, cons[k + 1].q
-        if qk < 2:
+    denominators = pairwise(q for _, q in convergent_pairs(cf.quotients))
+    for k, (qk, qk1) in enumerate(denominators):
+        if k < n // 2 or qk < 2:
             continue
         ratio = 1 + ln_frac(qk1, 96).lo / ln_frac(qk, 96).hi
         if best is None or ratio > best:

@@ -19,7 +19,7 @@ descent in O(log) steps; irrational xi is replaced by the end a/m of a
 certified enclosure of width w, candidate q up to n are enumerated in
 increasing order on its window enlarged by n w, and each is verified against
 the true value, so the first verified hit is the true minimum. Only case (i)
-reads the oracle's convergents.
+reads convergents, one at a time from the oracle's stream.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .contfrac import walk
 from .enclosure import Enclosure, Rat, _frac
 from .errors import (
     CertificateError,
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
+    Unrepresentable,
     brief,
 )
 from .oracle import RealOracle, refine
@@ -285,10 +285,16 @@ def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
     Along the run u_j = q_{i-2} + j q_{i-1}, j = 1 .. a_i, that ends at
     convergent i, |u_j xi - v_j| = |q_i xi - p_i| + (a_i - j) |q_{i-1} xi -
     p_{i-1}|: each semiconvergent is farther than the convergent before it.
-    A short quotient supply raises before any check.
+    A short quotient supply raises UNREPRESENTABLE before any check.
     """
-    cons, end = walk(oracle, u_limit)
-    for p, q in cons[:end]:
+    if oracle.quotient_count() is not None and oracle.exact_value() is None and all(
+        q < u_limit for _, q in oracle.convergent_stream()
+    ):
+        raise Unrepresentable(f"{oracle.spec}: quotient supply ends below "
+                              f"denominator bound {brief(u_limit)}")
+    for p, q in oracle.convergent_stream():
+        if q >= u_limit:
+            return None
         if _certify_le(oracle, q, p, bound, stats):
             return q, p
     return None

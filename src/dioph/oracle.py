@@ -26,8 +26,10 @@ Rationals may be written p/q, as plain integers, or as exact decimal strings.
 from __future__ import annotations
 
 import re
+from collections import deque
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import chain, pairwise
 from math import factorial
 from typing import Optional
 
@@ -85,9 +87,9 @@ def level_for(k: int) -> int:
 class RealOracle:
     """Base class. Subclasses implement ``_raw(k)`` with width <= 2**-k.
 
-    Each instance caches its canonical enclosures per level, the certified
-    continued-fraction quotients of its value and their convergents, so the
-    caches live and die with the oracle. Where the quotients come from is
+    Each instance caches its canonical enclosures per level and the certified
+    continued-fraction quotients of its value (never their convergents), so
+    the caches live and die with the oracle. Where the quotients come from is
     :meth:`_more_quotients`, which subclasses with another source override.
     """
 
@@ -95,12 +97,12 @@ class RealOracle:
 
     def __init__(self):
         self._canon: dict[int, Enclosure] = {}
-        # certified CF quotients, whether they are the whole expansion, the
-        # level that certified them, and their convergents (p, q)
+        # certified CF quotients, whether they are the whole expansion, the level
+        # that certified them, and their last two convergents, where Euclid resumes
         self._cf_quotients: list[int] = []
         self._cf_ended = False
         self._cf_level = 0
-        self._conv: list[tuple[int, int]] = []
+        self._cf_tail = SEEDS
 
     def _raw(self, k: int) -> Enclosure:
         raise NotImplementedError
@@ -147,11 +149,18 @@ class RealOracle:
             self._more_quotients(count)
         return self._cf_quotients, self._cf_ended
 
-    def cf_convergents(self, count: int) -> list:
-        """The cached convergents (p_j, q_j), one per cached quotient, first
-        extended to ``count`` of them unless the expansion ends sooner."""
-        quots, _ = self.cf_quotients(count)
-        return extend_convergents(self._conv, quots[len(self._conv):])
+    def convergent_stream(self):
+        """The convergents (p_j, q_j) of the value from j = 0, a generator
+        that grows the quotient cache as it goes and stops at the end of a
+        terminated expansion or of a truncated supply (:meth:`quotient_count`)."""
+        return convergent_pairs(self._quotient_stream())
+
+    def _quotient_stream(self):
+        j, supply = 0, self.quotient_count()
+        while (supply is None or j < supply) and j < len(quots := self.cf_quotients(j + 1)[0]):
+            new = quots[j:]
+            yield from new
+            j += len(new)
 
     def _more_quotients(self, count: int):
         """Extend the quotient cache to ``count`` quotients or to its end:
@@ -164,7 +173,10 @@ class RealOracle:
             return
 
         def step(k):
-            self._cf_quotients += _certified_prefix(self.enclose(k), self.cf_convergents(0))
+            tail = self._cf_tail
+            quots = _certified_prefix(self.enclose(k), tail)
+            self._cf_quotients += quots
+            self._cf_tail = tuple(deque(chain(tail, convergent_pairs(quots, tail)), maxlen=2))
             self._cf_level = k
             return True if len(self._cf_quotients) >= count else None
 
@@ -177,31 +189,28 @@ class RealOracle:
         return f"<oracle {self.spec}>"
 
 
-def _last_two(conv) -> list:
-    """The last two convergents (p, q) of ``conv`` after the seeds 0/1, 1/0."""
-    return [(0, 1), (1, 0), *conv[-2:]][-2:]
+SEEDS = ((0, 1), (1, 0))
 
 
-def extend_convergents(conv: list, quots) -> list:
-    """Append to the convergents (p, q) in ``conv`` those of ``quots``, the
-    quotients after the ones it covers, from the seeds 0/1, 1/0 when empty."""
-    (p0, q0), (p1, q1) = _last_two(conv)
+def convergent_pairs(quots, seeds=SEEDS):
+    """Yield the convergents (p, q) of ``quots``, the quotients after those
+    whose last two convergents are ``seeds`` (by default, from a_0)."""
+    (p0, q0), (p1, q1) = seeds
     for a in quots:
         p1, q1, p0, q0 = a * p1 + p0, a * q1 + q0, p1, q1
-        conv.append((p1, q1))
-    return conv
+        yield p1, q1
 
 
-def _certified_prefix(enc: Enclosure, conv=()) -> list:
-    """CF quotients common to every point of ``enc`` after those whose
-    convergents are ``conv``, which every point of ``enc`` must share.
+def _certified_prefix(enc: Enclosure, seeds=SEEDS) -> list:
+    """CF quotients common to every point of ``enc`` after those whose last
+    two convergents are ``seeds``, which every point of ``enc`` must share.
 
     Each endpoint x maps to its complete quotient (p0 - q0 x)/(q1 x - p1)
     through the last two convergents; one equal to p1/q1 has no quotient
     after them. Euclid runs on both at once and stops at the first quotient
     they disagree on, or once either expansion has ended.
     """
-    (p0, q0), (p1, q1) = _last_two(conv)
+    (p0, q0), (p1, q1) = seeds
     (p, q), (r, s) = [
         (p0 * x.denominator - q0 * x.numerator, q1 * x.numerator - p1 * x.denominator)
         for x in (enc.lo, enc.hi)
@@ -364,9 +373,9 @@ class CFOracle(RealOracle):
                 self.spec += "+periodic:[" + ",".join(map(str, self.periodic)) + "]"
         self._value = None
         if self.is_finite():
-            # the whole expansion at once: quotients, convergents and value
+            # the whole expansion at once, and its last convergent is the value
             self._cf_quotients, self._cf_ended = self.prefix, True
-            self._value = Fraction(*self.cf_convergents(0)[-1])
+            self._value = Fraction(*deque(convergent_pairs(self.prefix), maxlen=1)[0])
 
     def is_finite(self) -> bool:
         return self.periodic is None and self.liouville_base is None
@@ -406,15 +415,19 @@ class CFOracle(RealOracle):
 
     def within(self, width: Fraction, what=None) -> Enclosure:
         """The first two consecutive convergents p/q with q_(j-1) q_j >= 1/width,
-        off the level ladder, so a truncated supply serves every width it reaches."""
-        n, j = self.quotient_count(), 1
-        while n is None or j < n:
-            (p0, q0), (p1, q1) = self.cf_convergents(j + 1)[j - 1:j + 1]
-            if q0 * q1 * width.numerator >= width.denominator:
-                a, b = Fraction(p0, q0), Fraction(p1, q1)
-                return Enclosure(min(a, b), max(a, b))
-            j += 1
-        bits = ((width.denominator - 1) // width.numerator).bit_length()
+        off the level ladder, so a truncated supply serves every width it reaches.
+
+        xi lies between them, as |xi - p_j/q_j| < 1/(q_j q_(j+1)). Their bit
+        lengths, summing to b, put q_(j-1) q_j in [2**(b - 2), 2**b); it is
+        formed only where that cannot decide it against n = ceil(1/width)."""
+        n = -(-width.denominator // width.numerator)
+        n_bits = n.bit_length()
+        for (p0, q0), (p1, q1) in pairwise(self.convergent_stream()):
+            b = q0.bit_length() + q1.bit_length()
+            if b > n_bits + 1 or (b >= n_bits and q0 * q1 >= n):
+                a, c = Fraction(p0, q0), Fraction(p1, q1)
+                return Enclosure(min(a, c), max(a, c))
+        bits = (n - 1).bit_length()
         raise Unrepresentable(f"{self.spec}: available quotients give width above 2**-{bits}")
 
     def exact_value(self) -> Optional[Fraction]:
@@ -435,6 +448,8 @@ class AffineOracle(RealOracle):
         )
 
     def _raw(self, k: int) -> Enclosure:
+        # level_for makes this about level 2k, finer than needed: kept, as window checks
+        # pass a rung earlier, and asking the inner oracle for just enough measured slower
         extra = (abs(self.a.numerator) // self.a.denominator + 1).bit_length() + 2
         return self.inner.enclose(k + extra) * self.a + self.b
 

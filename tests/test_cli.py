@@ -266,6 +266,22 @@ def test_malformed_input_exits_2(capsys, code, argv):
     assert err.startswith(f"error: {code}: ")
 
 
+@pytest.mark.parametrize("argv,column", [
+    (("multi", "tau", "--oracle", "const:sqrt2", "--forms-csv"), "n"),
+    (("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--n", "5:6", "--rates-csv"), "n, Q, eps"),
+    (("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--alpha", "1/2", "--beta", "3",
+      "--n", "5:6", "--eta-csv"), "n, eta"),
+    (("density", "--oracle", "const:sqrt2", "--u-csv"), "u"),
+], ids=["forms", "rates", "eta", "u"])
+def test_empty_csv_exits_2(capsys, tmp_path, argv, column):
+    # the header was read after the file had closed: ValueError, exit 1
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: BAD_PARAMS: {path} has no column {column}\n"
+
+
 @pytest.mark.parametrize("flag,table,csv,extra", [
     ("--rates-csv", "rate", "n,Q,eps\n20,10000,1/81\n21,100000,1/243\n21,1000000,1/729\n", ()),
     ("--eta-csv", "eta", "n,eta\n20,2/5\n21,2/5\n21,3/10\n", ("--alpha", "1/2", "--beta", "3")),

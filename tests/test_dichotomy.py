@@ -10,7 +10,7 @@ import pytest
 
 from dioph import dichotomy
 from dioph.cli import main
-from dioph.contfrac import convergents, expand, walk
+from dioph.contfrac import convergents, expand
 from dioph.dichotomy import (
     LemmaParams,
     _case_i_hit,
@@ -36,7 +36,6 @@ from dioph.oracle import (
     GoldenOracle,
     RationalOracle,
     SqrtOracle,
-    extend_convergents,
     nearest_int,
     parse_oracle,
     sign_of_form,
@@ -296,13 +295,45 @@ def test_residue_stream_budget_counts_hits(monkeypatch):
     assert seen == hits
 
 
+def extend_convergents(conv: list, quots) -> list:
+    """Reference: append to the convergents (p, q) in ``conv`` those of
+    ``quots``, the quotients after the ones it covers, from the seeds 0/1,
+    1/0 when empty; the oracle stored every convergent this way."""
+    (p0, q0), (p1, q1) = [(0, 1), (1, 0), *conv[-2:]][-2:]
+    for a in quots:
+        p1, q1, p0, q0 = a * p1 + p0, a * q1 + q0, p1, q1
+        conv.append((p1, q1))
+    return conv
+
+
+def reference_within(oracle, width):
+    """Reference for ``CFOracle.within``: the linear scan over the stored
+    convergents that forms q_(j-1) q_j at every step, as an Enclosure."""
+    n, j, conv = oracle.quotient_count(), 1, []
+    while n is None or j < n:
+        quots, _ = oracle.cf_quotients(j + 1)
+        (p0, q0), (p1, q1) = extend_convergents(conv, quots[len(conv):j + 1])[j - 1:j + 1]
+        if q0 * q1 * width.numerator >= width.denominator:
+            a, b = F(p0, q0), F(p1, q1)
+            return Enclosure(min(a, b), max(a, b))
+        j += 1
+    return None
+
+
+def first_convergent_reached(oracle, q_bound):
+    """(j, (p_j, q_j)) for the first convergent in the oracle's stream with
+    q_j >= ``q_bound``."""
+    return next((j, pq) for j, pq in enumerate(oracle.convergent_stream()) if pq[1] >= q_bound)
+
+
 def test_walk_stops_at_the_first_convergent_reached():
     # sqrt2 denominators 1, 2, 5, 12, 29, 70, 169, 408, 985, 2378
-    cons, j = walk(SqrtOracle(2, "sqrt2"), 1000)
-    assert (j, cons[j]) == (9, (3363, 2378))
+    assert first_convergent_reached(SqrtOracle(2, "sqrt2"), 1000) == (9, (3363, 2378))
     # a bound met exactly, past the quotients the first rung certifies
-    cons, j = walk(SqrtOracle(2, "sqrt2"), 723573111879672)
-    assert j == 39 and cons[j][1] == 723573111879672
+    o = SqrtOracle(2, "sqrt2")
+    j, (_, q) = first_convergent_reached(o, 723573111879672)
+    assert j == 39 and q == 723573111879672
+    assert o.cf_quotients(0)[0][:40] == [1] + [2] * 39
 
 
 def _first_accurate_convergent(oracle, accuracy_den):

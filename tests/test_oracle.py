@@ -399,12 +399,17 @@ def test_residue_stream_has_one_budget():
 
 
 def test_quotient_caches_live_only_in_oracle():
-    """Only oracle.py touches the quotient and convergent caches, and neither
+    """Only oracle.py touches the quotient cache and the pair of convergents
+    it resumes from, it runs the only convergent recurrence, and neither
     contfrac.py nor dichotomy.py picks a quotient source by oracle type."""
     src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    recurrences = []
     for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        recurrences += [path.name for _ in re.finditer(r"\* p1 \+ p0", text)]
         if path.name != "oracle.py":
-            assert not re.search(r"_cf_quotients|_cf_level|_conv\b", path.read_text()), path.name
+            assert not re.search(r"_cf_quotients|_cf_level|_cf_tail|_conv\b", text), path.name
+    assert recurrences == ["oracle.py"]
     for name in ("contfrac.py", "dichotomy.py"):
         assert "CFOracle" not in (src / name).read_text(), name
 

@@ -17,7 +17,7 @@ import pytest
 import dioph
 from dioph import certlog, contfrac, dichotomy, multiform, oracle, seqbuild
 from dioph.cli import main
-from dioph.contfrac import expand, walk
+from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
     _case_i_hit,
@@ -27,6 +27,7 @@ from dioph.dichotomy import (
 from dioph.errors import RangeTooLarge
 from dioph.multiform import PointVec, dirichlet_witness, omega0_search
 from dioph.oracle import RationalOracle, SqrtOracle, parse_oracle
+from test_dichotomy import first_convergent_reached
 
 
 @pytest.mark.parametrize("spec", ["const:sqrt2", "const:e", "const:zeta3"])
@@ -59,28 +60,53 @@ def test_case_ii_solve_climbs_one_ladder_per_window_check(monkeypatch):
     assert len(ladders) == res.stats.candidates + 2
 
 
+def _peak_rss_kb(script: str, timeout: int) -> list:
+    """Run ``script`` in a fresh interpreter on this package; its stdout
+    split into words, the last of them its peak RSS in kB."""
+    src = str(Path(dioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script += "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 DEEP_SOLVE = """
-import resource
 from fractions import Fraction as F
 from dioph.dichotomy import LemmaParams, solve_disjunction
 from dioph.oracle import SqrtOracle
 o = SqrtOracle(2, "sqrt2")
 res = solve_disjunction(o, LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**20000))
-print(res.outcome, len(o._conv), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(res.outcome, ",".join(sorted(vars(o))), len(o._cf_tail))
 """
 
 
 def test_deep_case_ii_solve_stores_no_convergents():
     # the convergent surrogate kept the 51541 convergents up to q ~ 10**20000
-    # in the oracle, 456 MB of peak RSS; the enclosure surrogate keeps none
-    src = str(Path(dioph.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", DEEP_SOLVE], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    outcome, stored, peak_kb = proc.stdout.split()
-    assert (outcome, stored) == ("case_ii", "0")
+    # in the oracle, 456 MB of peak RSS; the oracle holds its enclosures,
+    # its quotients and one pair of convergents, the last two of them
+    outcome, attrs, tail, peak_kb = _peak_rss_kb(DEEP_SOLVE, 120)
+    assert outcome == "case_ii"
+    assert attrs.split(",") == [
+        "_canon", "_cf_ended", "_cf_level", "_cf_quotients", "_cf_tail", "n", "spec"
+    ]
+    assert tail == "2"
+    assert int(peak_kb) < 64 * 1024
+
+
+@pytest.mark.parametrize("script", [
+    # 2.3 s and 128 MB while the oracle stored every convergent
+    "from dioph.contfrac import expand\n"
+    "from dioph.oracle import SqrtOracle\n"
+    "assert expand(SqrtOracle(2, 'sqrt2'), 50000).quotients[-1] == 2",
+    # 92 s and 821 MB: q_(j-1) q_j formed at each of 94k steps, at every level
+    "from dioph.oracle import CFOracle\n"
+    "assert CFOracle([1], periodic=[1]).enclose(1 << 17).width > 0",
+], ids=["expand-sqrt2-50000", "golden-cf-enclose-2**17"])
+def test_deep_continued_fractions_in_bounded_memory(script):
+    (peak_kb,) = _peak_rss_kb(script, 60)
     assert int(peak_kb) < 64 * 1024
 
 
@@ -160,19 +186,14 @@ def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
     assert len(checks) <= 2
 
 
-def _first_convergent_from(o, q_bound):
-    cons, j = walk(o, q_bound)
-    return cons[j]
-
-
 @pytest.mark.parametrize("search,encloses", [
-    (lambda o: _first_convergent_from(o, 10**300), False),
+    (lambda o: first_convergent_reached(o, 10**300), False),
     # case (i)'s distance certificates read the cached enclosures
     (lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), _Stats()), True),
 ], ids=["walk", "case_i"])
 def test_warm_walk_makes_no_expand_call(monkeypatch, search, encloses):
-    # a warm walk searches the cached convergents: no quotient is extracted
-    # and no enclosure is computed
+    # a warm stream reads the cached quotients: no quotient is extracted and
+    # no enclosure is computed
     o = CountingSqrt2()
     first = search(o)
     expands, extractions = [], []
@@ -188,7 +209,7 @@ def test_warm_walk_makes_no_expand_call(monkeypatch, search, encloses):
 
 
 def test_each_quotient_is_extracted_once(monkeypatch):
-    # every rung resumes past the cached quotients: a fresh case (i) walk to
+    # every rung resumes past the cached quotients: a fresh stream to
     # 10**400 re-ran Euclid from a_0 at each of its rungs
     extracted = []
     prefix = oracle._certified_prefix
@@ -200,7 +221,8 @@ def test_each_quotient_is_extracted_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_certified_prefix", counting)
     o = SqrtOracle(2, "sqrt2")
-    assert _case_i_hit(o, F(10**400), F(1), _Stats()) == (1, 1)
+    j, (_, q) = first_convergent_reached(o, 10**400)
+    assert (j, q >= 10**400) == (1046, True)
     quots, _ = o.cf_quotients(0)
     assert len(extracted) > 1
     assert sum(extracted) <= len(quots)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -15,7 +16,7 @@ from dioph.dichotomy import (
     solve_disjunction,
 )
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
-from dioph.errors import DiophError, NeitherCaseCertified, ZeroFormValue
+from dioph.errors import DiophError, NeitherCaseCertified, Unrepresentable, ZeroFormValue
 from dioph.multiform import (
     LinearForm,
     PointVec,
@@ -33,12 +34,17 @@ from dioph.oracle import (
     RationalOracle,
     SqrtOracle,
     _certified_prefix,
-    extend_convergents,
     parse_oracle,
     parse_rational,
     separated,
 )
-from test_dichotomy import _brute_case_ii, convergent_surrogate_hit, direct_hit
+from test_dichotomy import (
+    _brute_case_ii,
+    convergent_surrogate_hit,
+    direct_hit,
+    extend_convergents,
+    reference_within,
+)
 from test_multiform import brute_dirichlet, brute_omega0, brute_records
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
@@ -168,6 +174,61 @@ def test_resumed_extraction_matches_extraction_from_a0(oracle, k1, dk):
     head = _certified_prefix(oracle.enclose(k1))
     tail = _certified_prefix(oracle.enclose(k1 + dk), extend_convergents([], head)[-2:])
     assert head + tail == _certified_prefix(oracle.enclose(k1 + dk))
+
+
+stream_oracles = st.one_of(
+    st.sampled_from(sorted(CATALOG)).map(lambda name: CATALOG[name]()),
+    st.tuples(st.sampled_from(sorted(CATALOG)), rationals.filter(bool), rationals).map(
+        lambda t: AffineOracle(t[1], t[2], CATALOG[t[0]]())
+    ),
+    st.tuples(
+        st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=6),
+        st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=4),
+    ).map(lambda t: CFOracle(t[0], periodic=t[1])),
+    st.tuples(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=4)).map(
+        lambda t: CFOracle(None, liouville_base=t[0], liouville_cap=t[1])
+    ),
+)
+# random widths, and widths 2**-e and just off them, where CFOracle.within's
+# bit-length test hands over to the product q_(j-1) q_j
+stream_widths = st.one_of(
+    st.fractions(min_value=F(1, 2**300), max_value=2).filter(bool),
+    st.tuples(
+        st.integers(min_value=0, max_value=400), st.sampled_from([-1, 0, 1]), st.integers(1, 10**6)
+    ).map(lambda t: F(1, 2**t[0]) * (1 + F(t[1], t[2] + 2**t[0]))),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    stream_oracles,
+    st.integers(min_value=1, max_value=200),
+    st.lists(stream_widths, max_size=4),
+    st.integers(min_value=1, max_value=200),
+)
+def test_convergent_stream_matches_stored_convergents(oracle, depth, widths, j):
+    supply = oracle.quotient_count()
+    count = depth + 1 if supply is None else min(depth + 1, supply)
+    got = list(islice(oracle.convergent_stream(), count))
+    quots, _ = oracle.cf_quotients(count)
+    assert got == extend_convergents([], quots[:count])
+    if supply is not None:
+        assert len(list(oracle.convergent_stream())) == supply
+    if isinstance(oracle, CFOracle) and count > 1:
+        # 1/width at q_(j-1) q_j and where its bit-length range [2**(b-2), 2**b) ends
+        (_, q0), (_, q1) = got[min(j, count - 1) - 1:min(j, count - 1) + 1]
+        b = q0.bit_length() + q1.bit_length()
+        near = [q0 * q1, 2 ** (b - 2), 2 ** (b - 1), 2**b]
+        widths += [F(1, n + d) for n in near for d in (-1, 0, 1) if n + d > 0]
+    if isinstance(oracle, CFOracle):
+        for width in widths:
+            ref = reference_within(oracle, width)
+            if ref is None:
+                bits = ((width.denominator - 1) // width.numerator).bit_length()
+                with pytest.raises(Unrepresentable, match=rf"give width above 2\*\*-{bits}$"):
+                    oracle.within(width)
+            else:
+                assert oracle.within(width) == ref
 
 
 def _fraction_ln_frac(x, k):
@@ -545,7 +606,7 @@ def test_rounded_form_contains_the_summed_form(coords, data):
 def test_rounded_form_keeps_tiny_values_separated(coord, j):
     # q x - p at a convergent is about 1/q**2, far below the unit ulp
     x = parse_oracle(_coordinate(*coord))
-    p, q = x.cf_convergents(j + 1)[j]
+    p, q = next(islice(x.convergent_stream(), j, None))
     point = PointVec((RationalOracle(1), x))
     form = LinearForm((-p, q))
     got = evaluate_form(form, point)
