@@ -7,7 +7,7 @@ rationals (the expansion terminates), and otherwise Euclid run in lockstep on
 both ends of a canonical enclosure, resumed one level above the cached one
 through the last two convergents it reached. No convergent is stored:
 ``convergents`` and ``mu_estimate`` run the oracle's one recurrence,
-``convergent_pairs``, and case (i) of the dichotomy scans a stream of them.
+``convergent_pairs``. The dichotomy reads no continued fraction.
 """
 
 from __future__ import annotations

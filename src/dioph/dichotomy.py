@@ -6,20 +6,19 @@ real value xi, one of two certificates is produced:
 - case (ii): an integer pair (q, p) with Q <= q <= c Q, p the nearest integer
   to q xi, and eps <= |q xi - p| < c' eps; searched first and returned with
   the smallest such q;
-- case (i): a reduced fraction v/u with u below an explicit bound and
-  |u xi - v| within an explicit distance bound, the first such among the
-  convergents and semiconvergents of xi in increasing denominator order;
-  that is always a convergent, so only convergents are checked.
+- case (i): a fraction v/u with u below an explicit bound and |u xi - v|
+  within an explicit distance bound b, u the least such; by Lagrange's
+  best-approximation theorem that is a convergent of xi.
 
 The distance band of case (ii) translates into at most two windows for the
 fractional part of q xi, one on each side of 1/2, each with its own endpoint
-strictness. The window search is exact at every size: rational xi reduces to
-a residue-class query, strict endpoints included, solved by Euclidean
-descent in O(log) steps; irrational xi is replaced by the end a/m of a
-certified enclosure of width w, candidate q up to n are enumerated in
-increasing order on its window enlarged by n w, and each is verified against
-the true value, so the first verified hit is the true minimum. Only case (i)
-reads convergents, one at a time from the oracle's stream.
+strictness; case (i) is the one window [-b, b], read cyclically. The window
+search is exact at every size: rational xi reduces to a residue-class query,
+strict endpoints included, solved by Euclidean descent in O(log) steps;
+irrational xi is replaced by the end a/m of a certified enclosure of width
+w, candidate q up to n are enumerated in increasing order on its window
+enlarged by n w, and each is verified against the true value, so the first
+verified hit is the true minimum. No case reads a continued fraction.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import (
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
-    Unrepresentable,
     brief,
 )
 from .oracle import RealOracle, refine
@@ -261,42 +259,52 @@ def _find_hit(
     return None
 
 
-def _certify_le(oracle, u, v, bound: Fraction, stats) -> bool:
-    """Certified |u xi - v| <= bound (inclusive)."""
-    val = oracle.exact_value()
-    if val is not None:
-        return abs(u * val - v) <= bound
+def _case_i_check(oracle, u, vs, beta, stats):
+    """[v] for the least v of the ascending range ``vs`` with certified |u xi -
+    v| <= beta, or [] when every one is certified farther: each v is decided on
+    both ends of enclose(k) u - v, not by floor(u xi), which stays undecided
+    where a value given by its quotients puts p_j on an end and u = q_j."""
+    stats.candidates += 1
 
     def step(k):
-        d = (oracle.enclose(k) * u - v).abs()
-        if d.hi <= bound:
-            return True
-        if d.lo > bound:
-            return False
-        return None
+        e = oracle.enclose(k) * u
+        for v in vs:
+            d = (e - v).abs()
+            if d.hi <= beta:
+                return [v]
+            if d.lo <= beta:
+                return None
+        return []
 
-    return refine(step, lambda: f"distance certificate for {brief(v)}/{brief(u)} undecided", stats)
+    return refine(step, lambda: f"distance certificate for u={brief(u)} undecided", stats)
 
 
-def _case_i_hit(oracle, u_limit: Fraction, bound: Fraction, stats):
-    """First convergent (q, p) with q < u_limit and certified |q xi - p| <=
-    bound, or None; also the first such among all semiconvergents.
-
-    Along the run u_j = q_{i-2} + j q_{i-1}, j = 1 .. a_i, that ends at
-    convergent i, |u_j xi - v_j| = |q_i xi - p_i| + (a_i - j) |q_{i-1} xi -
-    p_{i-1}|: each semiconvergent is farther than the convergent before it.
-    A short quotient supply raises UNREPRESENTABLE before any check.
+def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
+    """Least integer u < ``u_limit`` with |u xi - v| <= ``bound`` for an
+    integer v, as (u, v) with v = floor(u xi) if frac(u xi) <= bound, else
+    floor(u xi) + 1, or None: case (ii)'s search, on the cyclic window
+    [-bound, bound] and a surrogate no wider than 2 bound/(8 u_hi). That v is
+    the least integer from floor(u xi) on within min(bound, 1) of u xi.
     """
-    if oracle.quotient_count() is not None and oracle.exact_value() is None and all(
-        q < u_limit for _, q in oracle.convergent_stream()
-    ):
-        raise Unrepresentable(f"{oracle.spec}: quotient supply ends below "
-                              f"denominator bound {brief(u_limit)}")
-    for p, q in oracle.convergent_stream():
-        if q >= u_limit:
-            return None
-        if _certify_le(oracle, q, p, bound, stats):
-            return q, p
+    u_hi = u_limit.__ceil__() - 1
+    if u_hi < 1:
+        return None
+    x = oracle.exact_value()
+    enc = Enclosure.point(x) if x is not None else oracle.within(
+        bound / (4 * u_hi), lambda: f"window surrogate for u <= {brief(u_hi)} undecided"
+    )
+    a, m = enc.lo.numerator, enc.lo.denominator
+    r = ((bound + u_hi * enc.width) * m).__floor__()
+    beta = min(bound, 1)
+    for u in _residue_hits(a, m, 1, u_hi, lambda u: (-r, r)):
+        near = enc * u
+        v0 = max((near.lo - beta).__ceil__(), near.lo.__floor__())
+        if x is not None:
+            stats.candidates += 1
+            return u, v0
+        hit = _case_i_check(oracle, u, range(v0, (near.hi + beta).__floor__() + 1), beta, stats)
+        if hit:
+            return u, hit[0]
     return None
 
 
@@ -341,7 +349,7 @@ def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionRes
         )
     bound_u = params.bound_u
     factor = params.dist_factor
-    hit = _case_i_hit(oracle, bound_u, factor / Q, stats)
+    hit = _case_i_search(oracle, bound_u, factor / Q, stats)
     if hit is not None:
         u, v = hit
         witness = CaseIWitness(u, v, bound_u, factor / (u * Q))

@@ -137,10 +137,6 @@ class RealOracle:
         """The exact rational value when the oracle is rational, else None."""
         return None
 
-    def quotient_count(self) -> Optional[int]:
-        """Number of quotients a truncated quotient generator supplies, else None."""
-        return None
-
     def cf_quotients(self, count: int):
         """(quotients, ended): the cached certified CF quotients, first
         extended to ``count`` of them unless the expansion ends sooner, and
@@ -148,19 +144,6 @@ class RealOracle:
         if len(self._cf_quotients) < count and not self._cf_ended:
             self._more_quotients(count)
         return self._cf_quotients, self._cf_ended
-
-    def convergent_stream(self):
-        """The convergents (p_j, q_j) of the value from j = 0, a generator
-        that grows the quotient cache as it goes and stops at the end of a
-        terminated expansion or of a truncated supply (:meth:`quotient_count`)."""
-        return convergent_pairs(self._quotient_stream())
-
-    def _quotient_stream(self):
-        j, supply = 0, self.quotient_count()
-        while (supply is None or j < supply) and j < len(quots := self.cf_quotients(j + 1)[0]):
-            new = quots[j:]
-            yield from new
-            j += len(new)
 
     def _more_quotients(self, count: int):
         """Extend the quotient cache to ``count`` quotients or to its end:
@@ -410,6 +393,14 @@ class CFOracle(RealOracle):
         for j in range(len(quots), count):
             quots.append(self.quotient(j))
 
+    def _quotients(self):
+        """The quotients from a_0, read through the cache to the supply's end."""
+        j, supply = 0, self.quotient_count()
+        while supply is None or j < supply:
+            quots = self.cf_quotients(j + 1)[0]
+            yield from quots[j:]
+            j = len(quots)
+
     def _raw(self, k: int) -> Enclosure:
         return self.within(Fraction(1, 1 << k)) if self._value is None else Enclosure.point(self._value)
 
@@ -422,7 +413,7 @@ class CFOracle(RealOracle):
         formed only where that cannot decide it against n = ceil(1/width)."""
         n = -(-width.denominator // width.numerator)
         n_bits = n.bit_length()
-        for (p0, q0), (p1, q1) in pairwise(self.convergent_stream()):
+        for (p0, q0), (p1, q1) in pairwise(convergent_pairs(self._quotients())):
             b = q0.bit_length() + q1.bit_length()
             if b > n_bits + 1 or (b >= n_bits and q0 * q1 >= n):
                 a, c = Fraction(p0, q0), Fraction(p1, q1)

@@ -13,8 +13,8 @@ from dioph.cli import main
 from dioph.contfrac import convergents, expand
 from dioph.dichotomy import (
     LemmaParams,
-    _case_i_hit,
-    _certify_le,
+    _case_i_check,
+    _case_i_search,
     _frac_window_check,
     _residue_hits,
     _Stats,
@@ -36,8 +36,10 @@ from dioph.oracle import (
     GoldenOracle,
     RationalOracle,
     SqrtOracle,
+    convergent_pairs,
     nearest_int,
     parse_oracle,
+    refine,
     sign_of_form,
 )
 
@@ -306,10 +308,30 @@ def extend_convergents(conv: list, quots) -> list:
     return conv
 
 
+def quotient_supply(oracle):
+    """Number of quotients a truncated or finite generator supplies, else None."""
+    return oracle.quotient_count() if isinstance(oracle, CFOracle) else None
+
+
+def convergent_stream(oracle):
+    """Reference: the convergents (p_j, q_j) of the value from j = 0, read off
+    the oracle's quotient cache as it grows, up to the end of a terminated
+    expansion or of a truncated supply."""
+    supply = quotient_supply(oracle)
+
+    def quotients():
+        j = 0
+        while (supply is None or j < supply) and j < len(quots := oracle.cf_quotients(j + 1)[0]):
+            yield quots[j]
+            j += 1
+
+    return convergent_pairs(quotients())
+
+
 def reference_within(oracle, width):
     """Reference for ``CFOracle.within``: the linear scan over the stored
     convergents that forms q_(j-1) q_j at every step, as an Enclosure."""
-    n, j, conv = oracle.quotient_count(), 1, []
+    n, j, conv = quotient_supply(oracle), 1, []
     while n is None or j < n:
         quots, _ = oracle.cf_quotients(j + 1)
         (p0, q0), (p1, q1) = extend_convergents(conv, quots[len(conv):j + 1])[j - 1:j + 1]
@@ -323,7 +345,7 @@ def reference_within(oracle, width):
 def first_convergent_reached(oracle, q_bound):
     """(j, (p_j, q_j)) for the first convergent in the oracle's stream with
     q_j >= ``q_bound``."""
-    return next((j, pq) for j, pq in enumerate(oracle.convergent_stream()) if pq[1] >= q_bound)
+    return next((j, pq) for j, pq in enumerate(convergent_stream(oracle)) if pq[1] >= q_bound)
 
 
 def test_walk_stops_at_the_first_convergent_reached():
@@ -338,7 +360,7 @@ def test_walk_stops_at_the_first_convergent_reached():
 
 def _first_accurate_convergent(oracle, accuracy_den):
     """((p_K, q_K), q_{K+1}) for the first convergent with q_K q_{K+1} >= accuracy_den."""
-    supply, depth = oracle.quotient_count(), 16
+    supply, depth = quotient_supply(oracle), 16
     while True:
         cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
         cons = extend_convergents([], cf.quotients)
@@ -370,7 +392,7 @@ def convergent_surrogate_hit(oracle, q_lo, q_hi, t_lo, t_hi):
 def _approx_fractions(oracle, u_limit):
     """Reference: every convergent and semiconvergent (u, v) with u below
     ``u_limit``, listed one at a time in increasing denominator order."""
-    supply = oracle.quotient_count()
+    supply = quotient_supply(oracle)
     depth = 16
     while True:
         cf = expand(oracle, (depth if supply is None else min(depth, supply)) - 1)
@@ -405,28 +427,61 @@ def test_approx_fractions_in_denominator_order():
     assert len(_approx_fractions(SqrtOracle(2, "sqrt2"), 10**20)) == 106
 
 
+def _certify_le(oracle, u, v, bound: F, stats) -> bool:
+    """Reference: certified |u xi - v| <= bound (inclusive)."""
+    val = oracle.exact_value()
+    if val is not None:
+        return abs(u * val - v) <= bound
+
+    def step(k):
+        d = (oracle.enclose(k) * u - v).abs()
+        if d.hi <= bound:
+            return True
+        if d.lo > bound:
+            return False
+        return None
+
+    return refine(step, lambda: f"distance certificate for {v}/{u} undecided", stats)
+
+
+def _case_i_hit(oracle, u_limit: F, bound: F, stats):
+    """Reference for ``_case_i_search``: the first convergent (q, p) with q <
+    u_limit and certified |q xi - p| <= bound, or None, the least such q by
+    Lagrange's best-approximation theorem. A short quotient supply raises
+    UNREPRESENTABLE before any check."""
+    if quotient_supply(oracle) is not None and oracle.exact_value() is None and all(
+        q < u_limit for _, q in convergent_stream(oracle)
+    ):
+        raise Unrepresentable(f"{oracle.spec}: quotient supply ends below denominator bound")
+    for p, q in convergent_stream(oracle):
+        if q >= u_limit:
+            return None
+        if _certify_le(oracle, q, p, bound, stats):
+            return q, p
+    return None
+
+
 @pytest.fixture
-def certify_calls(monkeypatch):
-    """Counts the case (i) distance checks the dichotomy makes."""
+def case_i_checks(monkeypatch):
+    """Records u for each case (i) window check the dichotomy makes."""
     calls = []
-
-    def counting(oracle, u, v, bound, stats):
-        calls.append((u, v))
-        return _certify_le(oracle, u, v, bound, stats)
-
-    monkeypatch.setattr(dichotomy, "_certify_le", counting)
+    check = dichotomy._case_i_check
+    monkeypatch.setattr(
+        dichotomy, "_case_i_check", lambda oracle, u, *a: calls.append(u) or check(oracle, u, *a)
+    )
     return calls
 
 
-def test_short_quotient_supply_is_unrepresentable(certify_calls):
+def test_short_quotient_supply_is_unrepresentable(case_i_checks):
     # quotients 0, 2, 2**2, 2**6 and no more: denominators 1, 2, 9, 578
     short = CFOracle(None, liouville_base=2, liouville_cap=3)
     with pytest.raises(Unrepresentable, match=r"quotients give width above 2\*\*-23"):
         find_fractional_hit(short, 10**5, 2 * 10**5, F(1, 3), F(2, 3))
-    # |1 xi - 0| < 1 would pass; the supply runs out before any check
-    with pytest.raises(Unrepresentable, match="below denominator bound 1000000"):
-        _case_i_hit(short, F(10**6), F(1), _Stats())
-    assert certify_calls == []
+    # |1 xi - 0| < 1 would pass, but proving u = 1 the first hit below 10**6
+    # needs xi to within 1/(4 (10**6 - 1)), which the supply cannot give
+    with pytest.raises(Unrepresentable, match=r"quotients give width above 2\*\*-22$"):
+        _case_i_search(short, F(10**6), F(1), _Stats())
+    assert case_i_checks == []
 
 
 CASE_I_SPECS = [
@@ -451,13 +506,41 @@ def test_case_i_scan_matches_linear_scan(spec):
             ),
             None,
         )
+        assert _case_i_search(oracle, u_limit, bound, _Stats()) == expected
         assert _case_i_hit(oracle, u_limit, bound, _Stats()) == expected
 
 
 def test_case_i_denominator_bound_is_strict():
     # sqrt2: |2 xi - 3| = 0.17..., |5 xi - 7| = 0.07...; u = 5 is not below 5
-    assert _case_i_hit(SQRT2, F(5), F(1, 10), _Stats()) is None
-    assert _case_i_hit(SQRT2, F(6), F(1, 10), _Stats()) == (5, 7)
+    assert _case_i_search(SQRT2, F(5), F(1, 10), _Stats()) is None
+    assert _case_i_search(SQRT2, F(6), F(1, 10), _Stats()) == (5, 7)
+
+
+@pytest.mark.parametrize("spec,bound,expected", [
+    # from 1/2 on every window holds u = 1, and the floor side comes first
+    ("const:e", F(1), (1, 2)),
+    ("const:golden", F(7, 10), (1, 1)),
+    ("const:golden", F(1, 2), (1, 2)),
+    ("const:sqrt2", F(3), (1, 1)),
+    ("rat:7/2", F(1, 2), (1, 3)),
+    ("rat:-7/2", F(1, 2), (1, -4)),
+    ("affine:-1/1/0/1:const:e", F(3, 5), (1, -3)),
+])
+def test_case_i_from_half_on_takes_u_one(spec, bound, expected):
+    oracle = parse_oracle(spec)
+    assert _case_i_search(oracle, F(10**6), bound, _Stats()) == expected
+    assert _case_i_hit(parse_oracle(spec), F(10**6), bound, _Stats()) == expected
+
+
+def test_integer_with_trailing_quotient_one_takes_the_integer():
+    # [0; 1] is 1: the convergent scan met 0/1 first, at distance 1, and
+    # answered v = a0 = 0 wherever the bound reached 1; the window search
+    # answers v = floor(1 xi) = 1, at distance 0
+    for bound in (F(1), F(3, 2), F(3)):
+        assert _case_i_search(parse_oracle("cf:[0;1]"), F(100), bound, _Stats()) == (1, 1)
+        assert _case_i_hit(parse_oracle("cf:[0;1]"), F(100), bound, _Stats()) == (1, 0)
+    assert _case_i_search(parse_oracle("cf:[0;1]"), F(100), F(9, 10), _Stats()) == (1, 1)
+    assert _case_i_hit(parse_oracle("cf:[0;1]"), F(100), F(9, 10), _Stats()) == (1, 1)
 
 
 def _lemma_cli(capsys, spec, eps, big_q):
@@ -470,21 +553,31 @@ def _lemma_cli(capsys, spec, eps, big_q):
     return json.loads(out)
 
 
-def test_long_semiconvergent_run_is_skipped(capsys, certify_calls):
+def test_long_semiconvergent_run_is_skipped(capsys, case_i_checks):
     # a_2 = 10**8: the linear scan listed 10**8 semiconvergents and hung
     doc = _lemma_cli(capsys, "cf:[0;3,100000000]+periodic:[1]", "1/10000000", "1000")
     assert doc["outcome"] == "I"
     assert (doc["witness"]["u"], doc["witness"]["v"]) == ("3", "1")
-    assert certify_calls == [(1, 0), (3, 1)]
+    assert len(case_i_checks) <= 2
 
 
-def test_liouville_case_i_checks_convergents_only(capsys, certify_calls):
+def test_liouville_case_i_checks_convergents_only(capsys, case_i_checks):
     # a_4 = 2**24 semiconvergents lie below the denominator bound 2.25e13;
     # one check each ran for minutes
     doc = _lemma_cli(capsys, "cf:liouville:2", "1e-12", "1e12")
     assert doc["outcome"] == "I"
     assert (doc["witness"]["u"], doc["witness"]["v"]) == ("9697230857", "4311744516")
-    assert [u for u, _ in certify_calls] == [1, 2, 9, 578, 9697230857]
+    assert len(case_i_checks) <= 2
+
+
+def test_case_i_solve_extracts_no_quotient():
+    # the convergent scan expanded the affine value, 5 quotients by Euclid
+    # on its enclosures; the window search reads enclosures only
+    oracle = parse_oracle("affine:1/1:cf:liouville:2")
+    res = solve_disjunction(oracle, LemmaParams(F(3, 2), F(19, 10), F(1, 10**12), 10**12))
+    assert res.outcome == "case_i"
+    assert (res.witness.u, res.witness.v) == (9697230857, 4311744516 + 9697230857)
+    assert oracle._cf_quotients == []
 
 
 def test_affine_liouville_surrogate_stops_before_the_supply(capsys):
@@ -529,7 +622,7 @@ def test_lemma_past_4300_digits_under_a_low_cap_is_inconclusive(
 
 @pytest.mark.parametrize("ladder", [
     lambda o: _frac_window_check(o, BIG, F(1, 3), F(2, 3), _Stats()),
-    lambda o: _certify_le(o, BIG, BIG_SQRT2, F(1, 10**6), _Stats()),
+    lambda o: _case_i_check(o, BIG, range(BIG_SQRT2, BIG_SQRT2 + 1), F(1, 10**6), _Stats()),
     lambda o: nearest_int(o, BIG),
     lambda o: sign_of_form(o, BIG, BIG_SQRT2),
     lambda o: find_fractional_hit(o, BIG, BIG, F(1, 3), F(2, 3)),
@@ -543,8 +636,12 @@ def test_failed_ladder_names_huge_numbers_by_bit_length(
 
 
 @pytest.mark.parametrize("walk", [
-    lambda o: _case_i_hit(o, F(BIG), F(1, 10), _Stats()),
+    lambda o: _case_i_search(o, F(BIG), F(1, 10), _Stats()),
 ], ids=["case_i"])
-def test_short_quotient_supply_names_huge_numbers_by_bit_length(default_int_limit, walk):
-    with pytest.raises(Unrepresentable, match="16610-bit number"):
+def test_short_quotient_supply_names_huge_numbers_by_bit_length(
+    default_int_limit, case_i_checks, walk
+):
+    # the surrogate width 1/(40 (BIG - 1)), named by the bit length of 40 BIG
+    with pytest.raises(Unrepresentable, match=r"give width above 2\*\*-16615$"):
         walk(CFOracle(None, liouville_base=2, liouville_cap=3))
+    assert case_i_checks == []

@@ -400,8 +400,9 @@ def test_residue_stream_has_one_budget():
 
 def test_quotient_caches_live_only_in_oracle():
     """Only oracle.py touches the quotient cache and the pair of convergents
-    it resumes from, it runs the only convergent recurrence, and neither
-    contfrac.py nor dichotomy.py picks a quotient source by oracle type."""
+    it resumes from, it runs the only convergent recurrence, neither
+    contfrac.py nor dichotomy.py picks a quotient source by oracle type, and
+    dichotomy.py reads no continued fraction at all."""
     src = Path(__file__).resolve().parent.parent / "src" / "dioph"
     recurrences = []
     for path in sorted(src.glob("*.py")):
@@ -412,6 +413,9 @@ def test_quotient_caches_live_only_in_oracle():
     assert recurrences == ["oracle.py"]
     for name in ("contfrac.py", "dichotomy.py"):
         assert "CFOracle" not in (src / name).read_text(), name
+    text = (src / "dichotomy.py").read_text()
+    for name in ("convergent_stream", "cf_quotients", "convergent_pairs", "quotient_count"):
+        assert name not in text, name
 
 
 # The series as they were summed before the term-ratio recurrence: each term

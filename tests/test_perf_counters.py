@@ -20,7 +20,7 @@ from dioph.cli import main
 from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
-    _case_i_hit,
+    _case_i_search,
     _Stats,
     solve_disjunction,
 )
@@ -186,22 +186,24 @@ def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
     assert len(checks) <= 2
 
 
-@pytest.mark.parametrize("search,encloses", [
-    (lambda o: first_convergent_reached(o, 10**300), False),
-    # case (i)'s distance certificates read the cached enclosures
-    (lambda o: _case_i_hit(o, F(10**300), F(1, 10**700), _Stats()), True),
+@pytest.mark.parametrize("search,cold_extracts,encloses", [
+    (lambda o: first_convergent_reached(o, 10**300), True, False),
+    # case (i)'s window search reads enclosures, cached ones when warm
+    (lambda o: _case_i_search(o, F(10**300), F(1, 10**700), _Stats()), False, True),
 ], ids=["walk", "case_i"])
-def test_warm_walk_makes_no_expand_call(monkeypatch, search, encloses):
+def test_warm_walk_makes_no_expand_call(monkeypatch, search, cold_extracts, encloses):
     # a warm stream reads the cached quotients: no quotient is extracted and
-    # no enclosure is computed
+    # no enclosure is computed; case (i) extracts no quotient, cold or warm
     o = CountingSqrt2()
-    first = search(o)
     expands, extractions = [], []
     monkeypatch.setattr(contfrac, "expand", lambda *a: expands.append(a) or expand(*a))
     prefix = oracle._certified_prefix
     monkeypatch.setattr(
         oracle, "_certified_prefix", lambda *a: extractions.append(a) or prefix(*a)
     )
+    first = search(o)
+    assert bool(extractions) == cold_extracts
+    extractions.clear()
     o.raw_calls = o.enclose_calls = 0
     assert search(o) == first
     assert (o.raw_calls, expands, extractions) == (0, [], [])

@@ -9,6 +9,7 @@ from dioph import multiform, seqbuild
 from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
+    _case_i_search,
     _find_hit,
     _residue_hits,
     _Stats,
@@ -40,9 +41,12 @@ from dioph.oracle import (
 )
 from test_dichotomy import (
     _brute_case_ii,
+    _case_i_hit,
+    convergent_stream,
     convergent_surrogate_hit,
     direct_hit,
     extend_convergents,
+    quotient_supply,
     reference_within,
 )
 from test_multiform import brute_dirichlet, brute_omega0, brute_records
@@ -207,13 +211,13 @@ stream_widths = st.one_of(
     st.integers(min_value=1, max_value=200),
 )
 def test_convergent_stream_matches_stored_convergents(oracle, depth, widths, j):
-    supply = oracle.quotient_count()
+    supply = quotient_supply(oracle)
     count = depth + 1 if supply is None else min(depth + 1, supply)
-    got = list(islice(oracle.convergent_stream(), count))
+    got = list(islice(convergent_stream(oracle), count))
     quots, _ = oracle.cf_quotients(count)
     assert got == extend_convergents([], quots[:count])
     if supply is not None:
-        assert len(list(oracle.convergent_stream())) == supply
+        assert len(list(convergent_stream(oracle))) == supply
     if isinstance(oracle, CFOracle) and count > 1:
         # 1/width at q_(j-1) q_j and where its bit-length range [2**(b-2), 2**b) ends
         (_, q0), (_, q1) = got[min(j, count - 1) - 1:min(j, count - 1) + 1]
@@ -343,6 +347,43 @@ def test_enclosure_surrogate_matches_convergent_surrogate(
         return
     got = _find_hit(_surrogate_oracle(spec), q_lo, q_hi, t_lo, t_hi, _Stats(), lo_strict, hi_strict)
     assert (None if got is None else got[:2]) == expected
+
+
+case_i_specs = st.one_of(
+    surrogate_specs.filter(lambda spec: not isinstance(spec, tuple)),
+    rationals.map(lambda x: f"rat:{x.numerator}/{x.denominator}"),
+    st.integers(min_value=2, max_value=10).map(lambda base: f"cf:liouville:{base}"),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    case_i_specs,
+    st.builds(
+        F,
+        st.integers(min_value=0, max_value=30).flatmap(lambda d: st.integers(2, 10**d + 2)),
+        st.integers(min_value=1, max_value=7),
+    ),
+    st.one_of(
+        st.builds(
+            F, st.integers(min_value=1, max_value=3 * 10**6), st.integers(0, 46).map(lambda e: 10**e)
+        ).filter(lambda b: F(1, 10**40) <= b <= 3),
+        st.fractions(min_value=F(1, 100), max_value=3, max_denominator=100),
+    ),
+)
+@example("const:e", F(10**6), F(1))
+@example("const:golden", F(10**6), F(7, 10))
+@example("cf:liouville:3", F(22500000), F(53, 531441))
+def test_case_i_search_matches_convergent_scan(spec, u_limit, bound):
+    # the least u with |u xi - v| <= bound is a convergent (Lagrange), so the
+    # window search and the convergent scan agree on (u, v) or on the error
+    def outcome(search):
+        try:
+            return search(parse_oracle(spec), u_limit, bound, _Stats())
+        except DiophError as exc:
+            return exc.code
+
+    assert outcome(_case_i_search) == outcome(_case_i_hit)
 
 
 @settings(deadline=None, max_examples=300)
@@ -606,7 +647,7 @@ def test_rounded_form_contains_the_summed_form(coords, data):
 def test_rounded_form_keeps_tiny_values_separated(coord, j):
     # q x - p at a convergent is about 1/q**2, far below the unit ulp
     x = parse_oracle(_coordinate(*coord))
-    p, q = next(islice(x.convergent_stream(), j, None))
+    p, q = next(islice(convergent_stream(x), j, None))
     point = PointVec((RationalOracle(1), x))
     form = LinearForm((-p, q))
     got = evaluate_form(form, point)
