@@ -295,16 +295,7 @@ def _check_apery_binomials(s: int) -> bool:
     seq = apery_forms(s, 50)
     for n, form, scale in zip(seq.ns, seq.forms, seq.scales):
         u = Fraction(form.coeffs[1]) / scale
-        if s == 3:
-            ref = sum(
-                Fraction(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2)
-                for k in range(n + 1)
-            )
-        else:
-            ref = sum(
-                Fraction(math.comb(n, k) ** 2 * math.comb(n + k, k))
-                for k in range(n + 1)
-            )
+        ref = sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** (s - 1) for k in range(n + 1))
         if u != ref:
             return False
     return True

@@ -35,7 +35,7 @@ from .errors import (
     RangeTooLarge,
     brief,
 )
-from .oracle import RealOracle, refine
+from .oracle import RealOracle, level_for, refine
 
 DEFAULT_BUDGET = 10**6
 
@@ -111,8 +111,7 @@ class _Stats:
         self.bits = 0
 
     def bump_bits(self, k: int):
-        if k > self.bits:
-            self.bits = k
+        self.bits = max(self.bits, level_for(k))
 
     def frozen(self) -> SearchStats:
         return SearchStats(self.candidates, self.bits)
@@ -242,7 +241,7 @@ def _find_hit(
         return None
     else:
         enc = oracle.within(
-            (t_hi - t_lo) / (8 * n_hi), lambda: f"window surrogate for q <= {brief(n_hi)} undecided"
+            (t_hi - t_lo) / (8 * n_hi), lambda: f"window surrogate for q <= {brief(n_hi)} undecided", stats
         )
         a, m, delta = enc.lo.numerator, enc.lo.denominator, n_hi * enc.width
         lo_i = ((t_lo - delta) * m).__ceil__()
@@ -291,7 +290,7 @@ def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
         return None
     x = oracle.exact_value()
     enc = Enclosure.point(x) if x is not None else oracle.within(
-        bound / (4 * u_hi), lambda: f"window surrogate for u <= {brief(u_hi)} undecided"
+        bound / (4 * u_hi), lambda: f"window surrogate for u <= {brief(u_hi)} undecided", stats
     )
     a, m = enc.lo.numerator, enc.lo.denominator
     r = ((bound + u_hi * enc.width) * m).__floor__()

@@ -2,9 +2,9 @@
 
 An oracle stands for one well-defined real number and can produce arbitrarily
 tight rational enclosures of it on demand. Requests are rounded up to dyadic
-precision levels (64, 128, 256, ...) and the published enclosure at a level is
-the intersection of the raw enclosures at every level up to it, so refinement
-is monotone: higher-precision answers always nest inside lower-precision ones.
+precision levels (64, 128, 256, ...). A raw enclosure is computed only at a level
+asked for above every cached one, cut by the finest cached enclosure, and a lower
+request reads the nearest cached level above it: answers always nest.
 
 Every certified decision on those enclosures climbs that level ladder
 through :func:`refine`, up to the precision cap :data:`PRECISION_CAP`, which
@@ -46,7 +46,7 @@ SEPARATION_BITS = 48
 def refine(step, what, stats=None, start: int = 0):
     """First decision ``step(k)`` that is not None, climbing the level ladder.
 
-    Levels max(start, 64), then doubling, while they stay within the context's
+    Rungs k = max(start, 64), then doubling, while they stay within the context's
     :data:`PRECISION_CAP`; each one is reported to ``stats.bump_bits`` when
     ``stats`` is given. ``False`` and ``0`` are decisions. Raises INCONCLUSIVE
     naming ``what``, or ``what()`` if callable, once the next would pass the cap.
@@ -108,30 +108,29 @@ class RealOracle:
         raise NotImplementedError
 
     def enclose(self, k: int) -> Enclosure:
-        """Canonical enclosure with width <= 2**-k, monotone in k."""
+        """Canonical enclosure with width <= 2**-k, monotone in k: at L = level_for(k),
+        the raw one cut by the finest cached one, or a cached one at or above L."""
         if k < 1:
             raise PreconditionError("BAD_PRECISION", f"precision {k} must be >= 1")
         L = level_for(k)
-        got = self._canon.get(L)
-        if got is not None:
-            return got
-        levels = [L]
-        while levels[-1] > _MIN_LEVEL:
-            levels.append(levels[-1] // 2)
-        acc = None
-        for lv in reversed(levels):
-            cached = self._canon.get(lv)
-            if cached is not None:
-                acc = cached
-                continue
-            raw = self._raw(lv)
-            acc = raw if acc is None else acc.intersect(raw)
-            self._canon[lv] = acc
-        return self._canon[L]
+        canon = self._canon
+        got = canon.get(L)
+        if got is None:
+            top = max(canon, default=0)
+            if L < top:
+                got = canon[min(lv for lv in canon if lv > L)]
+            else:
+                got = canon[top].intersect(self._raw(L)) if top else self._raw(L)
+            canon[L] = got
+        return got
 
-    def within(self, width: Fraction, what) -> Enclosure:
-        """The first canonical enclosure on the ladder no wider than ``width``."""
-        return refine(lambda k: e if (e := self.enclose(k)).width <= width else None, what)
+    def within(self, width: Fraction, what, stats=None) -> Enclosure:
+        """The first canonical enclosure no wider than ``width`` on the ladder from
+        k = bits(ceil(1/width)), where 2**-k < width, or from the top level within
+        the precision cap if that is lower, so no other level is computed."""
+        n = -(-width.denominator // width.numerator)
+        start = min(n.bit_length(), 1 << (PRECISION_CAP.get().bit_length() - 1))
+        return refine(lambda k: e if (e := self.enclose(k)).width <= width else None, what, stats, start)
 
     def exact_value(self) -> Optional[Fraction]:
         """The exact rational value when the oracle is rational, else None."""
@@ -355,6 +354,7 @@ class CFOracle(RealOracle):
                     raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
                 self.spec += "+periodic:[" + ",".join(map(str, self.periodic)) + "]"
         self._value = None
+        self._last_pair = (0, 0, SEEDS)  # within's last (n, quotients read, convergent pair)
         if self.is_finite():
             # the whole expansion at once, and its last convergent is the value
             self._cf_quotients, self._cf_ended = self.prefix, True
@@ -393,9 +393,9 @@ class CFOracle(RealOracle):
         for j in range(len(quots), count):
             quots.append(self.quotient(j))
 
-    def _quotients(self):
-        """The quotients from a_0, read through the cache to the supply's end."""
-        j, supply = 0, self.quotient_count()
+    def _quotients(self, j: int = 0):
+        """The quotients from a_j, read through the cache to the supply's end."""
+        supply = self.quotient_count()
         while supply is None or j < supply:
             quots = self.cf_quotients(j + 1)[0]
             yield from quots[j:]
@@ -404,20 +404,24 @@ class CFOracle(RealOracle):
     def _raw(self, k: int) -> Enclosure:
         return self.within(Fraction(1, 1 << k)) if self._value is None else Enclosure.point(self._value)
 
-    def within(self, width: Fraction, what=None) -> Enclosure:
+    def within(self, width: Fraction, what=None, stats=None) -> Enclosure:
         """The first two consecutive convergents p/q with q_(j-1) q_j >= 1/width,
         off the level ladder, so a truncated supply serves every width it reaches.
 
         xi lies between them, as |xi - p_j/q_j| < 1/(q_j q_(j+1)). Their bit
         lengths, summing to b, put q_(j-1) q_j in [2**(b - 2), 2**b); it is
-        formed only where that cannot decide it against n = ceil(1/width)."""
+        formed only where that cannot decide it against n = ceil(1/width).
+        A width no wider than the last one resumes from the pair it returned."""
         n = -(-width.denominator // width.numerator)
         n_bits = n.bit_length()
-        for (p0, q0), (p1, q1) in pairwise(convergent_pairs(self._quotients())):
+        _, j, seeds = self._last_pair if n >= self._last_pair[0] else (0, 0, SEEDS)
+        for (p0, q0), (p1, q1) in pairwise(chain(seeds, convergent_pairs(self._quotients(j), seeds))):
             b = q0.bit_length() + q1.bit_length()
             if b > n_bits + 1 or (b >= n_bits and q0 * q1 >= n):
+                self._last_pair = n, j, ((p0, q0), (p1, q1))
                 a, c = Fraction(p0, q0), Fraction(p1, q1)
                 return Enclosure(min(a, c), max(a, c))
+            j += 1
         bits = (n - 1).bit_length()
         raise Unrepresentable(f"{self.spec}: available quotients give width above 2**-{bits}")
 
@@ -433,16 +437,22 @@ class AffineOracle(RealOracle):
         if self.a == 0:
             raise PreconditionError("BAD_AFFINE", "scale a must be nonzero")
         self.inner = inner
+        self._extra = (abs(self.a.numerator) // self.a.denominator + 1).bit_length() + 2
         self.spec = (
             f"affine:{self.a.numerator}/{self.a.denominator}"
             f"/{self.b.numerator}/{self.b.denominator}:{inner.spec}"
         )
 
-    def _raw(self, k: int) -> Enclosure:
-        # level_for makes this about level 2k, finer than needed: kept, as window checks
-        # pass a rung earlier, and asking the inner oracle for just enough measured slower
-        extra = (abs(self.a.numerator) // self.a.denominator + 1).bit_length() + 2
-        return self.inner.enclose(k + extra) * self.a + self.b
+    def enclose(self, k: int) -> Enclosure:
+        """The map of the inner oracle's enclosure at k plus the bits of |a|,
+        kept once per inner level: the inner ladder is the only one."""
+        if k < 1:
+            raise PreconditionError("BAD_PRECISION", f"precision {k} must be >= 1")
+        L = level_for(k + self._extra)
+        got = self._canon.get(L)
+        if got is None:
+            got = self._canon[L] = self.inner.enclose(L) * self.a + self.b
+        return got
 
     def exact_value(self) -> Optional[Fraction]:
         v = self.inner.exact_value()

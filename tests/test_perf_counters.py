@@ -24,7 +24,7 @@ from dioph.dichotomy import (
     _Stats,
     solve_disjunction,
 )
-from dioph.errors import RangeTooLarge
+from dioph.errors import Inconclusive, RangeTooLarge
 from dioph.multiform import PointVec, dirichlet_witness, omega0_search
 from dioph.oracle import RationalOracle, SqrtOracle, parse_oracle
 from test_dichotomy import first_convergent_reached
@@ -159,6 +159,100 @@ def test_repeated_surrogate_reads_the_cache():
     o.raw_calls = 0
     assert solve_disjunction(o, params) == first
     assert o.raw_calls == 0
+
+
+class LevelsSqrt2(SqrtOracle):
+    """sqrt2 recording each k it is asked for and each level it computes."""
+
+    def __init__(self):
+        super().__init__(2, "sqrt2")
+        self.asked, self.computed = [], []
+
+    def _raw(self, k):
+        self.computed.append(k)
+        return super()._raw(k)
+
+    def enclose(self, k):
+        self.asked.append(k)
+        return super().enclose(k)
+
+
+def test_cold_deep_solve_computes_one_raw_enclosure():
+    # the surrogate is asked for at q's precision; every window check rung
+    # below it reads that enclosure, so no level below it is computed
+    o = LevelsSqrt2()
+    res = solve_disjunction(o, LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**400))
+    assert res.outcome == "case_ii"
+    assert len(o.computed) == 1
+    assert min(o.computed) >= oracle.level_for(min(o.asked))
+    assert set(o.computed) <= {oracle.level_for(k) for k in o.asked}
+    assert res.stats.precision_bits == o.computed[0]
+
+
+@pytest.mark.parametrize("cap", [1024, 1500])
+def test_surrogate_starts_no_higher_than_the_cap(precision_cap, cap):
+    # the window surrogate needs more bits than the top level within the cap,
+    # 1024: it starts there, decides as the climb to it did, and computes
+    # nothing above it
+    precision_cap(cap)
+    params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**306)
+    assert solve_disjunction(parse_oracle("affine:1/3:const:sqrt2"), params).outcome == "case_ii"
+    o = LevelsSqrt2()
+    with pytest.raises(Inconclusive):
+        solve_disjunction(o, params)
+    assert o.computed == [1024]
+
+
+def test_no_raw_enclosure_below_the_lowest_request():
+    o = LevelsSqrt2()
+    for k in (700, 65, 3000, 64, 2049, 130, 3000):
+        o.enclose(k)
+    assert o.computed == [1024, 4096]
+
+
+def test_affine_enclosure_reads_the_inner_level_once():
+    # k + the bits of |a| picks the inner level, without rounding k first
+    inner = LevelsSqrt2()
+    o = oracle.AffineOracle(F(7, 2), -2, inner)
+    for k in (1330, 1330, 64, 100, 1330):
+        o.enclose(k)
+    assert inner.asked == [2048, 128]
+    assert inner.computed == [2048]
+
+
+def _counting_quotients(o):
+    """The quotients ``o.within`` reads, one per convergent pair it forms."""
+    read, stream = [], o._quotients
+
+    def counted(j=0):
+        for a in stream(j):
+            read.append(a)
+            yield a
+
+    o._quotients = counted
+    return read
+
+
+def _cold_within(width):
+    """(enclosure, quotients read) of ``within`` on a fresh golden-ratio CF."""
+    o = oracle.CFOracle([1], periodic=[1])
+    read = _counting_quotients(o)
+    return o.within(width), len(read)
+
+
+def test_cf_within_resumes_from_the_last_pair():
+    o = oracle.CFOracle([1], periodic=[1])
+    read = _counting_quotients(o)
+    widths = [F(1, 2**k) for k in (1000, 2000, 2000, 3000)]
+    got = [o.within(w) for w in widths]
+    assert got == [_cold_within(w)[0] for w in widths]
+    # each narrower width forms only the pairs past the last one returned,
+    # so the four calls read what one cold call at the last width reads
+    assert len(read) == _cold_within(widths[-1])[1] > 0
+    # a wider width starts again from a_0 and finds the first pair again
+    del read[:]
+    assert o.within(widths[0]) == got[0]
+    assert len(read) == _cold_within(widths[0])[1]
 
 
 @pytest.mark.parametrize("spec,eps,big_q", [
@@ -326,7 +420,7 @@ def _ladders(monkeypatch, oracles):
 def _assert_single_ladders(ladders, enclosed):
     # each ladder climbs from the first level, and the oracles are enclosed
     # once per rung and nowhere else, so no level is enclosed twice
-    assert ladders and any(len(levels) > 1 for levels in ladders)
+    assert ladders
     for levels in ladders:
         assert levels == [64 << i for i in range(len(levels))]
     assert enclosed == [k for levels in ladders for k in levels]
@@ -340,6 +434,7 @@ def test_density_decides_each_distance_on_one_ladder(monkeypatch):
         qs.append(2 * qs[-1] + qs[-2])  # sqrt2's convergent denominators
     seqbuild.density_data(qs, xi)
     assert len(ladders) == len(qs)
+    assert any(len(levels) > 1 for levels in ladders)
     _assert_single_ladders(ladders, enclosed)
 
 
@@ -413,3 +508,6 @@ def test_omega0_decides_each_distance_on_one_ladder(monkeypatch):
     for l0, e0, l1, e1 in spans:
         assert l1 - l0 == len(ratios)
         _assert_single_ladders(ladders[l0:l1], enclosed[e0:e1])
+        # the fixed points enclosed each ratio above 64 bits, and the first
+        # rung reads that finer enclosure, so it decides
+        assert all(levels == [64] for levels in ladders[l0:l1])
