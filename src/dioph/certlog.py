@@ -4,9 +4,10 @@
 with width at most about 2**-k. The reduction works on the integer pair,
 x = N/D = 2**e * n/d with n/d in [1, 2), and ln(n/d) = 2 atanh((n-d)/(n+d))
 is summed in fixed point with per-term directed rounding and an explicit ulp
-budget, ln 2 from the series sum 1/(n 2**n) with a geometric tail bound; both
-are added as integers over 2**w, with no Fraction arithmetic. No floating
-point is involved, so results are deterministic and safe for certificates.
+budget, ln 2 from 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), each
+atanh(1/m) summed by dividing by m**2 and by the odd numbers; both are added
+as integers over 2**w, with no Fraction arithmetic. No floating point is
+involved, so results are deterministic and safe for certificates.
 """
 
 from __future__ import annotations
@@ -21,17 +22,31 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _atanh_inv(m: int, w: int):
+    """(s, n): s <= atanh(1/m) 2**w < s + n + 2 for an integer m >= 2, n the
+    number of terms summed.
+
+    p_j = floor(2**w / m**(2j+1)) exactly, as floor(floor(x)/d) = floor(x/d),
+    and writing p_j = (2j+1) q + r with r <= 2j, the true term
+    2**w / ((2j+1) m**(2j+1)) < (p_j + 1)/(2j+1) <= q + 1: each summed term q
+    is below its true term by under 1 and never above it. The first p_n = 0
+    puts the true p_n below 1 and the tail from it below 1/(1 - m**-2) < 2."""
+    s, p, odd, m2 = 0, (1 << w) // m, 1, m * m
+    while p:
+        s += p // odd
+        p //= m2
+        odd += 2
+    return s, odd // 2
+
+
 @lru_cache(maxsize=None)
 def _ln2_fixed(w: int):
-    """(lo, hi) integers with lo/2^w <= ln 2 <= hi/2^w."""
-    total = 0
-    n = 1
-    while n <= w:
-        total += (1 << (w - n)) // n
-        n += 1
-    # Each of the w terms was floored (loss < 1 apiece) and the dropped tail
-    # is below 2^(w-N)/(N+1) < 1 at N = w.
-    return total, total + w + 2
+    """(lo, hi) integers with lo/2^w <= ln 2 <= hi/2^w, from ln 2 =
+    18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749) and the bounds of
+    :func:`_atanh_inv`, each taken at the end its sign calls for."""
+    (a, na), (b, nb), (c, nc) = (_atanh_inv(m, w) for m in (26, 4801, 8749))
+    lo = 18 * a - 2 * (b + nb + 2) + 8 * c
+    return lo, lo + 18 * (na + 2) + 2 * (nb + 2) + 8 * (nc + 2)
 
 
 def log2_lo(x: int, b: int) -> int:

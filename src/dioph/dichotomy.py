@@ -258,15 +258,16 @@ def _find_hit(
     return None
 
 
-def _case_i_check(oracle, u, vs, beta, stats):
+def _case_i_check(oracle, u, vs, beta, stats, near=None):
     """[v] for the least v of the ascending range ``vs`` with certified |u xi -
     v| <= beta, or [] when every one is certified farther: each v is decided on
-    both ends of enclose(k) u - v, not by floor(u xi), which stays undecided
-    where a value given by its quotients puts p_j on an end and u = q_j."""
+    both ends of an enclosure of u xi - v, not by floor(u xi), which stays
+    undecided where a value given by its quotients puts p_j on an end and u =
+    q_j. The enclosure is ``near``, of u xi, when given and it decides, else
+    enclose(k) u on the ladder."""
     stats.candidates += 1
 
-    def step(k):
-        e = oracle.enclose(k) * u
+    def decide(e):
         for v in vs:
             d = (e - v).abs()
             if d.hi <= beta:
@@ -275,7 +276,12 @@ def _case_i_check(oracle, u, vs, beta, stats):
                 return None
         return []
 
-    return refine(step, lambda: f"distance certificate for u={brief(u)} undecided", stats)
+    got = None if near is None else decide(near)
+    if got is not None:
+        return got
+    return refine(
+        lambda k: decide(oracle.enclose(k) * u), lambda: f"distance certificate for u={brief(u)} undecided", stats
+    )
 
 
 def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
@@ -283,11 +289,16 @@ def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
     integer v, as (u, v) with v = floor(u xi) if frac(u xi) <= bound, else
     floor(u xi) + 1, or None: case (ii)'s search, on the cyclic window
     [-bound, bound] and a surrogate no wider than 2 bound/(8 u_hi). That v is
-    the least integer from floor(u xi) on within min(bound, 1) of u xi.
+    the least integer from floor(u xi) on within min(bound, 1) of u xi. At
+    bound >= 1/2, u = 1 is the first hit whatever xi is, so u_hi = 1 and v is
+    decided on the coarse surrogate where it can be.
     """
     u_hi = u_limit.__ceil__() - 1
     if u_hi < 1:
         return None
+    coarse = 2 * bound >= 1
+    if coarse:
+        u_hi = 1
     x = oracle.exact_value()
     enc = Enclosure.point(x) if x is not None else oracle.within(
         bound / (4 * u_hi), lambda: f"window surrogate for u <= {brief(u_hi)} undecided", stats
@@ -301,7 +312,8 @@ def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
         if x is not None:
             stats.candidates += 1
             return u, v0
-        hit = _case_i_check(oracle, u, range(v0, (near.hi + beta).__floor__() + 1), beta, stats)
+        vs = range(v0, (near.hi + beta).__floor__() + 1)
+        hit = _case_i_check(oracle, u, vs, beta, stats, near if coarse else None)
         if hit:
             return u, hit[0]
     return None

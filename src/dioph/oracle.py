@@ -30,7 +30,7 @@ from collections import deque
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import chain, pairwise
-from math import factorial
+from math import factorial, isqrt
 from typing import Optional
 
 from .enclosure import Enclosure, Rat, _frac, sqrt_enclosure
@@ -147,19 +147,21 @@ class RealOracle:
     def _more_quotients(self, count: int):
         """Extend the quotient cache to ``count`` quotients or to its end:
         Euclid on a rational point value, else resumed past the cached
-        quotients on canonical enclosures from one level above the cached one,
-        which nest in it (INCONCLUSIVE at the precision cap)."""
+        quotients on canonical enclosures from one level above the one they
+        were read from, the top cached level holding that enclosure (an
+        affine oracle's inner level), so they nest in it (INCONCLUSIVE at the
+        precision cap)."""
         v = self.exact_value()
         if v is not None:
             self._cf_quotients, self._cf_ended = _certified_prefix(Enclosure.point(v)), True
             return
 
         def step(k):
-            tail = self._cf_tail
-            quots = _certified_prefix(self.enclose(k), tail)
+            tail, enc = self._cf_tail, self.enclose(k)
+            quots = _certified_prefix(enc, tail)
             self._cf_quotients += quots
             self._cf_tail = tuple(deque(chain(tail, convergent_pairs(quots, tail)), maxlen=2))
-            self._cf_level = k
+            self._cf_level = max(lv for lv, e in self._canon.items() if e is enc)
             return True if len(self._cf_quotients) >= count else None
 
         refine(
@@ -258,21 +260,64 @@ class Log2Oracle(RealOracle):
         return Enclosure(lo * sc, hi * sc)
 
 
-def _series_fixed(t1: int, ratio):
-    """(total, N): the sum of the integer terms tau_1 = t1, tau_(n+1) =
-    floor(tau_n p / q) with (p, q) = ratio(n), up to the first zero one tau_N.
+def _series_fixed(t1: int, ratio, weight=lambda n: 1):
+    """(total, N): the sum of W(n) tau_n for the integer terms tau_1 = t1,
+    tau_(n+1) = floor(tau_n p / q) with (p, q) = ratio(n), up to the first zero
+    one tau_N, and W = ``weight``, positive and nondecreasing in n.
 
-    Where |p/q| <= 1/4, e_n = |tau_n - T_n| for the true terms T_n has e_1 = 0
-    and e_(n+1) <= e_n/4 + 1, so e_n < 4/3: |T_N| < 4/3, the tail from T_N is
-    below 4, the summed terms are off by under 4(N - 1)/3, and the true sum is
-    within 2N + 2 of the total, and above it where p, q > 0 (tau_n <= T_n)."""
+    Where |p/q| <= 1/4 and |p/q| W(n+1)/W(n) <= 1/2, e_n = |tau_n - T_n| for
+    the true terms T_n has e_1 = 0 and e_(n+1) <= e_n/4 + 1, so e_n < 4/3:
+    |T_N| < 4/3, the weighted tail from T_N is below 2 W(N) 4/3, the summed
+    terms are off by under (N - 1) W(N) 4/3, and the true weighted sum is
+    within 2 (N + 1) W(N) of the total, and above it where p, q > 0 (tau_n <=
+    T_n). With W = 1 that is 2N + 2."""
     total, term, n = 0, t1, 1
     while term:
-        total += term
+        total += weight(n) * term
         p, q = ratio(n)
         term = term * p // q
         n += 1
     return total, n
+
+
+def _chudnovsky(a: int, b: int):
+    """(P, Q, T) of the terms j = a .. b-1 of Chudnovsky's series
+    S = sum a_j, a_j = (-1)**j (6j)! L(j) / ((3j)! (j!)**3 640320**(3j)),
+    L(j) = 13591409 + 545140134 j, by binary splitting. With p_0 = q_0 = 1 and
+    p_j/q_j = (6j-5)(2j-1)(6j-1) / (j**3 640320**3/24) = -a_j L(j-1) /
+    (a_(j-1) L(j)), P and Q are the products of the p_j and of the q_j, and
+    T/Q = sum (-1)**j L(j) P(a, j+1)/Q(a, j+1). So T(0, n)/Q(0, n) is the
+    partial sum S_n of the first n terms, and a_(n-1) = (-1)**(n-1) L(n-1) P/Q."""
+    if b - a == 1:
+        p, q = (1, 1) if a == 0 else ((6 * a - 5) * (2 * a - 1) * (6 * a - 1), a**3 * 10939058860032000)
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _pi_fixed(w: int):
+    """(lo, hi) integers with lo/2**w <= pi <= hi/2**w and hi - lo <= 3, from
+    pi = 426880 sqrt(10005) / S, S as in :func:`_chudnovsky`.
+
+    S's terms alternate in sign and shrink, so S lies between the partial sums
+    S_N and S_(N+1), here A/Q and B/Q with A <= B from a split of N + 1 terms,
+    compared as integers; every partial sum from S_1 on is above a_0 - |a_1| >
+    2**23. As (6j-5)(2j-1)(6j-1) < 72 j**3, B - A = Q |a_N| with |a_N| < L(N)
+    (72 * 24 / 640320**3)**N < 2**30 N 2**(-47.1 N); N = w // 47 + 2 gives
+    47.1 N > w + 48, so (B - A)/B < 2**-(w + 3) for N < 2**37. With
+    s = isqrt(10005 * 4**w) <= sqrt(10005) 2**w < s + 1, the bounds
+    426880 s Q/B and 426880 (s + 1) Q/A are under 426880 s Q (B - A)/(A B) +
+    426880 Q/A < 1 + 1/16 apart, and the floor and the ceiling below add under
+    1 each."""
+    n = w // 47 + 3
+    p, q, t = _chudnovsky(0, n)
+    last = p * (13591409 + 545140134 * (n - 1))
+    a, b = sorted((t, t - last if n & 1 else t + last))
+    s = isqrt(10005 << 2 * w)
+    return 426880 * s * q // b, -(-426880 * (s + 1) * q // a)
 
 
 class EOracle(RealOracle):
@@ -288,27 +333,40 @@ class EOracle(RealOracle):
 
 
 class Zeta2Oracle(RealOracle):
-    """3 * sum 1/(n^2 C(2n,n)), term ratio n^2/(2(n+1)(2n+1))."""
+    """pi**2 / 6, pi from :func:`_pi_fixed` at w = k + 3, squared at both ends
+    and rounded outward to 2**-w: hi - lo <= 3 and hi + lo <= 2 pi 2**w + 3
+    put the width below (hi - lo)(hi + lo) / (6 * 4**w) + 2 * 2**-w < 8 * 2**-w."""
 
     spec = "const:zeta2"
 
     def _raw(self, k: int) -> Enclosure:
-        w = k + _series_pad(k)
-        total, n = _series_fixed(1 << (w - 1), lambda n: (n * n, 2 * (n + 1) * (2 * n + 1)))
-        sc = Fraction(3, 1 << w)
-        return Enclosure(total * sc, (total + 2 * n + 2) * sc)
+        w = k + 3
+        lo, hi = _pi_fixed(w)
+        d = 6 << w
+        return Enclosure(Fraction(lo * lo // d, 1 << w), Fraction(-(-hi * hi // d), 1 << w))
 
 
 class Zeta3Oracle(RealOracle):
-    """(5/2) * sum (-1)^(n-1)/(n^3 C(2n,n)), term ratio -n^3/(2(n+1)^2(2n+1))."""
+    """(1/64) sum_(n>=1) (-1)**(n-1) ((n-1)!)**10 W(n) / ((2n-1)!)**5 with
+    W(n) = 205 n**2 - 160 n + 32 (Amdeberhan and Zeilberger), by
+    :func:`_series_fixed` with term ratio -n**5 / (32 (2n+1)**5).
+
+    That ratio is below 2**-10 and W(n+1)/W(n) <= W(2)/W(1) < 7, so the slack
+    2 (N+1) W(N) holds, and N < w/10 + 5. As W(N) < 205 N**2, the slack is
+    below 410 (w/10 + 6)**3 < 2**(13 + 3 bits(k + 8)) at w = k + 8 + 3 bits(k +
+    8), so the width 2 slack / (64 * 2**w) is at most 2**-k."""
 
     spec = "const:zeta3"
 
     def _raw(self, k: int) -> Enclosure:
-        w = k + _series_pad(k)
-        total, n = _series_fixed(1 << (w - 1), lambda n: (-n**3, 2 * (n + 1) ** 2 * (2 * n + 1)))
-        sc = Fraction(5, 2 << w)
-        return Enclosure((total - 2 * n - 2) * sc, (total + 2 * n + 2) * sc)
+        def weight(n):
+            return (205 * n - 160) * n + 32
+
+        w = k + 8 + 3 * (k + 8).bit_length()
+        total, n = _series_fixed(1 << w, lambda n: (-n**5, 32 * (2 * n + 1) ** 5), weight)
+        slack = 2 * (n + 1) * weight(n)
+        sc = Fraction(1, 64 << w)
+        return Enclosure((total - slack) * sc, (total + slack) * sc)
 
 
 class CFOracle(RealOracle):

@@ -477,11 +477,15 @@ def test_short_quotient_supply_is_unrepresentable(case_i_checks):
     short = CFOracle(None, liouville_base=2, liouville_cap=3)
     with pytest.raises(Unrepresentable, match=r"quotients give width above 2\*\*-23"):
         find_fractional_hit(short, 10**5, 2 * 10**5, F(1, 3), F(2, 3))
-    # |1 xi - 0| < 1 would pass, but proving u = 1 the first hit below 10**6
-    # needs xi to within 1/(4 (10**6 - 1)), which the supply cannot give
-    with pytest.raises(Unrepresentable, match=r"quotients give width above 2\*\*-22$"):
-        _case_i_search(short, F(10**6), F(1), _Stats())
-    assert case_i_checks == []
+    # at bound 1, u = 1 is the first hit whatever xi is: a coarse enclosure
+    # decides v = 0 and no surrogate for u below 10**6 is asked for
+    assert _case_i_search(short, F(10**6), F(1), _Stats()) == (1, 0)
+    assert case_i_checks == [1]
+    # at bound 1/4, proving the first hit below 10**6 needs xi to within
+    # 1/(16 (10**6 - 1)), which the supply cannot give
+    with pytest.raises(Unrepresentable, match=r"quotients give width above 2\*\*-24$"):
+        _case_i_search(short, F(10**6), F(1, 4), _Stats())
+    assert case_i_checks == [1]
 
 
 CASE_I_SPECS = [

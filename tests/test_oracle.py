@@ -30,6 +30,7 @@ from dioph.oracle import (
     DEFAULT_PRECISION_CAP,
     PRECISION_CAP,
     EOracle,
+    Log2Oracle,
     Zeta2Oracle,
     Zeta3Oracle,
     _series_fixed,
@@ -38,6 +39,7 @@ from dioph.oracle import (
     sign_of_form,
 )
 from dioph.dichotomy import LemmaParams, solve_disjunction
+from dioph import oracle as oracle_module
 
 mpmath.mp.dps = 60
 
@@ -506,6 +508,14 @@ def _zeta3_loop(k):
     return Enclosure((total - slack) * sc, (total + slack) * sc)
 
 
+def _ln2_loop(k):
+    # ln 2 = sum 1/(n 2**n), each of the w terms floored and the tail below 1
+    w = k + _series_pad(k)
+    total = sum((1 << (w - n)) // n for n in range(1, w + 1))
+    sc = F(1, 1 << w)
+    return Enclosure(total * sc, (total + w + 2) * sc)
+
+
 def _e_loop(k):
     w = k + _series_pad(k)
     term = 1 << w
@@ -523,6 +533,7 @@ SERIES = {
     "zeta2": (Zeta2Oracle, lambda: mpmath.pi**2 / 6, _zeta2_loop),
     "zeta3": (Zeta3Oracle, lambda: mpmath.apery, _zeta3_loop),
     "e": (EOracle, lambda: mpmath.e, _e_loop),
+    "log2": (Log2Oracle, lambda: mpmath.log(2), _ln2_loop),
 }
 
 
@@ -548,7 +559,7 @@ def test_series_contain_the_value_within_width(name, k):
         assert enc == loop(k)
 
 
-@pytest.mark.parametrize("name", ["zeta2", "zeta3"])
+@pytest.mark.parametrize("name", ["log2", "zeta2", "zeta3"])
 @pytest.mark.parametrize("k", [1, 64, 100, 1000, 2048])
 def test_series_overlap_the_division_loops(name, k):
     cls, value, loop = SERIES[name]
@@ -556,6 +567,61 @@ def test_series_overlap_the_division_loops(name, k):
     assert new.lo <= old.hi and old.lo <= new.hi
     lo, hi = _mp_bracket(value, k)
     assert old.lo <= lo and hi <= old.hi
+
+
+# k log-uniform up to 2**15; the reference loops take seconds past 4096 bits,
+# so they are read at min(k, 4096): both enclosures hold the value, so they meet
+deep_ks = st.integers(min_value=0, max_value=14).flatmap(
+    lambda b: st.integers(min_value=1 << b, max_value=1 << (b + 1))
+)
+
+
+@pytest.mark.parametrize("name", ["log2", "zeta2", "zeta3"])
+@settings(deadline=None, max_examples=8)
+@given(ks=st.lists(deep_ks, min_size=1, max_size=3))
+def test_fast_series_are_certified_up_to_2_to_the_15(name, ks):
+    cls, value, loop = SERIES[name]
+    o = cls()
+    for k in ks:
+        raw = cls()._raw(k)
+        assert raw.width <= F(1, 1 << k)
+        lo, hi = _mp_bracket(value, k)
+        assert raw.lo <= lo and hi <= raw.hi
+        ref = loop(min(k, 4096))
+        assert raw.lo <= ref.hi and ref.lo <= raw.hi
+    encs = sorted((k, o.enclose(k)) for k in ks)
+    for (_, outer), (_, inner) in itertools.combinations(encs, 2):
+        assert outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+@pytest.mark.parametrize("k", [1, 8, 64, 100, 1000, 4096, 20000])
+def test_fast_series_term_counts(monkeypatch, k):
+    # zeta(3) gains about 10 bits a term, Chudnovsky's pi about 47
+    seen = {}
+    series, pi, split = oracle_module._series_fixed, oracle_module._pi_fixed, oracle_module._chudnovsky
+
+    def counted_series(t1, ratio, weight):
+        total, n = series(t1, ratio, weight)
+        seen["zeta3"] = (t1.bit_length() - 1, n - 1)
+        return total, n
+
+    def counted_pi(w):
+        seen["pi_w"] = w
+        return pi(w)
+
+    def counted_split(a, b):
+        if a == 0:
+            seen["chudnovsky"] = max(seen.get("chudnovsky", 0), b)
+        return split(a, b)
+
+    monkeypatch.setattr(oracle_module, "_series_fixed", counted_series)
+    monkeypatch.setattr(oracle_module, "_pi_fixed", counted_pi)
+    monkeypatch.setattr(oracle_module, "_chudnovsky", counted_split)
+    Zeta3Oracle()._raw(k)
+    Zeta2Oracle()._raw(k)
+    w, terms = seen["zeta3"]
+    assert terms <= w / 9 + 3
+    assert seen["chudnovsky"] <= seen["pi_w"] / 47 + 3
 
 
 @pytest.mark.parametrize("k", [1, 8, 64, 65, 127, 1000, 2048, 4096])

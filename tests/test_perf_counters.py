@@ -150,6 +150,30 @@ def test_deeper_expand_resumes_above_cached_level():
     assert o.raw_calls == new_levels
 
 
+def test_expand_resumes_above_the_level_it_read():
+    # a surrogate leaves level 2048 cached; the quotients read from it at
+    # rung 64 were read at level 2048, so a deeper expansion starts at 4096
+    raws, rungs = [], []
+
+    class Recording(SqrtOracle):
+        def _raw(self, k):
+            raws.append(k)
+            return super()._raw(k)
+
+        def enclose(self, k):
+            rungs.append(k)
+            return super().enclose(k)
+
+    o = Recording(2, "sqrt2")
+    o.within(F(1, 1 << 2000), "surrogate")
+    assert raws == [2048]
+    expand(o, 10)
+    del raws[:], rungs[:]
+    assert expand(o, 1280).quotients == (1,) + (2,) * 1280
+    assert min(raws) >= 4096
+    assert min(rungs) > 2048
+
+
 def test_repeated_surrogate_reads_the_cache():
     # the surrogate is a canonical enclosure: a repeated solve reads it, and
     # every level its window checks climb, from the oracle's cache
