@@ -3,12 +3,12 @@
 An :class:`Enclosure` is a closed interval with ``Fraction`` endpoints that is
 guaranteed to contain the (possibly irrational) number under discussion. All
 operations are outward-correct: the result interval contains every attainable
-value, with no floating point anywhere.
+value, with no floating point anywhere. The constructor checks lo <= hi; the
+class's own results, ordered ``Fraction`` pairs by construction, skip it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -20,21 +20,34 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class Enclosure:
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Rat, hi: Rat):
+        lo, hi = _frac(lo), _frac(hi)
+        if lo > hi:
+            raise ValueError(f"empty enclosure [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"an Enclosure is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other.__class__ is Enclosure and self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __reduce__(self):
+        return Enclosure, (self.lo, self.hi)
 
     @staticmethod
     def point(x: Rat) -> "Enclosure":
         f = _frac(x)
-        return Enclosure(f, f)
+        return _make(f, f)
 
     @property
     def width(self) -> Fraction:
@@ -65,21 +78,21 @@ class Enclosure:
         return None
 
     def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
+        return _make(-self.hi, -self.lo)
 
     def __add__(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
-            return Enclosure(self.lo + other.lo, self.hi + other.hi)
+            return _make(self.lo + other.lo, self.hi + other.hi)
         f = _frac(other)
-        return Enclosure(self.lo + f, self.hi + f)
+        return _make(self.lo + f, self.hi + f)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
-            return Enclosure(self.lo - other.hi, self.hi - other.lo)
+            return _make(self.lo - other.hi, self.hi - other.lo)
         f = _frac(other)
-        return Enclosure(self.lo - f, self.hi - f)
+        return _make(self.lo - f, self.hi - f)
 
     def __rsub__(self, other) -> "Enclosure":
         return (-self) + other
@@ -92,11 +105,11 @@ class Enclosure:
                 self.hi * other.lo,
                 self.hi * other.hi,
             )
-            return Enclosure(min(prods), max(prods))
+            return _make(min(prods), max(prods))
         f = _frac(other)
         if f >= 0:
-            return Enclosure(self.lo * f, self.hi * f)
-        return Enclosure(self.hi * f, self.lo * f)
+            return _make(self.lo * f, self.hi * f)
+        return _make(self.hi * f, self.lo * f)
 
     __rmul__ = __mul__
 
@@ -111,14 +124,14 @@ class Enclosure:
     def recip(self) -> "Enclosure":
         if self.contains_zero():
             raise ZeroDivisionError("reciprocal of enclosure containing zero")
-        return Enclosure(1 / self.hi, 1 / self.lo)
+        return _make(1 / self.hi, 1 / self.lo)
 
     def abs(self) -> "Enclosure":
         if self.lo >= 0:
             return self
         if self.hi <= 0:
             return -self
-        return Enclosure(Fraction(0), max(-self.lo, self.hi))
+        return _make(Fraction(0), max(-self.lo, self.hi))
 
     def pow_int(self, e: int) -> "Enclosure":
         if e < 0:
@@ -137,7 +150,7 @@ class Enclosure:
         hi = min(self.hi, other.hi)
         if lo > hi:
             raise ValueError("disjoint enclosures have no intersection")
-        return Enclosure(lo, hi)
+        return _make(lo, hi)
 
     def hull(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -171,6 +184,17 @@ class Enclosure:
 
     def __repr__(self):
         return f"Enclosure({self.lo!r}, {self.hi!r})"
+
+
+_set_lo, _set_hi = Enclosure.lo.__set__, Enclosure.hi.__set__
+
+
+def _make(lo: Fraction, hi: Fraction) -> Enclosure:
+    """The unchecked constructor, for ``Fraction`` ends with lo <= hi."""
+    e = object.__new__(Enclosure)
+    _set_lo(e, lo)
+    _set_hi(e, hi)
+    return e
 
 
 def dyadic_below(x: Rat, bits: int) -> Fraction:

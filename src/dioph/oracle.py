@@ -65,9 +65,11 @@ def refine(step, what, stats=None, start: int = 0):
 
 def is_separated(enc: Enclosure) -> bool:
     """Whether ``enc``'s distance from zero exceeds its width by a factor of
-    2**SEPARATION_BITS."""
-    a = enc.abs()
-    return a.lo > 0 and a.width <= a.lo / (1 << SEPARATION_BITS)
+    2**S, S = SEPARATION_BITS: mirrored to lo > 0, hi 2**S <= lo (2**S + 1)."""
+    (ln, ld), (hn, hd) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    if hn < 0:
+        (ln, ld), (hn, hd) = (-hn, hd), (-ln, ld)
+    return ln > 0 and hn * ld << SEPARATION_BITS <= ln * hd * ((1 << SEPARATION_BITS) + 1)
 
 
 def separated(enclose_at, what) -> Enclosure:
@@ -94,6 +96,7 @@ class RealOracle:
     """
 
     spec: str = "?"
+    _extra = 0  # enclose(k) is cached at level_for(k + _extra)
 
     def __init__(self):
         self._canon: dict[int, Enclosure] = {}
@@ -147,10 +150,10 @@ class RealOracle:
     def _more_quotients(self, count: int):
         """Extend the quotient cache to ``count`` quotients or to its end:
         Euclid on a rational point value, else resumed past the cached
-        quotients on canonical enclosures from one level above the one they
-        were read from, the top cached level holding that enclosure (an
-        affine oracle's inner level), so they nest in it (INCONCLUSIVE at the
-        precision cap)."""
+        quotients on canonical enclosures from the rung cached one level above
+        the one they were read from, the top cached level holding that
+        enclosure (an affine oracle's inner level), so they nest in it
+        (INCONCLUSIVE at the precision cap)."""
         v = self.exact_value()
         if v is not None:
             self._cf_quotients, self._cf_ended = _certified_prefix(Enclosure.point(v)), True
@@ -166,7 +169,7 @@ class RealOracle:
 
         refine(
             step, f"CF expansion of {self.spec} stalled at depth {count - 1}",
-            start=2 * self._cf_level,
+            start=2 * self._cf_level - self._extra,
         )
 
     def __repr__(self):
@@ -616,10 +619,6 @@ def sign_of_form(oracle: RealOracle, q: Rat, p: Rat) -> int:
     """Certified sign of q*xi - p; INCONCLUSIVE if the cap is reached first."""
     q = _frac(q)
     p = _frac(p)
-    v = oracle.exact_value()
-    if v is not None:
-        t = q * v - p
-        return (t > 0) - (t < 0)
     return refine(
         lambda k: (oracle.enclose(k) * q - p).sign(),
         lambda: f"sign of {brief(q)}*({oracle.spec}) - {brief(p)} undecided",
@@ -658,9 +657,6 @@ def nearest_int(oracle: RealOracle, u: Rat, accept=None):
 
 
 def floor_certified(oracle: RealOracle) -> int:
-    v = oracle.exact_value()
-    if v is not None:
-        return v.__floor__()
     return refine(
         lambda k: oracle.enclose(k).floor_unique(),
         f"floor of {oracle.spec} undecided",

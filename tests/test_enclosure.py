@@ -1,6 +1,9 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dioph.enclosure import (
     Enclosure,
@@ -33,6 +36,86 @@ def test_empty_interval_rejected():
 def test_int_endpoints_coerced():
     e = Enclosure(1, 2)
     assert isinstance(e.lo, F) and isinstance(e.hi, F)
+
+
+def test_immutable_equal_hashable_copyable_picklable():
+    e = Enclosure(F(1, 3), 2)
+    for name in ("lo", "hi"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, F(0))
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert (e.lo, e.hi) == (F(1, 3), F(2))
+    same = Enclosure(F(1, 3), F(2))
+    assert e == same and hash(e) == hash(same) == hash((F(1, 3), F(2)))
+    assert e != Enclosure(F(1, 3), F(3)) and e != (F(1, 3), F(2))
+    assert len({e, same, -(-e)}) == 1
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and type(twin) is Enclosure
+        assert type(twin.lo) is F and type(twin.hi) is F
+    assert pickle.loads(pickle.dumps(Enclosure.point(-7))) == Enclosure(-7, -7)
+
+
+ends = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=100),
+)
+
+
+def _hull(values):
+    """The checked constructor's enclosure of ``values``."""
+    return Enclosure(min(values), max(values))
+
+
+def _corners(f, a, b):
+    return [f(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(ends, ends, ends, ends, ends, st.integers(min_value=-4, max_value=4))
+def test_unchecked_results_match_the_checked_constructor(a1, a2, b1, b2, s, n):
+    """The class's own results skip the constructor's check: each has
+    ``Fraction`` ends with lo <= hi, equal to the checked enclosure of the
+    corner values, for Enclosure and scalar operands of both signs."""
+    a, b = Enclosure(min(a1, a2), max(a1, a2)), Enclosure(min(b1, b2), max(b1, b2))
+    point = Enclosure(s, s)
+    got = [
+        (Enclosure.point(s), point),
+        (-a, _hull([-a.hi, -a.lo])),
+        (a + b, _hull(_corners(lambda x, y: x + y, a, b))),
+        (a - b, _hull(_corners(lambda x, y: x - y, a, b))),
+        (a * b, _hull(_corners(lambda x, y: x * y, a, b))),
+        (a + s, _hull(_corners(lambda x, y: x + y, a, point))),
+        (s + a, _hull(_corners(lambda x, y: x + y, a, point))),
+        (a - s, _hull(_corners(lambda x, y: x - y, a, point))),
+        (s - a, _hull(_corners(lambda x, y: y - x, a, point))),
+        (a * s, _hull(_corners(lambda x, y: x * y, a, point))),
+        (s * a, _hull(_corners(lambda x, y: x * y, a, point))),
+        (a.abs(), _hull([abs(a.lo), abs(a.hi)] + ([0] if a.contains_zero() else []))),
+    ]
+    if s != 0:
+        got.append((a / s, _hull(_corners(lambda x, y: x / y, a, point))))
+    if not b.contains_zero():
+        got.append((b.recip(), _hull([1 / b.lo, 1 / b.hi])))
+        got.append((a / b, _hull(_corners(lambda x, y: x / y, a, b))))
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo <= hi:
+        got.append((a.intersect(b), Enclosure(lo, hi)))
+    else:
+        with pytest.raises(ValueError):
+            a.intersect(b)
+    base = a if n >= 0 else b
+    if n >= 0 or not b.contains_zero():
+        power = base.pow_int(n)
+        assert power.contains(base.lo**n) and power.contains(base.hi**n)
+        got.append((power, Enclosure(power.lo, power.hi)))
+    for result, checked in got:
+        assert type(result) is Enclosure
+        assert type(result.lo) is F and type(result.hi) is F
+        assert result.lo <= result.hi
+        assert result == checked
 
 
 def test_arithmetic():

@@ -174,6 +174,22 @@ def test_expand_resumes_above_the_level_it_read():
     assert min(rungs) > 2048
 
 
+def test_affine_expand_resumes_one_inner_level_up():
+    # an affine oracle caches rung k at inner level level_for(k + extra); the
+    # quotients read at inner level 128 resume at the rung kept at 256, not 512
+    spec = "affine:7/2/-2/1:const:sqrt2"
+    o = parse_oracle(spec)
+    raws, raw = [], o.inner._raw
+    o.inner._raw = lambda k: raws.append(k) or raw(k)
+    first = expand(o, 10)
+    assert raws == [128]
+    del raws[:]
+    deep = expand(o, 300)
+    assert raws == [256, 512, 1024, 2048]
+    assert deep.quotients[:11] == first.quotients
+    assert deep == expand(parse_oracle(spec), 300)
+
+
 def test_repeated_surrogate_reads_the_cache():
     # the surrogate is a canonical enclosure: a repeated solve reads it, and
     # every level its window checks climb, from the oracle's cache

@@ -35,6 +35,7 @@ from dioph.oracle import (
     RationalOracle,
     SqrtOracle,
     _certified_prefix,
+    is_separated,
     parse_oracle,
     parse_rational,
     separated,
@@ -113,6 +114,28 @@ def test_oracle_refinement_nests(oracle, k1, k2):
     fine = oracle.enclose(k2)
     assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
     assert fine.hi - fine.lo <= F(1, 2**k2)
+
+
+def reference_is_separated(enc):
+    """The ``Fraction`` formula that ``is_separated`` decides in integers."""
+    a = enc.abs()
+    return a.lo > 0 and a.width <= a.lo / (1 << SEPARATION_BITS)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    rationals, rationals,
+    st.fractions(min_value=0, max_value=2, max_denominator=1 << 12), st.booleans(),
+)
+@example(F(3), F(0), F(1), False)
+@example(F(3), F(0), F(1), True)
+@example(F(0), F(0), F(0), False)
+@example(F(-1), F(0), F(0), False)
+def test_is_separated_matches_the_fraction_formula(x, y, t, mirror):
+    # [x, x + t |x| 2**-S] is at the bound, from either side, at t = 1
+    near = Enclosure(x, x + t * abs(x) / (1 << SEPARATION_BITS))
+    for enc in (near, -near if mirror else near, _box(x, y)):
+        assert is_separated(enc) == reference_is_separated(enc), enc
 
 
 quotient_lists = st.tuples(
