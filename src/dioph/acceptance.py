@@ -89,8 +89,8 @@ def criterion_3(seed: int = 0) -> tuple:
         ru = e.ratio_u
         if not (ru * ru <= lam and ru * ru * lam >= 1):
             bands_ok = False
-        rr = e.ratio_res
-        if not (rr.hi * rr.hi <= mu_n and rr.lo * rr.lo * mu_n >= 1):
+        rr2 = e.ratio_res * e.ratio_res
+        if not (rr2.le_certain(mu_n) and (rr2 * mu_n).ge_certain(1)):
             bands_ok = False
         worst = max(worst, abs(ru - 1))
     ok = n_ii == len(res.entries) and bands_ok and worst <= Fraction(15, 100)
@@ -275,19 +275,10 @@ def _check_cf_identities(name: str) -> bool:
     enc = oracle.enclose(512)
     for k in range(len(cv) - 1):
         q, p, q_next = cv[k].q, cv[k].p, cv[k + 1].q
-        lo = enc.lo * q - p
-        hi = enc.hi * q - p
         # residual sign alternates: above the value at even k, below at odd
-        if k % 2 == 0:
-            if not (0 < lo and hi < Fraction(1, q_next)):
-                return False
-            if not lo > Fraction(1, q_next + q):
-                return False
-        else:
-            if not (hi < 0 and -lo < Fraction(1, q_next)):
-                return False
-            if not -hi > Fraction(1, q_next + q):
-                return False
+        r = enc * q - p if k % 2 == 0 else p - enc * q
+        if not (r.strictly_lt(Fraction(1, q_next)) and r.strictly_gt(Fraction(1, q_next + q))):
+            return False
     return True
 
 
@@ -306,9 +297,9 @@ def _check_nesting(name: str) -> bool:
     prev = None
     for k in (8, 16, 32, 64, 128, 256):
         e = oracle.enclose(k)
-        if e.hi - e.lo > Fraction(1, 2**k):
+        if not e.width_le(Fraction(1, 2**k)):
             return False
-        if prev is not None and not (prev.lo <= e.lo and e.hi <= prev.hi):
+        if prev is not None and not prev.contains(e):
             return False
         prev = e
     return True

@@ -12,7 +12,6 @@ involved, so results are deterministic and safe for certificates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .enclosure import Enclosure, Rat, _frac
@@ -110,13 +109,13 @@ def ln_frac(x: Rat, k: int) -> Enclosure:
         alo, ahi = _atanh_fixed(n - d, n + d, w)
         lo += 2 * alo
         hi += 2 * ahi
-    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+    return Enclosure.from_ints(lo, hi, 1 << w)
 
 
 def ln_enclosure(x, k: int) -> Enclosure:
     """Enclosure of ln over a rational point or an Enclosure with lo > 0."""
     if isinstance(x, Enclosure):
-        if x.lo <= 0:
+        if not x.strictly_gt(0):
             raise ValueError("ln of an enclosure touching (-inf, 0]")
         if x.is_point():
             return ln_frac(x.lo, k)

@@ -192,10 +192,9 @@ def _frac_window_check(oracle, q, t_lo, t_hi, stats):
         p = enc.floor_unique()
         if p is not None:
             f = enc - p
-            if f.lo > t_lo and f.hi < t_hi:
-                return f, p
-            if f.hi < t_lo or f.lo > t_hi:
-                return None, p
+            inside = f.inside(t_lo, t_hi)
+            if inside is not None:
+                return (f if inside else None), p
         return None
 
     return refine(step, lambda: f"window membership for q={brief(q)} undecided", stats)
@@ -215,6 +214,15 @@ def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_h
     return None if hit is None else hit[:2]
 
 
+def _surrogate_window(enc, n, t_lo, t_hi):
+    """(a, m, lo, hi): the residues ceil(t_lo m) - n (h - a) to floor(t_hi m) +
+    n (h - a) of the q with frac(q a/m) in [t_lo - n w, t_hi + n w], for ``enc``
+    = [a/m, h/m] of width w, unreduced: the same q as with a/m reduced."""
+    a, m, spread = enc.l, enc.d, n * (enc.h - enc.l)
+    lo = -(-t_lo.numerator * m // t_lo.denominator)
+    return a, m, lo - spread, t_hi.numerator * m // t_hi.denominator + spread
+
+
 def _find_hit(
     oracle, q_lo, q_hi, t_lo, t_hi, stats, lo_strict=False, hi_strict=False
 ):
@@ -225,8 +233,9 @@ def _find_hit(
 
     For rational xi = a/m the window is a range of residues r = q a mod m: a
     strict low end t gives r >= floor(t m) + 1, a strict high end r <=
-    ceil(t m) - 1. Irrational xi takes a/m, the low end of the oracle's first
-    enclosure no wider than w = width/(8 n_hi), and the window enlarged by n_hi w on each side.
+    ceil(t m) - 1. Irrational xi takes the window of
+    :func:`_surrogate_window` on the oracle's first enclosure no wider than
+    width/(8 n_hi).
     """
     n_lo = max(1, q_lo.__ceil__())
     n_hi = q_hi.__floor__()
@@ -243,9 +252,7 @@ def _find_hit(
         enc = oracle.within(
             (t_hi - t_lo) / (8 * n_hi), lambda: f"window surrogate for q <= {brief(n_hi)} undecided", stats
         )
-        a, m, delta = enc.lo.numerator, enc.lo.denominator, n_hi * enc.width
-        lo_i = ((t_lo - delta) * m).__ceil__()
-        hi_i = ((t_hi + delta) * m).__floor__()
+        a, m, lo_i, hi_i = _surrogate_window(enc, n_hi, t_lo, t_hi)
     for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
         if v is not None:
             stats.candidates += 1
@@ -270,9 +277,9 @@ def _case_i_check(oracle, u, vs, beta, stats, near=None):
     def decide(e):
         for v in vs:
             d = (e - v).abs()
-            if d.hi <= beta:
+            if d.le_certain(beta):
                 return [v]
-            if d.lo <= beta:
+            if not d.strictly_gt(beta):
                 return None
         return []
 
@@ -303,16 +310,16 @@ def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
     enc = Enclosure.point(x) if x is not None else oracle.within(
         bound / (4 * u_hi), lambda: f"window surrogate for u <= {brief(u_hi)} undecided", stats
     )
-    a, m = enc.lo.numerator, enc.lo.denominator
-    r = ((bound + u_hi * enc.width) * m).__floor__()
+    a, m, lo_r, hi_r = _surrogate_window(enc, u_hi, -bound, bound)
     beta = min(bound, 1)
-    for u in _residue_hits(a, m, 1, u_hi, lambda u: (-r, r)):
+    for u in _residue_hits(a, m, 1, u_hi, lambda u: (lo_r, hi_r)):
         near = enc * u
-        v0 = max((near.lo - beta).__ceil__(), near.lo.__floor__())
+        fl = near.floors()[0]
+        v0 = fl + 1 if (near - fl).strictly_gt(beta) else fl
         if x is not None:
             stats.candidates += 1
             return u, v0
-        vs = range(v0, (near.hi + beta).__floor__() + 1)
+        vs = range(v0, (near + beta).floors()[1] + 1)
         hit = _case_i_check(oracle, u, vs, beta, stats, near if coarse else None)
         if hit:
             return u, hit[0]
@@ -350,7 +357,7 @@ def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionRes
     if best is not None:
         q, p, residual = best
         a = residual.abs()
-        if not (eps <= a.lo and a.hi < cpe):
+        if not (a.ge_certain(eps) and a.strictly_lt(cpe)):
             # a hit of either window lies in the band by construction
             raise CertificateError(
                 "INTERNAL", f"case (ii) window hit q={q} failed residual certification"

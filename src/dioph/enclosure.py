@@ -1,16 +1,17 @@
 """Exact rational interval arithmetic.
 
-An :class:`Enclosure` is a closed interval with ``Fraction`` endpoints that is
-guaranteed to contain the (possibly irrational) number under discussion. All
-operations are outward-correct: the result interval contains every attainable
-value, with no floating point anywhere. The constructor checks lo <= hi; the
-class's own results, ordered ``Fraction`` pairs by construction, skip it.
+An :class:`Enclosure` is a closed interval guaranteed to contain the
+(possibly irrational) number under discussion, as integers ``l <= h`` over one
+denominator ``d`` > 0, left unreduced: its outward-correct arithmetic,
+compares, floors and width tests run on integers, with no gcd and no float (a
+float operand is read exactly). ``lo`` and ``hi`` are the reduced
+``Fraction`` ends. The constructors check lo <= hi; the class's results skip it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -20,23 +21,48 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _ends(x):
+    """(lo, hi, den) of an Enclosure, or of a rational x as the point (n, n, m)."""
+    if x.__class__ is Enclosure:
+        return x.l, x.h, x.d
+    if x.__class__ is int:
+        return x, x, 1
+    x = x if x.__class__ is Fraction else Fraction(x)
+    return x.numerator, x.numerator, x.denominator
+
+
 class Enclosure:
-    __slots__ = ("lo", "hi")
+    __slots__ = ("l", "h", "d")
 
     def __init__(self, lo: Rat, hi: Rat):
-        lo, hi = _frac(lo), _frac(hi)
-        if lo > hi:
-            raise ValueError(f"empty enclosure [{lo}, {hi}]")
-        _set_lo(self, lo)
-        _set_hi(self, hi)
+        (ln, _, ld), (hn, _, hd) = _ends(lo), _ends(hi)
+        if ld != hd:
+            ln, hn, ld = ln * hd, hn * ld, ld * hd
+        if ln > hn:
+            raise ValueError(f"empty enclosure [{_frac(lo)}, {_frac(hi)}]")
+        _set_l(self, ln)
+        _set_h(self, hn)
+        _set_d(self, ld)
+
+    @staticmethod
+    def from_ints(l: int, h: int, d: int) -> "Enclosure":
+        """[l/d, h/d] for integers l <= h and d > 0, kept unreduced."""
+        if not (d > 0 and l <= h):
+            raise ValueError(f"need l <= h and d > 0, got ({l}, {h}, {d})")
+        return _make(l, h, d)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"an Enclosure is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
+    lo = property(lambda self: Fraction(self.l, self.d))
+    hi = property(lambda self: Fraction(self.h, self.d))
+
     def __eq__(self, other):
-        return other.__class__ is Enclosure and self.lo == other.lo and self.hi == other.hi
+        return other.__class__ is Enclosure and (
+            self.l * other.d == other.l * self.d and self.h * other.d == other.h * self.d
+        )
 
     def __hash__(self):
         return hash((self.lo, self.hi))
@@ -46,98 +72,100 @@ class Enclosure:
 
     @staticmethod
     def point(x: Rat) -> "Enclosure":
-        f = _frac(x)
-        return _make(f, f)
+        n, _, m = _ends(x)
+        return _make(n, n, m)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.h - self.l, self.d)
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.l + self.h, 2 * self.d)
+
+    def width_le(self, w: Fraction) -> bool:
+        return (self.h - self.l) * w.denominator <= w.numerator * self.d
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.l == self.h
 
-    def contains(self, x: Rat) -> bool:
-        f = _frac(x)
-        return self.lo <= f <= self.hi
+    def contains(self, x) -> bool:
+        """Whether x, a rational or every point of an Enclosure, lies in here."""
+        xl, xh, xd = _ends(x)
+        return self.l * xd <= xl * self.d and xh * self.d <= self.h * xd
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return self.l <= 0 <= self.h
 
     def sign(self):
         """-1, 0 or +1 when certain, None while the interval straddles zero."""
-        if self.lo > 0:
+        if self.l > 0:
             return 1
-        if self.hi < 0:
+        if self.h < 0:
             return -1
-        if self.lo == self.hi == 0:
+        if self.l == self.h == 0:
             return 0
         return None
 
     def __neg__(self) -> "Enclosure":
-        return _make(-self.hi, -self.lo)
+        return _make(-self.h, -self.l, self.d)
 
     def __add__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            return _make(self.lo + other.lo, self.hi + other.hi)
-        f = _frac(other)
-        return _make(self.lo + f, self.hi + f)
+        ol, oh, od = _ends(other)
+        l, h, d = self.l, self.h, self.d
+        if od == d:
+            return _make(l + ol, h + oh, d)
+        return _make(l * od + ol * d, h * od + oh * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            return _make(self.lo - other.hi, self.hi - other.lo)
-        f = _frac(other)
-        return _make(self.lo - f, self.hi - f)
+        ol, oh, od = _ends(other)
+        l, h, d = self.l, self.h, self.d
+        if od == d:
+            return _make(l - oh, h - ol, d)
+        return _make(l * od - oh * d, h * od - ol * d, d * od)
 
     def __rsub__(self, other) -> "Enclosure":
         return (-self) + other
 
     def __mul__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            prods = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return _make(min(prods), max(prods))
-        f = _frac(other)
-        if f >= 0:
-            return _make(self.lo * f, self.hi * f)
-        return _make(self.hi * f, self.lo * f)
+        ol, oh, od = _ends(other)
+        l, h = self.l, self.h
+        d = self.d if od == 1 else self.d * od
+        if ol == oh:
+            return _make(l * ol, h * ol, d) if ol >= 0 else _make(h * ol, l * ol, d)
+        prods = (l * ol, l * oh, h * ol, h * oh)
+        return _make(min(prods), max(prods), d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
+        if other.__class__ is Enclosure:
             return self * other.recip()
-        f = _frac(other)
-        if f == 0:
+        n, _, m = _ends(other)
+        if n == 0:
             raise ZeroDivisionError("division of enclosure by zero")
-        return self * (1 / f)
+        return self * (_make(m, m, n) if n > 0 else _make(-m, -m, -n))
 
     def recip(self) -> "Enclosure":
         if self.contains_zero():
             raise ZeroDivisionError("reciprocal of enclosure containing zero")
-        return _make(1 / self.hi, 1 / self.lo)
+        l, h, d = self.l, self.h, self.d
+        # 1/hi = d l/(l h) <= 1/lo = d h/(l h), with l h > 0
+        return _make(d * l, d * h, l * h)
 
     def abs(self) -> "Enclosure":
-        if self.lo >= 0:
+        if self.l >= 0:
             return self
-        if self.hi <= 0:
+        if self.h <= 0:
             return -self
-        return _make(Fraction(0), max(-self.lo, self.hi))
+        return _make(0, max(-self.l, self.h), self.d)
 
     def pow_int(self, e: int) -> "Enclosure":
         if e < 0:
             return self.recip().pow_int(-e)
-        out = Enclosure.point(1)
-        base = self
+        out, base = _make(1, 1, 1), self
         while e:
             if e & 1:
                 out = out * base
@@ -146,55 +174,87 @@ class Enclosure:
         return out
 
     def intersect(self, other: "Enclosure") -> "Enclosure":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("disjoint enclosures have no intersection")
-        return _make(lo, hi)
+        """The common part; an operand itself when it nests in the other."""
+        d, od, empty = self.d, other.d, "disjoint enclosures have no intersection"
+        return _join(self, other, _cmp(self.l * od, other.l * d), _cmp(other.h * d, self.h * od), empty)
 
     def hull(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
 
+    def max(self, other: "Enclosure") -> "Enclosure":
+        """Enclosure of max(x, y) for x here and y in ``other``."""
+        d, od = self.d, other.d
+        return _join(self, other, _cmp(self.l * od, other.l * d), _cmp(self.h * od, other.h * d))
+
     def strictly_lt(self, other) -> bool:
         """Certified ``x < y`` for every x here and y there."""
-        if isinstance(other, Enclosure):
-            return self.hi < other.lo
-        return self.hi < _frac(other)
+        ol, _, od = _ends(other)
+        return self.h * od < ol * self.d
 
     def strictly_gt(self, other) -> bool:
-        if isinstance(other, Enclosure):
-            return self.lo > other.hi
-        return self.lo > _frac(other)
+        _, oh, od = _ends(other)
+        return self.l * od > oh * self.d
 
     def le_certain(self, other) -> bool:
-        if isinstance(other, Enclosure):
-            return self.hi <= other.lo
-        return self.hi <= _frac(other)
+        ol, _, od = _ends(other)
+        return self.h * od <= ol * self.d
 
     def ge_certain(self, other) -> bool:
-        if isinstance(other, Enclosure):
-            return self.lo >= other.hi
-        return self.lo >= _frac(other)
+        _, oh, od = _ends(other)
+        return self.l * od >= oh * self.d
+
+    def inside(self, lo: Rat, hi: Rat):
+        """True when every point lies strictly between ``lo`` and ``hi``, False
+        when none lies in [lo, hi], None while that is undecided."""
+        l, h, d = self.l, self.h, self.d
+        (a, _, ad), (b, _, bd) = _ends(lo), _ends(hi)
+        if l * ad > a * d and h * bd < b * d:
+            return True
+        return False if h * ad < a * d or l * bd > b * d else None
 
     def floor_unique(self):
         """The common floor of every point, or None if not yet determined."""
-        flo = self.lo.__floor__()
-        fhi = self.hi.__floor__()
-        return flo if flo == fhi else None
+        f = self.l // self.d
+        return f if f == self.h // self.d else None
+
+    def floors(self) -> tuple:
+        """(floor(lo), floor(hi))."""
+        return self.l // self.d, self.h // self.d
 
     def __repr__(self):
         return f"Enclosure({self.lo!r}, {self.hi!r})"
 
 
-_set_lo, _set_hi = Enclosure.lo.__set__, Enclosure.hi.__set__
+_set_l, _set_h, _set_d = Enclosure.l.__set__, Enclosure.h.__set__, Enclosure.d.__set__
 
 
-def _make(lo: Fraction, hi: Fraction) -> Enclosure:
-    """The unchecked constructor, for ``Fraction`` ends with lo <= hi."""
+def _make(l: int, h: int, d: int) -> Enclosure:
+    """The unchecked constructor, for integers l <= h over d > 0."""
     e = object.__new__(Enclosure)
-    _set_lo(e, lo)
-    _set_hi(e, hi)
+    _set_l(e, l)
+    _set_h(e, h)
+    _set_d(e, d)
     return e
+
+
+def _cmp(x: int, y: int) -> int:
+    return (x > y) - (x < y)
+
+
+def _join(a: Enclosure, b: Enclosure, lo_a: int, hi_a: int, empty=None) -> Enclosure:
+    """a's lo if ``lo_a`` > 0 else b's, a's hi if ``hi_a`` > 0 else b's (0: equal): an operand
+    itself where its ends do, else over one denominator; ValueError ``empty`` if they cross."""
+    if lo_a >= 0 and hi_a >= 0:
+        return a
+    if lo_a <= 0 and hi_a <= 0:
+        return b
+    g = gcd(a.d, b.d)
+    sa, sb = b.d // g, a.d // g
+    lo = a.l * sa if lo_a > 0 else b.l * sb
+    hi = a.h * sa if hi_a > 0 else b.h * sb
+    if empty is not None and lo > hi:
+        raise ValueError(empty)
+    return _make(lo, hi, a.d * sa)
 
 
 def dyadic_below(x: Rat, bits: int) -> Fraction:
@@ -230,30 +290,30 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
+def _root_scaled(n: int, m: int, k: int, bits: int, up: bool) -> int:
+    """The floor, or the ceiling if ``up``, of (n/m) ** (1/k) 2**bits, m > 0."""
+    if n < 0:
+        raise ValueError("root of a negative rational")
+    scaled = -((-n << (k * bits)) // m) if up else (n << (k * bits)) // m
+    r = iroot(scaled, k)
+    return r + 1 if up and r**k < scaled else r
+
+
 def root_lower(x: Rat, k: int, bits: int) -> Fraction:
     """Dyadic lower bound of x ** (1/k) for x >= 0."""
-    f = _frac(x)
-    if f < 0:
-        raise ValueError("root of a negative rational")
-    scaled = (f.numerator << (k * bits)) // f.denominator
-    return Fraction(iroot(scaled, k), 1 << bits)
+    n, _, m = _ends(x)
+    return Fraction(_root_scaled(n, m, k, bits, False), 1 << bits)
 
 
 def root_upper(x: Rat, k: int, bits: int) -> Fraction:
-    f = _frac(x)
-    if f < 0:
-        raise ValueError("root of a negative rational")
-    scaled = -((-f.numerator << (k * bits)) // f.denominator)
-    r = iroot(scaled, k)
-    if r**k < scaled:
-        r += 1
-    return Fraction(r, 1 << bits)
+    n, _, m = _ends(x)
+    return Fraction(_root_scaled(n, m, k, bits, True), 1 << bits)
 
 
 def root_enclosure(x: "Enclosure | Rat", k: int, bits: int) -> Enclosure:
-    if isinstance(x, Enclosure):
-        return Enclosure(root_lower(x.lo, k, bits), root_upper(x.hi, k, bits))
-    return Enclosure(root_lower(x, k, bits), root_upper(x, k, bits))
+    """x ** (1/k), for a rational or an enclosure x, between ints over 2**bits."""
+    l, h, d = _ends(x)
+    return _make(_root_scaled(l, d, k, bits, False), _root_scaled(h, d, k, bits, True), 1 << bits)
 
 
 def sqrt_lower(x: Rat, bits: int) -> Fraction:

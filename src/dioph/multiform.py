@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import inf, lcm
 from typing import Optional
 
@@ -119,17 +120,20 @@ def evaluate_form(
         for l, c in zip(form.coeffs, point.coords):
             if l:
                 enc = c.enclose(k + pad)
-                a, b = (enc.lo, enc.hi) if l > 0 else (enc.hi, enc.lo)
-                lo_n = lo_n * a.denominator + l * a.numerator * lo_d
-                lo_d *= a.denominator
-                hi_n = hi_n * b.denominator + l * b.numerator * hi_d
-                hi_d *= b.denominator
+                a, b = (enc.l, enc.h) if l > 0 else (enc.h, enc.l)
+                ad = bd = enc.d
+                if ad & (ad - 1):  # a common power of two moves no bit-length difference below
+                    (a, ad), (b, bd) = Fraction(a, ad).as_integer_ratio(), Fraction(b, bd).as_integer_ratio()
+                lo_n = lo_n * ad + l * a * lo_d
+                lo_d *= ad
+                hi_n = hi_n * bd + l * b * hi_d
+                hi_d *= bd
         # ulps of 2**(down - up) leave 127-128 bits in the end nearer zero
         e = min(abs(n).bit_length() - d.bit_length() for n, d in ((lo_n, lo_d), (hi_n, hi_d)))
         up, down = max(FORM_BITS - 1 - e, 0), max(e + 1 - FORM_BITS, 0)
-        lo = Fraction((lo_n << up) // (lo_d << down) << down, 1 << up)
-        hi = Fraction(-((-hi_n << up) // (hi_d << down)) << down, 1 << up)
-        return Enclosure(lo, hi)
+        lo = (lo_n << up) // (lo_d << down) << down
+        hi = -((-hi_n << up) // (hi_d << down)) << down
+        return Enclosure.from_ints(lo, hi, 1 << up)
 
     return separated(enclose_at, lambda: f"form value {form.coeffs} not separated from zero")
 
@@ -153,8 +157,8 @@ def _fixed_points(ratios, bound: int):
     w = 2 * b + 40
     out = []
     for r in ratios:
-        mid = r.enclose(w + b + 8).mid
-        out.append((mid.numerator << w) // mid.denominator)
+        enc = r.enclose(w + b + 8)
+        out.append(((enc.l + enc.h) << w) // (2 * enc.d))
     return 1 << w, out
 
 
@@ -189,10 +193,6 @@ def _records(fixed, M: int, err: int, lo: int, hi: int, near: int):
             yield q, s
 
 
-def _max_enclosure(encs) -> Enclosure:
-    return Enclosure(max(e.lo for e in encs), max(e.hi for e in encs))
-
-
 def _refined_max_dist(ratios, q: int):
     """(enclosure of max_j ||q * ratio_j|| of width <= 2**-80, nearest
     integers); INFINITE_WITNESS when that maximum is exactly 0.
@@ -200,10 +200,10 @@ def _refined_max_dist(ratios, q: int):
     Each distance is taken on its ladder at width <= 2**-80, so the maximum
     is as narrow: max hi - max lo is at most the width of the distance with
     the largest hi."""
-    near = [nearest_int(r, q, lambda d: d.width <= _DIST_TOL) for r in ratios]
+    near = [nearest_int(r, q, lambda d: d.width_le(_DIST_TOL)) for r in ratios]
     qs = tuple(v for v, _ in near)
-    enc = _max_enclosure([d for _, d in near])
-    if enc.hi == 0:
+    enc = reduce(Enclosure.max, (d for _, d in near))
+    if enc.sign() == 0:
         raise PreconditionError(
             "INFINITE_WITNESS", f"q0={q} matches every coordinate exactly"
         )
@@ -256,7 +256,7 @@ def dirichlet_witness(
         # a q within 1/Q scores at most M/Q + err
         for q, _ in _records(fixed, M, err, 1, bound, (M + Q - 1) // Q + err):
             enc, qs = _refined_max_dist(ratios, q)
-            if enc.hi <= target:
+            if enc.le_certain(target):
                 break
         else:
             raise CertificateError(
@@ -272,7 +272,7 @@ def dirichlet_witness(
                 scored.append((enc.hi, q, enc, qs))
         _, q, enc, qs = min(scored)
     omega = _omega_point(enc.hi, q) if q > 1 else Fraction(0)
-    return SimultaneousWitness(q, qs, enc, omega, enc.hi <= target, bound)
+    return SimultaneousWitness(q, qs, enc, omega, enc.le_certain(target), bound)
 
 
 @dataclass(frozen=True)

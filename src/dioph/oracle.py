@@ -66,10 +66,10 @@ def refine(step, what, stats=None, start: int = 0):
 def is_separated(enc: Enclosure) -> bool:
     """Whether ``enc``'s distance from zero exceeds its width by a factor of
     2**S, S = SEPARATION_BITS: mirrored to lo > 0, hi 2**S <= lo (2**S + 1)."""
-    (ln, ld), (hn, hd) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
-    if hn < 0:
-        (ln, ld), (hn, hd) = (-hn, hd), (-ln, ld)
-    return ln > 0 and hn * ld << SEPARATION_BITS <= ln * hd * ((1 << SEPARATION_BITS) + 1)
+    l, h = enc.l, enc.h
+    if h < 0:
+        l, h = -h, -l
+    return l > 0 and h << SEPARATION_BITS <= l * ((1 << SEPARATION_BITS) + 1)
 
 
 def separated(enclose_at, what) -> Enclosure:
@@ -133,7 +133,7 @@ class RealOracle:
         the precision cap if that is lower, so no other level is computed."""
         n = -(-width.denominator // width.numerator)
         start = min(n.bit_length(), 1 << (PRECISION_CAP.get().bit_length() - 1))
-        return refine(lambda k: e if (e := self.enclose(k)).width <= width else None, what, stats, start)
+        return refine(lambda k: e if (e := self.enclose(k)).width_le(width) else None, what, stats, start)
 
     def exact_value(self) -> Optional[Fraction]:
         """The exact rational value when the oracle is rational, else None."""
@@ -198,10 +198,7 @@ def _certified_prefix(enc: Enclosure, seeds=SEEDS) -> list:
     they disagree on, or once either expansion has ended.
     """
     (p0, q0), (p1, q1) = seeds
-    (p, q), (r, s) = [
-        (p0 * x.denominator - q0 * x.numerator, q1 * x.numerator - p1 * x.denominator)
-        for x in (enc.lo, enc.hi)
-    ]
+    (p, q), (r, s) = [(p0 * enc.d - q0 * x, q1 * x - p1 * enc.d) for x in (enc.l, enc.h)]
     if q == 0 or s == 0:
         return []
     quots = []
@@ -259,8 +256,7 @@ class Log2Oracle(RealOracle):
     def _raw(self, k: int) -> Enclosure:
         w = k + _series_pad(k)
         lo, hi = _ln2_fixed(w)
-        sc = Fraction(1, 1 << w)
-        return Enclosure(lo * sc, hi * sc)
+        return Enclosure.from_ints(lo, hi, 1 << w)
 
 
 def _series_fixed(t1: int, ratio, weight=lambda n: 1):
@@ -331,8 +327,7 @@ class EOracle(RealOracle):
         term, total, n = 1 << w, 0, 1
         while term:
             total, term, n = total + term, term // n, n + 1
-        sc = Fraction(1, 1 << w)
-        return Enclosure(total * sc, (total + n + 2) * sc)
+        return Enclosure.from_ints(total, total + n + 2, 1 << w)
 
 
 class Zeta2Oracle(RealOracle):
@@ -346,7 +341,7 @@ class Zeta2Oracle(RealOracle):
         w = k + 3
         lo, hi = _pi_fixed(w)
         d = 6 << w
-        return Enclosure(Fraction(lo * lo // d, 1 << w), Fraction(-(-hi * hi // d), 1 << w))
+        return Enclosure.from_ints(lo * lo // d, -(-hi * hi // d), 1 << w)
 
 
 class Zeta3Oracle(RealOracle):
@@ -368,8 +363,7 @@ class Zeta3Oracle(RealOracle):
         w = k + 8 + 3 * (k + 8).bit_length()
         total, n = _series_fixed(1 << w, lambda n: (-n**5, 32 * (2 * n + 1) ** 5), weight)
         slack = 2 * (n + 1) * weight(n)
-        sc = Fraction(1, 64 << w)
-        return Enclosure((total - slack) * sc, (total + slack) * sc)
+        return Enclosure.from_ints(total - slack, total + slack, 64 << w)
 
 
 class CFOracle(RealOracle):
@@ -480,8 +474,8 @@ class CFOracle(RealOracle):
             b = q0.bit_length() + q1.bit_length()
             if b > n_bits + 1 or (b >= n_bits and q0 * q1 >= n):
                 self._last_pair = n, j, ((p0, q0), (p1, q1))
-                a, c = Fraction(p0, q0), Fraction(p1, q1)
-                return Enclosure(min(a, c), max(a, c))
+                a, c = p0 * q1, p1 * q0
+                return Enclosure.from_ints(min(a, c), max(a, c), q0 * q1)
             j += 1
         bits = (n - 1).bit_length()
         raise Unrepresentable(f"{self.spec}: available quotients give width above 2**-{bits}")
@@ -617,8 +611,6 @@ def parse_oracle(spec: str) -> RealOracle:
 
 def sign_of_form(oracle: RealOracle, q: Rat, p: Rat) -> int:
     """Certified sign of q*xi - p; INCONCLUSIVE if the cap is reached first."""
-    q = _frac(q)
-    p = _frac(p)
     return refine(
         lambda k: (oracle.enclose(k) * q - p).sign(),
         lambda: f"sign of {brief(q)}*({oracle.spec}) - {brief(p)} undecided",
@@ -647,8 +639,8 @@ def nearest_int(oracle: RealOracle, u: Rat, accept=None):
 
     def step(k):
         enc = oracle.enclose(k) * u
-        m = (enc.lo + half).__floor__()
-        if enc.hi >= m + half:
+        m = (enc + half).floor_unique()
+        if m is None:
             return None
         dist = (enc - m).abs()
         return (m, dist) if accept is None or accept(dist) else None

@@ -26,6 +26,7 @@ from .dichotomy import LemmaParams, solve_disjunction
 from .enclosure import (
     Enclosure,
     Rat,
+    _ends,
     _frac,
     dyadic_below,
     root_enclosure,
@@ -252,7 +253,7 @@ def build_sequence(
                     "BAND_VIOLATION", f"coefficient band failed at n={n}, q={q}"
                 )
             r = res.residual.abs()
-            if not (r.lo**2 * mu >= eps**2 and r.hi**2 <= mu * eps**2):
+            if not ((r * r * mu).ge_certain(eps**2) and (r * r).le_certain(mu * eps**2)):
                 raise CertificateError(
                     "BAND_VIOLATION", f"residual band failed at n={n}, q={q}"
                 )
@@ -263,7 +264,7 @@ def build_sequence(
                     v=p + shift * q,
                     residual=res.residual,
                     ratio_u=Fraction(q) / Q,
-                    ratio_res=Enclosure(r.lo / eps, r.hi / eps),
+                    ratio_res=r / eps,
                     case_taken="ii",
                 )
             )
@@ -278,7 +279,7 @@ def build_sequence(
                     v=w.v + shift * w.u,
                     residual=r,
                     ratio_u=Fraction(w.u) / Q,
-                    ratio_res=Enclosure(a.lo / eps, a.hi / eps),
+                    ratio_res=a / eps,
                     case_taken="i",
                 )
             )
@@ -388,12 +389,15 @@ def measure_rates(entries, oracle: RealOracle) -> RateEstimate:
     return _measure_core(ns, residual, raw_h, None, None, None)
 
 
-def _regular_step(a: Fraction, b: Fraction) -> bool:
-    """|ln b / ln a - 1| <= REGULARITY_DELTA = p/q for a, b > 0, decided
-    exactly: a != 1 and b**q lies between a**(q - p) and a**(q + p)."""
+def _regular_step(a, b) -> bool:
+    """|ln y / ln x - 1| <= REGULARITY_DELTA = p/q for x, y > 0, the rationals
+    ``a`` and ``b`` or the upper ends of those enclosures, decided exactly on
+    their integers: x != 1 and y**q lies between x**(q - p) and x**(q + p)."""
     p, q = REGULARITY_DELTA.numerator, REGULARITY_DELTA.denominator
-    lo, hi = sorted((a ** (q - p), a ** (q + p)))
-    return a != 1 and lo <= b**q <= hi
+    (_, x, xd), (_, y, yd) = _ends(a), _ends(b)
+    # the signs of y**q - x**e, e = q - p and q + p, over positive denominators
+    s1, s2 = (y**q * xd**e - x**e * yd**q for e in (q - p, q + p))
+    return x != xd and min(s1, s2) <= 0 <= max(s1, s2)
 
 
 def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEstimate:
@@ -428,12 +432,11 @@ def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEsti
     alpha_enc = alpha_core * growth
     beta_enc = beta_core * growth
     p0, p1 = pos[0], pos[-1]
-    decayed = raw_res[p1].hi < raw_res[p0].lo
+    decayed = raw_res[p1].strictly_lt(raw_res[p0])
     # residuals are separated from zero, so one end of each will do
-    ends = [raw_res[i].hi for i in pos]
-    in_band = sum(1 for a, b in zip(ends, ends[1:]) if _regular_step(a, b))
+    in_band = sum(1 for i, j in zip(pos, pos[1:]) if _regular_step(raw_res[i], raw_res[j]))
     regular = 2 * in_band >= len(pos) - 1
-    if decayed and regular and alpha_enc.hi < 1 and beta_enc.lo > 1:
+    if decayed and regular and alpha_enc.strictly_lt(1) and beta_enc.strictly_gt(1):
         tau_hat = ln_frac(1 / alpha_enc.hi, 96).lo / ln_frac(beta_enc.hi, 96).hi
     else:
         tau_hat = Fraction(0)
@@ -476,7 +479,7 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
     dists = []
     for u in us:
         _, d = nearest_int(oracle, u, is_separated)
-        if d.hi == 0:
+        if d.sign() == 0:
             raise ZeroResidual(f"u={u} lands exactly on an integer")
         dists.append(d)
     alpha = max((b / a).hi for a, b in zip(dists, dists[1:]))

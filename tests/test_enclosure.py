@@ -1,9 +1,10 @@
 import copy
 import pickle
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dioph.enclosure import (
     Enclosure,
@@ -15,6 +16,7 @@ from dioph.enclosure import (
     sqrt_lower,
     sqrt_upper,
 )
+from dioph.oracle import CATALOG, SEPARATION_BITS, _certified_prefix, is_separated, parse_oracle
 
 
 def test_construction_and_accessors():
@@ -62,6 +64,23 @@ ends = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.fractions(min_value=-50, max_value=50, max_denominator=100),
 )
+# a common factor multiplied into the ends and the denominator
+factors = st.one_of(st.just(1), st.integers(min_value=2, max_value=10**6))
+
+
+def _encode(lo, hi, g=1):
+    """[lo, hi] as integers over g times the least common denominator: unreduced for g > 1."""
+    lo, hi = F(lo), F(hi)
+    d = lcm(lo.denominator, hi.denominator) * g
+    return Enclosure.from_ints(lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d)
+
+
+@st.composite
+def encodings(draw):
+    """Unreduced enclosures with ends of either sign, zero-width points among them."""
+    x = draw(ends)
+    y = draw(st.one_of(st.just(x), ends))
+    return _encode(min(x, y), max(x, y), draw(factors))
 
 
 def _hull(values):
@@ -73,13 +92,21 @@ def _corners(f, a, b):
     return [f(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
 
 
+def _assert_well_formed(e):
+    """Integer ends l <= h over an integer d > 0, never a float."""
+    assert type(e) is Enclosure
+    assert type(e.l) is int and type(e.h) is int and type(e.d) is int
+    assert e.d > 0 and e.l <= e.h
+    assert type(e.lo) is F and type(e.hi) is F
+
+
 @settings(deadline=None, max_examples=300)
-@given(ends, ends, ends, ends, ends, st.integers(min_value=-4, max_value=4))
-def test_unchecked_results_match_the_checked_constructor(a1, a2, b1, b2, s, n):
+@given(encodings(), encodings(), ends, st.integers(min_value=-4, max_value=4))
+def test_unchecked_results_match_the_checked_constructor(a, b, s, n):
     """The class's own results skip the constructor's check: each has
-    ``Fraction`` ends with lo <= hi, equal to the checked enclosure of the
-    corner values, for Enclosure and scalar operands of both signs."""
-    a, b = Enclosure(min(a1, a2), max(a1, a2)), Enclosure(min(b1, b2), max(b1, b2))
+    integer ends l <= h over d > 0, equal to the checked enclosure of the
+    corner values, for unreduced operands and for Enclosure, int and
+    ``Fraction`` operands of both signs."""
     point = Enclosure(s, s)
     got = [
         (Enclosure.point(s), point),
@@ -94,6 +121,8 @@ def test_unchecked_results_match_the_checked_constructor(a1, a2, b1, b2, s, n):
         (a * s, _hull(_corners(lambda x, y: x * y, a, point))),
         (s * a, _hull(_corners(lambda x, y: x * y, a, point))),
         (a.abs(), _hull([abs(a.lo), abs(a.hi)] + ([0] if a.contains_zero() else []))),
+        (a.hull(b), _hull([a.lo, a.hi, b.lo, b.hi])),
+        (a.max(b), Enclosure(max(a.lo, b.lo), max(a.hi, b.hi))),
     ]
     if s != 0:
         got.append((a / s, _hull(_corners(lambda x, y: x / y, a, point))))
@@ -111,11 +140,93 @@ def test_unchecked_results_match_the_checked_constructor(a1, a2, b1, b2, s, n):
         power = base.pow_int(n)
         assert power.contains(base.lo**n) and power.contains(base.hi**n)
         got.append((power, Enclosure(power.lo, power.hi)))
+    # a float operand is read exactly, and no float reaches an end
+    x = float(s) / 3
+    got += [(a + x, a + F(x)), (x - a, F(x) - a), (a * x, a * F(x)), (Enclosure.point(x), Enclosure(F(x), F(x)))]
+    got.append((Enclosure(-abs(x), abs(x)), Enclosure(-abs(F(x)), abs(F(x)))))
+    if x:
+        got.append((a / x, a / F(x)))
     for result, checked in got:
-        assert type(result) is Enclosure
-        assert type(result.lo) is F and type(result.hi) is F
-        assert result.lo <= result.hi
+        _assert_well_formed(result)
         assert result == checked
+
+
+def _ref_sign(lo, hi):
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return 0 if lo == hi == 0 else None
+
+
+def _ref_inside(lo, hi, t_lo, t_hi):
+    if lo > t_lo and hi < t_hi:
+        return True
+    return False if hi < t_lo or lo > t_hi else None
+
+
+@settings(deadline=None, max_examples=400)
+@given(encodings(), encodings(), ends, ends, ends, st.fractions(min_value=F(1, 100), max_value=1, max_denominator=100))
+def test_integer_methods_match_the_fraction_formulas(a, b, s, t1, t2, beta):
+    """Every decision the class makes on its integers against the same
+    decision on its reduced ``Fraction`` ends, for unreduced operands."""
+    lo, hi = a.lo, a.hi
+    w = abs(F(s))
+    assert a.floors() == (lo.__floor__(), hi.__floor__())
+    assert a.floor_unique() == (lo.__floor__() if lo.__floor__() == hi.__floor__() else None)
+    assert a.sign() == _ref_sign(lo, hi)
+    assert a.is_point() == (lo == hi) and a.contains_zero() == (lo <= 0 <= hi)
+    assert (a.width, a.mid) == (hi - lo, (lo + hi) / 2)
+    assert a.width_le(w) == (hi - lo <= w)
+    for other, olo, ohi in ((s, s, s), (b, b.lo, b.hi)):
+        assert a.strictly_lt(other) == (hi < olo)
+        assert a.strictly_gt(other) == (lo > ohi)
+        assert a.le_certain(other) == (hi <= olo)
+        assert a.ge_certain(other) == (lo >= ohi)
+        assert a.contains(other) == (lo <= olo and ohi <= hi)
+    assert a.inside(t1, t2) == _ref_inside(lo, hi, t1, t2)
+    # nearest_int's step: floor(lo + 1/2), unless hi reaches the next half
+    m = (lo + F(1, 2)).__floor__()
+    assert (a + F(1, 2)).floor_unique() == (None if hi >= m + F(1, 2) else m)
+    # case (i)'s first v: floor(lo), or the next integer when frac(lo) > beta
+    fl = a.floors()[0]
+    assert (fl + 1 if (a - fl).strictly_gt(beta) else fl) == max((lo - beta).__ceil__(), lo.__floor__())
+    assert is_separated(a) == (lo * hi > 0 and hi - lo <= min(abs(lo), abs(hi)) / (1 << SEPARATION_BITS))
+    assert _certified_prefix(a) == _certified_prefix(Enclosure(lo, hi))
+
+
+@settings(deadline=None, max_examples=200)
+@given(ends, ends, factors)
+def test_encodings_of_one_value_are_equal_and_hash_and_pickle_alike(x, y, g):
+    reduced, scaled = Enclosure(min(x, y), max(x, y)), _encode(min(x, y), max(x, y), g)
+    assert reduced == scaled and hash(reduced) == hash(scaled)
+    assert pickle.dumps(reduced) == pickle.dumps(scaled) and repr(reduced) == repr(scaled)
+    for twin in (copy.copy(scaled), copy.deepcopy(scaled), pickle.loads(pickle.dumps(scaled))):
+        assert twin == reduced and hash(twin) == hash(reduced)
+
+
+@settings(deadline=None, max_examples=200)
+@given(encodings(), ends, ends, factors)
+def test_intersect_of_nested_enclosures_returns_the_inner_operand(inner, s, t, g):
+    assume(s or t)  # a proper superset; one end may be shared
+    outer = _encode(inner.lo - abs(F(s)), inner.hi + abs(F(t)), g)
+    assert outer.intersect(inner) is inner and inner.intersect(outer) is inner
+
+
+@pytest.mark.parametrize(
+    "spec, growth",
+    [(f"const:{name}", 2) for name in sorted(CATALOG)]
+    # each affine layer reads its inner oracle at up to twice the bits
+    + [("affine:7/2/-2/1:affine:-6/1:const:e", 4)],
+)
+def test_enclose_denominators_stay_within_the_level_read(spec, growth):
+    # a level_for(k) < 2k enclosure is computed at its level plus a working
+    # pad and cut by the coarser cached ones: denominators never accumulate
+    oracle = parse_oracle(spec)
+    for j in range(15):
+        for k in sorted({2**j - 1, 2**j, 2**j + 1, 3 * 2**j // 2} - {0}):
+            d = oracle.enclose(k).d
+            assert d.bit_length() <= growth * max(k, 32) + 64, (k, d.bit_length())
 
 
 def test_arithmetic():

@@ -13,6 +13,7 @@ from dioph.dichotomy import (
     _find_hit,
     _residue_hits,
     _Stats,
+    _surrogate_window,
     find_fractional_hit,
     solve_disjunction,
 )
@@ -51,6 +52,7 @@ from test_dichotomy import (
     reference_within,
 )
 from test_multiform import brute_dirichlet, brute_omega0, brute_records
+from test_enclosure import _encode
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 positives = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
@@ -370,6 +372,36 @@ def test_enclosure_surrogate_matches_convergent_surrogate(
         return
     got = _find_hit(_surrogate_oracle(spec), q_lo, q_hi, t_lo, t_hi, _Stats(), lo_strict, hi_strict)
     assert (None if got is None else got[:2]) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+    st.fractions(min_value=0, max_value=F(1, 1000), max_denominator=10**9),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=300),
+    st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+    st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+    st.booleans(),
+)
+def test_integer_window_bounds_give_the_reduced_windows_candidates(lo, width, g, n, t1, t2, case_i):
+    # the window on an unreduced surrogate [l/d, h/d] against the window
+    # formulas on its reduced low end a/m: case (ii)'s ceil((t_lo - n w) m) to
+    # floor((t_hi + n w) m), and case (i)'s -r to r, r = floor((b + n w) m)
+    enc = _encode(lo, lo + width, g)
+    a, m, delta = enc.lo.numerator, enc.lo.denominator, n * enc.width
+    if case_i:
+        b = abs(t1)
+        t_lo, t_hi = -b, b
+        r = ((b + delta) * m).__floor__()
+        old = (-r, r)
+    else:
+        t_lo, t_hi = min(t1, t2), max(t1, t2)
+        old = (((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__())
+    l, d, lo_i, hi_i = _surrogate_window(enc, n, t_lo, t_hi)
+    assert (l, d) == (enc.l, enc.d)
+    got = _residue_hits(l, d, 1, n, lambda q: (lo_i, hi_i))
+    assert list(got) == list(_residue_hits(a, m, 1, n, lambda q: old))
 
 
 case_i_specs = st.one_of(
