@@ -1,8 +1,8 @@
 """Certified continued-fraction expansion and convergents.
 
 ``expand`` is a view of the oracle's own quotient cache. The quotient sources
-live in the oracle subclasses (``RealOracle._more_quotients``): a generator
-for values defined by their quotients, Euclid on the point value for exact
+live in the oracle subclasses (``RealOracle._more_quotients``): the one
+iterator a quotient-defined oracle builds, Euclid on the point value for exact
 rationals (the expansion terminates), and otherwise Euclid run in lockstep on
 both ends of a canonical enclosure, resumed one level above the cached one
 through the last two convergents it reached. No convergent is stored:

@@ -5,6 +5,11 @@ tight rational enclosures of it on demand. Requests are rounded up to dyadic
 precision levels (64, 128, 256, ...). A raw enclosure is computed only at a level
 asked for above every cached one, cut by the finest cached enclosure, and a lower
 request reads the nearest cached level above it: answers always nest.
+That is the one rule of :meth:`RealOracle.enclose`. An affine map a*x + b
+keeps it at level_for(k + the bits of |a|), its raw enclosure the map of its
+inner oracle's at that level; a map of a map is composed when built, so it
+reads its innermost oracle through one layer. A continued-fraction oracle
+draws its quotients from one iterator, built with it, into its cache.
 
 Every certified decision on those enclosures climbs that level ladder
 through :func:`refine`, up to the precision cap :data:`PRECISION_CAP`, which
@@ -29,7 +34,7 @@ import re
 from collections import deque
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import chain, pairwise
+from itertools import chain, cycle, islice, pairwise
 from math import factorial, isqrt
 from typing import Optional
 
@@ -87,7 +92,7 @@ def level_for(k: int) -> int:
 
 
 class RealOracle:
-    """Base class. Subclasses implement ``_raw(k)`` with width <= 2**-k.
+    """Base class. Subclasses implement ``_raw(L)`` with width <= 2**-(L - _extra).
 
     Each instance caches its canonical enclosures per level and the certified
     continued-fraction quotients of its value (never their convergents), so
@@ -96,7 +101,7 @@ class RealOracle:
     """
 
     spec: str = "?"
-    _extra = 0  # enclose(k) is cached at level_for(k + _extra)
+    _extra = 0  # bits added to k before its level is picked: an affine map's |a|
 
     def __init__(self):
         self._canon: dict[int, Enclosure] = {}
@@ -111,11 +116,12 @@ class RealOracle:
         raise NotImplementedError
 
     def enclose(self, k: int) -> Enclosure:
-        """Canonical enclosure with width <= 2**-k, monotone in k: at L = level_for(k),
-        the raw one cut by the finest cached one, or a cached one at or above L."""
+        """Canonical enclosure with width <= 2**-k, monotone in k: at L =
+        level_for(k + _extra), the raw one cut by the finest cached one, or a
+        cached one at or above L."""
         if k < 1:
             raise PreconditionError("BAD_PRECISION", f"precision {k} must be >= 1")
-        L = level_for(k)
+        L = level_for(k + self._extra)
         canon = self._canon
         got = canon.get(L)
         if got is None:
@@ -259,7 +265,7 @@ class Log2Oracle(RealOracle):
         return Enclosure.from_ints(lo, hi, 1 << w)
 
 
-def _series_fixed(t1: int, ratio, weight=lambda n: 1):
+def _series_fixed(t1: int, ratio, weight):
     """(total, N): the sum of W(n) tau_n for the integer terms tau_1 = t1,
     tau_(n+1) = floor(tau_n p / q) with (p, q) = ratio(n), up to the first zero
     one tau_N, and W = ``weight``, positive and nondecreasing in n.
@@ -269,7 +275,7 @@ def _series_fixed(t1: int, ratio, weight=lambda n: 1):
     |T_N| < 4/3, the weighted tail from T_N is below 2 W(N) 4/3, the summed
     terms are off by under (N - 1) W(N) 4/3, and the true weighted sum is
     within 2 (N + 1) W(N) of the total, and above it where p, q > 0 (tau_n <=
-    T_n). With W = 1 that is 2N + 2."""
+    T_n)."""
     total, term, n = 0, t1, 1
     while term:
         total += weight(n) * term
@@ -369,10 +375,11 @@ class Zeta3Oracle(RealOracle):
 class CFOracle(RealOracle):
     """Value defined by its continued-fraction quotients.
 
-    Three quotient sources: a finite explicit list (the value is rational and
-    the expansion terminates), an explicit prefix followed by a repeating
-    periodic block, or the rule a_j = B**(j!) for j >= 1 with a_0 = 0,
-    truncated at a configurable index bound (quotients past the bound raise
+    One quotient supply, an iterator built here and drawn into the quotient
+    cache: a finite explicit list (the value is rational, and the cache holds
+    the whole expansion from the start), an explicit prefix followed by a
+    repeating periodic block, or the rule a_j = B**(j!) for j >= 1 with a_0 =
+    0, truncated at a configurable index bound (quotients past the bound raise
     UNREPRESENTABLE since their sizes grow beyond any usable precision).
     """
 
@@ -380,81 +387,53 @@ class CFOracle(RealOracle):
 
     def __init__(self, prefix, periodic=None, liouville_base=None, liouville_cap=None):
         super().__init__()
-        self.periodic = list(periodic) if periodic else None
         self.liouville_base = liouville_base
-        self.liouville_cap = (
-            self.LIOUVILLE_DEFAULT_CAP if liouville_cap is None else liouville_cap
-        )
-        if liouville_base is not None:
-            if liouville_base < 2:
-                raise PreconditionError(
-                    "BAD_CF", f"liouville base {liouville_base} must be >= 2"
-                )
-            self.prefix = [0]
-            self.spec = f"cf:liouville:{liouville_base}"
-        else:
-            self.prefix = [int(a) for a in prefix]
-            if not self.prefix:
-                raise PreconditionError("BAD_CF", "empty quotient list")
-            if self.prefix[0] < 0:
-                raise PreconditionError("BAD_CF", "a0 must be >= 0")
-            if any(a < 1 for a in self.prefix[1:]):
-                raise PreconditionError("BAD_CF", "quotients after a0 must be >= 1")
-            body = ";".join(
-                [str(self.prefix[0])] + ([",".join(map(str, self.prefix[1:]))] if len(self.prefix) > 1 else [])
-            )
-            self.spec = f"cf:[{body}]"
-            if self.periodic:
-                if any(a < 1 for a in self.periodic):
-                    raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
-                self.spec += "+periodic:[" + ",".join(map(str, self.periodic)) + "]"
+        self.liouville_cap = self.LIOUVILLE_DEFAULT_CAP if liouville_cap is None else liouville_cap
         self._value = None
         self._last_pair = (0, 0, SEEDS)  # within's last (n, quotients read, convergent pair)
-        if self.is_finite():
+        if liouville_base is not None:
+            if liouville_base < 2:
+                raise PreconditionError("BAD_CF", f"liouville base {liouville_base} must be >= 2")
+            self.spec = f"cf:liouville:{liouville_base}"
+            powers = (liouville_base ** factorial(j) for j in range(1, self.liouville_cap + 1))
+            self._supply = chain([0], powers)
+            return
+        prefix = [int(a) for a in prefix]
+        if not prefix:
+            raise PreconditionError("BAD_CF", "empty quotient list")
+        if prefix[0] < 0:
+            raise PreconditionError("BAD_CF", "a0 must be >= 0")
+        if any(a < 1 for a in prefix[1:]):
+            raise PreconditionError("BAD_CF", "quotients after a0 must be >= 1")
+        body = ";".join([str(prefix[0])] + ([",".join(map(str, prefix[1:]))] if len(prefix) > 1 else []))
+        self.spec = f"cf:[{body}]"
+        if periodic:
+            periodic = list(periodic)
+            if any(a < 1 for a in periodic):
+                raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
+            self.spec += "+periodic:[" + ",".join(map(str, periodic)) + "]"
+            self._supply = chain(prefix, cycle(periodic))
+        else:
             # the whole expansion at once, and its last convergent is the value
-            self._cf_quotients, self._cf_ended = self.prefix, True
-            self._value = Fraction(*deque(convergent_pairs(self.prefix), maxlen=1)[0])
-
-    def is_finite(self) -> bool:
-        return self.periodic is None and self.liouville_base is None
-
-    def quotient(self, j: int) -> int:
-        if self.liouville_base is not None:
-            if j == 0:
-                return 0
-            if j > self.liouville_cap:
-                raise Unrepresentable(
-                    f"liouville quotient index {j} exceeds the bound "
-                    f"{self.liouville_cap}"
-                )
-            return self.liouville_base ** factorial(j)
-        if j < len(self.prefix):
-            return self.prefix[j]
-        if self.periodic:
-            return self.periodic[(j - len(self.prefix)) % len(self.periodic)]
-        raise IndexError(j)
-
-    def quotient_count(self) -> Optional[int]:
-        """Number of quotients when finite or truncated, else None."""
-        if self.is_finite():
-            return len(self.prefix)
-        if self.liouville_base is not None:
-            return self.liouville_cap + 1
-        return None
+            self._supply = iter(())
+            self._cf_quotients, self._cf_ended = prefix, True
+            self._value = Fraction(*deque(convergent_pairs(prefix), maxlen=1)[0])
 
     def _more_quotients(self, count: int):
-        # the generator is exact; a finite CF is complete from construction
+        # the supply is exact; only a truncated Liouville supply runs short
         quots = self._cf_quotients
-        for j in range(len(quots), count):
-            quots.append(self.quotient(j))
+        quots += islice(self._supply, count - len(quots))
+        if (j := len(quots)) < count:
+            raise Unrepresentable(f"liouville quotient index {j} exceeds the bound {self.liouville_cap}")
 
     def _quotients(self, j: int = 0):
-        """The quotients from a_j, read through the cache to the supply's end."""
-        supply = self.quotient_count()
-        while supply is None or j < supply:
-            quots = self.cf_quotients(j + 1)[0]
-            yield from quots[j:]
-            j = len(quots)
+        """The quotients from a_j, read through the cache, then drawn from the
+        supply into it up to the supply's end."""
+        quots = self._cf_quotients
+        yield from quots[j:]
+        for a in self._supply:
+            quots.append(a)
+            yield a
 
     def _raw(self, k: int) -> Enclosure:
         return self.within(Fraction(1, 1 << k)) if self._value is None else Enclosure.point(self._value)
@@ -485,29 +464,26 @@ class CFOracle(RealOracle):
 
 
 class AffineOracle(RealOracle):
+    """a * inner + b. An affine inner oracle is composed away, so the map
+    reads its innermost oracle through one layer, at the bits of |a| more."""
+
     def __init__(self, a: Rat, b: Rat, inner: RealOracle):
         super().__init__()
         self.a = _frac(a)
         self.b = _frac(b)
         if self.a == 0:
             raise PreconditionError("BAD_AFFINE", "scale a must be nonzero")
-        self.inner = inner
-        self._extra = (abs(self.a.numerator) // self.a.denominator + 1).bit_length() + 2
         self.spec = (
             f"affine:{self.a.numerator}/{self.a.denominator}"
             f"/{self.b.numerator}/{self.b.denominator}:{inner.spec}"
         )
+        if isinstance(inner, AffineOracle):
+            self.a, self.b, inner = self.a * inner.a, self.a * inner.b + self.b, inner.inner
+        self.inner = inner
+        self._extra = (abs(self.a.numerator) // self.a.denominator + 1).bit_length() + 2
 
-    def enclose(self, k: int) -> Enclosure:
-        """The map of the inner oracle's enclosure at k plus the bits of |a|,
-        kept once per inner level: the inner ladder is the only one."""
-        if k < 1:
-            raise PreconditionError("BAD_PRECISION", f"precision {k} must be >= 1")
-        L = level_for(k + self._extra)
-        got = self._canon.get(L)
-        if got is None:
-            got = self._canon[L] = self.inner.enclose(L) * self.a + self.b
-        return got
+    def _raw(self, k: int) -> Enclosure:
+        return self.inner.enclose(k) * self.a + self.b
 
     def exact_value(self) -> Optional[Fraction]:
         v = self.inner.exact_value()

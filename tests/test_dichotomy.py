@@ -309,8 +309,13 @@ def extend_convergents(conv: list, quots) -> list:
 
 
 def quotient_supply(oracle):
-    """Number of quotients a truncated or finite generator supplies, else None."""
-    return oracle.quotient_count() if isinstance(oracle, CFOracle) else None
+    """Number of quotients a truncated or finite supply holds, else None."""
+    if not isinstance(oracle, CFOracle):
+        return None
+    if oracle.liouville_base is not None:
+        return oracle.liouville_cap + 1
+    quots, ended = oracle.cf_quotients(0)
+    return len(quots) if ended else None
 
 
 def convergent_stream(oracle):

@@ -216,8 +216,7 @@ def test_intersect_of_nested_enclosures_returns_the_inner_operand(inner, s, t, g
 @pytest.mark.parametrize(
     "spec, growth",
     [(f"const:{name}", 2) for name in sorted(CATALOG)]
-    # each affine layer reads its inner oracle at up to twice the bits
-    + [("affine:7/2/-2/1:affine:-6/1:const:e", 4)],
+    + [("affine:7/2/-2/1:affine:-6/1:const:e", 2)],
 )
 def test_enclose_denominators_stay_within_the_level_read(spec, growth):
     # a level_for(k) < 2k enclosure is computed at its level plus a working

@@ -109,6 +109,7 @@ ENCLOSE_RULE_ORACLES = {
         "zeta2": mpmath.pi**2 / 6, "zeta3": mpmath.apery, "e": mpmath.e,
     }[name] for name in CATALOG},
     "affine:7/2/-2/1:const:zeta3": lambda: mpmath.mpf(7) / 2 * mpmath.apery - 2,
+    "affine:7/2/-2/1:affine:-6/1:const:e": lambda: -21 * mpmath.e + mpmath.mpf(3) / 2,
     "cf:[2;1,1,1,4]+periodic:[1,1,1,4]": lambda: mpmath.sqrt(7),
     "lopsided sqrt2": lambda: mpmath.sqrt(2),
 }
@@ -143,7 +144,7 @@ def test_rational_oracle():
 def test_finite_cf_oracle_value():
     o = CFOracle((2, 1, 2, 1, 1, 4))
     assert o.exact_value() == F(87, 32)
-    assert o.is_finite()
+    assert o.cf_quotients(0) == ([2, 1, 2, 1, 1, 4], True)
 
 
 def test_periodic_cf_matches_closed_forms():
@@ -170,11 +171,10 @@ def test_cf_validation():
 
 def test_liouville_quotient_supply():
     liou = CFOracle(None, liouville_base=10)
-    assert liou.quotient(1) == 10
-    assert liou.quotient(3) == 10**6
-    assert liou.quotient_count() == 9
-    with pytest.raises(Unrepresentable):
-        liou.quotient(9)
+    quots, ended = liou.cf_quotients(9)
+    assert (quots[1], quots[3], len(quots), ended) == (10, 10**6, 9, False)
+    with pytest.raises(Unrepresentable, match="liouville quotient index 9 exceeds the bound 8"):
+        liou.cf_quotients(10)
 
 
 def test_affine_oracle():
@@ -186,6 +186,16 @@ def test_affine_oracle():
     assert scaled.exact_value() == F(14, 3)
     with pytest.raises(PreconditionError):
         AffineOracle(0, 1, RationalOracle(F(1)))
+
+
+def test_nested_affine_maps_compose():
+    # a map of a map is one map over the innermost oracle, printed as nested
+    e = EOracle()
+    nested = AffineOracle(F(7, 2), -2, AffineOracle(-6, 1, e))
+    assert nested.spec == "affine:7/2/-2/1:affine:-6/1/1/1:const:e"
+    assert nested.inner is e and (nested.a, nested.b) == (-21, F(3, 2))
+    over_rat = AffineOracle(F(7, 2), -2, AffineOracle(-6, 1, RationalOracle(F(1, 3))))
+    assert over_rat.exact_value() == F(7, 2) * (-6 * F(1, 3) + 1) - 2
 
 
 def test_parse_rational():
@@ -539,10 +549,11 @@ SERIES = {
 
 def _mp_bracket(value, k):
     """Rationals within 2**-(k + 96) of ``value`` evaluated at k + 128 bits,
-    so they bracket the true value."""
+    so they bracket the true value (``man_exp`` drops the sign)."""
     with mpmath.workprec(k + 128):
-        man, exp = mpmath.mpf(value()).man_exp
-    v, err = F(man) * F(2) ** exp, F(1, 1 << (k + 96))
+        x = mpmath.mpf(value())
+    man, exp = x.man_exp
+    v, err = F(-man if x < 0 else man) * F(2) ** exp, F(1, 1 << (k + 96))
     return v - err, v + err
 
 
@@ -633,6 +644,6 @@ def test_e_series_is_the_old_loop(k):
 def test_e_loop_matches_the_term_ratio_series(k):
     # e's terms divide by n alone; its own loop skips the multiply by p = 1
     w = k + _series_pad(k)
-    total, n = _series_fixed(1 << w, lambda n: (1, n))
+    total, n = _series_fixed(1 << w, lambda n: (1, n), lambda n: 1)
     sc = F(1, 1 << w)
     assert EOracle()._raw(k) == Enclosure(total * sc, (total + n + 2) * sc)
