@@ -12,13 +12,17 @@ real value xi, one of two certificates is produced:
 
 The distance band of case (ii) translates into at most two windows for the
 fractional part of q xi, one on each side of 1/2, each with its own endpoint
-strictness; case (i) is the one window [-b, b], read cyclically. The window
+strictness; case (i) is the one window [-b, b], b capped at 1, read
+cyclically. All three run one window search and one window check. The
 search is exact at every size: rational xi reduces to a residue-class query,
 strict endpoints included, solved by Euclidean descent in O(log) steps;
 irrational xi is replaced by the end a/m of a certified enclosure of width
-w, candidate q up to n are enumerated in increasing order on its window
-enlarged by n w, and each is verified against the true value, so the first
-verified hit is the true minimum. No case reads a continued fraction.
+w, and candidate q up to n are enumerated in increasing order on its window
+enlarged by n w. The check verifies each against the true value on integer
+candidates, not floors: on an enclosure [l/d, h/d] of q xi they are the p
+from ceil(l/d - t_hi) to floor(h/d - t_lo); none means q misses the window,
+and the least one with q xi - p certified strictly inside is the hit. So the
+first verified hit is the true minimum. No case reads a continued fraction.
 """
 
 from __future__ import annotations
@@ -180,24 +184,32 @@ def _residue_hits(a: int, m: int, q_lo: int, q_hi: int, window):
         q += t + 1
 
 
-def _frac_window_check(oracle, q, t_lo, t_hi, stats):
-    """(f, p) deciding whether frac(q xi) lies in [t_lo, t_hi] for
-    irrational xi, with p = floor(q xi): f is the enclosure of frac(q xi)
-    that certified it strictly inside the window, or None when it is outside.
-    """
+def _frac_window_check(oracle, q, t_lo, t_hi, stats, near=None):
+    """(p, f) for the least integer p with q xi - p strictly between t_lo and
+    t_hi, f the enclosure of q xi - p that certified it, or None when no
+    integer puts q xi - p in [t_lo, t_hi], for irrational xi and -1 <= t_lo <
+    t_hi <= 1. On an enclosure [l/d, h/d] of q xi the candidates are the p
+    from ceil(l/d - t_hi) to floor(h/d - t_lo): none decides "outside", the
+    least one strictly inside decides the hit, and anything else is decided
+    on a finer enclosure. The enclosure is ``near``, of q xi, when given and
+    it decides, else enclose(k) q on the ladder."""
     stats.candidates += 1
+    a, b, c, e = t_hi.numerator, t_hi.denominator, t_lo.numerator, t_lo.denominator
 
-    def step(k):
-        enc = oracle.enclose(k) * q
-        p = enc.floor_unique()
-        if p is not None:
-            f = enc - p
-            inside = f.inside(t_lo, t_hi)
-            if inside is not None:
-                return (f if inside else None), p
-        return None
+    def decide(enc):
+        l, h, d = enc.l, enc.h, enc.d
+        p = -((a * d - l * b) // (d * b))  # ceil(l/d - a/b)
+        if p > (h * e - c * d) // (d * e):  # floor(h/d - c/e)
+            return False
+        f = enc - p
+        return (p, f) if f.inside(t_lo, t_hi) else None
 
-    return refine(step, lambda: f"window membership for q={brief(q)} undecided", stats)
+    got = None if near is None else decide(near)
+    if got is None:
+        got = refine(
+            lambda k: decide(oracle.enclose(k) * q), lambda: f"window membership for q={brief(q)} undecided", stats
+        )
+    return got or None
 
 
 def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_hi: Rat):
@@ -226,16 +238,17 @@ def _surrogate_window(enc, n, t_lo, t_hi):
 def _find_hit(
     oracle, q_lo, q_hi, t_lo, t_hi, stats, lo_strict=False, hi_strict=False
 ):
-    """Smallest integer q in [q_lo, q_hi] with frac(q xi) between t_lo and
-    t_hi, an endpoint excluded when its ``*_strict`` flag is set, as
-    (q, p, f) with p = floor(q xi) and f the enclosure of frac(q xi) that
-    decided it (a point for rational xi), or None.
+    """Smallest integer q in [q_lo, q_hi] with q xi - p between t_lo and t_hi
+    for an integer p, an endpoint excluded when its ``*_strict`` flag is set,
+    as (q, p, f) with f the enclosure of q xi - p that decided it, or None;
+    the window, of width below 1 or case (i)'s [-b, b], is read cyclically.
 
     For rational xi = a/m the window is a range of residues r = q a mod m: a
     strict low end t gives r >= floor(t m) + 1, a strict high end r <=
-    ceil(t m) - 1. Irrational xi takes the window of
-    :func:`_surrogate_window` on the oracle's first enclosure no wider than
-    width/(8 n_hi).
+    ceil(t m) - 1; p = floor(q xi) and f is the point frac(q xi). Irrational
+    xi takes the window of :func:`_surrogate_window` on the oracle's first
+    enclosure no wider than width/(8 n_hi), and each candidate goes to
+    :func:`_frac_window_check`, tried first on that surrogate times q.
     """
     n_lo = max(1, q_lo.__ceil__())
     n_hi = q_hi.__floor__()
@@ -259,71 +272,28 @@ def _find_hit(
             x = q * v
             p = x.__floor__()
             return q, p, Enclosure.point(x - p)
-        f, p = _frac_window_check(oracle, q, t_lo, t_hi, stats)
-        if f is not None:
-            return q, p, f
+        hit = _frac_window_check(oracle, q, t_lo, t_hi, stats, enc * q)
+        if hit is not None:
+            return (q, *hit)
     return None
-
-
-def _case_i_check(oracle, u, vs, beta, stats, near=None):
-    """[v] for the least v of the ascending range ``vs`` with certified |u xi -
-    v| <= beta, or [] when every one is certified farther: each v is decided on
-    both ends of an enclosure of u xi - v, not by floor(u xi), which stays
-    undecided where a value given by its quotients puts p_j on an end and u =
-    q_j. The enclosure is ``near``, of u xi, when given and it decides, else
-    enclose(k) u on the ladder."""
-    stats.candidates += 1
-
-    def decide(e):
-        for v in vs:
-            d = (e - v).abs()
-            if d.le_certain(beta):
-                return [v]
-            if not d.strictly_gt(beta):
-                return None
-        return []
-
-    got = None if near is None else decide(near)
-    if got is not None:
-        return got
-    return refine(
-        lambda k: decide(oracle.enclose(k) * u), lambda: f"distance certificate for u={brief(u)} undecided", stats
-    )
 
 
 def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
     """Least integer u < ``u_limit`` with |u xi - v| <= ``bound`` for an
-    integer v, as (u, v) with v = floor(u xi) if frac(u xi) <= bound, else
-    floor(u xi) + 1, or None: case (ii)'s search, on the cyclic window
-    [-bound, bound] and a surrogate no wider than 2 bound/(8 u_hi). That v is
-    the least integer from floor(u xi) on within min(bound, 1) of u xi. At
-    bound >= 1/2, u = 1 is the first hit whatever xi is, so u_hi = 1 and v is
-    decided on the coarse surrogate where it can be.
-    """
+    integer v, as (u, v) with v the least integer from floor(u xi) on within
+    beta = min(bound, 1) of u xi, or None: the window search on [-beta,
+    beta]. At bound >= 1/2, u = 1 is the first hit whatever xi is, so the
+    search stops there. A rational xi answers p = floor(u xi) and f = frac(u
+    xi), so v = p + 1 where f passes beta."""
     u_hi = u_limit.__ceil__() - 1
-    if u_hi < 1:
+    if 2 * bound >= 1:
+        u_hi = min(u_hi, 1)
+    beta = min(bound, Fraction(1))
+    hit = _find_hit(oracle, 1, u_hi, -beta, beta, stats)
+    if hit is None:
         return None
-    coarse = 2 * bound >= 1
-    if coarse:
-        u_hi = 1
-    x = oracle.exact_value()
-    enc = Enclosure.point(x) if x is not None else oracle.within(
-        bound / (4 * u_hi), lambda: f"window surrogate for u <= {brief(u_hi)} undecided", stats
-    )
-    a, m, lo_r, hi_r = _surrogate_window(enc, u_hi, -bound, bound)
-    beta = min(bound, 1)
-    for u in _residue_hits(a, m, 1, u_hi, lambda u: (lo_r, hi_r)):
-        near = enc * u
-        fl = near.floors()[0]
-        v0 = fl + 1 if (near - fl).strictly_gt(beta) else fl
-        if x is not None:
-            stats.candidates += 1
-            return u, v0
-        vs = range(v0, (near + beta).floors()[1] + 1)
-        hit = _case_i_check(oracle, u, vs, beta, stats, near if coarse else None)
-        if hit:
-            return u, hit[0]
-    return None
+    u, p, f = hit
+    return u, p if f.le_certain(beta) else p + 1
 
 
 def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionResult:

@@ -217,10 +217,6 @@ class Enclosure:
         f = self.l // self.d
         return f if f == self.h // self.d else None
 
-    def floors(self) -> tuple:
-        """(floor(lo), floor(hi))."""
-        return self.l // self.d, self.h // self.d
-
     def __repr__(self):
         return f"Enclosure({self.lo!r}, {self.hi!r})"
 

@@ -445,9 +445,13 @@ class CFOracle(RealOracle):
         xi lies between them, as |xi - p_j/q_j| < 1/(q_j q_(j+1)). Their bit
         lengths, summing to b, put q_(j-1) q_j in [2**(b - 2), 2**b); it is
         formed only where that cannot decide it against n = ceil(1/width).
-        A width no wider than the last one resumes from the pair it returned."""
+        A width no wider than the last one resumes from the pair it returned.
+        Its precision, k = bits(n) as :meth:`RealOracle.within` starts from,
+        goes to ``stats.bump_bits`` when ``stats`` is given."""
         n = -(-width.denominator // width.numerator)
         n_bits = n.bit_length()
+        if stats is not None:
+            stats.bump_bits(n_bits)
         _, j, seeds = self._last_pair if n >= self._last_pair[0] else (0, 0, SEEDS)
         for (p0, q0), (p1, q1) in pairwise(chain(seeds, convergent_pairs(self._quotients(j), seeds))):
             b = q0.bit_length() + q1.bit_length()

@@ -247,42 +247,30 @@ def build_sequence(
         params = LemmaParams(lam * SHRINK, mu * SHRINK, eps / sqrt_lower(mu, 64), band_Q)
         res = solve_disjunction(inner, params)
         if res.outcome == "case_ii":
-            q, p = res.witness.q, res.witness.p
-            if not (q * q <= lam * Q * Q and Q * Q <= lam * q * q):
+            u, v, r = res.witness.q, res.witness.p, res.residual
+            if not (u * u <= lam * Q * Q and Q * Q <= lam * u * u):
                 raise CertificateError(
-                    "BAND_VIOLATION", f"coefficient band failed at n={n}, q={q}"
+                    "BAND_VIOLATION", f"coefficient band failed at n={n}, q={u}"
                 )
-            r = res.residual.abs()
-            if not ((r * r * mu).ge_certain(eps**2) and (r * r).le_certain(mu * eps**2)):
-                raise CertificateError(
-                    "BAND_VIOLATION", f"residual band failed at n={n}, q={q}"
-                )
-            entries.append(
-                ApproxSequenceEntry(
-                    n=n,
-                    u=q,
-                    v=p + shift * q,
-                    residual=res.residual,
-                    ratio_u=Fraction(q) / Q,
-                    ratio_res=r / eps,
-                    case_taken="ii",
-                )
-            )
-        else:
-            w = res.witness
-            r = _form_enclosure(inner, w.u, w.v)
             a = r.abs()
-            entries.append(
-                ApproxSequenceEntry(
-                    n=n,
-                    u=w.u,
-                    v=w.v + shift * w.u,
-                    residual=r,
-                    ratio_u=Fraction(w.u) / Q,
-                    ratio_res=a / eps,
-                    case_taken="i",
+            if not ((a * a * mu).ge_certain(eps**2) and (a * a).le_certain(mu * eps**2)):
+                raise CertificateError(
+                    "BAND_VIOLATION", f"residual band failed at n={n}, q={u}"
                 )
+        else:
+            u, v = res.witness.u, res.witness.v
+            r = _form_enclosure(inner, u, v)
+        entries.append(
+            ApproxSequenceEntry(
+                n=n,
+                u=u,
+                v=v + shift * u,
+                residual=r,
+                ratio_u=Fraction(u) / Q,
+                ratio_res=r.abs() / eps,
+                case_taken="ii" if res.outcome == "case_ii" else "i",
             )
+        )
     half_start = ns[len(ns) // 2]
     top = [e for e in entries if e.n >= half_start]
     bad = sum(1 for e in top if e.case_taken == "i")

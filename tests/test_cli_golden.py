@@ -14,6 +14,10 @@ surrogate candidates. That key is asserted on its own. ``omega0_1_zeta3_q10000``
 was recorded again when zeta(3) came to be summed by its term-ratio
 recurrence: its ``best_dist`` and ``tail_dist`` ends moved with the wider
 series slack, and every q and exponent in it stayed the same.
+``build_sqrt2_n50_100`` was recorded again when the window check came to
+decide on the search's surrogate first: the residual and ratio_res ends at n
+= 96, 97 and 98 moved inside the ones they replaced. ``suite_seed20260823`` is
+the stdout of the acceptance suite, whose wall times go to stderr.
 """
 
 import re
@@ -76,6 +80,7 @@ def _stdout(capsys, argv):
      ("multi", "omega0", "--point", "rat:1,const:zeta3", "--q-bound", "10000")),
     ("tau_apery2_n120.json", ("multi", "tau", "--apery", "2", "--n-max", "120")),
     ("tau_apery3_n120.json", ("multi", "tau", "--apery", "3", "--n-max", "120")),
+    ("suite_seed20260823.json", ("suite", "--seed", "20260823")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

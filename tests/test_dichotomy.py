@@ -13,7 +13,6 @@ from dioph.cli import main
 from dioph.contfrac import convergents, expand
 from dioph.dichotomy import (
     LemmaParams,
-    _case_i_check,
     _case_i_search,
     _frac_window_check,
     _residue_hits,
@@ -35,6 +34,7 @@ from dioph.oracle import (
     CFOracle,
     GoldenOracle,
     RationalOracle,
+    RealOracle,
     SqrtOracle,
     convergent_pairs,
     nearest_int,
@@ -106,13 +106,42 @@ def direct_hit(oracle, q_lo, q_hi, t_lo, t_hi):
     exact = oracle.exact_value()
     for q in range(max(1, math.ceil(q_lo)), math.floor(q_hi) + 1):
         if exact is None:
-            hit, p = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
-        else:
-            p = math.floor(q * exact)
-            hit = t_lo <= q * exact - p <= t_hi
-        if hit:
-            return q, p
+            hit = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
+            if hit is not None:
+                return q, hit[0]
+        elif t_lo <= q * exact - math.floor(q * exact) <= t_hi:
+            return q, math.floor(q * exact)
     return None
+
+
+class FixedEnclosure(RealOracle):
+    """An oracle whose every enclosure is [lo, hi], recording each k asked for."""
+
+    spec = "fixed"
+
+    def __init__(self, lo, hi):
+        super().__init__()
+        self.enc, self.asked = Enclosure(lo, hi), []
+
+    def enclose(self, k):
+        self.asked.append(k)
+        return self.enc
+
+
+def test_window_check_decides_outside_where_the_floor_is_undecided():
+    # 3 xi in [29/10, 31/10] straddles 3, so floor(3 xi) stays undecided,
+    # but no integer p puts 3 xi - p in [3/10, 3/5]: the first enclosure
+    # decides "outside", where the floor-based check climbed to the cap
+    oracle = FixedEnclosure(F(29, 30), F(31, 30))
+    stats = _Stats()
+    assert _frac_window_check(oracle, 3, F(3, 10), F(3, 5), stats) is None
+    assert oracle.asked == [64] and stats.candidates == 1
+    # a given enclosure of 3 xi decides it before any rung is read
+    near = Enclosure(F(29, 10), F(31, 10))
+    assert _frac_window_check(oracle, 3, F(3, 10), F(3, 5), stats, near) is None
+    assert oracle.asked == [64] and stats.candidates == 2
+    # the least candidate strictly inside is the hit, with its enclosure
+    assert _frac_window_check(oracle, 3, F(-1, 5), F(1, 5), stats) == (3, Enclosure(F(-1, 10), F(1, 10)))
 
 
 STRUCTURED_CASES = [
@@ -175,8 +204,8 @@ def test_case_ii_residual_is_the_window_checks_enclosure():
 def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
     # a window hit always lies in the band, so a hit whose enclosure fails
     # the band check exits 5 (bug), never 4 (no witness exists)
-    def out_of_band(oracle, q, t_lo, t_hi, stats):
-        return Enclosure.point(0), 0
+    def out_of_band(oracle, q, t_lo, t_hi, stats, near=None):
+        return 0, Enclosure.point(0)
 
     monkeypatch.setattr(dichotomy, "_frac_window_check", out_of_band)
     with pytest.raises(CertificateError) as info:
@@ -388,9 +417,9 @@ def convergent_surrogate_hit(oracle, q_lo, q_hi, t_lo, t_hi):
     delta = F(n_hi, m * m_next)
     lo_i, hi_i = ((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__()
     for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
-        f, p = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
-        if f is not None:
-            return q, p
+        hit = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
+        if hit is not None:
+            return q, hit[0]
     return None
 
 
@@ -468,12 +497,17 @@ def _case_i_hit(oracle, u_limit: F, bound: F, stats):
 
 @pytest.fixture
 def case_i_checks(monkeypatch):
-    """Records u for each case (i) window check the dichotomy makes."""
+    """Records u for each window check the dichotomy makes on case (i)'s
+    window [-b, b], the one window with a negative end."""
     calls = []
-    check = dichotomy._case_i_check
-    monkeypatch.setattr(
-        dichotomy, "_case_i_check", lambda oracle, u, *a: calls.append(u) or check(oracle, u, *a)
-    )
+    check = dichotomy._frac_window_check
+
+    def counting(oracle, u, t_lo, *a):
+        if t_lo < 0:
+            calls.append(u)
+        return check(oracle, u, t_lo, *a)
+
+    monkeypatch.setattr(dichotomy, "_frac_window_check", counting)
     return calls
 
 
@@ -570,6 +604,15 @@ def test_long_semiconvergent_run_is_skipped(capsys, case_i_checks):
     assert len(case_i_checks) <= 2
 
 
+def test_cf_surrogate_reports_its_precision(capsys):
+    # the case (i) window check is decided on the surrogate, two convergents
+    # with q_(j-1) q_j >= 2**81, read at level 128; the CF surrogate reported
+    # no level, so the solve printed the 64 of a ladder it no longer climbs
+    doc = _lemma_cli(capsys, "cf:liouville:2", "1e-12", "1e12")
+    assert doc["outcome"] == "I"
+    assert doc["stats"] == {"candidates": 1, "precision_bits": 128}
+
+
 def test_liouville_case_i_checks_convergents_only(capsys, case_i_checks):
     # a_4 = 2**24 semiconvergents lie below the denominator bound 2.25e13;
     # one check each ran for minutes
@@ -631,7 +674,7 @@ def test_lemma_past_4300_digits_under_a_low_cap_is_inconclusive(
 
 @pytest.mark.parametrize("ladder", [
     lambda o: _frac_window_check(o, BIG, F(1, 3), F(2, 3), _Stats()),
-    lambda o: _case_i_check(o, BIG, range(BIG_SQRT2, BIG_SQRT2 + 1), F(1, 10**6), _Stats()),
+    lambda o: _frac_window_check(o, BIG, F(-1, 10**6), F(1, 10**6), _Stats()),
     lambda o: nearest_int(o, BIG),
     lambda o: sign_of_form(o, BIG, BIG_SQRT2),
     lambda o: find_fractional_hit(o, BIG, BIG, F(1, 3), F(2, 3)),

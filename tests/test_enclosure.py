@@ -166,13 +166,12 @@ def _ref_inside(lo, hi, t_lo, t_hi):
 
 
 @settings(deadline=None, max_examples=400)
-@given(encodings(), encodings(), ends, ends, ends, st.fractions(min_value=F(1, 100), max_value=1, max_denominator=100))
-def test_integer_methods_match_the_fraction_formulas(a, b, s, t1, t2, beta):
+@given(encodings(), encodings(), ends, ends, ends)
+def test_integer_methods_match_the_fraction_formulas(a, b, s, t1, t2):
     """Every decision the class makes on its integers against the same
     decision on its reduced ``Fraction`` ends, for unreduced operands."""
     lo, hi = a.lo, a.hi
     w = abs(F(s))
-    assert a.floors() == (lo.__floor__(), hi.__floor__())
     assert a.floor_unique() == (lo.__floor__() if lo.__floor__() == hi.__floor__() else None)
     assert a.sign() == _ref_sign(lo, hi)
     assert a.is_point() == (lo == hi) and a.contains_zero() == (lo <= 0 <= hi)
@@ -188,9 +187,6 @@ def test_integer_methods_match_the_fraction_formulas(a, b, s, t1, t2, beta):
     # nearest_int's step: floor(lo + 1/2), unless hi reaches the next half
     m = (lo + F(1, 2)).__floor__()
     assert (a + F(1, 2)).floor_unique() == (None if hi >= m + F(1, 2) else m)
-    # case (i)'s first v: floor(lo), or the next integer when frac(lo) > beta
-    fl = a.floors()[0]
-    assert (fl + 1 if (a - fl).strictly_gt(beta) else fl) == max((lo - beta).__ceil__(), lo.__floor__())
     assert is_separated(a) == (lo * hi > 0 and hi - lo <= min(abs(lo), abs(hi)) / (1 << SEPARATION_BITS))
     assert _certified_prefix(a) == _certified_prefix(Enclosure(lo, hi))
 

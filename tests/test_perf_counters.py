@@ -40,9 +40,9 @@ def test_window_checks_per_solve(spec, digits):
 
 
 def test_case_ii_solve_climbs_one_ladder_per_window_check(monkeypatch):
-    # one surrogate ladder per window side searched, one ladder per
-    # candidate; the residual is the enclosure the window check certified,
-    # so no further ladder climbs for it
+    # one surrogate ladder per window side searched, and at most one ladder
+    # per candidate, none where the surrogate decides it; the residual is the
+    # enclosure the window check certified, so no further ladder climbs for it
     ladders = []
     refine = oracle.refine
     for module in (dichotomy, oracle):
@@ -54,10 +54,11 @@ def test_case_ii_solve_climbs_one_ladder_per_window_check(monkeypatch):
     res = solve_disjunction(SqrtOracle(2, "sqrt2"), params)
     assert res.outcome == "case_ii"
     assert res.stats.candidates >= 1
-    # the plus side hits, and the minus side is searched below the hit
+    # the plus side hits, and the minus side is searched below the hit; the
+    # surrogate times q decides every candidate
     assert ladders.count("surrogate") == 2
-    assert ladders.count("membership") == res.stats.candidates
-    assert len(ladders) == res.stats.candidates + 2
+    assert ladders.count("membership") == 0
+    assert len(ladders) == 2
 
 
 def _peak_rss_kb(script: str, timeout: int) -> list:

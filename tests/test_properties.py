@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from itertools import islice
 from math import isqrt
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from dioph.dichotomy import (
     LemmaParams,
     _case_i_search,
     _find_hit,
+    _frac_window_check,
     _residue_hits,
     _Stats,
     _surrogate_window,
@@ -37,6 +39,7 @@ from dioph.oracle import (
     SqrtOracle,
     _certified_prefix,
     is_separated,
+    level_for,
     parse_oracle,
     parse_rational,
     separated,
@@ -53,6 +56,7 @@ from test_dichotomy import (
 )
 from test_multiform import brute_dirichlet, brute_omega0, brute_records
 from test_enclosure import _encode
+from test_oracle import ENCLOSE_RULE_ORACLES, LopsidedSqrt2, _mp_bracket
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 positives = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
@@ -439,6 +443,59 @@ def test_case_i_search_matches_convergent_scan(spec, u_limit, bound):
             return exc.code
 
     assert outcome(_case_i_search) == outcome(_case_i_hit)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rationals, st.one_of(st.just(F(0)), rationals), st.fractions(min_value=F(1, 100), max_value=3, max_denominator=100))
+def test_case_i_at_u_one_takes_the_least_v_from_the_floor(b, a, bound):
+    # x = a sqrt2 + b, or the rational b where a = 0: u = 1 is a hit when
+    # some integer lies within beta = min(bound, 1) of x, and then v is the
+    # least one from floor(x) on, max(floor(x), ceil(x - beta))
+    beta = min(bound, 1)
+
+    def expected(x):
+        v = max(x.__floor__(), (x - beta).__ceil__())
+        return (1, v) if x - v >= -beta else None
+
+    if a == 0:
+        oracle, (lo, hi) = RationalOracle(b), (b, b)
+    else:
+        oracle = AffineOracle(a, b, SqrtOracle(2, "sqrt2"))
+        lo, hi = _mp_bracket(
+            lambda: mpmath.mpf(a.numerator) * mpmath.sqrt(2) / a.denominator + mpmath.mpf(b.numerator) / b.denominator,
+            256,
+        )
+    assert expected(lo) == expected(hi)
+    assert _case_i_search(oracle, F(2), bound, _Stats()) == expected(lo)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(sorted(ENCLOSE_RULE_ORACLES)),
+    st.integers(min_value=1, max_value=10**30),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    st.fractions(min_value=F(1, 10**6), max_value=1, max_denominator=10**6),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=512)),
+)
+def test_window_check_agrees_with_mpmath(spec, q, t_lo, width, near_k):
+    # the one window check, with or without a given enclosure of q xi, against
+    # q xi evaluated by mpmath at 4 times the finest level it read: the least
+    # p with q xi - p strictly inside (t_lo, t_hi), or None when there is none
+    t_hi = t_lo + width
+    assume(-1 < t_lo and t_hi < 1 and width < 1)
+    oracle = LopsidedSqrt2() if spec == LopsidedSqrt2.spec else parse_oracle(spec)
+    near = None if near_k is None else oracle.enclose(near_k) * q
+    stats = _Stats()
+    got = _frac_window_check(oracle, q, t_lo, t_hi, stats, near)
+    bits = max(stats.bits, 0 if near_k is None else level_for(near_k))
+    lo, hi = _mp_bracket(lambda: q * ENCLOSE_RULE_ORACLES[spec](), 4 * bits + q.bit_length())
+    p = (lo - t_hi).__ceil__()
+    if p > (hi - t_lo).__floor__():
+        assert got is None
+    else:
+        assert t_lo < lo - p and hi - p < t_hi
+        assert got is not None and got[0] == p
+        assert got[1].lo <= lo - p and hi - p <= got[1].hi
 
 
 @settings(deadline=None, max_examples=300)
