@@ -10,19 +10,21 @@ real value xi, one of two certificates is produced:
   within an explicit distance bound b, u the least such; by Lagrange's
   best-approximation theorem that is a convergent of xi.
 
-The distance band of case (ii) translates into at most two windows for the
-fractional part of q xi, one on each side of 1/2, each with its own endpoint
-strictness; case (i) is the one window [-b, b], b capped at 1, read
-cyclically. All three run one window search and one window check. The
-search is exact at every size: rational xi reduces to a residue-class query,
-strict endpoints included, solved by Euclidean descent in O(log) steps;
-irrational xi is replaced by the end a/m of a certified enclosure of width
-w, and candidate q up to n are enumerated in increasing order on its window
-enlarged by n w. The check verifies each against the true value on integer
-candidates, not floors: on an enclosure [l/d, h/d] of q xi they are the p
-from ceil(l/d - t_hi) to floor(h/d - t_lo); none means q misses the window,
-and the least one with q xi - p certified strictly inside is the hit. So the
-first verified hit is the true minimum. No case reads a continued fraction.
+The distance band of case (ii) is two signed windows for q xi - p, [eps, w]
+and [-w, -eps] with w = min(c' eps, 1/2), each with its own endpoint
+strictness; case (i) is the one window [-b, b], b capped at 1. Windows are
+read cyclically, and both cases run one window search and one window check.
+The search is exact at every size: rational xi reduces to residue-class
+queries, strict endpoints included, solved by Euclidean descent in O(log)
+steps; irrational xi is replaced by the end a/m of a certified enclosure of
+width delta, and candidate q up to n are enumerated in one increasing stream
+on its windows enlarged by n delta, the enclosure read again at twice the
+bits after a run of misses. The check verifies each against the true value
+on integer candidates, not floors: on an enclosure [l/d, h/d] of q xi they
+are the p from ceil(l/d - t_hi) to floor(h/d - t_lo); none means q misses
+the window, and the least one with q xi - p certified strictly inside is the
+hit. So the first verified hit is the true minimum. No case reads a
+continued fraction.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ from .errors import (
     NeitherCaseCertified,
     PreconditionError,
     RangeTooLarge,
+    Unrepresentable,
     brief,
 )
 from .oracle import RealOracle, level_for, refine
 
 DEFAULT_BUDGET = 10**6
+MISS_RUN = 64  # window checks before the search first reads a finer surrogate
 
 
 @dataclass(frozen=True)
@@ -222,60 +226,87 @@ def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_h
         raise PreconditionError(
             "BAD_WINDOW", f"need 0 < t_lo < t_hi < 1, got [{t_lo}, {t_hi}]"
         )
-    hit = _find_hit(oracle, _frac(q_lo), _frac(q_hi), t_lo, t_hi, _Stats())
+    hit = _find_hit(oracle, _frac(q_lo), _frac(q_hi), [(t_lo, t_hi, False, False)], _Stats())
     return None if hit is None else hit[:2]
 
 
-def _surrogate_window(enc, n, t_lo, t_hi):
-    """(a, m, lo, hi): the residues ceil(t_lo m) - n (h - a) to floor(t_hi m) +
-    n (h - a) of the q with frac(q a/m) in [t_lo - n w, t_hi + n w], for ``enc``
-    = [a/m, h/m] of width w, unreduced: the same q as with a/m reduced."""
-    a, m, spread = enc.l, enc.d, n * (enc.h - enc.l)
-    lo = -(-t_lo.numerator * m // t_lo.denominator)
-    return a, m, lo - spread, t_hi.numerator * m // t_hi.denominator + spread
+def _surrogate_window(enc, n, t_lo, t_hi, lo_strict=False, hi_strict=False):
+    """(lo, hi): the residues a q mod m, lo to hi read cyclically, of the q
+    with frac(q a/m) in [t_lo - n w, t_hi + n w], for ``enc`` = [a/m, h/m] of
+    width w, unreduced: the same q as with a/m reduced. lo is n (h - a) below
+    the least integer from t_lo m on, hi as far above the greatest up to t_hi
+    m, a strict end excluding t m itself; on a point, w = 0, they are the
+    window's residues."""
+    m, spread = enc.d, n * (enc.h - enc.l)
+    lo = (t_lo.numerator * m - (not lo_strict)) // t_lo.denominator + 1
+    hi = (t_hi.numerator * m - hi_strict) // t_hi.denominator
+    return lo - spread, hi + spread
 
 
-def _find_hit(
-    oracle, q_lo, q_hi, t_lo, t_hi, stats, lo_strict=False, hi_strict=False
-):
-    """Smallest integer q in [q_lo, q_hi] with q xi - p between t_lo and t_hi
-    for an integer p, an endpoint excluded when its ``*_strict`` flag is set,
-    as (q, p, f) with f the enclosure of q xi - p that decided it, or None;
-    the window, of width below 1 or case (i)'s [-b, b], is read cyclically.
+def _find_hit(oracle, q_lo, q_hi, windows, stats):
+    """Smallest integer q in [q_lo, q_hi] with q xi - p in one of ``windows``
+    for an integer p, as (q, p, f) with p the least such integer for the
+    first window q lies in and f the enclosure of q xi - p that decided it,
+    or None. A window is (t_lo, t_hi, lo_strict, hi_strict), an end excluded
+    when its flag is set; all share one width, below 1 or case (i)'s [-b, b],
+    and are read cyclically. Each gives a stream of :func:`_residue_hits` on
+    :func:`_surrogate_window`; the streams are merged in ascending q, and a q
+    in several is tried against each in window order.
 
-    For rational xi = a/m the window is a range of residues r = q a mod m: a
-    strict low end t gives r >= floor(t m) + 1, a strict high end r <=
-    ceil(t m) - 1; p = floor(q xi) and f is the point frac(q xi). Irrational
-    xi takes the window of :func:`_surrogate_window` on the oracle's first
-    enclosure no wider than width/(8 n_hi), and each candidate goes to
-    :func:`_frac_window_check`, tried first on that surrogate times q.
+    Rational xi is its own surrogate, of width 0, so each candidate is a hit:
+    p = max(floor(q xi), ceil(q xi - t_hi)) and f is the point q xi - p.
+    Irrational xi takes the oracle's first enclosure no wider than width/(8
+    n_hi), and each candidate goes to :func:`_frac_window_check`, tried first
+    on that surrogate times q. After MISS_RUN candidates, and again whenever
+    their count doubles, the surrogate is read at the square of the width
+    last asked for, unless the supply is too short, and the streams restart
+    past the last candidate: every true hit lies in every surrogate's
+    enlarged window, so only missing classes drop out. DEFAULT_BUDGET
+    candidates are checked over all restarts, and one more raises
+    RANGE_TOO_LARGE.
     """
     n_lo = max(1, q_lo.__ceil__())
     n_hi = q_hi.__floor__()
-    if n_lo > n_hi:
-        return None
     v = oracle.exact_value()
-    if v is not None:
-        a, m = v.numerator, v.denominator
-        lo_i = (t_lo * m).__floor__() + 1 if lo_strict else (t_lo * m).__ceil__()
-        hi_i = (t_hi * m).__ceil__() - 1 if hi_strict else (t_hi * m).__floor__()
-    elif t_lo >= t_hi:
+    tol = windows[0][1] - windows[0][0]
+    if n_lo > n_hi or v is None and tol <= 0:
         return None
+    if v is None:
+        tol /= 8 * n_hi
+        what = lambda: f"window surrogate for q <= {brief(n_hi)} undecided"
+        enc = oracle.within(tol, what, stats)
     else:
-        enc = oracle.within(
-            (t_hi - t_lo) / (8 * n_hi), lambda: f"window surrogate for q <= {brief(n_hi)} undecided", stats
-        )
-        a, m, lo_i, hi_i = _surrogate_window(enc, n_hi, t_lo, t_hi)
-    for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
-        if v is not None:
-            stats.candidates += 1
-            x = q * v
-            p = x.__floor__()
-            return q, p, Enclosure.point(x - p)
-        hit = _frac_window_check(oracle, q, t_lo, t_hi, stats, enc * q)
-        if hit is not None:
-            return (q, *hit)
-    return None
+        enc = Enclosure.point(v)
+    seen, run, end, q, heads = 0, MISS_RUN, n_hi + 1, n_lo - 1, None
+    while True:
+        if heads is None:
+            bounds = [_surrogate_window(enc, n_hi, *w) for w in windows]
+            streams = [_residue_hits(enc.l, enc.d, q + 1, n_hi, lambda _, b=b: b) for b in bounds]
+            heads = [next(s, end) for s in streams]
+        q = min(heads)
+        if q == end:
+            return None
+        for i, (t_lo, t_hi, _, _) in enumerate(windows):
+            if heads[i] != q:
+                continue
+            if seen == DEFAULT_BUDGET:
+                raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
+            seen += 1
+            if v is not None:
+                stats.candidates += 1
+                x = q * v
+                p = max(x.__floor__(), (x - t_hi).__ceil__())
+                return q, p, Enclosure.point(x - p)
+            hit = _frac_window_check(oracle, q, t_lo, t_hi, stats, enc * q)
+            if hit is not None:
+                return (q, *hit)
+            heads[i] = next(streams[i], end)
+        if seen >= run:
+            run *= 2
+            try:
+                enc, heads = oracle.within(tol := tol * tol, what, stats), None
+            except Unrepresentable:
+                pass
 
 
 def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
@@ -283,17 +314,13 @@ def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
     integer v, as (u, v) with v the least integer from floor(u xi) on within
     beta = min(bound, 1) of u xi, or None: the window search on [-beta,
     beta]. At bound >= 1/2, u = 1 is the first hit whatever xi is, so the
-    search stops there. A rational xi answers p = floor(u xi) and f = frac(u
-    xi), so v = p + 1 where f passes beta."""
+    search stops there."""
     u_hi = u_limit.__ceil__() - 1
     if 2 * bound >= 1:
         u_hi = min(u_hi, 1)
     beta = min(bound, Fraction(1))
-    hit = _find_hit(oracle, 1, u_hi, -beta, beta, stats)
-    if hit is None:
-        return None
-    u, p, f = hit
-    return u, p if f.le_certain(beta) else p + 1
+    hit = _find_hit(oracle, 1, u_hi, [(-beta, beta, False, False)], stats)
+    return None if hit is None else hit[:2]
 
 
 def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionResult:
@@ -309,21 +336,11 @@ def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionRes
     c, cp, eps, Q = params.c, params.c_prime, params.eps, params.Q
     half = Fraction(1, 2)
     cpe = cp * eps
-    # (q, nearest p, enclosure of q xi - p): the residual is the window
-    # check's frac(q xi) on the plus side, where p = floor(q xi), and
-    # frac(q xi) - 1 on the minus side, where p = floor(q xi) + 1
-    best = None
-    if eps <= half:
-        best = _find_hit(
-            oracle, Q, c * Q, eps, min(cpe, half), stats, False, cpe <= half
-        )
-        top = c * Q if best is None else Fraction(best[0] - 1)
-        minus = _find_hit(
-            oracle, Q, top, max(1 - cpe, half), 1 - eps, stats, True, False
-        )
-        if minus is not None:
-            q, floor_p, f = minus
-            best = (q, floor_p + 1, f - 1)
+    w = min(cpe, half)
+    # the band as q xi - p in [eps, w] or in [-w, -eps], p the nearest integer;
+    # both are empty at eps > 1/2
+    windows = [(eps, w, False, cpe <= half), (-w, -eps, True, False)]
+    best = _find_hit(oracle, Q, c * Q, windows, stats)
     if best is not None:
         q, p, residual = best
         a = residual.abs()

@@ -18,6 +18,14 @@ series slack, and every q and exponent in it stayed the same.
 decide on the search's surrogate first: the residual and ratio_res ends at n
 = 96, 97 and 98 moved inside the ones they replaced. ``suite_seed20260823`` is
 the stdout of the acceptance suite, whose wall times go to stderr.
+
+The two ``lemma_near_half_cf`` files were recorded when case (ii) came to
+search both windows in one stream and to read a finer surrogate after a run
+of misses; before that both commands exhausted the candidate budget and
+wrote nothing. Every odd q near 10**40 sits just past 1/2, inside the
+enlarged plus window: at eps = 49/100 the minus window holds q = 10**40 + 1,
+and at eps = 3/10 the witness lies past 64 misses. Their ``stats.candidates``
+is bounded, not matched, so a cheaper search does not need a new recording.
 """
 
 import re
@@ -96,3 +104,17 @@ def test_lemma_output_except_candidates(capsys, name, digits, recorded, now):
     assert [int(n) for n in CANDIDATES.findall(golden)] == [recorded]
     assert [int(n) for n in CANDIDATES.findall(out)] == [now]
     assert CANDIDATES.sub("", out) == CANDIDATES.sub("", golden)
+
+
+NEAR_HALF = ("lemma", "--oracle", "cf:[0;2,1000000000000000000000000000000]+periodic:[1]",
+             "--c", "3/2", "--Q", "1e40")
+
+
+@pytest.mark.parametrize("name,c_prime,eps,bound", [
+    ("lemma_near_half_cf_eps49_100.json", "19/10", "49/100", 2),
+    ("lemma_near_half_cf_eps3_10.json", "8/5", "3/10", 130),
+])
+def test_lemma_past_a_class_just_outside_the_band(capsys, name, c_prime, eps, bound):
+    out = _stdout(capsys, NEAR_HALF + ("--c-prime", c_prime, "--eps", eps)).decode()
+    assert [int(n) <= bound for n in CANDIDATES.findall(out)] == [True]
+    assert CANDIDATES.sub("", out) == CANDIDATES.sub("", (GOLDEN / name).read_text())

@@ -14,9 +14,11 @@ from dioph.contfrac import convergents, expand
 from dioph.dichotomy import (
     LemmaParams,
     _case_i_search,
+    _find_hit,
     _frac_window_check,
     _residue_hits,
     _Stats,
+    _surrogate_window,
     find_fractional_hit,
     solve_disjunction,
 )
@@ -199,6 +201,52 @@ def test_case_ii_residual_is_the_window_checks_enclosure():
     assert (res.witness.q, res.witness.p) == (3, 1)
     assert res.stats.precision_bits == 128
     assert res.residual == xi.enclose(128) * 3 - 1
+
+
+NEAR_HALF = "cf:[0;2,1000000000000000000000000000000]+periodic:[1]"
+
+
+def test_both_windows_try_a_q_their_streams_share(monkeypatch):
+    # frac(q xi) = 1/2 + 2.8e-21 at every odd q near 10**40: q = 10**40 + 1 is
+    # a candidate of the plus window [49/100, 1/2], enlarged past 1/2, and of
+    # the minus window (-1/2, -49/100]; the plus check misses, and the minus
+    # check of the same q is the hit
+    checks = []
+    check = dichotomy._frac_window_check
+
+    def recording(oracle, q, t_lo, *args):
+        checks.append((q, t_lo))
+        return check(oracle, q, t_lo, *args)
+
+    monkeypatch.setattr(dichotomy, "_frac_window_check", recording)
+    eps, w, Q = F(49, 100), F(1, 2), 10**40
+    windows = [(eps, w, False, False), (-w, -eps, True, False)]
+    q, p, f = _find_hit(parse_oracle(NEAR_HALF), F(Q), F(3, 2) * Q, windows, _Stats())
+    assert (q, p) == (Q + 1, 4999999999999999999999999999997500000001)
+    assert checks == [(Q + 1, eps), (Q + 1, -w)]
+    assert -w < f.lo and f.hi <= -eps
+
+
+@pytest.mark.parametrize("cap,error,checked", [
+    (None, RangeTooLarge, 1000),
+    # the first surrogate is read at level 64, a restart at 128 and the next
+    # one would pass the cap
+    (128, Inconclusive, 128),
+])
+def test_misses_forever_end_at_the_budget_or_the_cap(monkeypatch, precision_cap, cap, error, checked):
+    # a check that rejects every candidate: the restarts after 64, 128, 256
+    # and 512 misses share one budget, and the cap ends them
+    checks = []
+    monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", 1000)
+    monkeypatch.setattr(dichotomy, "_frac_window_check", lambda oracle, q, *a: checks.append(q))
+    if cap is not None:
+        precision_cap(cap)
+    stats = _Stats()
+    with pytest.raises(error):
+        _find_hit(SqrtOracle(2, "sqrt2"), F(1), F(10**9), [(F(1, 3), F(2, 3), False, False)], stats)
+    assert len(checks) == checked
+    assert checks == sorted(set(checks))
+    assert stats.bits == (1024 if cap is None else 128)
 
 
 def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
@@ -423,6 +471,69 @@ def convergent_surrogate_hit(oracle, q_lo, q_hi, t_lo, t_hi):
     return None
 
 
+def plain_window_hit(oracle, q_lo, q_hi, t_lo, t_hi, stats, lo_strict, hi_strict, budget, q_read=None):
+    """Reference for one window of ``_find_hit``, as the search ran before the
+    windows were merged: one stream on one surrogate, read for this window and
+    for q up to ``q_read`` (default q_hi), with no restart; (q, floor(q xi),
+    enclosure of frac(q xi)) or None, and RANGE_TOO_LARGE past ``budget``
+    candidates."""
+    n_lo, n_hi = max(1, q_lo.__ceil__()), q_hi.__floor__()
+    v = oracle.exact_value()
+    if n_lo > n_hi or v is None and t_lo >= t_hi:
+        return None
+    if v is None:
+        n_read = n_hi if q_read is None else q_read.__floor__()
+        enc = oracle.within((t_hi - t_lo) / (8 * n_read), "window surrogate", stats)
+        window = _surrogate_window(enc, n_read, t_lo, t_hi)
+    else:
+        enc = Enclosure.point(v)
+        lo = (t_lo * enc.d).__floor__() + 1 if lo_strict else (t_lo * enc.d).__ceil__()
+        window = lo, (t_hi * enc.d).__ceil__() - 1 if hi_strict else (t_hi * enc.d).__floor__()
+    for seen, q in enumerate(_residue_hits(enc.l, enc.d, n_lo, n_hi, lambda q: window)):
+        if seen == budget:
+            raise RangeTooLarge(f"candidate stream exceeded budget {budget}")
+        if v is not None:
+            stats.candidates += 1
+            p = (q * v).__floor__()
+            return q, p, Enclosure.point(q * v - p)
+        hit = _frac_window_check(oracle, q, t_lo, t_hi, stats, enc * q)
+        if hit is not None:
+            return (q, *hit)
+    return None
+
+
+def plain_solve(oracle, params, budget, one_surrogate=False):
+    """Reference for ``solve_disjunction``: the plus window frac(q xi) in
+    [eps, w] over all of [Q, c Q], then the minus window [1 - w, 1 - eps] below
+    the plus hit, w = min(c' eps, 1/2), then case (i) on [-b, b], each window
+    on :func:`plain_window_hit`; (outcome, witness pair, candidates). The
+    minus window reads its surrogate for q below the plus hit, or with
+    ``one_surrogate`` for all of [Q, c Q], as the plus window does."""
+    stats = _Stats()
+    c, cp, eps, Q = params.c, params.c_prime, params.eps, params.Q
+    w = min(cp * eps, F(1, 2))
+    if eps <= F(1, 2):
+        plus = plain_window_hit(oracle, Q, c * Q, eps, w, stats, False, w == cp * eps, budget)
+        top = c * Q if plus is None else F(plus[0] - 1)
+        minus = plain_window_hit(
+            oracle, Q, top, 1 - w, 1 - eps, stats, True, False, budget, c * Q if one_surrogate else None
+        )
+        if minus is not None:
+            return "case_ii", (minus[0], minus[1] + 1), stats.candidates
+        if plus is not None:
+            return "case_ii", plus[:2], stats.candidates
+    u_hi = params.bound_u.__ceil__() - 1
+    bound = params.dist_factor / Q
+    beta = min(bound, F(1))
+    hit = plain_window_hit(
+        oracle, F(1), F(u_hi if 2 * bound < 1 else min(u_hi, 1)), -beta, beta, stats, False, False, budget
+    )
+    if hit is None:
+        raise NeitherCaseCertified("no witness for either case")
+    u, p, f = hit
+    return "case_i", (u, p if f.le_certain(beta) else p + 1), stats.candidates
+
+
 def _approx_fractions(oracle, u_limit):
     """Reference: every convergent and semiconvergent (u, v) with u below
     ``u_limit``, listed one at a time in increasing denominator order."""
@@ -498,14 +609,14 @@ def _case_i_hit(oracle, u_limit: F, bound: F, stats):
 @pytest.fixture
 def case_i_checks(monkeypatch):
     """Records u for each window check the dichotomy makes on case (i)'s
-    window [-b, b], the one window with a negative end."""
+    window [-b, b], the one window that holds 0."""
     calls = []
     check = dichotomy._frac_window_check
 
-    def counting(oracle, u, t_lo, *a):
-        if t_lo < 0:
+    def counting(oracle, u, t_lo, t_hi, *a):
+        if t_lo < 0 < t_hi:
             calls.append(u)
-        return check(oracle, u, t_lo, *a)
+        return check(oracle, u, t_lo, t_hi, *a)
 
     monkeypatch.setattr(dichotomy, "_frac_window_check", counting)
     return calls

@@ -40,8 +40,8 @@ def test_window_checks_per_solve(spec, digits):
 
 
 def test_case_ii_solve_climbs_one_ladder_per_window_check(monkeypatch):
-    # one surrogate ladder per window side searched, and at most one ladder
-    # per candidate, none where the surrogate decides it; the residual is the
+    # one surrogate ladder for both window sides, and at most one ladder per
+    # candidate, none where the surrogate decides it; the residual is the
     # enclosure the window check certified, so no further ladder climbs for it
     ladders = []
     refine = oracle.refine
@@ -54,11 +54,11 @@ def test_case_ii_solve_climbs_one_ladder_per_window_check(monkeypatch):
     res = solve_disjunction(SqrtOracle(2, "sqrt2"), params)
     assert res.outcome == "case_ii"
     assert res.stats.candidates >= 1
-    # the plus side hits, and the minus side is searched below the hit; the
-    # surrogate times q decides every candidate
-    assert ladders.count("surrogate") == 2
+    # one merged stream searches both sides; the surrogate times q decides
+    # every candidate
+    assert ladders.count("surrogate") == 1
     assert ladders.count("membership") == 0
-    assert len(ladders) == 2
+    assert len(ladders) == 1
 
 
 def _peak_rss_kb(script: str, timeout: int) -> list:
@@ -305,6 +305,9 @@ def test_cf_within_resumes_from_the_last_pair():
 @pytest.mark.parametrize("spec,eps,big_q", [
     ("cf:liouville:2", "1/1000", "1e30"),
     ("cf:liouville:3", "1e-8", str(3**40)),
+    # odd q sit just past 1/2: the plus window's class, searched first over
+    # all of [Q, c Q], hid the minus window's witness at Q + 1
+    ("cf:[0;2,1000000000000000000000000000000]+periodic:[1]", "49/100", "1e40"),
 ])
 def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
     # the window enlarged by a fixed width/8 admitted residue classes just

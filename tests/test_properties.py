@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dioph import multiform, seqbuild
+from dioph import dichotomy, multiform, seqbuild
 from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
@@ -51,6 +51,7 @@ from test_dichotomy import (
     convergent_surrogate_hit,
     direct_hit,
     extend_convergents,
+    plain_solve,
     quotient_supply,
     reference_within,
 )
@@ -374,7 +375,8 @@ def test_enclosure_surrogate_matches_convergent_surrogate(
         expected = convergent_surrogate_hit(_surrogate_oracle(spec), q_lo, q_hi, t_lo, t_hi)
     except DiophError:
         return
-    got = _find_hit(_surrogate_oracle(spec), q_lo, q_hi, t_lo, t_hi, _Stats(), lo_strict, hi_strict)
+    windows = [(t_lo, t_hi, lo_strict, hi_strict)]
+    got = _find_hit(_surrogate_oracle(spec), q_lo, q_hi, windows, _Stats())
     assert (None if got is None else got[:2]) == expected
 
 
@@ -402,9 +404,8 @@ def test_integer_window_bounds_give_the_reduced_windows_candidates(lo, width, g,
     else:
         t_lo, t_hi = min(t1, t2), max(t1, t2)
         old = (((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__())
-    l, d, lo_i, hi_i = _surrogate_window(enc, n, t_lo, t_hi)
-    assert (l, d) == (enc.l, enc.d)
-    got = _residue_hits(l, d, 1, n, lambda q: (lo_i, hi_i))
+    lo_i, hi_i = _surrogate_window(enc, n, t_lo, t_hi)
+    got = _residue_hits(enc.l, enc.d, 1, n, lambda q: (lo_i, hi_i))
     assert list(got) == list(_residue_hits(a, m, 1, n, lambda q: old))
 
 
@@ -443,6 +444,75 @@ def test_case_i_search_matches_convergent_scan(spec, u_limit, bound):
             return exc.code
 
     assert outcome(_case_i_search) == outcome(_case_i_hit)
+
+
+def _solve_with(spec, params, miss_run, budget):
+    """(outcome, witness pair, candidates) of ``solve_disjunction`` on a fresh
+    oracle, a restart after ``miss_run`` candidates and at most ``budget`` of
+    them, or (error code, None, None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dichotomy, "MISS_RUN", miss_run)
+        mp.setattr(dichotomy, "DEFAULT_BUDGET", budget)
+        try:
+            res = solve_disjunction(parse_oracle(spec), params)
+        except DiophError as exc:
+            return exc.code, None, None
+    w = res.witness
+    return res.outcome, ((w.q, w.p) if res.outcome == "case_ii" else (w.u, w.v)), res.stats.candidates
+
+
+PLAIN_BUDGET = 2000
+big_quotient_cfs = st.builds(
+    lambda a, b: f"cf:[0;{a},{b}]+periodic:[1]", st.integers(1, 9), st.integers(0, 40).map(lambda e: 10**e)
+)
+ANSWERS = ("case_i", "case_ii", "NEITHER_CASE_CERTIFIED")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # a big second quotient puts a class of q just past a window's end
+    st.one_of(case_i_specs, big_quotient_cfs),
+    st.integers(min_value=1, max_value=98).map(lambda k: 1 + F(k, 100)),
+    st.integers(min_value=1, max_value=99).map(lambda j: F(j, 100)),
+    st.one_of(
+        st.builds(F, st.integers(min_value=1, max_value=999), st.integers(0, 30).map(lambda e: 10**e)),
+        st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
+    ).filter(lambda eps: 0 < eps < 1),
+    st.builds(
+        F,
+        st.integers(min_value=0, max_value=60).flatmap(lambda d: st.integers(10**d + 1, 2 * 10**d + 2)),
+        st.integers(min_value=1, max_value=7),
+    ).filter(lambda Q: Q > 1),
+)
+@example("const:sqrt2", F(3, 2), F(1, 2), F(1, 1000), F(10**40))
+@example("cf:[0;3,7,15]+periodic:[1,2]", F(3, 2), F(1, 2), F(9, 50), F(10**45))
+# the plus-then-minus search reads its minus window's surrogate for q below
+# the plus hit at 1007; that drops the minus candidate the merged stream
+# checks first: 2 candidates against 1
+@example("cf:[0;7,1]+periodic:[1]", F(127, 100), F(49, 50), F(1, 10), F(1001))
+# past 64 misses on one surrogate, the restarts answer
+@example("cf:[0;2,1000000000000000000000000000000]+periodic:[1]", F(3, 2), F(1, 5), F(3, 10), F(10**40))
+def test_merged_search_matches_the_plus_then_minus_search(spec, c, t, eps, Q):
+    # wherever the plus-then-minus search answers within its budget, the one
+    # merged stream gives the same outcome and witness, from no more
+    # candidates than that search checks with the minus window on the plus
+    # window's surrogate (its own, read for q below the plus hit, is narrower
+    # and can drop a candidate); wherever one fixed surrogate answers, so do
+    # the restarts
+    params = LemmaParams(c, c + (2 - c) * t, eps, Q)
+    got = _solve_with(spec, params, dichotomy.MISS_RUN, dichotomy.DEFAULT_BUDGET)
+    for one_surrogate in (False, True):
+        try:
+            ref = plain_solve(parse_oracle(spec), params, PLAIN_BUDGET, one_surrogate)
+        except NeitherCaseCertified as exc:
+            ref = exc.code, None, None
+        except DiophError:
+            continue
+        assert got[:2] == ref[:2]
+        assert not one_surrogate or got[0] not in ANSWERS[:2] or got[2] <= ref[2]
+    fixed = _solve_with(spec, params, 3 * PLAIN_BUDGET + 1, 3 * PLAIN_BUDGET)
+    if fixed[0] in ANSWERS:
+        assert got[:2] == fixed[:2]
 
 
 @settings(deadline=None, max_examples=300)
