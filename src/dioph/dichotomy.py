@@ -16,15 +16,16 @@ strictness; case (i) is the one window [-b, b], b capped at 1. Windows are
 read cyclically, and both cases run one window search and one window check.
 The search is exact at every size: rational xi reduces to residue-class
 queries, strict endpoints included, solved by Euclidean descent in O(log)
-steps; irrational xi is replaced by the end a/m of a certified enclosure of
-width delta, and candidate q up to n are enumerated in one increasing stream
-on its windows enlarged by n delta, the enclosure read again at twice the
-bits after a run of misses. The check verifies each against the true value
-on integer candidates, not floors: on an enclosure [l/d, h/d] of q xi they
-are the p from ceil(l/d - t_hi) to floor(h/d - t_lo); none means q misses
-the window, and the least one with q xi - p certified strictly inside is the
-hit. So the first verified hit is the true minimum. No case reads a
-continued fraction.
+steps, at most three descents per window, later hits of a window following
+by the three gaps of the three-distance theorem; irrational xi is replaced
+by the end a/m of a certified enclosure of width delta, and candidate q up
+to n are enumerated in one increasing stream on its windows enlarged by n
+delta, the enclosure read again at twice the bits after a run of misses.
+The check verifies each against the true value on integer candidates, not
+floors: on an enclosure [l/d, h/d] of q xi they are the p from ceil(l/d -
+t_hi) to floor(h/d - t_lo); none means q misses the window, and the least
+one with q xi - p certified strictly inside is the hit. So the first
+verified hit is the true minimum. No case reads a continued fraction.
 """
 
 from __future__ import annotations
@@ -173,19 +174,55 @@ def _first_hit(a: int, b: int, m: int, c: int) -> Optional[int]:
 def _residue_hits(a: int, m: int, q_lo: int, q_hi: int, window):
     """Yield ascending q in [q_lo, q_hi] with a q mod m in ``window(q)`` =
     (lo, hi) read cyclically: lo may be negative and hi past m - 1. The
-    window is read again before each hit, so a caller may shrink it; at most
-    DEFAULT_BUDGET hits are yielded, and one more raises RANGE_TOO_LARGE."""
-    q, seen = q_lo, 0
-    while q <= q_hi:
-        lo, hi = window(q)
-        t = _first_hit(a, (a * q - lo) % m, m, hi - lo + 1)
-        if t is None or q + t > q_hi:
+    window is read again before each hit, with q one past the last hit, so a
+    caller may shrink it; at most DEFAULT_BUDGET hits are yielded, and one
+    more raises RANGE_TOO_LARGE.
+
+    A hit is a q whose residue x = (a q - lo) mod m is below c = min(hi - lo
+    + 1, m). A new window costs one :func:`_first_hit` descent for its first
+    hit. Asked for a second hit in the same window, the stream computes,
+    once, the last hit's residue x and the least return times: n1 >= 1 least
+    with a n1 mod m < c and n2 >= 1 least with -a n2 mod m < c, two descents,
+    with the steps s1 = a n1 mod m and s2 = -a n2 mod m, both below c (not
+    sooner: most streams of the window search end at their first hit). Then
+    each hit follows the last one, of residue x, after n1 when x + s1 < c,
+    else after n2 when x >= s2, else after n1 + n2 (x + s1 - s2 is then in
+    [c - s2, s1)), and x is carried along. That is the least return (the
+    three-distance theorem, Slater 1967). A step n that lands moves x
+    forward by r = a n mod m < c - x, so n >= n1, or back by r = -a n mod m
+    <= x, so n >= n2. Forward with x + s1 >= c, r < s1, so the step n - n1
+    > 0 moves back by s1 - r < c and n >= n1 + n2; back with x < s2,
+    likewise n >= n1 + n2. Unless n1 = n2, s1 + s2 >= c by the minimality of
+    n1 and n2 (the step |n1 - n2| moves by s1 + s2 the way of the larger),
+    so x + s1 < c forces x < s2."""
+    q, seen, win = q_lo - 1, 0, None
+    while q < q_hi:
+        w = window(q + 1)
+        if w != win:
+            win = lo, hi = w
+            c, n1 = hi - lo + 1, None
+            t = _first_hit(a, (a * (q + 1) - lo) % m, m, c)
+            if t is None:
+                return
+            q += t + 1
+        else:
+            if n1 is None:
+                c = min(c, m)
+                n1 = 1 + _first_hit(a, a, m, c)
+                n2 = 1 + _first_hit(-a, -a, m, c)
+                s1, s2, x = a * n1 % m, -a * n2 % m, (a * q - lo) % m
+            if x + s1 < c:
+                q, x = q + n1, x + s1
+            elif x >= s2:
+                q, x = q + n2, x - s2
+            else:
+                q, x = q + n1 + n2, x + s1 - s2
+        if q > q_hi:
             return
         if seen == DEFAULT_BUDGET:
             raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
         seen += 1
-        yield q + t
-        q += t + 1
+        yield q
 
 
 def _frac_window_check(oracle, q, t_lo, t_hi, stats, near=None):

@@ -18,6 +18,9 @@ series slack, and every q and exponent in it stayed the same.
 decide on the search's surrogate first: the residual and ratio_res ends at n
 = 96, 97 and 98 moved inside the ones they replaced. ``suite_seed20260823`` is
 the stdout of the acceptance suite, whose wall times go to stderr.
+``dirichlet_1_sqrt2_sqrt3_q100000`` was recorded before the residue-class
+stream came to step between hits by the three gaps instead of descending
+once per candidate.
 
 The two ``lemma_near_half_cf`` files were recorded when case (ii) came to
 search both windows in one stream and to read a finer surrogate after a run
@@ -89,6 +92,8 @@ def _stdout(capsys, argv):
     ("tau_apery2_n120.json", ("multi", "tau", "--apery", "2", "--n-max", "120")),
     ("tau_apery3_n120.json", ("multi", "tau", "--apery", "3", "--n-max", "120")),
     ("suite_seed20260823.json", ("suite", "--seed", "20260823")),
+    ("dirichlet_1_sqrt2_sqrt3_q100000.json",
+     ("multi", "dirichlet", "--point", POINT, "--Q", "100000")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

@@ -363,15 +363,22 @@ def test_brute_force_agreement():
 
 
 def test_residue_stream_budget_counts_hits(monkeypatch):
-    # 3 q mod 7 in [0, 1] for q = 0 or 5 mod 7: 8 hits in [1, 32], 9 in [1, 33]
+    # 3 q mod 7 in [0, 1] for q = 0 or 5 mod 7: 8 hits in [1, 32], 9 in [1, 33];
+    # the fixed window takes three descents, the rest are three-gap steps, and
+    # a stream read for one hit takes one (most window searches read one)
     hits = [5, 7, 12, 14, 19, 21, 26, 28]
     monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", 8)
     assert list(_residue_hits(3, 7, 1, 32, lambda q: (0, 1))) == hits
-    seen = []
+    seen, descents = [], []
+    first_hit = dichotomy._first_hit
+    monkeypatch.setattr(dichotomy, "_first_hit", lambda *a: descents.append(a) or first_hit(*a))
+    assert next(_residue_hits(3, 7, 1, 33, lambda q: (0, 1))) == 5
+    assert len(descents) == 1
     with pytest.raises(RangeTooLarge, match="budget 8"):
         for q in _residue_hits(3, 7, 1, 33, lambda q: (0, 1)):
             seen.append(q)
     assert seen == hits
+    assert len(descents) == 1 + 3
 
 
 def extend_convergents(conv: list, quots) -> list:

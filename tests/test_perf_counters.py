@@ -446,6 +446,29 @@ def test_first_mode_past_the_fixed_point_certifies_little(monkeypatch):
     assert len(certified) <= 8
 
 
+@pytest.mark.parametrize("mode", ["first", "best"])
+def test_record_stream_descends_three_times_per_window(monkeypatch, mode):
+    # the record stream's window changes only at a record; within a window
+    # the residue stream takes one descent for its first hit and two for
+    # the return times, then steps by the three gaps, however many q it
+    # yields; the window after the last record ends on one descent
+    point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    descents, records, scored = [], [], []
+    first_hit, stream, score = dichotomy._first_hit, multiform._records, multiform._approx_score
+
+    def counted(*args):
+        for r in stream(*args):
+            records.append(r)
+            yield r
+
+    monkeypatch.setattr(dichotomy, "_first_hit", lambda *a: descents.append(a) or first_hit(*a))
+    monkeypatch.setattr(multiform, "_records", counted)
+    monkeypatch.setattr(multiform, "_approx_score", lambda *a: scored.append(a) or score(*a))
+    dirichlet_witness(point, 10**4, mode)
+    assert len(scored) > 5000
+    assert len(descents) <= 3 * len(records) + 1
+
+
 def _ladders(monkeypatch, oracles):
     """(ladders, enclosed): the levels each ``oracle.refine`` ladder steps,
     one list per ladder, and every level the given oracles are enclosed at."""

@@ -634,6 +634,62 @@ def test_residue_stream_matches_brute_scan(m, j, q_lo, span, lo, width, shrink, 
     assert hits == _brute_residue_hits(a, m, q_lo, q_lo + span, window)
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(
+        st.integers(min_value=6, max_value=80).map(lambda k: 1 << k),
+        st.integers(min_value=2**5, max_value=2**79).map(lambda k: 2 * k + 1),
+    ),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=2**100),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=2**20),
+    st.integers(min_value=0, max_value=3),
+    st.data(),
+)
+def test_residue_stream_matches_brute_scan_at_large_moduli(m, j, q_lo, span, pick, pad, shrink, data):
+    # moduli up to 2**80, powers of two as the fixed points and dyadic
+    # surrogates use and odd ones; the window (read cyclically) is centred
+    # on the residue of q_lo and reaches those of q_hi and of one q between,
+    # so a fixed window (shrink = 0) yields at least 3 hits and runs the
+    # three-gap steps, while one that shrinks by pad > 0 descends again
+    # after every hit; a near k/n of m makes gaps near n
+    near = st.builds(
+        lambda k, n, e: (m * k // n + e) % m,
+        st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=20),
+        st.integers(min_value=-1000, max_value=1000),
+    )
+    a = j * m + data.draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=m - 1), near))
+    q_hi = q_lo + span + 2
+    r0 = a * q_lo % m
+    reach = max(min(d, m - d) for d in ((a * q - r0) % m for q in (q_lo + 1 + pick % (span + 1), q_hi)))
+    w = reach + pad
+
+    def window(k):
+        return r0 - w + shrink * k * pad, r0 + w - shrink * k * pad
+
+    hits = []
+    for q in _residue_hits(a, m, q_lo, q_hi, lambda q: window(len(hits))):
+        hits.append(q)
+    assert hits == _brute_residue_hits(a, m, q_lo, q_hi, window)
+    if shrink == 0:
+        assert len(hits) >= 3
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_residue_stream_gap_rule_is_the_least_return(m):
+    # a stream whose first hit, q = 0, has residue x in [0, c) takes its
+    # second hit by the gap rule; a fresh descent from x + a must agree, for
+    # every a (a = 0 mod m and 2a > m included), c and x
+    for a in range(m):
+        for c in range(1, m + 1):
+            for x in range(c):
+                hits = _residue_hits(a, m, 0, 2 * m, lambda q: (-x, c - 1 - x))
+                assert next(hits) == 0
+                assert next(hits) == 1 + dichotomy._first_hit(a, x + a, m, c)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from(IRRATIONALS[:4]), st.integers(min_value=-3, max_value=3))
 def test_integer_shift_preserves_cf_tail(base, shift):
