@@ -1,24 +1,34 @@
 """Certified natural logarithm with directed rational bounds.
 
 ``ln_frac(x, k)`` returns an :class:`Enclosure` of ln(x) for rational x > 0
-with width at most about 2**-k. The reduction works on the integer pair,
-x = N/D = 2**e * n/d with n/d in [1, 2), and ln(n/d) = 2 atanh((n-d)/(n+d))
-is summed in fixed point with per-term directed rounding and an explicit ulp
-budget, ln 2 from 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), each
-atanh(1/m) summed by dividing by m**2 and by the odd numbers; both are added
-as integers over 2**w, with no Fraction arithmetic. No floating point is
-involved, so results are deterministic and safe for certificates.
+with width at most 2**-k. The reduction is table-driven (Tang, ACM TOMS
+1990; Brent and Zimmermann, Modern Computer Arithmetic, 4.2) and works on the
+integer pair: x = N/D = 2**e * n/d with n/d in [1, 2), a 20-bit prefix of n/d
+picks the nearest ratio P/R = 2**i 3**j 5**l of a literal table, and
+
+    ln x = (e + i) ln 2 + j ln 3 + l ln 5 + 2 atanh(z),
+    z = (nR - dP)/(nR + dP), |z| < 1/97,
+
+so the atanh series needs about 9 terms at k = 96, against about 41 with z
+up to 1/3. ln 2, ln 3 and ln 5 are (14, 10, 6), (22, 16, 10) and (32, 24, 14)
+times atanh(1/31), atanh(1/49) and atanh(1/161), three series summed once at
+import at _W bits; a call cuts those immutable integers down with a shift,
+and only above _W bits runs the series again. Everything is added as
+integers over 2**w with directed floors and an explicit ulp budget: no
+Fraction arithmetic, no floating point and no cache, so results are
+deterministic and safe for certificates.
+
+``log2_lo(x, b)`` is a separate, one-sided integer bound by repeated
+squaring. omega0's cap takes two per candidate and divides two integers; on
+``ln_frac(., 24)`` it would build three enclosures and divide Fractions, and
+the forms benchmark's median latency rose by about 65 % that way.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect
 
 from .enclosure import Enclosure, Rat, _frac
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def _atanh_inv(m: int, w: int):
@@ -38,14 +48,71 @@ def _atanh_inv(m: int, w: int):
     return s, odd // 2
 
 
-@lru_cache(maxsize=None)
-def _ln2_fixed(w: int):
-    """(lo, hi) integers with lo/2^w <= ln 2 <= hi/2^w, from ln 2 =
-    18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749) and the bounds of
-    :func:`_atanh_inv`, each taken at the end its sign calls for."""
-    (a, na), (b, nb), (c, nc) = (_atanh_inv(m, w) for m in (26, 4801, 8749))
-    lo = 18 * a - 2 * (b + nb + 2) + 8 * c
-    return lo, lo + 18 * (na + 2) + 2 * (nb + 2) + 8 * (nc + 2)
+def _atanh_frac(a: int, b: int, w: int):
+    """(s, n): s <= atanh(a/b) 2**w < s + 2n + 2 for integers 0 <= a <= b/3,
+    n the number of terms summed.
+
+    With z = a/b, Z = z 2**w and U = z**2 2**w, the powers start at p_0 =
+    floor(Z) and step p_(j+1) = floor(p_j u / 2**w) with u = floor(p_0**2 /
+    2**w) <= U, so p_j <= P_j = z**(2j+1) 2**w, and U - u < 1 + 2z. Then e_j =
+    P_j - p_j has e_0 < 1 and e_(j+1) < z**2 e_j + z (1 + 2z) + 1 <= e_j/9 +
+    14/9, so e_j < 7/4; the summed term floor(p_j / (2j+1)) is below its true
+    term by under e_j/3 + 1 < 2 (under 1 at j = 0). The first p_n = 0 leaves
+    P_n < 2 and a tail from it below P_n / ((2n+1)(1 - z**2)) < 2."""
+    p = (a << w) // b
+    u = (p * p) >> w
+    s, odd = 0, 1
+    while p:
+        s += p // odd
+        p = (p * u) >> w
+        odd += 2
+    return s, odd // 2
+
+
+_W = 512  # bits of the import-time logarithms
+
+
+def _ln235_series(w: int):
+    """[(lo, hi)] for ln 2, ln 3, ln 5: lo/2**w <= ln <= hi/2**w, from their
+    positive combinations of atanh(1/31), atanh(1/49) and atanh(1/161)."""
+    sums = [_atanh_inv(m, w) for m in (31, 49, 161)]
+    out = []
+    for row in ((14, 10, 6), (22, 16, 10), (32, 24, 14)):
+        lo = sum(c * s for c, (s, _) in zip(row, sums))
+        out.append((lo, lo + sum(c * (n + 2) for c, (_, n) in zip(row, sums))))
+    return out
+
+
+_LN235_W = tuple(_ln235_series(_W))
+
+
+def _ln235(w: int):
+    """[(lo, hi)] for ln 2, ln 3, ln 5 over 2**w: the import-time bounds with
+    a floor and a ceiling shift, each at most 2 ulps wide for w <= _W - 12,
+    or the series at w above _W."""
+    if w > _W:
+        return _ln235_series(w)
+    s = _W - w
+    return [(lo >> s, -(-hi >> s)) for lo, hi in _LN235_W]
+
+
+# (P, R, i, j, l) with P/R = 2**i 3**j 5**l: 19 ratios of [1, 2), each with
+# |i| + |j| + |l| <= 8, no two neighbours (nor 48/25 and 2) more than 25/24
+# apart, then 2 itself
+_RATIOS = (
+    (1, 1, 0, 0, 0), (25, 24, -3, -1, 2), (16, 15, 4, -1, -1), (10, 9, 1, -2, 1),
+    (125, 108, -2, -3, 3), (32, 27, 5, -3, 0), (100, 81, 2, -4, 2), (32, 25, 5, 0, -2),
+    (4, 3, 2, -1, 0), (25, 18, -1, -2, 2), (36, 25, 2, 2, -2), (40, 27, 3, -3, 1),
+    (125, 81, 0, -4, 3), (8, 5, 3, 0, -1), (5, 3, 0, -1, 1), (125, 72, -3, -2, 3),
+    (16, 9, 4, -2, 0), (50, 27, 1, -3, 2), (48, 25, 4, 1, -2), (2, 1, 1, 0, 0),
+)
+# floor(2**20 sqrt(r r')) for neighbours r, r': a prefix floor(2**20 n/d) at
+# or above the m-th split and below the next one picks ratio m + 1
+_SPLITS = (
+    1070198, 1105296, 1141544, 1189109, 1228106, 1268383, 1318142, 1369853, 1426931,
+    1482910, 1531543, 1585479, 1647678, 1712317, 1783663, 1842160, 1902574, 1977213,
+    2054780,
+)
 
 
 def log2_lo(x: int, b: int) -> int:
@@ -66,33 +133,13 @@ def log2_lo(x: int, b: int) -> int:
     return r
 
 
-def _atanh_fixed(num: int, den: int, w: int):
-    """(lo, hi) integers bounding atanh(num/den) * 2^w, for 0 <= num/den <= 1/3."""
-    if num == 0:
-        return 0, 0
-    z_lo = (num << w) // den
-    z_hi = _ceil_div(num << w, den)
-    z2_lo = (z_lo * z_lo) >> w
-    z2_hi = _ceil_div(z_hi * z_hi, 1 << w)
-    p_lo, p_hi = z_lo, z_hi
-    sum_lo = 0
-    sum_hi = 0
-    terms = 0
-    odd = 1
-    while p_hi > 1:
-        sum_lo += p_lo // odd
-        sum_hi += _ceil_div(p_hi, odd)
-        p_lo = (p_lo * z2_lo) >> w
-        p_hi = _ceil_div(p_hi * z2_hi, 1 << w)
-        odd += 2
-        terms += 1
-    # Tail after the last added term: geometric with ratio z^2 <= 1/9, so the
-    # remaining mass is below 2 * p_hi <= 2; add the per-term flooring budget.
-    return sum_lo, sum_hi + terms + 4
-
-
 def ln_frac(x: Rat, k: int) -> Enclosure:
-    """Enclosure of ln(x) for rational x > 0, width about 2**-k."""
+    """Enclosure of ln(x) for rational x > 0, width at most 2**-k.
+
+    The sum runs at w = k + g + bits(c) bits, c = |e + i| + |j| + |l| the
+    weight of the constants and g = 16 (bits(k) + 3 from k = 8192 on). The
+    constants' widths, each under 6.4 w + 220 ulps, add at most c of them,
+    and 2 atanh(z) adds 4n + 4: in all under 2**(w - k) ulps."""
     f = _frac(x)
     if f <= 0:
         raise ValueError("ln of a nonpositive rational")
@@ -102,13 +149,21 @@ def ln_frac(x: Rat, k: int) -> Enclosure:
     if n < d:
         e -= 1
         n *= 2
-    w = k + 32 + abs(e).bit_length()
-    lo2, hi2 = _ln2_fixed(w)
-    lo, hi = (lo2 * e, hi2 * e) if e >= 0 else (hi2 * e, lo2 * e)
-    if n != d:
-        alo, ahi = _atanh_fixed(n - d, n + d, w)
-        lo += 2 * alo
-        hi += 2 * ahi
+    P, R, i, j, l = _RATIOS[bisect(_SPLITS, (n << 20) // d)]
+    e += i
+    w = k + max(16, k.bit_length() + 3) + (abs(e) + abs(j) + abs(l)).bit_length()
+    a = n * R - d * P
+    lo = hi = 0
+    if a:
+        s, terms = _atanh_frac(abs(a), n * R + d * P, w)
+        lo, hi = 2 * s, 2 * (s + 2 * terms + 2)
+        if a < 0:
+            lo, hi = -hi, -lo
+    for c, (c_lo, c_hi) in zip((e, j, l), _ln235(w)):
+        if c >= 0:
+            lo, hi = lo + c * c_lo, hi + c * c_hi
+        else:
+            lo, hi = lo + c * c_hi, hi + c * c_lo
     return Enclosure.from_ints(lo, hi, 1 << w)
 
 

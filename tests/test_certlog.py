@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.certlog import ln_enclosure, ln_frac, log2_lo
+from dioph.certlog import _RATIOS, _SPLITS, ln_enclosure, ln_frac, log2_lo
 from dioph.enclosure import Enclosure
 
 # 50 digits, more than enough to check 96-bit enclosures against
@@ -16,7 +16,7 @@ def test_ln_one_is_exact_zero():
     assert e.lo == e.hi == 0
 
 
-@pytest.mark.parametrize("k", [16, 48, 96, 200])
+@pytest.mark.parametrize("k", [16, 48, 96, 200, 600, 20000])
 def test_ln2_width_and_containment(k):
     e = ln_frac(2, k)
     assert e.width <= F(1, 1 << k)
@@ -70,6 +70,31 @@ def test_ln_enclosure_over_interval():
 
 def test_ln_enclosure_point_matches_ln_frac():
     assert ln_enclosure(Enclosure.point(F(7, 2)), 64) == ln_frac(F(7, 2), 64)
+
+
+def test_table_leaves_z_below_one_97th():
+    # each prefix floor(2**20 n/d) in [split_(m-1), split_m) holds n/d in
+    # [split_(m-1), split_m) / 2**20, and there ratio m's z = (x - r)/(x + r)
+    # stays below 1/97
+    ratios = [F(P, R) for P, R, *_ in _RATIOS]
+    assert ratios == sorted(ratios) and ratios[0] == 1 and ratios[-1] == 2
+    for (P, R, i, j, l), r, r_next in zip(_RATIOS, ratios, ratios[1:]):
+        assert r == F(2) ** i * F(3) ** j * F(5) ** l
+        assert r_next / r <= F(25, 24)
+    for t, r, r_next in zip(_SPLITS, ratios, ratios[1:]):
+        assert t * t <= (r * r_next) * 2**40 < (t + 1) ** 2
+    ends = [1 << 20, *_SPLITS, 1 << 21]
+    for lo, hi, r in zip(ends, ends[1:], ratios):
+        for x in (F(lo, 1 << 20), F(hi, 1 << 20)):
+            assert abs((x - r) / (x + r)) < F(1, 97)
+
+
+@pytest.mark.parametrize("x", [5, F(125, 27), F(125, 108), F(2**61 - 1, 3**40), 10**100 + 1])
+def test_width_at_large_k(x):
+    # above 8192 bits the guard grows with k, as the constants' ulp counts do
+    e = ln_frac(x, 20000)
+    assert e.width <= F(1, 1 << 20000)
+    e.intersect(ln_frac(x, 96))
 
 
 def test_huge_argument():

@@ -20,7 +20,11 @@ decide on the search's surrogate first: the residual and ratio_res ends at n
 the stdout of the acceptance suite, whose wall times go to stderr.
 ``dirichlet_1_sqrt2_sqrt3_q100000`` was recorded before the residue-class
 stream came to step between hits by the three gaps instead of descending
-once per candidate.
+once per candidate. ``mu_e_depth200`` was recorded again when the
+logarithm came to reduce its argument by a table of 5-smooth ratios: its
+``mu_lower_exact`` moved, a lower bound from narrower log enclosures at a
+different working precision, and ``mu_lower`` and ``witness_index`` stayed
+the same.
 
 The two ``lemma_near_half_cf`` files were recorded when case (ii) came to
 search both windows in one stream and to read a finer surrogate after a run

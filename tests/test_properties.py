@@ -1,6 +1,7 @@
+from bisect import bisect
 from fractions import Fraction as F
 from itertools import islice
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import mpmath
 import pytest
@@ -28,7 +29,7 @@ from dioph.multiform import (
     evaluate_form,
     omega0_search,
 )
-from dioph.certlog import _atanh_fixed, _ln2_fixed, ln_frac
+from dioph.certlog import _LN235_W, _RATIOS, _SPLITS, _W, _atanh_frac, _ln235_series, ln_frac
 from dioph.oracle import (
     CATALOG,
     SEPARATION_BITS,
@@ -266,7 +267,8 @@ def test_convergent_stream_matches_stored_convergents(oracle, depth, widths, j):
 
 
 def _fraction_ln_frac(x, k):
-    """Reference: the reduction of ln_frac done in Fraction arithmetic."""
+    """Reference: the reduction of ln_frac done in Fraction arithmetic, over
+    the same table, atanh series and import-time constants."""
     f = F(x)
     e = f.numerator.bit_length() - f.denominator.bit_length()
     m = f / F(2) ** e
@@ -276,14 +278,24 @@ def _fraction_ln_frac(x, k):
     elif m < 1:
         e -= 1
         m *= 2
-    w = k + 32 + abs(e).bit_length()
-    lo2, hi2 = _ln2_fixed(w)
+    P, R, i, j, l = _RATIOS[bisect(_SPLITS, floor(m * 2**20))]
+    r = F(P, R)
+    e += i
+    w = k + max(16, k.bit_length() + 3) + (abs(e) + abs(j) + abs(l)).bit_length()
     scale = F(1, 1 << w)
-    out = Enclosure(lo2 * scale, hi2 * scale) * e
-    if m != 1:
-        z = (m - 1) / (m + 1)
-        alo, ahi = _atanh_fixed(z.numerator, z.denominator, w)
-        out = out + Enclosure(2 * alo * scale, 2 * ahi * scale)
+    if w > _W:
+        consts = _ln235_series(w)
+    else:
+        cut = F(1, 1 << (_W - w))
+        consts = [(floor(lo * cut), ceil(hi * cut)) for lo, hi in _LN235_W]
+    out = Enclosure.point(0)
+    for c, (lo, hi) in zip((e, j, l), consts):
+        out = out + Enclosure(lo * scale, hi * scale) * c
+    z = (m - r) / (m + r)
+    if z:
+        s, n = _atanh_frac(abs(z.numerator), z.denominator, w)
+        series = Enclosure(2 * s * scale, 2 * (s + 2 * n + 2) * scale)
+        out = out + (series if z > 0 else -series)
     return out
 
 
@@ -300,10 +312,27 @@ log_args = st.one_of(
 )
 
 
+ln_ks = st.sampled_from([16, 64, 96, 200, 600])
+
+
 @settings(deadline=None, max_examples=300)
-@given(log_args, st.sampled_from([64, 96, 200]))
+@given(log_args, ln_ks)
 def test_integer_ln_frac_matches_fraction_reduction(x, k):
     assert ln_frac(x, k) == _fraction_ln_frac(x, k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(log_args, ln_ks)
+def test_ln_frac_contains_ln_within_width(x, k):
+    # mpmath at 4k bits: its error, under 2**-(4k - 16) on |ln x| < 1400, is
+    # far inside the 2**-(3k) slack
+    with mpmath.workprec(4 * k):
+        y = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+    man, exp = y.man_exp
+    v, slack = F(-man if y < 0 else man) * F(2) ** exp, F(1, 1 << (3 * k))
+    enc = ln_frac(x, k)
+    assert enc.lo - slack <= v <= enc.hi + slack
+    assert enc.width <= F(1, 1 << k)
 
 
 @settings(deadline=None, max_examples=20)
