@@ -47,6 +47,19 @@ from .oracle import RealOracle, level_for, refine
 
 DEFAULT_BUDGET = 10**6
 MISS_RUN = 64  # window checks before the search first reads a finer surrogate
+_HALF = Fraction(1, 2)
+_ONE = Fraction(1)
+
+
+def _param(x: Rat) -> Fraction:
+    """``x`` as a Fraction, unchanged if it is one; a value that is not a
+    finite rational, such as an infinite or NaN float, raises BAD_PARAMS."""
+    if x.__class__ is Fraction:
+        return x
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError) as exc:
+        raise PreconditionError("BAD_PARAMS", f"{x!r} is not a finite rational") from exc
 
 
 @dataclass(frozen=True)
@@ -57,10 +70,10 @@ class LemmaParams:
     Q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _frac(self.c))
-        object.__setattr__(self, "c_prime", _frac(self.c_prime))
-        object.__setattr__(self, "eps", _frac(self.eps))
-        object.__setattr__(self, "Q", _frac(self.Q))
+        for name in ("c", "c_prime", "eps", "Q"):
+            x = getattr(self, name)
+            if x.__class__ is not Fraction:
+                object.__setattr__(self, name, _param(x))
         if not (1 < self.c < self.c_prime < 2):
             raise PreconditionError(
                 "BAD_PARAMS",
@@ -290,8 +303,9 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
     :func:`_surrogate_window`; the streams are merged in ascending q, and a q
     in several is tried against each in window order.
 
-    Rational xi is its own surrogate, of width 0, so each candidate is a hit:
-    p = max(floor(q xi), ceil(q xi - t_hi)) and f is the point q xi - p.
+    Rational xi = a/m is its own surrogate, of width 0, so each candidate is a
+    hit: p = max(floor(q xi), ceil(q xi - t_hi)) and f is the point q xi - p,
+    both on integers over m.
     Irrational xi takes the oracle's first enclosure no wider than width/(8
     n_hi), and each candidate goes to :func:`_frac_window_check`, tried first
     on that surrogate times q. After MISS_RUN candidates, and again whenever
@@ -304,11 +318,13 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
     """
     n_lo = max(1, q_lo.__ceil__())
     n_hi = q_hi.__floor__()
-    v = oracle.exact_value()
-    tol = windows[0][1] - windows[0][0]
-    if n_lo > n_hi or v is None and tol <= 0:
+    if n_lo > n_hi:
         return None
+    v = oracle.exact_value()
     if v is None:
+        tol = windows[0][1] - windows[0][0]
+        if tol <= 0:
+            return None
         tol /= 8 * n_hi
         what = lambda: f"window surrogate for q <= {brief(n_hi)} undecided"
         enc = oracle.within(tol, what, stats)
@@ -331,9 +347,10 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
             seen += 1
             if v is not None:
                 stats.candidates += 1
-                x = q * v
-                p = max(x.__floor__(), (x - t_hi).__ceil__())
-                return q, p, Enclosure.point(x - p)
+                x, m, tn, td = q * enc.l, enc.d, t_hi.numerator, t_hi.denominator
+                p = max(x // m, -((tn * m - x * td) // (m * td)))  # ceil(x/m - t_hi)
+                r = x - p * m
+                return q, p, Enclosure.from_ints(r, r, m)
             hit = _frac_window_check(oracle, q, t_lo, t_hi, stats, enc * q)
             if hit is not None:
                 return (q, *hit)
@@ -355,7 +372,7 @@ def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
     u_hi = u_limit.__ceil__() - 1
     if 2 * bound >= 1:
         u_hi = min(u_hi, 1)
-    beta = min(bound, Fraction(1))
+    beta = min(bound, _ONE)
     hit = _find_hit(oracle, 1, u_hi, [(-beta, beta, False, False)], stats)
     return None if hit is None else hit[:2]
 
@@ -371,12 +388,11 @@ def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionRes
     """
     stats = _Stats()
     c, cp, eps, Q = params.c, params.c_prime, params.eps, params.Q
-    half = Fraction(1, 2)
     cpe = cp * eps
-    w = min(cpe, half)
+    w = min(cpe, _HALF)
     # the band as q xi - p in [eps, w] or in [-w, -eps], p the nearest integer;
     # both are empty at eps > 1/2
-    windows = [(eps, w, False, cpe <= half), (-w, -eps, True, False)]
+    windows = [(eps, w, False, cpe <= _HALF), (-w, -eps, True, False)]
     best = _find_hit(oracle, Q, c * Q, windows, stats)
     if best is not None:
         q, p, residual = best

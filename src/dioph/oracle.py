@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from contextvars import ContextVar
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, cycle, islice, pairwise
 from math import factorial, isqrt
@@ -190,7 +191,8 @@ def convergent_pairs(quots, seeds=SEEDS):
     whose last two convergents are ``seeds`` (by default, from a_0)."""
     (p0, q0), (p1, q1) = seeds
     for a in quots:
-        p1, q1, p0, q0 = a * p1 + p0, a * q1 + q0, p1, q1
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
         yield p1, q1
 
 
@@ -386,6 +388,8 @@ class CFOracle(RealOracle):
     repeating periodic block, or the rule a_j = B**(j!) for j >= 1 with a_0 =
     0, truncated at a configurable index bound (quotients past the bound raise
     UNREPRESENTABLE since their sizes grow beyond any usable precision).
+    The quotients are read as ints once, here, and the canonical spec is
+    built on first read.
     """
 
     LIOUVILLE_DEFAULT_CAP = 8
@@ -399,30 +403,37 @@ class CFOracle(RealOracle):
         if liouville_base is not None:
             if liouville_base < 2:
                 raise PreconditionError("BAD_CF", f"liouville base {liouville_base} must be >= 2")
-            self.spec = f"cf:liouville:{liouville_base}"
             powers = (liouville_base ** factorial(j) for j in range(1, self.liouville_cap + 1))
             self._supply = chain([0], powers)
             return
-        prefix = [int(a) for a in prefix]
+        self._prefix = prefix = list(map(int, prefix))
         if not prefix:
             raise PreconditionError("BAD_CF", "empty quotient list")
         if prefix[0] < 0:
             raise PreconditionError("BAD_CF", "a0 must be >= 0")
-        if any(a < 1 for a in prefix[1:]):
+        if min(prefix[1:], default=1) < 1:
             raise PreconditionError("BAD_CF", "quotients after a0 must be >= 1")
-        body = ";".join([str(prefix[0])] + ([",".join(map(str, prefix[1:]))] if len(prefix) > 1 else []))
-        self.spec = f"cf:[{body}]"
-        if periodic:
-            periodic = list(periodic)
-            if any(a < 1 for a in periodic):
+        self._block = block = list(map(int, periodic or ()))
+        if block:
+            if min(block) < 1:
                 raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
-            self.spec += "+periodic:[" + ",".join(map(str, periodic)) + "]"
-            self._supply = chain(prefix, cycle(periodic))
+            self._supply = chain(prefix, cycle(block))
         else:
             # the whole expansion at once, and its last convergent is the value
             self._supply = iter(())
             self._cf_quotients, self._cf_ended = prefix, True
             self._value = Fraction(*deque(convergent_pairs(prefix), maxlen=1)[0])
+
+    @cached_property
+    def spec(self) -> str:
+        """The canonical spec, built on first read."""
+        if self.liouville_base is not None:
+            return f"cf:liouville:{self.liouville_base}"
+        a0, *rest = self._prefix
+        spec = f"cf:[{a0};{','.join(map(str, rest))}]" if rest else f"cf:[{a0}]"
+        if self._block:
+            spec += "+periodic:[" + ",".join(map(str, self._block)) + "]"
+        return spec
 
     def _more_quotients(self, count: int):
         # the supply is exact; only a truncated Liouville supply runs short
@@ -525,20 +536,19 @@ _INT_LIST = re.compile(r"^\[(\d+(?:,\d+)*)\]$")
 
 
 def _parse_cf_body(body: str):
+    """The quotient strings of ``[a0;a1,...]``; CFOracle reads them as ints."""
     m = _CF_LIST.match(body.strip())
     if not m:
         raise PreconditionError("BAD_CF", f"cannot parse CF list {body!r}")
-    quots = [int(m.group(1))]
-    if m.group(2):
-        quots.extend(int(x) for x in m.group(2).split(","))
-    return quots
+    a0, rest = m.groups()
+    return [a0, *rest.split(",")] if rest else [a0]
 
 
 def _parse_int_list(body: str):
     m = _INT_LIST.match(body.strip())
     if not m:
         raise PreconditionError("BAD_CF", f"cannot parse quotient block {body!r}")
-    return [int(x) for x in m.group(1).split(",")]
+    return m.group(1).split(",")
 
 
 def parse_oracle(spec: str) -> RealOracle:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certlog import ln_frac
-from .dichotomy import LemmaParams, solve_disjunction
+from .dichotomy import LemmaParams, _param, solve_disjunction
 from .enclosure import (
     Enclosure,
     Rat,
@@ -56,6 +56,14 @@ CASE_I_FRACTION = Fraction(1, 5)
 REGULARITY_DELTA = Fraction(1, 4)
 
 
+def _row_index(n) -> int:
+    """A table row's index as an int; an infinite or NaN one raises BAD_PARAMS."""
+    try:
+        return int(n)
+    except (OverflowError, ValueError) as exc:
+        raise PreconditionError("BAD_PARAMS", f"row index {n!r} is not an integer") from exc
+
+
 @dataclass(frozen=True)
 class RateSpec:
     """Target sizes per index: geometric (Q_n, eps_n) = (beta^n, alpha^n) or
@@ -68,7 +76,7 @@ class RateSpec:
 
     @classmethod
     def geometric(cls, alpha: Rat, beta: Rat) -> "RateSpec":
-        a, b = _frac(alpha), _frac(beta)
+        a, b = _param(alpha), _param(beta)
         if not (0 < a < 1 < b):
             raise PreconditionError(
                 "BAD_PARAMS", f"geometric rates need 0 < alpha < 1 < beta, got {a}, {b}"
@@ -79,9 +87,10 @@ class RateSpec:
     def from_table(cls, rows) -> "RateSpec":
         table = {}
         for n, Q, eps in rows:
-            if int(n) in table:
+            n = _row_index(n)
+            if n in table:
                 raise PreconditionError("BAD_PARAMS", f"rate table has two rows for n={n}")
-            table[int(n)] = (_frac(Q), _frac(eps))
+            table[n] = (_param(Q), _param(eps))
         if not table:
             raise PreconditionError("BAD_PARAMS", "empty rate table")
         ns = sorted(table)
@@ -126,9 +135,10 @@ class EtaSchedule:
     def custom(cls, pairs) -> "EtaSchedule":
         table = {}
         for n, v in pairs:
-            if int(n) in table:
+            n = _row_index(n)
+            if n in table:
                 raise PreconditionError("BAD_PARAMS", f"eta table has two rows for n={n}")
-            table[int(n)] = _frac(v)
+            table[n] = _param(v)
         ns = sorted(table)
         if not ns:
             raise PreconditionError("BAD_PARAMS", "empty eta table")
@@ -215,7 +225,7 @@ def build_sequence(
     mu_upper (slack 1/20 by default) and CASE_I_PERSISTS when case (i) hits
     more than a fifth of the top half of the range.
     """
-    mu_upper = _frac(mu_upper)
+    mu_upper = _param(mu_upper)
     if mu_upper <= 1:
         raise PreconditionError("BAD_PARAMS", f"mu_upper {mu_upper} must be > 1")
     ns = list(n_range)

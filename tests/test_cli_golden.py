@@ -24,7 +24,9 @@ once per candidate. ``mu_e_depth200`` was recorded again when the
 logarithm came to reduce its argument by a table of 5-smooth ratios: its
 ``mu_lower_exact`` moved, a lower bound from narrower log enclosures at a
 different working precision, and ``mu_lower`` and ``witness_index`` stayed
-the same.
+the same. ``cf_periodic_1_2_3_p1_4_depth12`` was recorded before the
+continued-fraction oracle came to build its spec on first read: it pins the
+canonical ``cf:`` spec that the ``oracle`` field prints.
 
 The two ``lemma_near_half_cf`` files were recorded when case (ii) came to
 search both windows in one stream and to read a finer surrogate after a run
@@ -98,6 +100,8 @@ def _stdout(capsys, argv):
     ("suite_seed20260823.json", ("suite", "--seed", "20260823")),
     ("dirichlet_1_sqrt2_sqrt3_q100000.json",
      ("multi", "dirichlet", "--point", POINT, "--Q", "100000")),
+    ("cf_periodic_1_2_3_p1_4_depth12.json",
+     ("cf", "--oracle", "cf:[1;2,3]+periodic:[1,4]", "--depth", "12")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

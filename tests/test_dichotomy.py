@@ -285,6 +285,15 @@ def test_disjunction_rejects_bad_params():
         solve_disjunction(SQRT2, LemmaParams(2, 3, F(1, 100), 50))
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["c", "c_prime", "eps", "Q"])
+def test_lemma_params_reject_non_finite_floats(field, bad):
+    fields = {"c": F(3, 2), "c_prime": F(19, 10), "eps": F(1, 100), "Q": 50, field: bad}
+    with pytest.raises(PreconditionError) as err:
+        LemmaParams(**fields)
+    assert err.value.code == "BAD_PARAMS"
+
+
 def test_disjunction_neither_case_is_honest():
     # eps within 1e-6 of 1/2 pinches the case (ii) band to a sliver, and at
     # Q = 3000 the distance bound is below everything a u < 46 can reach

@@ -222,6 +222,28 @@ def test_parse_oracle_grammar():
     nested.enclose(96).intersect(SqrtOracle(2, "sqrt2").enclose(96) * F(1, 2))
 
 
+@pytest.mark.parametrize("spec,canonical", [
+    ("rat:22/7", "rat:22/7"),
+    ("rat:-0.125", "rat:-1/8"),
+    ("const:zeta3", "const:zeta3"),
+    ("cf:[3;7,15,1,292]", "cf:[3;7,15,1,292]"),
+    ("cf:[5]", "cf:[5]"),
+    ("cf:[007;1,02]+periodic:[03]", "cf:[7;1,2]+periodic:[3]"),
+    ("cf:[1]+periodic:[2,1]", "cf:[1]+periodic:[2,1]"),
+    ("cf:liouville:3", "cf:liouville:3"),
+    ("affine:2/-1:affine:1/2/3/4:cf:[0;2,2]", "affine:2/1/-1/1:affine:1/2/3/4:cf:[0;2,2]"),
+])
+def test_spec_round_trip(spec, canonical):
+    # every grammar form prints its canonical spec, which parses back to the
+    # same oracle
+    o = parse_oracle(spec)
+    assert o.spec == canonical
+    again = parse_oracle(o.spec)
+    assert again.spec == o.spec
+    assert again.exact_value() == o.exact_value()
+    assert repr(again) == repr(o) == f"<oracle {canonical}>"
+
+
 @pytest.mark.parametrize(
     "bad",
     ["const:nope", "cf:[2;0,3]", "cf:1,2,3", "affine:1:const:e", "mystery:1"],

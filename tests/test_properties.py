@@ -621,7 +621,10 @@ def test_band_ends_on_the_residue_grid(m, a, data):
         assert expect is None
         return
     if res.outcome == "case_ii":
-        assert (res.witness.q, res.witness.p) == expect
+        q, p = res.witness.q, res.witness.p
+        assert (q, p) == expect
+        # built on integers over m, unreduced, and equal to the exact point
+        assert res.residual == Enclosure.point(q * F(a, m) - p)
     else:
         assert expect is None
 

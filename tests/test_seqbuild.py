@@ -43,6 +43,22 @@ class TestRateSpec:
         with pytest.raises(PreconditionError):
             r.targets(3)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("make", [
+        lambda x: RateSpec.geometric(x, 3),
+        lambda x: RateSpec.geometric(F(1, 2), x),
+        lambda x: RateSpec.from_table([(1, x, F(1, 2))]),
+        lambda x: RateSpec.from_table([(1, 10, x)]),
+        lambda x: RateSpec.from_table([(x, 10, F(1, 2))]),
+        lambda x: EtaSchedule.custom([(1, x)]),
+        lambda x: EtaSchedule.custom([(x, F(1, 4))]),
+        lambda x: build_sequence(SQRT2, x, RateSpec.geometric(F(1, 2), 3), range(1, 2)),
+    ], ids=["alpha", "beta", "table_Q", "table_eps", "table_n", "eta", "eta_n", "mu_upper"])
+    def test_non_finite_floats_are_bad_params(self, make, bad):
+        with pytest.raises(PreconditionError) as err:
+            make(bad)
+        assert err.value.code == "BAD_PARAMS"
+
     def test_table_invalid(self):
         with pytest.raises(PreconditionError):
             RateSpec.from_table([])
