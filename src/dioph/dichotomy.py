@@ -62,6 +62,21 @@ def _param(x: Rat) -> Fraction:
         raise PreconditionError("BAD_PARAMS", f"{x!r} is not a finite rational") from exc
 
 
+def _integer(x, code: str = "BAD_PARAMS", what: str = "value") -> int:
+    """``x`` as an int, unchanged if it is one; an integral value such as 2.0
+    or Fraction(4) is converted, and anything else, such as 2.5, an infinite
+    or NaN float or a string, raises ``code``, never truncated."""
+    if x.__class__ is int:
+        return x
+    try:
+        n = int(x)
+        if n == x:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(code, f"{what} {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class LemmaParams:
     c: Fraction

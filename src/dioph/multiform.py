@@ -22,7 +22,7 @@ from math import inf, lcm
 from typing import Optional
 
 from .certlog import ln_frac, log2_lo
-from .dichotomy import _residue_hits
+from .dichotomy import _integer, _residue_hits
 from .enclosure import Enclosure
 from .errors import (
     CertificateError,
@@ -49,15 +49,17 @@ FORM_BITS = 128  # significant bits a form value keeps; its readers use about 11
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Integer form l . (xi_0, ..., xi_m)."""
+    """Integer form l . (xi_0, ..., xi_m); a coefficient that is not an
+    integer, such as 1.5 or an infinite float, raises BAD_FORM."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) < 2:
+        coeffs = tuple([_integer(c, "BAD_FORM", "coefficient") for c in self.coeffs])
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) < 2:
             raise PreconditionError("BAD_FORM", "a form needs at least 2 coefficients")
-        if all(c == 0 for c in self.coeffs):
+        if not any(coeffs):
             raise PreconditionError("BAD_FORM", "zero form")
 
     @property
@@ -97,10 +99,12 @@ def evaluate_form(
 ) -> Enclosure:
     """Signed enclosure of the form value, separated from zero.
 
-    Each level sums l_j times the matching ends of the coordinates'
-    enclosures as one integer fraction per end and rounds it outward to a
-    dyadic keeping FORM_BITS bits of the end nearer zero; the separation test
-    then runs on the result, which still contains the value.
+    The exact coordinates' terms are summed once, as one integer fraction
+    over the product of their reduced denominators. Each level adds l_j
+    times the matching ends of the other coordinates' enclosures to it, as
+    one integer fraction per end, and rounds that outward to a dyadic
+    keeping FORM_BITS bits of the end nearer zero; the separation test then
+    runs on the result, which still contains the value.
     Exact zeros (all-rational points) raise ZERO_FORM_VALUE; values that
     cannot be separated within the precision cap raise INCONCLUSIVE.
     """
@@ -114,20 +118,33 @@ def evaluate_form(
             raise ZeroFormValue(f"form {form.coeffs} vanishes exactly{where}", index)
         return Enclosure.point(val)
     pad = sum(abs(c) for c in form.coeffs).bit_length() + 2
+    # products commute, so the exact terms summed first give the same integers
+    # as a point enclosure of each, whose power-of-two factor moves no bit below
+    ex_n, ex_d, irrational = 0, 1, []
+    for l, c, x in zip(form.coeffs, point.coords, exacts):
+        if not l:
+            continue
+        if x is None:
+            irrational.append((l, c))
+        else:
+            ex_n = ex_n * x.denominator + l * x.numerator * ex_d
+            ex_d *= x.denominator
 
     def enclose_at(k):
-        lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
-        for l, c in zip(form.coeffs, point.coords):
-            if l:
-                enc = c.enclose(k + pad)
-                a, b = (enc.l, enc.h) if l > 0 else (enc.h, enc.l)
-                ad = bd = enc.d
-                if ad & (ad - 1):  # a common power of two moves no bit-length difference below
-                    (a, ad), (b, bd) = Fraction(a, ad).as_integer_ratio(), Fraction(b, bd).as_integer_ratio()
-                lo_n = lo_n * ad + l * a * lo_d
-                lo_d *= ad
-                hi_n = hi_n * bd + l * b * hi_d
-                hi_d *= bd
+        lo_n, lo_d, hi_n, hi_d = ex_n, ex_d, ex_n, ex_d
+        for l, c in irrational:
+            enc = c.enclose(k + pad)
+            a, b = (enc.l, enc.h) if l > 0 else (enc.h, enc.l)
+            d = enc.d
+            if d & (d - 1):  # a common power of two moves no bit-length difference below
+                (a, ad), (b, bd) = Fraction(a, d).as_integer_ratio(), Fraction(b, d).as_integer_ratio()
+                lo_n, lo_d = lo_n * ad + l * a * lo_d, lo_d * ad
+                hi_n, hi_d = hi_n * bd + l * b * hi_d, hi_d * bd
+            else:
+                # times d is a shift, and l b is l a plus l times the small width
+                t, la = d.bit_length() - 1, l * a
+                lo_n, lo_d = (lo_n << t) + la * lo_d, lo_d << t
+                hi_n, hi_d = (hi_n << t) + (la + l * (b - a)) * hi_d, hi_d << t
         # ulps of 2**(down - up) leave 127-128 bits in the end nearer zero
         e = min(abs(n).bit_length() - d.bit_length() for n, d in ((lo_n, lo_d), (hi_n, hi_d)))
         up, down = max(FORM_BITS - 1 - e, 0), max(e + 1 - FORM_BITS, 0)
@@ -243,6 +260,7 @@ def dirichlet_witness(
     those within the margin of the smallest score. A stream of more than
     DEFAULT_BUDGET candidates raises RANGE_TOO_LARGE.
     """
+    Q = _integer(Q, what="Q")
     if Q < 2:
         raise PreconditionError("BAD_PARAMS", f"Q={Q} must be >= 2")
     if mode not in ("best", "first"):
@@ -301,6 +319,7 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     A half whose stream has more than DEFAULT_BUDGET candidates raises
     RANGE_TOO_LARGE.
     """
+    q_bound = _integer(q_bound, what="q_bound")
     if q_bound < 2:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
     ratios = point.ratio_oracles()
@@ -349,12 +368,13 @@ class FormSequence:
 
     @classmethod
     def from_uv(cls, rows, oracle: RealOracle):
-        """Rows (n, u, v) for forms u*xi - v against the point (1, xi)."""
+        """Rows (n, u, v) for forms u*xi - v against the point (1, xi); an
+        entry that is not an integer raises BAD_FORM."""
         ns = []
         forms = []
         for n, u, v in rows:
-            ns.append(int(n))
-            forms.append(LinearForm((-int(v), int(u))))
+            ns.append(_integer(n, "BAD_FORM", "index"))
+            forms.append(LinearForm((-_integer(v, "BAD_FORM", "coefficient"), u)))
         point = PointVec((RationalOracle(1, spec="rat:1"), oracle))
         return cls(tuple(ns), tuple(forms), point)
 
@@ -375,9 +395,11 @@ def tau_empirical(seq: FormSequence, window=None) -> RateEstimate:
     def residual(i):
         return evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()
 
-    raw_h = [Fraction(f.height) for f in seq.forms]
+    def height(i):
+        return seq.forms[i].height
+
     growth = _scale_growth(seq)
-    return _measure_core(list(seq.ns), residual, raw_h, window, seq.scales, growth)
+    return _measure_core(list(seq.ns), residual, height, window, seq.scales, growth)
 
 
 @dataclass(frozen=True)
@@ -413,67 +435,56 @@ def nesterenko_report(
 def apery_forms(s: int, count: int) -> FormSequence:
     """Integer forms from the zeta(3) / zeta(2) recurrences, indices 0..count.
 
-    The rational solution pairs (a_n, b_n) are promoted to integer forms by
-    the lcm-power scales 2*lcm(1..n)**3 (s=3) and lcm(1..n)**2 (s=2); the
-    scales are recorded so rate measurement can descale and multiply back the
-    asymptotic growth e**3 or e**2.
+    The rational solution pairs (a_n, b_n) of n**s y_n = P(n) y_(n-1) -+
+    (n-1)**s y_(n-2) are promoted to integer forms by the lcm-power scales
+    S_n = 2*lcm(1..n)**3 (s=3) and lcm(1..n)**2 (s=2); the scales are
+    recorded so rate measurement can descale and multiply back the
+    asymptotic growth e**3 or e**2. The recurrence runs on U_n = S_n a_n and
+    V_n = S_n b_n themselves, with the integer scale ratios S_n / S_(n-1) and
+    S_n / S_(n-2) on the right, so its one division is by the small n**s:
+    exact precisely when S_n a_n and S_n b_n are integers, which each
+    remainder checks (INTEGRALITY). A non-integral s or count raises
+    BAD_PARAMS.
     """
+    s, count = _integer(s, what="s"), _integer(count, what="count")
     if s not in (2, 3):
         raise PreconditionError("BAD_PARAMS", f"s={s} must be 2 or 3")
     if count < 2:
         raise PreconditionError("BAD_PARAMS", f"count={count} must be >= 2")
-    # A_n = a_n (n!)**p and B_n = b_n (n!)**p obey integer recurrences
     if s == 3:
-        A, B = [1, 5], [0, 6]
+        def P(n):
+            return 34 * n**3 - 51 * n**2 + 27 * n - 5
 
-        def step(n, y):
-            return (
-                (34 * n**3 - 51 * n**2 + 27 * n - 5) * y[n - 1]
-                - (n - 1) ** 6 * y[n - 2]
-            )
-
-        def scale_of(d):
-            return 2 * d**3
-
-        point = PointVec((RationalOracle(1, spec="rat:1"), Zeta3Oracle()))
-        power = 3
+        sign, lead, (U1, V1), zeta = -1, 2, (5, 6), Zeta3Oracle()
     else:
-        A, B = [1, 3], [0, 5]
+        def P(n):
+            return 11 * n**2 - 11 * n + 3
 
-        def step(n, y):
-            return (11 * n**2 - 11 * n + 3) * y[n - 1] + (n - 1) ** 4 * y[n - 2]
-
-        def scale_of(d):
-            return d**2
-
-        point = PointVec((RationalOracle(1, spec="rat:1"), Zeta2Oracle()))
-        power = 2
+        sign, lead, (U1, V1), zeta = 1, 1, (3, 5), Zeta2Oracle()
+    # the scale is lead * d**s with d = lcm(1..n); S_0 = S_1 = lead
+    U, V = [lead, lead * U1], [0, lead * V1]
+    d, r_prev = 1, 1
+    scales = [Fraction(lead)] * 2
     for n in range(2, count + 1):
-        A.append(step(n, A))
-        B.append(step(n, B))
-    d = 1
-    fact = 1
-    ns = []
-    forms = []
-    scales = []
-    for n in range(count + 1):
-        if n >= 2:
-            d = lcm(d, n)
-            fact *= n**power
-        S = scale_of(d)
-        U, u_rem = divmod(S * A[n], fact)
-        V, v_rem = divmod(S * B[n], fact)
+        d_n = lcm(d, n)
+        r = d_n // d  # S_n / S_(n-1) = r**s, S_n / S_(n-2) = (r r_prev)**s
+        c1 = P(n) * r**s
+        c2 = sign * ((n - 1) * r * r_prev) ** s
+        u, u_rem = divmod(c1 * U[-1] + c2 * U[-2], n**s)
+        v, v_rem = divmod(c1 * V[-1] + c2 * V[-2], n**s)
         if u_rem or v_rem:
             raise CertificateError(
                 "INTEGRALITY", f"scaled pair at n={n} is not integral"
             )
-        ns.append(n)
-        forms.append(LinearForm((-V, U)))
-        scales.append(Fraction(S))
+        U.append(u)
+        V.append(v)
+        scales.append(scales[-1] if r == 1 else Fraction(lead * d_n**s))
+        d, r_prev = d_n, r
+    point = PointVec((RationalOracle(1, spec="rat:1"), zeta))
     return FormSequence(
-        tuple(ns),
-        tuple(forms),
+        tuple(range(count + 1)),
+        tuple(LinearForm((-v, u)) for u, v in zip(U, V)),
         point,
         scales=tuple(scales),
-        scale_e_power=power,
+        scale_e_power=s,
     )

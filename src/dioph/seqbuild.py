@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certlog import ln_frac
-from .dichotomy import LemmaParams, _param, solve_disjunction
+from .dichotomy import LemmaParams, _integer, _param, solve_disjunction
 from .enclosure import (
     Enclosure,
     Rat,
@@ -56,14 +56,6 @@ CASE_I_FRACTION = Fraction(1, 5)
 REGULARITY_DELTA = Fraction(1, 4)
 
 
-def _row_index(n) -> int:
-    """A table row's index as an int; an infinite or NaN one raises BAD_PARAMS."""
-    try:
-        return int(n)
-    except (OverflowError, ValueError) as exc:
-        raise PreconditionError("BAD_PARAMS", f"row index {n!r} is not an integer") from exc
-
-
 @dataclass(frozen=True)
 class RateSpec:
     """Target sizes per index: geometric (Q_n, eps_n) = (beta^n, alpha^n) or
@@ -87,7 +79,7 @@ class RateSpec:
     def from_table(cls, rows) -> "RateSpec":
         table = {}
         for n, Q, eps in rows:
-            n = _row_index(n)
+            n = _integer(n, what="row index")
             if n in table:
                 raise PreconditionError("BAD_PARAMS", f"rate table has two rows for n={n}")
             table[n] = (_param(Q), _param(eps))
@@ -135,7 +127,7 @@ class EtaSchedule:
     def custom(cls, pairs) -> "EtaSchedule":
         table = {}
         for n, v in pairs:
-            n = _row_index(n)
+            n = _integer(n, what="row index")
             if n in table:
                 raise PreconditionError("BAD_PARAMS", f"eta table has two rows for n={n}")
             table[n] = _param(v)
@@ -370,45 +362,67 @@ def measure_rates(entries, oracle: RealOracle) -> RateEstimate:
     strictly increasing; the window is the top half of the entries.
     """
     rows = [
-        (e.n, e.u, e.v) if isinstance(e, ApproxSequenceEntry) else tuple(map(int, e))
+        (e.n, e.u, e.v) if isinstance(e, ApproxSequenceEntry)
+        else tuple(_integer(x, what="row entry") for x in e)
         for e in entries
     ]
     if len(rows) < 3:
         raise PreconditionError("BAD_PARAMS", "need at least 3 entries")
     ns = [n for n, _, _ in rows]
-    raw_h = [Fraction(abs(u)) for _, u, _ in rows]
-    if any(h == 0 for h in raw_h):
+    heights = [abs(u) for _, u, _ in rows]
+    if 0 in heights:
         raise PreconditionError("BAD_PARAMS", "zero coefficient u in entries")
 
     def residual(i):
         _, u, v = rows[i]
         return _form_enclosure(oracle, u, v).abs()
 
-    return _measure_core(ns, residual, raw_h, None, None, None)
+    return _measure_core(ns, residual, heights.__getitem__, None, None, None)
 
 
-def _regular_step(a, b) -> bool:
-    """|ln y / ln x - 1| <= REGULARITY_DELTA = p/q for x, y > 0, the rationals
-    ``a`` and ``b`` or the upper ends of those enclosures, decided exactly on
-    their integers: x != 1 and y**q lies between x**(q - p) and x**(q + p)."""
+def _power_test(x: int, xd: int, y: int, yd: int) -> bool:
+    """|ln y / ln x - 1| <= REGULARITY_DELTA = p/q for x = x/xd and y = y/yd,
+    all positive, exactly: x != 1 and y**q lies between x**(q - p) and
+    x**(q + p)."""
     p, q = REGULARITY_DELTA.numerator, REGULARITY_DELTA.denominator
-    (_, x, xd), (_, y, yd) = _ends(a), _ends(b)
     # the signs of y**q - x**e, e = q - p and q + p, over positive denominators
     s1, s2 = (y**q * xd**e - x**e * yd**q for e in (q - p, q + p))
     return x != xd and min(s1, s2) <= 0 <= max(s1, s2)
 
 
-def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEstimate:
+def _regular_step(a, b) -> bool:
+    """|ln y / ln x - 1| <= REGULARITY_DELTA = p/q for x, y > 0, the rationals
+    ``a`` and ``b`` or the upper ends of those enclosures.
+
+    That holds when f_e = q log2 y - e log2 x, for e = q - p and q + p,
+    differ in sign or one is 0. For x = X/D, log2 x lies strictly within 1
+    of bits(X) - bits(D), so f_e lies strictly within q + e of the same sum
+    on bit lengths. When that settles both signs it decides: opposite signs
+    pass (and force x != 1), equal ones fail. Otherwise the exact
+    :func:`_power_test` decides, with the same answer."""
+    p, q = REGULARITY_DELTA.numerator, REGULARITY_DELTA.denominator
+    (_, x, xd), (_, y, yd) = _ends(a), _ends(b)
+    ex, ey = x.bit_length() - xd.bit_length(), y.bit_length() - yd.bit_length()
+    c1, c2 = q * ey - (q - p) * ex, q * ey - (q + p) * ex
+    if abs(c1) >= 2 * q - p and abs(c2) >= 2 * q + p:
+        return (c1 > 0) != (c2 > 0)
+    return _power_test(x, xd, y, yd)
+
+
+def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEstimate:
     """Shared ratio-estimation engine over residual enclosures and heights.
 
     ``residual(i)`` encloses the absolute residual of entry i; it is called
-    only for the window's entries, once the indices are validated. With
-    ``scales`` the ratios are measured on the descaled data and multiplied
-    back by ``scale_growth``, the certified per-step growth factor of the
-    scales (1 when None); without them ``scale_growth`` is ignored. Only the
-    entries :func:`_estimate_limit` reads are descaled: the window's first
-    and its last three. The regularity gate runs the exact power test
-    :func:`_regular_step`, no logarithm, on consecutive residuals' upper ends.
+    only for the window's entries, once the indices are validated.
+    ``height(i)`` is entry i's height, read only where
+    :func:`_estimate_limit` reads: the window's first entry and its last
+    three. With ``scales`` the ratios are measured on the descaled data and
+    multiplied back by ``scale_growth``, the certified per-step growth factor
+    of the scales (1 when None); without them ``scale_growth`` is ignored.
+    Only those same entries are descaled. The regularity gate
+    :func:`_regular_step` runs on consecutive residuals' upper ends and takes
+    no logarithm: it decides on bit lengths, and on an exact power test only
+    where they cannot.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionError("BAD_PARAMS", "indices n must be strictly increasing")
@@ -419,11 +433,11 @@ def _measure_core(ns, residual, raw_h, window, scales, scale_growth) -> RateEsti
     read = {pos[0], *pos[-3:]}
     if scales is not None:
         core_res = {i: raw_res[i] * (1 / _frac(scales[i])) for i in read}
-        core_h = {i: Enclosure.point(raw_h[i] / _frac(scales[i])) for i in read}
+        core_h = {i: Enclosure.point(height(i) / _frac(scales[i])) for i in read}
         growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     else:
         core_res = raw_res
-        core_h = {i: Enclosure.point(raw_h[i]) for i in read}
+        core_h = {i: Enclosure.point(height(i)) for i in read}
         growth = Enclosure.point(1)
     alpha_core, method_a = _estimate_limit(core_res, ns, pos)
     beta_core, method_b = _estimate_limit(core_h, ns, pos)
@@ -467,7 +481,7 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
     largest consecutive ratio of the u, and nu_estimate = log sqrt(alpha_xi
     * beta_u), rounded up. A distance that is exactly 0 raises ZERO_RESIDUAL.
     """
-    us = [int(u) for u in u_seq]
+    us = [_integer(u, what="denominator") for u in u_seq]
     if len(us) < 2:
         raise PreconditionError("BAD_PARAMS", "need at least 2 denominators")
     if any(u <= 0 for u in us) or any(b < a for a, b in zip(us, us[1:])):

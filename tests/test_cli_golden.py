@@ -26,7 +26,10 @@ logarithm came to reduce its argument by a table of 5-smooth ratios: its
 different working precision, and ``mu_lower`` and ``witness_index`` stayed
 the same. ``cf_periodic_1_2_3_p1_4_depth12`` was recorded before the
 continued-fraction oracle came to build its spec on first read: it pins the
-canonical ``cf:`` spec that the ``oracle`` field prints.
+canonical ``cf:`` spec that the ``oracle`` field prints. ``apery3_n60`` and
+``apery2_n60.csv`` were recorded before the Apéry recurrence came to run on
+the scaled integers S_n a_n and S_n b_n, dividing only by n**s: they pin
+every u, v, a, b and scale up to n = 60, in JSON and in CSV.
 
 The two ``lemma_near_half_cf`` files were recorded when case (ii) came to
 search both windows in one stream and to read a finer surrogate after a run
@@ -102,6 +105,8 @@ def _stdout(capsys, argv):
      ("multi", "dirichlet", "--point", POINT, "--Q", "100000")),
     ("cf_periodic_1_2_3_p1_4_depth12.json",
      ("cf", "--oracle", "cf:[1;2,3]+periodic:[1,4]", "--depth", "12")),
+    ("apery3_n60.json", ("apery", "--s", "3", "--n-max", "60")),
+    ("apery2_n60.csv", ("--output", "csv", "apery", "--s", "2", "--n-max", "60")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

@@ -54,6 +54,41 @@ class TestBasics:
         with pytest.raises(Degenerate):
             PointVec((RationalOracle(0), SQRT2)).ratio_oracles()
 
+    @pytest.mark.parametrize("coeffs,want", [((2.0, F(4)), (2, 4)), ((True, -3), (1, -3))])
+    def test_form_takes_integral_values(self, coeffs, want):
+        coeffs = LinearForm(coeffs).coeffs
+        assert coeffs == want and all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1.5, 2), (F(3, 2), 1), (0.4, 0.3), (math.inf, 1), (1, math.nan), ("1", 2), (None, 1),
+    ])
+    def test_form_refuses_what_is_not_an_integer(self, coeffs):
+        # each was truncated (1.5 to 1, 0.4 and 0.3 to a zero form) or raised
+        # a bare OverflowError, ValueError or TypeError
+        with pytest.raises(PreconditionError, match="is not an integer") as info:
+            LinearForm(coeffs)
+        assert info.value.code == "BAD_FORM"
+
+    @pytest.mark.parametrize("bad", [2.5, F(3, 2), math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_from_uv_refuses_what_is_not_an_integer(self, bad, at):
+        rows = [[1, 2, 3], [2, 5, 7], [3, 12, 17]]
+        rows[1][at] = bad
+        with pytest.raises(PreconditionError) as info:
+            FormSequence.from_uv(rows, SQRT2)
+        assert info.value.code == "BAD_FORM"
+        rows[1][at] = float([2, 5, 7][at])
+        assert FormSequence.from_uv(rows, SQRT2).forms[1].coeffs == (-7, 5)
+
+    @pytest.mark.parametrize("bad", [10.5, F(21, 2), math.inf, math.nan])
+    @pytest.mark.parametrize("search", [dirichlet_witness, omega0_search])
+    def test_search_bound_that_is_not_an_integer_is_bad_params(self, search, bad):
+        # each raised a bare AttributeError from int.bit_length
+        with pytest.raises(PreconditionError) as info:
+            search(PointVec((ONE, SQRT2)), bad)
+        assert info.value.code == "BAD_PARAMS"
+        assert search(PointVec((ONE, SQRT2)), 10.0) == search(PointVec((ONE, SQRT2)), 10)
+
     def test_evaluate_form(self):
         with pytest.raises(PreconditionError):
             evaluate_form(LinearForm((1, 2, 3)), PointVec((ONE, SQRT2)))
@@ -99,6 +134,26 @@ class TestAperyForms:
         coeffs, scales = _fraction_apery(s, 150)
         assert [f.coeffs for f in seq.forms] == coeffs
         assert seq.scales == scales
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_every_count_matches_the_fraction_recurrence(self, s):
+        coeffs, scales = _fraction_apery(s, 60)
+        for count in range(2, 61):
+            seq = apery_forms(s, count)
+            assert [f.coeffs for f in seq.forms] == coeffs[: count + 1]
+            assert seq.scales == scales[: count + 1]
+            assert seq.ns == tuple(range(count + 1))
+
+    def test_integral_parameters_are_taken(self):
+        seq = apery_forms(F(3), 40.0)
+        assert seq.forms == apery_forms(3, 40).forms and seq.scale_e_power == 3
+
+    @pytest.mark.parametrize("bad", [2.5, F(3, 2), math.inf, math.nan, "60"])
+    def test_count_that_is_not_an_integer_is_bad_params(self, bad):
+        for args in ((3, bad), (bad, 60)):
+            with pytest.raises(PreconditionError) as info:
+                apery_forms(*args)
+            assert info.value.code == "BAD_PARAMS"
 
     @pytest.mark.parametrize("s", [2, 3])
     def test_too_small_scale_is_not_integral(self, monkeypatch, s):

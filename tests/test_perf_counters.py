@@ -604,3 +604,44 @@ def test_omega0_decides_each_distance_on_one_ladder(monkeypatch):
         # the fixed points enclosed each ratio above 64 bits, and the first
         # rung reads that finer enclosure, so it decides
         assert all(levels == [64] for levels in ladders[l0:l1])
+
+
+def test_evaluate_form_encloses_no_exact_coordinate(monkeypatch):
+    # the exact coordinates' terms are summed once per call, not read again
+    # on every rung of the separation ladder
+    specs = ("rat:1", "const:sqrt2", "rat:1/3", "affine:3/7/1/2:const:e", "rat:-5/7", "cf:[1;2,3]")
+    coords = [parse_oracle(s) for s in specs]
+    enclosed = []
+    for c in coords:
+        enclose = c.enclose
+        monkeypatch.setattr(c, "enclose", lambda k, c=c, e=enclose: enclosed.append(c.spec) or e(k))
+    point = PointVec(tuple(coords))
+    for coeffs in ((1, 2, 3, 4, 5, 6), (-7, 10**30, 0, -(10**29), 11, 0), (5, 0, 9, 1, -2, 3)):
+        multiform.evaluate_form(multiform.LinearForm(coeffs), point)
+    assert set(enclosed) == {"const:sqrt2", "affine:3/7/1/2:const:e"}
+    seq = multiform.apery_forms(3, 80)
+    one, enclose = seq.point.coords[0], seq.point.coords[0].enclose
+    monkeypatch.setattr(one, "enclose", lambda k: enclosed.append(one.spec) or enclose(k))
+    multiform.tau_empirical(seq, window=(40, 80))
+    assert one.spec not in enclosed
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("n", [80, 120])
+def test_apery_rates_decide_on_bit_lengths_and_read_four_heights(monkeypatch, s, n):
+    # the window's residuals are 2**-48 and below and mostly move by about
+    # a bit per step, so bit lengths settle nearly every step: at s = 3 and
+    # n = 80 the two steps onto the primes 43 and 47, where the scale jumps
+    # by n**3, land near the 3/4 edge, within the bound's radius of it. The
+    # limits read the window's first height and its last three
+    powers, heights = [], []
+    power_test, height = seqbuild._power_test, multiform.LinearForm.height
+    monkeypatch.setattr(seqbuild, "_power_test", lambda *a: powers.append(a) or power_test(*a))
+    monkeypatch.setattr(
+        multiform.LinearForm, "height",
+        property(lambda f: heights.append(f) or height.fget(f)),
+    )
+    est = multiform.tau_empirical(multiform.apery_forms(s, n), window=(n // 2, n))
+    assert est.regular and est.decayed
+    assert len(powers) <= (2 if (s, n) == (3, 80) else 0)
+    assert len(heights) <= 4

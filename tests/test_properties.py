@@ -966,3 +966,141 @@ def test_exact_gate_agrees_with_the_log_gate(ma, mb, ea, t):
     edge = abs((lb / la).mid - 1) - seqbuild.REGULARITY_DELTA
     assume(abs(edge) > F(1, 2**40))
     assert seqbuild._regular_step(a, b) == _ln_mid_gate(a, b)
+
+
+def _per_rung_form(form, point):
+    """Reference: the form value as each rung summed it before exact
+    coordinates were folded in once, every coordinate's enclosure read at
+    every rung, then rounded as evaluate_form rounds it."""
+    pad = sum(abs(c) for c in form.coeffs).bit_length() + 2
+
+    def enclose_at(k):
+        lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
+        for l, c in zip(form.coeffs, point.coords):
+            if l:
+                enc = c.enclose(k + pad)
+                a, b = (enc.l, enc.h) if l > 0 else (enc.h, enc.l)
+                ad = bd = enc.d
+                if ad & (ad - 1):
+                    (a, ad), (b, bd) = F(a, ad).as_integer_ratio(), F(b, bd).as_integer_ratio()
+                lo_n = lo_n * ad + l * a * lo_d
+                lo_d *= ad
+                hi_n = hi_n * bd + l * b * hi_d
+                hi_d *= bd
+        e = min(abs(n).bit_length() - d.bit_length() for n, d in ((lo_n, lo_d), (hi_n, hi_d)))
+        up, down = max(multiform.FORM_BITS - 1 - e, 0), max(e + 1 - multiform.FORM_BITS, 0)
+        lo = (lo_n << up) // (lo_d << down) << down
+        hi = -((-hi_n << up) // (hi_d << down)) << down
+        return Enclosure.from_ints(lo, hi, 1 << up)
+
+    return separated(enclose_at, "per-rung form value")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(coordinate_specs, min_size=1, max_size=2, unique_by=_base),
+    st.lists(st.sampled_from(["rat:1", "rat:1/3", "rat:-5/7"]), min_size=1, max_size=3),
+    st.data(),
+)
+def test_folded_exact_coordinates_give_the_per_rung_integers(irrational, exact, data):
+    specs = data.draw(st.permutations([_coordinate(*c) for c in irrational] + exact))
+    coeffs = data.draw(st.lists(heights, min_size=len(specs), max_size=len(specs)))
+    coeffs[specs.index(_coordinate(*irrational[0]))] |= 1  # an irrational term
+    got, want = [], []
+    for out, fn in ((got, evaluate_form), (want, _per_rung_form)):
+        # fresh oracles per side: neither reads levels the other cached
+        point = PointVec(tuple(parse_oracle(s) for s in specs))
+        try:
+            enc = fn(LinearForm(coeffs), point)
+            out.append((enc.l, enc.h, enc.d))
+        except DiophError as exc:
+            out.append(exc.code)
+    assert got == want
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_apery_form_values_are_the_per_rung_integers(s):
+    seq = multiform.apery_forms(s, 120)
+    for n in (2, 30, 60, 61, 119, 120):
+        got = evaluate_form(seq.forms[n], seq.point, index=n)
+        want = _per_rung_form(seq.forms[n], seq.point)
+        assert (got.l, got.h, got.d) == (want.l, want.h, want.d)
+
+
+def _power_gate(a, b) -> bool:
+    """Reference: the regularity step as the exact power test alone, in
+    Fraction arithmetic on the upper ends."""
+    x, y = (v.hi if isinstance(v, Enclosure) else F(v) for v in (a, b))
+    p, q = seqbuild.REGULARITY_DELTA.numerator, seqbuild.REGULARITY_DELTA.denominator
+    s1, s2 = (y**q - x**e for e in (q - p, q + p))
+    return x != 1 and min(s1, s2) <= 0 <= max(s1, s2)
+
+
+positive = st.fractions(min_value=F(1, 2**300), max_value=2**300).filter(lambda x: x > 0)
+
+
+@st.composite
+def gate_pairs(draw):
+    kind = draw(st.sampled_from(["free", "edge", "near one"]))
+    if kind == "free":
+        x, y = draw(positive), draw(positive)
+    elif kind == "edge":
+        # ln y / ln x at or within a few ulps of 3/4 or 5/4
+        r = draw(st.fractions(min_value=F(1, 2**64), max_value=2**64).filter(lambda r: r > 0 and r != 1))
+        x, y = r**4, r ** draw(st.sampled_from([3, 5]))
+        y *= 1 + F(draw(st.integers(min_value=-2, max_value=2)), 2 ** draw(st.integers(min_value=2, max_value=400)))
+    else:
+        m = draw(st.integers(min_value=2, max_value=400))
+        x = 1 + F(draw(st.integers(min_value=-3, max_value=3)), 2**m)
+        y = draw(st.one_of(positive, st.just(x), st.builds(lambda j: x * (1 + F(j, 2**m)), st.integers(-3, 3))))
+
+    def wrap(v):
+        how = draw(st.sampled_from(["fraction", "point", "enclosure"]))
+        if how == "fraction":
+            return v
+        if how == "point":
+            return Enclosure.point(v)
+        # upper end v over an unreduced denominator, lower end anywhere below
+        c = draw(st.integers(min_value=1, max_value=2**70))
+        h, d = v.numerator * c, v.denominator * c
+        return Enclosure.from_ints(h - draw(st.integers(min_value=0, max_value=h)), h, d)
+
+    return wrap(x), wrap(y)
+
+
+@settings(deadline=None, max_examples=400)
+@given(gate_pairs())
+@example((F(16), F(32)))
+@example((F(16), F(8)))
+@example((F(1, 16), F(1, 32)))
+@example((F(1), F(2)))
+@example((Enclosure.point(F(2**200 + 1, 2**200)), F(3, 2)))
+def test_bit_length_gate_agrees_with_the_power_test(pair):
+    assert seqbuild._regular_step(*pair) == _power_gate(*pair)
+
+
+def _corner(e, up, j, k):
+    """X/D with bits(X) - bits(D) = e and log2(X/D) within 2**-k-ish of
+    e + 1 (up) or e - 1: as far from its bit-length estimate as it gets."""
+    k += max(e, 0)
+    return F(2**k - j, 2 ** (k - e - 1)) if up else F(2 ** (k - 1), 2 ** (k - e) - j)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=-75, max_value=75),
+    st.sampled_from([3, 5]),
+    st.sampled_from([-9, -8, -7, -6, 6, 7, 8, 9]),
+    st.tuples(st.booleans(), st.sampled_from([1, 3]), st.integers(min_value=3, max_value=60)),
+    st.tuples(st.booleans(), st.sampled_from([1, 3]), st.integers(min_value=3, max_value=60)),
+)
+# one less in either radius decides these wrongly
+@example(-3, 3, -6, (False, 1, 30), (True, 1, 30))
+@example(-3, 5, 8, (True, 1, 30), (False, 1, 30))
+def test_bit_length_gate_at_its_radius(base, e, target, xc, yc):
+    # q log2 y - e log2 x estimated at exactly ``target`` from bit lengths,
+    # with both ends in the corners where the estimate is worst
+    ex = 4 * base + (-target * e) % 4  # 3 and 5 are their own inverses mod 4
+    ey = (e * ex + target) // 4
+    x, y = _corner(ex, *xc), _corner(ey, *yc)
+    assert seqbuild._regular_step(x, y) == _power_gate(x, y)

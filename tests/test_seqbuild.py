@@ -59,6 +59,29 @@ class TestRateSpec:
             make(bad)
         assert err.value.code == "BAD_PARAMS"
 
+    @pytest.mark.parametrize("bad", [2.5, F(3, 2), float("inf"), float("nan")])
+    @pytest.mark.parametrize("make", [
+        lambda x: RateSpec.from_table([(x, 10, F(1, 2))]),
+        lambda x: EtaSchedule.custom([(x, F(1, 4))]),
+        lambda x: measure_rates([(1, 1, 1), (2, x, 3), (3, 5, 7)], SQRT2),
+        lambda x: measure_rates([(1, 1, 1), (x, 2, 3), (3, 5, 7)], SQRT2),
+        lambda x: measure_rates([(1, 1, 1), (2, 2, x), (3, 5, 7)], SQRT2),
+        lambda x: density_data([1, x, 3], GOLDEN),
+    ], ids=["table_n", "eta_n", "rows_u", "rows_n", "rows_v", "density_u"])
+    def test_non_integers_are_bad_params(self, make, bad):
+        # each was truncated to an int (2.5 and 3/2 to 2) or raised a bare
+        # OverflowError or ValueError
+        with pytest.raises(PreconditionError, match="is not an integer") as err:
+            make(bad)
+        assert err.value.code == "BAD_PARAMS"
+
+    def test_integral_rows_are_taken(self):
+        assert RateSpec.from_table([(2.0, 10, F(1, 2))]).targets(2) == (10, F(1, 2))
+        assert EtaSchedule.custom([(F(3), F(1, 4))]).value(3) == F(1, 4)
+        rows = [(1, 1, 1), (2, 2, 3), (3, 5, 7), (4, 12, 17)]
+        want = measure_rates(rows, SQRT2)
+        assert measure_rates([tuple(map(float, r)) for r in rows], SQRT2) == want
+
     def test_table_invalid(self):
         with pytest.raises(PreconditionError):
             RateSpec.from_table([])
