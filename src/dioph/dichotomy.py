@@ -16,11 +16,12 @@ strictness; case (i) is the one window [-b, b], b capped at 1. Windows are
 read cyclically, and both cases run one window search and one window check.
 The search is exact at every size: rational xi reduces to residue-class
 queries, strict endpoints included, solved by Euclidean descent in O(log)
-steps, at most three descents per window, later hits of a window following
-by the three gaps of the three-distance theorem; irrational xi is replaced
-by the end a/m of a certified enclosure of width delta, and candidate q up
-to n are enumerated in one increasing stream on its windows enlarged by n
-delta, the enclosure read again at twice the bits after a run of misses.
+steps, one chain per surrogate, one walk per query, later hits of a window
+following by the three gaps of the three-distance theorem; irrational xi
+is replaced by the end a/m of a certified enclosure of width delta, and
+candidate q up to n are enumerated in one increasing stream on its windows
+enlarged by n delta, the enclosure read again at twice the bits after a run
+of misses.
 The check verifies each against the true value on integer candidates, not
 floors: on an enclosure [l/d, h/d] of q xi they are the p from ceil(l/d -
 t_hi) to floor(h/d - t_lo); none means q misses the window, and the least
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .enclosure import Enclosure, Rat, _frac
@@ -154,68 +156,104 @@ class _Stats:
         return SearchStats(self.candidates, self.bits)
 
 
-def _first_hit(a: int, b: int, m: int, c: int) -> Optional[int]:
-    """Minimal t >= 0 with (a t + b) mod m < c, or None. Euclidean descent.
+DEEP = 8  # a hit at most DEEP levels down unwinds; a deeper one takes the chain's inverse
 
-    When a > m/2 the problem is mirrored first (y -> c - 1 - y maps the hit
-    set onto itself with multiplier m - a), so the modulus at least halves
-    every other level; without this the descent is linear in m when m/a has
-    partial quotient 1. The descent is run on an explicit stack because the
-    depth, though logarithmic, can exceed the interpreter limit for the
-    enormous denominators of near-rational values.
+
+class _Descent:
+    """The Euclidean descent of a/m, shared by every query on it (Knuth,
+    TAOCP vol. 2, 4.5.3). Level i is (a_i, m_i, mirrored_i): a_0 = a mod m
+    over m_0 = m, and a_(i+1) = -m_i mod a_i over m_(i+1) = a_i. A level is
+    mirrored, a_i replaced by m_i - a_i, when 2 a_i > m_i, so the modulus at
+    least halves every other level (without it the descent is linear in m
+    when m/a has partial quotient 1). The levels depend on a/m alone, so
+    they are built once, one tuple each, as deep as a query reaches; a level
+    whose a_i would be 0 ends the chain.
     """
-    if c <= 0:
-        return None
-    stack = []
-    t = None
-    while True:
+
+    __slots__ = ("a", "m", "levels", "inv")
+
+    def __init__(self, a: int, m: int):
+        self.a, self.m, self.levels, self.inv = a % m, m, [], None
+
+    def first_hit(self, b: int, c: int) -> Optional[int]:
+        """Least t >= 0 with (a t + b) mod m < c, or None.
+
+        The walk takes level i's b_i >= c, mirrored to m_i + c - 1 - b_i
+        (which keeps [0, c) and t), to its first wrap past m_i, y = (b_i -
+        m_i) mod a_i: the hit when y < c, else b_(i+1). Then a_i t + b_i =
+        m_i (t' + 1) + y for level i + 1's hit t', y its residue mapped back
+        through its mirror, so a hit at most DEEP levels down unwinds, one
+        product and one exact division a level. A deeper one is the least t
+        with a t = y - b (mod m), y mapped through every mirror: with g =
+        gcd(a, m), t = ((y - b)/g) (a/g)^-1 mod m/g, the inverse computed
+        once per chain (Brent and Zimmermann, Modern Computer Arithmetic,
+        2.5)."""
+        m = self.m
         if c >= m:
-            t = 0
-            break
-        a %= m
-        b %= m
+            return 0
+        if c <= 0:
+            return None
+        b0 = b = b % m
         if b < c:
-            t = 0
-            break
-        if a == 0:
-            break
-        if 2 * a > m:
-            a, b = m - a, (c - 1 - b) % m
-            continue
-        x0 = -((b - m) // a)  # ceil((m - b) / a), first wrap
-        w1 = a * x0 + b - m
-        if w1 < c:
-            t = x0
-            break
-        r = (-m) % a
-        stack.append((a, m, x0, w1, r))
-        a, b, m = r, w1, a
-    if t is None:
-        return None
-    while stack:
-        a, m, x0, w1, r = stack.pop()
-        wj = (w1 + t * r) % a
-        t = x0 + (t * m + wj - w1) // a
-    return t
+            return 0
+        levels, bs, flip, i = self.levels, [], False, 0
+        while True:
+            if i < len(levels):
+                a, mi, mirrored = levels[i]
+            else:  # extend the chain from level i - 1, just walked
+                a, mi = (-mi % a, a) if i else (self.a, m)
+                if a == 0:
+                    return None
+                mirrored = 2 * a > mi
+                if mirrored:
+                    a = mi - a
+                levels.append((a, mi, mirrored))
+            if mirrored:
+                b, flip = mi + c - 1 - b, not flip
+            y = (b - mi) % a
+            if y < c:
+                break
+            if i < DEEP:  # kept for a shallow hit's unwinding
+                bs.append(b)
+            b = y
+            i += 1
+        if i <= DEEP:
+            t = (mi + y - b) // a
+            while i:
+                if mirrored:
+                    y = c - 1 - y
+                i -= 1
+                a, mi, mirrored = levels[i]
+                t = (mi * (t + 1) + y - bs[i]) // a
+            return t
+        if flip:
+            y = c - 1 - y
+        if self.inv is None:
+            g = gcd(self.a, m)
+            self.inv = g, pow(self.a // g, -1, m // g)
+        g, inv = self.inv
+        return (y - b0) // g * inv % (m // g)
 
 
-def _residue_hits(a: int, m: int, q_lo: int, q_hi: int, window):
+def _residue_hits(chain: _Descent, q_lo: int, q_hi: int, window):
     """Yield ascending q in [q_lo, q_hi] with a q mod m in ``window(q)`` =
-    (lo, hi) read cyclically: lo may be negative and hi past m - 1. The
-    window is read again before each hit, with q one past the last hit, so a
-    caller may shrink it; at most DEFAULT_BUDGET hits are yielded, and one
-    more raises RANGE_TOO_LARGE.
+    (lo, hi) read cyclically, for ``chain`` the descent of a/m: lo may be
+    negative and hi past m - 1. The window is read again before each hit,
+    with q one past the last hit, so a caller may shrink it; at most
+    DEFAULT_BUDGET hits are yielded, and one more raises RANGE_TOO_LARGE.
 
     A hit is a q whose residue x = (a q - lo) mod m is below c = min(hi - lo
-    + 1, m). A new window costs one :func:`_first_hit` descent for its first
-    hit. Asked for a second hit in the same window, the stream computes,
-    once, the last hit's residue x and the least return times: n1 >= 1 least
-    with a n1 mod m < c and n2 >= 1 least with -a n2 mod m < c, two descents,
-    with the steps s1 = a n1 mod m and s2 = -a n2 mod m, both below c (not
-    sooner: most streams of the window search end at their first hit). Then
-    each hit follows the last one, of residue x, after n1 when x + s1 < c,
-    else after n2 when x >= s2, else after n1 + n2 (x + s1 - s2 is then in
-    [c - s2, s1)), and x is carried along. That is the least return (the
+    + 1, m). One chain serves the whole stream, one walk per query. A new
+    window costs one query for its first hit. Asked for a second hit in the
+    same window, the stream computes, once, the last hit's residue x and the
+    least return times: n1 >= 1 least with a n1 mod m < c and n2 >= 1 least
+    with -a n2 mod m < c, two queries (-a n2 mod m < c exactly when a (n2 -
+    1) + c - 1 + a mod m < c, as c <= m, so n2 uses the chain of a too), with
+    the steps s1 = a n1 mod m and s2 = -a n2 mod m, both below c (not sooner:
+    most streams of the window search end at their first hit). Then each hit
+    follows the last one, of residue x, after n1 when x + s1 < c, else after
+    n2 when x >= s2, else after n1 + n2 (x + s1 - s2 is then in [c - s2,
+    s1)), and x is carried along. That is the least return (the
     three-distance theorem, Slater 1967). A step n that lands moves x
     forward by r = a n mod m < c - x, so n >= n1, or back by r = -a n mod m
     <= x, so n >= n2. Forward with x + s1 >= c, r < s1, so the step n - n1
@@ -223,21 +261,22 @@ def _residue_hits(a: int, m: int, q_lo: int, q_hi: int, window):
     likewise n >= n1 + n2. Unless n1 = n2, s1 + s2 >= c by the minimality of
     n1 and n2 (the step |n1 - n2| moves by s1 + s2 the way of the larger),
     so x + s1 < c forces x < s2."""
+    a, m = chain.a, chain.m
     q, seen, win = q_lo - 1, 0, None
     while q < q_hi:
         w = window(q + 1)
         if w != win:
             win = lo, hi = w
             c, n1 = hi - lo + 1, None
-            t = _first_hit(a, (a * (q + 1) - lo) % m, m, c)
+            t = chain.first_hit(a * (q + 1) - lo, c)
             if t is None:
                 return
             q += t + 1
         else:
             if n1 is None:
                 c = min(c, m)
-                n1 = 1 + _first_hit(a, a, m, c)
-                n2 = 1 + _first_hit(-a, -a, m, c)
+                n1 = 1 + chain.first_hit(a, c)
+                n2 = 1 + chain.first_hit(c - 1 + a, c)
                 s1, s2, x = a * n1 % m, -a * n2 % m, (a * q - lo) % m
             if x + s1 < c:
                 q, x = q + n1, x + s1
@@ -315,8 +354,10 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
     or None. A window is (t_lo, t_hi, lo_strict, hi_strict), an end excluded
     when its flag is set; all share one width, below 1 or case (i)'s [-b, b],
     and are read cyclically. Each gives a stream of :func:`_residue_hits` on
-    :func:`_surrogate_window`; the streams are merged in ascending q, and a q
-    in several is tried against each in window order.
+    :func:`_surrogate_window`, all on one descent chain of the surrogate's
+    low end l/d, kept on the oracle while its (l, d) stays the same, so
+    later searches on that surrogate query it too; the streams are merged in
+    ascending q, and a q in several is tried against each in window order.
 
     Rational xi = a/m is its own surrogate, of width 0, so each candidate is a
     hit: p = max(floor(q xi), ceil(q xi - t_hi)) and f is the point q xi - p,
@@ -348,8 +389,11 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
     seen, run, end, q, heads = 0, MISS_RUN, n_hi + 1, n_lo - 1, None
     while True:
         if heads is None:
+            chain = oracle._descent
+            if chain is None or chain.m != enc.d or chain.a != enc.l % enc.d:
+                chain = oracle._descent = _Descent(enc.l, enc.d)
             bounds = [_surrogate_window(enc, n_hi, *w) for w in windows]
-            streams = [_residue_hits(enc.l, enc.d, q + 1, n_hi, lambda _, b=b: b) for b in bounds]
+            streams = [_residue_hits(chain, q + 1, n_hi, lambda _, b=b: b) for b in bounds]
             heads = [next(s, end) for s in streams]
         q = min(heads)
         if q == end:

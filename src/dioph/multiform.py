@@ -22,7 +22,7 @@ from math import inf, lcm
 from typing import Optional
 
 from .certlog import ln_frac, log2_lo
-from .dichotomy import _integer, _residue_hits
+from .dichotomy import _Descent, _integer, _residue_hits
 from .enclosure import Enclosure
 from .errors import (
     CertificateError,
@@ -203,7 +203,7 @@ def _records(fixed, M: int, err: int, lo: int, hi: int, near: int):
     forces ||q x_1|| <= near / M, so only the residue-class stream of those
     q is scored.
     """
-    for q in _residue_hits(fixed[0], M, lo, hi, lambda q: (-near, near)):
+    for q in _residue_hits(_Descent(fixed[0], M), lo, hi, lambda q: (-near, near)):
         s = _approx_score(q, fixed, M)
         if s <= near:
             near = min(near, s + 2 * err)

@@ -112,6 +112,8 @@ class RealOracle:
         self._cf_ended = False
         self._cf_level = 0
         self._cf_tail = SEEDS
+        # the window search's descent chain of its last surrogate (dichotomy._Descent)
+        self._descent = None
 
     def _raw(self, k: int) -> Enclosure:
         raise NotImplementedError

@@ -432,7 +432,11 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     raw_res = {i: residual(i) for i in pos}
     read = {pos[0], *pos[-3:]}
     if scales is not None:
-        core_res = {i: raw_res[i] * (1 / _frac(scales[i])) for i in read}
+        core_res = {}
+        for i in read:
+            # r / s on integers, for the scale s > 0: no reciprocal, no gcd
+            r, s = raw_res[i], _frac(scales[i])
+            core_res[i] = Enclosure.from_ints(r.l * s.denominator, r.h * s.denominator, r.d * s.numerator)
         core_h = {i: Enclosure.point(height(i) / _frac(scales[i])) for i in read}
         growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     else:

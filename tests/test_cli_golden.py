@@ -30,6 +30,11 @@ canonical ``cf:`` spec that the ``oracle`` field prints. ``apery3_n60`` and
 ``apery2_n60.csv`` were recorded before the Apéry recurrence came to run on
 the scaled integers S_n a_n and S_n b_n, dividing only by n**s: they pin
 every u, v, a, b and scale up to n = 60, in JSON and in CSV.
+``lemma_sqrt2_eps1e1990_q1e2000`` was recorded before the window search came
+to keep one descent chain per surrogate and to solve deep hits by one
+modular inverse: its case (ii) windows, about 10**-1990 wide at q near
+10**2000, are searched on a surrogate of 16387 bits whose Euclidean descent
+the first hits reach some 5200 levels down, so the file pins a deep descent.
 
 The two ``lemma_near_half_cf`` files were recorded when case (ii) came to
 search both windows in one stream and to read a finer surrogate after a run
@@ -107,6 +112,8 @@ def _stdout(capsys, argv):
      ("cf", "--oracle", "cf:[1;2,3]+periodic:[1,4]", "--depth", "12")),
     ("apery3_n60.json", ("apery", "--s", "3", "--n-max", "60")),
     ("apery2_n60.csv", ("--output", "csv", "apery", "--s", "2", "--n-max", "60")),
+    ("lemma_sqrt2_eps1e1990_q1e2000.json",
+     LEMMA[:-3] + ("--eps", "1e-1990", "--Q", "1e2000")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

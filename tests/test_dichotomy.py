@@ -13,6 +13,7 @@ from dioph.cli import main
 from dioph.contfrac import convergents, expand
 from dioph.dichotomy import (
     LemmaParams,
+    _Descent,
     _case_i_search,
     _find_hit,
     _frac_window_check,
@@ -377,14 +378,14 @@ def test_residue_stream_budget_counts_hits(monkeypatch):
     # a stream read for one hit takes one (most window searches read one)
     hits = [5, 7, 12, 14, 19, 21, 26, 28]
     monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", 8)
-    assert list(_residue_hits(3, 7, 1, 32, lambda q: (0, 1))) == hits
+    assert list(_residue_hits(_Descent(3, 7), 1, 32, lambda q: (0, 1))) == hits
     seen, descents = [], []
-    first_hit = dichotomy._first_hit
-    monkeypatch.setattr(dichotomy, "_first_hit", lambda *a: descents.append(a) or first_hit(*a))
-    assert next(_residue_hits(3, 7, 1, 33, lambda q: (0, 1))) == 5
+    first_hit = _Descent.first_hit
+    monkeypatch.setattr(_Descent, "first_hit", lambda ch, *a: descents.append(a) or first_hit(ch, *a))
+    assert next(_residue_hits(_Descent(3, 7), 1, 33, lambda q: (0, 1))) == 5
     assert len(descents) == 1
     with pytest.raises(RangeTooLarge, match="budget 8"):
-        for q in _residue_hits(3, 7, 1, 33, lambda q: (0, 1)):
+        for q in _residue_hits(_Descent(3, 7), 1, 33, lambda q: (0, 1)):
             seen.append(q)
     assert seen == hits
     assert len(descents) == 1 + 3
@@ -480,7 +481,7 @@ def convergent_surrogate_hit(oracle, q_lo, q_hi, t_lo, t_hi):
     (a, m), m_next = _first_accurate_convergent(oracle, (8 * n_hi / (t_hi - t_lo)).__ceil__())
     delta = F(n_hi, m * m_next)
     lo_i, hi_i = ((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__()
-    for q in _residue_hits(a, m, n_lo, n_hi, lambda q: (lo_i, hi_i)):
+    for q in _residue_hits(_Descent(a, m), n_lo, n_hi, lambda q: (lo_i, hi_i)):
         hit = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
         if hit is not None:
             return q, hit[0]
@@ -505,7 +506,7 @@ def plain_window_hit(oracle, q_lo, q_hi, t_lo, t_hi, stats, lo_strict, hi_strict
         enc = Enclosure.point(v)
         lo = (t_lo * enc.d).__floor__() + 1 if lo_strict else (t_lo * enc.d).__ceil__()
         window = lo, (t_hi * enc.d).__ceil__() - 1 if hi_strict else (t_hi * enc.d).__floor__()
-    for seen, q in enumerate(_residue_hits(enc.l, enc.d, n_lo, n_hi, lambda q: window)):
+    for seen, q in enumerate(_residue_hits(_Descent(enc.l, enc.d), n_lo, n_hi, lambda q: window)):
         if seen == budget:
             raise RangeTooLarge(f"candidate stream exceeded budget {budget}")
         if v is not None:

@@ -221,6 +221,21 @@ class TestTauEmpirical:
         assert float(est.tau_hat) == pytest.approx(0.09220634322294138, abs=1e-12)
         assert est.method == "ratio-richardson/ratio-richardson"
 
+    def test_descaled_residuals_are_the_reciprocal_products(self, monkeypatch):
+        # the residuals _measure_core descales on integers are, integer for
+        # integer, the products with the reciprocal scale 1/s it once formed
+        seen = []
+        estimate = seqbuild._estimate_limit
+        monkeypatch.setattr(seqbuild, "_estimate_limit", lambda v, *a: seen.append(v) or estimate(v, *a))
+        seq = apery_forms(3, 120)
+        tau_empirical(seq, window=(60, 120))
+        core_res = seen[0]
+        assert sorted(core_res) == [60, 118, 119, 120]
+        for i, r in core_res.items():
+            raw = evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()
+            want = raw * (1 / seq.scales[i])
+            assert (r.l, r.h, r.d) == (want.l, want.h, want.d)
+
     def test_window_takes_no_log(self, monkeypatch):
         calls = {"root": 0, "ln_frac": 0, "tau_ln": 0}
 

@@ -458,8 +458,8 @@ def test_precision_cap_has_one_source():
 
 
 def test_residue_stream_has_one_budget():
-    """Only ``dichotomy._residue_hits`` calls ``_first_hit``, and only
-    dichotomy.py names DEFAULT_BUDGET."""
+    """Only ``dichotomy._residue_hits`` queries a descent chain's
+    ``first_hit``, and only dichotomy.py names DEFAULT_BUDGET."""
     src = Path(__file__).resolve().parent.parent / "src" / "dioph"
     callers, budget = set(), set()
     for path in sorted(src.glob("*.py")):
@@ -467,7 +467,7 @@ def test_residue_stream_has_one_budget():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and "_first_hit" in (
+                    if isinstance(node, ast.Call) and "first_hit" in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)
                     ):
                         callers.add((path.name, fn.name))

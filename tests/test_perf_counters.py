@@ -29,6 +29,7 @@ from dioph.dichotomy import (
 from dioph.errors import Inconclusive, RangeTooLarge
 from dioph.multiform import PointVec, dirichlet_witness, omega0_search
 from dioph.oracle import RationalOracle, SqrtOracle, parse_oracle
+from dioph.seqbuild import RateSpec, build_sequence
 from test_dichotomy import first_convergent_reached
 
 
@@ -98,7 +99,7 @@ def test_deep_case_ii_solve_stores_no_convergents():
     outcome, attrs, tail, peak_kb = _peak_rss_kb(DEEP_SOLVE, 120)
     assert outcome == "case_ii"
     assert attrs.split(",") == [
-        "_canon", "_cf_ended", "_cf_level", "_cf_quotients", "_cf_tail", "n", "spec"
+        "_canon", "_cf_ended", "_cf_level", "_cf_quotients", "_cf_tail", "_descent", "n", "spec"
     ]
     assert tail == "2"
     assert int(peak_kb) < 64 * 1024
@@ -456,19 +457,84 @@ def test_record_stream_descends_three_times_per_window(monkeypatch, mode):
     # yields; the window after the last record ends on one descent
     point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
     descents, records, scored = [], [], []
-    first_hit, stream, score = dichotomy._first_hit, multiform._records, multiform._approx_score
+    first_hit, stream, score = dichotomy._Descent.first_hit, multiform._records, multiform._approx_score
 
     def counted(*args):
         for r in stream(*args):
             records.append(r)
             yield r
 
-    monkeypatch.setattr(dichotomy, "_first_hit", lambda *a: descents.append(a) or first_hit(*a))
+    monkeypatch.setattr(dichotomy._Descent, "first_hit", lambda ch, *a: descents.append(a) or first_hit(ch, *a))
     monkeypatch.setattr(multiform, "_records", counted)
     monkeypatch.setattr(multiform, "_approx_score", lambda *a: scored.append(a) or score(*a))
     dirichlet_witness(point, 10**4, mode)
     assert len(scored) > 5000
     assert len(descents) <= 3 * len(records) + 1
+
+
+def _count_chains(monkeypatch):
+    """(chains, inverses): every descent chain made and every ``pow`` that
+    dichotomy calls, its modular inverses, while the test runs."""
+    chains, inverses = [], []
+    init = dichotomy._Descent.__init__
+    monkeypatch.setattr(dichotomy._Descent, "__init__", lambda ch, a, m: chains.append(ch) or init(ch, a, m))
+    monkeypatch.setattr(dichotomy, "pow", lambda *a: inverses.append(a) or pow(*a), raising=False)
+    return chains, inverses
+
+
+def test_build_sequence_shares_one_descent_chain(monkeypatch):
+    # the three case (ii) solves of one build read one surrogate, so their
+    # six queries share the oracle's chain, each past DEEP levels, and the
+    # chain inverts a/m once for all of them
+    chains, inverses = _count_chains(monkeypatch)
+    queries = []
+    first_hit = dichotomy._Descent.first_hit
+    monkeypatch.setattr(dichotomy._Descent, "first_hit", lambda ch, *a: queries.append(a) or first_hit(ch, *a))
+    res = build_sequence(SqrtOracle(2, "sqrt2"), F(21, 10), RateSpec.geometric(F(1, 2), 3), range(30, 33))
+    assert [e.case_taken for e in res.entries] == ["ii"] * 3
+    assert len(queries) == 6 and len(chains) == 1
+    assert len(chains[0].levels) > dichotomy.DEEP
+    assert len(inverses) <= 1
+
+
+def test_search_on_a_new_surrogate_makes_a_new_chain(monkeypatch):
+    # the oracle keeps the chain of its last surrogate; a solve at another Q
+    # reads another surrogate and must not walk the kept chain, whose
+    # windows are another modulus's (its candidates would all miss)
+    monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", 1000)
+    kept = SqrtOracle(2, "sqrt2")
+    for digits in (40, 400, 4000):
+        params = LemmaParams(F(3, 2), F(19, 10), F(1, 1000), 10**digits)
+        res = solve_disjunction(kept, params)
+        assert res.witness == solve_disjunction(SqrtOracle(2, "sqrt2"), params).witness
+        assert kept._descent.m.bit_length() > 3 * digits
+
+
+def test_residue_stream_returns_on_one_chain(monkeypatch):
+    # a fixed window past its first hit queries the return times n1 of a
+    # and n2 of -a, both on the chain of a: no second chain is made
+    chains, _ = _count_chains(monkeypatch)
+    chain = dichotomy._Descent(10**30 // 7, 10**30 + 57)
+    hits = list(dichotomy._residue_hits(chain, 1, 10**6, lambda q: (-10**25, 10**25)))
+    assert len(hits) >= 3
+    assert chains == [chain] and chain.levels
+
+
+def test_narrow_build_in_bounded_memory():
+    # windows about 2**-5000 wide at q near 3**5000: descents thousands of
+    # levels deep, on the one chain the oracle keeps (39 MB of peak RSS with
+    # a stack of five integers per level, 25 MB with the chain)
+    script = (
+        "import os, contextlib\n"
+        "from dioph.cli import main\n"
+        "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+        "    code = main(['build', '--oracle', 'const:sqrt2', '--mu', '21/10', '--alpha', '1/2',\n"
+        "                 '--beta', '3', '--n', '5000:5010'])\n"
+        "print(code)"
+    )
+    code, peak_kb = _peak_rss_kb(script, 120)
+    assert code == "0"
+    assert int(peak_kb) < 64 * 1024
 
 
 def _ladders(monkeypatch, oracles):

@@ -1,3 +1,4 @@
+import random
 from bisect import bisect
 from fractions import Fraction as F
 from itertools import islice
@@ -11,6 +12,7 @@ from dioph import dichotomy, multiform, seqbuild
 from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
+    _Descent,
     _case_i_search,
     _find_hit,
     _frac_window_check,
@@ -434,8 +436,8 @@ def test_integer_window_bounds_give_the_reduced_windows_candidates(lo, width, g,
         t_lo, t_hi = min(t1, t2), max(t1, t2)
         old = (((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__())
     lo_i, hi_i = _surrogate_window(enc, n, t_lo, t_hi)
-    got = _residue_hits(enc.l, enc.d, 1, n, lambda q: (lo_i, hi_i))
-    assert list(got) == list(_residue_hits(a, m, 1, n, lambda q: old))
+    got = _residue_hits(_Descent(enc.l, enc.d), 1, n, lambda q: (lo_i, hi_i))
+    assert list(got) == list(_residue_hits(_Descent(a, m), 1, n, lambda q: old))
 
 
 case_i_specs = st.one_of(
@@ -661,7 +663,7 @@ def test_residue_stream_matches_brute_scan(m, j, q_lo, span, lo, width, shrink, 
         return lo + shrink * k, lo + width - shrink * k
 
     hits = []
-    for q in _residue_hits(a, m, q_lo, q_lo + span, lambda q: window(len(hits))):
+    for q in _residue_hits(_Descent(a, m), q_lo, q_lo + span, lambda q: window(len(hits))):
         hits.append(q)
     assert hits == _brute_residue_hits(a, m, q_lo, q_lo + span, window)
 
@@ -702,7 +704,7 @@ def test_residue_stream_matches_brute_scan_at_large_moduli(m, j, q_lo, span, pic
         return r0 - w + shrink * k * pad, r0 + w - shrink * k * pad
 
     hits = []
-    for q in _residue_hits(a, m, q_lo, q_hi, lambda q: window(len(hits))):
+    for q in _residue_hits(_Descent(a, m), q_lo, q_hi, lambda q: window(len(hits))):
         hits.append(q)
     assert hits == _brute_residue_hits(a, m, q_lo, q_hi, window)
     if shrink == 0:
@@ -715,11 +717,153 @@ def test_residue_stream_gap_rule_is_the_least_return(m):
     # second hit by the gap rule; a fresh descent from x + a must agree, for
     # every a (a = 0 mod m and 2a > m included), c and x
     for a in range(m):
+        chain = _Descent(a, m)
         for c in range(1, m + 1):
             for x in range(c):
-                hits = _residue_hits(a, m, 0, 2 * m, lambda q: (-x, c - 1 - x))
+                hits = _residue_hits(chain, 0, 2 * m, lambda q: (-x, c - 1 - x))
                 assert next(hits) == 0
-                assert next(hits) == 1 + dichotomy._first_hit(a, x + a, m, c)
+                assert next(hits) == 1 + _stack_first_hit(a, x + a, m, c)
+
+
+def _stack_first_hit(a, b, m, c):
+    """Reference: the least t >= 0 with (a t + b) mod m < c, or None, by the
+    descent as it ran before one chain served every query on a/m: Euclid on
+    (a, m) afresh at each call, mirrored where 2a > m, one frame per level
+    on an explicit stack, unwound with two products and a division a level."""
+    if c <= 0:
+        return None
+    stack = []
+    t = None
+    while True:
+        if c >= m:
+            t = 0
+            break
+        a %= m
+        b %= m
+        if b < c:
+            t = 0
+            break
+        if a == 0:
+            break
+        if 2 * a > m:
+            a, b = m - a, (c - 1 - b) % m
+            continue
+        x0 = -((b - m) // a)  # ceil((m - b) / a), first wrap
+        w1 = a * x0 + b - m
+        if w1 < c:
+            t = x0
+            break
+        r = (-m) % a
+        stack.append((a, m, x0, w1, r))
+        a, b, m = r, w1, a
+    if t is None:
+        return None
+    while stack:
+        a, m, x0, w1, r = stack.pop()
+        wj = (w1 + t * r) % a
+        t = x0 + (t * m + wj - w1) // a
+    return t
+
+
+def _hit_level(a, m, b, c):
+    """(t, level): the least hit t and the level of a fresh chain's descent
+    that it lies on, -1 for a hit at t = 0 that reads no level."""
+    chain = _Descent(a, m)
+    return chain.first_hit(b, c), len(chain.levels) - 1
+
+
+def _queries(m):
+    """(b, c) on the modulus m: any b, c from 1 to m drawn below a power of
+    two of uniform size, so hits deep in the descent come as often as
+    shallow ones."""
+    cs = st.integers(min_value=0, max_value=m.bit_length()).flatmap(
+        lambda k: st.integers(min_value=1, max_value=min(m, 1 << k))
+    )
+    return st.tuples(st.integers(min_value=-m, max_value=2 * m), cs)
+
+
+big_moduli = st.integers(min_value=1, max_value=4000).flatmap(
+    lambda k: st.integers(min_value=2, max_value=1 << k)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=1, max_value=60), st.data())
+def test_descent_chain_matches_brute_scan(m, data):
+    # a = 0 mod m, 2a > m and negative a; c below 1 and past m; every hit
+    # unwound, and again with each past level 0 solved by the inverse
+    a = data.draw(st.integers(min_value=-2 * m, max_value=2 * m))
+    queries = data.draw(st.lists(
+        st.tuples(st.integers(min_value=-m, max_value=2 * m), st.integers(min_value=-1, max_value=m + 1)),
+        min_size=1, max_size=8,
+    ))
+    for deep in (dichotomy.DEEP, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dichotomy, "DEEP", deep)
+            chain = _Descent(a, m)
+            for b, c in queries:
+                brute = next((t for t in range(m) if (a * t + b) % m < c), None)
+                assert chain.first_hit(b, c) == brute
+
+
+@settings(deadline=None, max_examples=60)
+@given(big_moduli, st.data())
+def test_descent_chain_matches_the_stack_descent(m, data):
+    a = data.draw(st.integers(min_value=-m, max_value=2 * m))
+    chain = _Descent(a, m)
+    for b, c in data.draw(st.lists(_queries(m), min_size=1, max_size=3)):
+        assert chain.first_hit(b, c) == _stack_first_hit(a, b, m, c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_descent_chain_unwinds_and_inverts_alike_at_every_depth(seed):
+    # one 4000-bit a/m and b, c stepping down by 2**(1/4) so that the hits
+    # lie on most levels down to past 2 DEEP; each is solved by inverting
+    # only (DEEP = 0), by unwinding only, and as shipped, on one chain per
+    # setting, and each answer is the reference's
+    rng = random.Random(seed)
+    m = rng.getrandbits(4000) | 1 << 3999
+    a, b = rng.randrange(m), rng.randrange(m)
+    queries = [isqrt(isqrt(1 << k)) for k in range(4 * 3999, 4 * 3900, -1)]
+    want = [_stack_first_hit(a, b, m, c) for c in queries]
+    levels = {_hit_level(a, m, b, c)[1] for c in queries}
+    deep = dichotomy.DEEP
+    assert {lv for lv in levels if 0 < lv <= deep} and max(levels) > 2 * deep
+    for unwound in (0, deep, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dichotomy, "DEEP", unwound)
+            chain = _Descent(a, m)
+            assert [chain.first_hit(b, c) for c in queries] == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=1500).flatmap(lambda k: st.integers(min_value=2, max_value=1 << k)),
+       st.data())
+def test_one_chain_answers_queries_in_any_order(m, data):
+    # the chain extends lazily: a deep query after shallow ones reads past
+    # the levels they built, a shallow one after a deep one reads only the
+    # top of the chain, and each answer is the fresh reference's
+    a = data.draw(st.integers(min_value=-m, max_value=2 * m))
+    queries = data.draw(st.lists(_queries(m), min_size=2, max_size=6))
+    want = {(b, c): _stack_first_hit(a, b, m, c) for b, c in queries}
+    chain = _Descent(a, m)
+    by_c = sorted(queries, key=lambda q: q[1])
+    for q in data.draw(st.permutations(queries)) + by_c + by_c[::-1]:
+        assert chain.first_hit(*q) == want[q]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=1, max_value=300).flatmap(lambda k: st.integers(min_value=1, max_value=1 << k)),
+       st.data())
+def test_descent_chain_mirror_identity(m, data):
+    # (-a t - b) mod m < c exactly when (a t + c - 1 + b) mod m < c, for 1 <=
+    # c <= m: the return time n2 of a residue stream, b = a, is a query on
+    # the chain of a, not a descent of -a
+    a, b = (data.draw(st.integers(min_value=-m, max_value=2 * m)) for _ in range(2))
+    chain = _Descent(a, m)
+    for c in data.draw(st.lists(st.integers(min_value=1, max_value=m), min_size=1, max_size=4)):
+        assert chain.first_hit(c - 1 + b, c) == _stack_first_hit(-a, -b, m, c)
+        assert chain.first_hit(c - 1 + a, c) == _stack_first_hit(-a, -a, m, c)
 
 
 @settings(deadline=None, max_examples=20)
