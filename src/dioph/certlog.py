@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect
 
-from .enclosure import Enclosure, Rat, _frac
+from .enclosure import Enclosure, Rat
 
 
 def _atanh_inv(m: int, w: int):
@@ -134,18 +134,18 @@ def log2_lo(x: int, b: int) -> int:
 
 
 def ln_frac(x: Rat, k: int) -> Enclosure:
-    """Enclosure of ln(x) for rational x > 0, width at most 2**-k.
+    """Enclosure of ln(x) for x > 0 an int or a Fraction, width at most 2**-k.
 
     The sum runs at w = k + g + bits(c) bits, c = |e + i| + |j| + |l| the
     weight of the constants and g = 16 (bits(k) + 3 from k = 8192 on). The
     constants' widths, each under 6.4 w + 220 ulps, add at most c of them,
     and 2 atanh(z) adds 4n + 4: in all under 2**(w - k) ulps."""
-    f = _frac(x)
-    if f <= 0:
+    n, d = x.numerator, x.denominator
+    if n <= 0:
         raise ValueError("ln of a nonpositive rational")
     # equal bit lengths put n/d in (1/2, 2)
-    e = f.numerator.bit_length() - f.denominator.bit_length()
-    n, d = f.numerator << max(-e, 0), f.denominator << max(e, 0)
+    e = n.bit_length() - d.bit_length()
+    n, d = n << max(-e, 0), d << max(e, 0)
     if n < d:
         e -= 1
         n *= 2

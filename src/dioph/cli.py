@@ -43,15 +43,13 @@ DEC_PLACES = 12
 
 
 def _rat(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _dec(x) -> str:
     """Decimal string truncated toward zero at DEC_PLACES, integer math only."""
-    f = Fraction(x)
-    sign = "-" if f < 0 else ""
-    n = abs(f.numerator) * 10**DEC_PLACES // f.denominator
+    sign = "-" if x < 0 else ""
+    n = abs(x.numerator) * 10**DEC_PLACES // x.denominator
     q, r = divmod(n, 10**DEC_PLACES)
     return f"{sign}{q}.{r:0{DEC_PLACES}d}"
 

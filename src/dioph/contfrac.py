@@ -18,6 +18,7 @@ from itertools import pairwise
 from typing import Optional
 
 from .certlog import ln_frac
+from .enclosure import as_integer
 from .errors import Degenerate
 from .oracle import RealOracle, convergent_pairs
 
@@ -54,6 +55,7 @@ def expand(oracle: RealOracle, depth: int) -> CFExpansion:
     ``terminated`` set. Raises INCONCLUSIVE if the precision cap is hit and
     UNREPRESENTABLE if a quotient generator runs out.
     """
+    depth = as_integer(depth, what="depth")
     if depth < 0:
         raise Degenerate(f"depth {depth} must be >= 0")
     count = depth + 1
@@ -75,6 +77,7 @@ def mu_estimate(oracle: RealOracle, depth: int) -> MuEstimate:
     it was witnessed. Rational values have no such exponent and raise
     DEGENERATE.
     """
+    depth = as_integer(depth, what="depth")
     if depth < 2:
         raise Degenerate(f"depth {depth} must be >= 2")
     cf = expand(oracle, depth)

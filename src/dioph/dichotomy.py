@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .enclosure import Enclosure, Rat, _frac
+from .enclosure import Enclosure, Rat, as_rational
 from .errors import (
     CertificateError,
     NeitherCaseCertified,
@@ -53,32 +53,6 @@ _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
 
-def _param(x: Rat) -> Fraction:
-    """``x`` as a Fraction, unchanged if it is one; a value that is not a
-    finite rational, such as an infinite or NaN float, raises BAD_PARAMS."""
-    if x.__class__ is Fraction:
-        return x
-    try:
-        return Fraction(x)
-    except (OverflowError, ValueError) as exc:
-        raise PreconditionError("BAD_PARAMS", f"{x!r} is not a finite rational") from exc
-
-
-def _integer(x, code: str = "BAD_PARAMS", what: str = "value") -> int:
-    """``x`` as an int, unchanged if it is one; an integral value such as 2.0
-    or Fraction(4) is converted, and anything else, such as 2.5, an infinite
-    or NaN float or a string, raises ``code``, never truncated."""
-    if x.__class__ is int:
-        return x
-    try:
-        n = int(x)
-        if n == x:
-            return n
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise PreconditionError(code, f"{what} {x!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class LemmaParams:
     c: Fraction
@@ -90,7 +64,7 @@ class LemmaParams:
         for name in ("c", "c_prime", "eps", "Q"):
             x = getattr(self, name)
             if x.__class__ is not Fraction:
-                object.__setattr__(self, name, _param(x))
+                object.__setattr__(self, name, as_rational(x, what=name))
         if not (1 < self.c < self.c_prime < 2):
             raise PreconditionError(
                 "BAD_PARAMS",
@@ -325,12 +299,13 @@ def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_h
 
     Returns (q, p) with p = floor(q xi), or None when no q qualifies.
     """
-    t_lo, t_hi = _frac(t_lo), _frac(t_hi)
+    t_lo, t_hi = (as_rational(t, "BAD_WINDOW", "window end") for t in (t_lo, t_hi))
     if not (0 < t_lo < t_hi < 1):
         raise PreconditionError(
             "BAD_WINDOW", f"need 0 < t_lo < t_hi < 1, got [{t_lo}, {t_hi}]"
         )
-    hit = _find_hit(oracle, _frac(q_lo), _frac(q_hi), [(t_lo, t_hi, False, False)], _Stats())
+    q_lo, q_hi = as_rational(q_lo, what="q_lo"), as_rational(q_hi, what="q_hi")
+    hit = _find_hit(oracle, q_lo, q_hi, [(t_lo, t_hi, False, False)], _Stats())
     return None if hit is None else hit[:2]
 
 

@@ -14,11 +14,42 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
+from .errors import PreconditionError
+
 Rat = Union[int, Fraction]
 
 
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def as_rational(x, code: str = "BAD_PARAMS", what: str = "value") -> Fraction:
+    """``x`` as a Fraction, unchanged if it is one, read exactly from an int,
+    a finite float or another finite number; anything else, a string too, raises ``code``."""
+    if x.__class__ is Fraction:
+        return x
+    if not isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise PreconditionError(code, f"{what} {x!r} is not a finite rational")
+
+
+def as_integer(x, code: str = "BAD_PARAMS", what: str = "value") -> int:
+    """``x`` as an int, unchanged if it is one, or an integral value such as
+    2.0 or Fraction(4); anything else, 2.5 or a string, raises ``code``."""
+    if x.__class__ is int:
+        return x
+    try:
+        n = int(x)
+        if n == x:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(code, f"{what} {x!r} is not an integer")
+
+
+def as_integers(xs, code: str = "BAD_PARAMS", what: str = "value") -> list:
+    """``xs`` as a new list of ints by :func:`as_integer`, in one pass if all are ints."""
+    xs = list(xs)
+    return xs if {*map(type, xs)} <= {int} else [as_integer(x, code, what) for x in xs]
 
 
 def _ends(x):
@@ -39,7 +70,7 @@ class Enclosure:
         if ld != hd:
             ln, hn, ld = ln * hd, hn * ld, ld * hd
         if ln > hn:
-            raise ValueError(f"empty enclosure [{_frac(lo)}, {_frac(hi)}]")
+            raise ValueError(f"empty enclosure [{Fraction(ln, ld)}, {Fraction(hn, ld)}]")
         _set_l(self, ln)
         _set_h(self, hn)
         _set_d(self, ld)
@@ -254,15 +285,12 @@ def _join(a: Enclosure, b: Enclosure, lo_a: int, hi_a: int, empty=None) -> Enclo
 
 
 def dyadic_below(x: Rat, bits: int) -> Fraction:
-    """Largest multiple of 2**-bits that is <= x."""
-    f = _frac(x)
-    return Fraction((f.numerator << bits) // f.denominator, 1 << bits)
+    """Largest multiple of 2**-bits that is <= x, an int or a Fraction."""
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
 
 
 def dyadic_above(x: Rat, bits: int) -> Fraction:
-    f = _frac(x)
-    num = -((-f.numerator << bits) // f.denominator)
-    return Fraction(num, 1 << bits)
+    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
 def iroot(n: int, k: int) -> int:

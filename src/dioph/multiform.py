@@ -22,8 +22,8 @@ from math import inf, lcm
 from typing import Optional
 
 from .certlog import ln_frac, log2_lo
-from .dichotomy import _Descent, _integer, _residue_hits
-from .enclosure import Enclosure
+from .dichotomy import _Descent, _residue_hits
+from .enclosure import Enclosure, as_integer, as_integers, as_rational
 from .errors import (
     CertificateError,
     Degenerate,
@@ -55,7 +55,7 @@ class LinearForm:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple([_integer(c, "BAD_FORM", "coefficient") for c in self.coeffs])
+        coeffs = tuple([as_integer(c, "BAD_FORM", "coefficient") for c in self.coeffs])
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise PreconditionError("BAD_FORM", "a form needs at least 2 coefficients")
@@ -75,6 +75,8 @@ class PointVec:
         object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) < 2:
             raise PreconditionError("BAD_POINT", "a point needs at least 2 coordinates")
+        if not all(isinstance(c, RealOracle) for c in self.coords):
+            raise PreconditionError("BAD_POINT", "every coordinate must be an oracle")
 
     @property
     def dim(self) -> int:
@@ -260,7 +262,7 @@ def dirichlet_witness(
     those within the margin of the smallest score. A stream of more than
     DEFAULT_BUDGET candidates raises RANGE_TOO_LARGE.
     """
-    Q = _integer(Q, what="Q")
+    Q = as_integer(Q, what="Q")
     if Q < 2:
         raise PreconditionError("BAD_PARAMS", f"Q={Q} must be >= 2")
     if mode not in ("best", "first"):
@@ -319,7 +321,7 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     A half whose stream has more than DEFAULT_BUDGET candidates raises
     RANGE_TOO_LARGE.
     """
-    q_bound = _integer(q_bound, what="q_bound")
+    q_bound = as_integer(q_bound, what="q_bound")
     if q_bound < 2:
         raise PreconditionError("BAD_PARAMS", f"q_bound={q_bound} must be >= 2")
     ratios = point.ratio_oracles()
@@ -356,12 +358,22 @@ class FormSequence:
     scale_e_power: Optional[int] = None
 
     def __post_init__(self):
+        """Integer indices and scale power, positive rational scales (ints kept); else BAD_FORM."""
+        object.__setattr__(self, "ns", tuple(as_integers(self.ns, "BAD_FORM", "index")))
         if len(self.ns) != len(self.forms):
             raise PreconditionError("BAD_FORM", "index and form counts differ")
-        if self.scales is not None and len(self.scales) != len(self.forms):
-            raise PreconditionError("BAD_FORM", "scale and form counts differ")
-        if self.scales is not None and any(c <= 0 for c in self.scales):
-            raise PreconditionError("BAD_FORM", "scales must be positive")
+        if self.scale_e_power is not None:
+            power = as_integer(self.scale_e_power, "BAD_FORM", "scale power")
+            object.__setattr__(self, "scale_e_power", power)
+        if self.scales is not None:
+            scales = tuple(self.scales)
+            if not {*map(type, scales)} <= {int}:
+                scales = tuple(as_rational(c, "BAD_FORM", "scale") for c in scales)
+            object.__setattr__(self, "scales", scales)
+            if len(scales) != len(self.forms):
+                raise PreconditionError("BAD_FORM", "scale and form counts differ")
+            if min(scales, default=1) <= 0:
+                raise PreconditionError("BAD_FORM", "scales must be positive")
 
     def __len__(self):
         return len(self.forms)
@@ -370,13 +382,10 @@ class FormSequence:
     def from_uv(cls, rows, oracle: RealOracle):
         """Rows (n, u, v) for forms u*xi - v against the point (1, xi); an
         entry that is not an integer raises BAD_FORM."""
-        ns = []
-        forms = []
-        for n, u, v in rows:
-            ns.append(_integer(n, "BAD_FORM", "index"))
-            forms.append(LinearForm((-_integer(v, "BAD_FORM", "coefficient"), u)))
+        rows = list(rows)
+        forms = tuple(LinearForm((-as_integer(v, "BAD_FORM", "coefficient"), u)) for _, u, v in rows)
         point = PointVec((RationalOracle(1, spec="rat:1"), oracle))
-        return cls(tuple(ns), tuple(forms), point)
+        return cls(tuple(n for n, _, _ in rows), forms, point)
 
 
 def _scale_growth(seq: FormSequence) -> Optional[Enclosure]:
@@ -420,6 +429,7 @@ def nesterenko_report(
 ) -> NesterenkoReport:
     """Dimension bound tau + 1 implied by a decaying form family, with the
     exponent chain cross-check tau <= 1/omega + slack."""
+    slack = as_rational(slack, what="slack")
     rate = tau_empirical(seq, window=window)
     omega = omega0_search(seq.point, omega_bound)
     implied = rate.tau_hat + 1
@@ -446,7 +456,7 @@ def apery_forms(s: int, count: int) -> FormSequence:
     remainder checks (INTEGRALITY). A non-integral s or count raises
     BAD_PARAMS.
     """
-    s, count = _integer(s, what="s"), _integer(count, what="count")
+    s, count = as_integer(s, what="s"), as_integer(count, what="count")
     if s not in (2, 3):
         raise PreconditionError("BAD_PARAMS", f"s={s} must be 2 or 3")
     if count < 2:
@@ -464,7 +474,7 @@ def apery_forms(s: int, count: int) -> FormSequence:
     # the scale is lead * d**s with d = lcm(1..n); S_0 = S_1 = lead
     U, V = [lead, lead * U1], [0, lead * V1]
     d, r_prev = 1, 1
-    scales = [Fraction(lead)] * 2
+    scales = [lead] * 2
     for n in range(2, count + 1):
         d_n = lcm(d, n)
         r = d_n // d  # S_n / S_(n-1) = r**s, S_n / S_(n-2) = (r r_prev)**s
@@ -478,7 +488,7 @@ def apery_forms(s: int, count: int) -> FormSequence:
             )
         U.append(u)
         V.append(v)
-        scales.append(scales[-1] if r == 1 else Fraction(lead * d_n**s))
+        scales.append(scales[-1] if r == 1 else lead * d_n**s)
         d, r_prev = d_n, r
     point = PointVec((RationalOracle(1, spec="rat:1"), zeta))
     return FormSequence(

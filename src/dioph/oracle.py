@@ -39,7 +39,7 @@ from itertools import chain, cycle, islice, pairwise
 from math import factorial, isqrt
 from typing import Optional
 
-from .enclosure import Enclosure, Rat, _frac, sqrt_enclosure
+from .enclosure import Enclosure, Rat, as_integer, as_integers, as_rational, sqrt_enclosure
 from .certlog import _atanh_inv
 from .errors import HalfInteger, Inconclusive, PreconditionError, Unrepresentable, brief
 
@@ -158,15 +158,10 @@ class RealOracle:
 
     def _more_quotients(self, count: int):
         """Extend the quotient cache to ``count`` quotients or to its end:
-        Euclid on a rational point value, else resumed past the cached
-        quotients on canonical enclosures from the rung cached one level above
-        the one they were read from, the top cached level holding that
-        enclosure (an affine oracle's inner level), so they nest in it
-        (INCONCLUSIVE at the precision cap)."""
-        v = self.exact_value()
-        if v is not None:
-            self._cf_quotients, self._cf_ended = _certified_prefix(Enclosure.point(v)), True
-            return
+        Euclid on canonical enclosures, resumed past the cached quotients from
+        the rung one level above the top cached level holding the enclosure
+        they were read from (an affine oracle's inner level), so they nest in
+        it; a point, a rational value's, ends it. INCONCLUSIVE at the cap."""
 
         def step(k):
             tail, enc = self._cf_tail, self.enclose(k)
@@ -174,7 +169,8 @@ class RealOracle:
             self._cf_quotients += quots
             self._cf_tail = tuple(deque(chain(tail, convergent_pairs(quots, tail)), maxlen=2))
             self._cf_level = max(lv for lv, e in self._canon.items() if e is enc)
-            return True if len(self._cf_quotients) >= count else None
+            self._cf_ended = enc.l == enc.h
+            return True if self._cf_ended or len(self._cf_quotients) >= count else None
 
         refine(
             step, f"CF expansion of {self.spec} stalled at depth {count - 1}",
@@ -226,7 +222,7 @@ def _certified_prefix(enc: Enclosure, seeds=SEEDS) -> list:
 class RationalOracle(RealOracle):
     def __init__(self, value: Rat, spec: Optional[str] = None):
         super().__init__()
-        self.value = _frac(value)
+        self.value = as_rational(value, "BAD_RATIONAL")
         self.spec = spec or f"rat:{self.value.numerator}/{self.value.denominator}"
 
     def _raw(self, k: int) -> Enclosure:
@@ -390,8 +386,8 @@ class CFOracle(RealOracle):
     repeating periodic block, or the rule a_j = B**(j!) for j >= 1 with a_0 =
     0, truncated at a configurable index bound (quotients past the bound raise
     UNREPRESENTABLE since their sizes grow beyond any usable precision).
-    The quotients are read as ints once, here, and the canonical spec is
-    built on first read.
+    Quotients, base and bound are checked here to be integers (BAD_CF), a
+    list of ints in one pass; the canonical spec is built on first read.
     """
 
     LIOUVILLE_DEFAULT_CAP = 8
@@ -399,23 +395,25 @@ class CFOracle(RealOracle):
     def __init__(self, prefix, periodic=None, liouville_base=None, liouville_cap=None):
         super().__init__()
         self.liouville_base = liouville_base
-        self.liouville_cap = self.LIOUVILLE_DEFAULT_CAP if liouville_cap is None else liouville_cap
+        cap = self.LIOUVILLE_DEFAULT_CAP if liouville_cap is None else liouville_cap
+        self.liouville_cap = as_integer(cap, "BAD_CF", "liouville cap")
         self._value = None
         self._last_pair = (0, 0, SEEDS)  # within's last (n, quotients read, convergent pair)
         if liouville_base is not None:
-            if liouville_base < 2:
-                raise PreconditionError("BAD_CF", f"liouville base {liouville_base} must be >= 2")
-            powers = (liouville_base ** factorial(j) for j in range(1, self.liouville_cap + 1))
+            self.liouville_base = base = as_integer(liouville_base, "BAD_CF", "liouville base")
+            if base < 2:
+                raise PreconditionError("BAD_CF", f"liouville base {base} must be >= 2")
+            powers = (base ** factorial(j) for j in range(1, self.liouville_cap + 1))
             self._supply = chain([0], powers)
             return
-        self._prefix = prefix = list(map(int, prefix))
+        self._prefix = prefix = as_integers(prefix, "BAD_CF", "quotient")
         if not prefix:
             raise PreconditionError("BAD_CF", "empty quotient list")
         if prefix[0] < 0:
             raise PreconditionError("BAD_CF", "a0 must be >= 0")
         if min(prefix[1:], default=1) < 1:
             raise PreconditionError("BAD_CF", "quotients after a0 must be >= 1")
-        self._block = block = list(map(int, periodic or ()))
+        self._block = block = as_integers(periodic or (), "BAD_CF", "quotient")
         if block:
             if min(block) < 1:
                 raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
@@ -491,8 +489,8 @@ class AffineOracle(RealOracle):
 
     def __init__(self, a: Rat, b: Rat, inner: RealOracle):
         super().__init__()
-        self.a = _frac(a)
-        self.b = _frac(b)
+        self.a = as_rational(a, "BAD_AFFINE", "scale")
+        self.b = as_rational(b, "BAD_AFFINE", "shift")
         if self.a == 0:
             raise PreconditionError("BAD_AFFINE", "scale a must be nonzero")
         self.spec = (
@@ -538,19 +536,19 @@ _INT_LIST = re.compile(r"^\[(\d+(?:,\d+)*)\]$")
 
 
 def _parse_cf_body(body: str):
-    """The quotient strings of ``[a0;a1,...]``; CFOracle reads them as ints."""
+    """The quotients of ``[a0;a1,...]`` as ints."""
     m = _CF_LIST.match(body.strip())
     if not m:
         raise PreconditionError("BAD_CF", f"cannot parse CF list {body!r}")
     a0, rest = m.groups()
-    return [a0, *rest.split(",")] if rest else [a0]
+    return [int(a0), *map(int, rest.split(","))] if rest else [int(a0)]
 
 
 def _parse_int_list(body: str):
     m = _INT_LIST.match(body.strip())
     if not m:
         raise PreconditionError("BAD_CF", f"cannot parse quotient block {body!r}")
-    return m.group(1).split(",")
+    return list(map(int, m.group(1).split(",")))
 
 
 def parse_oracle(spec: str) -> RealOracle:
@@ -618,21 +616,12 @@ def nearest_int(oracle: RealOracle, u: Rat, accept=None):
     """(v, dist) with v the certified nearest integer to u*xi.
 
     ``dist`` is an enclosure of |u*xi - v| from the first level that decides
-    v and, when ``accept`` is given, passes ``accept(dist)``; a rational
-    value gives the exact distance, untested. Exactly half-integer products
-    (only possible for rational oracles) raise HALF_INTEGER since the nearest
-    integer is then ill-defined.
+    v and, when ``accept`` is given, passes ``accept(dist)``; a point
+    enclosure, a rational value's, gives the exact distance, untested.
+    Exactly half-integer products (only possible for rational oracles) raise
+    HALF_INTEGER since the nearest integer is then ill-defined.
     """
-    u = _frac(u)
     half = Fraction(1, 2)
-    v = oracle.exact_value()
-    if v is not None:
-        t = u * v
-        twice = 2 * t
-        if twice.denominator == 1 and twice.numerator % 2 != 0:
-            raise HalfInteger(f"{brief(u)}*{oracle.spec} is exactly half-integral")
-        m = (t + half).__floor__()
-        return m, Enclosure.point(abs(t - m))
 
     def step(k):
         enc = oracle.enclose(k) * u
@@ -640,7 +629,9 @@ def nearest_int(oracle: RealOracle, u: Rat, accept=None):
         if m is None:
             return None
         dist = (enc - m).abs()
-        return (m, dist) if accept is None or accept(dist) else None
+        if dist.is_point() and 2 * dist.l == dist.d:
+            raise HalfInteger(f"{brief(u)}*{oracle.spec} is exactly half-integral")
+        return (m, dist) if accept is None or dist.is_point() or accept(dist) else None
 
     return refine(step, lambda: f"nearest integer to {brief(u)}*({oracle.spec}) undecided")
 

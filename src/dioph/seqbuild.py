@@ -22,12 +22,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .certlog import ln_frac
-from .dichotomy import LemmaParams, _integer, _param, solve_disjunction
+from .dichotomy import LemmaParams, solve_disjunction
 from .enclosure import (
     Enclosure,
     Rat,
     _ends,
-    _frac,
+    as_integer,
+    as_integers,
+    as_rational,
     dyadic_below,
     root_enclosure,
     sqrt_lower,
@@ -56,6 +58,19 @@ CASE_I_FRACTION = Fraction(1, 5)
 REGULARITY_DELTA = Fraction(1, 4)
 
 
+def _read_table(rows, name: str) -> tuple:
+    """({n: values as Fractions}, the n ascending) of ``rows`` (n, *values)."""
+    table = {}
+    for n, *values in rows:
+        n = as_integer(n, what="row index")
+        if n in table:
+            raise PreconditionError("BAD_PARAMS", f"{name} table has two rows for n={n}")
+        table[n] = tuple(as_rational(v, what=f"{name} table entry") for v in values)
+    if not table:
+        raise PreconditionError("BAD_PARAMS", f"empty {name} table")
+    return table, sorted(table)
+
+
 @dataclass(frozen=True)
 class RateSpec:
     """Target sizes per index: geometric (Q_n, eps_n) = (beta^n, alpha^n) or
@@ -68,7 +83,7 @@ class RateSpec:
 
     @classmethod
     def geometric(cls, alpha: Rat, beta: Rat) -> "RateSpec":
-        a, b = _param(alpha), _param(beta)
+        a, b = as_rational(alpha, what="alpha"), as_rational(beta, what="beta")
         if not (0 < a < 1 < b):
             raise PreconditionError(
                 "BAD_PARAMS", f"geometric rates need 0 < alpha < 1 < beta, got {a}, {b}"
@@ -77,15 +92,7 @@ class RateSpec:
 
     @classmethod
     def from_table(cls, rows) -> "RateSpec":
-        table = {}
-        for n, Q, eps in rows:
-            n = _integer(n, what="row index")
-            if n in table:
-                raise PreconditionError("BAD_PARAMS", f"rate table has two rows for n={n}")
-            table[n] = (_param(Q), _param(eps))
-        if not table:
-            raise PreconditionError("BAD_PARAMS", "empty rate table")
-        ns = sorted(table)
+        table, ns = _read_table(rows, "rate")
         for a, b in zip(ns, ns[1:]):
             if table[a][0] >= table[b][0] or table[a][1] <= table[b][1]:
                 raise PreconditionError(
@@ -101,6 +108,7 @@ class RateSpec:
         return cls("table", table=table)
 
     def targets(self, n: int):
+        n = as_integer(n, what="index")
         if self.kind == "geometric":
             return self.beta**n, self.alpha**n
         if n not in self.table:
@@ -125,15 +133,8 @@ class EtaSchedule:
 
     @classmethod
     def custom(cls, pairs) -> "EtaSchedule":
-        table = {}
-        for n, v in pairs:
-            n = _integer(n, what="row index")
-            if n in table:
-                raise PreconditionError("BAD_PARAMS", f"eta table has two rows for n={n}")
-            table[n] = _param(v)
-        ns = sorted(table)
-        if not ns:
-            raise PreconditionError("BAD_PARAMS", "empty eta table")
+        table, ns = _read_table(pairs, "eta")
+        table = {n: v for n, (v,) in table.items()}
         for a, b in zip(ns, ns[1:]):
             if table[a] < table[b]:
                 raise PreconditionError("BAD_PARAMS", "eta table must be nonincreasing")
@@ -145,6 +146,7 @@ class EtaSchedule:
         return cls(table)
 
     def value(self, n: int) -> Fraction:
+        n = as_integer(n, what="index")
         if self.table is not None:
             if n not in self.table:
                 raise PreconditionError("BAD_PARAMS", f"eta table has no row for n={n}")
@@ -217,10 +219,11 @@ def build_sequence(
     mu_upper (slack 1/20 by default) and CASE_I_PERSISTS when case (i) hits
     more than a fifth of the top half of the range.
     """
-    mu_upper = _param(mu_upper)
+    mu_upper = as_rational(mu_upper, what="mu_upper")
+    rate_slack = as_rational(rate_slack, what="rate_slack")
     if mu_upper <= 1:
         raise PreconditionError("BAD_PARAMS", f"mu_upper {mu_upper} must be > 1")
-    ns = list(n_range)
+    ns = as_integers(n_range, what="index")
     if not ns:
         raise PreconditionError("BAD_PARAMS", "empty index range")
     eta = eta or EtaSchedule.default_rule()
@@ -286,22 +289,20 @@ def build_sequence(
 
 
 def _form_enclosure(oracle: RealOracle, u: int, v: int) -> Enclosure:
-    """Signed enclosure of u xi - v, separated from zero."""
-    exact = oracle.exact_value()
-    if exact is not None:
-        r = u * exact - v
-        if r == 0:
+    """Signed enclosure of u xi - v, separated from zero; ZERO_RESIDUAL at the point 0."""
+
+    def enclose_at(k):
+        r = oracle.enclose(k) * u - v
+        if r.sign() == 0:
             raise ZeroResidual(f"u={u}, v={v} annihilates the rational value")
-        return Enclosure.point(r)
-    return separated(
-        lambda k: oracle.enclose(k) * u - v,
-        lambda: f"residual |{u} xi - {v}| not separated from 0",
-    )
+        return r
+
+    return separated(enclose_at, lambda: f"residual |{u} xi - {v}| not separated from 0")
 
 
 def lemma1_bound(alpha_hat: Rat, beta_hat: Rat) -> Fraction:
     """Certified-rounding upper evaluation of 1 - log(beta)/log(alpha)."""
-    a, b = _frac(alpha_hat), _frac(beta_hat)
+    a, b = as_rational(alpha_hat, what="alpha_hat"), as_rational(beta_hat, what="beta_hat")
     if not (0 < a < 1 < b):
         raise PreconditionError(
             "BAD_PARAMS", f"need 0 < alpha_hat < 1 < beta_hat, got {a}, {b}"
@@ -324,11 +325,9 @@ class RateEstimate:
 
 def _window_positions(ns, window):
     if window is None:
-        start = len(ns) // 2
-        return list(range(start, len(ns)))
-    lo, hi = window
-    pos = [i for i, n in enumerate(ns) if lo <= n <= hi]
-    return pos
+        return list(range(len(ns) // 2, len(ns)))
+    lo, hi = as_integers(window, what="window end")
+    return [i for i, n in enumerate(ns) if lo <= n <= hi]
 
 
 def _richardson(x0: Enclosure, x1: Enclosure, n0: int, n1: int) -> Enclosure:
@@ -363,7 +362,7 @@ def measure_rates(entries, oracle: RealOracle) -> RateEstimate:
     """
     rows = [
         (e.n, e.u, e.v) if isinstance(e, ApproxSequenceEntry)
-        else tuple(_integer(x, what="row entry") for x in e)
+        else tuple(as_integers(e, what="row entry"))
         for e in entries
     ]
     if len(rows) < 3:
@@ -430,19 +429,15 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     if len(pos) < 2:
         raise PreconditionError("BAD_PARAMS", "window keeps fewer than 2 entries")
     raw_res = {i: residual(i) for i in pos}
-    read = {pos[0], *pos[-3:]}
-    if scales is not None:
-        core_res = {}
-        for i in read:
-            # r / s on integers, for the scale s > 0: no reciprocal, no gcd
-            r, s = raw_res[i], _frac(scales[i])
-            core_res[i] = Enclosure.from_ints(r.l * s.denominator, r.h * s.denominator, r.d * s.numerator)
-        core_h = {i: Enclosure.point(height(i) / _frac(scales[i])) for i in read}
-        growth = scale_growth if scale_growth is not None else Enclosure.point(1)
-    else:
-        core_res = raw_res
-        core_h = {i: Enclosure.point(height(i)) for i in read}
-        growth = Enclosure.point(1)
+    if scales is None:
+        scales, scale_growth = [1] * len(ns), None
+    core_res, core_h = {}, {}
+    for i in {pos[0], *pos[-3:]}:
+        # r / s on integers, for the scale s > 0, an int or a Fraction: no reciprocal, no gcd
+        r, s = raw_res[i], scales[i]
+        core_res[i] = Enclosure.from_ints(r.l * s.denominator, r.h * s.denominator, r.d * s.numerator)
+        core_h[i] = Enclosure.point(Fraction(height(i), s))
+    growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     alpha_core, method_a = _estimate_limit(core_res, ns, pos)
     beta_core, method_b = _estimate_limit(core_h, ns, pos)
     alpha_enc = alpha_core * growth
@@ -485,7 +480,7 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
     largest consecutive ratio of the u, and nu_estimate = log sqrt(alpha_xi
     * beta_u), rounded up. A distance that is exactly 0 raises ZERO_RESIDUAL.
     """
-    us = [_integer(u, what="denominator") for u in u_seq]
+    us = as_integers(u_seq, what="denominator")
     if len(us) < 2:
         raise PreconditionError("BAD_PARAMS", "need at least 2 denominators")
     if any(u <= 0 for u in us) or any(b < a for a, b in zip(us, us[1:])):

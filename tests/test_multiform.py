@@ -233,7 +233,7 @@ class TestTauEmpirical:
         assert sorted(core_res) == [60, 118, 119, 120]
         for i, r in core_res.items():
             raw = evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()
-            want = raw * (1 / seq.scales[i])
+            want = raw * (F(1) / seq.scales[i])
             assert (r.l, r.h, r.d) == (want.l, want.h, want.d)
 
     def test_window_takes_no_log(self, monkeypatch):
