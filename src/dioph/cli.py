@@ -64,6 +64,13 @@ def _emit(payload) -> int:
     return 0
 
 
+def _emit_csv(header, rows) -> int:
+    w = csv.writer(sys.stdout, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return 0
+
+
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -121,16 +128,8 @@ def _point_from(text: str) -> PointVec:
     return PointVec(tuple(parse_oracle(s) for s in _split_specs(text)))
 
 
-def _require_json(args):
-    if args.output != "json":
-        raise DiophError(
-            "BAD_PARAMS", f"{args.command}: only json output is supported"
-        )
-
-
 def _cmd_cf(args) -> int:
     oracle = parse_oracle(args.oracle)
-    _require_json(args)
     cf = expand(oracle, args.depth)
     cons = convergents(cf)
     return _emit(
@@ -148,7 +147,6 @@ def _cmd_cf(args) -> int:
 
 def _cmd_mu(args) -> int:
     oracle = parse_oracle(args.oracle)
-    _require_json(args)
     est = mu_estimate(oracle, args.depth)
     return _emit(
         {
@@ -163,7 +161,6 @@ def _cmd_mu(args) -> int:
 
 def _cmd_lemma(args) -> int:
     oracle = parse_oracle(args.oracle)
-    _require_json(args)
     params = LemmaParams(
         parse_rational(args.c),
         parse_rational(args.c_prime),
@@ -231,10 +228,9 @@ def _cmd_build(args) -> int:
         rate_slack=parse_rational(args.rate_slack),
     )
     if args.output == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["n", "case", "u", "v", "ratio_u", "res_lo", "res_hi"])
-        for e in res.entries:
-            w.writerow(
+        return _emit_csv(
+            ["n", "case", "u", "v", "ratio_u", "res_lo", "res_hi"],
+            (
                 [
                     e.n,
                     e.case_taken.upper(),
@@ -244,8 +240,9 @@ def _cmd_build(args) -> int:
                     _rat(e.residual.lo),
                     _rat(e.residual.hi),
                 ]
-            )
-        return 0
+                for e in res.entries
+            ),
+        )
     return _emit(
         {
             "entries": [
@@ -268,13 +265,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_density(args) -> int:
     oracle = parse_oracle(args.oracle)
-    _require_json(args)
-    if args.u_csv:
-        u_seq = [_int(r["u"]) for r in _read_csv(args.u_csv, "u")[1]]
-    elif args.u:
+    if args.u is not None:
         u_seq = [_int(s) for s in args.u.split(",")]
     else:
-        raise DiophError("BAD_PARAMS", "density needs --u or --u-csv")
+        u_seq = [_int(r["u"]) for r in _read_csv(args.u_csv, "u")[1]]
     dd = density_data(u_seq, oracle)
     return _emit(
         {
@@ -291,8 +285,6 @@ def _load_forms(args):
     """Form sequence from --apery, or from a CSV of n,u,v or n,l0..lr rows."""
     if args.apery is not None:
         return apery_forms(args.apery, args.n_max)
-    if not args.forms_csv:
-        raise DiophError("BAD_PARAMS", "need --forms-csv or --apery")
     fields, rows = _read_csv(args.forms_csv, "n")
     if "u" in fields and "v" in fields:
         if not args.oracle:
@@ -330,7 +322,6 @@ def _rate_payload(est) -> dict:
 
 
 def _cmd_multi(args) -> int:
-    _require_json(args)
     if args.action == "dirichlet":
         point = _point_from(args.point)
         w = dirichlet_witness(point, args.big_q, mode=args.mode)
@@ -399,16 +390,12 @@ def _cmd_apery(args) -> int:
             }
         )
     if args.output == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["n", "a", "b", "u", "v", "scale"])
-        for r in rows:
-            w.writerow([r["n"], r["a"], r["b"], r["u"], r["v"], r["scale"]])
-        return 0
+        header = ["n", "a", "b", "u", "v", "scale"]
+        return _emit_csv(header, ([r[k] for k in header] for r in rows))
     return _emit({"rows": rows, "s": args.s})
 
 
 def _cmd_suite(args) -> int:
-    _require_json(args)
     if args.criterion is not None:
         results = [run_criterion(args.criterion, args.seed)]
     else:
@@ -486,24 +473,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="density data for a denominator sequence")
     p.add_argument("--oracle", required=True)
-    p.add_argument("--u", default=None, help="comma-separated denominators")
-    p.add_argument("--u-csv", default=None, help="CSV with a u column")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--u", help="comma-separated denominators")
+    source.add_argument("--u-csv", help="CSV with a u column")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("multi", help="simultaneous / multi-form operations")
-    p.add_argument("action", choices=("dirichlet", "omega0", "tau", "nesterenko"))
-    p.add_argument("--point", default=None, help="comma-separated oracle specs")
-    p.add_argument("--Q", dest="big_q", type=int, default=None)
+    p.set_defaults(func=_cmd_multi)
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("dirichlet", help="Dirichlet-bound simultaneous witness")
+    p.add_argument("--point", required=True, help="comma-separated oracle specs")
+    p.add_argument("--Q", dest="big_q", type=int, required=True)
     p.add_argument("--mode", choices=("first", "best"), default="first")
-    p.add_argument("--q-bound", type=int, default=None)
-    p.add_argument("--forms-csv", default=None)
-    p.add_argument("--oracle", default=None, help="value for u,v form ingestion")
-    p.add_argument("--apery", type=int, choices=(2, 3), default=None)
-    p.add_argument("--n-max", type=int, default=200)
-    p.add_argument("--window", default=None, help="measurement span a:b")
+    p = actions.add_parser("omega0", help="simultaneous exponent search")
+    p.add_argument("--point", required=True, help="comma-separated oracle specs")
+    p.add_argument("--q-bound", type=int, required=True)
+
+    forms = argparse.ArgumentParser(add_help=False)  # what tau and nesterenko read
+    forms.add_argument("--point", help="coordinates for l0..lr form ingestion")
+    forms.add_argument("--oracle", help="value for u,v form ingestion")
+    source = forms.add_mutually_exclusive_group(required=True)
+    source.add_argument("--forms-csv", help="forms, header n,u,v or n,l0..lr")
+    source.add_argument("--apery", type=int, choices=(2, 3))
+    forms.add_argument("--n-max", type=int, default=200)
+    forms.add_argument("--window", help="measurement span a:b")
+    actions.add_parser("tau", parents=[forms], help="decay and growth rates of forms")
+    p = actions.add_parser("nesterenko", parents=[forms], help="Nesterenko dimension bound")
     p.add_argument("--omega-bound", type=int, default=10**4)
     p.add_argument("--omega-slack", default="1/10")
-    p.set_defaults(func=_cmd_multi)
 
     p = sub.add_parser("apery", help="reference form families")
     p.add_argument("--s", type=int, choices=(2, 3), required=True)
@@ -518,23 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.precision_cap < 64:
         print("error: --precision-cap must be >= 64", file=sys.stderr)
         return 2
-    if args.command == "multi":
-        if args.action == "dirichlet" and args.big_q is None:
-            parser.error("multi dirichlet needs --Q")
-        if args.action == "omega0" and args.q_bound is None:
-            parser.error("multi omega0 needs --q-bound")
-        if args.action in ("dirichlet", "omega0") and not args.point:
-            parser.error(f"multi {args.action} needs --point")
     token = PRECISION_CAP.set(args.precision_cap)
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digits is not None:
         sys.set_int_max_str_digits(0)  # big quotients print in full
     try:
+        if args.output == "csv" and args.command not in ("build", "apery"):
+            raise DiophError("BAD_PARAMS", f"{args.command}: only json output is supported")
         return args.func(args)
     except DiophError as exc:
         print(f"error: {exc}", file=sys.stderr)

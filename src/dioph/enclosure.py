@@ -66,6 +66,7 @@ class Enclosure:
     __slots__ = ("l", "h", "d")
 
     def __init__(self, lo: Rat, hi: Rat):
+        lo, hi = (as_rational(x, "BAD_PARAMS", "enclosure end") for x in (lo, hi))
         (ln, _, ld), (hn, _, hd) = _ends(lo), _ends(hi)
         if ld != hd:
             ln, hn, ld = ln * hd, hn * ld, ld * hd
@@ -144,8 +145,6 @@ class Enclosure:
     def __add__(self, other) -> "Enclosure":
         ol, oh, od = _ends(other)
         l, h, d = self.l, self.h, self.d
-        if od == d:
-            return _make(l + ol, h + oh, d)
         return _make(l * od + ol * d, h * od + oh * d, d * od)
 
     __radd__ = __add__
@@ -153,8 +152,6 @@ class Enclosure:
     def __sub__(self, other) -> "Enclosure":
         ol, oh, od = _ends(other)
         l, h, d = self.l, self.h, self.d
-        if od == d:
-            return _make(l - oh, h - ol, d)
         return _make(l * od - oh * d, h * od - ol * d, d * od)
 
     def __rsub__(self, other) -> "Enclosure":

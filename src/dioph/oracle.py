@@ -31,6 +31,7 @@ Rationals may be written p/q, as plain integers, or as exact decimal strings.
 from __future__ import annotations
 
 import re
+import sys
 from collections import deque
 from contextvars import ContextVar
 from functools import cached_property
@@ -541,14 +542,23 @@ def _parse_cf_body(body: str):
     if not m:
         raise PreconditionError("BAD_CF", f"cannot parse CF list {body!r}")
     a0, rest = m.groups()
-    return [int(a0), *map(int, rest.split(","))] if rest else [int(a0)]
+    return _quotients([a0, *rest.split(",")] if rest else [a0])
 
 
 def _parse_int_list(body: str):
     m = _INT_LIST.match(body.strip())
     if not m:
         raise PreconditionError("BAD_CF", f"cannot parse quotient block {body!r}")
-    return list(map(int, m.group(1).split(",")))
+    return _quotients(m.group(1).split(","))
+
+
+def _quotients(digits) -> list:
+    """Matched digit strings as ints; BAD_CF past Python's int/str digit limit."""
+    try:
+        return list(map(int, digits))
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError("BAD_CF", f"quotient past Python's {limit}-digit int limit") from exc
 
 
 def parse_oracle(spec: str) -> RealOracle:

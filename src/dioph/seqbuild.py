@@ -58,13 +58,15 @@ CASE_I_FRACTION = Fraction(1, 5)
 REGULARITY_DELTA = Fraction(1, 4)
 
 
-def _read_table(rows, name: str) -> tuple:
-    """({n: values as Fractions}, the n ascending) of ``rows`` (n, *values)."""
+def _read_table(rows, name: str, width: int) -> tuple:
+    """({n: values as Fractions}, the n ascending) of ``rows`` (n, *values), ``width`` values each."""
     table = {}
     for n, *values in rows:
         n = as_integer(n, what="row index")
         if n in table:
             raise PreconditionError("BAD_PARAMS", f"{name} table has two rows for n={n}")
+        if len(values) != width:
+            raise PreconditionError("BAD_PARAMS", f"{name} table row n={n} needs {width} values")
         table[n] = tuple(as_rational(v, what=f"{name} table entry") for v in values)
     if not table:
         raise PreconditionError("BAD_PARAMS", f"empty {name} table")
@@ -92,7 +94,7 @@ class RateSpec:
 
     @classmethod
     def from_table(cls, rows) -> "RateSpec":
-        table, ns = _read_table(rows, "rate")
+        table, ns = _read_table(rows, "rate", 2)
         for a, b in zip(ns, ns[1:]):
             if table[a][0] >= table[b][0] or table[a][1] <= table[b][1]:
                 raise PreconditionError(
@@ -133,7 +135,7 @@ class EtaSchedule:
 
     @classmethod
     def custom(cls, pairs) -> "EtaSchedule":
-        table, ns = _read_table(pairs, "eta")
+        table, ns = _read_table(pairs, "eta", 1)
         table = {n: v for n, (v,) in table.items()}
         for a, b in zip(ns, ns[1:]):
             if table[a] < table[b]:

@@ -18,6 +18,7 @@ import pytest
 from dioph import enclosure, oracle as oracle_mod
 from dioph.contfrac import expand, mu_estimate
 from dioph.dichotomy import LemmaParams, find_fractional_hit
+from dioph.enclosure import Enclosure
 from dioph.errors import PreconditionError
 from dioph.multiform import (
     FormSequence,
@@ -88,6 +89,8 @@ ENTRIES = [
     ("RateSpec.from_table Q", "BAD_PARAMS", False, lambda x: RateSpec.from_table([(1, x, F(1, 2))])),
     ("RateSpec.targets n", "BAD_PARAMS", True, lambda x: GEOMETRIC.targets(x)),
     ("EtaSchedule.value n", "BAD_PARAMS", True, lambda x: EtaSchedule.default_rule().value(x)),
+    ("Enclosure lo", "BAD_PARAMS", False, lambda x: Enclosure(x, 10)),
+    ("Enclosure hi", "BAD_PARAMS", False, lambda x: Enclosure(-10, x)),
 ]
 
 BAD = {"nan": math.nan, "inf": math.inf, "5/2": F(5, 2), "string": "5"}
@@ -122,6 +125,7 @@ def test_integral_values_are_read_as_ints():
 def test_rationals_are_read_exactly():
     # a float is read exactly, as its own binary fraction
     assert RationalOracle(0.1).value == F(0.1) != F(1, 10)
+    assert Enclosure(0.5, 1) == Enclosure(F(1, 2), 1) and Enclosure(0.1, 1).lo == F(0.1)
     assert AffineOracle(0.5, 0.25, SQRT2).spec == "affine:1/2/1/4:const:sqrt2"
     assert RationalOracle(3).value == 3 and type(RationalOracle(3).value) is F
 
@@ -137,6 +141,17 @@ def test_cf_spec_hands_ints_and_a_list_of_ints_is_checked_in_one_pass(monkeypatc
     quotients = [0] + [7] * 40
     assert parse_oracle("cf:[0;" + ",".join(["7"] * 40) + "]")._prefix == quotients
     assert CFOracle(quotients, periodic=[1, 2])._prefix == quotients
+
+
+@pytest.mark.parametrize("spec", [
+    "cf:[0;" + "1" * 5000 + "]",
+    "cf:[0;1]+periodic:[" + "2" * 5000 + "]",
+], ids=["prefix", "periodic"])
+def test_a_quotient_past_the_int_digit_limit_is_bad_cf(spec):
+    # int() raised a bare ValueError; the CLI lifts the limit and prints it in full
+    with pytest.raises(PreconditionError, match="digit int limit") as info:
+        parse_oracle(spec)
+    assert info.value.code == "BAD_CF"
 
 
 def test_apery_scales_stay_ints():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import dioph
 from dioph import multiform
-from dioph.cli import main
+from dioph.cli import build_parser, main
 from dioph.enclosure import Enclosure
 from dioph.oracle import PRECISION_CAP
 
@@ -340,12 +341,89 @@ def test_bug_codes_exit_5(capsys, monkeypatch):
     assert "PIGEONHOLE_FAILED" in err
 
 
-def test_csv_rejected_where_unsupported(capsys):
-    code, _, err = run_cli(
-        capsys, "--output", "csv", "mu", "--oracle", "const:sqrt2", "--depth", "5"
-    )
-    assert code == 2
-    assert "only json" in err
+def _subcommands(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(parser) -> set:
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+TAU_OPTIONS = {"--point", "--oracle", "--n-max", "--window", "--forms-csv", "--apery"}
+MULTI_OPTIONS = {
+    "dirichlet": {"--point", "--Q", "--mode"},
+    "omega0": {"--point", "--q-bound"},
+    "tau": TAU_OPTIONS,
+    "nesterenko": TAU_OPTIONS | {"--omega-bound", "--omega-slack"},
+}
+
+
+def test_each_option_is_declared_where_it_is_read():
+    top = build_parser()
+    verbs = _subcommands(top)
+    actions = _subcommands(verbs["multi"])
+    assert _options(verbs["multi"]) == set()
+    assert {name: _options(p) for name, p in actions.items()} == MULTI_OPTIONS
+    assert sum(map(len, MULTI_OPTIONS.values())) == 19
+    # one source per input: exactly one of each pair, enforced by argparse
+    sources = {
+        frozenset(s for a in group._group_actions for s in a.option_strings): group.required
+        for p in (verbs["density"], actions["tau"], actions["nesterenko"])
+        for group in p._mutually_exclusive_groups
+    }
+    assert sources == {frozenset({"--u", "--u-csv"}): True, frozenset({"--forms-csv", "--apery"}): True}
+    assert "--output" in _options(top)
+    parsers = [*verbs.values(), *actions.values()]
+    assert not any("--output" in _options(p) for p in parsers)
+
+
+POINT = "rat:1,const:sqrt2"
+FORMS_CSV = str(GOLDEN / "sqrt2_convergents.csv")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("multi", "dirichlet", "--point", POINT, "--Q", "10", "--q-bound", "100"),
+     "unrecognized arguments: --q-bound 100"),
+    (("multi", "omega0", "--point", POINT, "--q-bound", "100", "--Q", "10"),
+     "unrecognized arguments: --Q 10"),
+    (("multi", "tau", "--apery", "3", "--omega-bound", "200"),
+     "unrecognized arguments: --omega-bound 200"),
+    (("multi", "nesterenko", "--apery", "3", "--mode", "best"),
+     "unrecognized arguments: --mode best"),
+    (("density", "--oracle", "const:golden", "--u", "1,2,3", "--u-csv", FORMS_CSV),
+     "argument --u-csv: not allowed with argument --u"),
+    (("multi", "tau", "--apery", "3", "--forms-csv", FORMS_CSV, "--oracle", "const:sqrt2"),
+     "argument --forms-csv: not allowed with argument --apery"),
+    (("--output", "csv", "cf", "--oracle", "bogus", "--depth", "5"),
+     "error: BAD_PARAMS: cf: only json output is supported\n"),
+    (("--output", "csv", "mu", "--oracle", "const:sqrt2", "--depth", "5"),
+     "error: BAD_PARAMS: mu: only json output is supported\n"),
+    (("--output", "csv", *SQRT2_LEMMA_Q1E400),
+     "error: BAD_PARAMS: lemma: only json output is supported\n"),
+    (("--output", "csv", "density", "--oracle", "const:golden", "--u", "1,2,3"),
+     "error: BAD_PARAMS: density: only json output is supported\n"),
+    (("--output", "csv", "multi", "tau", "--apery", "3"),
+     "error: BAD_PARAMS: multi: only json output is supported\n"),
+    (("--output", "csv", "suite", "--seed", "1"),
+     "error: BAD_PARAMS: suite: only json output is supported\n"),
+], ids=["unread-dirichlet", "unread-omega0", "unread-tau", "unread-nesterenko",
+        "two-sources-density", "two-sources-tau",
+        "csv-cf", "csv-mu", "csv-lemma", "csv-density", "csv-multi", "csv-suite"])
+def test_what_a_command_does_not_read_exits_2(capsys, argv, message):
+    """argparse refuses a flag an action does not read and a second source
+    (SystemExit(2)); main refuses csv output for a JSON-only verb before it
+    reads any other input (exit 2, BAD_PARAMS)."""
+    if message.startswith("error: "):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert err == message
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        code = info.value.code
+        out, err = capsys.readouterr()
+        assert message in err
+    assert code == 2 and out == ""
 
 
 def test_suite_single_criterion(capsys):
@@ -363,4 +441,9 @@ def test_big_quotients_print_in_full(capsys):
     assert code == 0, err
     # a_8 = 3**(8!) has 19238 digits, past the default int/str limit
     assert len(json.loads(out)["quotients"][8]) == 19238
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # a quotient given with 5000 digits is read as well as printed
+    code, out, err = run_cli(capsys, "cf", "--oracle", "cf:[0;" + "1" * 5000 + "]", "--depth", "2")
+    assert code == 0, err
+    assert json.loads(out)["quotients"] == ["0", "1" * 5000]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
