@@ -208,16 +208,13 @@ def _load_rates(path: str) -> RateSpec:
 
 def _cmd_build(args) -> int:
     oracle = parse_oracle(args.oracle)
-    if args.rates_csv:
+    given = [x is not None for x in (args.rates_csv, args.alpha, args.beta)]
+    if given not in ([True, False, False], [False, True, True]):
+        raise DiophError("BAD_PARAMS", "build needs --alpha and --beta, or --rates-csv alone")
+    if args.rates_csv is not None:
         rates = _load_rates(args.rates_csv)
     else:
-        if args.alpha is None or args.beta is None:
-            raise DiophError(
-                "BAD_PARAMS", "build needs --alpha and --beta, or --rates-csv"
-            )
-        rates = RateSpec.geometric(
-            parse_rational(args.alpha), parse_rational(args.beta)
-        )
+        rates = RateSpec.geometric(parse_rational(args.alpha), parse_rational(args.beta))
     lo, hi = _parse_span(args.n)
     res = build_sequence(
         oracle,

@@ -12,8 +12,11 @@ real value xi, one of two certificates is produced:
 
 The distance band of case (ii) is two signed windows for q xi - p, [eps, w]
 and [-w, -eps] with w = min(c' eps, 1/2), each with its own endpoint
-strictness; case (i) is the one window [-b, b], b capped at 1. Windows are
-read cyclically, and both cases run one window search and one window check.
+strictness; case (i) is the one window [-b, b], b capped at 1. Past the
+parameters' entry, a window is integers (lo, hi, den, lo_strict, hi_strict)
+for [lo/den, hi/den], the band's two over one denominator, and the q range is
+two ints. Windows are read cyclically, and both cases run one window search
+and one window check.
 The search is exact at every size: rational xi reduces to residue-class
 queries, strict endpoints included, solved by Euclidean descent in O(log)
 steps, one chain per surrogate, one walk per query, later hits of a window
@@ -49,8 +52,6 @@ from .oracle import RealOracle, level_for, refine
 
 DEFAULT_BUDGET = 10**6
 MISS_RUN = 64  # window checks before the search first reads a finer surrogate
-_HALF = Fraction(1, 2)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -65,27 +66,35 @@ class LemmaParams:
             x = getattr(self, name)
             if x.__class__ is not Fraction:
                 object.__setattr__(self, name, as_rational(x, what=name))
-        if not (1 < self.c < self.c_prime < 2):
-            raise PreconditionError(
-                "BAD_PARAMS",
-                f"need 1 < c < c' < 2, got c={self.c}, c'={self.c_prime}",
-            )
-        if not (0 < self.eps < 1):
-            raise PreconditionError("BAD_PARAMS", f"need 0 < eps < 1, got {self.eps}")
-        if not self.Q > 1:
-            raise PreconditionError("BAD_PARAMS", f"need Q > 1, got {self.Q}")
+        # cross products on numerators and (positive) denominators
+        c, cp, eps, Q = self.c, self.c_prime, self.eps, self.Q
+        cn, cd, pn, pd = c.numerator, c.denominator, cp.numerator, cp.denominator
+        if not (cd < cn and cn * pd < pn * cd and pn < 2 * pd):
+            raise PreconditionError("BAD_PARAMS", f"need 1 < c < c' < 2, got c={c}, c'={cp}")
+        if not 0 < eps.numerator < eps.denominator:
+            raise PreconditionError("BAD_PARAMS", f"need 0 < eps < 1, got {eps}")
+        if not Q.numerator > Q.denominator:
+            raise PreconditionError("BAD_PARAMS", f"need Q > 1, got {Q}")
+
+    def _case_i_terms(self):
+        """(un, ud, bn, bd) with bound_u = 2 c^2 / ((c - 1) (c' - c) eps) =
+        un/ud and dist_factor = (2 / (c - 1)) (1 + c^2 / (c' - c)) = bn/bd, on
+        c = cn/cd, c' = pn/pd: c - 1 = c1/cd and c' - c = D/(cd pd)."""
+        (cn, cd), (pn, pd), (en, ed) = (x.as_integer_ratio() for x in (self.c, self.c_prime, self.eps))
+        D, c1 = pn * cd - cn * pd, cn - cd
+        return 2 * cn * cn * pd * ed, c1 * D * en, 2 * (cd * D + cn * cn * pd), c1 * D
 
     @property
     def bound_u(self) -> Fraction:
         """Denominator bound for case (i)."""
-        c, cp = self.c, self.c_prime
-        return (2 * c * c) / ((c - 1) * (cp - c)) / self.eps
+        un, ud, _, _ = self._case_i_terms()
+        return Fraction(un, ud)
 
     @property
     def dist_factor(self) -> Fraction:
         """B with |xi - v/u| <= B / (u Q), i.e. |u xi - v| <= B / Q."""
-        c, cp = self.c, self.c_prime
-        return (2 / (c - 1)) * (1 + c * c / (cp - c))
+        _, _, bn, bd = self._case_i_terms()
+        return Fraction(bn, bd)
 
 
 @dataclass(frozen=True)
@@ -266,25 +275,27 @@ def _residue_hits(chain: _Descent, q_lo: int, q_hi: int, window):
         yield q
 
 
-def _frac_window_check(oracle, q, t_lo, t_hi, stats, near=None):
-    """(p, f) for the least integer p with q xi - p strictly between t_lo and
-    t_hi, f the enclosure of q xi - p that certified it, or None when no
-    integer puts q xi - p in [t_lo, t_hi], for irrational xi and -1 <= t_lo <
-    t_hi <= 1. On an enclosure [l/d, h/d] of q xi the candidates are the p
-    from ceil(l/d - t_hi) to floor(h/d - t_lo): none decides "outside", the
-    least one strictly inside decides the hit, and anything else is decided
-    on a finer enclosure. The enclosure is ``near``, of q xi, when given and
-    it decides, else enclose(k) q on the ladder."""
+def _frac_window_check(oracle, q, window, stats, near=None):
+    """(p, f) for the least integer p with q xi - p strictly between t_lo =
+    lo/den and t_hi = hi/den, ``window`` = (lo, hi, den, ...), f the enclosure
+    of q xi - p that certified it, or None when no integer puts q xi - p in
+    [t_lo, t_hi], for irrational xi and -1 <= t_lo < t_hi <= 1. On an
+    enclosure [l/d, h/d] of q xi the candidates are the p from ceil(l/d -
+    t_hi) to floor(h/d - t_lo): none decides "outside", the least one strictly
+    inside decides the hit, and anything else is decided on a finer
+    enclosure. The enclosure is ``near``, of q xi, when given and it decides,
+    else enclose(k) q on the ladder."""
     stats.candidates += 1
-    a, b, c, e = t_hi.numerator, t_hi.denominator, t_lo.numerator, t_lo.denominator
+    lo, hi, den, _, _ = window
 
     def decide(enc):
         l, h, d = enc.l, enc.h, enc.d
-        p = -((a * d - l * b) // (d * b))  # ceil(l/d - a/b)
-        if p > (h * e - c * d) // (d * e):  # floor(h/d - c/e)
+        dd = d * den
+        p = -((hi * d - l * den) // dd)  # ceil(l/d - hi/den)
+        if p > (h * den - lo * d) // dd:  # floor(h/d - lo/den)
             return False
         f = enc - p
-        return (p, f) if f.inside(t_lo, t_hi) else None
+        return (p, f) if f.l * den > lo * d and f.h * den < hi * d else None
 
     got = None if near is None else decide(near)
     if got is None:
@@ -305,30 +316,33 @@ def find_fractional_hit(oracle: RealOracle, q_lo: Rat, q_hi: Rat, t_lo: Rat, t_h
             "BAD_WINDOW", f"need 0 < t_lo < t_hi < 1, got [{t_lo}, {t_hi}]"
         )
     q_lo, q_hi = as_rational(q_lo, what="q_lo"), as_rational(q_hi, what="q_hi")
-    hit = _find_hit(oracle, q_lo, q_hi, [(t_lo, t_hi, False, False)], _Stats())
+    a, b, c, e = t_lo.numerator, t_lo.denominator, t_hi.numerator, t_hi.denominator
+    window = (a * e, c * b, b * e, False, False)
+    hit = _find_hit(oracle, q_lo.__ceil__(), q_hi.__floor__(), [window], _Stats())
     return None if hit is None else hit[:2]
 
 
-def _surrogate_window(enc, n, t_lo, t_hi, lo_strict=False, hi_strict=False):
+def _surrogate_window(enc, n, window):
     """(lo, hi): the residues a q mod m, lo to hi read cyclically, of the q
     with frac(q a/m) in [t_lo - n w, t_hi + n w], for ``enc`` = [a/m, h/m] of
-    width w, unreduced: the same q as with a/m reduced. lo is n (h - a) below
-    the least integer from t_lo m on, hi as far above the greatest up to t_hi
-    m, a strict end excluding t m itself; on a point, w = 0, they are the
+    width w, unreduced: the same q as with a/m reduced, and ``window`` =
+    (t_lo den, t_hi den, den, lo_strict, hi_strict). lo is n (h - a) below the
+    least integer from t_lo m on, hi as far above the greatest up to t_hi m,
+    a strict end excluding t m itself; on a point, w = 0, they are the
     window's residues."""
     m, spread = enc.d, n * (enc.h - enc.l)
-    lo = (t_lo.numerator * m - (not lo_strict)) // t_lo.denominator + 1
-    hi = (t_hi.numerator * m - hi_strict) // t_hi.denominator
-    return lo - spread, hi + spread
+    t_lo, t_hi, den, lo_strict, hi_strict = window
+    return (t_lo * m - (not lo_strict)) // den + 1 - spread, (t_hi * m - hi_strict) // den + spread
 
 
-def _find_hit(oracle, q_lo, q_hi, windows, stats):
-    """Smallest integer q in [q_lo, q_hi] with q xi - p in one of ``windows``
-    for an integer p, as (q, p, f) with p the least such integer for the
-    first window q lies in and f the enclosure of q xi - p that decided it,
-    or None. A window is (t_lo, t_hi, lo_strict, hi_strict), an end excluded
-    when its flag is set; all share one width, below 1 or case (i)'s [-b, b],
-    and are read cyclically. Each gives a stream of :func:`_residue_hits` on
+def _find_hit(oracle, n_lo, n_hi, windows, stats):
+    """Smallest integer q in [max(1, n_lo), n_hi], both ints, with q xi - p in
+    one of ``windows`` for an integer p, as (q, p, f) with p the least such
+    integer for the first window q lies in and f the enclosure of q xi - p
+    that decided it, or None. A window is integers (lo, hi, den, lo_strict,
+    hi_strict) for [lo/den, hi/den] with den > 0, an end excluded when its
+    flag is set; all share one width, below 1 or case (i)'s [-b, b], and are
+    read cyclically. Each gives a stream of :func:`_residue_hits` on
     :func:`_surrogate_window`, all on one descent chain of the surrogate's
     low end l/d, kept on the oracle while its (l, d) stays the same, so
     later searches on that surrogate query it too; the streams are merged in
@@ -347,16 +361,15 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
     candidates are checked over all restarts, and one more raises
     RANGE_TOO_LARGE.
     """
-    n_lo = max(1, q_lo.__ceil__())
-    n_hi = q_hi.__floor__()
+    n_lo = max(1, n_lo)
     if n_lo > n_hi:
         return None
     v = oracle.exact_value()
     if v is None:
-        tol = windows[0][1] - windows[0][0]
-        if tol <= 0:
+        lo, hi, den, _, _ = windows[0]
+        if lo >= hi:
             return None
-        tol /= 8 * n_hi
+        tol = Fraction(hi - lo, 8 * n_hi * den)
         what = lambda: f"window surrogate for q <= {brief(n_hi)} undecided"
         enc = oracle.within(tol, what, stats)
     else:
@@ -367,13 +380,13 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
             chain = oracle._descent
             if chain is None or chain.m != enc.d or chain.a != enc.l % enc.d:
                 chain = oracle._descent = _Descent(enc.l, enc.d)
-            bounds = [_surrogate_window(enc, n_hi, *w) for w in windows]
+            bounds = [_surrogate_window(enc, n_hi, w) for w in windows]
             streams = [_residue_hits(chain, q + 1, n_hi, lambda _, b=b: b) for b in bounds]
             heads = [next(s, end) for s in streams]
         q = min(heads)
         if q == end:
             return None
-        for i, (t_lo, t_hi, _, _) in enumerate(windows):
+        for i, window in enumerate(windows):
             if heads[i] != q:
                 continue
             if seen == DEFAULT_BUDGET:
@@ -381,33 +394,36 @@ def _find_hit(oracle, q_lo, q_hi, windows, stats):
             seen += 1
             if v is not None:
                 stats.candidates += 1
-                x, m, tn, td = q * enc.l, enc.d, t_hi.numerator, t_hi.denominator
-                p = max(x // m, -((tn * m - x * td) // (m * td)))  # ceil(x/m - t_hi)
+                x, m, hi, den = q * enc.l, enc.d, window[1], window[2]
+                p = max(x // m, -((hi * m - x * den) // (m * den)))  # ceil(x/m - hi/den)
                 r = x - p * m
                 return q, p, Enclosure.from_ints(r, r, m)
-            hit = _frac_window_check(oracle, q, t_lo, t_hi, stats, enc * q)
+            hit = _frac_window_check(oracle, q, window, stats, enc * q)
             if hit is not None:
                 return (q, *hit)
             heads[i] = next(streams[i], end)
         if seen >= run:
             run *= 2
+            tol = Fraction(tol.numerator**2, tol.denominator**2)
             try:
-                enc, heads = oracle.within(tol := tol * tol, what, stats), None
+                enc, heads = oracle.within(tol, what, stats), None
             except Unrepresentable:
                 pass
 
 
-def _case_i_search(oracle, u_limit: Fraction, bound: Fraction, stats):
+def _case_i_search(oracle, u_limit, bound, stats):
     """Least integer u < ``u_limit`` with |u xi - v| <= ``bound`` for an
-    integer v, as (u, v) with v the least integer from floor(u xi) on within
-    beta = min(bound, 1) of u xi, or None: the window search on [-beta,
-    beta]. At bound >= 1/2, u = 1 is the first hit whatever xi is, so the
-    search stops there."""
-    u_hi = u_limit.__ceil__() - 1
-    if 2 * bound >= 1:
+    integer v, both rationals given as (numerator, denominator) int pairs, as
+    (u, v) with v the least integer from floor(u xi) on within beta =
+    min(bound, 1) of u xi, or None: the window search on [-beta, beta]. At
+    bound >= 1/2, u = 1 is the first hit whatever xi is, so the search stops
+    there."""
+    (un, ud), (bn, bd) = u_limit, bound
+    u_hi = (un - 1) // ud  # ceil(u_limit) - 1
+    if 2 * bn >= bd:
         u_hi = min(u_hi, 1)
-    beta = min(bound, _ONE)
-    hit = _find_hit(oracle, 1, u_hi, [(-beta, beta, False, False)], stats)
+    beta = min(bn, bd)
+    hit = _find_hit(oracle, 1, u_hi, [(-beta, beta, bd, False, False)], stats)
     return None if hit is None else hit[:2]
 
 
@@ -422,16 +438,17 @@ def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionRes
     """
     stats = _Stats()
     c, cp, eps, Q = params.c, params.c_prime, params.eps, params.Q
-    cpe = cp * eps
-    w = min(cpe, _HALF)
-    # the band as q xi - p in [eps, w] or in [-w, -eps], p the nearest integer;
-    # both are empty at eps > 1/2
-    windows = [(eps, w, False, cpe <= _HALF), (-w, -eps, True, False)]
-    best = _find_hit(oracle, Q, c * Q, windows, stats)
+    Qn, Qd, en, pd = Q.numerator, Q.denominator, eps.numerator, cp.denominator
+    # eps, c' eps and 1/2 over one denominator D; the band as q xi - p in [eps,
+    # w] or in [-w, -eps], p the nearest integer, both empty at eps > 1/2
+    e, ce, half = 2 * pd * en, 2 * cp.numerator * en, pd * eps.denominator
+    D, w = 2 * half, min(ce, half)
+    windows = [(e, w, D, False, ce <= half), (-w, -e, D, True, False)]
+    best = _find_hit(oracle, -(-Qn // Qd), c.numerator * Qn // (c.denominator * Qd), windows, stats)
     if best is not None:
         q, p, residual = best
         a = residual.abs()
-        if not (a.ge_certain(eps) and a.strictly_lt(cpe)):
+        if not (a.l * D >= e * a.d and a.h * D < ce * a.d):
             # a hit of either window lies in the band by construction
             raise CertificateError(
                 "INTERNAL", f"case (ii) window hit q={q} failed residual certification"
@@ -439,12 +456,12 @@ def solve_disjunction(oracle: RealOracle, params: LemmaParams) -> DisjunctionRes
         return DisjunctionResult(
             "case_ii", CaseIIWitness(q, p), residual, stats.frozen()
         )
-    bound_u = params.bound_u
-    factor = params.dist_factor
-    hit = _case_i_search(oracle, bound_u, factor / Q, stats)
+    un, ud, bn, bd = params._case_i_terms()
+    bn, bd = bn * Qd, bd * Qn  # the distance bound B/Q
+    hit = _case_i_search(oracle, (un, ud), (bn, bd), stats)
     if hit is not None:
         u, v = hit
-        witness = CaseIWitness(u, v, bound_u, factor / (u * Q))
+        witness = CaseIWitness(u, v, Fraction(un, ud), Fraction(bn, bd * u))
         return DisjunctionResult("case_i", witness, None, stats.frozen())
     raise NeitherCaseCertified(
         f"no witness for either case at c={c}, c'={cp}, eps={eps}, Q={Q}"

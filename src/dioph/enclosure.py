@@ -231,15 +231,6 @@ class Enclosure:
         _, oh, od = _ends(other)
         return self.l * od >= oh * self.d
 
-    def inside(self, lo: Rat, hi: Rat):
-        """True when every point lies strictly between ``lo`` and ``hi``, False
-        when none lies in [lo, hi], None while that is undecided."""
-        l, h, d = self.l, self.h, self.d
-        (a, _, ad), (b, _, bd) = _ends(lo), _ends(hi)
-        if l * ad > a * d and h * bd < b * d:
-            return True
-        return False if h * ad < a * d or l * bd > b * d else None
-
     def floor_unique(self):
         """The common floor of every point, or None if not yet determined."""
         f = self.l // self.d

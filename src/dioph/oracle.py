@@ -412,7 +412,7 @@ class CFOracle(RealOracle):
             raise PreconditionError("BAD_CF", "empty quotient list")
         if prefix[0] < 0:
             raise PreconditionError("BAD_CF", "a0 must be >= 0")
-        if min(prefix[1:], default=1) < 1:
+        if min(islice(prefix, 1, None), default=1) < 1:
             raise PreconditionError("BAD_CF", "quotients after a0 must be >= 1")
         self._block = block = as_integers(periodic or (), "BAD_CF", "quotient")
         if block:
@@ -420,10 +420,14 @@ class CFOracle(RealOracle):
                 raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
             self._supply = chain(prefix, cycle(block))
         else:
-            # the whole expansion at once, and its last convergent is the value
+            # the whole expansion at once; its value p/q is folded from the last
+            # quotient back, p/q = a + 1/(p/q), starting from 1/0
             self._supply = iter(())
             self._cf_quotients, self._cf_ended = prefix, True
-            self._value = Fraction(*deque(convergent_pairs(prefix), maxlen=1)[0])
+            p, q = 1, 0
+            for a in reversed(prefix):
+                p, q = a * p + q, p
+            self._value = Fraction(p, q)
 
     @cached_property
     def spec(self) -> str:

@@ -61,7 +61,10 @@ REGULARITY_DELTA = Fraction(1, 4)
 def _read_table(rows, name: str, width: int) -> tuple:
     """({n: values as Fractions}, the n ascending) of ``rows`` (n, *values), ``width`` values each."""
     table = {}
-    for n, *values in rows:
+    for row in rows:
+        if not row:
+            raise PreconditionError("BAD_PARAMS", f"{name} table has an empty row")
+        n, *values = row
         n = as_integer(n, what="row index")
         if n in table:
             raise PreconditionError("BAD_PARAMS", f"{name} table has two rows for n={n}")

@@ -394,6 +394,9 @@ FORMS_CSV = str(GOLDEN / "sqrt2_convergents.csv")
      "argument --u-csv: not allowed with argument --u"),
     (("multi", "tau", "--apery", "3", "--forms-csv", FORMS_CSV, "--oracle", "const:sqrt2"),
      "argument --forms-csv: not allowed with argument --apery"),
+    (("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--rates-csv", str(GOLDEN / "rates.csv"),
+      "--alpha", "9", "--beta", "x", "--n", "4:5"),
+     "error: BAD_PARAMS: build needs --alpha and --beta, or --rates-csv alone\n"),
     (("--output", "csv", "cf", "--oracle", "bogus", "--depth", "5"),
      "error: BAD_PARAMS: cf: only json output is supported\n"),
     (("--output", "csv", "mu", "--oracle", "const:sqrt2", "--depth", "5"),
@@ -407,7 +410,7 @@ FORMS_CSV = str(GOLDEN / "sqrt2_convergents.csv")
     (("--output", "csv", "suite", "--seed", "1"),
      "error: BAD_PARAMS: suite: only json output is supported\n"),
 ], ids=["unread-dirichlet", "unread-omega0", "unread-tau", "unread-nesterenko",
-        "two-sources-density", "two-sources-tau",
+        "two-sources-density", "two-sources-tau", "two-sources-build",
         "csv-cf", "csv-mu", "csv-lemma", "csv-density", "csv-multi", "csv-suite"])
 def test_what_a_command_does_not_read_exits_2(capsys, argv, message):
     """argparse refuses a flag an action does not read and a second source

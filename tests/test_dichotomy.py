@@ -50,6 +50,17 @@ SQRT2 = SqrtOracle(2, "sqrt2")
 GOLDEN = GoldenOracle()
 
 
+def window(t_lo, t_hi, lo_strict=False, hi_strict=False):
+    """[t_lo, t_hi] in the search's integer form (lo, hi, den, lo_strict, hi_strict)."""
+    (a, b), (c, e) = F(t_lo).as_integer_ratio(), F(t_hi).as_integer_ratio()
+    return a * e, c * b, b * e, lo_strict, hi_strict
+
+
+def case_i_search(oracle, u_limit, bound, stats):
+    """``_case_i_search`` on rationals, which it takes as (numerator, denominator) pairs."""
+    return _case_i_search(oracle, F(u_limit).as_integer_ratio(), F(bound).as_integer_ratio(), stats)
+
+
 class TestLemmaParams:
     def test_valid(self):
         p = LemmaParams(F(3, 2), F(19, 10), F(1, 2), 10**6)
@@ -109,7 +120,7 @@ def direct_hit(oracle, q_lo, q_hi, t_lo, t_hi):
     exact = oracle.exact_value()
     for q in range(max(1, math.ceil(q_lo)), math.floor(q_hi) + 1):
         if exact is None:
-            hit = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
+            hit = _frac_window_check(oracle, q, window(t_lo, t_hi), _Stats())
             if hit is not None:
                 return q, hit[0]
         elif t_lo <= q * exact - math.floor(q * exact) <= t_hi:
@@ -137,14 +148,14 @@ def test_window_check_decides_outside_where_the_floor_is_undecided():
     # decides "outside", where the floor-based check climbed to the cap
     oracle = FixedEnclosure(F(29, 30), F(31, 30))
     stats = _Stats()
-    assert _frac_window_check(oracle, 3, F(3, 10), F(3, 5), stats) is None
+    assert _frac_window_check(oracle, 3, window(F(3, 10), F(3, 5)), stats) is None
     assert oracle.asked == [64] and stats.candidates == 1
     # a given enclosure of 3 xi decides it before any rung is read
     near = Enclosure(F(29, 10), F(31, 10))
-    assert _frac_window_check(oracle, 3, F(3, 10), F(3, 5), stats, near) is None
+    assert _frac_window_check(oracle, 3, window(F(3, 10), F(3, 5)), stats, near) is None
     assert oracle.asked == [64] and stats.candidates == 2
     # the least candidate strictly inside is the hit, with its enclosure
-    assert _frac_window_check(oracle, 3, F(-1, 5), F(1, 5), stats) == (3, Enclosure(F(-1, 10), F(1, 10)))
+    assert _frac_window_check(oracle, 3, window(F(-1, 5), F(1, 5)), stats) == (3, Enclosure(F(-1, 10), F(1, 10)))
 
 
 STRUCTURED_CASES = [
@@ -215,14 +226,14 @@ def test_both_windows_try_a_q_their_streams_share(monkeypatch):
     checks = []
     check = dichotomy._frac_window_check
 
-    def recording(oracle, q, t_lo, *args):
-        checks.append((q, t_lo))
-        return check(oracle, q, t_lo, *args)
+    def recording(oracle, q, win, *args):
+        checks.append((q, F(win[0], win[2])))
+        return check(oracle, q, win, *args)
 
     monkeypatch.setattr(dichotomy, "_frac_window_check", recording)
     eps, w, Q = F(49, 100), F(1, 2), 10**40
-    windows = [(eps, w, False, False), (-w, -eps, True, False)]
-    q, p, f = _find_hit(parse_oracle(NEAR_HALF), F(Q), F(3, 2) * Q, windows, _Stats())
+    windows = [window(eps, w, False, False), window(-w, -eps, True, False)]
+    q, p, f = _find_hit(parse_oracle(NEAR_HALF), Q, 3 * Q // 2, windows, _Stats())
     assert (q, p) == (Q + 1, 4999999999999999999999999999997500000001)
     assert checks == [(Q + 1, eps), (Q + 1, -w)]
     assert -w < f.lo and f.hi <= -eps
@@ -244,7 +255,7 @@ def test_misses_forever_end_at_the_budget_or_the_cap(monkeypatch, precision_cap,
         precision_cap(cap)
     stats = _Stats()
     with pytest.raises(error):
-        _find_hit(SqrtOracle(2, "sqrt2"), F(1), F(10**9), [(F(1, 3), F(2, 3), False, False)], stats)
+        _find_hit(SqrtOracle(2, "sqrt2"), 1, 10**9, [window(F(1, 3), F(2, 3), False, False)], stats)
     assert len(checks) == checked
     assert checks == sorted(set(checks))
     assert stats.bits == (1024 if cap is None else 128)
@@ -253,7 +264,7 @@ def test_misses_forever_end_at_the_budget_or_the_cap(monkeypatch, precision_cap,
 def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
     # a window hit always lies in the band, so a hit whose enclosure fails
     # the band check exits 5 (bug), never 4 (no witness exists)
-    def out_of_band(oracle, q, t_lo, t_hi, stats, near=None):
+    def out_of_band(oracle, q, window, stats, near=None):
         return 0, Enclosure.point(0)
 
     monkeypatch.setattr(dichotomy, "_frac_window_check", out_of_band)
@@ -482,7 +493,7 @@ def convergent_surrogate_hit(oracle, q_lo, q_hi, t_lo, t_hi):
     delta = F(n_hi, m * m_next)
     lo_i, hi_i = ((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__()
     for q in _residue_hits(_Descent(a, m), n_lo, n_hi, lambda q: (lo_i, hi_i)):
-        hit = _frac_window_check(oracle, q, t_lo, t_hi, _Stats())
+        hit = _frac_window_check(oracle, q, window(t_lo, t_hi), _Stats())
         if hit is not None:
             return q, hit[0]
     return None
@@ -501,19 +512,19 @@ def plain_window_hit(oracle, q_lo, q_hi, t_lo, t_hi, stats, lo_strict, hi_strict
     if v is None:
         n_read = n_hi if q_read is None else q_read.__floor__()
         enc = oracle.within((t_hi - t_lo) / (8 * n_read), "window surrogate", stats)
-        window = _surrogate_window(enc, n_read, t_lo, t_hi)
+        residues = _surrogate_window(enc, n_read, window(t_lo, t_hi))
     else:
         enc = Enclosure.point(v)
         lo = (t_lo * enc.d).__floor__() + 1 if lo_strict else (t_lo * enc.d).__ceil__()
-        window = lo, (t_hi * enc.d).__ceil__() - 1 if hi_strict else (t_hi * enc.d).__floor__()
-    for seen, q in enumerate(_residue_hits(_Descent(enc.l, enc.d), n_lo, n_hi, lambda q: window)):
+        residues = lo, (t_hi * enc.d).__ceil__() - 1 if hi_strict else (t_hi * enc.d).__floor__()
+    for seen, q in enumerate(_residue_hits(_Descent(enc.l, enc.d), n_lo, n_hi, lambda q: residues)):
         if seen == budget:
             raise RangeTooLarge(f"candidate stream exceeded budget {budget}")
         if v is not None:
             stats.candidates += 1
             p = (q * v).__floor__()
             return q, p, Enclosure.point(q * v - p)
-        hit = _frac_window_check(oracle, q, t_lo, t_hi, stats, enc * q)
+        hit = _frac_window_check(oracle, q, window(t_lo, t_hi), stats, enc * q)
         if hit is not None:
             return (q, *hit)
     return None
@@ -630,10 +641,10 @@ def case_i_checks(monkeypatch):
     calls = []
     check = dichotomy._frac_window_check
 
-    def counting(oracle, u, t_lo, t_hi, *a):
-        if t_lo < 0 < t_hi:
+    def counting(oracle, u, win, *a):
+        if win[0] < 0 < win[1]:
             calls.append(u)
-        return check(oracle, u, t_lo, t_hi, *a)
+        return check(oracle, u, win, *a)
 
     monkeypatch.setattr(dichotomy, "_frac_window_check", counting)
     return calls
@@ -646,12 +657,12 @@ def test_short_quotient_supply_is_unrepresentable(case_i_checks):
         find_fractional_hit(short, 10**5, 2 * 10**5, F(1, 3), F(2, 3))
     # at bound 1, u = 1 is the first hit whatever xi is: a coarse enclosure
     # decides v = 0 and no surrogate for u below 10**6 is asked for
-    assert _case_i_search(short, F(10**6), F(1), _Stats()) == (1, 0)
+    assert case_i_search(short, F(10**6), F(1), _Stats()) == (1, 0)
     assert case_i_checks == [1]
     # at bound 1/4, proving the first hit below 10**6 needs xi to within
     # 1/(16 (10**6 - 1)), which the supply cannot give
     with pytest.raises(Unrepresentable, match=r"quotients give width above 2\*\*-24$"):
-        _case_i_search(short, F(10**6), F(1, 4), _Stats())
+        case_i_search(short, F(10**6), F(1, 4), _Stats())
     assert case_i_checks == [1]
 
 
@@ -677,14 +688,14 @@ def test_case_i_scan_matches_linear_scan(spec):
             ),
             None,
         )
-        assert _case_i_search(oracle, u_limit, bound, _Stats()) == expected
+        assert case_i_search(oracle, u_limit, bound, _Stats()) == expected
         assert _case_i_hit(oracle, u_limit, bound, _Stats()) == expected
 
 
 def test_case_i_denominator_bound_is_strict():
     # sqrt2: |2 xi - 3| = 0.17..., |5 xi - 7| = 0.07...; u = 5 is not below 5
-    assert _case_i_search(SQRT2, F(5), F(1, 10), _Stats()) is None
-    assert _case_i_search(SQRT2, F(6), F(1, 10), _Stats()) == (5, 7)
+    assert case_i_search(SQRT2, F(5), F(1, 10), _Stats()) is None
+    assert case_i_search(SQRT2, F(6), F(1, 10), _Stats()) == (5, 7)
 
 
 @pytest.mark.parametrize("spec,bound,expected", [
@@ -699,7 +710,7 @@ def test_case_i_denominator_bound_is_strict():
 ])
 def test_case_i_from_half_on_takes_u_one(spec, bound, expected):
     oracle = parse_oracle(spec)
-    assert _case_i_search(oracle, F(10**6), bound, _Stats()) == expected
+    assert case_i_search(oracle, F(10**6), bound, _Stats()) == expected
     assert _case_i_hit(parse_oracle(spec), F(10**6), bound, _Stats()) == expected
 
 
@@ -708,9 +719,9 @@ def test_integer_with_trailing_quotient_one_takes_the_integer():
     # answered v = a0 = 0 wherever the bound reached 1; the window search
     # answers v = floor(1 xi) = 1, at distance 0
     for bound in (F(1), F(3, 2), F(3)):
-        assert _case_i_search(parse_oracle("cf:[0;1]"), F(100), bound, _Stats()) == (1, 1)
+        assert case_i_search(parse_oracle("cf:[0;1]"), F(100), bound, _Stats()) == (1, 1)
         assert _case_i_hit(parse_oracle("cf:[0;1]"), F(100), bound, _Stats()) == (1, 0)
-    assert _case_i_search(parse_oracle("cf:[0;1]"), F(100), F(9, 10), _Stats()) == (1, 1)
+    assert case_i_search(parse_oracle("cf:[0;1]"), F(100), F(9, 10), _Stats()) == (1, 1)
     assert _case_i_hit(parse_oracle("cf:[0;1]"), F(100), F(9, 10), _Stats()) == (1, 1)
 
 
@@ -801,8 +812,8 @@ def test_lemma_past_4300_digits_under_a_low_cap_is_inconclusive(
 
 
 @pytest.mark.parametrize("ladder", [
-    lambda o: _frac_window_check(o, BIG, F(1, 3), F(2, 3), _Stats()),
-    lambda o: _frac_window_check(o, BIG, F(-1, 10**6), F(1, 10**6), _Stats()),
+    lambda o: _frac_window_check(o, BIG, window(F(1, 3), F(2, 3)), _Stats()),
+    lambda o: _frac_window_check(o, BIG, window(F(-1, 10**6), F(1, 10**6)), _Stats()),
     lambda o: nearest_int(o, BIG),
     lambda o: sign_of_form(o, BIG, BIG_SQRT2),
     lambda o: find_fractional_hit(o, BIG, BIG, F(1, 3), F(2, 3)),
@@ -816,7 +827,7 @@ def test_failed_ladder_names_huge_numbers_by_bit_length(
 
 
 @pytest.mark.parametrize("walk", [
-    lambda o: _case_i_search(o, F(BIG), F(1, 10), _Stats()),
+    lambda o: case_i_search(o, F(BIG), F(1, 10), _Stats()),
 ], ids=["case_i"])
 def test_short_quotient_supply_names_huge_numbers_by_bit_length(
     default_int_limit, case_i_checks, walk

@@ -22,7 +22,6 @@ from dioph.cli import main
 from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
-    _case_i_search,
     _Stats,
     solve_disjunction,
 )
@@ -30,7 +29,7 @@ from dioph.errors import Inconclusive, RangeTooLarge
 from dioph.multiform import PointVec, dirichlet_witness, omega0_search
 from dioph.oracle import RationalOracle, SqrtOracle, parse_oracle
 from dioph.seqbuild import RateSpec, build_sequence
-from test_dichotomy import first_convergent_reached
+from test_dichotomy import case_i_search, first_convergent_reached
 
 
 @pytest.mark.parametrize("spec", ["const:sqrt2", "const:e", "const:zeta3"])
@@ -336,7 +335,7 @@ def test_liouville_case_ii_window_checks(capsys, monkeypatch, spec, eps, big_q):
 @pytest.mark.parametrize("search,cold_extracts,encloses", [
     (lambda o: first_convergent_reached(o, 10**300), True, False),
     # case (i)'s window search reads enclosures, cached ones when warm
-    (lambda o: _case_i_search(o, F(10**300), F(1, 10**700), _Stats()), False, True),
+    (lambda o: case_i_search(o, F(10**300), F(1, 10**700), _Stats()), False, True),
 ], ids=["walk", "case_i"])
 def test_warm_walk_makes_no_expand_call(monkeypatch, search, cold_extracts, encloses):
     # a warm stream reads the cached quotients: no quotient is extracted and
@@ -612,21 +611,75 @@ def test_ln_frac_sums_few_atanh_terms(monkeypatch):
     assert len(terms) >= 990 and max(terms) <= 12
 
 
+_FRACTION_DUNDERS = [
+    f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow") for r in ("", "r")
+] + ["__neg__", "__pos__", "__abs__", "__floor__", "__ceil__", "__round__", "__bool__",
+     "__eq__", "__lt__", "__le__", "__gt__", "__ge__"]
+
+
+def _forbid_fraction_arithmetic(monkeypatch, what):
+    def forbidden(*args):
+        raise AssertionError(f"Fraction arithmetic in {what}")
+
+    for name in _FRACTION_DUNDERS:
+        monkeypatch.setattr(F, name, forbidden)
+
+
 def test_ln_frac_does_no_fraction_arithmetic(monkeypatch):
     # a 2000-bit argument: every Fraction operation would pay a 2000-bit gcd
     rng = random.Random(2000)
     x = F(rng.getrandbits(2000) | 1 << 1999, rng.getrandbits(1990) | 1)
     expected = certlog.ln_frac(x, 96)
-
-    def forbidden(*args):
-        raise AssertionError("Fraction arithmetic in ln_frac")
-
-    for op in ("add", "sub", "mul", "truediv"):
-        for name in (f"__{op}__", f"__r{op}__"):
-            monkeypatch.setattr(F, name, forbidden)
+    _forbid_fraction_arithmetic(monkeypatch, "ln_frac")
     got = certlog.ln_frac(x, 96)
     monkeypatch.undo()
     assert got == expected
+
+
+CF_41 = "cf:[0;" + ",".join(str(1 + (7 * j) % 9) for j in range(40)) + "]"
+
+
+@pytest.mark.parametrize("spec,eps,Q", [
+    (CF_41, F(1, 100), 1000),
+    ("const:sqrt2", F(1, 1000), 10**40),
+    ("const:e", F(1, 1000), 10**40),
+    ("const:zeta3", F(1, 1000), 10**400),
+])
+def test_case_ii_solve_does_no_fraction_arithmetic(monkeypatch, spec, eps, Q):
+    # from the parameters on, the solve runs on integers: no Fraction is
+    # added, multiplied, compared or rounded
+    params = LemmaParams(F(3, 2), F(19, 10), eps, Q)
+    expected = solve_disjunction(parse_oracle(spec), params)
+    assert expected.outcome == "case_ii"
+    oracle = parse_oracle(spec)
+    _forbid_fraction_arithmetic(monkeypatch, "a case (ii) solve")
+    got = solve_disjunction(oracle, params)
+    monkeypatch.undo()
+    assert got == expected
+
+
+def test_case_i_solve_builds_only_its_witness_bounds(monkeypatch):
+    # a case (i) solve on a rational value builds two Fractions, the
+    # witness's bound_u and bound_dist, and does no Fraction arithmetic
+    params = LemmaParams(F(3, 2), F(19, 10), F(1, 100), 50)
+    expected = solve_disjunction(parse_oracle("rat:355/113"), params)
+    assert expected.outcome == "case_i"
+    oracle = parse_oracle("rat:355/113")
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    _forbid_fraction_arithmetic(monkeypatch, "a case (i) solve")
+    monkeypatch.setattr(F, "__new__", counting)
+    got = solve_disjunction(oracle, params)
+    monkeypatch.undo()
+    assert got == expected
+    w = got.witness
+    assert len(built) == 2
+    assert (w.bound_u, w.bound_dist) == (params.bound_u, params.dist_factor / (w.u * params.Q))
 
 
 def test_form_residuals_are_short_dyadics(monkeypatch):

@@ -2,7 +2,7 @@ import random
 from bisect import bisect
 from fractions import Fraction as F
 from itertools import islice
-from math import ceil, floor, isqrt
+from math import ceil, floor, isfinite, isqrt
 
 import mpmath
 import pytest
@@ -13,7 +13,6 @@ from dioph.contfrac import expand
 from dioph.dichotomy import (
     LemmaParams,
     _Descent,
-    _case_i_search,
     _find_hit,
     _frac_window_check,
     _residue_hits,
@@ -23,7 +22,7 @@ from dioph.dichotomy import (
     solve_disjunction,
 )
 from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
-from dioph.errors import DiophError, NeitherCaseCertified, Unrepresentable, ZeroFormValue
+from dioph.errors import DiophError, NeitherCaseCertified, PreconditionError, Unrepresentable, ZeroFormValue
 from dioph.multiform import (
     LinearForm,
     PointVec,
@@ -50,6 +49,7 @@ from dioph.oracle import (
 from test_dichotomy import (
     _brute_case_ii,
     _case_i_hit,
+    case_i_search,
     convergent_stream,
     convergent_surrogate_hit,
     direct_hit,
@@ -57,6 +57,7 @@ from test_dichotomy import (
     plain_solve,
     quotient_supply,
     reference_within,
+    window,
 )
 from test_multiform import brute_dirichlet, brute_omega0, brute_records
 from test_enclosure import _encode
@@ -406,8 +407,8 @@ def test_enclosure_surrogate_matches_convergent_surrogate(
         expected = convergent_surrogate_hit(_surrogate_oracle(spec), q_lo, q_hi, t_lo, t_hi)
     except DiophError:
         return
-    windows = [(t_lo, t_hi, lo_strict, hi_strict)]
-    got = _find_hit(_surrogate_oracle(spec), q_lo, q_hi, windows, _Stats())
+    windows = [window(t_lo, t_hi, lo_strict, hi_strict)]
+    got = _find_hit(_surrogate_oracle(spec), q_lo.__ceil__(), q_hi.__floor__(), windows, _Stats())
     assert (None if got is None else got[:2]) == expected
 
 
@@ -435,7 +436,7 @@ def test_integer_window_bounds_give_the_reduced_windows_candidates(lo, width, g,
     else:
         t_lo, t_hi = min(t1, t2), max(t1, t2)
         old = (((t_lo - delta) * m).__ceil__(), ((t_hi + delta) * m).__floor__())
-    lo_i, hi_i = _surrogate_window(enc, n, t_lo, t_hi)
+    lo_i, hi_i = _surrogate_window(enc, n, window(t_lo, t_hi))
     got = _residue_hits(_Descent(enc.l, enc.d), 1, n, lambda q: (lo_i, hi_i))
     assert list(got) == list(_residue_hits(_Descent(a, m), 1, n, lambda q: old))
 
@@ -474,7 +475,7 @@ def test_case_i_search_matches_convergent_scan(spec, u_limit, bound):
         except DiophError as exc:
             return exc.code
 
-    assert outcome(_case_i_search) == outcome(_case_i_hit)
+    assert outcome(case_i_search) == outcome(_case_i_hit)
 
 
 def _solve_with(spec, params, miss_run, budget):
@@ -567,7 +568,7 @@ def test_case_i_at_u_one_takes_the_least_v_from_the_floor(b, a, bound):
             256,
         )
     assert expected(lo) == expected(hi)
-    assert _case_i_search(oracle, F(2), bound, _Stats()) == expected(lo)
+    assert case_i_search(oracle, F(2), bound, _Stats()) == expected(lo)
 
 
 @settings(deadline=None, max_examples=200)
@@ -587,7 +588,7 @@ def test_window_check_agrees_with_mpmath(spec, q, t_lo, width, near_k):
     oracle = LopsidedSqrt2() if spec == LopsidedSqrt2.spec else parse_oracle(spec)
     near = None if near_k is None else oracle.enclose(near_k) * q
     stats = _Stats()
-    got = _frac_window_check(oracle, q, t_lo, t_hi, stats, near)
+    got = _frac_window_check(oracle, q, window(t_lo, t_hi), stats, near)
     bits = max(stats.bits, 0 if near_k is None else level_for(near_k))
     lo, hi = _mp_bracket(lambda: q * ENCLOSE_RULE_ORACLES[spec](), 4 * bits + q.bit_length())
     p = (lo - t_hi).__ceil__()
@@ -629,6 +630,111 @@ def test_band_ends_on_the_residue_grid(m, a, data):
         assert res.residual == Enclosure.point(q * F(a, m) - p)
     else:
         assert expect is None
+
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _solve_windows(params):
+    """The q ranges and windows each ``_find_hit`` call of a solve is given:
+    case (ii)'s, and case (i)'s after case (ii) is made to miss."""
+    calls = []
+
+    def recording(oracle, n_lo, n_hi, windows, stats):
+        calls.append((n_lo, n_hi, windows))
+        if len(calls) == 2:
+            raise _Recorded
+        return None
+
+    find_hit = dichotomy._find_hit
+    dichotomy._find_hit = recording
+    try:
+        solve_disjunction(RationalOracle(F(1, 3)), params)
+    except _Recorded:
+        pass
+    finally:
+        dichotomy._find_hit = find_hit
+    return [(n_lo, n_hi, [(F(lo, den), F(hi, den), *flags) for lo, hi, den, *flags in windows])
+            for n_lo, n_hi, windows in calls]
+
+
+def _check_integer_params(c, cp, eps, Q):
+    """LemmaParams's checks are cross products and the solve's band ends
+    integers over one denominator; the Fraction formulas they replaced are
+    the reference, inf and NaN included."""
+    finite = all(isfinite(x) for x in (c, cp, eps, Q) if isinstance(x, float))
+    ok = finite and 1 < c < cp < 2 and 0 < eps < 1 and Q > 1
+    try:
+        params = LemmaParams(c, cp, eps, Q)
+    except PreconditionError as exc:
+        assert exc.code == "BAD_PARAMS" and not ok
+        return
+    assert ok
+    c, cp, eps, Q = F(c), F(cp), F(eps), F(Q)
+    bound_u = (2 * c * c) / ((c - 1) * (cp - c)) / eps
+    factor = (2 / (c - 1)) * (1 + c * c / (cp - c))
+    assert (params.bound_u, params.dist_factor) == (bound_u, factor)
+    w = min(cp * eps, F(1, 2))
+    case_ii, case_i = _solve_windows(params)
+    assert case_ii == (
+        Q.__ceil__(), (c * Q).__floor__(), [(eps, w, False, cp * eps <= F(1, 2)), (-w, -eps, True, False)]
+    )
+    # from eps > 1/2 on both windows are empty; at 1/2 only the point 1/2 is left
+    assert (eps > w) == (eps > F(1, 2))
+    bound = factor / Q
+    u_hi = bound_u.__ceil__() - 1
+    beta = min(bound, F(1))
+    assert case_i == (1, u_hi if 2 * bound < 1 else min(u_hi, 1), [(-beta, beta, False, False)])
+
+
+@pytest.mark.parametrize("c,cp,eps,Q", [
+    (F(1), F(19, 10), F(1, 10), 10),
+    (F(3, 2), F(3, 2), F(1, 10), 10),
+    (F(19, 10), F(3, 2), F(1, 10), 10),
+    (F(3, 2), F(2), F(1, 10), 10),
+    (F(3, 2), F(19, 10), F(0), 10),
+    (F(3, 2), F(19, 10), F(1, 2), 10),
+    (F(3, 2), F(19, 10), F(1), 10),
+    (F(3, 2), F(19, 10), F(5, 19), 10),
+    (F(3, 2), F(19, 10), F(49, 100), F(7, 3)),
+    (F(3, 2), F(19, 10), F(1, 10), 1),
+    (F(3, 2), F(19, 10), F(-1, 10), 10),
+    (F(3, 2), F(19, 10), F(1, 10), -10),
+    (float("inf"), F(19, 10), F(1, 10), 10),
+    (F(3, 2), float("nan"), F(1, 10), 10),
+    (F(3, 2), F(19, 10), float("nan"), 10),
+    (F(3, 2), F(19, 10), F(1, 10), float("inf")),
+], ids=["c=1", "c=c'", "c>c'", "c'=2", "eps=0", "eps=1/2", "eps=1", "c'eps=1/2", "eps=49/100", "Q=1",
+        "eps<0", "Q<0", "c=inf", "c'=nan", "eps=nan", "Q=inf"])
+def test_integer_params_and_band_at_the_edges(c, cp, eps, Q):
+    _check_integer_params(c, cp, eps, Q)
+
+
+def _inside(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=10**4).filter(lambda x: lo < x < hi)
+
+
+def _param_values(lo, hi):
+    # three in four draws strictly inside (lo, hi), the rest edges and non-finite values
+    edges = st.sampled_from([F(0), F(1, 2), F(1), F(2), -1, float("inf"), float("-inf"), float("nan")])
+    return st.one_of(edges, *[_inside(lo, hi)] * 3)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.one_of(
+        st.tuples(_param_values(1, 2), _param_values(1, 2)),
+        # c' a fraction t of the way from c to 2
+        st.tuples(_inside(1, 2), _inside(0, 1)).map(lambda ct: (ct[0], ct[0] + (2 - ct[0]) * ct[1])),
+    ),
+    _param_values(0, 1),
+    st.one_of(_param_values(1, 10**6), st.integers(2, 10**50)),
+)
+def test_integer_params_and_band_equal_the_fraction_formulas(c_pair, eps, Q):
+    c, cp = c_pair
+    _check_integer_params(c, cp, eps, Q)
 
 
 def _brute_residue_hits(a, m, q_lo, q_hi, window):

@@ -94,15 +94,17 @@ class TestRateSpec:
         with pytest.raises(PreconditionError, match="two rows for n=2"):
             RateSpec.from_table([(1, 10, F(1, 2)), (2, 100, F(1, 4)), (2, 1000, F(1, 8))])
 
-    @pytest.mark.parametrize("table,make", [
-        ("rate", lambda: RateSpec.from_table([(1, 10)])),
-        ("rate", lambda: RateSpec.from_table([(1, 10, F(1, 2), 7)])),
-        ("eta", lambda: EtaSchedule.custom([(1,)])),
-        ("eta", lambda: EtaSchedule.custom([(1, F(1, 4), 3)])),
-    ], ids=["rate-short", "rate-long", "eta-short", "eta-long"])
-    def test_rows_of_the_wrong_length_are_bad_params(self, table, make):
+    @pytest.mark.parametrize("table,make,what", [
+        ("rate", lambda: RateSpec.from_table([(1, 10)]), "row n=1 needs"),
+        ("rate", lambda: RateSpec.from_table([(1, 10, F(1, 2), 7)]), "row n=1 needs"),
+        ("eta", lambda: EtaSchedule.custom([(1,)]), "row n=1 needs"),
+        ("eta", lambda: EtaSchedule.custom([(1, F(1, 4), 3)]), "row n=1 needs"),
+        ("rate", lambda: RateSpec.from_table([()]), "has an empty row"),
+        ("eta", lambda: EtaSchedule.custom([()]), "has an empty row"),
+    ], ids=["rate-short", "rate-long", "eta-short", "eta-long", "rate-empty", "eta-empty"])
+    def test_rows_of_the_wrong_length_are_bad_params(self, table, make, what):
         # each raised a bare ValueError from unpacking the row
-        with pytest.raises(PreconditionError, match=f"BAD_PARAMS: {table} table row n=1 needs"):
+        with pytest.raises(PreconditionError, match=f"BAD_PARAMS: {table} table {what}"):
             make()
 
 
