@@ -290,12 +290,13 @@ def _load_forms(args):
         return FormSequence.from_uv(
             [(_int(r["n"]), _int(r["u"]), _int(r["v"])) for r in rows], oracle
         )
-    coeff_cols = sorted(
-        (f for f in fields if f.startswith("l") and f[1:].isdigit()),
-        key=lambda f: int(f[1:]),
-    )
-    if not coeff_cols:
+    width = sum(1 for f in fields if f.startswith("l") and f[1:].isdigit())
+    if not width:
         raise DiophError("BAD_PARAMS", "forms csv needs u,v or l0..lr columns")
+    coeff_cols = [f"l{j}" for j in range(width)]
+    missing = next((c for c in coeff_cols if c not in fields), None)
+    if missing:
+        raise DiophError("BAD_PARAMS", f"forms csv has no column {missing} of l0..l{width - 1}")
     if not args.point:
         raise DiophError("BAD_PARAMS", "l0..lr ingestion needs --point")
     point = _point_from(args.point)

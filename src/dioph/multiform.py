@@ -55,7 +55,7 @@ class LinearForm:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple([as_integer(c, "BAD_FORM", "coefficient") for c in self.coeffs])
+        coeffs = tuple(as_integers(self.coeffs, "BAD_FORM", "coefficient"))
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise PreconditionError("BAD_FORM", "a form needs at least 2 coefficients")
@@ -358,7 +358,7 @@ class FormSequence:
     scale_e_power: Optional[int] = None
 
     def __post_init__(self):
-        """Integer indices and scale power, positive rational scales (ints kept); else BAD_FORM."""
+        """Integer indices, scales and scale power, the scales positive; else BAD_FORM."""
         object.__setattr__(self, "ns", tuple(as_integers(self.ns, "BAD_FORM", "index")))
         if len(self.ns) != len(self.forms):
             raise PreconditionError("BAD_FORM", "index and form counts differ")
@@ -366,9 +366,7 @@ class FormSequence:
             power = as_integer(self.scale_e_power, "BAD_FORM", "scale power")
             object.__setattr__(self, "scale_e_power", power)
         if self.scales is not None:
-            scales = tuple(self.scales)
-            if not {*map(type, scales)} <= {int}:
-                scales = tuple(as_rational(c, "BAD_FORM", "scale") for c in scales)
+            scales = tuple(as_integers(self.scales, "BAD_FORM", "scale"))
             object.__setattr__(self, "scales", scales)
             if len(scales) != len(self.forms):
                 raise PreconditionError("BAD_FORM", "scale and form counts differ")

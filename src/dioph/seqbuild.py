@@ -30,7 +30,6 @@ from .enclosure import (
     as_integer,
     as_integers,
     as_rational,
-    dyadic_below,
     root_enclosure,
     sqrt_lower,
 )
@@ -40,6 +39,7 @@ from .errors import (
     PreconditionError,
     RateViolation,
     ZeroResidual,
+    brief,
 )
 from .oracle import (
     AffineOracle,
@@ -47,6 +47,7 @@ from .oracle import (
     floor_certified,
     is_separated,
     nearest_int,
+    refine,
     separated,
 )
 
@@ -59,7 +60,8 @@ REGULARITY_DELTA = Fraction(1, 4)
 
 
 def _read_table(rows, name: str, width: int) -> tuple:
-    """({n: values as Fractions}, the n ascending) of ``rows`` (n, *values), ``width`` values each."""
+    """({n: values as Fractions}, the n ascending) of ``rows`` (n, *values),
+    ``width`` values each; a single value is kept bare."""
     table = {}
     for row in rows:
         if not row:
@@ -70,7 +72,8 @@ def _read_table(rows, name: str, width: int) -> tuple:
             raise PreconditionError("BAD_PARAMS", f"{name} table has two rows for n={n}")
         if len(values) != width:
             raise PreconditionError("BAD_PARAMS", f"{name} table row n={n} needs {width} values")
-        table[n] = tuple(as_rational(v, what=f"{name} table entry") for v in values)
+        values = tuple(as_rational(v, what=f"{name} table entry") for v in values)
+        table[n] = values if width > 1 else values[0]
     if not table:
         raise PreconditionError("BAD_PARAMS", f"empty {name} table")
     return table, sorted(table)
@@ -78,43 +81,47 @@ def _read_table(rows, name: str, width: int) -> tuple:
 
 @dataclass(frozen=True)
 class RateSpec:
-    """Target sizes per index: geometric (Q_n, eps_n) = (beta^n, alpha^n) or
-    an explicit table of rows."""
+    """Target sizes per index: geometric (Q_n, eps_n) = (beta^n, alpha^n) when
+    there is no table, else the table's {n: (Q_n, eps_n)}. Checked where
+    built, a table read again as rows: 0 < alpha < 1 < beta, or no alpha or
+    beta and Q_n > 1, 0 < eps_n < 1, Q increasing and eps decreasing in n."""
 
-    kind: str
     alpha: Optional[Fraction] = None
     beta: Optional[Fraction] = None
     table: Optional[dict] = None
 
+    def __post_init__(self):
+        if self.table is None:
+            a, b = as_rational(self.alpha, what="alpha"), as_rational(self.beta, what="beta")
+            if not (0 < a < 1 < b):
+                raise PreconditionError(
+                    "BAD_PARAMS", f"geometric rates need 0 < alpha < 1 < beta, got {a}, {b}"
+                )
+            object.__setattr__(self, "alpha", a)
+            object.__setattr__(self, "beta", b)
+            return
+        if (self.alpha, self.beta) != (None, None):
+            raise PreconditionError("BAD_PARAMS", "a rate table takes no alpha or beta")
+        table, ns = _read_table([(n, *row) for n, row in self.table.items()], "rate", 2)
+        rows = [table[n] for n in ns]
+        if any(Q >= Q1 or eps <= eps1 for (Q, eps), (Q1, eps1) in zip(rows, rows[1:])):
+            raise PreconditionError("BAD_PARAMS", "rate table must have Q increasing and eps decreasing")
+        for n in ns:
+            if not (table[n][0] > 1 and 0 < table[n][1] < 1):
+                raise PreconditionError("BAD_PARAMS", f"row n={n} needs Q > 1 and 0 < eps < 1")
+        object.__setattr__(self, "table", table)
+
     @classmethod
     def geometric(cls, alpha: Rat, beta: Rat) -> "RateSpec":
-        a, b = as_rational(alpha, what="alpha"), as_rational(beta, what="beta")
-        if not (0 < a < 1 < b):
-            raise PreconditionError(
-                "BAD_PARAMS", f"geometric rates need 0 < alpha < 1 < beta, got {a}, {b}"
-            )
-        return cls("geometric", alpha=a, beta=b)
+        return cls(alpha, beta)
 
     @classmethod
     def from_table(cls, rows) -> "RateSpec":
-        table, ns = _read_table(rows, "rate", 2)
-        for a, b in zip(ns, ns[1:]):
-            if table[a][0] >= table[b][0] or table[a][1] <= table[b][1]:
-                raise PreconditionError(
-                    "BAD_PARAMS",
-                    "rate table must have Q increasing and eps decreasing",
-                )
-        for n in ns:
-            Q, eps = table[n]
-            if not (Q > 1 and 0 < eps < 1):
-                raise PreconditionError(
-                    "BAD_PARAMS", f"row n={n} needs Q > 1 and 0 < eps < 1"
-                )
-        return cls("table", table=table)
+        return cls(table=_read_table(rows, "rate", 2)[0])
 
     def targets(self, n: int):
         n = as_integer(n, what="index")
-        if self.kind == "geometric":
+        if self.table is None:
             return self.beta**n, self.alpha**n
         if n not in self.table:
             raise PreconditionError("BAD_PARAMS", f"rate table has no row for n={n}")
@@ -125,30 +132,27 @@ class RateSpec:
 class EtaSchedule:
     """Band half-width schedule eta_n, positive and nonincreasing.
 
-    The default rule is min(9/20, 1/ln(n+3)) rounded down to the 2**-40 grid;
-    the clamp keeps 1 + 2 eta below 2 at the smallest indices. Custom tables
-    are used as given and must respect eta < 1/2 themselves.
+    Without a table the rule is min(9/20, 1/ln(n+3)) rounded down to the
+    2**-40 grid; the clamp keeps 1 + 2 eta below 2 at the smallest indices. A
+    table {n: eta_n} is checked where built, read again as rows: each value
+    in (0, 1/2), nonincreasing in n.
     """
 
     table: Optional[dict] = None
 
-    @classmethod
-    def default_rule(cls) -> "EtaSchedule":
-        return cls(None)
+    def __post_init__(self):
+        if self.table is not None:
+            table, ns = _read_table(self.table.items(), "eta", 1)
+            if any(table[a] < table[b] for a, b in zip(ns, ns[1:])):
+                raise PreconditionError("BAD_PARAMS", "eta table must be nonincreasing")
+            for n in ns:
+                if not (0 < table[n] < Fraction(1, 2)):
+                    raise PreconditionError("BAD_PARAMS", f"eta at n={n} must be in (0, 1/2)")
+            object.__setattr__(self, "table", table)
 
     @classmethod
     def custom(cls, pairs) -> "EtaSchedule":
-        table, ns = _read_table(pairs, "eta", 1)
-        table = {n: v for n, (v,) in table.items()}
-        for a, b in zip(ns, ns[1:]):
-            if table[a] < table[b]:
-                raise PreconditionError("BAD_PARAMS", "eta table must be nonincreasing")
-        for n in ns:
-            if not (0 < table[n] < Fraction(1, 2)):
-                raise PreconditionError(
-                    "BAD_PARAMS", f"eta at n={n} must be in (0, 1/2)"
-                )
-        return cls(table)
+        return cls(_read_table(pairs, "eta", 1)[0])
 
     def value(self, n: int) -> Fraction:
         n = as_integer(n, what="index")
@@ -158,9 +162,9 @@ class EtaSchedule:
             return self.table[n]
         if n < -1:
             raise PreconditionError("BAD_PARAMS", f"row n={n}: eta rule 1/ln(n+3) needs n >= -1")
-        ln_hi = ln_frac(n + 3, 96).hi
-        eta = dyadic_below(1 / ln_hi, ETA_GRID_BITS)
-        return min(ETA_MAX, eta)
+        # floor(2**40 / ln_hi) over 2**40, from ln_hi = h/d, the log's upper end
+        ln = ln_frac(n + 3, 96)
+        return min(ETA_MAX, Fraction((ln.d << ETA_GRID_BITS) // ln.h, 1 << ETA_GRID_BITS))
 
 
 @dataclass(frozen=True)
@@ -184,28 +188,41 @@ class BuildResult:
         return iter(self.entries)
 
 
-def _rate_precheck(rates: RateSpec, n_range, mu_upper: Fraction, slack: Fraction):
+def _ln_ratio_hi(x: Fraction, y: Fraction) -> Fraction:
+    """An upper bound on ln x / ln y for rationals x, y > 1: ln x's upper end
+    at 96 bits over ln y's lower end, from 96 bits up the ladder until that
+    lower end is positive; INCONCLUSIVE at the precision cap."""
+    ln_x = ln_frac(x, 96).hi
+
+    def step(k):
+        ln_y = ln_frac(y, k)
+        return ln_x / ln_y.lo if ln_y.l > 0 else None
+
+    return refine(step, lambda: f"ln({brief(y)}) not certified positive", start=96)
+
+
+def _rate_precheck(rates: RateSpec, ns, mu_upper: Fraction, slack: Fraction):
+    """RATE_VIOLATION at the first row whose -log eps / log Q may exceed
+    1/(mu_upper - 1) + slack; every row of a geometric spec has the ratio of
+    its row n = 1, (beta, alpha)."""
     bound = 1 / (mu_upper - 1) + slack
-    if rates.kind == "geometric":
-        if min(n_range) < 1:
-            raise PreconditionError(
-                "BAD_PARAMS", f"geometric rates need n >= 1, got n={min(n_range)}"
-            )
-        ratio_hi = ln_frac(1 / rates.alpha, 96).hi / ln_frac(rates.beta, 96).lo
-        if ratio_hi > bound:
-            raise RateViolation(
-                f"-log eps / log Q ~ {float(ratio_hi):.4f} exceeds "
-                f"1/(mu_upper-1) + {slack} = {float(bound):.4f}"
-            )
-        return
-    for n in n_range:
+    for n in ns if rates.table is not None else (1,):
         Q, eps = rates.targets(n)
-        ratio_hi = ln_frac(1 / eps, 96).hi / ln_frac(Q, 96).lo
+        ratio_hi = _ln_ratio_hi(1 / eps, Q)
         if ratio_hi > bound:
-            raise RateViolation(
-                f"row n={n}: -log eps / log Q ~ {float(ratio_hi):.4f} exceeds "
-                f"{float(bound):.4f}"
-            )
+            raise RateViolation(f"row n={n}: -log eps / log Q ~ {float(ratio_hi):.4f} exceeds "
+                                f"1/(mu_upper-1) + {slack} = {float(bound):.4f}")
+
+
+def _missed_band(ratio_u: Fraction, ratio_res: Enclosure, lam: Fraction, mu: Fraction):
+    """The band a case (ii) entry misses, "coefficient" or "residual", else
+    None: ratio_u**2 in [1/lam, lam], ratio_res**2 certainly in [1/mu, mu]."""
+    ru2, rr2 = ratio_u * ratio_u, ratio_res * ratio_res
+    if not (ru2 <= lam and ru2 * lam >= 1):
+        return "coefficient"
+    if not (rr2.le_certain(mu) and (rr2 * mu).ge_certain(1)):
+        return "residual"
+    return None
 
 
 def build_sequence(
@@ -231,12 +248,9 @@ def build_sequence(
     ns = as_integers(n_range, what="index")
     if not ns:
         raise PreconditionError("BAD_PARAMS", "empty index range")
-    eta = eta or EtaSchedule.default_rule()
+    eta = eta or EtaSchedule()
     _rate_precheck(rates, ns, mu_upper, rate_slack)
     eta_used = {n: eta.value(n) for n in ns}
-    for n, h in eta_used.items():
-        if not (0 < h < Fraction(1, 2)):
-            raise PreconditionError("BAD_PARAMS", f"eta_{n}={h} outside (0, 1/2)")
     shift = floor_certified(oracle)
     # kept: each rung k reads the value at level_for(k + 4), a level finer, and
     # solving on the unshifted oracle measured 5 % fewer ops/s, 8 % higher p90
@@ -244,41 +258,29 @@ def build_sequence(
     entries = []
     for n in ns:
         Q, eps = rates.targets(n)
-        h = eta_used[n]
-        lam = 1 + h
-        mu = 1 + 2 * h
+        lam, mu = 1 + eta_used[n], 1 + 2 * eta_used[n]
         band_Q = Q / sqrt_lower(lam, 64)
         if band_Q <= 1:
-            raise PreconditionError(
-                "BAD_PARAMS",
-                f"row n={n}: Q_n={Q} is too small for its band, "
-                f"need Q_n / sqrt(1 + eta_n) > 1",
-            )
+            raise PreconditionError("BAD_PARAMS", f"row n={n}: Q_n={Q} is too small for its band, "
+                                    "need Q_n / sqrt(1 + eta_n) > 1")
         params = LemmaParams(lam * SHRINK, mu * SHRINK, eps / sqrt_lower(mu, 64), band_Q)
         res = solve_disjunction(inner, params)
-        if res.outcome == "case_ii":
-            u, v, r = res.witness.q, res.witness.p, res.residual
-            if not (u * u <= lam * Q * Q and Q * Q <= lam * u * u):
-                raise CertificateError(
-                    "BAND_VIOLATION", f"coefficient band failed at n={n}, q={u}"
-                )
-            a = r.abs()
-            if not ((a * a * mu).ge_certain(eps**2) and (a * a).le_certain(mu * eps**2)):
-                raise CertificateError(
-                    "BAND_VIOLATION", f"residual band failed at n={n}, q={u}"
-                )
-        else:
-            u, v = res.witness.u, res.witness.v
-            r = _form_enclosure(inner, u, v)
+        case_ii = res.outcome == "case_ii"
+        u, v = (res.witness.q, res.witness.p) if case_ii else (res.witness.u, res.witness.v)
+        r = res.residual if case_ii else _form_enclosure(inner, u, v)
+        ratio_u, ratio_res = Fraction(u) / Q, r.abs() / eps
+        missed = case_ii and _missed_band(ratio_u, ratio_res, lam, mu)
+        if missed:
+            raise CertificateError("BAND_VIOLATION", f"{missed} band failed at n={n}, q={u}")
         entries.append(
             ApproxSequenceEntry(
                 n=n,
                 u=u,
                 v=v + shift * u,
                 residual=r,
-                ratio_u=Fraction(u) / Q,
-                ratio_res=r.abs() / eps,
-                case_taken="ii" if res.outcome == "case_ii" else "i",
+                ratio_u=ratio_u,
+                ratio_res=ratio_res,
+                case_taken="ii" if case_ii else "i",
             )
         )
     half_start = ns[len(ns) // 2]
@@ -306,13 +308,10 @@ def _form_enclosure(oracle: RealOracle, u: int, v: int) -> Enclosure:
 
 
 def lemma1_bound(alpha_hat: Rat, beta_hat: Rat) -> Fraction:
-    """Certified-rounding upper evaluation of 1 - log(beta)/log(alpha)."""
-    a, b = as_rational(alpha_hat, what="alpha_hat"), as_rational(beta_hat, what="beta_hat")
-    if not (0 < a < 1 < b):
-        raise PreconditionError(
-            "BAD_PARAMS", f"need 0 < alpha_hat < 1 < beta_hat, got {a}, {b}"
-        )
-    return 1 + ln_frac(b, 96).hi / ln_frac(1 / a, 96).lo
+    """Certified-rounding upper evaluation of 1 - log(beta)/log(alpha) for the
+    geometric rates (alpha_hat, beta_hat), checked as a RateSpec."""
+    rates = RateSpec.geometric(alpha_hat, beta_hat)
+    return 1 + _ln_ratio_hi(rates.beta, 1 / rates.alpha)
 
 
 @dataclass(frozen=True)
@@ -438,9 +437,9 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
         scales, scale_growth = [1] * len(ns), None
     core_res, core_h = {}, {}
     for i in {pos[0], *pos[-3:]}:
-        # r / s on integers, for the scale s > 0, an int or a Fraction: no reciprocal, no gcd
+        # r / s on integers, for the int scale s > 0: no reciprocal, no gcd
         r, s = raw_res[i], scales[i]
-        core_res[i] = Enclosure.from_ints(r.l * s.denominator, r.h * s.denominator, r.d * s.numerator)
+        core_res[i] = Enclosure.from_ints(r.l, r.h, r.d * s)
         core_h[i] = Enclosure.point(Fraction(height(i), s))
     growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     alpha_core, method_a = _estimate_limit(core_res, ns, pos)

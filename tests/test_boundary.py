@@ -78,7 +78,7 @@ ENTRIES = [
     ("expand depth", "BAD_PARAMS", True, lambda x: expand(SQRT2, x)),
     ("mu_estimate depth", "BAD_PARAMS", True, lambda x: mu_estimate(SQRT2, x)),
     ("FormSequence ns", "BAD_FORM", True, lambda x: _forms(ns=(0, x, 2))),
-    ("FormSequence scales", "BAD_FORM", False, lambda x: _forms(scales=(1, x, 1))),
+    ("FormSequence scales", "BAD_FORM", True, lambda x: _forms(scales=(1, x, 1))),
     ("FormSequence scale_e_power", "BAD_FORM", True, lambda x: _forms(power=x)),
     ("PointVec coordinate", "BAD_POINT", False, lambda x: PointVec((ONE, x))),
     ("tau_empirical window start", "BAD_PARAMS", True, lambda x: tau_empirical(APERY, window=(x, 12))),
@@ -88,7 +88,7 @@ ENTRIES = [
     ("build_sequence mu_upper", "BAD_PARAMS", False, lambda x: build_sequence(SQRT2, x, GEOMETRIC, [5])),
     ("RateSpec.from_table Q", "BAD_PARAMS", False, lambda x: RateSpec.from_table([(1, x, F(1, 2))])),
     ("RateSpec.targets n", "BAD_PARAMS", True, lambda x: GEOMETRIC.targets(x)),
-    ("EtaSchedule.value n", "BAD_PARAMS", True, lambda x: EtaSchedule.default_rule().value(x)),
+    ("EtaSchedule.value n", "BAD_PARAMS", True, lambda x: EtaSchedule().value(x)),
     ("Enclosure lo", "BAD_PARAMS", False, lambda x: Enclosure(x, 10)),
     ("Enclosure hi", "BAD_PARAMS", False, lambda x: Enclosure(-10, x)),
 ]
@@ -158,8 +158,11 @@ def test_apery_scales_stay_ints():
     seq = apery_forms(3, 40)
     assert all(type(s) is int for s in seq.scales)
     assert seq.scales[:4] == (2, 2, 16, 432)
-    # a scale given as a float or Fraction is read as a rational
-    assert _forms(scales=(1, 2.5, F(7, 2))).scales == (1, F(5, 2), F(7, 2))
+    # a scale is an int: an integral float or Fraction is read as one, 5/2 is refused
+    assert _forms(scales=(1, 2.0, F(7))).scales == (1, 2, 7)
+    with pytest.raises(PreconditionError) as info:
+        _forms(scales=(1, F(5, 2), 1))
+    assert info.value.code == "BAD_FORM"
 
 
 CONVERTERS = {"as_rational", "as_integer", "as_integers"}

@@ -9,9 +9,10 @@ import pytest
 
 import dioph
 from dioph import multiform
-from dioph.cli import build_parser, main
+from dioph.cli import _rate_payload, build_parser, main
 from dioph.enclosure import Enclosure
-from dioph.oracle import PRECISION_CAP
+from dioph.multiform import FormSequence, LinearForm, PointVec, tau_empirical
+from dioph.oracle import PRECISION_CAP, RationalOracle, SqrtOracle
 
 
 def run_cli(capsys, *argv):
@@ -450,3 +451,73 @@ def test_big_quotients_print_in_full(capsys):
     assert code == 0, err
     assert json.loads(out)["quotients"] == ["0", "1" * 5000]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+NEAR_ONE = f"{2**200 + 1}/{2**200}"
+NEAR_ONE_BUILD = ("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--alpha", "1/2",
+                  "--beta", NEAR_ONE, "--n", "1:3")
+
+
+@pytest.mark.parametrize("cap,code,error", [
+    ((), 2, "RATE_VIOLATION"),
+    (("--precision-cap", "128"), 3, "INCONCLUSIVE"),
+], ids=["default-cap", "cap-128"])
+def test_near_one_beta_exits_with_a_typed_error(capsys, cap, code, error):
+    # ln(beta)'s 96-bit lower end is 0: this exited 1 with a ZeroDivisionError
+    got, out, err = run_cli(capsys, *cap, *NEAR_ONE_BUILD)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {error}")
+
+
+def test_near_one_rate_table_exits_2(capsys, tmp_path):
+    rates = tmp_path / "rates.csv"
+    rates.write_text("n,Q,eps\n" + "".join(f"{n},{2**200 + n}/{2**200},1/{2**n}\n" for n in (1, 2, 3)))
+    code, out, err = run_cli(capsys, "build", "--oracle", "const:sqrt2", "--mu", "21/10",
+                             "--rates-csv", str(rates), "--n", "1:3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: RATE_VIOLATION: row n=1")
+
+
+# forms u*sqrt2 - v from the convergents v/u of sqrt2, as l0 = -v, l1 = u
+SQRT2_FORMS = [(n, -v, u) for n, (u, v) in enumerate(
+    [(1, 1), (2, 3), (5, 7), (12, 17), (29, 41), (70, 99), (169, 239), (408, 577)], 1)]
+
+
+@pytest.mark.parametrize("argv", [("tau",), ("nesterenko", "--omega-bound", "50")],
+                         ids=["tau", "nesterenko"])
+def test_forms_csv_reads_the_l_columns_by_index(capsys, tmp_path, argv):
+    forms = tmp_path / "forms.csv"
+    # the columns are read by name, in any order
+    forms.write_text("l1,n,l0\n" + "".join(f"{u},{n},{v}\n" for n, v, u in SQRT2_FORMS))
+    code, out, err = run_cli(capsys, "multi", *argv, "--forms-csv", str(forms),
+                             "--point", "rat:1,const:sqrt2")
+    assert (code, err) == (0, "")
+    seq = FormSequence(
+        tuple(n for n, _, _ in SQRT2_FORMS),
+        tuple(LinearForm((v, u)) for _, v, u in SQRT2_FORMS),
+        PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"))),
+    )
+    doc = json.loads(out)
+    assert doc.get("rate", doc) == _rate_payload(tau_empirical(seq))
+
+
+@pytest.mark.parametrize("header,missing", [
+    ("n,l0,l5", "l1"), ("n,l0,l01", "l1"), ("n,l1,l2", "l0"),
+], ids=["gap", "leading-zero", "no-l0"])
+@pytest.mark.parametrize("action", ["tau", "nesterenko"])
+def test_forms_csv_needs_exactly_l0_to_lr(capsys, tmp_path, action, header, missing):
+    # n,l0,l5 and n,l0,l01 were read by rank as n,l0,l1 and exited 0
+    forms = tmp_path / "forms.csv"
+    forms.write_text(header + "\n" + "".join(f"{n},{v},{u}\n" for n, v, u in SQRT2_FORMS))
+    code, out, err = run_cli(capsys, "multi", action, "--forms-csv", str(forms),
+                             "--point", "rat:1,const:sqrt2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: BAD_PARAMS: forms csv has no column {missing} of l0..l1")
+
+
+def test_forms_csv_l_columns_need_a_point(capsys, tmp_path):
+    forms = tmp_path / "forms.csv"
+    forms.write_text("n,l0,l1\n" + "".join(f"{n},{v},{u}\n" for n, v, u in SQRT2_FORMS))
+    code, out, err = run_cli(capsys, "multi", "tau", "--forms-csv", str(forms))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BAD_PARAMS: l0..lr ingestion needs --point")

@@ -1354,3 +1354,77 @@ def test_bit_length_gate_at_its_radius(base, e, target, xc, yc):
     ey = (e * ex + target) // 4
     x, y = _corner(ex, *xc), _corner(ey, *yc)
     assert seqbuild._regular_step(x, y) == _power_gate(x, y)
+
+
+def reference_missed_band(u, Q, r, eps, h):
+    """The band forms the build row checked before it kept ratio_u and
+    ratio_res: u*u <= lam Q*Q and Q*Q <= lam u*u, then |r|**2 against eps**2
+    and mu eps**2."""
+    lam, mu = 1 + h, 1 + 2 * h
+    if not (u * u <= lam * Q * Q and Q * Q <= lam * u * u):
+        return "coefficient"
+    a = r.abs()
+    if not ((a * a * mu).ge_certain(eps**2) and (a * a).le_certain(mu * eps**2)):
+        return "residual"
+    return None
+
+
+near_edge = st.fractions(min_value=F(-6, 5), max_value=F(6, 5), max_denominator=1000)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.fractions(min_value=2, max_value=10**6, max_denominator=1000),
+    near_edge,
+    st.fractions(min_value=F(1, 10**6), max_value=F(999, 1000), max_denominator=10**6),
+    near_edge,
+    st.fractions(min_value=0, max_value=F(1, 100), max_denominator=1000),
+    st.booleans(),
+    st.fractions(min_value=F(1, 1000), max_value=F(1, 2), max_denominator=1000),
+)
+# on the edges: (11/10)**2 = 1 + 21/100 and (6/5)**2 = 1 + 2 (11/50)
+@example(F(10), F(20, 21), F(1, 10), F(0), F(0), False, F(21, 100))
+@example(F(10), F(0), F(1, 10), F(10, 11), F(0), True, F(11, 50))
+@example(F(10), F(0), F(1, 10), F(-25, 33), F(0), False, F(11, 50))
+def test_bands_on_the_ratios_match_the_squared_forms(Q, s_u, eps, s_r, width, negative, h):
+    # u / Q and |r| / eps near 1 + s h / 2 and 1 + s h, about s times their
+    # bands' half-widths, so both sides of each edge are drawn
+    u = max(1, floor(Q * (1 + s_u * h / 2)))
+    lo = eps * (1 + s_r * h)
+    r = Enclosure(lo, lo + eps * width * h)
+    r = -r if negative else r
+    got = seqbuild._missed_band(F(u) / Q, r.abs() / eps, 1 + h, 1 + 2 * h)
+    assert got == reference_missed_band(u, Q, r, eps, h)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=-1, max_value=10**6))
+@example(-1)
+@example(6)
+@example(10**6)
+def test_eta_rule_reads_the_log_integers(n):
+    ln_hi = ln_frac(n + 3, 96).hi
+    want = min(seqbuild.ETA_MAX, dyadic_below(1 / ln_hi, seqbuild.ETA_GRID_BITS))
+    assert seqbuild.EtaSchedule().value(n) == want
+
+
+above_one = st.one_of(
+    st.fractions(min_value=1, max_value=10**6, max_denominator=10**6).filter(lambda x: x > 1),
+    st.integers(min_value=1, max_value=300).map(lambda k: 1 + F(1, 2**k)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(above_one, above_one)
+@example(F(3), 1 + F(1, 2**150))
+def test_steepness_bound_is_the_96_bit_quotient_where_that_exists(x, y):
+    ln_y = ln_frac(y, 96)
+    got = seqbuild._ln_ratio_hi(x, y)
+    if ln_y.lo > 0:
+        assert got == ln_frac(x, 96).hi / ln_y.lo
+        return
+    with mpmath.workprec(1024):
+        def mp(z):
+            return mpmath.mpf(z.numerator) / z.denominator
+
+        assert mp(got) >= mpmath.log(mp(x)) / mpmath.log(mp(y))

@@ -1,5 +1,8 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from dioph import seqbuild
@@ -7,11 +10,12 @@ from dioph import seqbuild
 from dioph.contfrac import convergents, expand
 from dioph.errors import (
     CaseIPersists,
+    Inconclusive,
     PreconditionError,
     RateViolation,
     ZeroResidual,
 )
-from dioph.oracle import CFOracle, GoldenOracle, RationalOracle, SqrtOracle
+from dioph.oracle import PRECISION_CAP, CFOracle, GoldenOracle, RationalOracle, SqrtOracle
 from dioph.seqbuild import (
     ETA_MAX,
     EtaSchedule,
@@ -110,12 +114,12 @@ class TestRateSpec:
 
 class TestEtaSchedule:
     def test_default_clamps_small_indices(self):
-        sched = EtaSchedule.default_rule()
+        sched = EtaSchedule()
         assert sched.value(0) == ETA_MAX
         assert sched.value(100) < sched.value(10) < ETA_MAX
 
     def test_default_nonincreasing(self):
-        sched = EtaSchedule.default_rule()
+        sched = EtaSchedule()
         vals = [sched.value(n) for n in range(0, 60, 5)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -151,10 +155,9 @@ def test_build_takes_custom_eta_up_to_one_half():
     res = build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), 3), range(20, 22), eta)
     assert res.eta_used == {20: F(49, 100), 21: F(23, 50)}
     assert all(e.case_taken == "ii" for e in res.entries)
-    # a directly constructed schedule is still held to eta < 1/2
-    with pytest.raises(PreconditionError, match="outside"):
-        build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), 3), range(20, 21),
-                       EtaSchedule({20: F(1, 2)}))
+    # a directly constructed schedule is held to eta < 1/2 where it is built
+    with pytest.raises(PreconditionError, match=r"eta at n=20 must be in \(0, 1/2\)"):
+        EtaSchedule({20: F(1, 2)})
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +307,65 @@ class TestDensityData:
     def test_rational_multiple_raises(self):
         with pytest.raises(ZeroResidual):
             density_data([3, 6], RationalOracle(F(1, 3)))
+
+
+# (2**200 + 1) / 2**200: its log's 96-bit enclosure has lower end 0
+NEAR_ONE = F(2**200 + 1, 2**200)
+
+
+def test_near_one_rates_climb_the_ladder():
+    # each raised ZeroDivisionError from dividing by ln_frac(., 96).lo = 0
+    with pytest.raises(RateViolation, match="row n=1"):
+        build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), NEAR_ONE), range(1, 4))
+    table = RateSpec.from_table([(n, F(2**200 + n, 2**200), F(1, 2**n)) for n in range(1, 4)])
+    with pytest.raises(RateViolation, match="row n=1"):
+        build_sequence(SQRT2, F(21, 10), table, range(1, 4))
+    token = PRECISION_CAP.set(128)
+    try:
+        with pytest.raises(Inconclusive, match="not certified positive"):
+            build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), NEAR_ONE), range(1, 4))
+    finally:
+        PRECISION_CAP.reset(token)
+
+
+def test_lemma1_bound_near_one():
+    a = 1 - F(1, 2**150)
+    with mpmath.workprec(1200):
+        want = 1 - mpmath.log(3) / mpmath.log(mpmath.mpf(a.numerator) / a.denominator)
+        bound = lemma1_bound(a, 3)
+        got = mpmath.mpf(bound.numerator) / bound.denominator
+        assert want <= got <= want * (1 + mpmath.mpf(2) ** -40)
+
+
+def test_rate_rules_are_stated_once():
+    """No src/ expression divides by a ``ln_frac(...).lo``, and RateSpec has
+    no ``kind`` field: a spec without a table is geometric."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    divisions = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+                continue
+            den = node.right
+            if (
+                isinstance(den, ast.Attribute) and den.attr == "lo"
+                and isinstance(den.value, ast.Call)
+                and getattr(den.value.func, "id", None) == "ln_frac"
+            ):
+                divisions.append((path.name, node.lineno))
+    assert divisions == []
+    assert "kind" not in RateSpec.__dataclass_fields__
+    assert RateSpec.geometric(F(1, 2), 3).table is None
+
+
+def test_schedules_are_checked_where_built():
+    with pytest.raises(PreconditionError, match="0 < alpha < 1 < beta"):
+        RateSpec(F(1, 2), F(1, 2))
+    with pytest.raises(PreconditionError, match="Q increasing"):
+        RateSpec(table={1: (100, F(1, 2)), 2: (10, F(1, 4))})
+    with pytest.raises(PreconditionError, match="no alpha or beta"):
+        RateSpec(F(1, 2), table={1: (10, F(1, 2))})
+    with pytest.raises(PreconditionError, match="nonincreasing"):
+        EtaSchedule({1: F(1, 8), 2: F(1, 4)})
+    assert RateSpec(table={2: (10, 0.5)}).targets(2) == (10, F(1, 2))
+    assert EtaSchedule({3: 0.25}).value(3) == F(1, 4)
