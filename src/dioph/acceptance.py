@@ -76,7 +76,7 @@ def criterion_3(seed: int = 0) -> tuple:
     res = build_sequence(
         oracle,
         Fraction(21, 10),
-        RateSpec.geometric(Fraction(1, 2), Fraction(3)),
+        RateSpec(Fraction(1, 2), Fraction(3)),
         range(50, 101),
     )
     n_ii = sum(1 for e in res.entries if e.case_taken == "ii")
@@ -247,7 +247,7 @@ def criterion_7(seed: int = 0) -> tuple:
         res = build_sequence(
             oracle,
             Fraction(21, 10),
-            RateSpec.geometric(alpha, Fraction(3)),
+            RateSpec(alpha, Fraction(3)),
             range(90, 111),
             eta=eta,
         )

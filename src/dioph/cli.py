@@ -214,7 +214,7 @@ def _cmd_build(args) -> int:
     if args.rates_csv is not None:
         rates = _load_rates(args.rates_csv)
     else:
-        rates = RateSpec.geometric(parse_rational(args.alpha), parse_rational(args.beta))
+        rates = RateSpec(parse_rational(args.alpha), parse_rational(args.beta))
     lo, hi = _parse_span(args.n)
     res = build_sequence(
         oracle,

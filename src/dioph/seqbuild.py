@@ -59,9 +59,8 @@ CASE_I_FRACTION = Fraction(1, 5)
 REGULARITY_DELTA = Fraction(1, 4)
 
 
-def _read_table(rows, name: str, width: int) -> tuple:
-    """({n: values as Fractions}, the n ascending) of ``rows`` (n, *values),
-    ``width`` values each; a single value is kept bare."""
+def _by_index(rows, name: str) -> dict:
+    """{n: the values} of ``rows`` (n, *values), left for the schedule to read."""
     table = {}
     for row in rows:
         if not row:
@@ -70,21 +69,32 @@ def _read_table(rows, name: str, width: int) -> tuple:
         n = as_integer(n, what="row index")
         if n in table:
             raise PreconditionError("BAD_PARAMS", f"{name} table has two rows for n={n}")
+        table[n] = tuple(values)
+    return table
+
+
+def _read_table(table: dict, name: str, width: int) -> tuple:
+    """({n: values as Fractions}, the n ascending) of ``table`` {n: values},
+    ``width`` values each, one value given bare or not; a single value is kept bare."""
+    read = {}
+    for n, values in table.items():
+        n = as_integer(n, what="row index")
+        values = tuple(values) if isinstance(values, (tuple, list)) else (values,)
         if len(values) != width:
             raise PreconditionError("BAD_PARAMS", f"{name} table row n={n} needs {width} values")
         values = tuple(as_rational(v, what=f"{name} table entry") for v in values)
-        table[n] = values if width > 1 else values[0]
-    if not table:
+        read[n] = values if width > 1 else values[0]
+    if not read:
         raise PreconditionError("BAD_PARAMS", f"empty {name} table")
-    return table, sorted(table)
+    return read, sorted(read)
 
 
 @dataclass(frozen=True)
 class RateSpec:
     """Target sizes per index: geometric (Q_n, eps_n) = (beta^n, alpha^n) when
-    there is no table, else the table's {n: (Q_n, eps_n)}. Checked where
-    built, a table read again as rows: 0 < alpha < 1 < beta, or no alpha or
-    beta and Q_n > 1, 0 < eps_n < 1, Q increasing and eps decreasing in n."""
+    there is no table, else the table's {n: (Q_n, eps_n)}. Checked and read
+    where built: 0 < alpha < 1 < beta, or no alpha or beta and Q_n > 1,
+    0 < eps_n < 1, Q increasing and eps decreasing in n."""
 
     alpha: Optional[Fraction] = None
     beta: Optional[Fraction] = None
@@ -102,7 +112,7 @@ class RateSpec:
             return
         if (self.alpha, self.beta) != (None, None):
             raise PreconditionError("BAD_PARAMS", "a rate table takes no alpha or beta")
-        table, ns = _read_table([(n, *row) for n, row in self.table.items()], "rate", 2)
+        table, ns = _read_table(self.table, "rate", 2)
         rows = [table[n] for n in ns]
         if any(Q >= Q1 or eps <= eps1 for (Q, eps), (Q1, eps1) in zip(rows, rows[1:])):
             raise PreconditionError("BAD_PARAMS", "rate table must have Q increasing and eps decreasing")
@@ -113,11 +123,12 @@ class RateSpec:
 
     @classmethod
     def geometric(cls, alpha: Rat, beta: Rat) -> "RateSpec":
+        # RateSpec(alpha, beta) by name, as bench/workloads.py calls it
         return cls(alpha, beta)
 
     @classmethod
     def from_table(cls, rows) -> "RateSpec":
-        return cls(table=_read_table(rows, "rate", 2)[0])
+        return cls(table=_by_index(rows, "rate"))
 
     def targets(self, n: int):
         n = as_integer(n, what="index")
@@ -134,15 +145,15 @@ class EtaSchedule:
 
     Without a table the rule is min(9/20, 1/ln(n+3)) rounded down to the
     2**-40 grid; the clamp keeps 1 + 2 eta below 2 at the smallest indices. A
-    table {n: eta_n} is checked where built, read again as rows: each value
-    in (0, 1/2), nonincreasing in n.
+    table {n: eta_n} is checked and read where built: each value in (0, 1/2),
+    nonincreasing in n.
     """
 
     table: Optional[dict] = None
 
     def __post_init__(self):
         if self.table is not None:
-            table, ns = _read_table(self.table.items(), "eta", 1)
+            table, ns = _read_table(self.table, "eta", 1)
             if any(table[a] < table[b] for a, b in zip(ns, ns[1:])):
                 raise PreconditionError("BAD_PARAMS", "eta table must be nonincreasing")
             for n in ns:
@@ -152,7 +163,7 @@ class EtaSchedule:
 
     @classmethod
     def custom(cls, pairs) -> "EtaSchedule":
-        return cls(_read_table(pairs, "eta", 1)[0])
+        return cls(_by_index(pairs, "eta"))
 
     def value(self, n: int) -> Fraction:
         n = as_integer(n, what="index")
@@ -190,27 +201,33 @@ class BuildResult:
 
 def _ln_ratio_hi(x: Fraction, y: Fraction) -> Fraction:
     """An upper bound on ln x / ln y for rationals x, y > 1: ln x's upper end
-    at 96 bits over ln y's lower end, from 96 bits up the ladder until that
-    lower end is positive; INCONCLUSIVE at the precision cap."""
+    over ln y's lower end, both at 96 bits whatever the precision cap. Only
+    where that lower end is 0, as for y within about 2**-97 of 1, ln y climbs
+    the ladder from 192 bits until it is positive; INCONCLUSIVE at the cap."""
     ln_x = ln_frac(x, 96).hi
 
     def step(k):
         ln_y = ln_frac(y, k)
         return ln_x / ln_y.lo if ln_y.l > 0 else None
 
-    return refine(step, lambda: f"ln({brief(y)}) not certified positive", start=96)
+    ratio = step(96)
+    return ratio if ratio is not None else refine(
+        step, lambda: f"ln({brief(y)}) not certified positive", start=192)
 
 
 def _rate_precheck(rates: RateSpec, ns, mu_upper: Fraction, slack: Fraction):
     """RATE_VIOLATION at the first row whose -log eps / log Q may exceed
-    1/(mu_upper - 1) + slack; every row of a geometric spec has the ratio of
-    its row n = 1, (beta, alpha)."""
+    1/(mu_upper - 1) + slack; a geometric spec's rows share the ratio of
+    (Q, eps) = (beta, alpha), checked once and named by no row."""
     bound = 1 / (mu_upper - 1) + slack
-    for n in ns if rates.table is not None else (1,):
-        Q, eps = rates.targets(n)
+    if rates.table is None:
+        rows = [("", rates.beta, rates.alpha)]
+    else:
+        rows = [(f"row n={n}: ", *rates.targets(n)) for n in ns]
+    for where, Q, eps in rows:
         ratio_hi = _ln_ratio_hi(1 / eps, Q)
         if ratio_hi > bound:
-            raise RateViolation(f"row n={n}: -log eps / log Q ~ {float(ratio_hi):.4f} exceeds "
+            raise RateViolation(f"{where}-log eps / log Q ~ {float(ratio_hi):.4f} exceeds "
                                 f"1/(mu_upper-1) + {slack} = {float(bound):.4f}")
 
 
@@ -272,17 +289,8 @@ def build_sequence(
         missed = case_ii and _missed_band(ratio_u, ratio_res, lam, mu)
         if missed:
             raise CertificateError("BAND_VIOLATION", f"{missed} band failed at n={n}, q={u}")
-        entries.append(
-            ApproxSequenceEntry(
-                n=n,
-                u=u,
-                v=v + shift * u,
-                residual=r,
-                ratio_u=ratio_u,
-                ratio_res=ratio_res,
-                case_taken="ii" if case_ii else "i",
-            )
-        )
+        entries.append(ApproxSequenceEntry(n=n, u=u, v=v + shift * u, residual=r, ratio_u=ratio_u,
+                                           ratio_res=ratio_res, case_taken="ii" if case_ii else "i"))
     half_start = ns[len(ns) // 2]
     top = [e for e in entries if e.n >= half_start]
     bad = sum(1 for e in top if e.case_taken == "i")
@@ -310,7 +318,7 @@ def _form_enclosure(oracle: RealOracle, u: int, v: int) -> Enclosure:
 def lemma1_bound(alpha_hat: Rat, beta_hat: Rat) -> Fraction:
     """Certified-rounding upper evaluation of 1 - log(beta)/log(alpha) for the
     geometric rates (alpha_hat, beta_hat), checked as a RateSpec."""
-    rates = RateSpec.geometric(alpha_hat, beta_hat)
+    rates = RateSpec(alpha_hat, beta_hat)
     return 1 + _ln_ratio_hi(rates.beta, 1 / rates.alpha)
 
 
@@ -327,17 +335,6 @@ class RateEstimate:
     beta_enclosure: Enclosure
 
 
-def _window_positions(ns, window):
-    if window is None:
-        return list(range(len(ns) // 2, len(ns)))
-    lo, hi = as_integers(window, what="window end")
-    return [i for i, n in enumerate(ns) if lo <= n <= hi]
-
-
-def _richardson(x0: Enclosure, x1: Enclosure, n0: int, n1: int) -> Enclosure:
-    return ((x1 * n1) - (x0 * n0)) * Fraction(1, n1 - n0)
-
-
 def _estimate_limit(values, ns, positions):
     """Ratio-based limit estimate over the window; returns (enclosure, method).
 
@@ -351,7 +348,8 @@ def _estimate_limit(values, ns, positions):
         m0, m1 = x0.mid, x1.mid
         stable = m1 > 0 and abs(m1 - m0) <= m1 / 64 and x1.width <= m1 / 64
         if stable:
-            return _richardson(x0, x1, ns[b], ns[c]), "ratio-richardson"
+            n0, n1 = ns[b], ns[c]
+            return ((x1 * n1) - (x0 * n0)) * Fraction(1, n1 - n0), "ratio-richardson"
     p0, p1 = positions[0], positions[-1]
     span = ns[p1] - ns[p0]
     total = values[p1] / values[p0]
@@ -429,7 +427,11 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionError("BAD_PARAMS", "indices n must be strictly increasing")
-    pos = _window_positions(ns, window)
+    if window is None:
+        pos = list(range(len(ns) // 2, len(ns)))
+    else:
+        lo, hi = as_integers(window, what="window end")
+        pos = [i for i, n in enumerate(ns) if lo <= n <= hi]
     if len(pos) < 2:
         raise PreconditionError("BAD_PARAMS", "window keeps fewer than 2 entries")
     raw_res = {i: residual(i) for i in pos}
@@ -444,8 +446,7 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     alpha_core, method_a = _estimate_limit(core_res, ns, pos)
     beta_core, method_b = _estimate_limit(core_h, ns, pos)
-    alpha_enc = alpha_core * growth
-    beta_enc = beta_core * growth
+    alpha_enc, beta_enc = alpha_core * growth, beta_core * growth
     p0, p1 = pos[0], pos[-1]
     decayed = raw_res[p1].strictly_lt(raw_res[p0])
     # residuals are separated from zero, so one end of each will do
@@ -488,9 +489,7 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
     if len(us) < 2:
         raise PreconditionError("BAD_PARAMS", "need at least 2 denominators")
     if any(u <= 0 for u in us) or any(b < a for a, b in zip(us, us[1:])):
-        raise PreconditionError(
-            "BAD_PARAMS", "u sequence must be positive and nondecreasing"
-        )
+        raise PreconditionError("BAD_PARAMS", "u sequence must be positive and nondecreasing")
     dists = []
     for u in us:
         _, d = nearest_int(oracle, u, is_separated)

@@ -469,6 +469,17 @@ def test_near_one_beta_exits_with_a_typed_error(capsys, cap, code, error):
     assert err.startswith(f"error: {error}")
 
 
+def test_build_runs_below_a_96_bit_cap(capsys):
+    # the steepness bound reads its 96-bit logs whatever the cap: a cap of 64
+    # refused this with INCONCLUSIVE "ln(3) not certified positive", exit 3
+    argv = ("build", "--oracle", "const:sqrt2", "--mu", "21/10", "--alpha", "1/2", "--beta", "3",
+            "--n", "1:5")
+    code, out, err = run_cli(capsys, "--precision-cap", "64", *argv)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv)[1]
+    assert [e["case"] for e in json.loads(out)["entries"]] == ["I", "II", "II", "II", "II"]
+
+
 def test_near_one_rate_table_exits_2(capsys, tmp_path):
     rates = tmp_path / "rates.csv"
     rates.write_text("n,Q,eps\n" + "".join(f"{n},{2**200 + n}/{2**200},1/{2**n}\n" for n in (1, 2, 3)))

@@ -7,6 +7,7 @@ import pytest
 
 from dioph import seqbuild
 
+from dioph.certlog import ln_frac
 from dioph.contfrac import convergents, expand
 from dioph.errors import (
     CaseIPersists,
@@ -314,9 +315,10 @@ NEAR_ONE = F(2**200 + 1, 2**200)
 
 
 def test_near_one_rates_climb_the_ladder():
-    # each raised ZeroDivisionError from dividing by ln_frac(., 96).lo = 0
-    with pytest.raises(RateViolation, match="row n=1"):
-        build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), NEAR_ONE), range(1, 4))
+    # each raised ZeroDivisionError from dividing by ln_frac(., 96).lo = 0;
+    # a geometric spec's rows share one ratio, and its message names no row
+    with pytest.raises(RateViolation, match="^RATE_VIOLATION: -log eps / log Q"):
+        build_sequence(SQRT2, F(21, 10), RateSpec.geometric(F(1, 2), NEAR_ONE), range(5, 8))
     table = RateSpec.from_table([(n, F(2**200 + n, 2**200), F(1, 2**n)) for n in range(1, 4)])
     with pytest.raises(RateViolation, match="row n=1"):
         build_sequence(SQRT2, F(21, 10), table, range(1, 4))
@@ -328,6 +330,19 @@ def test_near_one_rates_climb_the_ladder():
         PRECISION_CAP.reset(token)
 
 
+def test_steepness_bound_reads_96_bits_below_that_cap():
+    # a cap under 96 bits refused every build and lemma1_bound with INCONCLUSIVE
+    token = PRECISION_CAP.set(64)
+    try:
+        assert lemma1_bound(F(1, 2), 3) == 1 + ln_frac(3, 96).hi / ln_frac(2, 96).lo
+        res = build_sequence(SQRT2, F(21, 10), RateSpec(F(1, 2), 3), range(1, 4))
+        with pytest.raises(Inconclusive, match="not certified positive"):
+            lemma1_bound(1 - F(1, 2**150), 3)
+    finally:
+        PRECISION_CAP.reset(token)
+    assert res == build_sequence(SQRT2, F(21, 10), RateSpec(F(1, 2), 3), range(1, 4))
+
+
 def test_lemma1_bound_near_one():
     a = 1 - F(1, 2**150)
     with mpmath.workprec(1200):
@@ -337,25 +352,43 @@ def test_lemma1_bound_near_one():
         assert want <= got <= want * (1 + mpmath.mpf(2) ** -40)
 
 
+def _is_ln_frac(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ln_frac"
+
+
+def _lo_divisions(tree) -> list:
+    """Lines of the divisions by a ``.lo`` of a ln_frac enclosure in ``tree``,
+    read off the call or off a name bound to one anywhere in ``tree``."""
+    bound = {
+        t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and _is_ln_frac(node.value)
+        for t in node.targets if isinstance(t, ast.Name)
+    }
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Attribute) and node.right.attr == "lo"
+        and (_is_ln_frac(node.right.value) or getattr(node.right.value, "id", None) in bound)
+    ]
+
+
 def test_rate_rules_are_stated_once():
-    """No src/ expression divides by a ``ln_frac(...).lo``, and RateSpec has
-    no ``kind`` field: a spec without a table is geometric."""
+    """Only ``seqbuild._ln_ratio_hi`` divides by the lower end of a ln_frac
+    enclosure, and RateSpec has no ``kind`` field: a spec without a table is
+    geometric."""
     src = Path(__file__).resolve().parent.parent / "src" / "dioph"
-    divisions = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
-                continue
-            den = node.right
-            if (
-                isinstance(den, ast.Attribute) and den.attr == "lo"
-                and isinstance(den.value, ast.Call)
-                and getattr(den.value.func, "id", None) == "ln_frac"
-            ):
-                divisions.append((path.name, node.lineno))
-    assert divisions == []
+    divisions = [
+        (path.name, getattr(node, "name", None), line)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        for line in _lo_divisions(node)
+    ]
+    assert [d for d in divisions if d[:2] != ("seqbuild.py", "_ln_ratio_hi")] == []
+    assert divisions, "_ln_ratio_hi divides by ln y's lower end"
+    # both forms are caught, the call's own .lo and a name bound to the call
+    reintroduced = "def f(Q, x):\n    ln = ln_frac(Q, 96)\n    return x / ln.lo + x / ln_frac(Q, 96).lo\n"
+    assert _lo_divisions(ast.parse(reintroduced)) == [3, 3]
     assert "kind" not in RateSpec.__dataclass_fields__
-    assert RateSpec.geometric(F(1, 2), 3).table is None
+    assert RateSpec(F(1, 2), 3).table is None
 
 
 def test_schedules_are_checked_where_built():
