@@ -159,7 +159,8 @@ def ln_frac(x: Rat, k: int) -> Enclosure:
         lo, hi = 2 * s, 2 * (s + 2 * terms + 2)
         if a < 0:
             lo, hi = -hi, -lo
-    for c, (c_lo, c_hi) in zip((e, j, l), _ln235(w)):
+    # near 1, e = j = l = 0: the constants would only be multiplied by 0
+    for c, (c_lo, c_hi) in zip((e, j, l), _ln235(w) if e or j or l else ()):
         if c >= 0:
             lo, hi = lo + c * c_lo, hi + c * c_hi
         else:

@@ -49,7 +49,10 @@ def as_integer(x, code: str = "BAD_PARAMS", what: str = "value") -> int:
 def as_integers(xs, code: str = "BAD_PARAMS", what: str = "value") -> list:
     """``xs`` as a new list of ints by :func:`as_integer`, in one pass if all are ints."""
     xs = list(xs)
-    return xs if {*map(type, xs)} <= {int} else [as_integer(x, code, what) for x in xs]
+    for x in xs:
+        if x.__class__ is not int:
+            return [as_integer(x, code, what) for x in xs]
+    return xs
 
 
 def _ends(x):

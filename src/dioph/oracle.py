@@ -496,7 +496,7 @@ class AffineOracle(RealOracle):
         super().__init__()
         self.a = as_rational(a, "BAD_AFFINE", "scale")
         self.b = as_rational(b, "BAD_AFFINE", "shift")
-        if self.a == 0:
+        if self.a.numerator == 0:
             raise PreconditionError("BAD_AFFINE", "scale a must be nonzero")
         self.spec = (
             f"affine:{self.a.numerator}/{self.a.denominator}"
@@ -635,12 +635,12 @@ def nearest_int(oracle: RealOracle, u: Rat, accept=None):
     Exactly half-integer products (only possible for rational oracles) raise
     HALF_INTEGER since the nearest integer is then ill-defined.
     """
-    half = Fraction(1, 2)
-
     def step(k):
         enc = oracle.enclose(k) * u
-        m = (enc + half).floor_unique()
-        if m is None:
+        # floor(x + 1/2) = (2 l + d) // (2 d) at both ends of [l/d, h/d]
+        d2 = 2 * enc.d
+        m = (2 * enc.l + enc.d) // d2
+        if m != (2 * enc.h + enc.d) // d2:
             return None
         dist = (enc - m).abs()
         if dist.is_point() and 2 * dist.l == dist.d:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key, reduce
+from math import isqrt
 from typing import Optional
 
 from .certlog import ln_frac
@@ -31,7 +33,6 @@ from .enclosure import (
     as_integers,
     as_rational,
     root_enclosure,
-    sqrt_lower,
 )
 from .errors import (
     CaseIPersists,
@@ -131,12 +132,15 @@ class RateSpec:
         return cls(table=_by_index(rows, "rate"))
 
     def targets(self, n: int):
+        """((Qn, Qd), (en, ed)): Q_n = Qn/Qd and eps_n = en/ed in lowest terms."""
         n = as_integer(n, what="index")
         if self.table is None:
-            return self.beta**n, self.alpha**n
+            (p, q), (r, s) = self.beta.as_integer_ratio(), self.alpha.as_integer_ratio()
+            return ((p**n, q**n), (r**n, s**n)) if n >= 0 else ((q**-n, p**-n), (s**-n, r**-n))
         if n not in self.table:
             raise PreconditionError("BAD_PARAMS", f"rate table has no row for n={n}")
-        return self.table[n]
+        Q, eps = self.table[n]
+        return Q.as_integer_ratio(), eps.as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,9 @@ class EtaSchedule:
             raise PreconditionError("BAD_PARAMS", f"row n={n}: eta rule 1/ln(n+3) needs n >= -1")
         # floor(2**40 / ln_hi) over 2**40, from ln_hi = h/d, the log's upper end
         ln = ln_frac(n + 3, 96)
-        return min(ETA_MAX, Fraction((ln.d << ETA_GRID_BITS) // ln.h, 1 << ETA_GRID_BITS))
+        g = (ln.d << ETA_GRID_BITS) // ln.h
+        clamped = g * ETA_MAX.denominator >= ETA_MAX.numerator << ETA_GRID_BITS
+        return ETA_MAX if clamped else Fraction(g, 1 << ETA_GRID_BITS)
 
 
 @dataclass(frozen=True)
@@ -199,16 +205,16 @@ class BuildResult:
         return iter(self.entries)
 
 
-def _ln_ratio_hi(x: Fraction, y: Fraction) -> Fraction:
-    """An upper bound on ln x / ln y for rationals x, y > 1: ln x's upper end
-    over ln y's lower end, both at 96 bits whatever the precision cap. Only
+def _ln_ratio_hi(x: Fraction, y: Fraction):
+    """(p, q), q > 0, with p/q >= ln x / ln y for rationals x, y > 1: ln x's upper
+    end over ln y's lower end, both at 96 bits whatever the precision cap. Only
     where that lower end is 0, as for y within about 2**-97 of 1, ln y climbs
     the ladder from 192 bits until it is positive; INCONCLUSIVE at the cap."""
-    ln_x = ln_frac(x, 96).hi
+    ln_x = ln_frac(x, 96)
 
     def step(k):
         ln_y = ln_frac(y, k)
-        return ln_x / ln_y.lo if ln_y.l > 0 else None
+        return (ln_x.h * ln_y.d, ln_x.d * ln_y.l) if ln_y.l > 0 else None
 
     ratio = step(96)
     return ratio if ratio is not None else refine(
@@ -217,27 +223,31 @@ def _ln_ratio_hi(x: Fraction, y: Fraction) -> Fraction:
 
 def _rate_precheck(rates: RateSpec, ns, mu_upper: Fraction, slack: Fraction):
     """RATE_VIOLATION at the first row whose -log eps / log Q may exceed
-    1/(mu_upper - 1) + slack; a geometric spec's rows share the ratio of
-    (Q, eps) = (beta, alpha), checked once and named by no row."""
-    bound = 1 / (mu_upper - 1) + slack
+    1/(mu_upper - 1) + slack = bn/bd; a geometric spec's rows share the ratio
+    of (Q, eps) = (beta, alpha), checked once and named by no row."""
+    (Mn, Md), (sn, sd) = mu_upper.as_integer_ratio(), slack.as_integer_ratio()
+    bn, bd = Md * sd + sn * (Mn - Md), (Mn - Md) * sd
     if rates.table is None:
-        rows = [("", rates.beta, rates.alpha)]
+        rows = [("", rates.beta.as_integer_ratio(), rates.alpha.as_integer_ratio())]
     else:
         rows = [(f"row n={n}: ", *rates.targets(n)) for n in ns]
-    for where, Q, eps in rows:
-        ratio_hi = _ln_ratio_hi(1 / eps, Q)
-        if ratio_hi > bound:
-            raise RateViolation(f"{where}-log eps / log Q ~ {float(ratio_hi):.4f} exceeds "
-                                f"1/(mu_upper-1) + {slack} = {float(bound):.4f}")
+    for where, (Qn, Qd), (en, ed) in rows:
+        rn, rd = _ln_ratio_hi(Fraction(ed, en), Fraction(Qn, Qd))
+        if rn * bd > bn * rd:
+            raise RateViolation(f"{where}-log eps / log Q ~ {rn / rd:.4f} exceeds "
+                                f"1/(mu_upper-1) + {slack} = {bn / bd:.4f}")
 
 
-def _missed_band(ratio_u: Fraction, ratio_res: Enclosure, lam: Fraction, mu: Fraction):
+def _missed_band(ratio_u: Fraction, ratio_res: Enclosure, eta: Fraction):
     """The band a case (ii) entry misses, "coefficient" or "residual", else
-    None: ratio_u**2 in [1/lam, lam], ratio_res**2 certainly in [1/mu, mu]."""
-    ru2, rr2 = ratio_u * ratio_u, ratio_res * ratio_res
-    if not (ru2 <= lam and ru2 * lam >= 1):
+    None: ratio_u**2 in [1/lam, lam], ratio_res**2 certainly in [1/mu, mu] for
+    ratio_res >= 0, lam = 1 + eta and mu = 1 + 2 eta, by cross products."""
+    (a, b), (hn, hd) = ratio_u.as_integer_ratio(), eta.as_integer_ratio()
+    a2, b2, lam, mu = a * a, b * b, hd + hn, hd + 2 * hn
+    if not (a2 * hd <= b2 * lam and a2 * lam >= b2 * hd):
         return "coefficient"
-    if not (rr2.le_certain(mu) and (rr2 * mu).ge_certain(1)):
+    l, h, d2 = ratio_res.l, ratio_res.h, ratio_res.d * ratio_res.d
+    if not (h * h * hd <= mu * d2 and l * l * mu >= hd * d2):
         return "residual"
     return None
 
@@ -260,7 +270,7 @@ def build_sequence(
     """
     mu_upper = as_rational(mu_upper, what="mu_upper")
     rate_slack = as_rational(rate_slack, what="rate_slack")
-    if mu_upper <= 1:
+    if mu_upper.numerator <= mu_upper.denominator:
         raise PreconditionError("BAD_PARAMS", f"mu_upper {mu_upper} must be > 1")
     ns = as_integers(n_range, what="index")
     if not ns:
@@ -273,20 +283,26 @@ def build_sequence(
     # solving on the unshifted oracle measured 5 % fewer ops/s, 8 % higher p90
     inner = oracle if shift == 0 else AffineOracle(1, -shift, oracle)
     entries = []
+    shrink_n, shrink_d = SHRINK.as_integer_ratio()
     for n in ns:
-        Q, eps = rates.targets(n)
-        lam, mu = 1 + eta_used[n], 1 + 2 * eta_used[n]
-        band_Q = Q / sqrt_lower(lam, 64)
-        if band_Q <= 1:
-            raise PreconditionError("BAD_PARAMS", f"row n={n}: Q_n={Q} is too small for its band, "
-                                    "need Q_n / sqrt(1 + eta_n) > 1")
-        params = LemmaParams(lam * SHRINK, mu * SHRINK, eps / sqrt_lower(mu, 64), band_Q)
+        (Qn, Qd), (en, ed) = rates.targets(n)
+        # lam/hd = 1 + eta and mu/hd = 1 + 2 eta; sl and sm over 2**64 their roots, rounded down
+        hn, hd = eta_used[n].as_integer_ratio()
+        lam, mu = hd + hn, hd + 2 * hn
+        sl, sm = isqrt((lam << 128) // hd), isqrt((mu << 128) // hd)
+        if Qn << 64 <= Qd * sl:
+            raise PreconditionError("BAD_PARAMS", f"row n={n}: Q_n={Fraction(Qn, Qd)} is too small "
+                                    "for its band, need Q_n / sqrt(1 + eta_n) > 1")
+        params = LemmaParams(
+            Fraction(lam * shrink_n, hd * shrink_d), Fraction(mu * shrink_n, hd * shrink_d),
+            Fraction(en << 64, ed * sm), Fraction(Qn << 64, Qd * sl))
         res = solve_disjunction(inner, params)
         case_ii = res.outcome == "case_ii"
         u, v = (res.witness.q, res.witness.p) if case_ii else (res.witness.u, res.witness.v)
         r = res.residual if case_ii else _form_enclosure(inner, u, v)
-        ratio_u, ratio_res = Fraction(u) / Q, r.abs() / eps
-        missed = case_ii and _missed_band(ratio_u, ratio_res, lam, mu)
+        a = r.abs()
+        ratio_u, ratio_res = Fraction(u * Qd, Qn), Enclosure.from_ints(a.l * ed, a.h * ed, a.d * en)
+        missed = case_ii and _missed_band(ratio_u, ratio_res, eta_used[n])
         if missed:
             raise CertificateError("BAND_VIOLATION", f"{missed} band failed at n={n}, q={u}")
         entries.append(ApproxSequenceEntry(n=n, u=u, v=v + shift * u, residual=r, ratio_u=ratio_u,
@@ -294,7 +310,7 @@ def build_sequence(
     half_start = ns[len(ns) // 2]
     top = [e for e in entries if e.n >= half_start]
     bad = sum(1 for e in top if e.case_taken == "i")
-    if top and Fraction(bad, len(top)) > CASE_I_FRACTION:
+    if top and bad * CASE_I_FRACTION.denominator > CASE_I_FRACTION.numerator * len(top):
         raise CaseIPersists(
             f"case (i) hit {bad}/{len(top)} of the top half; "
             f"mu_upper={mu_upper} likely at or below the true exponent",
@@ -319,7 +335,8 @@ def lemma1_bound(alpha_hat: Rat, beta_hat: Rat) -> Fraction:
     """Certified-rounding upper evaluation of 1 - log(beta)/log(alpha) for the
     geometric rates (alpha_hat, beta_hat), checked as a RateSpec."""
     rates = RateSpec(alpha_hat, beta_hat)
-    return 1 + _ln_ratio_hi(rates.beta, 1 / rates.alpha)
+    rn, rd = _ln_ratio_hi(rates.beta, Fraction(rates.alpha.denominator, rates.alpha.numerator))
+    return Fraction(rn + rd, rd)
 
 
 @dataclass(frozen=True)
@@ -345,11 +362,11 @@ def _estimate_limit(values, ns, positions):
     if len(positions) >= 3:
         a, b, c = positions[-3:]
         x0, x1 = values[b] / values[a], values[c] / values[b]
-        m0, m1 = x0.mid, x1.mid
-        stable = m1 > 0 and abs(m1 - m0) <= m1 / 64 and x1.width <= m1 / 64
-        if stable:
+        # m1 > 0, |m1 - m0| <= m1/64 and width(x1) <= m1/64 on the mids s0/(2 d0) and s1/(2 d1)
+        s0, s1 = x0.l + x0.h, x1.l + x1.h
+        if s1 > 0 and 64 * abs(s1 * x0.d - s0 * x1.d) <= s1 * x0.d and 128 * (x1.h - x1.l) <= s1:
             n0, n1 = ns[b], ns[c]
-            return ((x1 * n1) - (x0 * n0)) * Fraction(1, n1 - n0), "ratio-richardson"
+            return ((x1 * n1) - (x0 * n0)) / (n1 - n0), "ratio-richardson"
     p0, p1 = positions[0], positions[-1]
     span = ns[p1] - ns[p0]
     total = values[p1] / values[p0]
@@ -439,10 +456,10 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
         scales, scale_growth = [1] * len(ns), None
     core_res, core_h = {}, {}
     for i in {pos[0], *pos[-3:]}:
-        # r / s on integers, for the int scale s > 0: no reciprocal, no gcd
-        r, s = raw_res[i], scales[i]
+        # r / s and h / s on integers, for the int scale s > 0: no reciprocal, no gcd
+        r, h, s = raw_res[i], height(i), scales[i]
         core_res[i] = Enclosure.from_ints(r.l, r.h, r.d * s)
-        core_h[i] = Enclosure.point(Fraction(height(i), s))
+        core_h[i] = Enclosure.from_ints(h, h, s)
     growth = scale_growth if scale_growth is not None else Enclosure.point(1)
     alpha_core, method_a = _estimate_limit(core_res, ns, pos)
     beta_core, method_b = _estimate_limit(core_h, ns, pos)
@@ -452,13 +469,14 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     # residuals are separated from zero, so one end of each will do
     in_band = sum(1 for i, j in zip(pos, pos[1:]) if _regular_step(raw_res[i], raw_res[j]))
     regular = 2 * in_band >= len(pos) - 1
+    alpha_hat, beta_hat, tau_hat = alpha_enc.hi, beta_enc.hi, Fraction(0)
     if decayed and regular and alpha_enc.strictly_lt(1) and beta_enc.strictly_gt(1):
-        tau_hat = ln_frac(1 / alpha_enc.hi, 96).lo / ln_frac(beta_enc.hi, 96).hi
-    else:
-        tau_hat = Fraction(0)
+        ln_a = ln_frac(Fraction(alpha_hat.denominator, alpha_hat.numerator), 96)
+        ln_b = ln_frac(beta_hat, 96)
+        tau_hat = Fraction(ln_a.l * ln_b.d, ln_a.d * ln_b.h)
     return RateEstimate(
-        alpha_hat=alpha_enc.hi,
-        beta_hat=beta_enc.hi,
+        alpha_hat=alpha_hat,
+        beta_hat=beta_hat,
         tau_hat=tau_hat,
         method=f"{method_a}/{method_b}",
         regular=regular,
@@ -496,8 +514,11 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
         if d.sign() == 0:
             raise ZeroResidual(f"u={u} lands exactly on an integer")
         dists.append(d)
-    alpha = max((b / a).hi for a, b in zip(dists, dists[1:]))
-    beta = max(Fraction(b, a) for a, b in zip(us, us[1:]))
-    prod = alpha * beta
-    nu = ln_frac(prod, 96).hi / 2 if prod != 1 else Fraction(0)
-    return DensityData(alpha, beta, nu, tuple(dists))
+    top = reduce(Enclosure.max, [b / a for a, b in zip(dists, dists[1:])])
+    bn, bd = max(zip(us[1:], us), key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    pn, pd = top.h * bn, top.d * bd
+    nu = Fraction(0)
+    if pn != pd:
+        ln = ln_frac(Fraction(pn, pd), 96)
+        nu = Fraction(ln.h, 2 * ln.d)
+    return DensityData(Fraction(top.h, top.d), Fraction(bn, bd), nu, tuple(dists))

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph.certlog import _RATIOS, _SPLITS, ln_enclosure, ln_frac, log2_lo
+from dioph import certlog
+from dioph.certlog import _RATIOS, _SPLITS, _atanh_frac, ln_enclosure, ln_frac, log2_lo
 from dioph.enclosure import Enclosure
 
 # 50 digits, more than enough to check 96-bit enclosures against
@@ -118,3 +119,26 @@ def test_log2_lo_is_a_tight_lower_bound(x, b):
 def test_log2_lo_is_exact_on_powers_of_two():
     for e in (0, 1, 5, 64, 1000):
         assert log2_lo(1 << e, 16) == e << 16
+
+
+def _ln_near_one(x, k):
+    """ln x as ln_frac sums it where its table ratio is 1 (x >= 1) or 2 (x <
+    1, doubled into [1, 2)) and no constant enters: 2 atanh((x - 1)/(x + 1))
+    at w = k + max(16, bits(k) + 3) bits."""
+    n, d = x.numerator, x.denominator
+    w = k + max(16, k.bit_length() + 3)
+    s, terms = _atanh_frac(abs(n - d), n + d, w)
+    lo, hi = 2 * s, 2 * (s + 2 * terms + 2)
+    return Enclosure.from_ints(*((lo, hi) if n >= d else (-hi, -lo)), 1 << w)
+
+
+@pytest.mark.parametrize("x", [1 + F(1, 2**600), 1 - F(1, 2**600), F(2**700 + 3, 2**700), 1 - F(1, 2**60000)])
+@pytest.mark.parametrize("k", [96, 1024, 4096])
+def test_near_one_sums_no_constant_series(monkeypatch, x, k):
+    # e = j = l = 0: the ln 2, ln 3 and ln 5 series above 512 bits were summed
+    # only to be multiplied by 0, 0.85 s for lemma1_bound(1 - 2**-60000, 3)
+    def forbidden(m, w):
+        raise AssertionError("a constant's series was summed")
+
+    monkeypatch.setattr(certlog, "_atanh_inv", forbidden)
+    assert ln_frac(x, k) == _ln_near_one(x, k)

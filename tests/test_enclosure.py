@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dioph.enclosure import (
     Enclosure,
+    as_integers,
     dyadic_above,
     dyadic_below,
     iroot,
@@ -16,6 +17,7 @@ from dioph.enclosure import (
     sqrt_lower,
     sqrt_upper,
 )
+from dioph.errors import PreconditionError
 from dioph.oracle import CATALOG, SEPARATION_BITS, _certified_prefix, is_separated, parse_oracle
 
 
@@ -345,3 +347,14 @@ def test_root_enclosure_of_interval():
     inner = Enclosure(F(8), F(27))
     e = root_enclosure(inner, 3, 60)
     assert e.lo <= 2 and e.hi >= 3
+
+
+def test_as_integers_keeps_an_int_list_and_converts_any_other():
+    xs = [3, -1, 10**40]
+    got = as_integers(iter(xs))
+    assert got == xs and all(type(x) is int for x in got)
+    # one element that is not an int sends the whole list through as_integer
+    got = as_integers([1, True, 2.0, F(7), 5])
+    assert got == [1, 1, 2, 7, 5] and all(type(x) is int for x in got)
+    with pytest.raises(PreconditionError, match="is not an integer"):
+        as_integers([1, 2, F(5, 2)])

@@ -625,6 +625,16 @@ def _forbid_fraction_arithmetic(monkeypatch, what):
         monkeypatch.setattr(F, name, forbidden)
 
 
+def _counting_fractions(monkeypatch, built):
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+
+
 def test_ln_frac_does_no_fraction_arithmetic(monkeypatch):
     # a 2000-bit argument: every Fraction operation would pay a 2000-bit gcd
     rng = random.Random(2000)
@@ -666,20 +676,53 @@ def test_case_i_solve_builds_only_its_witness_bounds(monkeypatch):
     assert expected.outcome == "case_i"
     oracle = parse_oracle("rat:355/113")
     built = []
-    new = F.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
     _forbid_fraction_arithmetic(monkeypatch, "a case (i) solve")
-    monkeypatch.setattr(F, "__new__", counting)
+    _counting_fractions(monkeypatch, built)
     got = solve_disjunction(oracle, params)
     monkeypatch.undo()
     assert got == expected
     w = got.witness
     assert len(built) == 2
     assert (w.bound_u, w.bound_dist) == (params.bound_u, params.dist_factor / (w.u * params.Q))
+
+
+BUILD_SPECS = ("const:sqrt2", "const:golden", "const:e", "cf:[1;2,3]+periodic:[1,4]")
+
+
+def _build_op(oracle, rates, n0):
+    """One op of the benchmark's build workload: build_sequence on 3 indices
+    at mu_upper 21/10, then measure_rates and density_data on its entries."""
+    res = build_sequence(oracle, F(21, 10), rates, range(n0, n0 + 3))
+    est = seqbuild.measure_rates(res.entries, oracle)
+    return res, est, seqbuild.density_data([e.u for e in res.entries], oracle)
+
+
+@pytest.mark.parametrize("spec", ["const:sqrt2", BUILD_SPECS[-1]])
+@pytest.mark.parametrize("alpha", [F(1, 2), F(2, 5)])
+def test_build_op_does_no_fraction_arithmetic(monkeypatch, spec, alpha):
+    # past the entries, the row, its bands, the rate precheck, the rates and
+    # the density run on integers: no Fraction is added, multiplied, compared
+    # or rounded, and Fractions are built only for fields
+    rates = RateSpec(alpha, 3)
+    expected = _build_op(parse_oracle(spec), rates, 20)
+    oracle = parse_oracle(spec)
+    _forbid_fraction_arithmetic(monkeypatch, "a build op")
+    got = _build_op(oracle, rates, 20)
+    monkeypatch.undo()
+    assert got == expected
+
+
+def test_build_op_builds_few_fractions(monkeypatch):
+    # about 83 per op while the build did Fraction arithmetic; now the LemmaParams fields,
+    # the result fields and the logs' rational arguments
+    ops = [(parse_oracle(spec), RateSpec(alpha, 3), n0)
+           for spec in BUILD_SPECS for alpha in (F(1, 2), F(2, 5)) for n0 in (20, 45)]
+    built = []
+    _counting_fractions(monkeypatch, built)
+    for op in ops:
+        _build_op(*op)
+    monkeypatch.undo()
+    assert len(built) <= 40 * len(ops)
 
 
 def test_form_residuals_are_short_dyadics(monkeypatch):

@@ -21,8 +21,17 @@ from dioph.dichotomy import (
     find_fractional_hit,
     solve_disjunction,
 )
-from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, sqrt_enclosure
-from dioph.errors import DiophError, NeitherCaseCertified, PreconditionError, Unrepresentable, ZeroFormValue
+from dioph.enclosure import Enclosure, dyadic_above, dyadic_below, root_enclosure, sqrt_enclosure, sqrt_lower
+from dioph.errors import (
+    DiophError,
+    HalfInteger,
+    NeitherCaseCertified,
+    PreconditionError,
+    RateViolation,
+    Unrepresentable,
+    ZeroFormValue,
+    ZeroResidual,
+)
 from dioph.multiform import (
     LinearForm,
     PointVec,
@@ -33,17 +42,21 @@ from dioph.multiform import (
 from dioph.certlog import _LN235_W, _RATIOS, _SPLITS, _W, _atanh_frac, _ln235_series, ln_frac
 from dioph.oracle import (
     CATALOG,
+    PRECISION_CAP,
     SEPARATION_BITS,
     AffineOracle,
     CFOracle,
     GoldenOracle,
     RationalOracle,
+    RealOracle,
     SqrtOracle,
     _certified_prefix,
     is_separated,
     level_for,
+    nearest_int,
     parse_oracle,
     parse_rational,
+    refine,
     separated,
 )
 from test_dichotomy import (
@@ -1393,7 +1406,7 @@ def test_bands_on_the_ratios_match_the_squared_forms(Q, s_u, eps, s_r, width, ne
     lo = eps * (1 + s_r * h)
     r = Enclosure(lo, lo + eps * width * h)
     r = -r if negative else r
-    got = seqbuild._missed_band(F(u) / Q, r.abs() / eps, 1 + h, 1 + 2 * h)
+    got = seqbuild._missed_band(F(u) / Q, r.abs() / eps, h)
     assert got == reference_missed_band(u, Q, r, eps, h)
 
 
@@ -1419,7 +1432,7 @@ above_one = st.one_of(
 @example(F(3), 1 + F(1, 2**150))
 def test_steepness_bound_is_the_96_bit_quotient_where_that_exists(x, y):
     ln_y = ln_frac(y, 96)
-    got = seqbuild._ln_ratio_hi(x, y)
+    got = F(*seqbuild._ln_ratio_hi(x, y))
     if ln_y.lo > 0:
         assert got == ln_frac(x, 96).hi / ln_y.lo
         return
@@ -1428,3 +1441,234 @@ def test_steepness_bound_is_the_96_bit_quotient_where_that_exists(x, y):
             return mpmath.mpf(z.numerator) / z.denominator
 
         assert mp(got) >= mpmath.log(mp(x)) / mpmath.log(mp(y))
+
+
+# The build on integers: each check of the row, its bands, the rate
+# precheck, the rates and the density against the Fraction formula it replaced
+
+def reference_row(rates, eta, n):
+    """(Q_n, eps_n, LemmaParams) of row n as the build computed them in
+    Fractions; the LemmaParams are None where Q_n / sqrt(1 + eta) <= 1."""
+    Q, eps = (rates.beta**n, rates.alpha**n) if rates.table is None else rates.table[n]
+    lam, mu = 1 + eta, 1 + 2 * eta
+    band_Q = Q / sqrt_lower(lam, 64)
+    if band_Q <= 1:
+        return Q, eps, None
+    shrink = seqbuild.SHRINK
+    return Q, eps, LemmaParams(lam * shrink, mu * shrink, eps / sqrt_lower(mu, 64), band_Q)
+
+
+class _Solved(Exception):
+    pass
+
+
+def row_params(rates, eta, n):
+    """The LemmaParams the build row hands its solve at index n under
+    mu_upper = 1 + 10**-9, so the precheck passes; None where the row refuses Q_n."""
+    seen = []
+
+    def solve(oracle, params):
+        seen.append(params)
+        raise _Solved
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqbuild, "solve_disjunction", solve)
+        try:
+            seqbuild.build_sequence(SqrtOracle(2, "sqrt2"), 1 + F(1, 10**9), rates, [n],
+                                    seqbuild.EtaSchedule({n: eta}))
+        except _Solved:
+            return seen[0]
+        except PreconditionError as err:
+            assert "is too small for its band" in str(err)
+            return None
+
+
+@st.composite
+def build_rows(draw):
+    """(rates, n, eta): a geometric spec, or a one-row table whose Q_n /
+    sqrt(1 + eta) is anywhere, or just below, at or just above 1; eta from
+    the default rule or not dyadic."""
+    eta = draw(st.one_of(
+        st.fractions(F(1, 1000), F(499, 1000), max_denominator=1000),
+        st.integers(-1, 10**6).map(seqbuild.EtaSchedule().value),
+    ))
+    kind = draw(st.sampled_from(["geometric", "table", "edge"]))
+    if kind == "geometric":
+        alpha = draw(st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000))
+        beta = draw(st.fractions(F(1001, 1000), 1000, max_denominator=1000))
+        return seqbuild.RateSpec(alpha, beta), draw(st.integers(-3, 40)), eta
+    eps = draw(st.fractions(F(1, 10**6), F(999999, 10**6), max_denominator=10**6))
+    if kind == "table":
+        Q = draw(st.fractions(F(1001, 1000), 10**6, max_denominator=1000))
+    else:
+        Q = sqrt_lower(1 + eta, 64) * (1 + draw(st.sampled_from([-1, 0, 1])) * F(1, 2**70))
+    n = draw(st.integers(0, 100))
+    return seqbuild.RateSpec(table={n: (Q, eps)}), n, eta
+
+
+@settings(deadline=None, max_examples=300)
+@given(build_rows())
+def test_row_on_integers_matches_the_fraction_row(row):
+    rates, n, eta = row
+    Q, eps, want = reference_row(rates, eta, n)
+    assert rates.targets(n) == (Q.as_integer_ratio(), eps.as_integer_ratio())
+    assert row_params(rates, eta, n) == want
+
+
+@st.composite
+def prechecks(draw):
+    """(alpha, beta, mu_upper, slack) with the slack anywhere, or putting the
+    bound just below, on or just above the steepness bound's ratio."""
+    alpha = draw(st.fractions(F(1, 10**6), F(999, 1000), max_denominator=10**6))
+    beta = draw(st.one_of(
+        st.fractions(F(1001, 1000), 10**6, max_denominator=1000),
+        st.integers(1, 200).map(lambda k: 1 + F(1, 2**k)),
+    ))
+    mu_upper = draw(st.fractions(F(1001, 1000), 4, max_denominator=1000))
+    ratio = F(*seqbuild._ln_ratio_hi(1 / alpha, beta))
+    on_edge = st.sampled_from([-1, 0, 1]).map(lambda e: ratio - 1 / (mu_upper - 1) + e * F(1, 10**40))
+    return alpha, beta, mu_upper, draw(st.one_of(st.fractions(-2, 2, max_denominator=1000), on_edge))
+
+
+@settings(deadline=None, max_examples=300)
+@given(prechecks(), st.booleans())
+def test_rate_precheck_on_integers_matches_the_fraction_bound(case, table):
+    alpha, beta, mu_upper, slack = case
+    rates = seqbuild.RateSpec(table={1: (beta, alpha)}) if table else seqbuild.RateSpec(alpha, beta)
+    ratio, bound = F(*seqbuild._ln_ratio_hi(1 / alpha, beta)), 1 / (mu_upper - 1) + slack
+    try:
+        seqbuild._rate_precheck(rates, [1], mu_upper, slack)
+    except RateViolation as err:
+        assert ratio > bound
+        assert f"~ {float(ratio):.4f} exceeds 1/(mu_upper-1) + {slack} = {float(bound):.4f}" in str(err)
+    else:
+        assert ratio <= bound
+
+
+def reference_estimate_limit(values, ns, positions):
+    """_estimate_limit as it read the mids and the width in Fractions."""
+    if len(positions) >= 3:
+        a, b, c = positions[-3:]
+        x0, x1 = values[b] / values[a], values[c] / values[b]
+        m0, m1 = x0.mid, x1.mid
+        if m1 > 0 and abs(m1 - m0) <= m1 / 64 and x1.width <= m1 / 64:
+            n0, n1 = ns[b], ns[c]
+            return ((x1 * n1) - (x0 * n0)) * F(1, n1 - n0), "ratio-richardson"
+    p0, p1 = positions[0], positions[-1]
+    return root_enclosure(values[p1] / values[p0], ns[p1] - ns[p0], 64), "ratio-geomean"
+
+
+@st.composite
+def limit_windows(draw):
+    """Three positive values: any, or with points v0 = 1 and v1 = m0 and v2 =
+    m0 x1, so that x0 = m0 and x1 lie just inside, on or just outside
+    |m1 - m0| <= m1/64 and width(x1) <= m1/64."""
+    if draw(st.booleans()):
+        los = draw(st.lists(st.fractions(F(1, 1000), 1000, max_denominator=1000), min_size=3, max_size=3))
+        widths = draw(st.lists(st.fractions(0, F(1, 10), max_denominator=10**6), min_size=3, max_size=3))
+        return [Enclosure(lo, lo + w) for lo, w in zip(los, widths)]
+    m1 = draw(st.fractions(F(1, 100), 100, max_denominator=1000))
+    tiny = F(1, 10**30)
+    gap = m1 / 64 + draw(st.sampled_from([-1, 0, 1])) * tiny
+    m0 = m1 + draw(st.sampled_from([-1, 1])) * draw(st.one_of(st.just(gap), st.fractions(0, m1 / 16)))
+    w = m1 / 64 + draw(st.sampled_from([-1, 0, 1])) * tiny
+    x1 = Enclosure(m1 - w / 2, m1 + w / 2)
+    return [Enclosure.point(1), Enclosure.point(m0), x1 * m0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(limit_windows(), st.lists(st.integers(1, 5), min_size=2, max_size=2), st.integers(-5, 50))
+def test_stability_test_on_integers_matches_the_fraction_one(values, gaps, n0):
+    ns = [n0, n0 + gaps[0], n0 + gaps[0] + gaps[1]]
+    got = seqbuild._estimate_limit(values, ns, [0, 1, 2])
+    assert got == reference_estimate_limit(values, ns, [0, 1, 2])
+
+
+def reference_density(us, dists):
+    """(alpha_xi, beta_u, nu_estimate) as density_data took them in Fractions."""
+    alpha = max((b / a).hi for a, b in zip(dists, dists[1:]))
+    beta = max(F(b, a) for a, b in zip(us, us[1:]))
+    prod = alpha * beta
+    return alpha, beta, ln_frac(prod, 96).hi / 2 if prod != 1 else F(0)
+
+
+DENSITY_ORACLES = IRRATIONALS + (RationalOracle(F(2, 7)), RationalOracle(F(5, 11)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(DENSITY_ORACLES), st.integers(1, 10**6),
+       st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=2, max_size=6))
+def test_density_maxima_on_integers_match_the_fractions(oracle, u0, mults):
+    # multipliers from a few small ones tie the u ratios, and a repeated u
+    # over a rational value ties the distance ratios at 1, so prod = 1
+    us = [u0 * m for m in sorted(mults)]
+    try:
+        dd = seqbuild.density_data(us, oracle)
+    except (ZeroResidual, HalfInteger):
+        assume(False)
+    assert (dd.alpha_xi, dd.beta_u, dd.nu_estimate) == reference_density(us, dd.distances)
+
+
+def reference_nearest_int(oracle, u, accept=None):
+    """nearest_int as it rounded with Fraction(1, 2) and an Enclosure add."""
+    half = F(1, 2)
+
+    def step(k):
+        enc = oracle.enclose(k) * u
+        m = (enc + half).floor_unique()
+        if m is None:
+            return None
+        dist = (enc - m).abs()
+        if dist.is_point() and 2 * dist.l == dist.d:
+            raise HalfInteger("exactly half-integral")
+        return (m, dist) if accept is None or dist.is_point() or accept(dist) else None
+
+    return refine(step, "undecided")
+
+
+class TouchingOracle(RealOracle):
+    """The rational ``value`` as one end of every enclosure: [v, v + 2**-k]
+    when ``side`` > 0, else [v - 2**-k, v]."""
+
+    def __init__(self, value, side):
+        super().__init__()
+        self.value, self.side, self.spec = value, side, f"touching {value}"
+
+    def _raw(self, k):
+        w = F(1, 1 << k)
+        return Enclosure(self.value, self.value + w) if self.side > 0 else Enclosure(self.value - w, self.value)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DiophError as err:
+        return type(err), err.code
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 10**6),
+    st.sampled_from([1, -1]),
+    st.integers(-50, 50),
+    st.sampled_from([-1, 0, 1]),
+    st.fractions(-10, 10, max_denominator=1000),
+    st.booleans(),
+)
+def test_nearest_int_rounds_on_integers_as_with_a_half(u, sign, k, side, x, separated_only):
+    # on the irrationals, a rational x, and (2k + 1)/(2u), whose product with
+    # u is exactly a half-integer: the point itself (side 0), or an end of
+    # every enclosure, which then never decides on the side below
+    u *= sign
+    accept = is_separated if separated_only else None
+    edge = F(2 * k + 1, 2 * u)
+    makers = [lambda o=o: parse_oracle(o.spec) for o in IRRATIONALS] + [
+        lambda: RationalOracle(x),
+        lambda: TouchingOracle(edge, side) if side else RationalOracle(edge),
+    ]
+    token = PRECISION_CAP.set(2048)
+    try:
+        for make in makers:
+            assert _outcome(nearest_int, make(), u, accept) == _outcome(reference_nearest_int, make(), u, accept)
+    finally:
+        PRECISION_CAP.reset(token)

@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from dioph import seqbuild
+from dioph import certlog, seqbuild
 
 from dioph.certlog import ln_frac
 from dioph.contfrac import convergents, expand
@@ -34,8 +34,9 @@ GOLDEN = GoldenOracle()
 class TestRateSpec:
     def test_geometric_targets(self):
         r = RateSpec.geometric(F(1, 2), 3)
-        assert r.targets(3) == (27, F(1, 8))
-        assert r.targets(0) == (1, 1)
+        assert r.targets(3) == ((27, 1), (1, 8))
+        assert r.targets(0) == ((1, 1), (1, 1))
+        assert r.targets(-2) == ((1, 9), (4, 1))
 
     @pytest.mark.parametrize("a,b", [(F(3, 2), 3), (F(1, 2), 1), (0, 2), (F(1, 2), F(1, 2))])
     def test_geometric_invalid(self, a, b):
@@ -44,7 +45,7 @@ class TestRateSpec:
 
     def test_table(self):
         r = RateSpec.from_table([(1, 10, F(1, 2)), (2, 100, F(1, 4))])
-        assert r.targets(2) == (100, F(1, 4))
+        assert r.targets(2) == ((100, 1), (1, 4))
         with pytest.raises(PreconditionError):
             r.targets(3)
 
@@ -81,7 +82,7 @@ class TestRateSpec:
         assert err.value.code == "BAD_PARAMS"
 
     def test_integral_rows_are_taken(self):
-        assert RateSpec.from_table([(2.0, 10, F(1, 2))]).targets(2) == (10, F(1, 2))
+        assert RateSpec.from_table([(2.0, 10, F(1, 2))]).targets(2) == ((10, 1), (1, 2))
         assert EtaSchedule.custom([(F(3), F(1, 4))]).value(3) == F(1, 4)
         rows = [(1, 1, 1), (2, 2, 3), (3, 5, 7), (4, 12, 17)]
         want = measure_rates(rows, SQRT2)
@@ -352,22 +353,47 @@ def test_lemma1_bound_near_one():
         assert want <= got <= want * (1 + mpmath.mpf(2) ** -40)
 
 
+def test_lemma1_bound_far_nearer_one_sums_no_constant_series(monkeypatch):
+    # 0.85 s while ln(1/alpha_hat) summed the ln 2, ln 3 and ln 5 series at
+    # 131072 bits only to multiply them by 0; t < ln(1/(1 - t)) < t/(1 - t)
+    def forbidden(m, w):
+        raise AssertionError("a constant's series was summed")
+
+    monkeypatch.setattr(certlog, "_atanh_inv", forbidden)
+    t = F(1, 2**60000)
+    ratio = lemma1_bound(1 - t, 3) - 1
+    ln3 = ln_frac(3, 96)
+    assert ln3.lo * (1 - t) / t <= ratio <= ln3.hi / t * (1 + F(1, 2**40))
+
+
 def _is_ln_frac(node) -> bool:
     return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ln_frac"
 
 
+def _denominators(tree):
+    """What ``tree`` puts below a fraction bar: the right of / and //, a
+    ``Fraction`` call's second argument and an integer pair's second item."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
+            yield node.right
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction" and len(node.args) == 2:
+            yield node.args[1]
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            yield node.elts[1]
+
+
 def _lo_divisions(tree) -> list:
-    """Lines of the divisions by a ``.lo`` of a ln_frac enclosure in ``tree``,
-    read off the call or off a name bound to one anywhere in ``tree``."""
+    """Lines of the divisions by the lower end of a ln_frac enclosure in
+    ``tree``, its ``.lo`` or its integer ``.l`` in a denominator, read off the
+    call or off a name bound to one anywhere in ``tree``."""
     bound = {
         t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and _is_ln_frac(node.value)
         for t in node.targets if isinstance(t, ast.Name)
     }
     return [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
-        and isinstance(node.right, ast.Attribute) and node.right.attr == "lo"
-        and (_is_ln_frac(node.right.value) or getattr(node.right.value, "id", None) in bound)
+        node.lineno for den in _denominators(tree) for node in ast.walk(den)
+        if isinstance(node, ast.Attribute) and node.attr in ("lo", "l")
+        and (_is_ln_frac(node.value) or getattr(node.value, "id", None) in bound)
     ]
 
 
@@ -387,6 +413,9 @@ def test_rate_rules_are_stated_once():
     # both forms are caught, the call's own .lo and a name bound to the call
     reintroduced = "def f(Q, x):\n    ln = ln_frac(Q, 96)\n    return x / ln.lo + x / ln_frac(Q, 96).lo\n"
     assert _lo_divisions(ast.parse(reintroduced)) == [3, 3]
+    # and on the integers: a Fraction's denominator, an integer pair's second item
+    on_ints = "def g(Q, x):\n    ln = ln_frac(Q, 96)\n    y = Fraction(x, ln.l)\n    return x, 2 * ln_frac(Q, 96).l\n"
+    assert _lo_divisions(ast.parse(on_ints)) == [3, 4]
     assert "kind" not in RateSpec.__dataclass_fields__
     assert RateSpec(F(1, 2), 3).table is None
 
@@ -400,5 +429,5 @@ def test_schedules_are_checked_where_built():
         RateSpec(F(1, 2), table={1: (10, F(1, 2))})
     with pytest.raises(PreconditionError, match="nonincreasing"):
         EtaSchedule({1: F(1, 8), 2: F(1, 4)})
-    assert RateSpec(table={2: (10, 0.5)}).targets(2) == (10, F(1, 2))
+    assert RateSpec(table={2: (10, 0.5)}).targets(2) == ((10, 1), (1, 2))
     assert EtaSchedule({3: 0.25}).value(3) == F(1, 4)
