@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certlog import ln_frac
+from .certlog import LOG_BITS, ln_frac
 from .contfrac import convergents, expand, mu_estimate
 from .dichotomy import LemmaParams, solve_disjunction
 from .errors import NeitherCaseCertified
@@ -252,7 +252,7 @@ def criterion_7(seed: int = 0) -> tuple:
             eta=eta,
         )
         dd = density_data([e.u for e in res.entries], oracle)
-        bound = ln_frac(1 + delta, 96).hi / 2 + Fraction(1, 20)
+        bound = ln_frac(1 + delta, LOG_BITS).hi / 2 + Fraction(1, 20)
         good = dd.nu_estimate <= bound and (prev is None or dd.nu_estimate < prev)
         ok = ok and good
         prev = dd.nu_estimate

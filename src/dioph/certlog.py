@@ -18,6 +18,9 @@ integers over 2**w with directed floors and an explicit ulp budget: no
 Fraction arithmetic, no floating point and no cache, so results are
 deterministic and safe for certificates.
 
+``ln_quotient`` is the one directed bound on a quotient of two log
+enclosures (rate condition, tau, omega, mu), read at :data:`LOG_BITS` bits.
+
 ``log2_lo(x, b)`` is a separate, one-sided integer bound by repeated
 squaring. omega0's cap takes two per candidate and divides two integers; on
 ``ln_frac(., 24)`` it would build three enclosures and divide Fractions, and
@@ -29,6 +32,8 @@ from __future__ import annotations
 from bisect import bisect
 
 from .enclosure import Enclosure, Rat
+
+LOG_BITS = 96  # bits of every logarithm read at a fixed precision
 
 
 def _atanh_inv(m: int, w: int):
@@ -166,6 +171,15 @@ def ln_frac(x: Rat, k: int) -> Enclosure:
         else:
             lo, hi = lo + c * c_hi, hi + c * c_lo
     return Enclosure.from_ints(lo, hi, 1 << w)
+
+
+def ln_quotient(num: Enclosure, den: Enclosure, up: bool = False):
+    """(p, q), q > 0, bounding num/den for enclosures ``num`` and ``den`` of
+    two logs, num >= 0 < den: from above if ``up``, num's upper end over den's
+    lower end, else from below, num's lower end over den's upper end; None
+    where that end of den is not positive."""
+    n, d = (num.h, den.l) if up else (num.l, den.h)
+    return (n * den.d, num.d * d) if d > 0 else None
 
 
 def ln_enclosure(x, k: int) -> Enclosure:

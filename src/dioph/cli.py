@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .acceptance import run_criterion, run_suite
-from .contfrac import convergents, expand, mu_estimate
+from .contfrac import expand, mu_estimate
 from .dichotomy import LemmaParams, solve_disjunction
 from .enclosure import Enclosure
 from .errors import DiophError
@@ -36,7 +36,7 @@ from .multiform import (
     omega0_search,
     tau_empirical,
 )
-from .oracle import DEFAULT_PRECISION_CAP, PRECISION_CAP, parse_oracle, parse_rational
+from .oracle import DEFAULT_PRECISION_CAP, PRECISION_CAP, convergent_pairs, parse_oracle, parse_rational
 from .seqbuild import EtaSchedule, RateSpec, build_sequence, density_data
 
 DEC_PLACES = 12
@@ -131,12 +131,10 @@ def _point_from(text: str) -> PointVec:
 def _cmd_cf(args) -> int:
     oracle = parse_oracle(args.oracle)
     cf = expand(oracle, args.depth)
-    cons = convergents(cf)
+    pairs = enumerate(convergent_pairs(cf.quotients))
     return _emit(
         {
-            "convergents": [
-                {"k": c.index, "p": str(c.p), "q": str(c.q)} for c in cons
-            ],
+            "convergents": [{"k": k, "p": str(p), "q": str(q)} for k, (p, q) in pairs],
             "depth": args.depth,
             "oracle": oracle.spec,
             "quotients": [str(a) for a in cf.quotients],

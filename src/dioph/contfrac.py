@@ -6,18 +6,21 @@ iterator a quotient-defined oracle builds, Euclid on the point value for exact
 rationals (the expansion terminates), and otherwise Euclid run in lockstep on
 both ends of a canonical enclosure, resumed one level above the cached one
 through the last two convergents it reached. No convergent is stored:
-``convergents`` and ``mu_estimate`` run the oracle's one recurrence,
-``convergent_pairs``. The dichotomy reads no continued fraction.
+``convergents``, ``mu_estimate`` and the ``cf`` verb run the oracle's one
+recurrence, ``convergent_pairs``; ``mu_estimate`` takes each q_k's log once,
+at ``certlog.LOG_BITS``, for two ``certlog.ln_quotient`` bounds. The
+dichotomy reads no continued fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import pairwise
 from typing import Optional
 
-from .certlog import ln_frac
+from .certlog import LOG_BITS, ln_frac, ln_quotient
 from .enclosure import as_integer
 from .errors import Degenerate
 from .oracle import RealOracle, convergent_pairs
@@ -84,15 +87,11 @@ def mu_estimate(oracle: RealOracle, depth: int) -> MuEstimate:
     if cf.terminated:
         raise Degenerate(f"{oracle.spec} is rational; exponent ladder undefined")
     n = len(cf.quotients)
-    best: Optional[Fraction] = None
-    best_k: Optional[int] = None
-    denominators = pairwise(q for _, q in convergent_pairs(cf.quotients))
-    for k, (qk, qk1) in enumerate(denominators):
-        if k < n // 2 or qk < 2:
-            continue
-        ratio = 1 + ln_frac(qk1, 96).lo / ln_frac(qk, 96).hi
-        if best is None or ratio > best:
-            best, best_k = ratio, k
-    if best is None:
+    logs = [(k, ln_frac(q, LOG_BITS)) for k, (_, q) in enumerate(convergent_pairs(cf.quotients))
+            if k >= n // 2 and q >= 2]
+    ratios = [(*ln_quotient(ln1, ln0), k) for (k, ln0), (_, ln1) in pairwise(logs)]
+    if not ratios:
         return MuEstimate(Fraction(2), depth, None)
-    return MuEstimate(best, depth, best_k)
+    # the first of the largest a/b, by cross products
+    a, b, k = max(ratios, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    return MuEstimate(Fraction(a + b, b), depth, k)

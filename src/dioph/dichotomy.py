@@ -348,9 +348,10 @@ def _find_hit(oracle, n_lo, n_hi, windows, stats):
     later searches on that surrogate query it too; the streams are merged in
     ascending q, and a q in several is tried against each in window order.
 
-    Rational xi = a/m is its own surrogate, of width 0, so each candidate is a
-    hit: p = max(floor(q xi), ceil(q xi - t_hi)) and f is the point q xi - p,
-    both on integers over m.
+    A rational xi = a/m, an oracle with an exact value, is its own surrogate
+    of width 0, so each candidate is a hit: p = max(floor(q xi), ceil(q xi -
+    t_hi)) and f is the point q xi - p, on integers over m. That branch selects
+    on an observable input; folded into the window check, ``exact`` ran slower.
     Irrational xi takes the oracle's first enclosure no wider than width/(8
     n_hi), and each candidate goes to :func:`_frac_window_check`, tried first
     on that surrogate times q. After MISS_RUN candidates, and again whenever

@@ -21,7 +21,7 @@ from functools import reduce
 from math import inf, lcm
 from typing import Optional
 
-from .certlog import ln_frac, log2_lo
+from .certlog import LOG_BITS, ln_frac, ln_quotient, log2_lo
 from .dichotomy import _Descent, _residue_hits
 from .enclosure import Enclosure, as_integer, as_integers, as_rational
 from .errors import (
@@ -77,10 +77,6 @@ class PointVec:
             raise PreconditionError("BAD_POINT", "a point needs at least 2 coordinates")
         if not all(isinstance(c, RealOracle) for c in self.coords):
             raise PreconditionError("BAD_POINT", "every coordinate must be an oracle")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
 
     def ratio_oracles(self):
         """Oracles for xi_j / xi_0, j >= 1; needs a nonzero rational xi_0."""
@@ -245,7 +241,7 @@ def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
         raise CertificateError("INTERNAL", "omega of a zero distance")
     if dist_hi >= 1:
         return Fraction(0)
-    return ln_frac(1 / dist_hi, 96).lo / ln_frac(q, 96).hi
+    return Fraction(*ln_quotient(ln_frac(1 / dist_hi, LOG_BITS), ln_frac(q, LOG_BITS)))
 
 
 def dirichlet_witness(

@@ -14,7 +14,8 @@ draws its quotients from one iterator, built with it, into its cache.
 Every certified decision on those enclosures climbs that level ladder
 through :func:`refine`, up to the precision cap :data:`PRECISION_CAP`, which
 the CLI's ``--precision-cap`` sets for one command. Exactly rational values
-are decided exactly, without the ladder.
+are decided exactly, without the ladder, on the ``value`` an oracle sets
+when built (None unless rational).
 
 The string grammar accepted by :func:`parse_oracle`:
 
@@ -103,6 +104,7 @@ class RealOracle:
     """
 
     spec: str = "?"
+    value: Optional[Fraction] = None  # the exact value of a rational oracle
     _extra = 0  # bits added to k before its level is picked: an affine map's |a|
 
     def __init__(self):
@@ -147,7 +149,7 @@ class RealOracle:
 
     def exact_value(self) -> Optional[Fraction]:
         """The exact rational value when the oracle is rational, else None."""
-        return None
+        return self.value
 
     def cf_quotients(self, count: int):
         """(quotients, ended): the cached certified CF quotients, first
@@ -228,9 +230,6 @@ class RationalOracle(RealOracle):
 
     def _raw(self, k: int) -> Enclosure:
         return Enclosure.point(self.value)
-
-    def exact_value(self) -> Optional[Fraction]:
-        return self.value
 
 
 class SqrtOracle(RealOracle):
@@ -398,7 +397,6 @@ class CFOracle(RealOracle):
         self.liouville_base = liouville_base
         cap = self.LIOUVILLE_DEFAULT_CAP if liouville_cap is None else liouville_cap
         self.liouville_cap = as_integer(cap, "BAD_CF", "liouville cap")
-        self._value = None
         self._last_pair = (0, 0, SEEDS)  # within's last (n, quotients read, convergent pair)
         if liouville_base is not None:
             self.liouville_base = base = as_integer(liouville_base, "BAD_CF", "liouville base")
@@ -427,7 +425,7 @@ class CFOracle(RealOracle):
             p, q = 1, 0
             for a in reversed(prefix):
                 p, q = a * p + q, p
-            self._value = Fraction(p, q)
+            self.value = Fraction(p, q)
 
     @cached_property
     def spec(self) -> str:
@@ -457,7 +455,7 @@ class CFOracle(RealOracle):
             yield a
 
     def _raw(self, k: int) -> Enclosure:
-        return self.within(Fraction(1, 1 << k)) if self._value is None else Enclosure.point(self._value)
+        return self.within(Fraction(1, 1 << k)) if self.value is None else Enclosure.point(self.value)
 
     def within(self, width: Fraction, what=None, stats=None) -> Enclosure:
         """The first two consecutive convergents p/q with q_(j-1) q_j >= 1/width,
@@ -484,9 +482,6 @@ class CFOracle(RealOracle):
         bits = (n - 1).bit_length()
         raise Unrepresentable(f"{self.spec}: available quotients give width above 2**-{bits}")
 
-    def exact_value(self) -> Optional[Fraction]:
-        return self._value
-
 
 class AffineOracle(RealOracle):
     """a * inner + b. An affine inner oracle is composed away, so the map
@@ -505,14 +500,12 @@ class AffineOracle(RealOracle):
         if isinstance(inner, AffineOracle):
             self.a, self.b, inner = self.a * inner.a, self.a * inner.b + self.b, inner.inner
         self.inner = inner
+        if inner.value is not None:
+            self.value = self.a * inner.value + self.b
         self._extra = (abs(self.a.numerator) // self.a.denominator + 1).bit_length() + 2
 
     def _raw(self, k: int) -> Enclosure:
         return self.inner.enclose(k) * self.a + self.b
-
-    def exact_value(self) -> Optional[Fraction]:
-        v = self.inner.exact_value()
-        return None if v is None else self.a * v + self.b
 
 
 CATALOG = {

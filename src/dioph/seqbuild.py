@@ -23,7 +23,7 @@ from functools import cmp_to_key, reduce
 from math import isqrt
 from typing import Optional
 
-from .certlog import ln_frac
+from .certlog import LOG_BITS, ln_frac, ln_quotient
 from .dichotomy import LemmaParams, solve_disjunction
 from .enclosure import (
     Enclosure,
@@ -178,7 +178,7 @@ class EtaSchedule:
         if n < -1:
             raise PreconditionError("BAD_PARAMS", f"row n={n}: eta rule 1/ln(n+3) needs n >= -1")
         # floor(2**40 / ln_hi) over 2**40, from ln_hi = h/d, the log's upper end
-        ln = ln_frac(n + 3, 96)
+        ln = ln_frac(n + 3, LOG_BITS)
         g = (ln.d << ETA_GRID_BITS) // ln.h
         clamped = g * ETA_MAX.denominator >= ETA_MAX.numerator << ETA_GRID_BITS
         return ETA_MAX if clamped else Fraction(g, 1 << ETA_GRID_BITS)
@@ -206,19 +206,18 @@ class BuildResult:
 
 
 def _ln_ratio_hi(x: Fraction, y: Fraction):
-    """(p, q), q > 0, with p/q >= ln x / ln y for rationals x, y > 1: ln x's upper
-    end over ln y's lower end, both at 96 bits whatever the precision cap. Only
-    where that lower end is 0, as for y within about 2**-97 of 1, ln y climbs
-    the ladder from 192 bits until it is positive; INCONCLUSIVE at the cap."""
-    ln_x = ln_frac(x, 96)
+    """(p, q), q > 0, with p/q >= ln x / ln y for rationals x, y > 1: the upward
+    ln_quotient of the logs at LOG_BITS whatever the precision cap. Only where
+    ln y's lower end is 0, as for y within about 2**-97 of 1, ln y climbs the
+    ladder from 2 LOG_BITS until it is positive; INCONCLUSIVE at the cap."""
+    ln_x = ln_frac(x, LOG_BITS)
 
     def step(k):
-        ln_y = ln_frac(y, k)
-        return (ln_x.h * ln_y.d, ln_x.d * ln_y.l) if ln_y.l > 0 else None
+        return ln_quotient(ln_x, ln_frac(y, k), up=True)
 
-    ratio = step(96)
+    ratio = step(LOG_BITS)
     return ratio if ratio is not None else refine(
-        step, lambda: f"ln({brief(y)}) not certified positive", start=192)
+        step, lambda: f"ln({brief(y)}) not certified positive", start=2 * LOG_BITS)
 
 
 def _rate_precheck(rates: RateSpec, ns, mu_upper: Fraction, slack: Fraction):
@@ -471,9 +470,8 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     regular = 2 * in_band >= len(pos) - 1
     alpha_hat, beta_hat, tau_hat = alpha_enc.hi, beta_enc.hi, Fraction(0)
     if decayed and regular and alpha_enc.strictly_lt(1) and beta_enc.strictly_gt(1):
-        ln_a = ln_frac(Fraction(alpha_hat.denominator, alpha_hat.numerator), 96)
-        ln_b = ln_frac(beta_hat, 96)
-        tau_hat = Fraction(ln_a.l * ln_b.d, ln_a.d * ln_b.h)
+        ln_a = ln_frac(Fraction(alpha_hat.denominator, alpha_hat.numerator), LOG_BITS)
+        tau_hat = Fraction(*ln_quotient(ln_a, ln_frac(beta_hat, LOG_BITS)))
     return RateEstimate(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
@@ -519,6 +517,6 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
     pn, pd = top.h * bn, top.d * bd
     nu = Fraction(0)
     if pn != pd:
-        ln = ln_frac(Fraction(pn, pd), 96)
+        ln = ln_frac(Fraction(pn, pd), LOG_BITS)
         nu = Fraction(ln.h, 2 * ln.d)
     return DensityData(Fraction(top.h, top.d), Fraction(bn, bd), nu, tuple(dists))

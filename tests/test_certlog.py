@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,3 +144,22 @@ def test_near_one_sums_no_constant_series(monkeypatch, x, k):
 
     monkeypatch.setattr(certlog, "_atanh_inv", forbidden)
     assert ln_frac(x, k) == _ln_near_one(x, k)
+
+
+def test_only_certlog_writes_the_log_precision():
+    """96 is written once in src/, as certlog.LOG_BITS, and no call of
+    ln_frac or ln_enclosure outside certlog.py passes a literal precision."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    nineties, log_bits, literal = [], [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LOG_BITS"]:
+                log_bits.append((path.name, node.value.lineno, node.value.col_offset))
+            if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 96:
+                nineties.append((path.name, node.lineno, node.col_offset))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("ln_frac", "ln_enclosure"):
+                if path.name != "certlog.py" and any(isinstance(a, ast.Constant) for a in node.args[1:]):
+                    literal.append((path.name, node.lineno))
+    assert nineties == log_bits and [name for name, _, _ in log_bits] == ["certlog.py"]
+    assert literal == []
+    assert certlog.LOG_BITS == 96

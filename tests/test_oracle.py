@@ -436,6 +436,50 @@ def test_no_module_imports_an_unused_name():
         assert imported - _used_names(tree) == set(), path.name
 
 
+# defined in src/ and read only by the benchmark, which bench/tracing.py or
+# bench/workloads.py names: dead code a benchmark change may remove
+UNREAD_LEDGER = {
+    "hull", "mid", "dyadic_below", "dyadic_above", "sqrt_lower", "sqrt_upper",
+    "ln_enclosure", "sign_of_form", "geometric",
+}
+
+
+def test_no_module_defines_an_unread_name():
+    """Every function, method and class defined in src/, dunders aside, is
+    read somewhere in src/, as a name, an attribute or a re-export by the
+    package root; the exceptions are UNREAD_LEDGER, each named by the bench."""
+    root = Path(__file__).resolve().parent.parent
+    defined, read = set(), set()
+    for path in sorted((root / "src" / "dioph").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add(node.name)
+    assert defined - read == UNREAD_LEDGER
+    bench = "".join((root / "bench" / name).read_text() for name in ("tracing.py", "workloads.py"))
+    assert {name for name in UNREAD_LEDGER if not re.search(rf"\b{name}\b", bench)} == set()
+
+
+def test_only_the_base_oracle_defines_exact_value():
+    """An oracle's exact value is its ``value``, set when it is built, and
+    ``RealOracle.exact_value`` is the one method that reads it."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    owners = {
+        (path.name, node.name)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "exact_value" for f in node.body)
+    }
+    assert owners == {("oracle.py", "RealOracle")}
+
+
 def test_precision_cap_has_one_source():
     """No function takes a ``cap`` parameter, only oracle.py reads
     PRECISION_CAP, and only cli.py sets and resets it."""

@@ -376,6 +376,18 @@ def test_each_quotient_is_extracted_once(monkeypatch):
     assert sum(extracted) <= len(quots)
 
 
+def test_mu_takes_one_log_per_top_half_convergent(monkeypatch):
+    # q_1000 .. q_2000, each once: 1001 logs, where two per ratio took 2000
+    logs = []
+    ln_frac = contfrac.ln_frac
+    monkeypatch.setattr(contfrac, "ln_frac", lambda x, k: logs.append((x, k)) or ln_frac(x, k))
+    o = SqrtOracle(2, "sqrt2")
+    est = contfrac.mu_estimate(o, 2000)
+    qs = [q for _, q in oracle.convergent_pairs(o.cf_quotients(2001)[0])]
+    assert logs == [(q, certlog.LOG_BITS) for q in qs[1000:2001]]
+    assert est.witness_index is not None
+
+
 @pytest.mark.parametrize("search,scores_at_most", [
     # a full scan scores 326491, 90000 and 99999 denominators
     (lambda point: dirichlet_witness(point, 1000), 2000),

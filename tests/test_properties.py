@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dioph import dichotomy, multiform, seqbuild
-from dioph.contfrac import expand
+from dioph.contfrac import MuEstimate, expand, mu_estimate
 from dioph.dichotomy import (
     LemmaParams,
     _Descent,
@@ -39,7 +39,7 @@ from dioph.multiform import (
     evaluate_form,
     omega0_search,
 )
-from dioph.certlog import _LN235_W, _RATIOS, _SPLITS, _W, _atanh_frac, _ln235_series, ln_frac
+from dioph.certlog import LOG_BITS, _LN235_W, _RATIOS, _SPLITS, _W, _atanh_frac, _ln235_series, ln_frac, ln_quotient
 from dioph.oracle import (
     CATALOG,
     PRECISION_CAP,
@@ -51,6 +51,7 @@ from dioph.oracle import (
     RealOracle,
     SqrtOracle,
     _certified_prefix,
+    convergent_pairs,
     is_separated,
     level_for,
     nearest_int,
@@ -1672,3 +1673,140 @@ def test_nearest_int_rounds_on_integers_as_with_a_half(u, sign, k, side, x, sepa
             assert _outcome(nearest_int, make(), u, accept) == _outcome(reference_nearest_int, make(), u, accept)
     finally:
         PRECISION_CAP.reset(token)
+
+
+# One log quotient: certlog.ln_quotient against mpmath, and each site that
+# reads it against the formula it replaced, kept here as the reference
+
+# integers of 1 to 10**4 bits, each length about equally likely
+wide_ints = st.integers(min_value=1, max_value=10**4).flatmap(
+    lambda b: st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1)
+)
+at_least_one = st.one_of(
+    st.builds(lambda a, b: F(max(a, b), min(a, b)), wide_ints, wide_ints),
+    st.builds(lambda b, s: 1 + F(s, 1 << b), st.integers(1, 10**4), st.integers(1, 3)),
+    st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
+)
+
+
+def _mp_ln(x):
+    """ln x for a rational x >= 1 as log1p((n - d)/d), to the working
+    precision relative to ln x even within 2**-(10**4) of 1."""
+    return mpmath.log1p(mpmath.mpf(x.numerator - x.denominator) / x.denominator)
+
+
+@settings(deadline=None, max_examples=300)
+@given(at_least_one, at_least_one.filter(lambda y: y > 1), st.booleans())
+@example(F(3), 1 + F(1, 2**150), True)
+@example(F(1), F(3), False)
+@example(F(2**10000 + 1, 2**10000), F(2**9999 + 1, 2**9999), True)
+def test_ln_quotient_is_directed(x, y, up):
+    # mpmath at 4 * 96 bits is off by a relative 2**-370 or less, far inside
+    # the 2**-96 enclosures' own spread
+    num, den = ln_frac(x, LOG_BITS), ln_frac(y, LOG_BITS)
+    got = ln_quotient(num, den, up)
+    if (den.lo if up else den.hi) <= 0:
+        assert got is None
+        return
+    p, q = got
+    assert q > 0 and F(p, q) == (num.hi / den.lo if up else num.lo / den.hi)
+    with mpmath.workprec(4 * LOG_BITS):
+        ratio = _mp_ln(x) / _mp_ln(y)
+        bound, slack = mpmath.mpf(p) / q, abs(ratio) * mpmath.mpf(2) ** -360
+        assert bound >= ratio - slack if up else bound <= ratio + slack
+
+
+def reference_ln_ratio_hi(x, y):
+    ln_x = ln_frac(x, 96)
+
+    def step(k):
+        ln_y = ln_frac(y, k)
+        return (ln_x.h * ln_y.d, ln_x.d * ln_y.l) if ln_y.l > 0 else None
+
+    ratio = step(96)
+    return ratio if ratio is not None else refine(step, "ln(y) not certified positive", start=192)
+
+
+@settings(deadline=None, max_examples=200)
+@given(above_one, above_one)
+@example(F(3), 1 + F(1, 2**150))
+@example(F(10**6), 1 + F(1, 2**300))
+def test_steepness_pair_is_the_old_formula(x, y):
+    assert seqbuild._ln_ratio_hi(x, y) == reference_ln_ratio_hi(x, y)
+
+
+def reference_tau_hat(alpha_hat, beta_hat):
+    ln_a = ln_frac(F(alpha_hat.denominator, alpha_hat.numerator), 96)
+    ln_b = ln_frac(beta_hat, 96)
+    return F(ln_a.l * ln_b.d, ln_a.d * ln_b.h)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
+    st.integers(2, 60),
+    st.lists(st.fractions(min_value=0, max_value=F(1, 4), max_denominator=64), min_size=4, max_size=12),
+    st.lists(st.integers(0, 3), min_size=12, max_size=12),
+)
+def test_tau_hat_is_the_old_formula(alpha, beta, noise, lift):
+    # residuals alpha**n (1 + e_n) and heights beta**n + h_n: tau_hat is the
+    # old formula on the rates the window returns wherever the gates pass
+    ns = list(range(len(noise)))
+    res = [Enclosure.point(alpha**n * (1 + e)) for n, e in zip(ns, noise)]
+    heights = [beta**n + h for n, h in zip(ns, lift)]
+    rate = seqbuild._measure_core(ns, res.__getitem__, heights.__getitem__, None, None, None)
+    gated = rate.decayed and rate.regular and rate.alpha_enclosure.strictly_lt(1) and rate.beta_enclosure.strictly_gt(1)
+    assert rate.tau_hat == (reference_tau_hat(rate.alpha_hat, rate.beta_hat) if gated else 0)
+
+
+def reference_omega_point(dist_hi, q):
+    if dist_hi >= 1:
+        return F(0)
+    return ln_frac(1 / dist_hi, 96).lo / ln_frac(q, 96).hi
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6),
+        st.integers(1, 4000).map(lambda b: F(1, 2**b)),
+        st.integers(1, 4000).map(lambda b: 1 - F(1, 2**b)),
+    ),
+    st.one_of(st.integers(2, 10**6), st.integers(2, 10**300)),
+)
+def test_omega_point_is_the_old_formula(dist_hi, q):
+    assert multiform._omega_point(dist_hi, q) == reference_omega_point(dist_hi, q)
+
+
+def reference_mu_estimate(oracle, depth):
+    cf = expand(oracle, depth)
+    n = len(cf.quotients)
+    best, best_k = None, None
+    qs = [q for _, q in convergent_pairs(cf.quotients)]
+    for k, (qk, qk1) in enumerate(zip(qs, qs[1:])):
+        if k < n // 2 or qk < 2:
+            continue
+        ratio = 1 + ln_frac(qk1, 96).lo / ln_frac(qk, 96).hi
+        if best is None or ratio > best:
+            best, best_k = ratio, k
+    return MuEstimate(F(2) if best is None else best, depth, best_k)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        st.sampled_from([o.spec for o in IRRATIONALS] + ["cf:liouville:2", "cf:liouville:5"]),
+        st.builds(
+            lambda a0, pre, block: f"cf:[{a0};{','.join(map(str, [1, *pre]))}]+periodic:[{','.join(map(str, block))}]",
+            st.integers(0, 5),
+            st.lists(st.integers(1, 9), max_size=4),
+            st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**6)), min_size=1, max_size=4),
+        ),
+    ),
+    st.integers(2, 80),
+)
+@example("cf:[0;1]+periodic:[1]", 2)
+def test_mu_estimate_is_the_old_formula(spec, depth):
+    if spec.startswith("cf:liouville"):
+        depth = min(depth, 7)
+    assert mu_estimate(parse_oracle(spec), depth) == reference_mu_estimate(parse_oracle(spec), depth)

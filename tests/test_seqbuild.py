@@ -370,52 +370,79 @@ def _is_ln_frac(node) -> bool:
     return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ln_frac"
 
 
-def _denominators(tree):
-    """What ``tree`` puts below a fraction bar: the right of / and //, a
-    ``Fraction`` call's second argument and an integer pair's second item."""
+def _fractions(tree):
+    """(numerator, denominator) of what ``tree`` puts over a fraction bar: the
+    two sides of / and //, a ``Fraction`` call's two arguments and an integer
+    pair's two items."""
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
-            yield node.right
+            yield node.left, node.right
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction" and len(node.args) == 2:
-            yield node.args[1]
+            yield node.args[0], node.args[1]
         elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
-            yield node.elts[1]
+            yield node.elts[0], node.elts[1]
 
 
-def _lo_divisions(tree) -> list:
-    """Lines of the divisions by the lower end of a ln_frac enclosure in
-    ``tree``, its ``.lo`` or its integer ``.l`` in a denominator, read off the
-    call or off a name bound to one anywhere in ``tree``."""
-    bound = {
+def _log_ends(tree, logs, ends=("lo", "hi", "l", "h")) -> set:
+    """The log enclosures, as dumped nodes, whose ``ends`` ``tree`` reads:
+    those of a ln_frac call or of a name in ``logs``."""
+    return {
+        ast.dump(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ends
+        and (_is_ln_frac(node.value) or getattr(node.value, "id", None) in logs)
+    }
+
+
+def _log_divisions(tree, logs=()) -> list:
+    """Lines where ``tree`` divides by the lower end of a log enclosure, its
+    ``.lo`` or its integer ``.l``, or divides an end of one log enclosure by
+    an end of another. A log enclosure is a ln_frac call, a name bound to one
+    anywhere in ``tree``, or a name in ``logs``."""
+    logs = {*logs} | {
         t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and _is_ln_frac(node.value)
         for t in node.targets if isinstance(t, ast.Name)
     }
-    return [
-        node.lineno for den in _denominators(tree) for node in ast.walk(den)
-        if isinstance(node, ast.Attribute) and node.attr in ("lo", "l")
-        and (_is_ln_frac(node.value) or getattr(node.value, "id", None) in bound)
-    ]
+    lines = []
+    for num, den in _fractions(tree):
+        lower, over, under = _log_ends(den, logs, ("lo", "l")), _log_ends(num, logs), _log_ends(den, logs)
+        if lower or (over and under and len(over | under) > 1):
+            lines.append(den.lineno)
+    return lines
 
 
 def test_rate_rules_are_stated_once():
-    """Only ``seqbuild._ln_ratio_hi`` divides by the lower end of a ln_frac
-    enclosure, and RateSpec has no ``kind`` field: a spec without a table is
-    geometric."""
+    """Only ``certlog.ln_quotient`` divides by the lower end of a log
+    enclosure or divides an end of one log enclosure by an end of another,
+    and RateSpec has no ``kind`` field: a spec without a table is geometric.
+    Dividing by a single log, as the eta rule floor(2**40 / ln(n + 3)) does,
+    is not such a quotient."""
     src = Path(__file__).resolve().parent.parent / "src" / "dioph"
-    divisions = [
-        (path.name, getattr(node, "name", None), line)
-        for path in sorted(src.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        for line in _lo_divisions(node)
-    ]
-    assert [d for d in divisions if d[:2] != ("seqbuild.py", "_ln_ratio_hi")] == []
-    assert divisions, "_ln_ratio_hi divides by ln y's lower end"
-    # both forms are caught, the call's own .lo and a name bound to the call
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(node, "name", None))
+            params = [a.arg for a in node.args.args] if where == ("certlog.py", "ln_quotient") else ()
+            found |= {where for _ in _log_divisions(node, params)}
+    assert found == {("certlog.py", "ln_quotient")}
+    # the four formulas ln_quotient replaced are each caught
+    old_sites = {
+        "steepness": "def f(x, y):\n    ln_x = ln_frac(x, 96)\n    def step(k):\n        ln_y = ln_frac(y, k)\n"
+                     "        return (ln_x.h * ln_y.d, ln_x.d * ln_y.l) if ln_y.l > 0 else None\n",
+        "tau": "def f(a, b):\n    ln_a = ln_frac(a, 96)\n    ln_b = ln_frac(b, 96)\n"
+               "    return Fraction(ln_a.l * ln_b.d, ln_a.d * ln_b.h)\n",
+        "omega": "def f(d, q):\n    return ln_frac(1 / d, 96).lo / ln_frac(q, 96).hi\n",
+        "mu": "def f(q0, q1):\n    return 1 + ln_frac(q1, 96).lo / ln_frac(q0, 96).hi\n",
+    }
+    assert {k: _log_divisions(ast.parse(v)) for k, v in old_sites.items()} == {
+        "steepness": [5], "tau": [4], "omega": [2], "mu": [2],
+    }
+    # a lower end alone in a denominator, off the call or a bound name
     reintroduced = "def f(Q, x):\n    ln = ln_frac(Q, 96)\n    return x / ln.lo + x / ln_frac(Q, 96).lo\n"
-    assert _lo_divisions(ast.parse(reintroduced)) == [3, 3]
-    # and on the integers: a Fraction's denominator, an integer pair's second item
+    assert _log_divisions(ast.parse(reintroduced)) == [3, 3]
     on_ints = "def g(Q, x):\n    ln = ln_frac(Q, 96)\n    y = Fraction(x, ln.l)\n    return x, 2 * ln_frac(Q, 96).l\n"
-    assert _lo_divisions(ast.parse(on_ints)) == [3, 4]
+    assert _log_divisions(ast.parse(on_ints)) == [3, 4]
+    eta = "def h(n):\n    ln = ln_frac(n + 3, 96)\n    return (ln.d << 40) // ln.h, Fraction(ln.h, 2 * ln.d)\n"
+    assert _log_divisions(ast.parse(eta)) == []
     assert "kind" not in RateSpec.__dataclass_fields__
     assert RateSpec(F(1, 2), 3).table is None
 
