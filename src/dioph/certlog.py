@@ -1,10 +1,11 @@
 """Certified natural logarithm with directed rational bounds.
 
-``ln_frac(x, k)`` returns an :class:`Enclosure` of ln(x) for rational x > 0
-with width at most 2**-k. The reduction is table-driven (Tang, ACM TOMS
-1990; Brent and Zimmermann, Modern Computer Arithmetic, 4.2) and works on the
-integer pair: x = N/D = 2**e * n/d with n/d in [1, 2), a 20-bit prefix of n/d
-picks the nearest ratio P/R = 2**i 3**j 5**l of a literal table, and
+``ln_frac(x, k)`` returns an :class:`Enclosure` of ln(x) for rational x > 0,
+a number or an integer pair (N, D), with width at most 2**-k. The reduction
+is table-driven (Tang, ACM TOMS 1990; Brent and Zimmermann, Modern Computer
+Arithmetic, 4.2) and works on the integer pair: x = N/D = 2**e * n/d with
+n/d in [1, 2), a 20-bit prefix of n/d picks the nearest ratio P/R = 2**i
+3**j 5**l of a literal table, and
 
     ln x = (e + i) ln 2 + j ln 3 + l ln 5 + 2 atanh(z),
     z = (nR - dP)/(nR + dP), |z| < 1/97,
@@ -30,6 +31,7 @@ the forms benchmark's median latency rose by about 65 % that way.
 from __future__ import annotations
 
 from bisect import bisect
+from typing import Tuple, Union
 
 from .enclosure import Enclosure, Rat
 
@@ -138,14 +140,17 @@ def log2_lo(x: int, b: int) -> int:
     return r
 
 
-def ln_frac(x: Rat, k: int) -> Enclosure:
-    """Enclosure of ln(x) for x > 0 an int or a Fraction, width at most 2**-k.
+def ln_frac(x: Union[Rat, Tuple[int, int]], k: int) -> Enclosure:
+    """Enclosure of ln(x) for x > 0 an int, a Fraction or a pair (n, d) of
+    ints standing for n/d, d > 0, width at most 2**-k. A pair need not be
+    reduced: the exponent, the prefix and the atanh floors below are floors
+    of the value, so (n, d) and n/d give the same enclosure.
 
     The sum runs at w = k + g + bits(c) bits, c = |e + i| + |j| + |l| the
     weight of the constants and g = 16 (bits(k) + 3 from k = 8192 on). The
     constants' widths, each under 6.4 w + 220 ulps, add at most c of them,
     and 2 atanh(z) adds 4n + 4: in all under 2**(w - k) ulps."""
-    n, d = x.numerator, x.denominator
+    n, d = x if x.__class__ is tuple else (x.numerator, x.denominator)
     if n <= 0:
         raise ValueError("ln of a nonpositive rational")
     # equal bit lengths put n/d in (1/2, 2)

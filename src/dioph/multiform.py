@@ -15,6 +15,7 @@ bound tau + 1 with a cross-check against 1/omega.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -42,8 +43,9 @@ from .oracle import (
 )
 from .seqbuild import RateEstimate, _measure_core
 
-# verified distances are refined to this width
-_DIST_TOL = Fraction(1, 1 << 80)
+# verified distances are refined to width 2**-_DIST_BITS
+_DIST_BITS = 80
+_DIST_TOL = Fraction(1, 1 << _DIST_BITS)
 FORM_BITS = 128  # significant bits a form value keeps; its readers use about 112
 
 
@@ -101,8 +103,10 @@ def evaluate_form(
     over the product of their reduced denominators. Each level adds l_j
     times the matching ends of the other coordinates' enclosures to it, as
     one integer fraction per end, and rounds that outward to a dyadic
-    keeping FORM_BITS bits of the end nearer zero; the separation test then
-    runs on the result, which still contains the value.
+    keeping FORM_BITS bits of the end nearer zero, by shifts where both
+    denominators are powers of two, as with an integer leading coordinate
+    and dyadic enclosures; the separation test then runs on the result,
+    which still contains the value.
     Exact zeros (all-rational points) raise ZERO_FORM_VALUE; values that
     cannot be separated within the precision cap raise INCONCLUSIVE.
     """
@@ -146,8 +150,12 @@ def evaluate_form(
         # ulps of 2**(down - up) leave 127-128 bits in the end nearer zero
         e = min(abs(n).bit_length() - d.bit_length() for n, d in ((lo_n, lo_d), (hi_n, hi_d)))
         up, down = max(FORM_BITS - 1 - e, 0), max(e + 1 - FORM_BITS, 0)
-        lo = (lo_n << up) // (lo_d << down) << down
-        hi = -((-hi_n << up) // (hi_d << down)) << down
+        if lo_d & (lo_d - 1) or hi_d & (hi_d - 1):
+            lo = (lo_n << up) // (lo_d << down) << down
+            hi = -((-hi_n << up) // (hi_d << down)) << down
+        else:  # over powers of two the floors are shifts
+            lo = (lo_n << up) >> (lo_d.bit_length() - 1 + down) << down
+            hi = -((-hi_n << up) >> (hi_d.bit_length() - 1 + down)) << down
         return Enclosure.from_ints(lo, hi, 1 << up)
 
     return separated(enclose_at, lambda: f"form value {form.coeffs} not separated from zero")
@@ -235,13 +243,32 @@ def _omega_cap(M: int, excess: int, q: int):
     return Fraction(((M.bit_length() - 1) << 16) - log2_lo(excess, 16), log2_lo(q, 16))
 
 
+def _omega_floor(M: int, high: int, q: int):
+    """(n, m), om = n/m >= 0 at most the exponent :func:`_omega_point`
+    certifies at q on the distance of :func:`_refined_max_dist`, from
+    ``high`` = s + err >= M d(q), s a score: n = 2**16 max(w - bits(H), 0) for
+    M = 2**w and H = high + 2**max(w - _DIST_BITS, 0), m = log2_lo(q, 16) + 2.
+
+    That distance's upper end is at most d(q) + 2**-_DIST_BITS <= H/M <
+    2**(bits(H) - w), which takes om one bit low at most (two where d(q) is
+    near 2**-_DIST_BITS), so the 96-bit lower end of its log is at least ln 2
+    n/2**16 - 2**-96. m/2**16 exceeds log2 q by over 2**-17 (log2_lo), so
+    the 96-bit upper end of ln q is below ln 2 m/2**16 - ln 2 2**-17 + 2**-96.
+    Where n > 0, so n >= 2**16, their quotient is then at least n/m for
+    every q below 2**(2**78)."""
+    w = M.bit_length() - 1
+    n = w - (high + (1 << max(w - _DIST_BITS, 0))).bit_length()
+    return max(n, 0) << 16, log2_lo(q, 16) + 2
+
+
 def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
     """Directed-down pointwise exponent -log dist / log q."""
     if dist_hi <= 0:
         raise CertificateError("INTERNAL", "omega of a zero distance")
     if dist_hi >= 1:
         return Fraction(0)
-    return Fraction(*ln_quotient(ln_frac(1 / dist_hi, LOG_BITS), ln_frac(q, LOG_BITS)))
+    ln_inv = ln_frac((dist_hi.denominator, dist_hi.numerator), LOG_BITS)
+    return Fraction(*ln_quotient(ln_inv, ln_frac(q, LOG_BITS)))
 
 
 def dirichlet_witness(
@@ -306,16 +333,26 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     """Largest pointwise exponent over q0 in [2, q_bound], plus the same
     restricted to the top half of the range.
 
-    Each half bounds the exponent of every record it holds (see
-    :func:`_records`) from above by its score (:func:`_omega_cap`), then
+    Each half walks a record stream as :func:`_records` does, its window also
+    shrunk by the exponent reached so far (below). It bounds the exponent of
+    each record it yields from above by its score (:func:`_omega_cap`), then
     certifies exponents with exact enclosures in descending order of those
-    bounds, until a bound falls below the largest certified exponent, and
+    bounds until a bound falls below the largest certified exponent, and
     keeps the largest, ties to the smaller q0; the whole range's answer is
-    the larger of the halves'. A record left out has a certified exponent at
-    most its bound, so it could neither beat nor tie the one kept. The
-    reported exponents are certified lower bounds at their denominators.
-    A half whose stream has more than DEFAULT_BUDGET candidates raises
+    the larger of the halves'. A record left out by its bound certifies at
+    most that bound, so it could neither beat nor tie the one kept. The
+    reported exponents are certified lower bounds at their denominators. A
+    half whose stream has more than DEFAULT_BUDGET candidates raises
     RANGE_TOO_LARGE.
+
+    The stream keeps om >= 0, the largest :func:`_omega_floor` of its records
+    so far, each at most the exponent its record certifies, and reads its
+    window at q as min(near, ceil(M / 2**t) + err), t = floor(om (bits(q) -
+    1)); a q must also score within the window it was found in. A q' >= q
+    that window leaves out has M d(q') > ceil(M / 2**t), the score error
+    being below err, so d(q') > 2**-t >= q'**-om: its exponent, and the bound
+    it would certify, are below om, so it could neither beat nor tie the
+    record that set om.
     """
     q_bound = as_integer(q_bound, what="q_bound")
     if q_bound < 2:
@@ -326,11 +363,28 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     half = q_bound // 2
 
     def largest(lo, hi):
+        near, om, capped, end, win = M, (0, 1), [], 0, None
+
+        def window(q):
+            # the same below 2**bits(q), until the next record
+            nonlocal end, win
+            if q >= end:
+                b = q.bit_length()
+                # ceil(M / 2**t): a floor, 0 once t > w, would prune on d(q') > 0
+                bound = min(near, err - (-M >> om[0] * (b - 1) // om[1]))
+                end, win = 1 << b, (-bound, bound)
+            return win
+
+        for q in _residue_hits(_Descent(fixed[0], M), lo, hi, window):
+            s = _approx_score(q, fixed, M)
+            if s <= win[1]:
+                near, end = min(near, s + 2 * err), 0
+                capped.append((_omega_cap(M, s - err, q), -q))
+                n, m = _omega_floor(M, s + err, q)
+                if n * om[1] > om[0] * m:
+                    om = n, m
         # descending caps, ties to the smaller q
-        capped = sorted(
-            ((_omega_cap(M, s - err, q), -q) for q, s in _records(fixed, M, err, lo, hi, M)),
-            reverse=True,
-        )
+        capped.sort(reverse=True)
         best = ()
         for cap, neg_q in capped:
             if best and cap < best[0]:
@@ -391,12 +445,25 @@ def _scale_growth(seq: FormSequence) -> Optional[Enclosure]:
 def tau_empirical(seq: FormSequence, window=None) -> RateEstimate:
     """Decay exponent of a form family, with the same adaptive ratio
     estimation and regularity gate as the two-term case; indices must be
-    strictly increasing."""
+    strictly increasing. The window's top form is evaluated first, once the
+    window is validated, then the rest upward: a fresh oracle computes its
+    finest level alone, and the lower forms read that enclosure from its
+    cache."""
     if len(seq) < 3:
         raise PreconditionError("BAD_FORM", "need at least 3 forms")
+    window = None if window is None else tuple(window)  # read twice
+
+    def value(i):
+        return evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()
+
+    top = {}
 
     def residual(i):
-        return evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()
+        # the first read comes once the window is validated
+        if not top:
+            j = len(seq) - 1 if window is None else bisect(seq.ns, window[1]) - 1
+            top[j] = value(j)
+        return top[i] if i in top else value(i)
 
     def height(i):
         return seq.forms[i].height

@@ -205,19 +205,22 @@ class BuildResult:
         return iter(self.entries)
 
 
-def _ln_ratio_hi(x: Fraction, y: Fraction):
-    """(p, q), q > 0, with p/q >= ln x / ln y for rationals x, y > 1: the upward
-    ln_quotient of the logs at LOG_BITS whatever the precision cap. Only where
-    ln y's lower end is 0, as for y within about 2**-97 of 1, ln y climbs the
-    ladder from 2 LOG_BITS until it is positive; INCONCLUSIVE at the cap."""
+def _ln_ratio_hi(x, y):
+    """(p, q), q > 0, with p/q >= ln x / ln y for rationals x, y > 1, each a
+    number or an integer pair as ln_frac takes them: the upward ln_quotient
+    of the logs at LOG_BITS whatever the precision cap. Only where ln y's
+    lower end is 0, as for y within about 2**-97 of 1, ln y climbs the ladder
+    from 2 LOG_BITS until it is positive; INCONCLUSIVE at the cap."""
     ln_x = ln_frac(x, LOG_BITS)
 
     def step(k):
         return ln_quotient(ln_x, ln_frac(y, k), up=True)
 
+    def what():
+        return f"ln({brief(Fraction(*y) if y.__class__ is tuple else y)}) not certified positive"
+
     ratio = step(LOG_BITS)
-    return ratio if ratio is not None else refine(
-        step, lambda: f"ln({brief(y)}) not certified positive", start=2 * LOG_BITS)
+    return ratio if ratio is not None else refine(step, what, start=2 * LOG_BITS)
 
 
 def _rate_precheck(rates: RateSpec, ns, mu_upper: Fraction, slack: Fraction):
@@ -231,7 +234,7 @@ def _rate_precheck(rates: RateSpec, ns, mu_upper: Fraction, slack: Fraction):
     else:
         rows = [(f"row n={n}: ", *rates.targets(n)) for n in ns]
     for where, (Qn, Qd), (en, ed) in rows:
-        rn, rd = _ln_ratio_hi(Fraction(ed, en), Fraction(Qn, Qd))
+        rn, rd = _ln_ratio_hi((ed, en), (Qn, Qd))
         if rn * bd > bn * rd:
             raise RateViolation(f"{where}-log eps / log Q ~ {rn / rd:.4f} exceeds "
                                 f"1/(mu_upper-1) + {slack} = {bn / bd:.4f}")
@@ -334,7 +337,7 @@ def lemma1_bound(alpha_hat: Rat, beta_hat: Rat) -> Fraction:
     """Certified-rounding upper evaluation of 1 - log(beta)/log(alpha) for the
     geometric rates (alpha_hat, beta_hat), checked as a RateSpec."""
     rates = RateSpec(alpha_hat, beta_hat)
-    rn, rd = _ln_ratio_hi(rates.beta, Fraction(rates.alpha.denominator, rates.alpha.numerator))
+    rn, rd = _ln_ratio_hi(rates.beta, (rates.alpha.denominator, rates.alpha.numerator))
     return Fraction(rn + rd, rd)
 
 
@@ -470,7 +473,7 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     regular = 2 * in_band >= len(pos) - 1
     alpha_hat, beta_hat, tau_hat = alpha_enc.hi, beta_enc.hi, Fraction(0)
     if decayed and regular and alpha_enc.strictly_lt(1) and beta_enc.strictly_gt(1):
-        ln_a = ln_frac(Fraction(alpha_hat.denominator, alpha_hat.numerator), LOG_BITS)
+        ln_a = ln_frac((alpha_hat.denominator, alpha_hat.numerator), LOG_BITS)
         tau_hat = Fraction(*ln_quotient(ln_a, ln_frac(beta_hat, LOG_BITS)))
     return RateEstimate(
         alpha_hat=alpha_hat,
@@ -517,6 +520,6 @@ def density_data(u_seq, oracle: RealOracle) -> DensityData:
     pn, pd = top.h * bn, top.d * bd
     nu = Fraction(0)
     if pn != pd:
-        ln = ln_frac(Fraction(pn, pd), LOG_BITS)
+        ln = ln_frac((pn, pd), LOG_BITS)
         nu = Fraction(ln.h, 2 * ln.d)
     return DensityData(Fraction(top.h, top.d), Fraction(bn, bd), nu, tuple(dists))

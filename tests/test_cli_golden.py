@@ -35,6 +35,9 @@ to keep one descent chain per surrogate and to solve deep hits by one
 modular inverse: its case (ii) windows, about 10**-1990 wide at q near
 10**2000, are searched on a surrogate of 16387 bits whose Euclidean descent
 the first hits reach some 5200 levels down, so the file pins a deep descent.
+``omega0_1_sqrt2_sqrt3_q10000000`` was recorded before omega0's record
+stream came to leave out the q whose distance puts their exponent below one
+already reached: at that size the stream drops most of its candidates.
 
 The two ``lemma_near_half_cf`` files were recorded when case (ii) came to
 search both windows in one stream and to read a finer surrogate after a run
@@ -114,6 +117,8 @@ def _stdout(capsys, argv):
     ("apery2_n60.csv", ("--output", "csv", "apery", "--s", "2", "--n-max", "60")),
     ("lemma_sqrt2_eps1e1990_q1e2000.json",
      LEMMA[:-3] + ("--eps", "1e-1990", "--Q", "1e2000")),
+    ("omega0_1_sqrt2_sqrt3_q10000000.json",
+     ("multi", "omega0", "--point", POINT, "--q-bound", "10000000")),
 ])
 def test_identical_output(capsys, name, argv):
     assert _stdout(capsys, argv) == (GOLDEN / name).read_bytes()

@@ -22,7 +22,14 @@ from dioph.multiform import (
     omega0_search,
     tau_empirical,
 )
-from dioph.oracle import GoldenOracle, RationalOracle, SqrtOracle, parse_oracle
+from dioph.oracle import (
+    GoldenOracle,
+    RationalOracle,
+    SqrtOracle,
+    Zeta2Oracle,
+    Zeta3Oracle,
+    parse_oracle,
+)
 
 ONE = RationalOracle(1, spec="rat:1")
 GOLDEN = GoldenOracle()
@@ -263,7 +270,20 @@ class TestTauEmpirical:
 
         monkeypatch.setattr(multiform, "evaluate_form", counting)
         tau_empirical(apery_forms(3, 120), window=(60, 120))
-        assert indices == list(range(60, 121))
+        # the top form is read first; each index of the window once, no other
+        assert indices[0] == 120
+        assert sorted(indices) == list(range(60, 121))
+
+    @pytest.mark.parametrize("s,oracle,level", [(3, Zeta3Oracle, 2048), (2, Zeta2Oracle, 1024)])
+    def test_window_sums_its_zeta_series_once(self, monkeypatch, s, oracle, level):
+        # read from its top form down, the window asks a fresh oracle for its
+        # finest level first, and the lower forms read that cached enclosure;
+        # read upward, it summed the series at half that level too
+        levels = []
+        raw = oracle._raw
+        monkeypatch.setattr(oracle, "_raw", lambda self, k: levels.append(k) or raw(self, k))
+        tau_empirical(apery_forms(s, 120), window=(60, 120))
+        assert levels == [level]
 
     def test_zero_form_outside_the_window_is_not_evaluated(self):
         # l . (1, 3/2) = 0 for l = (3, -2); the window starts past it

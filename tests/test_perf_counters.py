@@ -405,10 +405,8 @@ def test_simultaneous_searches_score_only_stream_hits(monkeypatch, search, score
     assert len(calls) <= scores_at_most
 
 
-def test_omega0_certifies_only_records(monkeypatch):
-    # the record stream scores 788 of the 10**5 denominators and yields 26;
-    # only the two halves' winners have exponent caps that reach the best
-    # certified exponent
+def _omega0_counts(monkeypatch, q_bound):
+    """(scored, yielded, certified) denominators of omega0 on (1, sqrt2, sqrt3)."""
     point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
     scores, capped, certified = [], [], []
     score, cap, verify = multiform._approx_score, multiform._omega_cap, multiform._refined_max_dist
@@ -419,10 +417,21 @@ def test_omega0_certifies_only_records(monkeypatch):
     monkeypatch.setattr(
         multiform, "_refined_max_dist", lambda r, q: certified.append(q) or verify(r, q)
     )
-    omega0_search(point, 10**5)
-    assert len(scores) <= 1000
-    assert len(capped) == 26
-    assert len(certified) == 2
+    omega0_search(point, q_bound)
+    return len(scores), len(capped), len(certified)
+
+
+def test_omega0_certifies_only_records(monkeypatch):
+    # the record stream, its window shrunk by the exponent already reached,
+    # scores 462 of the 10**5 denominators and yields 18 (788 and 26 with
+    # the window of the records alone); only the two halves' winners have
+    # exponent caps that reach the best certified exponent
+    assert _omega0_counts(monkeypatch, 10**5) == (462, 18, 2)
+
+
+def test_omega0_prunes_most_candidates_at_a_large_bound(monkeypatch):
+    # at 10**9 the window of the records alone scored 81501 and yielded 45
+    assert _omega0_counts(monkeypatch, 10**9) == (34813, 28, 2)
 
 
 def test_omega_cap_takes_no_log_enclosure(monkeypatch):
@@ -725,8 +734,8 @@ def test_build_op_does_no_fraction_arithmetic(monkeypatch, spec, alpha):
 
 
 def test_build_op_builds_few_fractions(monkeypatch):
-    # about 83 per op while the build did Fraction arithmetic; now the LemmaParams fields,
-    # the result fields and the logs' rational arguments
+    # about 83 per op while the build did Fraction arithmetic, 37.1 while the
+    # logs took Fraction arguments; now 33.1, the LemmaParams and result fields
     ops = [(parse_oracle(spec), RateSpec(alpha, 3), n0)
            for spec in BUILD_SPECS for alpha in (F(1, 2), F(2, 5)) for n0 in (20, 45)]
     built = []
@@ -734,7 +743,7 @@ def test_build_op_builds_few_fractions(monkeypatch):
     for op in ops:
         _build_op(*op)
     monkeypatch.undo()
-    assert len(built) <= 40 * len(ops)
+    assert len(built) <= 34 * len(ops)
 
 
 def test_form_residuals_are_short_dyadics(monkeypatch):

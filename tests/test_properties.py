@@ -338,6 +338,14 @@ def test_integer_ln_frac_matches_fraction_reduction(x, k):
     assert ln_frac(x, k) == _fraction_ln_frac(x, k)
 
 
+@settings(deadline=None, max_examples=200)
+@given(log_args, ln_ks, st.integers(min_value=1, max_value=2**64))
+def test_ln_frac_reads_a_pair_by_its_value(x, k, g):
+    # an unreduced pair (g n, g d) gives the very integers of n/d's enclosure
+    got, want = ln_frac((g * x.numerator, g * x.denominator), k), ln_frac(x, k)
+    assert (got.l, got.h, got.d) == (want.l, want.h, want.d)
+
+
 @settings(deadline=None, max_examples=300)
 @given(log_args, ln_ks)
 def test_ln_frac_contains_ln_within_width(x, k):
@@ -1088,6 +1096,94 @@ def test_omega_cap_bounds_every_records_certified_exponent(point, q_bound):
         cap = multiform._omega_cap(M, multiform._approx_score(q, fixed, M) - err, q)
         enc, _ = multiform._refined_max_dist(ratios, q)
         assert cap >= multiform._omega_point(enc.hi, q)
+
+
+SQRT2_300 = F(isqrt(2 << 600), 1 << 300)  # within 2**-300 of sqrt2
+
+
+def near_third():
+    """A fresh point within 2**-300 of (1, 1/3), sqrt2 + 1/3 - SQRT2_300 with
+    enclosures of sqrt2's widths: d(3) is far below the width of a distance
+    refined from 64 bits up, so the exponent certified at 3 is read off that
+    width."""
+    return PointVec((RationalOracle(1), AffineOracle(1, F(1, 3) - SQRT2_300, SqrtOracle(2, "sqrt2"))))
+
+
+def _certified_omega(point, q):
+    return multiform._omega_point(multiform._refined_max_dist(point.ratio_oracles(), q)[0].hi, q)
+
+
+@settings(deadline=None, max_examples=40)
+@given(points | st.builds(near_third), st.integers(min_value=2, max_value=3000))
+def test_omega0_prunes_below_every_certified_exponent(point, q_bound):
+    # the stream's om is the largest floor of the records it has yielded, and
+    # each floor is at most the exponent its record certifies, so a q left out
+    # for scoring above q**-om could neither beat nor tie that record
+    floors = []
+    floor = multiform._omega_floor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiform, "_omega_floor",
+                   lambda M, high, q: floors.append((q, floor(M, high, q))) or floors[-1][1])
+        omega0_search(point, q_bound)
+    assert floors
+    for q, (n, m) in floors:
+        assert F(n, m) <= _certified_omega(point, q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(points.map(lambda p: lambda: p) | st.just(near_third),
+       st.integers(min_value=1, max_value=128), st.data())
+@example(near_third, 120, None)
+@example(near_third, 2, None)
+def test_omega_floor_is_below_the_certified_exponent_at_any_q(point, bits, data):
+    # the floor bounds d(q) by the score alone, so it holds at every q, and
+    # past 2**80 bits of fixed point it allows for the refinement width: here
+    # the distance is certified on a fresh oracle, where it is widest
+    q_bound = 3 << bits
+    q = 3 if data is None else data.draw(st.integers(min_value=2, max_value=q_bound))
+    ratios = point().ratio_oracles()
+    M, fixed = multiform._fixed_points(ratios, q_bound)
+    high = multiform._approx_score(q, fixed, M) + q_bound + 2
+    n, m = multiform._omega_floor(M, high, q)
+    assert F(n, m) <= _certified_omega(point(), q)
+
+
+def _omega_above(enc, q):
+    """Directed-up -log d / log q from the lower end of an enclosure of d."""
+    if enc.lo <= 0:
+        return float("inf")
+    ln_inv = ln_frac((enc.lo.denominator, enc.lo.numerator), LOG_BITS)
+    return F(*ln_quotient(ln_inv, ln_frac(q, LOG_BITS), up=True))
+
+
+@settings(deadline=None, max_examples=25)
+@given(points, st.integers(min_value=2, max_value=1500))
+def test_omega0_skips_only_what_cannot_win(point, q_bound):
+    # every q of a half that omega0's stream does not yield has a distance
+    # certified above that of a record yielded before it (``near``), or an
+    # exponent certified below the om then in force (the window). Both hold
+    # with a margin of 2/M, over 2**-80 at these sizes, so the refined
+    # distances decide them
+    records = []
+    floor = multiform._omega_floor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiform, "_omega_floor",
+                   lambda M, high, q: records.append((q, floor(M, high, q))) or records[-1][1])
+        omega0_search(point, q_bound)
+    ratios = point.ratio_oracles()
+    half = q_bound // 2
+    for lo, hi in ((2, half), (max(2, half + 1), q_bound)):
+        mine = [(q, F(*om)) for q, om in records if lo <= q <= hi]
+        yielded = {q for q, _ in mine}
+        least, om, k = None, F(0), 0
+        for q in range(lo, hi + 1):
+            enc = multiform._refined_max_dist(ratios, q)[0]
+            if q in yielded:
+                om = max(om, mine[k][1])
+                least = enc.hi if least is None else min(least, enc.hi)
+                k += 1
+            else:
+                assert (least is not None and enc.lo > least) or _omega_above(enc, q) < om
 
 
 @settings(deadline=None, max_examples=100)
