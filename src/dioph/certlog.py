@@ -23,7 +23,8 @@ deterministic and safe for certificates.
 enclosures (rate condition, tau, omega, mu), read at :data:`LOG_BITS` bits.
 
 ``log2_lo(x, b)`` is a separate, one-sided integer bound by repeated
-squaring. omega0's cap takes two per candidate and divides two integers; on
+squaring. omega0 takes two per record, one of q for its cap and its floor
+and one of the cap's score excess, and divides two integers; on
 ``ln_frac(., 24)`` it would build three enclosures and divide Fractions, and
 the forms benchmark's median latency rose by about 65 % that way.
 """

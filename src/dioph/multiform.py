@@ -195,24 +195,35 @@ def _approx_score(q: int, fixed, M: int) -> int:
     return worst
 
 
-def _records(fixed, M: int, err: int, lo: int, hi: int, near: int):
-    """Yield ascending (q, score) for the q in [lo, hi] scoring at most
-    ``near``, lowering ``near`` to score + 2 err after each.
+def _records(fixed, M: int, err: int, lo: int, hi: int, near: int, cut=lambda bits: inf):
+    """Yield ascending (q, score) for the q in [lo, hi] scoring within the
+    window min(near, cut(bits(q))), read once per bit length until the next
+    record, lowering ``near`` to score + 2 err after each.
 
     A score is within ``err`` of M d(q), where d(q) = max_j ||q x_j||, so
     every record of the range, a q with d(q) below d at every smaller q of
-    the range, is yielded if it scores at most the initial ``near``. The
-    searches certify only these, because for 2 <= q' < q, d(q') <= d(q)
-    forces omega(q') > omega(q) (as d <= 1/2): the largest omega of a range
-    starting at 2 or above is at a record, and so are the smallest q with
-    d <= 1/Q and the q with the smallest d. A score of at most ``near``
-    forces ||q x_1|| <= near / M, so only the residue-class stream of those
-    q is scored.
+    the range, is yielded if it scores within the window. The searches
+    certify only these, because for 2 <= q' < q, d(q') <= d(q) forces
+    omega(q') > omega(q) (as d <= 1/2): the largest omega of a range starting
+    at 2 or above is at a record, and so are the smallest q with d <= 1/Q
+    and the q with the smallest d. A score within the window forces
+    ||q x_1|| <= window / M, so only the residue-class stream of those q is
+    scored.
     """
-    for q in _residue_hits(_Descent(fixed[0], M), lo, hi, lambda q: (-near, near)):
+    end, win = 0, None
+
+    def window(q):
+        nonlocal end, win
+        if q >= end:
+            b = q.bit_length()
+            bound = min(near, cut(b))
+            end, win = 1 << b, (-bound, bound)
+        return win
+
+    for q in _residue_hits(_Descent(fixed[0], M), lo, hi, window):
         s = _approx_score(q, fixed, M)
-        if s <= near:
-            near = min(near, s + 2 * err)
+        if s <= win[1]:
+            near, end = min(near, s + 2 * err), 0
             yield q, s
 
 
@@ -233,21 +244,19 @@ def _refined_max_dist(ratios, q: int):
     return enc, qs
 
 
-def _omega_cap(M: int, excess: int, q: int):
-    """Upper bound on omega(q) = -log d(q) / log q from a score s within err
-    of M = 2**w times d(q), with ``excess`` = s - err: d(q) >= excess / M,
-    so omega(q) <= (w - log2 excess) / log2 q; infinite when excess <= 0. A
-    cap only orders and prunes records, so integer logs to 2**-16 do."""
-    if excess <= 0:
-        return inf
-    return Fraction(((M.bit_length() - 1) << 16) - log2_lo(excess, 16), log2_lo(q, 16))
+def _omega_bounds(M: int, s: int, err: int, q: int):
+    """(cap, (n, m)): bounds on the exponent at q from a score s within err
+    of M = 2**w times d(q), both from one log2_lo(q, 16).
 
+    The cap is an upper bound on omega(q) = -log d(q) / log q: with excess
+    = s - err, d(q) >= excess / M, so omega(q) <= (w - log2 excess) / log2 q;
+    infinite when excess <= 0. A cap only orders and prunes records, so
+    integer logs to 2**-16 do.
 
-def _omega_floor(M: int, high: int, q: int):
-    """(n, m), om = n/m >= 0 at most the exponent :func:`_omega_point`
-    certifies at q on the distance of :func:`_refined_max_dist`, from
-    ``high`` = s + err >= M d(q), s a score: n = 2**16 max(w - bits(H), 0) for
-    M = 2**w and H = high + 2**max(w - _DIST_BITS, 0), m = log2_lo(q, 16) + 2.
+    The floor om = n/m >= 0 is at most the exponent :func:`_omega_point`
+    certifies at q on the distance of :func:`_refined_max_dist`, from high =
+    s + err >= M d(q): n = 2**16 max(w - bits(H), 0) for H = high +
+    2**max(w - _DIST_BITS, 0), m = log2_lo(q, 16) + 2.
 
     That distance's upper end is at most d(q) + 2**-_DIST_BITS <= H/M <
     2**(bits(H) - w), which takes om one bit low at most (two where d(q) is
@@ -256,9 +265,10 @@ def _omega_floor(M: int, high: int, q: int):
     the 96-bit upper end of ln q is below ln 2 m/2**16 - ln 2 2**-17 + 2**-96.
     Where n > 0, so n >= 2**16, their quotient is then at least n/m for
     every q below 2**(2**78)."""
-    w = M.bit_length() - 1
-    n = w - (high + (1 << max(w - _DIST_BITS, 0))).bit_length()
-    return max(n, 0) << 16, log2_lo(q, 16) + 2
+    w, lq, excess = M.bit_length() - 1, log2_lo(q, 16), s - err
+    cap = Fraction((w << 16) - log2_lo(excess, 16), lq) if excess > 0 else inf
+    n = w - (s + err + (1 << max(w - _DIST_BITS, 0))).bit_length()
+    return cap, (max(n, 0) << 16, lq + 2)
 
 
 def _omega_point(dist_hi: Fraction, q: int) -> Fraction:
@@ -333,9 +343,9 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     """Largest pointwise exponent over q0 in [2, q_bound], plus the same
     restricted to the top half of the range.
 
-    Each half walks a record stream as :func:`_records` does, its window also
-    shrunk by the exponent reached so far (below). It bounds the exponent of
-    each record it yields from above by its score (:func:`_omega_cap`), then
+    Each half walks the record stream of :func:`_records`, its window cut
+    by the exponent reached so far (below). It bounds the exponent of each
+    record it yields from above by its score (:func:`_omega_bounds`), then
     certifies exponents with exact enclosures in descending order of those
     bounds until a bound falls below the largest certified exponent, and
     keeps the largest, ties to the smaller q0; the whole range's answer is
@@ -345,14 +355,13 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     half whose stream has more than DEFAULT_BUDGET candidates raises
     RANGE_TOO_LARGE.
 
-    The stream keeps om >= 0, the largest :func:`_omega_floor` of its records
-    so far, each at most the exponent its record certifies, and reads its
-    window at q as min(near, ceil(M / 2**t) + err), t = floor(om (bits(q) -
-    1)); a q must also score within the window it was found in. A q' >= q
-    that window leaves out has M d(q') > ceil(M / 2**t), the score error
-    being below err, so d(q') > 2**-t >= q'**-om: its exponent, and the bound
-    it would certify, are below om, so it could neither beat nor tie the
-    record that set om.
+    The stream keeps om >= 0, the largest floor (:func:`_omega_bounds`) of
+    its records so far, each at most the exponent its record certifies, and
+    cuts its window at bits(q) = b to ceil(M / 2**t) + err, t = floor(om (b
+    - 1)). A q' >= q that window leaves out has M d(q') > ceil(M / 2**t), the
+    score error being below err, so d(q') > 2**-t >= q'**-om: its exponent,
+    and the bound it would certify, are below om, so it could neither beat
+    nor tie the record that set om.
     """
     q_bound = as_integer(q_bound, what="q_bound")
     if q_bound < 2:
@@ -363,26 +372,13 @@ def omega0_search(point: PointVec, q_bound: int) -> OmegaReport:
     half = q_bound // 2
 
     def largest(lo, hi):
-        near, om, capped, end, win = M, (0, 1), [], 0, None
-
-        def window(q):
-            # the same below 2**bits(q), until the next record
-            nonlocal end, win
-            if q >= end:
-                b = q.bit_length()
-                # ceil(M / 2**t): a floor, 0 once t > w, would prune on d(q') > 0
-                bound = min(near, err - (-M >> om[0] * (b - 1) // om[1]))
-                end, win = 1 << b, (-bound, bound)
-            return win
-
-        for q in _residue_hits(_Descent(fixed[0], M), lo, hi, window):
-            s = _approx_score(q, fixed, M)
-            if s <= win[1]:
-                near, end = min(near, s + 2 * err), 0
-                capped.append((_omega_cap(M, s - err, q), -q))
-                n, m = _omega_floor(M, s + err, q)
-                if n * om[1] > om[0] * m:
-                    om = n, m
+        om, capped = (0, 1), []
+        # ceil(M / 2**t) + err: a floor, 0 once t > w, would prune on d(q') > 0
+        for q, s in _records(fixed, M, err, lo, hi, M, lambda b: err - (-M >> om[0] * (b - 1) // om[1])):
+            cap, (n, m) = _omega_bounds(M, s, err, q)
+            capped.append((cap, -q))
+            if n * om[1] > om[0] * m:
+                om = n, m
         # descending caps, ties to the smaller q
         capped.sort(reverse=True)
         best = ()

@@ -153,6 +153,24 @@ def test_simultaneous_scans_answer_ranges_past_a_million(capsys, monkeypatch, ar
     assert 0 < len(scores) < 10**5
 
 
+@pytest.mark.parametrize("action, bracketed, named, fields", [
+    ("omega0", "rat:1,cf:[1;2,2,2]+periodic:[2]", "rat:1,const:sqrt2",
+     {"best_q": "2", "tail_q": "985"}),
+    ("dirichlet", "rat:1,cf:[1;2,2,2]+periodic:[2],cf:[1;1,2]+periodic:[1,2]",
+     "rat:1,const:sqrt2,const:sqrt3", {"q0": "1463", "qs": ["2069", "2534"]}),
+], ids=["omega0", "dirichlet"])
+def test_point_specs_keep_commas_inside_brackets(capsys, action, bracketed, named, fields):
+    # the commas of a cf spec's quotient lists do not split the point
+    bound = ("--q-bound", "1000") if action == "omega0" else ("--Q", "100")
+    docs = []
+    for point in (bracketed, named):
+        code, out, err = run_cli(capsys, "multi", action, "--point", point, *bound)
+        assert code == 0 and err == ""
+        docs.append(json.loads(out))
+    for doc in docs:
+        assert {k: doc[k] for k in fields} == fields
+
+
 def test_output_is_deterministic(capsys):
     argv = ("multi", "omega0", "--point", "rat:1,const:zeta3", "--q-bound", "10000")
     code1, out1, _ = run_cli(capsys, *argv)

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +389,21 @@ def _assert_scored_once_in(scores, rng):
     all inside the search range."""
     assert scores and all(a < b for a, b in zip(scores, scores[1:]))
     assert rng.start <= scores[0] and scores[-1] < rng.stop
+
+
+def test_one_record_stream_serves_both_searches():
+    """multiform.py walks a residue stream in ``_records`` alone; omega0
+    cuts that stream's window rather than walking its own."""
+    path = Path(multiform.__file__)
+    callers = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            callers += [
+                fn.name for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_residue_hits"
+            ]
+    # a call in a nested def counts for it and for each def around it
+    assert callers == ["_records"]
 
 
 def _stream_lengths(monkeypatch, run):

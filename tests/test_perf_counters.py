@@ -409,11 +409,11 @@ def _omega0_counts(monkeypatch, q_bound):
     """(scored, yielded, certified) denominators of omega0 on (1, sqrt2, sqrt3)."""
     point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
     scores, capped, certified = [], [], []
-    score, cap, verify = multiform._approx_score, multiform._omega_cap, multiform._refined_max_dist
+    score, bounds, verify = multiform._approx_score, multiform._omega_bounds, multiform._refined_max_dist
     monkeypatch.setattr(
         multiform, "_approx_score", lambda q, *a: scores.append(q) or score(q, *a)
     )
-    monkeypatch.setattr(multiform, "_omega_cap", lambda *a: capped.append(a) or cap(*a))
+    monkeypatch.setattr(multiform, "_omega_bounds", lambda *a: capped.append(a) or bounds(*a))
     monkeypatch.setattr(
         multiform, "_refined_max_dist", lambda r, q: certified.append(q) or verify(r, q)
     )
@@ -438,20 +438,33 @@ def test_omega_cap_takes_no_log_enclosure(monkeypatch):
     # the caps are integer logs; ln_frac is left to the certified exponents
     point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
     logs, inside = [], []
-    ln, cap = certlog.ln_frac, multiform._omega_cap
+    ln, bounds = certlog.ln_frac, multiform._omega_bounds
 
-    def counted_cap(*a):
+    def counted_bounds(*a):
         inside.append(True)
         try:
-            return cap(*a)
+            return bounds(*a)
         finally:
             inside.pop()
 
     for module in (certlog, multiform):
         monkeypatch.setattr(module, "ln_frac", lambda *a: logs.append(bool(inside)) or ln(*a))
-    monkeypatch.setattr(multiform, "_omega_cap", counted_cap)
+    monkeypatch.setattr(multiform, "_omega_bounds", counted_bounds)
     omega0_search(point, 10**5)
     assert logs and not any(logs)
+
+
+def test_omega0_takes_two_integer_logs_per_record(monkeypatch):
+    # one log2_lo of q serves both the cap and the floor of a record, and
+    # one more reads the cap's excess: at most 36 for the 18 records yielded
+    # at 10**5 (test_omega0_certifies_only_records), where a log of q for
+    # each bound took 54
+    point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
+    logs = []
+    log2_lo = multiform.log2_lo
+    monkeypatch.setattr(multiform, "log2_lo", lambda *a: logs.append(a) or log2_lo(*a))
+    omega0_search(point, 10**5)
+    assert 0 < len(logs) <= 2 * 18
 
 
 def test_first_mode_past_the_fixed_point_certifies_little(monkeypatch):

@@ -1078,9 +1078,14 @@ def test_simultaneous_searches_match_full_scans(point, Q, q_bound, loosen):
         assert largest(certified) == largest(records)
 
     # any looser caps, which reorder the records, keep the report
-    cap = multiform._omega_cap
+    bounds = multiform._omega_bounds
+
+    def looser(M, s, err, q):
+        cap, floor = bounds(M, s, err, q)
+        return cap + q * loosen % 7, floor
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multiform, "_omega_cap", lambda M, e, q: cap(M, e, q) + q * loosen % 7)
+        mp.setattr(multiform, "_omega_bounds", looser)
         assert omega0_search(point, q_bound) == report
 
 
@@ -1093,7 +1098,7 @@ def test_omega_cap_bounds_every_records_certified_exponent(point, q_bound):
     M, fixed = multiform._fixed_points(ratios, q_bound)
     err = q_bound + 2
     for q in brute_records(point, 2, q_bound)[0]:
-        cap = multiform._omega_cap(M, multiform._approx_score(q, fixed, M) - err, q)
+        cap, _ = multiform._omega_bounds(M, multiform._approx_score(q, fixed, M), err, q)
         enc, _ = multiform._refined_max_dist(ratios, q)
         assert cap >= multiform._omega_point(enc.hi, q)
 
@@ -1120,13 +1125,13 @@ def test_omega0_prunes_below_every_certified_exponent(point, q_bound):
     # each floor is at most the exponent its record certifies, so a q left out
     # for scoring above q**-om could neither beat nor tie that record
     floors = []
-    floor = multiform._omega_floor
+    bounds = multiform._omega_bounds
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multiform, "_omega_floor",
-                   lambda M, high, q: floors.append((q, floor(M, high, q))) or floors[-1][1])
+        mp.setattr(multiform, "_omega_bounds",
+                   lambda M, s, err, q: floors.append((q, bounds(M, s, err, q))) or floors[-1][1])
         omega0_search(point, q_bound)
     assert floors
-    for q, (n, m) in floors:
+    for q, (_, (n, m)) in floors:
         assert F(n, m) <= _certified_omega(point, q)
 
 
@@ -1143,8 +1148,7 @@ def test_omega_floor_is_below_the_certified_exponent_at_any_q(point, bits, data)
     q = 3 if data is None else data.draw(st.integers(min_value=2, max_value=q_bound))
     ratios = point().ratio_oracles()
     M, fixed = multiform._fixed_points(ratios, q_bound)
-    high = multiform._approx_score(q, fixed, M) + q_bound + 2
-    n, m = multiform._omega_floor(M, high, q)
+    _, (n, m) = multiform._omega_bounds(M, multiform._approx_score(q, fixed, M), q_bound + 2, q)
     assert F(n, m) <= _certified_omega(point(), q)
 
 
@@ -1165,15 +1169,15 @@ def test_omega0_skips_only_what_cannot_win(point, q_bound):
     # with a margin of 2/M, over 2**-80 at these sizes, so the refined
     # distances decide them
     records = []
-    floor = multiform._omega_floor
+    bounds = multiform._omega_bounds
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multiform, "_omega_floor",
-                   lambda M, high, q: records.append((q, floor(M, high, q))) or records[-1][1])
+        mp.setattr(multiform, "_omega_bounds",
+                   lambda M, s, err, q: records.append((q, bounds(M, s, err, q))) or records[-1][1])
         omega0_search(point, q_bound)
     ratios = point.ratio_oracles()
     half = q_bound // 2
     for lo, hi in ((2, half), (max(2, half + 1), q_bound)):
-        mine = [(q, F(*om)) for q, om in records if lo <= q <= hi]
+        mine = [(q, F(*om)) for q, (_, om) in records if lo <= q <= hi]
         yielded = {q for q, _ in mine}
         least, om, k = None, F(0), 0
         for q in range(lo, hi + 1):
