@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -106,22 +107,9 @@ def _parse_span(text: str) -> tuple:
 
 
 def _split_specs(text: str) -> list:
-    """Split comma-separated oracle specs, ignoring commas inside brackets."""
-    out = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return [s.strip() for s in out if s.strip()]
+    """Comma-separated oracle specs, stripped, blanks dropped; a bracketed
+    list and the commas in it stay in one spec."""
+    return [s for s in map(str.strip, re.findall(r"(?:\[[^\]]*\]?|[^,\[])+", text)) if s]
 
 
 def _point_from(text: str) -> PointVec:

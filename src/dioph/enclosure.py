@@ -47,8 +47,12 @@ def as_integer(x, code: str = "BAD_PARAMS", what: str = "value") -> int:
 
 
 def as_integers(xs, code: str = "BAD_PARAMS", what: str = "value") -> list:
-    """``xs`` as a new list of ints by :func:`as_integer`, in one pass if all are ints."""
-    xs = list(xs)
+    """``xs`` as a new list of ints by :func:`as_integer`, in one pass if all
+    are ints; ``xs`` not iterable raises ``code`` too."""
+    try:
+        xs = list(xs)
+    except TypeError as exc:
+        raise PreconditionError(code, f"{what} list {xs!r} is not iterable") from exc
     for x in xs:
         if x.__class__ is not int:
             return [as_integer(x, code, what) for x in xs]

@@ -447,7 +447,7 @@ def tau_empirical(seq: FormSequence, window=None) -> RateEstimate:
     cache."""
     if len(seq) < 3:
         raise PreconditionError("BAD_FORM", "need at least 3 forms")
-    window = None if window is None else tuple(window)  # read twice
+    window = None if window is None else as_integers(window, what="window end")  # read twice
 
     def value(i):
         return evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()

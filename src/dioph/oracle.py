@@ -17,22 +17,23 @@ the CLI's ``--precision-cap`` sets for one command. Exactly rational values
 are decided exactly, without the ladder, on the ``value`` an oracle sets
 when built (None unless rational).
 
-The string grammar accepted by :func:`parse_oracle`:
+The string grammar accepted by :func:`parse_oracle`, split at its first colon:
 
-    rat:<p>/<q>
+    rat:<r>
     const:<name>         (sqrt2, sqrt3, sqrt5, golden, log2, zeta2, zeta3, e)
     cf:[a0;a1,a2,...]
     cf:[a0;a1,...]+periodic:[b1,...]
     cf:liouville:<B>
-    affine:<a>/<b>:<oracle>
+    affine:<r>/<r>:<oracle>
+    affine:<int>/<int>/<int>/<int>:<oracle>
 
-Rationals may be written p/q, as plain integers, or as exact decimal strings.
+A rational r is p/q, an integer or an exact decimal; B and each <int> are
+what int() reads. Whitespace may surround a spec, a field or a list.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from collections import deque
 from contextvars import ContextVar
 from functools import cached_property
@@ -386,36 +387,35 @@ class CFOracle(RealOracle):
     repeating periodic block, or the rule a_j = B**(j!) for j >= 1 with a_0 =
     0, truncated at a configurable index bound (quotients past the bound raise
     UNREPRESENTABLE since their sizes grow beyond any usable precision).
-    Quotients, base and bound are checked here to be integers (BAD_CF), a
-    list of ints in one pass; the canonical spec is built on first read.
+    Quotients, base and bound are checked here to be integers, a list of
+    ints in one pass, and a base given with quotients or a bound without a
+    base is refused (BAD_CF); the canonical spec is built on first read.
     """
 
-    LIOUVILLE_DEFAULT_CAP = 8
+    liouville_base = None
+    liouville_cap = 8  # the default index bound of a Liouville supply
 
     def __init__(self, prefix, periodic=None, liouville_base=None, liouville_cap=None):
         super().__init__()
-        self.liouville_base = liouville_base
-        cap = self.LIOUVILLE_DEFAULT_CAP if liouville_cap is None else liouville_cap
-        self.liouville_cap = as_integer(cap, "BAD_CF", "liouville cap")
         self._last_pair = (0, 0, SEEDS)  # within's last (n, quotients read, convergent pair)
         if liouville_base is not None:
+            if prefix is not None or periodic is not None:
+                raise PreconditionError("BAD_CF", "a liouville base takes no quotient list")
+            if liouville_cap is not None:
+                self.liouville_cap = as_integer(liouville_cap, "BAD_CF", "liouville cap")
             self.liouville_base = base = as_integer(liouville_base, "BAD_CF", "liouville base")
             if base < 2:
                 raise PreconditionError("BAD_CF", f"liouville base {base} must be >= 2")
             powers = (base ** factorial(j) for j in range(1, self.liouville_cap + 1))
             self._supply = chain([0], powers)
             return
+        if liouville_cap is not None:
+            raise PreconditionError("BAD_CF", "a liouville cap needs a liouville base")
         self._prefix = prefix = as_integers(prefix, "BAD_CF", "quotient")
-        if not prefix:
-            raise PreconditionError("BAD_CF", "empty quotient list")
-        if prefix[0] < 0:
-            raise PreconditionError("BAD_CF", "a0 must be >= 0")
-        if min(islice(prefix, 1, None), default=1) < 1:
-            raise PreconditionError("BAD_CF", "quotients after a0 must be >= 1")
-        self._block = block = as_integers(periodic or (), "BAD_CF", "quotient")
+        self._block = block = as_integers(() if periodic is None else periodic, "BAD_CF", "quotient")
+        if not prefix or prefix[0] < 0 or min(prefix[1:] + block, default=1) < 1:
+            raise PreconditionError("BAD_CF", "quotients need an a0 >= 0 and every later one >= 1")
         if block:
-            if min(block) < 1:
-                raise PreconditionError("BAD_CF", "periodic quotients must be >= 1")
             self._supply = chain(prefix, cycle(block))
         else:
             # the whole expansion at once; its value p/q is folded from the last
@@ -522,91 +522,63 @@ CATALOG = {
 
 def parse_rational(text: str) -> Fraction:
     """p/q, integer, or exact decimal string."""
-    s = text.strip()
     try:
-        return Fraction(s)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError("BAD_RATIONAL", f"cannot parse rational {text!r}") from exc
 
 
-_CF_LIST = re.compile(r"^\[(-?\d+)(?:;((?:\d+)(?:,\d+)*))?\]$")
-_INT_LIST = re.compile(r"^\[(\d+(?:,\d+)*)\]$")
+# a cf: spec's body: liouville:<B>, or a quotient list and an optional periodic block
+_CF = re.compile(
+    r"liouville:(.*)|\s*\[(\d+(?:;\d+(?:,\d+)*)?)\]\s*(?:\+periodic:\s*\[(\d+(?:,\d+)*)\])?"
+)
 
 
-def _parse_cf_body(body: str):
-    """The quotients of ``[a0;a1,...]`` as ints."""
-    m = _CF_LIST.match(body.strip())
-    if not m:
-        raise PreconditionError("BAD_CF", f"cannot parse CF list {body!r}")
-    a0, rest = m.groups()
-    return _quotients([a0, *rest.split(",")] if rest else [a0])
-
-
-def _parse_int_list(body: str):
-    m = _INT_LIST.match(body.strip())
-    if not m:
-        raise PreconditionError("BAD_CF", f"cannot parse quotient block {body!r}")
-    return _quotients(m.group(1).split(","))
-
-
-def _quotients(digits) -> list:
-    """Matched digit strings as ints; BAD_CF past Python's int/str digit limit."""
+def _ints(texts) -> list:
+    """``texts`` by int(); BAD_CF for one it refuses, as past Python's int/str digit limit."""
     try:
-        return list(map(int, digits))
+        return list(map(int, texts))
     except ValueError as exc:
-        limit = sys.get_int_max_str_digits()
-        raise PreconditionError("BAD_CF", f"quotient past Python's {limit}-digit int limit") from exc
+        raise PreconditionError("BAD_CF", f"not an integer within Python's digit int limit: {exc}") from exc
 
 
 def parse_oracle(spec: str) -> RealOracle:
-    s = spec.strip()
-    if s.startswith("rat:"):
-        return RationalOracle(parse_rational(s[4:]))
-    if s.startswith("const:"):
-        name = s[6:].strip()
+    """The oracle of ``spec``, split once into its kind and body at the first colon."""
+    kind, colon, body = spec.strip().partition(":")
+    kind += colon  # a spec without a colon names no kind
+    if kind == "rat:":
+        return RationalOracle(parse_rational(body))
+    if kind == "const:":
+        name = body.strip()
         if name not in CATALOG:
             raise PreconditionError(
                 "BAD_CONST", f"unknown constant {name!r}; have {sorted(CATALOG)}"
             )
         return CATALOG[name]()
-    if s.startswith("cf:"):
-        rest = s[3:]
-        if rest.startswith("liouville:"):
-            base = rest[len("liouville:"):]
-            try:
-                base = int(base)
-            except ValueError as exc:
-                raise PreconditionError(
-                    "BAD_CF", f"liouville base {base!r} is not an integer"
-                ) from exc
-            return CFOracle(None, liouville_base=base)
-        if "+periodic:" in rest:
-            head, tail = rest.split("+periodic:", 1)
-            return CFOracle(_parse_cf_body(head), periodic=_parse_int_list(tail))
-        return CFOracle(_parse_cf_body(rest))
-    if s.startswith("affine:"):
-        rest = s[7:]
-        idx = rest.find(":")
-        if idx < 0:
+    if kind == "cf:":
+        m = _CF.fullmatch(body)
+        if m is None:
+            raise PreconditionError("BAD_CF", f"cannot parse CF spec {spec!r}")
+        base, prefix, block = m.groups()
+        if base is not None:
+            return CFOracle(None, liouville_base=_ints([base])[0])
+        quotients = _ints(prefix.replace(";", ",").split(","))
+        return CFOracle(quotients, periodic=block and _ints(block.split(",")))
+    if kind == "affine:":
+        head, colon, inner = body.partition(":")
+        if not colon:
             raise PreconditionError("BAD_AFFINE", f"missing inner oracle in {spec!r}")
-        head, inner = rest[:idx], rest[idx + 1:]
         fields = head.split("/")
         if len(fields) == 2:
-            a, b = parse_rational(fields[0]), parse_rational(fields[1])
-        elif len(fields) == 4:
+            a, b = map(parse_rational, fields)
+        else:
             try:
-                a = Fraction(int(fields[0]), int(fields[1]))
-                b = Fraction(int(fields[2]), int(fields[3]))
+                a_num, a_den, b_num, b_den = map(int, fields)
+                a, b = Fraction(a_num, a_den), Fraction(b_num, b_den)
             except (ValueError, ZeroDivisionError) as exc:
                 raise PreconditionError(
-                    "BAD_AFFINE", f"{head!r} needs four integers, nonzero denominators"
+                    "BAD_AFFINE", f"use a/b or integers a_num/a_den/b_num/b_den, not {head!r}"
                 ) from exc
-        else:
-            raise PreconditionError(
-                "BAD_AFFINE",
-                f"{head!r} is ambiguous; use a/b with integers or "
-                "a_num/a_den/b_num/b_den",
-            )
         return AffineOracle(a, b, parse_oracle(inner))
     raise PreconditionError("BAD_ORACLE", f"cannot parse oracle spec {spec!r}")
 

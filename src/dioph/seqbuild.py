@@ -449,7 +449,7 @@ def _measure_core(ns, residual, height, window, scales, scale_growth) -> RateEst
     if window is None:
         pos = list(range(len(ns) // 2, len(ns)))
     else:
-        lo, hi = as_integers(window, what="window end")
+        lo, hi = window
         pos = [i for i, n in enumerate(ns) if lo <= n <= hi]
     if len(pos) < 2:
         raise PreconditionError("BAD_PARAMS", "window keeps fewer than 2 entries")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dioph import enclosure, oracle as oracle_mod
+from dioph import enclosure
 from dioph.contfrac import expand, mu_estimate
 from dioph.dichotomy import LemmaParams, find_fractional_hit
 from dioph.enclosure import Enclosure
@@ -26,6 +26,7 @@ from dioph.multiform import (
     PointVec,
     apery_forms,
     nesterenko_report,
+    omega0_search,
     tau_empirical,
 )
 from dioph.oracle import AffineOracle, CFOracle, RationalOracle, SqrtOracle, parse_oracle
@@ -34,6 +35,7 @@ from dioph.seqbuild import (
     RateSpec,
     build_sequence,
     lemma1_bound,
+    measure_rates,
 )
 
 SQRT2 = SqrtOracle(2, "sqrt2")
@@ -108,6 +110,40 @@ def test_each_entry_refuses_what_is_not_its_number(name, code, make, bad):
     assert info.value.code == code
 
 
+# (call, code, message part): a list that is not iterable raised a bare
+# TypeError, contradictory CFOracle arguments were dropped silently, and the
+# rest are refusals no other test reached
+CALLS = [
+    ("CFOracle(None)", "BAD_CF", "not iterable", lambda: CFOracle(None)),
+    ("CFOracle(5)", "BAD_CF", "not iterable", lambda: CFOracle(5)),
+    ("CFOracle periodic=5", "BAD_CF", "not iterable", lambda: CFOracle([1], periodic=5)),
+    ("LinearForm(5)", "BAD_FORM", "not iterable", lambda: LinearForm(5)),
+    ("build_sequence n_range=5", "BAD_PARAMS", "not iterable",
+     lambda: build_sequence(SQRT2, MU, RateSpec(F(1, 2), 3), 5)),
+    ("measure_rates rows of 5", "BAD_PARAMS", "not iterable", lambda: measure_rates([5, 6, 7], SQRT2)),
+    ("tau_empirical window=5", "BAD_PARAMS", "not iterable",
+     lambda: tau_empirical(apery_forms(3, 20), window=5)),
+    ("CFOracle quotients and base", "BAD_CF", "liouville base", lambda: CFOracle([1, 2], liouville_base=3)),
+    ("CFOracle cap without base", "BAD_CF", "liouville cap", lambda: CFOracle([1, 2], liouville_cap=5)),
+    ("omega0_search q_bound=1", "BAD_PARAMS", "q_bound", lambda: omega0_search(PointVec((ONE, SQRT2)), 1)),
+    ("apery_forms s=4", "BAD_PARAMS", "s=4", lambda: apery_forms(4, 10)),
+    ("apery_forms count=1", "BAD_PARAMS", "count=1", lambda: apery_forms(3, 1)),
+    ("build_sequence mu_upper=1", "BAD_PARAMS", "mu_upper", lambda: build_sequence(SQRT2, 1, GEOMETRIC, [5])),
+    ("build_sequence empty range", "BAD_PARAMS", "empty", lambda: build_sequence(SQRT2, MU, GEOMETRIC, [])),
+    ("enclose(0)", "BAD_PRECISION", "precision 0", lambda: SQRT2.enclose(0)),
+    ("affine without inner oracle", "BAD_AFFINE", "missing inner oracle", lambda: parse_oracle("affine:1/2")),
+]
+
+
+@pytest.mark.parametrize("code,part,call", [
+    pytest.param(code, part, call, id=name) for name, code, part, call in CALLS
+])
+def test_each_call_is_refused_with_its_code(code, part, call):
+    with pytest.raises(PreconditionError, match=part) as info:
+        call()
+    assert info.value.code == code
+
+
 def test_integral_values_are_read_as_ints():
     assert CFOracle([0, 2.0, F(3)]).spec == "cf:[0;2,3]"
     liouville = CFOracle(None, liouville_base=F(3), liouville_cap=4.0)
@@ -131,8 +167,9 @@ def test_rationals_are_read_exactly():
 
 
 def test_cf_spec_hands_ints_and_a_list_of_ints_is_checked_in_one_pass(monkeypatch):
-    assert oracle_mod._parse_cf_body("[0;1,22,3]") == [0, 1, 22, 3]
-    assert all(type(a) is int for a in oracle_mod._parse_int_list("[4,5]"))
+    xi = parse_oracle("cf:[0;1,22,3]+periodic:[4,5]")
+    assert (xi._prefix, xi._block) == ([0, 1, 22, 3], [4, 5])
+    assert all(type(a) is int for a in xi._prefix + xi._block)
 
     def per_entry(*args):
         raise AssertionError("a list of ints was converted entry by entry")

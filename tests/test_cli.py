@@ -9,7 +9,7 @@ import pytest
 
 import dioph
 from dioph import multiform
-from dioph.cli import _rate_payload, build_parser, main
+from dioph.cli import _rate_payload, _split_specs, build_parser, main
 from dioph.enclosure import Enclosure
 from dioph.multiform import FormSequence, LinearForm, PointVec, tau_empirical
 from dioph.oracle import PRECISION_CAP, RationalOracle, SqrtOracle
@@ -171,6 +171,16 @@ def test_point_specs_keep_commas_inside_brackets(capsys, action, bracketed, name
         assert {k: doc[k] for k in fields} == fields
 
 
+@pytest.mark.parametrize("text,specs", [
+    ("rat:1,cf:[1;2,2]+periodic:[2],const:e", ["rat:1", "cf:[1;2,2]+periodic:[2]", "const:e"]),
+    ("a,,b", ["a", "b"]),
+    (" rat:1 , const:e ,", ["rat:1", "const:e"]),
+    ("cf:[1;2,3]+periodic:[4,5],cf:[0;1]", ["cf:[1;2,3]+periodic:[4,5]", "cf:[0;1]"]),
+])
+def test_point_lists_split_at_commas_outside_brackets(text, specs):
+    assert _split_specs(text) == specs
+
+
 def test_output_is_deterministic(capsys):
     argv = ("multi", "omega0", "--point", "rat:1,const:zeta3", "--q-bound", "10000")
     code1, out1, _ = run_cli(capsys, *argv)
@@ -278,12 +288,27 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
                     "--rates-csv", str(GOLDEN / "eta.csv"), "--n", "5:6")),
     ("BAD_RATIONAL", ("build", "--oracle", "const:sqrt2", "--mu", "21/x",
                       "--alpha", "1/2", "--beta", "2", "--n", "5:6")),
+    ("BAD_PARAMS: not a span a:b", ("multi", "tau", "--apery", "3", "--window", "5")),
+    ("BAD_PARAMS: empty span", ("multi", "tau", "--apery", "3", "--window", "9:3")),
+    ("BAD_PARAMS: u,v ingestion needs --oracle",
+     ("multi", "tau", "--forms-csv", str(GOLDEN / "sqrt2_convergents.csv"))),
+    ("BAD_PARAMS: forms csv needs u,v or l0..lr",
+     ("multi", "tau", "--forms-csv", str(GOLDEN / "rates.csv"), "--oracle", "const:sqrt2")),
+    ("BAD_PARAMS: window keeps fewer than 2 entries",
+     ("multi", "tau", "--apery", "3", "--n-max", "20", "--window", "20:20")),
+    ("BAD_CF", ("multi", "omega0", "--point", "rat:1,cf:[1;2,const:e", "--q-bound", "100")),
+    ("BAD_CF", ("multi", "omega0", "--point", "rat:1,cf:[1;2]],const:e", "--q-bound", "100")),
+    ("BAD_CONST", ("multi", "omega0", "--point", "rat:1,const:e]", "--q-bound", "100")),
 ], ids=["liouville-base", "affine-int", "affine-zero-den", "u-list", "u-csv-missing",
-        "rates-csv-columns", "rational-flag"])
+        "rates-csv-columns", "rational-flag", "window-not-a-span", "window-empty-span",
+        "uv-csv-without-oracle", "csv-without-form-columns", "window-too-narrow",
+        "point-bracket-unclosed", "point-bracket-unopened", "point-stray-bracket"])
 def test_malformed_input_exits_2(capsys, code, argv):
+    # a code may carry the start of its message, after ": "
+    code, _, message = code.partition(": ")
     exit_code, out, err = run_cli(capsys, *argv)
     assert exit_code == 2 and out == ""
-    assert err.startswith(f"error: {code}: ")
+    assert err.startswith(f"error: {code}: {message}")
 
 
 @pytest.mark.parametrize("argv,column", [

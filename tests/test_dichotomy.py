@@ -261,6 +261,43 @@ def test_misses_forever_end_at_the_budget_or_the_cap(monkeypatch, precision_cap,
     assert stats.bits == (1024 if cap is None else 128)
 
 
+class ShortSupply(CFOracle):
+    """A CF oracle whose supply runs short after the search's first surrogate:
+    every later read by the window search raises UNREPRESENTABLE."""
+
+    reads = 0
+
+    def within(self, width, what=None, stats=None):
+        if what is not None:
+            self.reads += 1
+            if self.reads > 1:
+                raise Unrepresentable("supply too short for a finer surrogate")
+        return super().within(width, what, stats)
+
+
+def test_a_short_supply_keeps_the_old_surrogate(monkeypatch):
+    # the eps = 3/10 near-half lemma finds its witness on the surrogate read
+    # after 64 misses; when that read is UNREPRESENTABLE, the streams go on
+    # on the first surrogate, past the last candidate, and the restarts after
+    # 64 and 128 misses both fail, so the search ends at the budget as
+    # RANGE_TOO_LARGE, not UNREPRESENTABLE
+    checks = []
+    check = dichotomy._frac_window_check
+
+    def recording(oracle, q, *args):
+        checks.append(q)
+        return check(oracle, q, *args)
+
+    monkeypatch.setattr(dichotomy, "DEFAULT_BUDGET", 200)
+    monkeypatch.setattr(dichotomy, "_frac_window_check", recording)
+    xi = ShortSupply([0, 2, 10**30], periodic=[1])
+    assert xi.spec == NEAR_HALF
+    with pytest.raises(RangeTooLarge):
+        solve_disjunction(xi, LemmaParams(F(3, 2), F(8, 5), F(3, 10), 10**40))
+    assert xi.reads == 3
+    assert len(checks) == 200 and checks == sorted(set(checks))
+
+
 def test_window_hit_failing_its_band_is_a_bug(capsys, monkeypatch):
     # a window hit always lies in the band, so a hit whose enclosure fails
     # the band check exits 5 (bug), never 4 (no witness exists)

@@ -33,6 +33,7 @@ from dioph.oracle import (
     Log2Oracle,
     Zeta2Oracle,
     Zeta3Oracle,
+    _certified_prefix,
     _series_fixed,
     _series_pad,
     refine,
@@ -251,6 +252,92 @@ def test_spec_round_trip(spec, canonical):
 def test_parse_oracle_rejects(bad):
     with pytest.raises(PreconditionError):
         parse_oracle(bad)
+
+
+DIGITS = "1" * 5000  # past Python's default int/str digit limit
+
+
+# each spec's outcome under the parser this one replaced, recorded on it:
+# the canonical spec it prints, or the code of its refusal
+@pytest.mark.parametrize("spec,outcome", [
+    ("cf: [1;2]", "cf:[1;2]"),
+    ("cf:[1;2] +periodic:[3]", "cf:[1;2]+periodic:[3]"),
+    ("cf:[1;2]+periodic: [3]", "cf:[1;2]+periodic:[3]"),
+    ("cf:[1;2]+periodic:[3] ", "cf:[1;2]+periodic:[3]"),
+    ("cf:[1;2]\n+periodic:[3]", "cf:[1;2]+periodic:[3]"),
+    ("cf:liouville: 10", "cf:liouville:10"),
+    ("cf:liouville:+10", "cf:liouville:10"),
+    ("cf:liouville:1_0", "cf:liouville:10"),
+    ("affine: 1/2:const:e", "affine:1/1/2/1:const:e"),
+    ("affine:1/2: const:e", "affine:1/1/2/1:const:e"),
+    ("affine:1.5/2:const:e", "affine:3/2/2/1:const:e"),
+    ("affine:1/2/3/ 4:const:e", "affine:1/2/3/4:const:e"),
+    ("const: sqrt2", "const:sqrt2"),
+    ("rat: 3/4", "rat:3/4"),
+    ("cf:[0]", "cf:[0]"),
+    ("cf:[1; 2]", "BAD_CF"),
+    ("cf:[ 1;2]", "BAD_CF"),
+    ("cf:[1,2]", "BAD_CF"),
+    ("cf:[1;2;3]", "BAD_CF"),
+    ("cf:1;2", "BAD_CF"),
+    ("cf:[1;2]x", "BAD_CF"),
+    ("cf:[1;2]+periodic:[]", "BAD_CF"),
+    ("cf:[1;2]+periodic:[3, 4]", "BAD_CF"),
+    ("cf:[1;2]+periodic:[3]+periodic:[4]", "BAD_CF"),
+    ("cf:[1;2] + periodic:[3]", "BAD_CF"),
+    ("cf:[1;2]+periodic:[0]", "BAD_CF"),
+    ("cf:[1;0]", "BAD_CF"),
+    ("cf:[-1;2]", "BAD_CF"),
+    ("cf:", "BAD_CF"),
+    ("cf: liouville:3", "BAD_CF"),
+    ("cf:liouville:", "BAD_CF"),
+    ("cf:liouville:x", "BAD_CF"),
+    ("cf:liouville:1", "BAD_CF"),
+    ("cf:liouville:-3", "BAD_CF"),
+    pytest.param("cf:[0;" + DIGITS + "]", "BAD_CF", id="long-quotient"),
+    pytest.param("cf:liouville:" + DIGITS, "BAD_CF", id="long-base"),
+    ("affine:1/2", "BAD_AFFINE"),
+    ("affine:1/2/3:const:e", "BAD_AFFINE"),
+    ("affine:1/0/0/1:const:e", "BAD_AFFINE"),
+    ("affine:x/2:const:e", "BAD_RATIONAL"),
+    ("affine:1/2:", "BAD_ORACLE"),
+    ("rat:1/0", "BAD_RATIONAL"),
+    ("rat:1/2:x", "BAD_RATIONAL"),
+    ("const:pi", "BAD_CONST"),
+    ("cf", "BAD_ORACLE"),
+    ("cf :[1;2]", "BAD_ORACLE"),
+    ("foo", "BAD_ORACLE"),
+    ("", "BAD_ORACLE"),
+])
+def test_spec_grammar_keeps_its_outcomes(spec, outcome):
+    if not outcome.startswith("BAD_"):
+        assert parse_oracle(spec).spec == outcome
+        return
+    with pytest.raises(PreconditionError) as info:
+        parse_oracle(spec)
+    assert info.value.code == outcome
+
+
+def test_spec_grammar_has_one_reader():
+    """oracle.py reads a cf: body by one pattern and its integers by one
+    reader, and the point splitter runs no loop of its own."""
+    root = Path(__file__).resolve().parent.parent / "src" / "dioph"
+    tree = ast.parse((root / "oracle.py").read_text())
+    names = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_CF_LIST", "_INT_LIST", "_parse_cf_body", "_parse_int_list", "_quotients"}
+    assert {"_CF", "_ints"} <= names
+    split = next(
+        node for node in ast.walk(ast.parse((root / "cli.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_split_specs"
+    )
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(split))
+
+
+def test_certified_prefix_of_an_end_on_the_last_convergent_is_empty():
+    # the endpoint 1 is the last convergent 1/1 of the seeds ((1, 0), (1, 1)),
+    # which has no complete quotient after them
+    assert _certified_prefix(Enclosure(1, 2), ((1, 0), (1, 1))) == []
 
 
 def test_sign_of_form():
