@@ -356,11 +356,12 @@ def _find_hit(oracle, n_lo, n_hi, windows, stats):
     n_hi), and each candidate goes to :func:`_frac_window_check`, tried first
     on that surrogate times q. After MISS_RUN candidates, and again whenever
     their count doubles, the surrogate is read at the square of the width
-    last asked for, unless the supply is too short, and the streams restart
-    past the last candidate: every true hit lies in every surrogate's
-    enlarged window, so only missing classes drop out. DEFAULT_BUDGET
-    candidates are checked over all restarts, and one more raises
-    RANGE_TOO_LARGE.
+    last asked for, and the streams restart past the last candidate: every
+    true hit lies in every surrogate's enlarged window, so only missing
+    classes drop out. A read the quotient supply is too short for keeps the
+    old surrogate and ends the re-reads, as a finer one needs still more
+    quotients. DEFAULT_BUDGET candidates are checked over all restarts, and
+    one more raises that read's UNREPRESENTABLE, or else RANGE_TOO_LARGE.
     """
     n_lo = max(1, n_lo)
     if n_lo > n_hi:
@@ -375,41 +376,46 @@ def _find_hit(oracle, n_lo, n_hi, windows, stats):
         enc = oracle.within(tol, what, stats)
     else:
         enc = Enclosure.point(v)
-    seen, run, end, q, heads = 0, MISS_RUN, n_hi + 1, n_lo - 1, None
-    while True:
-        if heads is None:
-            chain = oracle._descent
-            if chain is None or chain.m != enc.d or chain.a != enc.l % enc.d:
-                chain = oracle._descent = _Descent(enc.l, enc.d)
-            bounds = [_surrogate_window(enc, n_hi, w) for w in windows]
-            streams = [_residue_hits(chain, q + 1, n_hi, lambda _, b=b: b) for b in bounds]
-            heads = [next(s, end) for s in streams]
-        q = min(heads)
-        if q == end:
-            return None
-        for i, window in enumerate(windows):
-            if heads[i] != q:
-                continue
-            if seen == DEFAULT_BUDGET:
-                raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
-            seen += 1
-            if v is not None:
-                stats.candidates += 1
-                x, m, hi, den = q * enc.l, enc.d, window[1], window[2]
-                p = max(x // m, -((hi * m - x * den) // (m * den)))  # ceil(x/m - hi/den)
-                r = x - p * m
-                return q, p, Enclosure.from_ints(r, r, m)
-            hit = _frac_window_check(oracle, q, window, stats, enc * q)
-            if hit is not None:
-                return (q, *hit)
-            heads[i] = next(streams[i], end)
-        if seen >= run:
-            run *= 2
-            tol = Fraction(tol.numerator**2, tol.denominator**2)
-            try:
-                enc, heads = oracle.within(tol, what, stats), None
-            except Unrepresentable:
-                pass
+    seen, run, end, q, heads, short = 0, MISS_RUN, n_hi + 1, n_lo - 1, None, None
+    try:
+        while True:
+            if heads is None:
+                chain = oracle._descent
+                if chain is None or chain.m != enc.d or chain.a != enc.l % enc.d:
+                    chain = oracle._descent = _Descent(enc.l, enc.d)
+                bounds = [_surrogate_window(enc, n_hi, w) for w in windows]
+                streams = [_residue_hits(chain, q + 1, n_hi, lambda _, b=b: b) for b in bounds]
+                heads = [next(s, end) for s in streams]
+            q = min(heads)
+            if q == end:
+                return None
+            for i, window in enumerate(windows):
+                if heads[i] != q:
+                    continue
+                if seen == DEFAULT_BUDGET:
+                    raise RangeTooLarge(f"candidate stream exceeded budget {DEFAULT_BUDGET}")
+                seen += 1
+                if v is not None:
+                    stats.candidates += 1
+                    x, m, hi, den = q * enc.l, enc.d, window[1], window[2]
+                    p = max(x // m, -((hi * m - x * den) // (m * den)))  # ceil(x/m - hi/den)
+                    r = x - p * m
+                    return q, p, Enclosure.from_ints(r, r, m)
+                hit = _frac_window_check(oracle, q, window, stats, enc * q)
+                if hit is not None:
+                    return (q, *hit)
+                heads[i] = next(streams[i], end)
+            if seen >= run and short is None:
+                run *= 2
+                tol = Fraction(tol.numerator**2, tol.denominator**2)
+                try:
+                    enc, heads = oracle.within(tol, what, stats), None
+                except Unrepresentable as exc:
+                    short = exc
+    except RangeTooLarge:
+        if short is None:
+            raise
+        raise short from None
 
 
 def _case_i_search(oracle, u_limit, bound, stats):

@@ -52,13 +52,16 @@ FORM_BITS = 128  # significant bits a form value keeps; its readers use about 11
 @dataclass(frozen=True)
 class LinearForm:
     """Integer form l . (xi_0, ..., xi_m); a coefficient that is not an
-    integer, such as 1.5 or an infinite float, raises BAD_FORM."""
+    integer, such as 1.5 or an infinite float, raises BAD_FORM. A tuple of
+    ints is kept as given."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(as_integers(self.coeffs, "BAD_FORM", "coefficient"))
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = self.coeffs
+        if coeffs.__class__ is not tuple or not all(c.__class__ is int for c in coeffs):
+            coeffs = tuple(as_integers(coeffs, "BAD_FORM", "coefficient"))
+            object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise PreconditionError("BAD_FORM", "a form needs at least 2 coefficients")
         if not any(coeffs):
@@ -99,38 +102,39 @@ def evaluate_form(
 ) -> Enclosure:
     """Signed enclosure of the form value, separated from zero.
 
-    The exact coordinates' terms are summed once, as one integer fraction
-    over the product of their reduced denominators. Each level adds l_j
-    times the matching ends of the other coordinates' enclosures to it, as
-    one integer fraction per end, and rounds that outward to a dyadic
-    keeping FORM_BITS bits of the end nearer zero, by shifts where both
-    denominators are powers of two, as with an integer leading coordinate
-    and dyadic enclosures; the separation test then runs on the result,
-    which still contains the value.
+    One pass over the coefficients and coordinates sums the pad and the
+    exact coordinates' terms, as one integer fraction over the product of
+    their reduced denominators. Each level adds l_j times the matching ends
+    of the other coordinates' enclosures to it, as one integer fraction per
+    end, and rounds that outward to a dyadic keeping FORM_BITS bits of the
+    end nearer zero, by shifts where both denominators are powers of two, as
+    with an integer leading coordinate and dyadic enclosures; the separation
+    test then runs on the result, which still contains the value.
     Exact zeros (all-rational points) raise ZERO_FORM_VALUE; values that
     cannot be separated within the precision cap raise INCONCLUSIVE.
     """
-    if len(form.coeffs) != len(point.coords):
+    coeffs, coords = form.coeffs, point.coords
+    if len(coeffs) != len(coords):
         raise PreconditionError("BAD_FORM", "form and point dimensions differ")
-    exacts = [c.exact_value() for c in point.coords]
-    if all(x is not None for x in exacts):
-        val = sum(l * x for l, x in zip(form.coeffs, exacts))
-        if val == 0:
-            where = "" if index is None else f" at index {index}"
-            raise ZeroFormValue(f"form {form.coeffs} vanishes exactly{where}", index)
-        return Enclosure.point(val)
-    pad = sum(abs(c) for c in form.coeffs).bit_length() + 2
     # products commute, so the exact terms summed first give the same integers
     # as a point enclosure of each, whose power-of-two factor moves no bit below
-    ex_n, ex_d, irrational = 0, 1, []
-    for l, c, x in zip(form.coeffs, point.coords, exacts):
-        if not l:
-            continue
+    total, ex_n, ex_d, irrational, exact = 0, 0, 1, [], True
+    for l, c in zip(coeffs, coords):
+        total += abs(l)
+        x = c.value
         if x is None:
-            irrational.append((l, c))
-        else:
+            exact = False
+            if l:
+                irrational.append((l, c))
+        elif l:
             ex_n = ex_n * x.denominator + l * x.numerator * ex_d
             ex_d *= x.denominator
+    if exact:
+        if not ex_n:
+            where = "" if index is None else f" at index {index}"
+            raise ZeroFormValue(f"form {coeffs} vanishes exactly{where}", index)
+        return Enclosure.point(Fraction(ex_n, ex_d))
+    pad = total.bit_length() + 2
 
     def enclose_at(k):
         lo_n, lo_d, hi_n, hi_d = ex_n, ex_d, ex_n, ex_d
@@ -148,7 +152,7 @@ def evaluate_form(
                 lo_n, lo_d = (lo_n << t) + la * lo_d, lo_d << t
                 hi_n, hi_d = (hi_n << t) + (la + l * (b - a)) * hi_d, hi_d << t
         # ulps of 2**(down - up) leave 127-128 bits in the end nearer zero
-        e = min(abs(n).bit_length() - d.bit_length() for n, d in ((lo_n, lo_d), (hi_n, hi_d)))
+        e = min(abs(lo_n).bit_length() - lo_d.bit_length(), abs(hi_n).bit_length() - hi_d.bit_length())
         up, down = max(FORM_BITS - 1 - e, 0), max(e + 1 - FORM_BITS, 0)
         if lo_d & (lo_d - 1) or hi_d & (hi_d - 1):
             lo = (lo_n << up) // (lo_d << down) << down
@@ -158,7 +162,7 @@ def evaluate_form(
             hi = -((-hi_n << up) >> (hi_d.bit_length() - 1 + down)) << down
         return Enclosure.from_ints(lo, hi, 1 << up)
 
-    return separated(enclose_at, lambda: f"form value {form.coeffs} not separated from zero")
+    return separated(enclose_at, lambda: f"form value {coeffs} not separated from zero")
 
 
 @dataclass(frozen=True)
@@ -447,7 +451,10 @@ def tau_empirical(seq: FormSequence, window=None) -> RateEstimate:
     cache."""
     if len(seq) < 3:
         raise PreconditionError("BAD_FORM", "need at least 3 forms")
-    window = None if window is None else as_integers(window, what="window end")  # read twice
+    if window is not None:
+        window = as_integers(window, what="window end")  # read twice
+        if len(window) != 2:
+            raise PreconditionError("BAD_PARAMS", f"window {window} needs 2 ends, (lo, hi)")
 
     def value(i):
         return evaluate_form(seq.forms[i], seq.point, index=seq.ns[i]).abs()
@@ -533,8 +540,10 @@ def apery_forms(s: int, count: int) -> FormSequence:
     d, r_prev = 1, 1
     scales = [lead] * 2
     for n in range(2, count + 1):
-        d_n = lcm(d, n)
-        r = d_n // d  # S_n / S_(n-1) = r**s, S_n / S_(n-2) = (r r_prev)**s
+        # S_n / S_(n-1) = r**s and S_n / S_(n-2) = (r r_prev)**s for r = lcm(d, n) / d,
+        # which is 1 unless n is a prime power, the only n that d does not divide
+        r = lcm(d, n) // d if d % n else 1
+        d *= r
         c1 = P(n) * r**s
         c2 = sign * ((n - 1) * r * r_prev) ** s
         u, u_rem = divmod(c1 * U[-1] + c2 * U[-2], n**s)
@@ -545,8 +554,8 @@ def apery_forms(s: int, count: int) -> FormSequence:
             )
         U.append(u)
         V.append(v)
-        scales.append(scales[-1] if r == 1 else lead * d_n**s)
-        d, r_prev = d_n, r
+        scales.append(scales[-1] if r == 1 else lead * d**s)
+        r_prev = r
     point = PointVec((RationalOracle(1, spec="rat:1"), zeta))
     return FormSequence(
         tuple(range(count + 1)),

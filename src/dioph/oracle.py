@@ -82,13 +82,14 @@ def is_separated(enc: Enclosure) -> bool:
 
 
 def separated(enclose_at, what) -> Enclosure:
-    """First ``enclose_at(k)`` on the ladder that :func:`is_separated`."""
-
-    def step(k):
-        enc = enclose_at(k)
-        return enc if is_separated(enc) else None
-
-    return refine(step, what)
+    """First ``enclose_at(k)`` on the ladder that :func:`is_separated`. The
+    first rung, within the cap, is tried here; only a value it leaves
+    unseparated climbs :func:`refine` from the second."""
+    if PRECISION_CAP.get() >= _MIN_LEVEL:
+        enc = enclose_at(_MIN_LEVEL)
+        if is_separated(enc):
+            return enc
+    return refine(lambda k: enc if is_separated(enc := enclose_at(k)) else None, what, start=2 * _MIN_LEVEL)
 
 
 def level_for(k: int) -> int:

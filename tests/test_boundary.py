@@ -123,6 +123,9 @@ CALLS = [
     ("measure_rates rows of 5", "BAD_PARAMS", "not iterable", lambda: measure_rates([5, 6, 7], SQRT2)),
     ("tau_empirical window=5", "BAD_PARAMS", "not iterable",
      lambda: tau_empirical(apery_forms(3, 20), window=5)),
+    ("tau_empirical window=(1, 2, 3)", "BAD_PARAMS", "2 ends",
+     lambda: tau_empirical(apery_forms(3, 20), window=(1, 2, 3))),
+    ("tau_empirical window=(1,)", "BAD_PARAMS", "2 ends", lambda: tau_empirical(apery_forms(3, 20), window=(1,))),
     ("CFOracle quotients and base", "BAD_CF", "liouville base", lambda: CFOracle([1, 2], liouville_base=3)),
     ("CFOracle cap without base", "BAD_CF", "liouville cap", lambda: CFOracle([1, 2], liouville_cap=5)),
     ("omega0_search q_bound=1", "BAD_PARAMS", "q_bound", lambda: omega0_search(PointVec((ONE, SQRT2)), 1)),

@@ -278,9 +278,8 @@ class ShortSupply(CFOracle):
 def test_a_short_supply_keeps_the_old_surrogate(monkeypatch):
     # the eps = 3/10 near-half lemma finds its witness on the surrogate read
     # after 64 misses; when that read is UNREPRESENTABLE, the streams go on
-    # on the first surrogate, past the last candidate, and the restarts after
-    # 64 and 128 misses both fail, so the search ends at the budget as
-    # RANGE_TOO_LARGE, not UNREPRESENTABLE
+    # on the first surrogate, past the last candidate, with no further read,
+    # and the search ends at the budget with that read's UNREPRESENTABLE
     checks = []
     check = dichotomy._frac_window_check
 
@@ -292,9 +291,10 @@ def test_a_short_supply_keeps_the_old_surrogate(monkeypatch):
     monkeypatch.setattr(dichotomy, "_frac_window_check", recording)
     xi = ShortSupply([0, 2, 10**30], periodic=[1])
     assert xi.spec == NEAR_HALF
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(Unrepresentable) as info:
         solve_disjunction(xi, LemmaParams(F(3, 2), F(8, 5), F(3, 10), 10**40))
-    assert xi.reads == 3
+    assert info.value.exit_code == 3
+    assert xi.reads == 2
     assert len(checks) == 200 and checks == sorted(set(checks))
 
 

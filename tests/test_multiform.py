@@ -62,10 +62,10 @@ class TestBasics:
         with pytest.raises(Degenerate):
             PointVec((RationalOracle(0), SQRT2)).ratio_oracles()
 
-    @pytest.mark.parametrize("coeffs,want", [((2.0, F(4)), (2, 4)), ((True, -3), (1, -3))])
+    @pytest.mark.parametrize("coeffs,want", [((2.0, F(4)), (2, 4)), ((True, -3), (1, -3)), ([2, 4], (2, 4))])
     def test_form_takes_integral_values(self, coeffs, want):
         coeffs = LinearForm(coeffs).coeffs
-        assert coeffs == want and all(type(c) is int for c in coeffs)
+        assert coeffs == want and type(coeffs) is tuple and all(type(c) is int for c in coeffs)
 
     @pytest.mark.parametrize("coeffs", [
         (1.5, 2), (F(3, 2), 1), (0.4, 0.3), (math.inf, 1), (1, math.nan), ("1", 2), (None, 1),

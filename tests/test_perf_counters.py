@@ -778,6 +778,32 @@ def test_form_residuals_are_short_dyadics(monkeypatch):
             assert end.numerator.bit_length() <= 129
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_apery_window_opens_no_ladder(monkeypatch, s):
+    # every form of the window separates on the first rung, which
+    # oracle.separated decides itself; a value it leaves unseparated climbs
+    # one ladder, from the second rung
+    ladders = []
+    refine = oracle.refine
+    monkeypatch.setattr(oracle, "refine", lambda *a, **kw: ladders.append(kw.get("start")) or refine(*a, **kw))
+    multiform.tau_empirical(multiform.apery_forms(s, 120), window=(60, 120))
+    assert ladders == []
+    zero = multiform.LinearForm((2, -1))
+    point = PointVec((parse_oracle("const:sqrt2"), parse_oracle("affine:2/1/0/1:const:sqrt2")))
+    token = oracle.PRECISION_CAP.set(256)
+    try:
+        with pytest.raises(Inconclusive):
+            multiform.evaluate_form(zero, point)
+    finally:
+        oracle.PRECISION_CAP.reset(token)
+    assert ladders == [128]
+
+
+def test_a_tuple_of_ints_is_kept_as_given():
+    coeffs = (3, -(10**40), 0)
+    assert multiform.LinearForm(coeffs).coeffs is coeffs
+
+
 def test_omega0_decides_each_distance_on_one_ladder(monkeypatch):
     point = PointVec((RationalOracle(1), SqrtOracle(2, "sqrt2"), SqrtOracle(3, "sqrt3")))
     ratios = point.ratio_oracles()

@@ -1391,6 +1391,131 @@ def test_apery_form_values_are_the_per_rung_integers(s):
         assert (got.l, got.h, got.d) == (want.l, want.h, want.d)
 
 
+def _two_pass_form(form, point, index=None):
+    """Reference: evaluate_form as it was before its one pass, which read the
+    exact values into a list, tested them with all(), summed the pad by a
+    generator and took e by a generator min, and climbed the whole ladder."""
+    if len(form.coeffs) != len(point.coords):
+        raise PreconditionError("BAD_FORM", "form and point dimensions differ")
+    exacts = [c.exact_value() for c in point.coords]
+    if all(x is not None for x in exacts):
+        val = sum(l * x for l, x in zip(form.coeffs, exacts))
+        if val == 0:
+            where = "" if index is None else f" at index {index}"
+            raise ZeroFormValue(f"form {form.coeffs} vanishes exactly{where}", index)
+        return Enclosure.point(val)
+    pad = sum(abs(c) for c in form.coeffs).bit_length() + 2
+    ex_n, ex_d, irrational = 0, 1, []
+    for l, c, x in zip(form.coeffs, point.coords, exacts):
+        if not l:
+            continue
+        if x is None:
+            irrational.append((l, c))
+        else:
+            ex_n = ex_n * x.denominator + l * x.numerator * ex_d
+            ex_d *= x.denominator
+
+    def enclose_at(k):
+        lo_n, lo_d, hi_n, hi_d = ex_n, ex_d, ex_n, ex_d
+        for l, c in irrational:
+            enc = c.enclose(k + pad)
+            a, b = (enc.l, enc.h) if l > 0 else (enc.h, enc.l)
+            d = enc.d
+            if d & (d - 1):
+                (a, ad), (b, bd) = F(a, d).as_integer_ratio(), F(b, d).as_integer_ratio()
+                lo_n, lo_d = lo_n * ad + l * a * lo_d, lo_d * ad
+                hi_n, hi_d = hi_n * bd + l * b * hi_d, hi_d * bd
+            else:
+                t, la = d.bit_length() - 1, l * a
+                lo_n, lo_d = (lo_n << t) + la * lo_d, lo_d << t
+                hi_n, hi_d = (hi_n << t) + (la + l * (b - a)) * hi_d, hi_d << t
+        e = min(abs(n).bit_length() - d.bit_length() for n, d in ((lo_n, lo_d), (hi_n, hi_d)))
+        up, down = max(multiform.FORM_BITS - 1 - e, 0), max(e + 1 - multiform.FORM_BITS, 0)
+        if lo_d & (lo_d - 1) or hi_d & (hi_d - 1):
+            lo = (lo_n << up) // (lo_d << down) << down
+            hi = -((-hi_n << up) // (hi_d << down)) << down
+        else:
+            lo = (lo_n << up) >> (lo_d.bit_length() - 1 + down) << down
+            hi = -((-hi_n << up) >> (hi_d.bit_length() - 1 + down)) << down
+        return Enclosure.from_ints(lo, hi, 1 << up)
+
+    def step(k):
+        enc = enclose_at(k)
+        return enc if is_separated(enc) else None
+
+    return refine(step, lambda: f"form value {form.coeffs} not separated from zero")
+
+
+def _form_outcomes(specs, coeffs, cap, index=None):
+    """(evaluate_form's, the reference's) result: (l, h, d), or the error's
+    class and message, each on fresh oracles under ``cap``."""
+    out = []
+    for fn in (evaluate_form, _two_pass_form):
+        point = PointVec(tuple(parse_oracle(s) for s in specs))
+        token = PRECISION_CAP.set(cap)
+        try:
+            enc = fn(LinearForm(coeffs), point, index=index)
+            out.append((enc.l, enc.h, enc.d))
+        except DiophError as exc:
+            out.append((type(exc), str(exc)))
+        finally:
+            PRECISION_CAP.reset(token)
+    return out
+
+
+reference_specs = st.one_of(
+    rationals.map(lambda r: f"rat:{r}"),
+    constants,
+    st.builds(
+        lambda a, b, inner: f"affine:{a.numerator}/{a.denominator}/{b.numerator}/{b.denominator}:{inner}",
+        scales, rationals, constants,
+    ),
+    st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=6).map(
+        lambda qs: f"cf:[{qs[0]};{','.join(map(str, qs[1:]))}]" if qs[1:] else f"cf:[{qs[0]}]"),
+    st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=3).map(
+        lambda qs: f"cf:[1;2]+periodic:[{','.join(map(str, qs))}]"),
+    st.integers(min_value=2, max_value=10).map(lambda b: f"cf:liouville:{b}"),
+)
+reference_coeffs = st.integers(min_value=-(2**1500), max_value=2**1500) | st.just(0)
+
+
+@st.composite
+def reference_forms(draw):
+    """(specs, coeffs, cap): 2-4 coordinates and a nonzero form on them, or
+    a form that vanishes exactly, (b, a, -1) on (1, x, a x + b) over one
+    denominator with a zero term on top, for x rational or not."""
+    if draw(st.booleans()):
+        specs = draw(st.lists(reference_specs, min_size=2, max_size=4))
+        coeffs = draw(st.lists(reference_coeffs, min_size=len(specs), max_size=len(specs)))
+        assume(any(coeffs))
+    else:
+        x, a, b = draw(reference_specs), draw(scales), draw(rationals)
+        den = a.denominator * b.denominator
+        specs = ["rat:1", x, f"affine:{a.numerator}/{a.denominator}/{b.numerator}/{b.denominator}:{x}"]
+        coeffs = [int(b * den), int(a * den), -den]
+        if draw(st.booleans()):
+            specs.append(draw(reference_specs))
+            coeffs.append(0)
+    # a low cap everywhere: an exact zero on an irrational point climbs to it
+    return specs, coeffs, draw(st.sampled_from([32, 64, 100, 128, 4096]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(reference_forms())
+def test_one_pass_form_value_matches_the_two_pass_reference(drawn):
+    got, want = _form_outcomes(*drawn, index=7)
+    assert got == want
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_every_apery_form_value_matches_the_two_pass_reference(s):
+    seqs = [multiform.apery_forms(s, 150) for _ in range(2)]
+    for n in range(151):
+        got, want = (fn(seq.forms[n], seq.point, index=n)
+                     for fn, seq in zip((evaluate_form, _two_pass_form), seqs))
+        assert (got.l, got.h, got.d) == (want.l, want.h, want.d)
+
+
 def _power_gate(a, b) -> bool:
     """Reference: the regularity step as the exact power test alone, in
     Fraction arithmetic on the upper ends."""
